@@ -8,6 +8,7 @@ in a ``run`` invocation; sweeps record failures instead of failing).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
@@ -59,6 +60,10 @@ class RunConfig:
             raise ConfigError("ratio/dt: exactly one of ratio and dt may be given")
         if self.ratio is None and self.dt is None:
             self.ratio = 1.0
+        for key in ("ratio", "dt", "T"):
+            _require_positive(key, getattr(self, key))
+        for value in self.ratios:
+            _require_positive("ratios", value)
         if self.shift_order not in (1, 3):
             raise ConfigError("shift_order: must be 1 or 3")
         if self.problem == "heat2d" and self.shift_order == 3:
@@ -67,6 +72,15 @@ class RunConfig:
             raise ConfigError("filter: must be 'on' or 'off'")
         if self.N < 4:
             raise ConfigError("N: must be >= 4")
+        if self.N_y is not None and self.N_y < 4:
+            raise ConfigError("N_y: must be >= 4")
+        if self.n_subdomains < 1:
+            raise ConfigError("n_subdomains: must be >= 1")
+        # Reject what no driver would read rather than run without it.
+        if self.kappa_adapt and (self.n_subdomains > 1 or self.problem == "heat2d"):
+            raise ConfigError("kappa_adapt: only single-domain 1D runs adapt kappa")
+        if self.overlap_adapt:
+            raise ConfigError("overlap_adapt: no driver adapts the overlap yet")
         if not self.grid_sizes:
             self.grid_sizes = (self.N,)
 
@@ -78,6 +92,11 @@ class RunConfig:
         if self.dt is not None:
             return self.dt
         return bench.ratio_to_dt(self.ratio, h)
+
+
+def _require_positive(key: str, value: float | None) -> None:
+    if value is not None and not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{key}: must be finite and positive, got {value!r}")
 
 
 _BOOL_KEYS = {"kappa_adapt", "overlap_adapt", "timing", "excited"}
@@ -306,13 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kappa-fraction", dest="kappa_fraction", default=None,
                        help="kappa = fraction * kappa_c (default 1.0)")
         p.add_argument("--kappa-adapt", dest="kappa_adapt", default=None,
-                       help="adapt kappa from high-mode growth (default false)")
+                       help="adapt kappa from high-mode growth; single-domain 1D "
+                            "runs only (default false)")
         p.add_argument("--n-subdomains", dest="n_subdomains", default=None,
                        help="overlapping strips for the postprocess (default 1)")
         p.add_argument("--overlap", default=None,
                        help="overlap width in intervals, even (default 8)")
         p.add_argument("--overlap-adapt", dest="overlap_adapt", default=None,
-                       help="adaptive overlap (default false)")
+                       help="adaptive overlap; not implemented, only false is "
+                            "accepted (default false)")
         p.add_argument("--output", default=None, help="CSV path (default results.csv)")
         p.add_argument("--ratios", default=None,
                        help="comma list of ratios for sweep/dd (default 0.25..8)")

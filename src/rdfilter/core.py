@@ -2,11 +2,16 @@
 
 Fields store their values node-major, shape (nodes..., m), so the pointwise
 reaction solve works on contiguous per-node blocks.
+
+Grid node arrays are memoized per interval count (``uniform_nodes``): every
+grid with N intervals returns the same read-only array from ``nodes``,
+``nodes_x`` and ``nodes_y``, so a time step never rebuilds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -14,6 +19,18 @@ import numpy as np
 # Sup-norm above which a run is declared blown up (stability experiments need
 # a deterministic "unstable" verdict; NaN/Inf also counts).
 BLOWUP_THRESHOLD = 1.0e8
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """Mark a memoized array read-only, so no caller can corrupt the shared copy."""
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=64)
+def uniform_nodes(n_intervals: int) -> np.ndarray:
+    """Read-only nodes x_j = j*pi/N, j = 0..N, shared by every grid with N intervals."""
+    return read_only(np.linspace(0.0, np.pi, n_intervals + 1))
 
 
 @dataclass(frozen=True)
@@ -34,7 +51,7 @@ class Grid1D:
 
     @property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, np.pi, self.n_intervals + 1)
+        return uniform_nodes(self.n_intervals)
 
 
 def make_grid_1d(n_intervals: int) -> Grid1D:
@@ -62,17 +79,23 @@ class Grid2D:
 
     @property
     def nodes_x(self) -> np.ndarray:
-        return np.linspace(0.0, np.pi, self.n_intervals_x + 1)
+        return uniform_nodes(self.n_intervals_x)
 
     @property
     def nodes_y(self) -> np.ndarray:
-        return np.linspace(0.0, np.pi, self.n_intervals_y + 1)
+        return uniform_nodes(self.n_intervals_y)
 
 
 def make_grid_2d(n_intervals_x: int, n_intervals_y: int | None = None) -> Grid2D:
     if n_intervals_y is None:
         n_intervals_y = n_intervals_x
     return Grid2D(int(n_intervals_x), int(n_intervals_y))
+
+
+def _exceeds(values: np.ndarray, threshold: float) -> bool:
+    # One reduction: NaN propagates through max, so NaN, +-Inf and values
+    # above the threshold all fail the comparison; the threshold itself passes.
+    return not np.max(np.abs(values)) <= threshold
 
 
 def _as_node_major(values: np.ndarray, node_shape: tuple[int, ...]) -> np.ndarray:
@@ -104,7 +127,7 @@ class Field:
         return Field(self.grid, values)
 
     def blown_up(self, threshold: float = BLOWUP_THRESHOLD) -> bool:
-        return not np.all(np.isfinite(self.values)) or np.max(np.abs(self.values)) > threshold
+        return _exceeds(self.values, threshold)
 
     @staticmethod
     def zeros(grid: Grid1D, m: int = 1) -> "Field":
@@ -134,7 +157,7 @@ class Field2D:
         return Field2D(self.grid, values)
 
     def blown_up(self, threshold: float = BLOWUP_THRESHOLD) -> bool:
-        return not np.all(np.isfinite(self.values)) or np.max(np.abs(self.values)) > threshold
+        return _exceeds(self.values, threshold)
 
     @staticmethod
     def zeros(grid: Grid2D, m: int = 1) -> "Field2D":

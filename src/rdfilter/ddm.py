@@ -7,23 +7,22 @@ linear partition-of-unity ramp.  The Gibbs oscillations excited at the
 artificial interfaces are damped away from them, so a wider overlap buys a
 larger stable time step; ``adapt_overlap`` widens it when an interface
 energy monitor reports sustained growth.
+
+The blend weights of a layout are memoized (read-only), and each strip reads
+its cosine modes from rows lo..hi of the global ``cosine_basis`` table.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .core import Field, Grid1D, ReactionSystem
+from .core import Field, Grid1D, ReactionSystem, read_only
 from .filtering import FilterSpec, apply_filter_values
-from .shift import (
-    estimate_uxx_nodes,
-    shift1_values,
-    shift3_values,
-    unshift_values,
-)
+from .shift import cosine_basis, estimate_uxx_nodes
 
 MIN_INTERIOR_POINTS = 8
 
@@ -69,8 +68,10 @@ def make_layout(grid: Grid1D, n_subdomains: int, overlap: int) -> SubdomainLayou
     return SubdomainLayout(grid, tuple(ranges), overlap)
 
 
-def blend_weights(layout: SubdomainLayout) -> list[np.ndarray]:
-    """Per-subdomain node weights; linear ramps across overlaps, summing to 1."""
+@lru_cache(maxsize=64)
+def blend_weights(layout: SubdomainLayout) -> tuple[np.ndarray, ...]:
+    """Per-subdomain node weights; linear ramps across overlaps, summing to 1.
+    Memoized per layout; the arrays are read-only."""
     weights = []
     last = layout.n_subdomains - 1
     for i, (lo, hi) in enumerate(layout.ranges):
@@ -81,31 +82,29 @@ def blend_weights(layout: SubdomainLayout) -> list[np.ndarray]:
         if i < last:
             ramp = np.arange(layout.overlap, -1, -1) / layout.overlap
             w[-(layout.overlap + 1):] = np.minimum(w[-(layout.overlap + 1):], ramp)
-        weights.append(w)
-    return weights
+        weights.append(read_only(w))
+    return tuple(weights)
 
 
-def _local_shift(vals: np.ndarray, x: np.ndarray, uxx: np.ndarray | None):
+def _local_shift(vals: np.ndarray, basis: np.ndarray, uxx: np.ndarray | None):
     """Shift a subdomain restriction with the global cosine basis cos((j-1)x).
 
+    ``basis`` holds the strip's rows of the global table, one column per mode.
     Solving the endpoint conditions in global coordinates (rather than
     rescaling the strip onto (0, pi)) makes the shift absorb global cosine
     trends exactly; on the full domain it reduces to the standard formulas.
     Returns (shifted values, coefficients) with coefficients shaped (n_modes, m).
     """
+    ends = basis[[0, -1]]
     if uxx is None:  # first-order: v = 0 at both ends
-        basis = np.cos(np.outer(x[[0, -1]], [0, 1]))
+        rows = ends
         rhs = np.stack([vals[0], vals[-1]])
-        modes = np.array([0, 1])
     else:  # third-order: v = 0 and v_xx = 0 at both ends
-        ends = x[[0, -1]]
-        modes = np.array([0, 1, 2, 3])
-        val_rows = np.cos(np.outer(ends, modes))
-        uxx_rows = -(modes**2)[np.newaxis, :] * np.cos(np.outer(ends, modes))
-        basis = np.vstack([val_rows, uxx_rows])
+        modes = np.arange(basis.shape[1])
+        rows = np.vstack([ends, -(modes**2)[np.newaxis, :] * ends])
         rhs = np.stack([vals[0], vals[-1], uxx[0], uxx[1]])
-    alpha = np.linalg.solve(basis, rhs)
-    return vals - np.cos(np.outer(x, modes)) @ alpha, alpha
+    alpha = np.linalg.solve(rows, rhs)
+    return vals - basis @ alpha, alpha
 
 
 def postprocess_dd(u: Field, layout: SubdomainLayout, spec: FilterSpec,
@@ -121,9 +120,11 @@ def postprocess_dd(u: Field, layout: SubdomainLayout, spec: FilterSpec,
     """
     out = np.zeros_like(u.values)
     weights = blend_weights(layout)
+    n_modes = 2 if shift_order == 1 else 4
+    table = cosine_basis(u.grid.n_intervals, n_modes)
     for (lo, hi), w in zip(layout.ranges, weights):
-        vals = u.values[lo:hi + 1].copy()
-        x = u.grid.nodes[lo:hi + 1]
+        vals = u.values[lo:hi + 1]
+        basis = table[lo:hi + 1]
         if shift_order == 1:
             uxx = None
         elif shift_order == 3:
@@ -133,12 +134,11 @@ def postprocess_dd(u: Field, layout: SubdomainLayout, spec: FilterSpec,
                                      t_next, np.array([lo, hi]))
         else:
             raise ValueError(f"shift_order must be 1 or 3, got {shift_order}")
-        v, alpha = _local_shift(vals, x, uxx)
+        v, alpha = _local_shift(vals, basis, uxx)
         v[0] = 0.0
         v[-1] = 0.0
         filtered = apply_filter_values(v, spec)
-        modes = np.arange(alpha.shape[0])
-        local = filtered + np.cos(np.outer(x, modes)) @ alpha
+        local = filtered + basis @ alpha
         out[lo:hi + 1] += w[:, np.newaxis] * local
     return u.with_values(out)
 

@@ -5,17 +5,21 @@ field by sigma(kappa * k / N).  The stretching factor kappa moves the
 effective cutoff down to the linearly stable band: with kappa >= kappa_c
 every mode the filter retains satisfies the two-step scheme's per-mode
 stability condition, so time steps far beyond dt = h^2/3 become usable.
+
+The filter factors are memoized per (N, FilterSpec) by ``filter_factors``
+and returned read-only, so a run evaluates sigma once per grid and kappa.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from scipy.fft import dst, idst
 
-from .core import Field, ReactionSystem
+from .core import Field, ReactionSystem, read_only, uniform_nodes
 from .shift import (
     ShiftCoeffs1,
     ShiftCoeffs3,
@@ -76,9 +80,11 @@ def sine_reconstruct(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
 def filter_factors(n_intervals: int, spec: FilterSpec) -> np.ndarray:
+    """Read-only factors sigma(kappa k / N), k = 1..N-1, memoized per (N, spec)."""
     k = np.arange(1, n_intervals)
-    return spec.sigma(spec.kappa * k / n_intervals)
+    return read_only(np.asarray(spec.sigma(spec.kappa * k / n_intervals), dtype=float))
 
 
 def apply_filter_values(values: np.ndarray, spec: FilterSpec) -> np.ndarray:
@@ -102,7 +108,7 @@ def filter_boundary_trace(samples: np.ndarray, spec: FilterSpec) -> np.ndarray:
     samples = np.asarray(samples, dtype=float)
     squeeze = samples.ndim == 1
     vals = samples[:, np.newaxis] if squeeze else samples
-    x = np.linspace(0.0, np.pi, vals.shape[0])
+    x = uniform_nodes(vals.shape[0] - 1)
     v, alpha = shift1_values(vals, x)
     v[0] = 0.0
     v[-1] = 0.0
@@ -133,7 +139,7 @@ class KappaMonitor:
 
     def observe(self, coeffs: np.ndarray, n_intervals: int,
                 sigma: Callable = sigma8) -> float:
-        factors = sigma(self.kappa * np.arange(1, n_intervals) / n_intervals)
+        factors = filter_factors(n_intervals, FilterSpec(self.kappa, sigma=sigma))
         retained = np.nonzero(factors > RETAIN_TOL)[0]
         if retained.size:
             k_max = retained[-1] + 1

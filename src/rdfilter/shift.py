@@ -8,15 +8,21 @@ function smooth enough for the filter to act on without ringing.
 Note on the first-order coefficients: the assignments used here,
 alpha_1 = (u_0 + u_pi)/2 and alpha_2 = (u_0 - u_pi)/2, are the unique pair
 for which v = u - alpha_1 - alpha_2 cos(x) vanishes at both endpoints.
+
+The cosine modes are read from one memoized table per grid and mode count,
+``cosine_basis(N, n_modes)[i, j] = cos(j x_i)``; it is read-only.  The 1D
+shifts, the overlapping strips (rows lo..hi of the global table) and the 2D
+shift (its cos(x) column) all use it, so no step re-evaluates a cosine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .core import Field, Field2D, ReactionSystem
+from .core import Field, Field2D, ReactionSystem, read_only, uniform_nodes
 
 ENDPOINT_TOL = 1.0e-12
 
@@ -43,10 +49,19 @@ class ShiftCoeffs3:
     alpha: np.ndarray
 
 
+@lru_cache(maxsize=64)
+def cosine_basis(n_intervals: int, n_modes: int) -> np.ndarray:
+    """Read-only (N+1, n_modes) table cos(j x_i) on the nodes of an N-interval grid."""
+    return read_only(np.cos(np.outer(uniform_nodes(n_intervals), np.arange(n_modes))))
+
+
 def _cosine_sum(alpha: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # sum_j alpha[j] * cos(j*x), alpha shape (n_modes, m) -> (len(x), m)
-    modes = np.arange(alpha.shape[0])
-    return np.cos(np.outer(x, modes)) @ alpha
+    # sum_j alpha[j] * cos(j*x), alpha shape (n_modes, m) -> (len(x), m).
+    # Grid nodes (what every caller in the package passes) use the cached table.
+    n = x.shape[0] - 1
+    if x is uniform_nodes(n):
+        return cosine_basis(n, alpha.shape[0]) @ alpha
+    return np.cos(np.outer(x, np.arange(alpha.shape[0]))) @ alpha
 
 
 def shift1_values(values: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,6 +172,12 @@ class ShiftCoeffs2D:
     beta: np.ndarray
 
 
+def _cos_xy(grid) -> tuple[np.ndarray, np.ndarray]:
+    # cos(x) and cos(y) on the nodes: column 1 of each axis's cached table.
+    return (cosine_basis(grid.n_intervals_x, 2)[:, 1],
+            cosine_basis(grid.n_intervals_y, 2)[:, 1])
+
+
 def shift2d(u: Field2D, edges: dict | None = None) -> tuple[Field2D, ShiftCoeffs2D]:
     """Render all four edges homogeneous with first-order shifts in x then y.
 
@@ -178,23 +199,21 @@ def shift2d(u: Field2D, edges: dict | None = None) -> tuple[Field2D, ShiftCoeffs
         if np.max(np.abs(a - b)) > CORNER_TOL:
             raise ValueError("incompatible corner data in 2D boundary conditions")
 
-    x = u.grid.nodes_x
-    y = u.grid.nodes_y
+    cos_x, cos_y = _cos_xy(u.grid)
     # Homogenize the x-direction boundary: v(0,y) = v(pi,y) = 0.
     alpha = np.stack([0.5 * (h0 + hpi), 0.5 * (h0 - hpi)])  # (2, Ny+1, m)
-    v = vals - alpha[0][np.newaxis] - alpha[1][np.newaxis] * np.cos(x)[:, np.newaxis, np.newaxis]
+    v = vals - alpha[0][np.newaxis] - alpha[1][np.newaxis] * cos_x[:, np.newaxis, np.newaxis]
     # Then the y-direction, from the traces of v.
     v0, vpi = v[:, 0], v[:, -1]
     beta = np.stack([0.5 * (v0 + vpi), 0.5 * (v0 - vpi)])  # (2, Nx+1, m)
-    w = v - beta[0][:, np.newaxis] - beta[1][:, np.newaxis] * np.cos(y)[np.newaxis, :, np.newaxis]
+    w = v - beta[0][:, np.newaxis] - beta[1][:, np.newaxis] * cos_y[np.newaxis, :, np.newaxis]
     return u.with_values(w), ShiftCoeffs2D(alpha, beta)
 
 
 def unshift2d(filtered_w: Field2D, coeffs: ShiftCoeffs2D) -> Field2D:
-    x = filtered_w.grid.nodes_x
-    y = filtered_w.grid.nodes_y
+    cos_x, cos_y = _cos_xy(filtered_w.grid)
     alpha, beta = coeffs.alpha, coeffs.beta
     out = (filtered_w.values
-           + alpha[0][np.newaxis] + alpha[1][np.newaxis] * np.cos(x)[:, np.newaxis, np.newaxis]
-           + beta[0][:, np.newaxis] + beta[1][:, np.newaxis] * np.cos(y)[np.newaxis, :, np.newaxis])
+           + alpha[0][np.newaxis] + alpha[1][np.newaxis] * cos_x[:, np.newaxis, np.newaxis]
+           + beta[0][:, np.newaxis] + beta[1][:, np.newaxis] * cos_y[np.newaxis, :, np.newaxis])
     return filtered_w.with_values(out)

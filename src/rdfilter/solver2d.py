@@ -1,16 +1,20 @@
 """Two-dimensional Dirichlet solver: five-point Laplacian, the 2D analogue of
 the two-step scheme, and the 2D postprocess (boundary-trace filtering,
-two-step first-order shift, tensor sine filtering, reconstruction)."""
+two-step first-order shift, tensor sine filtering, reconstruction).
+
+The interior node mesh handed to the reaction is memoized per grid and
+read-only."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from scipy.fft import dstn, idstn
 
-from .core import Field2D, Grid2D, ReactionSystem, SchemeState
+from .core import Field2D, Grid2D, ReactionSystem, SchemeState, read_only
 from .filtering import FilterSpec, RETAIN_TOL, filter_boundary_trace, filter_factors
 from .shift import ShiftCoeffs2D, shift2d, unshift2d
 from .stepper import StepConfig, newton_point_solve
@@ -79,6 +83,14 @@ def apply_laplacian_5pt(field: Field2D, grid: Grid2D | None = None) -> Field2D:
     return field.with_values(out)
 
 
+@lru_cache(maxsize=8)
+def _interior_mesh(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
+    # (X, Y) at the interior nodes, indexing "ij"; a few (Nx-1, Ny-1) arrays
+    # per grid, so few grids are kept.
+    X, Y = np.meshgrid(grid.nodes_x[1:-1], grid.nodes_y[1:-1], indexing="ij")
+    return read_only(X), read_only(Y)
+
+
 def step2d(state: SchemeState, reaction: ReactionSystem, cfg: StepConfig,
            bc: BoundaryData2D) -> Field2D:
     """2D analogue of the two-step scheme with the five-point Laplacian."""
@@ -89,9 +101,8 @@ def step2d(state: SchemeState, reaction: ReactionSystem, cfg: StepConfig,
     rhs = ((4.0 * un.values - um1.values) / (2.0 * cfg.dt)
            + 2.0 * lap_n - lap_m1)
     t_next = state.time + cfg.dt
-    X, Y = np.meshgrid(grid.nodes_x[1:-1], grid.nodes_y[1:-1], indexing="ij")
-    u_int = newton_point_solve(rhs[1:-1, 1:-1], reaction, (X, Y), t_next, cfg,
-                               initial=un.values[1:-1, 1:-1])
+    u_int = newton_point_solve(rhs[1:-1, 1:-1], reaction, _interior_mesh(grid),
+                               t_next, cfg, initial=un.values[1:-1, 1:-1])
     out = np.empty_like(un.values)
     out[1:-1, 1:-1] = u_int
     _set_edges(out, bc.sample(grid, t_next, un.m))
@@ -104,9 +115,8 @@ def startup_step2d(u0: Field2D, reaction: ReactionSystem, cfg: StepConfig,
     lap0 = apply_laplacian_5pt(u0).values
     coeff = 1.0 / cfg.dt
     rhs = coeff * u0.values + lap0
-    X, Y = np.meshgrid(grid.nodes_x[1:-1], grid.nodes_y[1:-1], indexing="ij")
-    u_int = newton_point_solve(rhs[1:-1, 1:-1], reaction, (X, Y), cfg.dt, cfg,
-                               initial=u0.values[1:-1, 1:-1], coeff=coeff)
+    u_int = newton_point_solve(rhs[1:-1, 1:-1], reaction, _interior_mesh(grid),
+                               cfg.dt, cfg, initial=u0.values[1:-1, 1:-1], coeff=coeff)
     out = np.empty_like(u0.values)
     out[1:-1, 1:-1] = u_int
     _set_edges(out, bc.sample(grid, cfg.dt, u0.m))

@@ -6,7 +6,8 @@ implicitly by a pointwise Newton solve:
     (3 u^{n+1} - 4 u^n + u^{n-1}) / (2 dt) = 2 Dxx u^n - Dxx u^{n-1} + f(u^{n+1})
 
 Only the pointwise m x m Jacobian of f is ever formed; the node solves are
-independent, so the whole implicit stage is a batched dense solve.
+independent, so the whole implicit stage is a batched dense solve (a
+division when m = 1).
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
     """Solve c*u - f(x, t, u) = rhs at every node, c = 3/(2 dt) by default.
 
     ``rhs`` has shape (..., m); the solve is vectorized over the leading axes
-    with one dense m x m factorization per node.  Deterministic regardless of
-    how nodes would be scheduled: every node only touches its own values.
+    with one dense m x m factorization per node (a division for m = 1).
+    Deterministic regardless of how nodes would be scheduled: every node only
+    touches its own values.
     """
     rhs = np.asarray(rhs, dtype=float)
     if coeff is None:
@@ -74,7 +76,10 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
         if np.max(np.abs(residual)) <= _tol(u):
             return u
         jac = coeff * eye - reaction.jacobian(x, t, u)
-        u = u - np.linalg.solve(jac, residual[..., np.newaxis])[..., 0]
+        if reaction.m == 1:  # a 1 x 1 solve is a division
+            u = u - residual / jac[..., 0]
+        else:
+            u = u - np.linalg.solve(jac, residual[..., np.newaxis])[..., 0]
     residual = coeff * u - reaction.eval(x, t, u) - rhs
     worst = np.abs(residual)
     if np.max(worst) <= _tol(u):

@@ -58,6 +58,32 @@ def test_parse_config_bad_value_message_names_key():
         parse_config("N=sixty-four\n")
 
 
+@pytest.mark.parametrize("key, raw", [
+    ("ratio", "nan"), ("ratio", "-1"), ("ratio", "0"), ("dt", "inf"), ("dt", "-0.01"),
+    ("T", "nan"), ("T", "0"), ("N", "0"), ("N", "-64"), ("N_y", "2"),
+    ("ratios", "1,nan"), ("n_subdomains", "0"),
+])
+def test_parse_config_rejects_non_positive_or_non_finite(key, raw):
+    with pytest.raises(ConfigError, match=f"^{key}:"):
+        parse_config(f"{key}={raw}\n")
+
+
+@pytest.mark.parametrize("text, key", [
+    ("kappa_adapt=true\nn_subdomains=2\n", "kappa_adapt"),
+    ("kappa_adapt=true\nproblem=heat2d\n", "kappa_adapt"),
+    ("overlap_adapt=true\n", "overlap_adapt"),
+])
+def test_parse_config_rejects_flags_no_driver_reads(text, key):
+    with pytest.raises(ConfigError, match=f"^{key}:"):
+        parse_config(text)
+    assert parse_config("kappa_adapt=true\n").kappa_adapt
+
+
+def test_main_bad_ratio_exit_1_names_key(tmp_path, capsys):
+    assert main(["run", "--ratio", "nan", "--output", str(tmp_path / "x.csv")]) == 1
+    assert "ratio:" in capsys.readouterr().err
+
+
 def _row(**kw):
     base = dict(N=64, dt=0.001, ratio=2.0, shift_order=1, kappa=1.5,
                 n_subdomains=1, overlap=0, err_l2=1e-3, err_linf=2e-3,

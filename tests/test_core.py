@@ -5,6 +5,7 @@ import pytest
 
 from rdfilter.core import (
     Field,
+    Field2D,
     ReactionSystem,
     laplacian_symbol,
     make_grid_1d,
@@ -64,6 +65,18 @@ def test_field_node_major_and_blowup():
     assert bad.blown_up()
     big = u.with_values(u.values + 1.0e9)
     assert big.blown_up()
+
+
+@pytest.mark.parametrize("bad, blown", [
+    (np.nan, True), (np.inf, True), (-np.inf, True),
+    (-1.0e8 * (1.0 + 1e-15), True), (1.0e8, False), (-1.0e8, False),
+])
+def test_blowup_nan_inf_and_threshold(bad, blown):
+    grid1, grid2 = make_grid_1d(8), make_grid_2d(8, 8)
+    for u in (Field.zeros(grid1, m=2), Field2D.zeros(grid2, m=2)):
+        vals = u.values.copy()
+        vals.reshape(-1, 2)[5, 1] = bad
+        assert u.with_values(vals).blown_up() is blown
 
 
 def test_field_requires_matching_shape():
