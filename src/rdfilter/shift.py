@@ -13,6 +13,8 @@ The cosine modes are read from one memoized table per grid and mode count,
 ``cosine_basis(N, n_modes)[i, j] = cos(j x_i)``; it is read-only.  The 1D
 shifts, the overlapping strips (rows lo..hi of the global table) and the 2D
 shift (its cos(x) column) all use it, so no step re-evaluates a cosine.
+The node array x taken by the ``*_values`` functions must therefore be the
+nodes of a uniform grid on [0, pi]; the table is looked up by its length.
 """
 
 from __future__ import annotations
@@ -57,15 +59,13 @@ def cosine_basis(n_intervals: int, n_modes: int) -> np.ndarray:
 
 def _cosine_sum(alpha: np.ndarray, x: np.ndarray) -> np.ndarray:
     # sum_j alpha[j] * cos(j*x), alpha shape (n_modes, m) -> (len(x), m).
-    # Grid nodes (what every caller in the package passes) use the cached table.
-    n = x.shape[0] - 1
-    if x is uniform_nodes(n):
-        return cosine_basis(n, alpha.shape[0]) @ alpha
-    return np.cos(np.outer(x, np.arange(alpha.shape[0]))) @ alpha
+    # x is the node array of a uniform grid on [0, pi], so the table is
+    # looked up by its length.
+    return cosine_basis(x.shape[0] - 1, alpha.shape[0]) @ alpha
 
 
 def shift1_values(values: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First-order shift on raw (nodes, m) values; x maps the nodes onto [0, pi]."""
+    """First-order shift on raw (nodes, m) values; x are the grid nodes on [0, pi]."""
     u0, upi = values[0], values[-1]
     alpha = np.stack([0.5 * (u0 + upi), 0.5 * (u0 - upi)])
     v = values - _cosine_sum(alpha, x)
@@ -81,7 +81,8 @@ def shift1(u: Field) -> tuple[Field, ShiftCoeffs1]:
 
 def shift3_values(values: np.ndarray, x: np.ndarray, uxx_0: np.ndarray,
                   uxx_pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Third-order shift with prescribed endpoint second derivatives."""
+    """Third-order shift with prescribed endpoint second derivatives; x are
+    the grid nodes on [0, pi]."""
     rhs = np.stack([
         values[0],
         values[-1],

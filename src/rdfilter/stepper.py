@@ -71,23 +71,30 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
         scale = coeff * float(np.max(np.abs(uv), initial=1.0))
         return cfg.newton_tol * max(1.0, scale)
 
+    def _diverged(per_node, worst):
+        # per_node: one number per node (leading axes); report its argmax.
+        node = np.unravel_index(np.argmax(per_node.ravel()), per_node.shape)
+        return NewtonDivergence(node[0] if len(node) == 1 else node, worst)
+
     for _ in range(cfg.newton_max_iter):
         residual = coeff * u - reaction.eval(x, t, u) - rhs
         if np.max(np.abs(residual)) <= _tol(u):
             return u
         jac = coeff * eye - reaction.jacobian(x, t, u)
         if reaction.m == 1:  # a 1 x 1 solve is a division
-            u = u - residual / jac[..., 0]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                delta = residual / jac[..., 0]
         else:
-            u = u - np.linalg.solve(jac, residual[..., np.newaxis])[..., 0]
+            delta = np.linalg.solve(jac, residual[..., np.newaxis])[..., 0]
+        if not np.isfinite(delta).all():  # a zero 1 x 1 Jacobian, or an overflow
+            bad = ~np.isfinite(delta).all(axis=-1)
+            raise _diverged(bad, float(np.max(np.abs(residual[bad]))))
+        u = u - delta
     residual = coeff * u - reaction.eval(x, t, u) - rhs
     worst = np.abs(residual)
     if np.max(worst) <= _tol(u):
         return u
-    flat = np.argmax(worst.max(axis=-1).ravel())
-    node = np.unravel_index(flat, worst.shape[:-1])
-    node = node[0] if len(node) == 1 else node
-    raise NewtonDivergence(node, float(np.max(worst)))
+    raise _diverged(worst.max(axis=-1), float(np.max(worst)))
 
 
 def step(state: SchemeState, reaction: ReactionSystem, cfg: StepConfig,

@@ -20,7 +20,7 @@ from rdfilter.filtering import (
     postprocess_field,
     sigma8,
 )
-from rdfilter.shift import cosine_basis, shift1, shift1_values
+from rdfilter.shift import cosine_basis
 from rdfilter.solver2d import _interior_mesh
 from rdfilter.stepper import NewtonDivergence, StepConfig, newton_point_solve
 
@@ -59,22 +59,6 @@ def test_cosine_basis_cached_read_only_and_exact():
         x = np.linspace(0.0, np.pi, n + 1)
         assert np.array_equal(basis, np.cos(np.outer(x, np.arange(n_modes))))
         _assert_read_only(basis)
-
-
-def test_shift_off_grid_nodes_uses_given_coordinates():
-    # Only the grid's own node array selects the cached table; any other x
-    # gets the cosines of its own coordinates.
-    grid = make_grid_1d(16)
-    u = Field(grid, 1.0 + grid.nodes**2)
-    on_grid, _ = shift1(u)
-    fresh = np.linspace(0.0, np.pi, 17)
-    v, alpha = shift1_values(u.values, fresh)
-    assert np.array_equal(v, on_grid.values)
-    squeezed = fresh**2 / np.pi
-    v, alpha = shift1_values(u.values, squeezed)
-    expected = u.values - np.cos(np.outer(squeezed, [0, 1])) @ alpha
-    expected[[0, -1]] = 0.0
-    assert np.array_equal(v, expected)
 
 
 def test_blend_weights_cached_read_only_and_exact():
@@ -188,3 +172,22 @@ def test_m1_divergence_reports_same_node_as_dense_solve():
                                cfg, initial=np.repeat(initial, m, axis=1), coeff=coeff)
         nodes.append(info.value.node)
     assert nodes == [6, 6]
+
+
+def test_m1_zero_jacobian_raises_newton_divergence_at_that_node():
+    # f(u) = c u - u^2 / 2 makes the Jacobian of c u - f(u), namely u, vanish
+    # at u = 0; the division must not turn that node into +-inf and accept it.
+    coeff = 3.0
+    reaction = ReactionSystem(
+        m=1,
+        eval=lambda x, t, u: coeff * u - 0.5 * u * u,
+        jacobian=lambda x, t, u: (coeff - u)[..., np.newaxis],
+    )
+    initial = np.full((9, 1), 1.0)
+    initial[4] = 0.0
+    with np.errstate(all="raise"):  # no divide-by-zero warning either
+        with pytest.raises(NewtonDivergence) as info:
+            newton_point_solve(np.full((9, 1), 0.5), reaction, None, 0.0,
+                               StepConfig(dt=0.5), initial=initial, coeff=coeff)
+    assert info.value.node == 4
+    assert info.value.residual == 0.5
