@@ -6,6 +6,9 @@ reaction implicitly (pointwise Newton); an a-posteriori spectral filter
 inverse shift) removes the explicitly-unstable high modes after every step,
 buying time steps far beyond dt = h^2/3.  Works in 1D, 2D, and with
 overlapping strip domain decomposition of the postprocess.
+
+One stepper, ``step``, advances 1D and 2D fields; one 1D postprocess,
+``postprocess_field``, runs on the whole grid or on overlapping strips.
 """
 
 from .core import (
@@ -16,7 +19,7 @@ from .core import (
     Grid2D,
     ReactionSystem,
     SchemeState,
-    discrete_laplacian_symbol,
+    interior_nodes,
     laplacian_symbol,
     make_grid_1d,
     make_grid_2d,
@@ -26,21 +29,17 @@ from .core import (
 from .stepper import (
     NewtonDivergence,
     StepConfig,
-    apply_dxx,
+    apply_laplacian,
     newton_point_solve,
     recurrence_roots,
-    startup_step,
     step,
 )
 from .shift import (
-    ShiftCoeffs1,
     ShiftCoeffs2D,
-    ShiftCoeffs3,
+    cosine_basis,
     odd_extend,
-    shift1,
+    shift1d,
     shift2d,
-    shift3,
-    unshift,
     unshift2d,
 )
 from .filtering import (
@@ -52,13 +51,11 @@ from .filtering import (
     postprocess_field,
     sigma8,
 )
-from .ddm import SubdomainLayout, adapt_overlap, make_layout, postprocess_dd
+from .ddm import SubdomainLayout, adapt_overlap, blend_weights, make_layout
 from .solver2d import (
     BoundaryData2D,
-    apply_laplacian_5pt,
     kappa_critical_2d,
     postprocess2d,
-    step2d,
 )
 
 __version__ = "0.1.0"

@@ -24,16 +24,10 @@ from .core import (
     source_reaction,
     zero_reaction,
 )
-from .ddm import SubdomainLayout, postprocess_dd
+from .ddm import SubdomainLayout
 from .filtering import FilterSpec, KappaMonitor, kappa_critical, postprocess_field
-from .solver2d import (
-    BoundaryData2D,
-    kappa_critical_2d,
-    postprocess2d,
-    startup_step2d,
-    step2d,
-)
-from .stepper import NewtonDivergence, StepConfig, startup_step, step
+from .solver2d import BoundaryData2D, kappa_critical_2d, postprocess2d
+from .stepper import NewtonDivergence, StepConfig, step
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +198,18 @@ def ode_orbit_check(case: PredatorPreyCase, w0=(1.0, 1.0), t_max: float = 120.0,
 # ---------------------------------------------------------------------------
 # Norms
 
-def error_norms(u: Field, reference: Field) -> tuple[float, float]:
-    """Trapezoidal discrete L2 and sup norm of the difference."""
+def error_norms(u: Field | Field2D, reference: Field | Field2D) -> tuple[float, float]:
+    """Trapezoidal discrete L2 and sup norm of the difference; the weight of a
+    node is the product of one trapezoid weight per node axis (h = pi/N)."""
     if u.grid != reference.grid:
         raise ValueError("fields live on different grids")
     diff = u.values - reference.values
-    w = np.full(diff.shape[0], u.grid.h)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    l2 = float(np.sqrt(np.sum(w[:, np.newaxis] * diff * diff)))
+    w = np.ones(())
+    for n_nodes in diff.shape[:-1]:
+        w_axis = np.full(n_nodes, np.pi / (n_nodes - 1))
+        w_axis[[0, -1]] *= 0.5
+        w = np.multiply.outer(w, w_axis)
+    l2 = float(np.sqrt(np.sum(w[..., np.newaxis] * diff * diff)))
     linf = float(np.max(np.abs(diff)))
     return l2, linf
 
@@ -230,18 +227,6 @@ class RunOutcome:
     min_values: np.ndarray | None = None
     final_update: float = np.inf
     failure: str | None = None
-
-
-def _postprocess_1d(u_new: Field, state: SchemeState, reaction, spec, shift_order,
-                    layout, t_next, dt, monitor):
-    history = (state.u_curr, state.u_prev)
-    if layout is not None and layout.n_subdomains > 1:
-        return postprocess_dd(u_new, layout, spec, shift_order=shift_order,
-                              history=history, reaction=reaction, dt=dt,
-                              t_next=t_next)
-    return postprocess_field(u_new, spec, shift_order=shift_order,
-                             history=history, reaction=reaction, dt=dt,
-                             t_next=t_next, monitor=monitor)
 
 
 def integrate_1d(reaction: ReactionSystem, grid: Grid1D, dt: float, n_steps: int,
@@ -270,12 +255,11 @@ def integrate_1d(reaction: ReactionSystem, grid: Grid1D, dt: float, n_steps: int
         return RunOutcome(fld, stable, steps, wall, k, mins, upd, failure)
 
     try:
-        u1 = startup_step(u0, reaction, cfg, bc_fn(dt))
+        u1 = step(SchemeState(u0, u0, 0.0, dt), reaction, cfg, bc_fn(dt), startup=True)
     except NewtonDivergence as exc:
         return _done(False, 0, u0, np.inf, str(exc))
     if filter_on:
-        state0 = SchemeState(u0, u0, 0.0, dt)
-        u1 = _postprocess_1d(u1, state0, reaction, spec, 1, layout, dt, dt, monitor)
+        u1 = postprocess_field(u1, spec, monitor=monitor, layout=layout)
     if u1.blown_up(blowup_threshold):
         return _done(False, 1, u1, np.inf)
     if track_min:
@@ -296,8 +280,8 @@ def integrate_1d(reaction: ReactionSystem, grid: Grid1D, dt: float, n_steps: int
         if filter_on:
             if monitor is not None:
                 spec = spec.with_kappa(monitor.kappa)
-            u_new = _postprocess_1d(u_new, state, reaction, spec, shift_order,
-                                    layout, t_next, dt, monitor)
+            u_new = postprocess_field(u_new, spec, shift_order, (u_curr, u_prev),
+                                      reaction, dt, t_next, monitor, layout)
             if u_new.blown_up(blowup_threshold):
                 return _done(False, n + 1, u_new, np.inf)
         if track_min:
@@ -323,7 +307,8 @@ def integrate_2d(reaction: ReactionSystem, grid: Grid2D, dt: float, n_steps: int
         return RunOutcome(fld, stable, steps, wall, spec_x.kappa, None, np.inf, failure)
 
     try:
-        u1 = startup_step2d(u0, reaction, cfg, bc)
+        u1 = step(SchemeState(u0, u0, 0.0, dt), reaction, cfg, bc.sample(grid, dt, u0.m),
+                  startup=True)
     except NewtonDivergence as exc:
         return _done(False, 0, u0, str(exc))
     if filter_on:
@@ -335,7 +320,7 @@ def integrate_2d(reaction: ReactionSystem, grid: Grid2D, dt: float, n_steps: int
     for n in range(1, n_steps):
         state = SchemeState(u_curr, u_prev, n * dt, dt)
         try:
-            u_new = step2d(state, reaction, cfg, bc)
+            u_new = step(state, reaction, cfg, bc.sample(grid, state.time + dt, u0.m))
         except NewtonDivergence as exc:
             return _done(False, n, u_curr, str(exc))
         if u_new.blown_up(blowup_threshold):

@@ -23,6 +23,7 @@ CSV_HEADER = "N,dt,ratio,shift_order,kappa,n_subdomains,overlap,err_l2,err_linf,
 
 DEFAULT_RATIOS = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0)
 DEFAULT_OVERLAPS = (4, 8, 16)
+PROBLEMS = ("heat1d", "predprey1d", "heat2d")
 
 
 class ConfigError(ValueError):
@@ -54,13 +55,13 @@ class RunConfig:
     excited: bool = True
 
     def __post_init__(self):
-        if self.problem not in ("heat1d", "predprey1d", "heat2d", "custom"):
+        if self.problem not in PROBLEMS:
             raise ConfigError(f"problem: unknown value {self.problem!r}")
         if self.ratio is not None and self.dt is not None:
             raise ConfigError("ratio/dt: exactly one of ratio and dt may be given")
         if self.ratio is None and self.dt is None:
             self.ratio = 1.0
-        for key in ("ratio", "dt", "T"):
+        for key in ("ratio", "dt", "T", "kappa_fraction", "base_level"):
             _require_positive(key, getattr(self, key))
         for value in self.ratios:
             _require_positive("ratios", value)
@@ -196,44 +197,33 @@ def load_csv(path) -> list[bench.SweepRow]:
 # Subcommand implementations
 
 def _cmd_run(cfg: RunConfig) -> int:
-    layout = None
     if cfg.problem in ("heat1d", "predprey1d"):
         grid = make_grid_1d(cfg.N)
         dt = cfg.resolve_dt(grid.h)
         n_steps = max(2, round(cfg.T / dt))
-        if cfg.n_subdomains > 1:
-            layout = make_layout(grid, cfg.n_subdomains, cfg.overlap)
+        layout = make_layout(grid, cfg.n_subdomains, cfg.overlap) if cfg.n_subdomains > 1 else None
         if cfg.problem == "heat1d":
             case = bench.manufactured_heat_case()
-            out = bench.integrate_1d(case.reaction(), grid, dt, n_steps,
-                                     case.boundary, case.initial(grid),
-                                     shift_order=cfg.shift_order,
-                                     filter_on=cfg.filter_on,
-                                     kappa_fraction=cfg.kappa_fraction,
-                                     kappa_adapt=cfg.kappa_adapt, layout=layout)
-            if out.stable:
-                ref = case.exact_field(grid, n_steps * dt)
-                err_l2, err_linf = bench.error_norms(out.field, ref)
-            else:
-                err_l2 = err_linf = float("nan")
         else:
             case = bench.PredatorPreyCase(
                 u_left=cfg.base_level, u_right=cfg.base_level,
                 v_left=cfg.base_level, v_right=cfg.base_level,
                 excited=cfg.excited, sign_variant=cfg.sign_variant)
-            out = bench.integrate_1d(case.reaction(), grid, dt, n_steps,
-                                     case.boundary, case.initial(grid),
-                                     shift_order=cfg.shift_order,
-                                     filter_on=cfg.filter_on,
-                                     kappa_fraction=cfg.kappa_fraction,
-                                     kappa_adapt=cfg.kappa_adapt, layout=layout,
-                                     track_min=True)
-            err_l2 = err_linf = float("nan")
+        out = bench.integrate_1d(case.reaction(), grid, dt, n_steps,
+                                 case.boundary, case.initial(grid),
+                                 shift_order=cfg.shift_order,
+                                 filter_on=cfg.filter_on,
+                                 kappa_fraction=cfg.kappa_fraction,
+                                 kappa_adapt=cfg.kappa_adapt, layout=layout)
+        err_l2 = err_linf = float("nan")
+        if out.stable and cfg.problem == "heat1d":
+            ref = case.exact_field(grid, n_steps * dt)
+            err_l2, err_linf = bench.error_norms(out.field, ref)
         row = bench.SweepRow(cfg.N, dt, 3.0 * dt / grid.h**2, cfg.shift_order,
                              out.kappa, cfg.n_subdomains,
                              cfg.overlap if cfg.n_subdomains > 1 else 0,
                              err_l2, err_linf, out.stable, out.steps, out.wall_ms)
-    elif cfg.problem == "heat2d":
+    else:
         ny = cfg.N_y or cfg.N
         grid = make_grid_2d(cfg.N, ny)
         dt = cfg.resolve_dt(grid.hx)
@@ -246,18 +236,12 @@ def _cmd_run(cfg: RunConfig) -> int:
                                  kappa_fraction=cfg.kappa_fraction)
         if out.stable:
             exact = case["exact"](x[:, np.newaxis], y[np.newaxis, :], n_steps * dt)
-            diff = out.field.values[..., 0] - exact
-            wgt_x = np.full(len(x), grid.hx); wgt_x[[0, -1]] *= 0.5
-            wgt_y = np.full(len(y), grid.hy); wgt_y[[0, -1]] *= 0.5
-            err_l2 = float(np.sqrt(np.sum(wgt_x[:, None] * wgt_y[None, :] * diff**2)))
-            err_linf = float(np.max(np.abs(diff)))
+            err_l2, err_linf = bench.error_norms(out.field, Field2D(grid, exact))
         else:
             err_l2 = err_linf = float("nan")
         row = bench.SweepRow(cfg.N, dt, 3.0 * dt / grid.hx**2, cfg.shift_order,
                              out.kappa, 1, 0, err_l2, err_linf, out.stable,
                              out.steps, out.wall_ms)
-    else:
-        raise ConfigError("problem: 'custom' runs are driven through the library API")
 
     emit_csv([row], cfg.output, timing=cfg.timing)
     status = "stable" if row.stable else "BLOW-UP"
@@ -266,7 +250,16 @@ def _cmd_run(cfg: RunConfig) -> int:
     return 0 if row.stable else 2
 
 
+def _require_default(cfg: RunConfig, command: str, keys) -> None:
+    """Reject a value other than the default for a key ``command`` never reads."""
+    defaults = {f.name: f.default for f in dc_fields(RunConfig)}
+    for key in keys:
+        if getattr(cfg, key) != defaults[key]:
+            raise ConfigError(f"{key}: rdfilter {command} does not read it")
+
+
 def _cmd_sweep(cfg: RunConfig) -> int:
+    _require_default(cfg, "sweep", ("kappa_adapt",))
     case = bench.manufactured_heat_case()
     rows = bench.run_accuracy_sweep(case, cfg.grid_sizes, cfg.ratios,
                                     [cfg.shift_order], T=cfg.T,
@@ -279,6 +272,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 
 
 def _cmd_dd(cfg: RunConfig) -> int:
+    _require_default(cfg, "dd", ("ratios", "shift_order", "filter", "kappa_fraction"))
     rows = bench.run_dd_study(cfg.N, cfg.n_subdomains, cfg.overlaps)
     emit_csv(rows, cfg.output, timing=cfg.timing)
     for r in rows:
@@ -309,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, default=None,
                        help="flat key=value configuration file")
-        p.add_argument("--problem", choices=["heat1d", "predprey1d", "heat2d", "custom"],
+        p.add_argument("--problem", choices=PROBLEMS,
                        default=None, help="test problem (default heat1d)")
         p.add_argument("--N", default=None, help="grid intervals (default 64)")
         p.add_argument("--N-y", dest="N_y", default=None,
@@ -336,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "accepted (default false)")
         p.add_argument("--output", default=None, help="CSV path (default results.csv)")
         p.add_argument("--ratios", default=None,
-                       help="comma list of ratios for sweep/dd (default 0.25..8)")
+                       help="comma list of ratios for sweep (default 0.25..8)")
         p.add_argument("--grid-sizes", dest="grid_sizes", default=None,
                        help="comma list of N values for sweep (default N)")
         p.add_argument("--overlaps", default=None,

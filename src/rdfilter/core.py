@@ -5,7 +5,9 @@ reaction solve works on contiguous per-node blocks.
 
 Grid node arrays are memoized per interval count (``uniform_nodes``): every
 grid with N intervals returns the same read-only array from ``nodes``,
-``nodes_x`` and ``nodes_y``, so a time step never rebuilds them.
+``nodes_x`` and ``nodes_y``, so a time step never rebuilds them; the
+interior-node coordinates handed to the reaction are memoized per grid
+(``interior_nodes``).
 """
 
 from __future__ import annotations
@@ -90,6 +92,17 @@ def make_grid_2d(n_intervals_x: int, n_intervals_y: int | None = None) -> Grid2D
     if n_intervals_y is None:
         n_intervals_y = n_intervals_x
     return Grid2D(int(n_intervals_x), int(n_intervals_y))
+
+
+@lru_cache(maxsize=8)
+def interior_nodes(grid: Grid1D | Grid2D):
+    """Read-only coordinates of the interior nodes, as a reaction receives
+    them: the x array of a Grid1D, the (X, Y) mesh (indexing "ij") of a Grid2D.
+    Memoized per grid; a 2D entry holds two (Nx-1, Ny-1) arrays, so few are kept."""
+    if isinstance(grid, Grid1D):
+        return grid.nodes[1:-1]
+    X, Y = np.meshgrid(grid.nodes_x[1:-1], grid.nodes_y[1:-1], indexing="ij")
+    return read_only(X), read_only(Y)
 
 
 def _exceeds(values: np.ndarray, threshold: float) -> bool:
@@ -243,6 +256,3 @@ def laplacian_symbol(grid: Grid1D | float, k: int) -> float:
     h = grid.h if hasattr(grid, "h") else float(grid)
     return 2.0 / h**2 * (np.cos(h * k) - 1.0)
 
-
-# Descriptive alias for the same operation.
-discrete_laplacian_symbol = laplacian_symbol

@@ -1,10 +1,15 @@
-"""Order-8 spectral filter and the postprocessing pipeline.
+"""Order-8 spectral filter and the 1D postprocessing pipeline.
 
 The filter multiplies sine coefficient k of the (shifted, odd-extended)
 field by sigma(kappa * k / N).  The stretching factor kappa moves the
 effective cutoff down to the linearly stable band: with kappa >= kappa_c
 every mode the filter retains satisfies the two-step scheme's per-mode
 stability condition, so time steps far beyond dt = h^2/3 become usable.
+
+``postprocess_field`` is the one 1D postprocess, on the whole grid or on
+the overlapping strips of a ``ddm.SubdomainLayout``; every strip, and every
+2D boundary trace (``filter_boundary_trace``), is shifted by
+``shift.shift1d``, filtered and shifted back the same way.
 
 The filter factors are memoized per (N, FilterSpec) by ``filter_factors``
 and returned read-only, so a run evaluates sigma once per grid and kappa.
@@ -19,16 +24,9 @@ from typing import Callable
 import numpy as np
 from scipy.fft import dst, idst
 
-from .core import Field, ReactionSystem, read_only, uniform_nodes
-from .shift import (
-    ShiftCoeffs1,
-    ShiftCoeffs3,
-    shift1,
-    shift1_values,
-    shift3,
-    unshift,
-    unshift_values,
-)
+from .core import Field, ReactionSystem, read_only
+from .ddm import SubdomainLayout, blend_weights
+from .shift import cosine_basis, estimate_uxx_nodes, shift1d
 
 RETAIN_TOL = 1.0e-12
 
@@ -46,11 +44,10 @@ def sigma8(xi) -> np.ndarray | float:
 @dataclass(frozen=True)
 class FilterSpec:
     kappa: float
-    order: int = 8
     sigma: Callable = dc_field(default=sigma8, repr=False)
 
     def with_kappa(self, kappa: float) -> "FilterSpec":
-        return FilterSpec(kappa=kappa, order=self.order, sigma=self.sigma)
+        return FilterSpec(kappa=kappa, sigma=self.sigma)
 
 
 def kappa_critical(dt: float, h: float) -> float:
@@ -102,20 +99,28 @@ def apply_filter(v: Field, spec: FilterSpec) -> Field:
     return v.with_values(apply_filter_values(v.values, spec))
 
 
+def _postprocess_strip(values: np.ndarray, basis: np.ndarray, uxx: np.ndarray | None,
+                       spec: FilterSpec, monitor: KappaMonitor | None = None) -> np.ndarray:
+    """Shift, filter and inverse-shift (nodes, m) values; the two end values
+    are kept exactly.  A monitor adapts kappa from the same sine
+    coefficients the filter then scales."""
+    v, alpha = shift1d(values, basis, uxx)
+    n = v.shape[0] - 1
+    coeffs = sine_coefficients(v)
+    if monitor is not None:
+        spec = spec.with_kappa(monitor.observe(coeffs, n, spec.sigma))
+    out = sine_reconstruct(coeffs * filter_factors(n, spec)[:, np.newaxis]) + basis @ alpha
+    out[[0, -1]] = values[[0, -1]]
+    return out
+
+
 def filter_boundary_trace(samples: np.ndarray, spec: FilterSpec) -> np.ndarray:
-    """Filter a 1D boundary trace: shift, filter, unshift.  Endpoint values of
-    the trace are reproduced exactly (the filtered part is a pure sine series)."""
+    """Filter a 1D boundary trace with the first-order 1D postprocess.  Endpoint
+    values of the trace are reproduced exactly."""
     samples = np.asarray(samples, dtype=float)
     squeeze = samples.ndim == 1
     vals = samples[:, np.newaxis] if squeeze else samples
-    x = uniform_nodes(vals.shape[0] - 1)
-    v, alpha = shift1_values(vals, x)
-    v[0] = 0.0
-    v[-1] = 0.0
-    filtered = apply_filter_values(v, spec)
-    out = unshift_values(filtered, alpha, x)
-    out[0] = vals[0]
-    out[-1] = vals[-1]
+    out = _postprocess_strip(vals, cosine_basis(vals.shape[0] - 1, 2), None, spec)
     return out[:, 0] if squeeze else out
 
 
@@ -164,26 +169,40 @@ def postprocess_field(u: Field, spec: FilterSpec, shift_order: int = 1,
                       history: tuple[Field, Field] | None = None,
                       reaction: ReactionSystem | None = None,
                       dt: float | None = None, t_next: float | None = None,
-                      monitor: KappaMonitor | None = None) -> Field:
-    """Full single-domain postprocess: shift, filter, inverse shift.
+                      monitor: KappaMonitor | None = None,
+                      layout: SubdomainLayout | None = None) -> Field:
+    """Shift, filter, inverse shift: on the whole grid, or per strip of ``layout``.
+
+    ``layout`` None is one strip covering the grid.  With several strips each
+    is shifted with its own end values and filtered with sigma(kappa k /
+    N_local), so the cutoff sits at the same physical wavenumber as on the
+    whole grid; the strips are then blended over the overlaps.  Global
+    boundary values are preserved exactly.
 
     ``shift_order`` 3 needs the two history levels plus the reaction and time
     step so the endpoint second derivatives can be estimated from the scheme.
+    A ``monitor`` adapts kappa from the sine coefficients of one strip; it
+    cannot watch several.
     """
-    if shift_order == 1:
-        v, coeffs = shift1(u)
-    elif shift_order == 3:
+    if shift_order == 3:
         if history is None or reaction is None or dt is None or t_next is None:
             raise ValueError("shift_order=3 needs history, reaction, dt and t_next")
-        v, coeffs = shift3(u, history[0], history[1], reaction, dt, t_next)
-    else:
+    elif shift_order != 1:
         raise ValueError(f"shift_order must be 1 or 3, got {shift_order}")
-    vals = v.values.copy()
-    vals[0] = 0.0
-    vals[-1] = 0.0
-    if monitor is not None:
-        b = sine_coefficients(vals)
-        kappa = monitor.observe(b, u.grid.n_intervals, spec.sigma)
-        spec = spec.with_kappa(kappa)
-    filtered = v.with_values(apply_filter_values(vals, spec))
-    return unshift(filtered, coeffs)
+    n = u.grid.n_intervals
+    ranges = ((0, n),) if layout is None else layout.ranges
+    if monitor is not None and len(ranges) > 1:
+        raise ValueError("a KappaMonitor watches one strip, not a layout of several")
+    table = cosine_basis(n, 2 if shift_order == 1 else 4)
+
+    def strip(lo: int, hi: int) -> np.ndarray:
+        uxx = None if shift_order == 1 else estimate_uxx_nodes(
+            u, history[0], history[1], reaction, dt, t_next, np.array([lo, hi]))
+        return _postprocess_strip(u.values[lo:hi + 1], table[lo:hi + 1], uxx, spec, monitor)
+
+    if len(ranges) == 1:  # the blend weights of a single strip are all 1
+        return u.with_values(strip(0, n))
+    out = np.zeros_like(u.values)
+    for (lo, hi), w in zip(ranges, blend_weights(layout)):
+        out[lo:hi + 1] += w[:, np.newaxis] * strip(lo, hi)
+    return u.with_values(out)

@@ -5,16 +5,17 @@ vanishes at x = 0 and x = pi (and, for the third-order shift, so does its
 second derivative); the remainder then extends to an odd 2pi-periodic
 function smooth enough for the filter to act on without ringing.
 
-Note on the first-order coefficients: the assignments used here,
-alpha_1 = (u_0 + u_pi)/2 and alpha_2 = (u_0 - u_pi)/2, are the unique pair
-for which v = u - alpha_1 - alpha_2 cos(x) vanishes at both endpoints.
+``shift1d`` is the one 1D shift: the whole-grid postprocess, each
+overlapping strip and each 2D boundary trace call it through
+``filtering.postprocess_field`` and ``filtering.filter_boundary_trace``.
+On the full grid its first-order coefficients are alpha_0 = (u_0 + u_pi)/2
+and alpha_1 = (u_0 - u_pi)/2, the unique pair for which
+v = u - alpha_0 - alpha_1 cos(x) vanishes at both endpoints.
 
 The cosine modes are read from one memoized table per grid and mode count,
 ``cosine_basis(N, n_modes)[i, j] = cos(j x_i)``; it is read-only.  The 1D
-shifts, the overlapping strips (rows lo..hi of the global table) and the 2D
-shift (its cos(x) column) all use it, so no step re-evaluates a cosine.
-The node array x taken by the ``*_values`` functions must therefore be the
-nodes of a uniform grid on [0, pi]; the table is looked up by its length.
+shift (rows lo..hi of the table for a strip) and the 2D shift (its cos(x)
+column) both use it, so no step re-evaluates a cosine.
 """
 
 from __future__ import annotations
@@ -27,28 +28,7 @@ import numpy as np
 from .core import Field, Field2D, ReactionSystem, read_only, uniform_nodes
 
 ENDPOINT_TOL = 1.0e-12
-
-# Rows: value at 0, value at pi, estimated u_xx at 0, estimated u_xx at pi.
-_SHIFT3_MATRIX = np.array([
-    [1.0, 1.0, 1.0, 1.0],
-    [1.0, -1.0, 1.0, -1.0],
-    [0.0, -1.0, -4.0, -9.0],
-    [0.0, 1.0, -4.0, 9.0],
-])
-
-
-@dataclass(frozen=True)
-class ShiftCoeffs1:
-    """Amplitudes of cos(0*x) and cos(x), shape (2, m)."""
-
-    alpha: np.ndarray
-
-
-@dataclass(frozen=True)
-class ShiftCoeffs3:
-    """Amplitudes of cos((j-1)x), j = 1..4, shape (4, m)."""
-
-    alpha: np.ndarray
+CORNER_TOL = 1.0e-10
 
 
 @lru_cache(maxsize=64)
@@ -57,42 +37,29 @@ def cosine_basis(n_intervals: int, n_modes: int) -> np.ndarray:
     return read_only(np.cos(np.outer(uniform_nodes(n_intervals), np.arange(n_modes))))
 
 
-def _cosine_sum(alpha: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # sum_j alpha[j] * cos(j*x), alpha shape (n_modes, m) -> (len(x), m).
-    # x is the node array of a uniform grid on [0, pi], so the table is
-    # looked up by its length.
-    return cosine_basis(x.shape[0] - 1, alpha.shape[0]) @ alpha
+def shift1d(values: np.ndarray, basis: np.ndarray,
+            uxx: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Subtract the cosine trend sum_j alpha_j cos(j x) fixed by the end data.
 
-
-def shift1_values(values: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First-order shift on raw (nodes, m) values; x are the grid nodes on [0, pi]."""
-    u0, upi = values[0], values[-1]
-    alpha = np.stack([0.5 * (u0 + upi), 0.5 * (u0 - upi)])
-    v = values - _cosine_sum(alpha, x)
-    v[0] = 0.0  # exact by construction; clear the roundoff residue
-    v[-1] = 0.0
-    return v, alpha
-
-
-def shift1(u: Field) -> tuple[Field, ShiftCoeffs1]:
-    v, alpha = shift1_values(u.values, u.grid.nodes)
-    return u.with_values(v), ShiftCoeffs1(alpha)
-
-
-def shift3_values(values: np.ndarray, x: np.ndarray, uxx_0: np.ndarray,
-                  uxx_pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Third-order shift with prescribed endpoint second derivatives; x are
-    the grid nodes on [0, pi]."""
-    rhs = np.stack([
-        values[0],
-        values[-1],
-        np.atleast_1d(np.asarray(uxx_0, dtype=float)),
-        np.atleast_1d(np.asarray(uxx_pi, dtype=float)),
-    ])
-    alpha = np.linalg.solve(_SHIFT3_MATRIX, rhs)
-    v = values - _cosine_sum(alpha, x)
-    v[0] = 0.0  # exact by construction; clear the roundoff residue
-    v[-1] = 0.0
+    ``values`` (nodes, m) covers nodes lo..hi and ``basis`` holds the same
+    rows of ``cosine_basis``, one column per mode.  Without ``uxx`` (first
+    order, two modes) the remainder v vanishes at both ends; with ``uxx``, the
+    (2, m) second derivatives at lo and hi (third order, four modes), so
+    does v_xx.  The conditions are solved in global coordinates rather than
+    by rescaling the strip onto (0, pi), so a strip absorbs global cosine
+    trends exactly; on the full grid this is the standard shift.
+    Returns (v, alpha) with alpha (n_modes, m); v + basis @ alpha undoes it.
+    """
+    ends = basis[[0, -1]]
+    if uxx is None:
+        rows, rhs = ends, values[[0, -1]]
+    else:
+        modes = np.arange(basis.shape[1])
+        rows = np.vstack([ends, -(modes**2)[np.newaxis, :] * ends])
+        rhs = np.concatenate([values[[0, -1]], uxx])
+    alpha = np.linalg.solve(rows, rhs)
+    v = values - basis @ alpha
+    v[[0, -1]] = 0.0  # exact by construction; clear the roundoff residue
     return v, alpha
 
 
@@ -107,27 +74,6 @@ def estimate_uxx_nodes(u_next: Field, u_curr: Field, u_prev: Field,
           + u_prev.values[idx]) / (2.0 * dt)
     fb = reaction.eval(xb, t_next, u_next.values[idx])
     return ub - fb
-
-
-def estimate_uxx_endpoints(u_next: Field, u_curr: Field, u_prev: Field,
-                           reaction: ReactionSystem, dt: float,
-                           t_next: float) -> tuple[np.ndarray, np.ndarray]:
-    uxx = estimate_uxx_nodes(u_next, u_curr, u_prev, reaction, dt, t_next,
-                             np.array([0, u_next.grid.n_intervals]))
-    return uxx[0], uxx[1]
-
-
-def shift3(u: Field, u_curr: Field, u_prev: Field, reaction: ReactionSystem,
-           dt: float, t_next: float) -> tuple[Field, ShiftCoeffs3]:
-    """Third-order shift of u = u^{n+1} using the two stored history levels."""
-    uxx_0, uxx_pi = estimate_uxx_endpoints(u, u_curr, u_prev, reaction, dt, t_next)
-    v, alpha = shift3_values(u.values, u.grid.nodes, uxx_0, uxx_pi)
-    return u.with_values(v), ShiftCoeffs3(alpha)
-
-
-def shift3_from_endpoint_data(u: Field, uxx_0, uxx_pi) -> tuple[Field, ShiftCoeffs3]:
-    v, alpha = shift3_values(u.values, u.grid.nodes, uxx_0, uxx_pi)
-    return u.with_values(v), ShiftCoeffs3(alpha)
 
 
 def odd_extend_values(values: np.ndarray) -> np.ndarray:
@@ -148,20 +94,17 @@ def odd_extend(v: Field) -> np.ndarray:
     return odd_extend_values(v.values)
 
 
-def unshift_values(filtered: np.ndarray, alpha: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return filtered + _cosine_sum(alpha, x)
-
-
-def unshift(filtered_v: Field, coeffs: ShiftCoeffs1 | ShiftCoeffs3) -> Field:
-    return filtered_v.with_values(
-        unshift_values(filtered_v.values, coeffs.alpha, filtered_v.grid.nodes)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Two dimensions: two-step shift making all four edges homogeneous.
 
-CORNER_TOL = 1.0e-10
+
+def check_corners(edges: dict) -> None:
+    """Reject 2D edge data {'g0', 'gpi', 'h0', 'hpi'} whose values at a corner
+    differ by more than CORNER_TOL."""
+    g0, gpi, h0, hpi = edges["g0"], edges["gpi"], edges["h0"], edges["hpi"]
+    for a, b in ((g0[0], h0[0]), (g0[-1], hpi[0]), (gpi[0], h0[-1]), (gpi[-1], hpi[-1])):
+        if np.max(np.abs(a - b)) > CORNER_TOL:
+            raise ValueError("incompatible corner data in 2D boundary conditions")
 
 
 @dataclass(frozen=True)
@@ -188,17 +131,13 @@ def shift2d(u: Field2D, edges: dict | None = None) -> tuple[Field2D, ShiftCoeffs
     rejected.
     """
     vals = u.values
-    h0 = vals[0] if edges is None else np.atleast_2d(np.asarray(edges["h0"], dtype=float).T).T
-    hpi = vals[-1] if edges is None else np.atleast_2d(np.asarray(edges["hpi"], dtype=float).T).T
-    g0 = vals[:, 0] if edges is None else np.atleast_2d(np.asarray(edges["g0"], dtype=float).T).T
-    gpi = vals[:, -1] if edges is None else np.atleast_2d(np.asarray(edges["gpi"], dtype=float).T).T
-    corners = [
-        (g0[0], h0[0]), (g0[-1], hpi[0]),
-        (gpi[0], h0[-1]), (gpi[-1], hpi[-1]),
-    ]
-    for a, b in corners:
-        if np.max(np.abs(a - b)) > CORNER_TOL:
-            raise ValueError("incompatible corner data in 2D boundary conditions")
+    if edges is None:
+        edges = {"g0": vals[:, 0], "gpi": vals[:, -1], "h0": vals[0], "hpi": vals[-1]}
+    else:
+        edges = {key: np.atleast_2d(np.asarray(edges[key], dtype=float).T).T
+                 for key in ("g0", "gpi", "h0", "hpi")}
+    check_corners(edges)
+    h0, hpi = edges["h0"], edges["hpi"]
 
     cos_x, cos_y = _cos_xy(u.grid)
     # Homogenize the x-direction boundary: v(0,y) = v(pi,y) = 0.

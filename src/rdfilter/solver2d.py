@@ -1,25 +1,23 @@
-"""Two-dimensional Dirichlet solver: five-point Laplacian, the 2D analogue of
-the two-step scheme, and the 2D postprocess (boundary-trace filtering,
-two-step first-order shift, tensor sine filtering, reconstruction).
+"""Two-dimensional Dirichlet problems: boundary data, the per-axis critical
+stretching, and the 2D postprocess (boundary-trace filtering, two-step
+first-order shift, tensor sine filtering, reconstruction).
 
-The interior node mesh handed to the reaction is memoized per grid and
-read-only."""
+The time step is ``stepper.step``, the same stepper as in 1D: it runs over
+both node axes of a Field2D with the five-point Laplacian
+(``stepper.apply_laplacian``)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from scipy.fft import dstn, idstn
 
-from .core import Field2D, Grid2D, ReactionSystem, SchemeState, read_only
+from .core import Field2D, Grid2D
 from .filtering import FilterSpec, RETAIN_TOL, filter_boundary_trace, filter_factors
-from .shift import ShiftCoeffs2D, shift2d, unshift2d
-from .stepper import StepConfig, newton_point_solve
-
-CORNER_TOL = 1.0e-10
+from .shift import check_corners, shift2d, unshift2d
+from .stepper import set_boundary
 
 
 @dataclass(frozen=True)
@@ -52,75 +50,8 @@ class BoundaryData2D:
             "h0": _edge(self.h0, y, len(y)),
             "hpi": _edge(self.hpi, y, len(y)),
         }
-        corners = [
-            (edges["g0"][0], edges["h0"][0]),
-            (edges["g0"][-1], edges["hpi"][0]),
-            (edges["gpi"][0], edges["h0"][-1]),
-            (edges["gpi"][-1], edges["hpi"][-1]),
-        ]
-        for a, b in corners:
-            if np.max(np.abs(a - b)) > CORNER_TOL:
-                raise ValueError("2D boundary data violate corner compatibility")
+        check_corners(edges)
         return edges
-
-
-def _set_edges(values: np.ndarray, edges: dict[str, np.ndarray]) -> None:
-    values[:, 0] = edges["g0"]
-    values[:, -1] = edges["gpi"]
-    values[0, :] = edges["h0"]
-    values[-1, :] = edges["hpi"]
-
-
-def apply_laplacian_5pt(field: Field2D, grid: Grid2D | None = None) -> Field2D:
-    """Five-point discrete Laplacian; boundary nodes carry 0."""
-    grid = grid or field.grid
-    u = field.values
-    out = np.zeros_like(u)
-    out[1:-1, 1:-1] = (
-        (u[:-2, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[2:, 1:-1]) / grid.hx**2
-        + (u[1:-1, :-2] - 2.0 * u[1:-1, 1:-1] + u[1:-1, 2:]) / grid.hy**2
-    )
-    return field.with_values(out)
-
-
-@lru_cache(maxsize=8)
-def _interior_mesh(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
-    # (X, Y) at the interior nodes, indexing "ij"; a few (Nx-1, Ny-1) arrays
-    # per grid, so few grids are kept.
-    X, Y = np.meshgrid(grid.nodes_x[1:-1], grid.nodes_y[1:-1], indexing="ij")
-    return read_only(X), read_only(Y)
-
-
-def step2d(state: SchemeState, reaction: ReactionSystem, cfg: StepConfig,
-           bc: BoundaryData2D) -> Field2D:
-    """2D analogue of the two-step scheme with the five-point Laplacian."""
-    un, um1 = state.u_curr, state.u_prev
-    grid = un.grid
-    lap_n = apply_laplacian_5pt(un).values
-    lap_m1 = apply_laplacian_5pt(um1).values
-    rhs = ((4.0 * un.values - um1.values) / (2.0 * cfg.dt)
-           + 2.0 * lap_n - lap_m1)
-    t_next = state.time + cfg.dt
-    u_int = newton_point_solve(rhs[1:-1, 1:-1], reaction, _interior_mesh(grid),
-                               t_next, cfg, initial=un.values[1:-1, 1:-1])
-    out = np.empty_like(un.values)
-    out[1:-1, 1:-1] = u_int
-    _set_edges(out, bc.sample(grid, t_next, un.m))
-    return un.with_values(out)
-
-
-def startup_step2d(u0: Field2D, reaction: ReactionSystem, cfg: StepConfig,
-                   bc: BoundaryData2D) -> Field2D:
-    grid = u0.grid
-    lap0 = apply_laplacian_5pt(u0).values
-    coeff = 1.0 / cfg.dt
-    rhs = coeff * u0.values + lap0
-    u_int = newton_point_solve(rhs[1:-1, 1:-1], reaction, _interior_mesh(grid),
-                               cfg.dt, cfg, initial=u0.values[1:-1, 1:-1], coeff=coeff)
-    out = np.empty_like(u0.values)
-    out[1:-1, 1:-1] = u_int
-    _set_edges(out, bc.sample(grid, cfg.dt, u0.m))
-    return u0.with_values(out)
 
 
 def kappa_critical_2d(dt: float, h: float) -> float:
@@ -179,7 +110,7 @@ def postprocess2d(u: Field2D, spec_x: FilterSpec, spec_y: FilterSpec,
         "h0": filter_boundary_trace(edges["h0"], spec_y),
         "hpi": filter_boundary_trace(edges["hpi"], spec_y),
     }
-    _set_edges(vals, filtered_edges)
+    set_boundary(vals, filtered_edges)
     shifted, coeffs = shift2d(u.with_values(vals))
     w = shifted.values.copy()
     w[0] = 0.0
@@ -188,5 +119,5 @@ def postprocess2d(u: Field2D, spec_x: FilterSpec, spec_y: FilterSpec,
     w[:, -1] = 0.0
     filtered = apply_tensor_filter_values(w, spec_x, spec_y)
     out = unshift2d(u.with_values(filtered), coeffs).values
-    _set_edges(out, filtered_edges)
+    set_boundary(out, filtered_edges)
     return u.with_values(out)

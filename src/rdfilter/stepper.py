@@ -1,9 +1,12 @@
-"""Semi-implicit two-step time scheme.
+"""Semi-implicit two-step time scheme: the one time stepper, for 1D and 2D.
 
 Diffusion is treated explicitly by extrapolation, the (stiff) reaction
 implicitly by a pointwise Newton solve:
 
-    (3 u^{n+1} - 4 u^n + u^{n-1}) / (2 dt) = 2 Dxx u^n - Dxx u^{n-1} + f(u^{n+1})
+    (3 u^{n+1} - 4 u^n + u^{n-1}) / (2 dt) = 2 L u^n - L u^{n-1} + f(u^{n+1})
+
+with L the second-difference Laplacian over the node axes.  ``step`` runs
+this update, or its startup variant, on a Field or a Field2D alike.
 
 Only the pointwise m x m Jacobian of f is ever formed; the node solves are
 independent, so the whole implicit stage is a batched dense solve (a
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, Grid1D, ReactionSystem, SchemeState
+from .core import Field, Field2D, ReactionSystem, SchemeState, interior_nodes
 
 
 @dataclass(frozen=True)
@@ -39,13 +42,20 @@ class NewtonDivergence(RuntimeError):
         super().__init__(f"Newton diverged at node {node}, residual {residual:.3e}")
 
 
-def apply_dxx(field: Field, grid: Grid1D | None = None) -> Field:
-    """Second-order central difference; boundary rows are 0 (Dirichlet nodes
-    are prescribed, never updated by the stencil)."""
-    grid = grid or field.grid
+def apply_laplacian(field: Field | Field2D) -> Field | Field2D:
+    """Second-difference Laplacian: one second difference per node axis,
+    axis 0 first, with h = pi/N along that axis.  Boundary nodes carry 0
+    (Dirichlet nodes are prescribed, never updated by the stencil)."""
     u = field.values
+    inner = (slice(1, -1),) * (u.ndim - 1)
+    terms = []
+    for axis in range(u.ndim - 1):
+        h = np.pi / (u.shape[axis] - 1)
+        below = inner[:axis] + (slice(None, -2),) + inner[axis + 1:]
+        above = inner[:axis] + (slice(2, None),) + inner[axis + 1:]
+        terms.append((u[below] - 2.0 * u[inner] + u[above]) / h**2)
     out = np.zeros_like(u)
-    out[1:-1] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / grid.h**2
+    out[inner] = sum(terms[1:], terms[0])
     return field.with_values(out)
 
 
@@ -97,50 +107,48 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
     raise _diverged(worst.max(axis=-1), float(np.max(worst)))
 
 
-def step(state: SchemeState, reaction: ReactionSystem, cfg: StepConfig,
-         bc: tuple[np.ndarray, np.ndarray]) -> Field:
-    """One step of the two-step scheme; returns u^{n+1}.
+def set_boundary(values: np.ndarray, bc) -> None:
+    """Write Dirichlet data onto the boundary nodes of node-major ``values``.
 
-    ``bc`` holds the Dirichlet values (left, right) at t_{n+1}, each of
-    shape (m,) (scalars accepted for m = 1).
+    1D: ``bc`` is the (left, right) pair, each of shape (m,) (scalars accepted
+    for m = 1).  2D: ``bc`` is the edge dict of ``BoundaryData2D.sample``; the
+    y-edges are written first and the x-edges last, so the x-edges own the
+    corners.
     """
-    un, um1 = state.u_curr, state.u_prev
-    grid = un.grid
-    dxx_n = apply_dxx(un).values
-    dxx_m1 = apply_dxx(um1).values
-    rhs = ((4.0 * un.values - um1.values) / (2.0 * cfg.dt)
-           + 2.0 * dxx_n - dxx_m1)
-    t_next = state.time + cfg.dt
-    x_int = grid.nodes[1:-1]
-    u_int = newton_point_solve(rhs[1:-1], reaction, x_int, t_next, cfg,
-                               initial=un.values[1:-1])
-    out = np.empty_like(un.values)
-    out[1:-1] = u_int
-    out[0] = np.broadcast_to(np.atleast_1d(np.asarray(bc[0], dtype=float)), (un.m,))
-    out[-1] = np.broadcast_to(np.atleast_1d(np.asarray(bc[1], dtype=float)), (un.m,))
-    return un.with_values(out)
+    if values.ndim == 2:
+        values[0], values[-1] = bc
+    else:
+        values[:, 0], values[:, -1] = bc["g0"], bc["gpi"]
+        values[0], values[-1] = bc["h0"], bc["hpi"]
 
 
-def startup_step(u0: Field, reaction: ReactionSystem, cfg: StepConfig,
-                 bc: tuple[np.ndarray, np.ndarray]) -> Field:
-    """Produce u^1 for the two-step scheme.
+def step(state: SchemeState, reaction: ReactionSystem, cfg: StepConfig, bc,
+         startup: bool = False) -> Field | Field2D:
+    """One step of the two-step scheme over the node axes of a Field or a
+    Field2D; returns u^{n+1} with the Dirichlet data ``bc`` at t_{n+1} (see
+    ``set_boundary``).
 
-    One backward-Euler-in-reaction / forward-Euler-in-diffusion step,
-    (u^1 - u^0)/dt = Dxx u^0 + f(u^1); locally second order, so the global
+    With ``startup`` it produces u^1 from u^0 = ``state.u_curr`` (``u_prev`` is
+    not read): one backward-Euler-in-reaction / forward-Euler-in-diffusion
+    step, (u^1 - u^0)/dt = L u^0 + f(u^1); locally second order, so the global
     accuracy of the scheme is unharmed.
     """
-    grid = u0.grid
-    dxx0 = apply_dxx(u0).values
-    coeff = 1.0 / cfg.dt
-    rhs = coeff * u0.values + dxx0
-    x_int = grid.nodes[1:-1]
-    u_int = newton_point_solve(rhs[1:-1], reaction, x_int, cfg.dt, cfg,
-                               initial=u0.values[1:-1], coeff=coeff)
-    out = np.empty_like(u0.values)
-    out[1:-1] = u_int
-    out[0] = np.broadcast_to(np.atleast_1d(np.asarray(bc[0], dtype=float)), (u0.m,))
-    out[-1] = np.broadcast_to(np.atleast_1d(np.asarray(bc[1], dtype=float)), (u0.m,))
-    return u0.with_values(out)
+    un = state.u_curr
+    if startup:
+        coeff = 1.0 / cfg.dt
+        rhs = coeff * un.values + apply_laplacian(un).values
+    else:
+        coeff = 3.0 / (2.0 * cfg.dt)
+        um1 = state.u_prev
+        rhs = ((4.0 * un.values - um1.values) / (2.0 * cfg.dt)
+               + 2.0 * apply_laplacian(un).values - apply_laplacian(um1).values)
+    inner = (slice(1, -1),) * (un.values.ndim - 1)
+    out = np.empty_like(un.values)
+    out[inner] = newton_point_solve(rhs[inner], reaction, interior_nodes(un.grid),
+                                    state.time + cfg.dt, cfg,
+                                    initial=un.values[inner], coeff=coeff)
+    set_boundary(out, bc)
+    return un.with_values(out)
 
 
 def recurrence_roots(dt: float, lam: float) -> np.ndarray:

@@ -22,7 +22,7 @@ from rdfilter.bench import (
     run_dd_study,
     run_predator_prey,
 )
-from rdfilter.ddm import make_layout, postprocess_dd
+from rdfilter.ddm import make_layout
 from rdfilter.filtering import (
     FilterSpec,
     apply_filter,
@@ -171,7 +171,7 @@ def test_criterion_8_dd_overlap_monotonicity():
     u = Field(grid, vals)
     spec = FilterSpec(kappa=3.0)
     diff = np.max(np.abs(
-        postprocess_dd(u, make_layout(grid, 1, 8), spec).values
+        postprocess_field(u, spec, layout=make_layout(grid, 1, 8)).values
         - postprocess_field(u, spec).values))
     ok = monotone and diff < 1e-12
     _verdict(8, ok, f"max ratios {[f'{r:.2f}' for r in ladder]} monotone={monotone}, "

@@ -1,11 +1,16 @@
 """Benchmark cases and experiment harness."""
 
+import ast
 import dataclasses
+import importlib
+import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rdfilter.core import Field, make_grid_1d
+from rdfilter import bench
+from rdfilter.core import Field, Field2D, make_grid_1d, make_grid_2d
 from rdfilter.bench import (
     ManufacturedCase,
     PredatorPreyCase,
@@ -63,10 +68,10 @@ def test_quadratic_case_residual_and_stencil_exactness():
     assert np.max(np.abs(case.residual(x, 0.7))) < 1e-5
     # the central second difference is exact on the quadratic profile
     grid = make_grid_1d(16)
-    from rdfilter.stepper import apply_dxx
+    from rdfilter.stepper import apply_laplacian
 
     u = case.exact_field(grid, 0.0)
-    dxx = apply_dxx(u).values[1:-1, 0]
+    dxx = apply_laplacian(u).values[1:-1, 0]
     assert np.max(np.abs(dxx - (-2.0))) < 1e-10
 
 
@@ -95,6 +100,55 @@ def test_error_norms():
     assert abs(l2 - np.sqrt(np.pi / 2.0)) < 1e-3
     one = Field(grid, np.ones(65))
     assert error_norms(one, zero)[1] == 1.0
+
+
+def test_error_norms_2d_weights_each_axis():
+    # trapezoid weights hx (along x) times hy (along y); sin(x) sin(y) has
+    # squared L2 norm pi^2 / 4 on the square
+    grid = make_grid_2d(48, 32)
+    X, Y = np.meshgrid(grid.nodes_x, grid.nodes_y, indexing="ij")
+    u = Field2D(grid, np.sin(X) * np.sin(Y))
+    l2, linf = error_norms(u, Field2D.zeros(grid))
+    assert abs(l2 - np.pi / 2.0) < 1e-12 and linf == 1.0
+    wx = np.full(49, grid.hx)
+    wx[[0, -1]] *= 0.5
+    wy = np.full(33, grid.hy)
+    wy[[0, -1]] *= 0.5
+    diff = np.cos(X) * Y
+    want = np.sqrt(np.sum(wx[:, None] * wy[None, :] * diff**2))
+    got = error_norms(Field2D(grid, diff), Field2D.zeros(grid))[0]
+    assert abs(got - want) <= 1e-15 * want
+    with pytest.raises(ValueError):
+        error_norms(u, Field2D.zeros(make_grid_2d(48)))
+
+
+def _perfbench_uses():
+    """(module, name) pairs the benchmark's workloads import from rdfilter or
+    read from ``bench.``, and the keywords they pass to each bench call."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    tree = ast.parse(path.read_text())
+    names, keywords = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rdfilter"):
+            names.update((node.module, alias.name) for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "bench"):
+            names.add(("rdfilter.bench", node.attr))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "bench"):
+            keywords.setdefault(node.func.attr, set()).update(
+                k.arg for k in node.keywords if k.arg)
+    return names, keywords
+
+
+def test_perfbench_workload_names_resolve():
+    names, keywords = _perfbench_uses()
+    assert ("rdfilter", "bench") in names and ("rdfilter.bench", "integrate_1d") in names
+    for module, name in sorted(names):
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+    for func, used in keywords.items():
+        params = inspect.signature(getattr(bench, func)).parameters
+        assert used <= set(params), f"bench.{func} lacks {used - set(params)}"
 
 
 def test_ratio_to_dt():

@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import dst, idst
 
-from rdfilter.core import Field, ReactionSystem, make_grid_1d, make_grid_2d, zero_reaction
+from rdfilter.core import (
+    Field,
+    ReactionSystem,
+    interior_nodes,
+    make_grid_1d,
+    make_grid_2d,
+    zero_reaction,
+)
 from rdfilter.ddm import blend_weights, make_layout
 from rdfilter.filtering import (
     FilterSpec,
@@ -21,7 +28,6 @@ from rdfilter.filtering import (
     sigma8,
 )
 from rdfilter.shift import cosine_basis
-from rdfilter.solver2d import _interior_mesh
 from rdfilter.stepper import NewtonDivergence, StepConfig, newton_point_solve
 
 
@@ -78,13 +84,17 @@ def test_blend_weights_cached_read_only_and_exact():
 
 def test_interior_mesh_cached_read_only_and_exact():
     grid = make_grid_2d(8, 12)
-    X, Y = _interior_mesh(grid)
+    X, Y = interior_nodes(grid)
+    assert interior_nodes(make_grid_2d(8, 12)) is interior_nodes(grid)
     x = np.linspace(0.0, np.pi, 9)[1:-1]
     y = np.linspace(0.0, np.pi, 13)[1:-1]
     X0, Y0 = np.meshgrid(x, y, indexing="ij")
     assert np.array_equal(X, X0) and np.array_equal(Y, Y0)
     _assert_read_only(X)
     _assert_read_only(Y)
+    x1 = interior_nodes(make_grid_1d(16))
+    assert np.array_equal(x1, np.linspace(0.0, np.pi, 17)[1:-1])
+    _assert_read_only(x1)
 
 
 def _postprocess_uncached(values, kappa, uxx=None):

@@ -62,6 +62,8 @@ def test_parse_config_bad_value_message_names_key():
     ("ratio", "nan"), ("ratio", "-1"), ("ratio", "0"), ("dt", "inf"), ("dt", "-0.01"),
     ("T", "nan"), ("T", "0"), ("N", "0"), ("N", "-64"), ("N_y", "2"),
     ("ratios", "1,nan"), ("n_subdomains", "0"),
+    ("kappa_fraction", "nan"), ("kappa_fraction", "0"), ("kappa_fraction", "-0.5"),
+    ("base_level", "inf"), ("base_level", "0"), ("base_level", "-1"),
 ])
 def test_parse_config_rejects_non_positive_or_non_finite(key, raw):
     with pytest.raises(ConfigError, match=f"^{key}:"):
@@ -77,6 +79,31 @@ def test_parse_config_rejects_flags_no_driver_reads(text, key):
     with pytest.raises(ConfigError, match=f"^{key}:"):
         parse_config(text)
     assert parse_config("kappa_adapt=true\n").kappa_adapt
+
+
+def test_parse_config_rejects_custom_problem():
+    with pytest.raises(ConfigError, match="^problem: unknown value 'custom'"):
+        parse_config("problem=custom\n")
+    assert main(["run", "--problem", "custom"]) == 1
+
+
+@pytest.mark.parametrize("command, args, key", [
+    ("sweep", ["--kappa-adapt", "true"], "kappa_adapt"),
+    ("sweep", ["--config", "{cfg}"], "kappa_adapt"),
+    ("dd", ["--ratios", "1,2"], "ratios"),
+    ("dd", ["--shift-order", "3"], "shift_order"),
+    ("dd", ["--filter", "off"], "filter"),
+    ("dd", ["--kappa-fraction", "0.5"], "kappa_fraction"),
+    ("run", ["--kappa-fraction", "nan"], "kappa_fraction"),
+])
+def test_main_rejects_keys_a_subcommand_does_not_read(tmp_path, capsys, command, args, key):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("kappa_adapt=true\n")
+    out = tmp_path / "x.csv"
+    args = [a.format(cfg=cfg) for a in args]
+    assert main([command, *args, "--N", "32", "--output", str(out)]) == 1
+    assert f"error: {key}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_bad_ratio_exit_1_names_key(tmp_path, capsys):

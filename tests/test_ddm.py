@@ -1,9 +1,11 @@
-"""Overlapping strip decomposition of the postprocess."""
+"""Overlapping strip layouts and the strip path of the postprocess."""
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdfilter.core import Field, make_grid_1d, zero_reaction
 from rdfilter.ddm import (
@@ -11,9 +13,8 @@ from rdfilter.ddm import (
     blend_weights,
     interface_energy,
     make_layout,
-    postprocess_dd,
 )
-from rdfilter.filtering import FilterSpec, postprocess_field
+from rdfilter.filtering import FilterSpec, KappaMonitor, postprocess_field
 
 GRID = make_grid_1d(64)
 
@@ -56,6 +57,28 @@ def test_blend_partition_of_unity():
         assert np.max(np.abs(total - 1.0)) < 1e-14
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(8, 256), st.integers(2, 6), st.sampled_from([2, 4, 6, 8, 12, 16, 32]))
+def test_every_accepted_layout_blends_to_one(n, n_subdomains, overlap):
+    grid = make_grid_1d(n)
+    try:
+        layout = make_layout(grid, n_subdomains, overlap)
+    except ValueError:
+        return
+    total = np.zeros(n + 1)
+    for (lo, hi), w in zip(layout.ranges, blend_weights(layout)):
+        total[lo:hi + 1] += w
+    assert np.max(np.abs(total - 1.0)) < 1e-14
+
+
+def test_layout_rejects_strips_that_share_nodes_with_non_neighbours():
+    # N = 19 in four strips has cores of about 5 intervals: an overlap of 8
+    # would let strips 0 and 2 share nodes
+    with pytest.raises(ValueError, match="infeasible"):
+        make_layout(make_grid_1d(19), 4, 8)
+    assert make_layout(make_grid_1d(40), 4, 8).overlap == 8
+
+
 def test_single_subdomain_matches_global_pipeline():
     rng = np.random.default_rng(4)
     vals = np.sin(np.outer(GRID.nodes, np.arange(1, 12))) @ rng.normal(size=11)
@@ -63,7 +86,7 @@ def test_single_subdomain_matches_global_pipeline():
     u = Field(GRID, vals)
     spec = FilterSpec(kappa=3.0)
     layout = make_layout(GRID, 1, 8)
-    got = postprocess_dd(u, layout, spec).values
+    got = postprocess_field(u, spec, layout=layout).values
     want = postprocess_field(u, spec).values
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -73,22 +96,22 @@ def test_cosine_unchanged_any_layout():
     spec = FilterSpec(kappa=3.0)
     for nd, ov in [(1, 4), (2, 4), (2, 8), (4, 8)]:
         layout = make_layout(GRID, nd, ov)
-        out = postprocess_dd(u, layout, spec)
+        out = postprocess_field(u, spec, layout=layout)
         assert np.max(np.abs(out.values - u.values)) < 1e-10, (nd, ov)
 
 
 def test_zero_field_maps_to_zero():
     layout = make_layout(GRID, 4, 8)
-    out = postprocess_dd(Field.zeros(GRID), layout, FilterSpec(kappa=2.0))
+    out = postprocess_field(Field.zeros(GRID), FilterSpec(kappa=2.0), layout=layout)
     assert np.all(out.values == 0.0)
 
 
 def test_third_order_local_shift_runs_and_blends():
     u = Field(GRID, (GRID.nodes / np.pi) ** 4 + np.cos(2 * GRID.nodes))
     layout = make_layout(GRID, 2, 8)
-    out = postprocess_dd(
-        u, layout, FilterSpec(kappa=1e-9), shift_order=3,
-        history=(u, u), reaction=zero_reaction(), dt=0.1, t_next=0.1,
+    out = postprocess_field(
+        u, FilterSpec(kappa=1e-9), shift_order=3,
+        history=(u, u), reaction=zero_reaction(), dt=0.1, t_next=0.1, layout=layout,
     )
     # identity filter: the decomposition must reproduce the field
     assert np.max(np.abs(out.values - u.values)) < 1e-8
@@ -97,7 +120,7 @@ def test_third_order_local_shift_runs_and_blends():
 def test_third_order_requires_history():
     layout = make_layout(GRID, 2, 8)
     with pytest.raises(ValueError):
-        postprocess_dd(Field.zeros(GRID), layout, FilterSpec(2.0), shift_order=3)
+        postprocess_field(Field.zeros(GRID), FilterSpec(2.0), shift_order=3, layout=layout)
 
 
 def test_gibbs_perturbation_localized_at_interfaces():
@@ -109,11 +132,20 @@ def test_gibbs_perturbation_localized_at_interfaces():
     spec = FilterSpec(kappa=4.0)
     layout = make_layout(grid, 4, 8)
     single = np.abs(postprocess_field(u, spec).values - u.values)[:, 0]
-    dd = np.abs(postprocess_dd(u, layout, spec).values - u.values)[:, 0]
+    dd = np.abs(postprocess_field(u, spec, layout=layout).values - u.values)[:, 0]
     interfaces = [lo for lo, _ in layout.ranges[1:]] + [hi for _, hi in layout.ranges[:-1]]
     dist = np.min(np.abs(np.subtract.outer(np.arange(129), interfaces)), axis=1)
     far = dist >= layout.overlap
     assert np.max(dd[far]) <= 10.0 * np.max(single[far]) + 1e-14
+
+
+def test_monitor_rejected_with_several_strips():
+    u = Field(GRID, np.cos(GRID.nodes))
+    spec = FilterSpec(kappa=3.0)
+    with pytest.raises(ValueError, match="KappaMonitor"):
+        postprocess_field(u, spec, monitor=KappaMonitor(3.0), layout=make_layout(GRID, 2, 8))
+    one = postprocess_field(u, spec, monitor=KappaMonitor(3.0), layout=make_layout(GRID, 1, 8))
+    assert np.array_equal(one.values, postprocess_field(u, spec, monitor=KappaMonitor(3.0)).values)
 
 
 def test_interface_energy():

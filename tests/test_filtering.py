@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rdfilter.core import Field, laplacian_symbol, make_grid_1d, zero_reaction
+from rdfilter import filtering
+from rdfilter.bench import integrate_1d, ratio_to_dt
+from rdfilter.core import Field, laplacian_symbol, make_grid_1d, source_reaction, zero_reaction
+from rdfilter.ddm import make_layout
 from rdfilter.filtering import (
     FilterSpec,
     KappaMonitor,
@@ -215,6 +218,100 @@ def test_kappa_monitor_ignores_flat_energy():
     coeffs[27] = 1.0
     for _ in range(6):
         assert mon.observe(coeffs, n) == 2.0
+
+
+def test_kappa_monitor_reads_the_filtered_coefficients(monkeypatch):
+    # one forward DST per postprocess: the monitor watches the coefficients
+    # the filter then scales.  kappa and the field equal the values recorded
+    # when the monitor took a second DST of its own.
+    calls = []
+    original = filtering.sine_coefficients
+
+    def counted(values):
+        calls.append(values.shape)
+        return original(values)
+
+    monkeypatch.setattr(filtering, "sine_coefficients", counted)
+    grid = make_grid_1d(64)
+    dt = ratio_to_dt(8.0, grid.h)
+    u0 = Field(grid, np.sin(grid.nodes) + 1e-3 * np.sin(21 * grid.nodes))
+    out = integrate_1d(zero_reaction(), grid, dt, 50, lambda t: (0.0, 0.0), u0,
+                       kappa_fraction=0.3, kappa_adapt=True)
+    assert out.stable and len(calls) == 50
+    assert out.kappa > 1.7 * 0.3 * kappa_critical(dt, grid.h)  # six 10 % bumps
+    assert out.kappa == pytest.approx(2.310194808046378, rel=1e-14)
+    v = out.field.values[:, 0]
+    assert np.sum(v) == pytest.approx(29.543546364756725, rel=1e-12)
+    assert np.max(np.abs(v)) == pytest.approx(0.7252533554659305, rel=1e-12)
+
+
+def _layout_or_none(grid, n_subdomains, overlap):
+    try:
+        return make_layout(grid, n_subdomains, overlap)
+    except ValueError:
+        return None
+
+
+_POSTPROCESS_CASES = dict(
+    n=st.integers(8, 256), ratio=st.floats(0.5, 16.0),
+    shift_order=st.sampled_from([1, 3]), n_subdomains=st.sampled_from([1, 2, 4]),
+    overlap=st.sampled_from([2, 4, 8, 16]), seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _postprocess_case(n, ratio, shift_order, n_subdomains, overlap, reaction):
+    """(grid, postprocess of a Field) for one drawn configuration; history
+    levels equal to the field make the u_xx estimate read the reaction."""
+    grid = make_grid_1d(n)
+    layout = _layout_or_none(grid, n_subdomains, overlap)
+    assume(layout is not None)
+    dt = ratio_to_dt(ratio, grid.h)
+    spec = FilterSpec(kappa_critical(dt, grid.h))
+
+    def post(u):
+        return postprocess_field(u, spec, shift_order, (u, u), reaction, dt, dt,
+                                 layout=layout).values
+
+    return grid, post
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_POSTPROCESS_CASES)
+def test_postprocess_keeps_boundary_values_exactly(n, ratio, shift_order, n_subdomains,
+                                                   overlap, seed):
+    grid, post = _postprocess_case(n, ratio, shift_order, n_subdomains, overlap,
+                                   zero_reaction(2))
+    rng = np.random.default_rng(seed)
+    u = Field(grid, np.cos(grid.nodes)[:, None] + rng.standard_normal((n + 1, 2)))
+    out = post(u)
+    assert np.array_equal(out[[0, -1]], u.values[[0, -1]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_POSTPROCESS_CASES)
+def test_postprocess_leaves_low_cosines_unchanged(n, ratio, shift_order, n_subdomains,
+                                                  overlap, seed):
+    rng = np.random.default_rng(seed)
+    a0, a1 = rng.uniform(-2.0, 2.0, size=2)
+    # a steady state of u_t = u_xx + a1 cos x, so the scheme's u_xx estimate
+    # at every strip end is -a1 cos x
+    reaction = source_reaction(lambda x, t: a1 * np.cos(x))
+    grid, post = _postprocess_case(n, ratio, shift_order, n_subdomains, overlap, reaction)
+    u = Field(grid, a0 + a1 * np.cos(grid.nodes))
+    assert np.max(np.abs(post(u) - u.values)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(**{**_POSTPROCESS_CASES, "shift_order": st.just(1)})
+def test_postprocess_is_linear_at_first_order(n, ratio, shift_order, n_subdomains,
+                                              overlap, seed):
+    grid, post = _postprocess_case(n, ratio, shift_order, n_subdomains, overlap,
+                                   zero_reaction(2))
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(-2.0, 2.0, size=2)
+    u, w = (Field(grid, rng.standard_normal((n + 1, 2))) for _ in range(2))
+    combined = post(u.with_values(a * u.values + b * w.values))
+    assert np.max(np.abs(combined - (a * post(u) + b * post(w)))) <= 1e-12
 
 
 def test_postprocess_field_roundtrip_identity_filter():

@@ -13,14 +13,11 @@ from rdfilter.core import (
 from rdfilter.filtering import FilterSpec
 from rdfilter.solver2d import (
     BoundaryData2D,
-    apply_laplacian_5pt,
     apply_tensor_filter_values,
     kappa_critical_2d,
     postprocess2d,
-    startup_step2d,
-    step2d,
 )
-from rdfilter.stepper import StepConfig, recurrence_roots
+from rdfilter.stepper import StepConfig, apply_laplacian, recurrence_roots, step
 
 GRID = make_grid_2d(16, 16)
 X, Y = np.meshgrid(GRID.nodes_x, GRID.nodes_y, indexing="ij")
@@ -32,16 +29,16 @@ HOMOGENEOUS = BoundaryData2D(
 
 
 def test_laplacian_annihilates_constants_and_linears():
-    c = apply_laplacian_5pt(Field2D(GRID, np.full((17, 17), 2.0)))
+    c = apply_laplacian(Field2D(GRID, np.full((17, 17), 2.0)))
     assert np.all(c.values[1:-1, 1:-1] == 0.0)
-    lin = apply_laplacian_5pt(Field2D(GRID, X + Y))
+    lin = apply_laplacian(Field2D(GRID, X + Y))
     assert np.max(np.abs(lin.values[1:-1, 1:-1])) < 1e-11
 
 
 def test_laplacian_tensor_eigenfunction():
     for k, l in [(1, 1), (2, 3), (5, 2)]:
         u = Field2D(GRID, np.sin(k * X) * np.sin(l * Y))
-        out = apply_laplacian_5pt(u).values[1:-1, 1:-1, 0]
+        out = apply_laplacian(u).values[1:-1, 1:-1, 0]
         lam = laplacian_symbol(GRID.hx, k) + laplacian_symbol(GRID.hy, l)
         want = lam * (np.sin(k * X) * np.sin(l * Y))[1:-1, 1:-1]
         assert np.max(np.abs(out - want)) < 1e-8 * abs(lam)
@@ -51,7 +48,7 @@ def test_step2d_zero_fixed_point():
     cfg = StepConfig(dt=1e-4)
     z = Field2D.zeros(GRID)
     state = SchemeState(z, z, 0.0, cfg.dt)
-    out = step2d(state, zero_reaction(), cfg, HOMOGENEOUS)
+    out = step(state, zero_reaction(), cfg, HOMOGENEOUS.sample(GRID, cfg.dt))
     assert np.all(out.values == 0.0)
 
 
@@ -63,7 +60,7 @@ def test_step2d_single_tensor_mode_recurrence():
     mode = np.sin(k * X) * np.sin(l * Y)
     u = Field2D(GRID, mode)
     state = SchemeState(u, u, 0.0, dt)
-    out = step2d(state, zero_reaction(), cfg, HOMOGENEOUS)
+    out = step(state, zero_reaction(), cfg, HOMOGENEOUS.sample(GRID, cfg.dt))
     want = (4.0 - 1.0 + 2.0 * dt * lam * (2.0 - 1.0)) / 3.0
     assert np.max(np.abs(out.values[:, :, 0] - want * mode)) < 1e-11
 
@@ -74,8 +71,38 @@ def test_startup2d_forward_euler_symbol():
     cfg = StepConfig(dt=dt)
     lam = laplacian_symbol(GRID.hx, k) + laplacian_symbol(GRID.hy, l)
     mode = np.sin(k * X) * np.sin(l * Y)
-    out = startup_step2d(Field2D(GRID, mode), zero_reaction(), cfg, HOMOGENEOUS)
+    u0 = Field2D(GRID, mode)
+    out = step(SchemeState(u0, u0, 0.0, dt), zero_reaction(), cfg,
+               HOMOGENEOUS.sample(GRID, dt), startup=True)
     assert np.max(np.abs(out.values[:, :, 0] - (1.0 + dt * lam) * mode)) < 1e-11
+
+
+def test_laplacian_uses_each_axis_spacing():
+    # Nx != Ny: the second difference along each axis divides by its own h^2
+    grid = make_grid_2d(24, 10)
+    Xr, Yr = np.meshgrid(grid.nodes_x, grid.nodes_y, indexing="ij")
+    for k, l in [(1, 1), (5, 3)]:
+        mode = np.sin(k * Xr) * np.sin(l * Yr)
+        out = apply_laplacian(Field2D(grid, mode)).values[1:-1, 1:-1, 0]
+        lam = laplacian_symbol(grid.hx, k) + laplacian_symbol(grid.hy, l)
+        assert np.max(np.abs(out - lam * mode[1:-1, 1:-1])) < 1e-9 * abs(lam)
+
+
+def test_step_writes_x_edges_over_the_corners():
+    # corner data within CORNER_TOL but not equal: the x-edges (h0, hpi),
+    # written after the y-edges, own the four corners
+    eps = 1e-12
+    bc = BoundaryData2D(
+        g0=lambda x, t: np.full_like(x, eps), gpi=lambda x, t: np.full_like(x, eps),
+        h0=lambda y, t: np.zeros_like(y), hpi=lambda y, t: np.zeros_like(y),
+    )
+    z = Field2D.zeros(GRID)
+    cfg = StepConfig(dt=1e-4)
+    for startup in (False, True):
+        out = step(SchemeState(z, z, 0.0, cfg.dt), zero_reaction(), cfg,
+                   bc.sample(GRID, cfg.dt), startup=startup).values[..., 0]
+        assert np.all(out[[0, 0, -1, -1], [0, -1, 0, -1]] == 0.0)
+        assert np.all(out[1:-1, [0, -1]] == eps)
 
 
 def test_unfiltered_2d_stability_limit():

@@ -14,13 +14,17 @@ from rdfilter.core import (
 from rdfilter.stepper import (
     NewtonDivergence,
     StepConfig,
-    apply_dxx,
+    apply_laplacian,
     mode_is_stable,
     newton_point_solve,
     recurrence_roots,
-    startup_step,
     step,
 )
+
+
+def _startup(u0, reaction, cfg, bc):
+    """u^1 from u^0: the startup variant of the one stepper."""
+    return step(SchemeState(u0, u0, 0.0, cfg.dt), reaction, cfg, bc, startup=True)
 
 
 def linear_reaction(lam, m=1):
@@ -40,9 +44,9 @@ def test_step_config_validation():
 
 def test_dxx_annihilates_constants_and_linears():
     grid = make_grid_1d(4)
-    c = apply_dxx(Field(grid, np.full(5, 3.7)))
+    c = apply_laplacian(Field(grid, np.full(5, 3.7)))
     assert np.all(c.values[1:-1] == 0.0)
-    lin = apply_dxx(Field(grid, grid.nodes.copy()))
+    lin = apply_laplacian(Field(grid, grid.nodes.copy()))
     assert np.max(np.abs(lin.values[1:-1])) < 1e-12
 
 
@@ -50,7 +54,7 @@ def test_dxx_sine_eigenfunction():
     grid = make_grid_1d(32)
     for k in (1, 3, 7):
         u = Field(grid, np.sin(k * grid.nodes))
-        out = apply_dxx(u).values[1:-1, 0]
+        out = apply_laplacian(u).values[1:-1, 0]
         want = laplacian_symbol(grid, k) * np.sin(k * grid.nodes[1:-1])
         assert np.max(np.abs(out - want)) < 1e-9 * abs(laplacian_symbol(grid, k))
 
@@ -175,12 +179,12 @@ def test_unfiltered_stability_threshold_by_root_scan():
 def test_startup_zero_and_sine_symbol():
     grid = make_grid_1d(32)
     cfg = StepConfig(dt=0.3 * grid.h**2)
-    out = startup_step(Field.zeros(grid), zero_reaction(), cfg, (0.0, 0.0))
+    out = _startup(Field.zeros(grid), zero_reaction(), cfg, (0.0, 0.0))
     assert np.all(out.values == 0.0)
     k = 3
     lam = laplacian_symbol(grid, k)
     u0 = Field(grid, np.sin(k * grid.nodes))
-    u1 = startup_step(u0, zero_reaction(), cfg, (0.0, 0.0))
+    u1 = _startup(u0, zero_reaction(), cfg, (0.0, 0.0))
     want = (1.0 + cfg.dt * lam) * np.sin(k * grid.nodes)
     assert np.max(np.abs(u1.values[:, 0] - want)) < 1e-9
 
@@ -190,8 +194,8 @@ def test_startup_linear_reaction_closed_form():
     lam = -2.5
     cfg = StepConfig(dt=0.01)
     u0 = Field(grid, np.sin(grid.nodes) + 0.2 * np.sin(3 * grid.nodes))
-    u1 = startup_step(u0, linear_reaction(lam), cfg, (0.0, 0.0))
-    dxx0 = apply_dxx(u0).values
+    u1 = _startup(u0, linear_reaction(lam), cfg, (0.0, 0.0))
+    dxx0 = apply_laplacian(u0).values
     want = (u0.values + cfg.dt * dxx0) / (1.0 - cfg.dt * lam)
     assert np.max(np.abs(u1.values[1:-1] - want[1:-1])) < 1e-10
 
@@ -222,7 +226,7 @@ def test_temporal_second_order_linear_reaction():
         dt = T / n_steps
         cfg = StepConfig(dt=dt)
         u_prev = Field(grid, np.sin(grid.nodes))
-        u_curr = startup_step(u_prev, reaction, cfg, (0.0, 0.0))
+        u_curr = _startup(u_prev, reaction, cfg, (0.0, 0.0))
         for n in range(1, n_steps):
             state = SchemeState(u_curr, u_prev, n * dt, dt)
             u_prev, u_curr = u_curr, step(state, reaction, cfg, (0.0, 0.0))
@@ -243,7 +247,7 @@ def test_spatial_second_order_linear_reaction():
         grid = make_grid_1d(n)
         cfg = StepConfig(dt=dt)
         u_prev = Field(grid, np.sin(grid.nodes))
-        u_curr = startup_step(u_prev, reaction, cfg, (0.0, 0.0))
+        u_curr = _startup(u_prev, reaction, cfg, (0.0, 0.0))
         n_steps = round(T / dt)
         for i in range(1, n_steps):
             state = SchemeState(u_curr, u_prev, i * dt, dt)
