@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 from rdfilter import bench
-from rdfilter.core import Field, Field2D, make_grid_1d, make_grid_2d
+from rdfilter.core import (
+    Field,
+    Field2D,
+    ReactionSystem,
+    make_grid_1d,
+    make_grid_2d,
+    source_reaction,
+    zero_reaction,
+)
 from rdfilter.bench import (
     ManufacturedCase,
     PredatorPreyCase,
@@ -25,6 +33,7 @@ from rdfilter.bench import (
     run_dd_study,
     run_predator_prey,
 )
+from rdfilter.solver2d import BoundaryData2D
 
 
 def test_manufactured_case_anchor_values():
@@ -261,3 +270,85 @@ def test_dd_study_structure():
     assert rows[1].n_subdomains == 2 and rows[1].overlap == 8
     # overlap 8 < cap 16: not saturated
     assert rows[1].note == ""
+
+
+# ---------------------------------------------------------------------------
+# Every exit of both drivers: stable, a Newton failure in the startup step or
+# in a later step, a blow-up caught before the filter, and one caught after it.
+
+def _rate_reaction(rate):
+    """f = rate(t) * u + 1; the Newton Jacobian c - rate(t) is exactly 0 when
+    rate(t) equals the step's coefficient c (1/dt at startup, 3/(2 dt) later)."""
+    return ReactionSystem(
+        m=1, eval=lambda x, t, u: rate(t) * u + 1.0,
+        jacobian=lambda x, t, u: np.full(u.shape + (1,), rate(t)))
+
+
+def _exit_run(driver, exit_path):
+    # Newton fails at startup, or from t = 4 dt on; the source kicks in from
+    # t = 3 dt (caught before the filter) or from the start (after it).
+    if driver == "1d":
+        grid = make_grid_1d(16)
+        dt = ratio_to_dt(3.0, grid.h)
+        u0 = Field(grid, np.sin(grid.nodes) + 1.0e-6 * np.sin(15 * grid.nodes))
+        bc = lambda t: (0.0, 0.0)
+    else:
+        grid = make_grid_2d(8)
+        dt = 3.0 * grid.hx**2 / 6.0
+        X, Y = np.meshgrid(grid.nodes_x, grid.nodes_y, indexing="ij")
+        u0 = Field2D(grid, np.sin(X) * np.sin(Y) + 1.0e-6 * np.sin(7 * X) * np.sin(7 * Y))
+        bc = BoundaryData2D(*(lambda s, t: np.zeros_like(s),) * 4)
+    kwargs = {}
+    if exit_path == "stable":
+        reaction = zero_reaction()
+    elif exit_path == "newton_startup":
+        reaction = _rate_reaction(lambda t: 1.0 / dt)
+    elif exit_path == "newton_later":
+        reaction = _rate_reaction(lambda t: 3.0 / (2.0 * dt) if t > 3.5 * dt else 0.0)
+    elif exit_path == "blowup_before_filter":
+        reaction = source_reaction(lambda x, t: 1.0e12 if t > 2.5 * dt else 0.0)
+    elif exit_path == "blowup_after_filter":
+        reaction = source_reaction(lambda x, t: 1.0e12)
+    elif exit_path == "blowup_after_third_order_filter":
+        # huge only at x = 0, a node the step never updates: the blow-up
+        # comes from the u_xx estimate of the third-order shift
+        reaction = source_reaction(lambda x, t: 1.0e20 * (np.asarray(x) == 0.0))
+        kwargs = {"shift_order": 3}
+    else:  # "blowup_unfiltered": filter off above the explicit limit
+        reaction = zero_reaction()
+        kwargs = {"filter_on": False}
+    if driver == "1d":
+        return integrate_1d(reaction, grid, dt, 40, bc, u0, **kwargs)
+    return bench.integrate_2d(reaction, grid, dt, 40, bc, u0, **kwargs)
+
+
+KAPPA_RATIO_3 = 2.55214965605977  # pi / arccos(1/3): kappa_c at ratio 3, 1D and 2D
+NEWTON_1D = "Newton diverged at node 0, residual "
+NEWTON_2D = "Newton diverged at node (np.int64(0), np.int64(0)), residual "
+
+# (stable, steps, failure, 1D final_update); the kappa is KAPPA_RATIO_3 throughout.
+_EXITS = {
+    ("1d", "stable"): (True, 40, None, 0.21647970601692637),
+    ("1d", "newton_startup"): (False, 0, NEWTON_1D + "2.594e+01", np.inf),
+    ("1d", "newton_later"): (False, 3, NEWTON_1D + "3.976e+01", 0.22613809021568057),
+    ("1d", "blowup_before_filter"): (False, 3, None, np.inf),
+    ("1d", "blowup_after_filter"): (False, 1, None, np.inf),
+    ("1d", "blowup_after_third_order_filter"): (False, 2, None, np.inf),
+    ("1d", "blowup_unfiltered"): (False, 22, None, np.inf),
+    ("2d", "stable"): (True, 40, None, None),
+    ("2d", "newton_startup"): (False, 0, NEWTON_2D + "1.199e+01", None),
+    ("2d", "newton_later"): (False, 3, NEWTON_2D + "1.180e+01", None),
+    ("2d", "blowup_before_filter"): (False, 3, None, None),
+    ("2d", "blowup_after_filter"): (False, 1, None, None),
+    ("2d", "blowup_unfiltered"): (False, 23, None, None),
+}
+
+
+@pytest.mark.parametrize("driver, exit_path", list(_EXITS))
+def test_driver_exit_paths(driver, exit_path):
+    stable, steps, failure, final_update = _EXITS[driver, exit_path]
+    out = _exit_run(driver, exit_path)
+    assert (out.stable, out.steps, out.failure) == (stable, steps, failure)
+    assert out.kappa == KAPPA_RATIO_3
+    if driver == "1d":
+        assert out.final_update == final_update
