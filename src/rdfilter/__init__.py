@@ -14,7 +14,6 @@ One stepper, ``step``, advances 1D and 2D fields; one 1D postprocess,
 from .core import (
     BLOWUP_THRESHOLD,
     Field,
-    Field2D,
     Grid1D,
     Grid2D,
     ReactionSystem,
@@ -37,7 +36,7 @@ from .stepper import (
 from .shift import (
     ShiftCoeffs2D,
     cosine_basis,
-    odd_extend,
+    odd_extend_values,
     shift1d,
     shift2d,
     unshift2d,
@@ -45,13 +44,13 @@ from .shift import (
 from .filtering import (
     FilterSpec,
     KappaMonitor,
-    apply_filter,
+    apply_filter_values,
     filter_boundary_trace,
     kappa_critical,
     postprocess_field,
     sigma8,
 )
-from .ddm import SubdomainLayout, adapt_overlap, blend_weights, make_layout
+from .ddm import SubdomainLayout, blend_weights, make_layout
 from .solver2d import (
     BoundaryData2D,
     kappa_critical_2d,

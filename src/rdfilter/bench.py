@@ -1,6 +1,9 @@
 """Test problems and experiment harness: manufactured solutions, the
 predator-prey system with excited boundaries, accuracy sweeps over the
-normalized step ratio 3 dt / h^2, and domain-decomposition overlap studies."""
+normalized step ratio 3 dt / h^2, and domain-decomposition overlap studies.
+
+The drivers ``integrate_1d`` and ``integrate_2d`` only build their boundary
+sampler and their postprocess; both run the one step loop, ``_time_loop``."""
 
 from __future__ import annotations
 
@@ -14,7 +17,6 @@ from scipy.integrate import solve_ivp
 from .core import (
     BLOWUP_THRESHOLD,
     Field,
-    Field2D,
     Grid1D,
     Grid2D,
     ReactionSystem,
@@ -198,7 +200,7 @@ def ode_orbit_check(case: PredatorPreyCase, w0=(1.0, 1.0), t_max: float = 120.0,
 # ---------------------------------------------------------------------------
 # Norms
 
-def error_norms(u: Field | Field2D, reference: Field | Field2D) -> tuple[float, float]:
+def error_norms(u: Field, reference: Field) -> tuple[float, float]:
     """Trapezoidal discrete L2 and sup norm of the difference; the weight of a
     node is the product of one trapezoid weight per node axis (h = pi/N)."""
     if u.grid != reference.grid:
@@ -219,7 +221,7 @@ def error_norms(u: Field | Field2D, reference: Field | Field2D) -> tuple[float, 
 
 @dataclass
 class RunOutcome:
-    field: Field | Field2D | None
+    field: Field | None
     stable: bool
     steps: int
     wall_ms: float
@@ -227,6 +229,52 @@ class RunOutcome:
     min_values: np.ndarray | None = None
     final_update: float = np.inf
     failure: str | None = None
+
+
+def _time_loop(reaction: ReactionSystem, u0: Field, dt: float, n_steps: int,
+               bc_at: Callable, postprocess: Callable | None, kappa: float,
+               newton_tol: float, newton_max_iter: int, blowup_threshold: float,
+               track_min: bool = False) -> RunOutcome:
+    """The step loop of both drivers: ``n_steps`` steps of size ``dt`` from u0,
+    the first one the startup step, each followed by ``postprocess(u_new,
+    history, t_next)`` unless that is None; ``history`` is (u^n, u^{n-1}), or
+    None after the startup step, which has only one level behind it.
+
+    A step is blown up when its values exceed ``blowup_threshold`` after its
+    postprocess; every step but the startup step is also checked before it.
+    A blow-up or a Newton failure ends the run and is reported, never raised.
+    ``final_update`` is max |u^N - u^{N-1}| / dt over the last two levels, once
+    a step after the startup step has completed, else inf.
+    """
+    cfg = StepConfig(dt=dt, newton_tol=newton_tol, newton_max_iter=newton_max_iter)
+    mins = np.min(u0.values.reshape(-1, u0.m), axis=0) if track_min else None
+    start = time.perf_counter()
+
+    def _done(stable, steps, fld, failure=None, levels=None):
+        wall = (time.perf_counter() - start) * 1000.0
+        update = np.inf
+        if levels is not None and steps >= 2:
+            update = float(np.max(np.abs(levels[0].values - levels[1].values))) / dt
+        return RunOutcome(fld, stable, steps, wall, kappa, mins, update, failure)
+
+    u_prev = u_curr = u0
+    for n in range(n_steps):
+        t_next = n * dt + dt
+        try:
+            u_new = step(SchemeState(u_curr, u_prev, n * dt, dt), reaction, cfg,
+                         bc_at(t_next), startup=n == 0)
+        except NewtonDivergence as exc:
+            return _done(False, n, u_curr, str(exc), (u_curr, u_prev))
+        if (n > 0 or postprocess is None) and u_new.blown_up(blowup_threshold):
+            return _done(False, n + 1, u_new)
+        if postprocess is not None:
+            u_new = postprocess(u_new, (u_curr, u_prev) if n > 0 else None, t_next)
+            if u_new.blown_up(blowup_threshold):
+                return _done(False, n + 1, u_new)
+        if track_min:
+            mins = np.minimum(mins, np.min(u_new.values.reshape(-1, u0.m), axis=0))
+        u_prev, u_curr = u_curr, u_new
+    return _done(True, n_steps, u_curr, levels=(u_curr, u_prev))
 
 
 def integrate_1d(reaction: ReactionSystem, grid: Grid1D, dt: float, n_steps: int,
@@ -242,95 +290,38 @@ def integrate_1d(reaction: ReactionSystem, grid: Grid1D, dt: float, n_steps: int
     ``filter_on``) is applied after every step, including the startup step
     (which uses a first-order shift: only two time levels exist there).
     """
-    cfg = StepConfig(dt=dt, newton_tol=newton_tol, newton_max_iter=newton_max_iter)
     kappa = kappa_fraction * kappa_critical(dt, grid.h)
     spec = FilterSpec(kappa=kappa)
     monitor = KappaMonitor(kappa) if kappa_adapt else None
-    mins = np.min(u0.values, axis=0) if track_min else None
-    start = time.perf_counter()
 
-    def _done(stable, steps, fld, upd, failure=None):
-        wall = (time.perf_counter() - start) * 1000.0
-        k = monitor.kappa if monitor is not None else kappa
-        return RunOutcome(fld, stable, steps, wall, k, mins, upd, failure)
+    def postprocess(u, history, t_next):
+        order = shift_order if history is not None else 1
+        return postprocess_field(u, spec, order, history, reaction, dt, t_next,
+                                 monitor, layout)
 
-    try:
-        u1 = step(SchemeState(u0, u0, 0.0, dt), reaction, cfg, bc_fn(dt), startup=True)
-    except NewtonDivergence as exc:
-        return _done(False, 0, u0, np.inf, str(exc))
-    if filter_on:
-        u1 = postprocess_field(u1, spec, monitor=monitor, layout=layout)
-    if u1.blown_up(blowup_threshold):
-        return _done(False, 1, u1, np.inf)
-    if track_min:
-        mins = np.minimum(mins, np.min(u1.values, axis=0))
-
-    u_prev, u_curr = u0, u1
-    update = np.inf
-    for n in range(1, n_steps):
-        t_n = n * dt
-        t_next = t_n + dt
-        state = SchemeState(u_curr, u_prev, t_n, dt)
-        try:
-            u_new = step(state, reaction, cfg, bc_fn(t_next))
-        except NewtonDivergence as exc:
-            return _done(False, n, u_curr, update, str(exc))
-        if u_new.blown_up(blowup_threshold):
-            return _done(False, n + 1, u_new, np.inf)
-        if filter_on:
-            if monitor is not None:
-                spec = spec.with_kappa(monitor.kappa)
-            u_new = postprocess_field(u_new, spec, shift_order, (u_curr, u_prev),
-                                      reaction, dt, t_next, monitor, layout)
-            if u_new.blown_up(blowup_threshold):
-                return _done(False, n + 1, u_new, np.inf)
-        if track_min:
-            mins = np.minimum(mins, np.min(u_new.values, axis=0))
-        update = float(np.max(np.abs(u_new.values - u_curr.values))) / dt
-        u_prev, u_curr = u_curr, u_new
-    return _done(True, n_steps, u_curr, update)
+    out = _time_loop(reaction, u0, dt, n_steps, bc_fn,
+                     postprocess if filter_on else None, kappa, newton_tol,
+                     newton_max_iter, blowup_threshold, track_min)
+    if monitor is not None:
+        out.kappa = monitor.kappa
+    return out
 
 
 def integrate_2d(reaction: ReactionSystem, grid: Grid2D, dt: float, n_steps: int,
-                 bc: BoundaryData2D, u0: Field2D, filter_on: bool = True,
+                 bc: BoundaryData2D, u0: Field, filter_on: bool = True,
                  kappa_fraction: float = 1.0, newton_tol: float = 1.0e-12,
                  newton_max_iter: int = 25,
                  blowup_threshold: float = BLOWUP_THRESHOLD) -> RunOutcome:
     """2D driver; first-order shifts only."""
-    cfg = StepConfig(dt=dt, newton_tol=newton_tol, newton_max_iter=newton_max_iter)
     spec_x = FilterSpec(kappa=kappa_fraction * kappa_critical_2d(dt, grid.hx))
     spec_y = FilterSpec(kappa=kappa_fraction * kappa_critical_2d(dt, grid.hy))
-    start = time.perf_counter()
 
-    def _done(stable, steps, fld, failure=None):
-        wall = (time.perf_counter() - start) * 1000.0
-        return RunOutcome(fld, stable, steps, wall, spec_x.kappa, None, np.inf, failure)
+    def postprocess(u, history, t_next):
+        return postprocess2d(u, spec_x, spec_y)
 
-    try:
-        u1 = step(SchemeState(u0, u0, 0.0, dt), reaction, cfg, bc.sample(grid, dt, u0.m),
-                  startup=True)
-    except NewtonDivergence as exc:
-        return _done(False, 0, u0, str(exc))
-    if filter_on:
-        u1 = postprocess2d(u1, spec_x, spec_y)
-    if u1.blown_up(blowup_threshold):
-        return _done(False, 1, u1)
-
-    u_prev, u_curr = u0, u1
-    for n in range(1, n_steps):
-        state = SchemeState(u_curr, u_prev, n * dt, dt)
-        try:
-            u_new = step(state, reaction, cfg, bc.sample(grid, state.time + dt, u0.m))
-        except NewtonDivergence as exc:
-            return _done(False, n, u_curr, str(exc))
-        if u_new.blown_up(blowup_threshold):
-            return _done(False, n + 1, u_new)
-        if filter_on:
-            u_new = postprocess2d(u_new, spec_x, spec_y)
-            if u_new.blown_up(blowup_threshold):
-                return _done(False, n + 1, u_new)
-        u_prev, u_curr = u_curr, u_new
-    return _done(True, n_steps, u_curr)
+    return _time_loop(reaction, u0, dt, n_steps, lambda t: bc.sample(grid, t, u0.m),
+                      postprocess if filter_on else None, spec_x.kappa, newton_tol,
+                      newton_max_iter, blowup_threshold)
 
 
 # ---------------------------------------------------------------------------

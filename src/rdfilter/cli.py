@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench
-from .core import make_grid_1d, make_grid_2d, Field2D
+from .core import Field, make_grid_1d, make_grid_2d
 from .ddm import make_layout
 
 CSV_HEADER = "N,dt,ratio,shift_order,kappa,n_subdomains,overlap,err_l2,err_linf,stable,steps,wall_ms"
@@ -44,7 +44,6 @@ class RunConfig:
     kappa_adapt: bool = False
     n_subdomains: int = 1
     overlap: int = 8
-    overlap_adapt: bool = False
     output: str = "results.csv"
     ratios: tuple = DEFAULT_RATIOS
     grid_sizes: tuple = ()
@@ -80,8 +79,6 @@ class RunConfig:
         # Reject what no driver would read rather than run without it.
         if self.kappa_adapt and (self.n_subdomains > 1 or self.problem == "heat2d"):
             raise ConfigError("kappa_adapt: only single-domain 1D runs adapt kappa")
-        if self.overlap_adapt:
-            raise ConfigError("overlap_adapt: no driver adapts the overlap yet")
         if not self.grid_sizes:
             self.grid_sizes = (self.N,)
 
@@ -100,7 +97,7 @@ def _require_positive(key: str, value: float | None) -> None:
         raise ConfigError(f"{key}: must be finite and positive, got {value!r}")
 
 
-_BOOL_KEYS = {"kappa_adapt", "overlap_adapt", "timing", "excited"}
+_BOOL_KEYS = {"kappa_adapt", "timing", "excited"}
 _INT_KEYS = {"N", "N_y", "shift_order", "n_subdomains", "overlap"}
 _FLOAT_KEYS = {"ratio", "dt", "T", "kappa_fraction", "base_level"}
 _LIST_KEYS = {"ratios", "grid_sizes", "overlaps"}
@@ -230,13 +227,13 @@ def _cmd_run(cfg: RunConfig) -> int:
         n_steps = max(2, round(cfg.T / dt))
         case = bench.manufactured_heat_case_2d()
         x, y = grid.nodes_x, grid.nodes_y
-        u0 = Field2D(grid, case["exact"](x[:, np.newaxis], y[np.newaxis, :], 0.0))
+        u0 = Field(grid, case["exact"](x[:, np.newaxis], y[np.newaxis, :], 0.0))
         out = bench.integrate_2d(case["reaction"], grid, dt, n_steps, case["bc"],
                                  u0, filter_on=cfg.filter_on,
                                  kappa_fraction=cfg.kappa_fraction)
         if out.stable:
             exact = case["exact"](x[:, np.newaxis], y[np.newaxis, :], n_steps * dt)
-            err_l2, err_linf = bench.error_norms(out.field, Field2D(grid, exact))
+            err_l2, err_linf = bench.error_norms(out.field, Field(grid, exact))
         else:
             err_l2 = err_linf = float("nan")
         row = bench.SweepRow(cfg.N, dt, 3.0 * dt / grid.hx**2, cfg.shift_order,
@@ -325,9 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="overlapping strips for the postprocess (default 1)")
         p.add_argument("--overlap", default=None,
                        help="overlap width in intervals, even (default 8)")
-        p.add_argument("--overlap-adapt", dest="overlap_adapt", default=None,
-                       help="adaptive overlap; not implemented, only false is "
-                            "accepted (default false)")
         p.add_argument("--output", default=None, help="CSV path (default results.csv)")
         p.add_argument("--ratios", default=None,
                        help="comma list of ratios for sweep (default 0.25..8)")

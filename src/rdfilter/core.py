@@ -1,7 +1,8 @@
 """Shared domain types: grids on (0, pi), multi-component fields, reaction systems.
 
-Fields store their values node-major, shape (nodes..., m), so the pointwise
-reaction solve works on contiguous per-node blocks.
+One ``Field`` holds values on a ``Grid1D`` or a ``Grid2D``; the grid gives
+its node shape.  Values are stored node-major, shape (nodes..., m), so the
+pointwise reaction solve works on contiguous per-node blocks.
 
 Grid node arrays are memoized per interval count (``uniform_nodes``): every
 grid with N intervals returns the same read-only array from ``nodes``,
@@ -55,6 +56,10 @@ class Grid1D:
     def nodes(self) -> np.ndarray:
         return uniform_nodes(self.n_intervals)
 
+    @property
+    def node_shape(self) -> tuple[int]:
+        return (self.n_intervals + 1,)
+
 
 def make_grid_1d(n_intervals: int) -> Grid1D:
     return Grid1D(int(n_intervals))
@@ -87,6 +92,10 @@ class Grid2D:
     def nodes_y(self) -> np.ndarray:
         return uniform_nodes(self.n_intervals_y)
 
+    @property
+    def node_shape(self) -> tuple[int, int]:
+        return (self.n_intervals_x + 1, self.n_intervals_y + 1)
+
 
 def make_grid_2d(n_intervals_x: int, n_intervals_y: int | None = None) -> Grid2D:
     if n_intervals_y is None:
@@ -105,32 +114,23 @@ def interior_nodes(grid: Grid1D | Grid2D):
     return read_only(X), read_only(Y)
 
 
-def _exceeds(values: np.ndarray, threshold: float) -> bool:
-    # One reduction: NaN propagates through max, so NaN, +-Inf and values
-    # above the threshold all fail the comparison; the threshold itself passes.
-    return not np.max(np.abs(values)) <= threshold
-
-
-def _as_node_major(values: np.ndarray, node_shape: tuple[int, ...]) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.shape == node_shape:
-        values = values[..., np.newaxis]
-    if values.shape[: len(node_shape)] != node_shape or values.ndim != len(node_shape) + 1:
-        raise ValueError(f"values shape {values.shape} incompatible with node shape {node_shape}")
-    return np.ascontiguousarray(values)
-
-
 @dataclass(frozen=True)
 class Field:
-    """m-component values on a Grid1D, shape (N+1, m)."""
+    """m-component values on a grid, node-major: shape (N+1, m) on a Grid1D,
+    (Nx+1, Ny+1, m) on a Grid2D with values[i, j] = u(x_i, y_j).  The node
+    shape comes from the grid; (nodes...) values are taken as m = 1."""
 
-    grid: Grid1D
+    grid: Grid1D | Grid2D
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "values", _as_node_major(self.values, (self.grid.n_intervals + 1,))
-        )
+        node_shape = self.grid.node_shape
+        values = np.asarray(self.values, dtype=float)
+        if values.shape == node_shape:
+            values = values[..., np.newaxis]
+        if values.shape[:-1] != node_shape:
+            raise ValueError(f"values shape {values.shape} incompatible with node shape {node_shape}")
+        object.__setattr__(self, "values", np.ascontiguousarray(values))
 
     @property
     def m(self) -> int:
@@ -140,41 +140,19 @@ class Field:
         return Field(self.grid, values)
 
     def blown_up(self, threshold: float = BLOWUP_THRESHOLD) -> bool:
-        return _exceeds(self.values, threshold)
+        # One reduction: NaN propagates through max, so NaN, +-Inf and values
+        # above the threshold all fail the comparison; the threshold itself passes.
+        return not np.max(np.abs(self.values)) <= threshold
 
     @staticmethod
-    def zeros(grid: Grid1D, m: int = 1) -> "Field":
-        return Field(grid, np.zeros((grid.n_intervals + 1, m)))
-
-    @staticmethod
-    def from_function(grid: Grid1D, fn: Callable) -> "Field":
-        return Field(grid, np.atleast_1d(np.asarray(fn(grid.nodes), dtype=float)))
+    def zeros(grid: Grid1D | Grid2D, m: int = 1) -> "Field":
+        return Field(grid, np.zeros(grid.node_shape + (m,)))
 
 
-@dataclass(frozen=True)
-class Field2D:
-    """m-component values on a Grid2D, shape (Nx+1, Ny+1, m); values[i, j] = u(x_i, y_j)."""
-
-    grid: Grid2D
-    values: np.ndarray
-
-    def __post_init__(self):
-        node_shape = (self.grid.n_intervals_x + 1, self.grid.n_intervals_y + 1)
-        object.__setattr__(self, "values", _as_node_major(self.values, node_shape))
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[-1]
-
-    def with_values(self, values: np.ndarray) -> "Field2D":
-        return Field2D(self.grid, values)
-
-    def blown_up(self, threshold: float = BLOWUP_THRESHOLD) -> bool:
-        return _exceeds(self.values, threshold)
-
-    @staticmethod
-    def zeros(grid: Grid2D, m: int = 1) -> "Field2D":
-        return Field2D(grid, np.zeros((grid.n_intervals_x + 1, grid.n_intervals_y + 1, m)))
+# Kept only because perfbench/workloads.py imports it and the benchmark changes
+# in its own commits, never with the solver; tests/test_bench.py checks that
+# every name the workloads import resolves.
+Field2D = Field
 
 
 @dataclass(frozen=True)
@@ -239,8 +217,8 @@ def source_reaction(source: Callable, m: int = 1) -> ReactionSystem:
 class SchemeState:
     """Two-level state of the two-step scheme: u^n, u^{n-1}, t_n, dt."""
 
-    u_curr: Field | Field2D
-    u_prev: Field | Field2D
+    u_curr: Field
+    u_prev: Field
     time: float
     dt: float
 

@@ -6,21 +6,19 @@ endpoint values).  ``filtering.postprocess_field`` runs it: one strip is the
 whole grid, several are blended over the overlaps with a linear
 partition-of-unity ramp.  The Gibbs oscillations excited at the artificial
 interfaces are damped away from them, so a wider overlap buys a larger
-stable time step; ``adapt_overlap`` widens it when an interface energy
-monitor reports sustained growth.
+stable time step.
 
 The blend weights of a layout are memoized (read-only).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import Field, Grid1D, read_only
+from .core import Grid1D, read_only
 
 MIN_INTERIOR_POINTS = 8
 
@@ -83,31 +81,3 @@ def blend_weights(layout: SubdomainLayout) -> tuple[np.ndarray, ...]:
         weights.append(read_only(w))
     return tuple(weights)
 
-
-def interface_energy(u: Field, layout: SubdomainLayout) -> float:
-    """Sum of squared values inside the overlap windows; the quantity whose
-    growth the adaptive-overlap rule watches."""
-    if layout.n_subdomains == 1:
-        return 0.0
-    total = 0.0
-    for (lo0, hi0), (lo1, _) in zip(layout.ranges, layout.ranges[1:]):
-        seg = u.values[lo1:hi0 + 1]
-        total += float(np.sum(seg * seg))
-    return total
-
-
-def adapt_overlap(growth_history, layout: SubdomainLayout,
-                  threshold: float = 1.05) -> SubdomainLayout:
-    """Widen the overlap by 2 intervals after two consecutive growth factors
-    above the threshold; capped at N/(2 N_d); never shrinks mid-run."""
-    growth_history = list(growth_history)
-    if len(growth_history) < 2 or not all(g > threshold for g in growth_history[-2:]):
-        return layout
-    cap = layout.grid.n_intervals // (2 * layout.n_subdomains)
-    if layout.overlap + 2 > cap:
-        warnings.warn(
-            f"overlap {layout.overlap} already at cap {cap}; not increased",
-            RuntimeWarning, stacklevel=2,
-        )
-        return layout
-    return make_layout(layout.grid, layout.n_subdomains, layout.overlap + 2)

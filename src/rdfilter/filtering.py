@@ -85,18 +85,15 @@ def filter_factors(n_intervals: int, spec: FilterSpec) -> np.ndarray:
 
 
 def apply_filter_values(values: np.ndarray, spec: FilterSpec) -> np.ndarray:
-    """Filter raw (N+1, m) values with zero endpoints in place of a Field."""
+    """Filter (N+1, m) values with zero endpoints: scale sine coefficient k
+    by sigma(kappa k / N)."""
     end = max(float(np.max(np.abs(values[0]))), float(np.max(np.abs(values[-1]))))
     if end > RETAIN_TOL:
-        raise ValueError(f"apply_filter needs shifted input (endpoints {end:.3e})")
+        raise ValueError(f"apply_filter_values needs shifted input (endpoints {end:.3e})")
     n = values.shape[0] - 1
     factors = filter_factors(n, spec)
     coeffs = sine_coefficients(values) * factors.reshape((-1,) + (1,) * (values.ndim - 1))
     return sine_reconstruct(coeffs)
-
-
-def apply_filter(v: Field, spec: FilterSpec) -> Field:
-    return v.with_values(apply_filter_values(v.values, spec))
 
 
 def _postprocess_strip(values: np.ndarray, basis: np.ndarray, uxx: np.ndarray | None,

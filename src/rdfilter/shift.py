@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Field, Field2D, ReactionSystem, read_only, uniform_nodes
+from .core import Field, ReactionSystem, read_only, uniform_nodes
 
 ENDPOINT_TOL = 1.0e-12
 CORNER_TOL = 1.0e-10
@@ -90,10 +90,6 @@ def odd_extend_values(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def odd_extend(v: Field) -> np.ndarray:
-    return odd_extend_values(v.values)
-
-
 # ---------------------------------------------------------------------------
 # Two dimensions: two-step shift making all four edges homogeneous.
 
@@ -122,7 +118,7 @@ def _cos_xy(grid) -> tuple[np.ndarray, np.ndarray]:
             cosine_basis(grid.n_intervals_y, 2)[:, 1])
 
 
-def shift2d(u: Field2D, edges: dict | None = None) -> tuple[Field2D, ShiftCoeffs2D]:
+def shift2d(u: Field, edges: dict | None = None) -> tuple[Field, ShiftCoeffs2D]:
     """Render all four edges homogeneous with first-order shifts in x then y.
 
     ``edges`` optionally supplies the boundary data {'h0', 'hpi', 'g0', 'gpi'}
@@ -150,7 +146,7 @@ def shift2d(u: Field2D, edges: dict | None = None) -> tuple[Field2D, ShiftCoeffs
     return u.with_values(w), ShiftCoeffs2D(alpha, beta)
 
 
-def unshift2d(filtered_w: Field2D, coeffs: ShiftCoeffs2D) -> Field2D:
+def unshift2d(filtered_w: Field, coeffs: ShiftCoeffs2D) -> Field:
     cos_x, cos_y = _cos_xy(filtered_w.grid)
     alpha, beta = coeffs.alpha, coeffs.beta
     out = (filtered_w.values

@@ -3,7 +3,7 @@ stretching, and the 2D postprocess (boundary-trace filtering, two-step
 first-order shift, tensor sine filtering, reconstruction).
 
 The time step is ``stepper.step``, the same stepper as in 1D: it runs over
-both node axes of a Field2D with the five-point Laplacian
+both node axes of a 2D Field with the five-point Laplacian
 (``stepper.apply_laplacian``)."""
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 from scipy.fft import dstn, idstn
 
-from .core import Field2D, Grid2D
+from .core import Field, Grid2D
 from .filtering import FilterSpec, RETAIN_TOL, filter_boundary_trace, filter_factors
 from .shift import check_corners, shift2d, unshift2d
 from .stepper import set_boundary
@@ -93,8 +93,8 @@ def apply_tensor_filter_values(values: np.ndarray, spec_x: FilterSpec,
     return out
 
 
-def postprocess2d(u: Field2D, spec_x: FilterSpec, spec_y: FilterSpec,
-                  edges: dict[str, np.ndarray] | None = None) -> Field2D:
+def postprocess2d(u: Field, spec_x: FilterSpec, spec_y: FilterSpec,
+                  edges: dict[str, np.ndarray] | None = None) -> Field:
     """Filter the boundary traces, shift, tensor-filter, reconstruct.
 
     The output's edges equal the filtered boundary data exactly.  ``edges``

@@ -6,7 +6,7 @@ implicitly by a pointwise Newton solve:
     (3 u^{n+1} - 4 u^n + u^{n-1}) / (2 dt) = 2 L u^n - L u^{n-1} + f(u^{n+1})
 
 with L the second-difference Laplacian over the node axes.  ``step`` runs
-this update, or its startup variant, on a Field or a Field2D alike.
+this update, or its startup variant, on a 1D or a 2D Field alike.
 
 Only the pointwise m x m Jacobian of f is ever formed; the node solves are
 independent, so the whole implicit stage is a batched dense solve (a
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, Field2D, ReactionSystem, SchemeState, interior_nodes
+from .core import Field, ReactionSystem, SchemeState, interior_nodes
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class NewtonDivergence(RuntimeError):
         super().__init__(f"Newton diverged at node {node}, residual {residual:.3e}")
 
 
-def apply_laplacian(field: Field | Field2D) -> Field | Field2D:
+def apply_laplacian(field: Field) -> Field:
     """Second-difference Laplacian: one second difference per node axis,
     axis 0 first, with h = pi/N along that axis.  Boundary nodes carry 0
     (Dirichlet nodes are prescribed, never updated by the stencil)."""
@@ -123,9 +123,9 @@ def set_boundary(values: np.ndarray, bc) -> None:
 
 
 def step(state: SchemeState, reaction: ReactionSystem, cfg: StepConfig, bc,
-         startup: bool = False) -> Field | Field2D:
-    """One step of the two-step scheme over the node axes of a Field or a
-    Field2D; returns u^{n+1} with the Dirichlet data ``bc`` at t_{n+1} (see
+         startup: bool = False) -> Field:
+    """One step of the two-step scheme over the node axes of a 1D or 2D
+    Field; returns u^{n+1} with the Dirichlet data ``bc`` at t_{n+1} (see
     ``set_boundary``).
 
     With ``startup`` it produces u^1 from u^0 = ``state.u_curr`` (``u_prev`` is

@@ -7,7 +7,7 @@ readable straight off the pytest -v output.
 import numpy as np
 import pytest
 
-from rdfilter.core import Field, Field2D, laplacian_symbol, make_grid_1d, \
+from rdfilter.core import Field, laplacian_symbol, make_grid_1d, \
     make_grid_2d, zero_reaction
 from rdfilter.bench import (
     PredatorPreyCase,
@@ -25,7 +25,7 @@ from rdfilter.bench import (
 from rdfilter.ddm import make_layout
 from rdfilter.filtering import (
     FilterSpec,
-    apply_filter,
+    apply_filter_values,
     filter_factors,
     kappa_critical,
     postprocess_field,
@@ -95,7 +95,7 @@ def test_criterion_3_filter_correctness():
         v = rng.normal(size=n + 1)
         v[0] = v[-1] = 0.0
         spec = FilterSpec(kappa=1.6)
-        got = apply_filter(Field(grid, v), spec).values[:, 0]
+        got = apply_filter_values(Field(grid, v).values, spec)[:, 0]
         x2 = np.linspace(0.0, 2 * np.pi, 2 * n, endpoint=False)
         w = np.concatenate([v, -v[-2:0:-1]])
         want = np.zeros(n + 1)
@@ -184,14 +184,14 @@ def test_criterion_9_2d_stability_beyond_explicit_limit():
     dt = 2.0 * grid.hx**2 / 6.0
     case = manufactured_heat_case_2d()
     x, y = grid.nodes_x, grid.nodes_y
-    u0 = Field2D(grid, case["exact"](x[:, np.newaxis], y[np.newaxis, :], 0.0))
+    u0 = Field(grid, case["exact"](x[:, np.newaxis], y[np.newaxis, :], 0.0))
     out = integrate_2d(case["reaction"], grid, dt, 500, case["bc"], u0)
 
     # boundary preservation: postprocess output edges equal the filtered data
     from rdfilter.filtering import filter_boundary_trace
 
     X, Y = np.meshgrid(x, y, indexing="ij")
-    u = Field2D(grid, np.cos(X) * np.cos(Y) + 0.05 * np.sin(2 * X) * np.sin(3 * Y))
+    u = Field(grid, np.cos(X) * np.cos(Y) + 0.05 * np.sin(2 * X) * np.sin(3 * Y))
     spec = FilterSpec(kappa=2.0)
     post = postprocess2d(u, spec, spec).values
     edges_ok = (np.array_equal(post[:, 0], filter_boundary_trace(u.values[:, 0], spec))

@@ -12,7 +12,6 @@ import pytest
 from rdfilter import bench
 from rdfilter.core import (
     Field,
-    Field2D,
     ReactionSystem,
     make_grid_1d,
     make_grid_2d,
@@ -116,8 +115,8 @@ def test_error_norms_2d_weights_each_axis():
     # squared L2 norm pi^2 / 4 on the square
     grid = make_grid_2d(48, 32)
     X, Y = np.meshgrid(grid.nodes_x, grid.nodes_y, indexing="ij")
-    u = Field2D(grid, np.sin(X) * np.sin(Y))
-    l2, linf = error_norms(u, Field2D.zeros(grid))
+    u = Field(grid, np.sin(X) * np.sin(Y))
+    l2, linf = error_norms(u, Field.zeros(grid))
     assert abs(l2 - np.pi / 2.0) < 1e-12 and linf == 1.0
     wx = np.full(49, grid.hx)
     wx[[0, -1]] *= 0.5
@@ -125,10 +124,10 @@ def test_error_norms_2d_weights_each_axis():
     wy[[0, -1]] *= 0.5
     diff = np.cos(X) * Y
     want = np.sqrt(np.sum(wx[:, None] * wy[None, :] * diff**2))
-    got = error_norms(Field2D(grid, diff), Field2D.zeros(grid))[0]
+    got = error_norms(Field(grid, diff), Field.zeros(grid))[0]
     assert abs(got - want) <= 1e-15 * want
     with pytest.raises(ValueError):
-        error_norms(u, Field2D.zeros(make_grid_2d(48)))
+        error_norms(u, Field.zeros(make_grid_2d(48)))
 
 
 def _perfbench_uses():
@@ -296,7 +295,7 @@ def _exit_run(driver, exit_path):
         grid = make_grid_2d(8)
         dt = 3.0 * grid.hx**2 / 6.0
         X, Y = np.meshgrid(grid.nodes_x, grid.nodes_y, indexing="ij")
-        u0 = Field2D(grid, np.sin(X) * np.sin(Y) + 1.0e-6 * np.sin(7 * X) * np.sin(7 * Y))
+        u0 = Field(grid, np.sin(X) * np.sin(Y) + 1.0e-6 * np.sin(7 * X) * np.sin(7 * Y))
         bc = BoundaryData2D(*(lambda s, t: np.zeros_like(s),) * 4)
     kwargs = {}
     if exit_path == "stable":

@@ -5,7 +5,6 @@ import pytest
 
 from rdfilter.core import (
     Field,
-    Field2D,
     ReactionSystem,
     laplacian_symbol,
     make_grid_1d,
@@ -73,7 +72,7 @@ def test_field_node_major_and_blowup():
 ])
 def test_blowup_nan_inf_and_threshold(bad, blown):
     grid1, grid2 = make_grid_1d(8), make_grid_2d(8, 8)
-    for u in (Field.zeros(grid1, m=2), Field2D.zeros(grid2, m=2)):
+    for u in (Field.zeros(grid1, m=2), Field.zeros(grid2, m=2)):
         vals = u.values.copy()
         vals.reshape(-1, 2)[5, 1] = bad
         assert u.with_values(vals).blown_up() is blown

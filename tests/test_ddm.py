@@ -1,19 +1,12 @@
 """Overlapping strip layouts and the strip path of the postprocess."""
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdfilter.core import Field, make_grid_1d, zero_reaction
-from rdfilter.ddm import (
-    adapt_overlap,
-    blend_weights,
-    interface_energy,
-    make_layout,
-)
+from rdfilter.ddm import blend_weights, make_layout
 from rdfilter.filtering import FilterSpec, KappaMonitor, postprocess_field
 
 GRID = make_grid_1d(64)
@@ -147,29 +140,3 @@ def test_monitor_rejected_with_several_strips():
     one = postprocess_field(u, spec, monitor=KappaMonitor(3.0), layout=make_layout(GRID, 1, 8))
     assert np.array_equal(one.values, postprocess_field(u, spec, monitor=KappaMonitor(3.0)).values)
 
-
-def test_interface_energy():
-    layout = make_layout(GRID, 2, 8)
-    assert interface_energy(Field.zeros(GRID), layout) == 0.0
-    assert interface_energy(Field(GRID, np.ones(65)), layout) == 9.0
-    assert interface_energy(Field(GRID, np.ones(65)), make_layout(GRID, 1, 8)) == 0.0
-
-
-def test_adapt_overlap_rules():
-    layout = make_layout(GRID, 4, 4)
-    # flat growth: unchanged
-    assert adapt_overlap([1.0, 1.0, 1.0], layout) is layout
-    # one growth spike only: unchanged
-    assert adapt_overlap([1.1, 1.0], layout) is layout
-    # two consecutive: overlap widens by 2
-    wider = adapt_overlap([1.1, 1.1], layout)
-    assert wider.overlap == 6
-
-
-def test_adapt_overlap_warns_at_cap():
-    layout = make_layout(GRID, 4, 8)  # cap = 64 / (2*4) = 8
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = adapt_overlap([1.2, 1.2], layout)
-    assert out is layout
-    assert any(issubclass(w.category, RuntimeWarning) for w in caught)

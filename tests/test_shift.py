@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from rdfilter.core import Field, Field2D, make_grid_1d, make_grid_2d, zero_reaction
+from rdfilter.core import Field, make_grid_1d, make_grid_2d, zero_reaction
 from rdfilter.shift import (
     cosine_basis,
     estimate_uxx_nodes,
-    odd_extend,
+    odd_extend_values,
     shift1d,
     shift2d,
     unshift2d,
@@ -117,16 +117,16 @@ def test_odd_extension_of_sines():
     x2 = np.linspace(0.0, 2 * np.pi, 2 * n, endpoint=False)
     for k in (1, 2):
         v = Field(GRID, np.sin(k * GRID.nodes))
-        w = odd_extend(v)
+        w = odd_extend_values(v.values)
         assert np.max(np.abs(w[:, 0] - np.sin(k * x2))) < 1e-12
 
 
 def test_odd_extension_zero_and_antisymmetry():
-    assert np.all(odd_extend(Field.zeros(GRID)) == 0.0)
+    assert np.all(odd_extend_values(Field.zeros(GRID).values) == 0.0)
     rng = np.random.default_rng(5)
     vals = rng.normal(size=65)
     vals[0] = vals[-1] = 0.0
-    w = odd_extend(Field(GRID, vals))[:, 0]
+    w = odd_extend_values(Field(GRID, vals).values)[:, 0]
     n = GRID.n_intervals
     # odd about 0 and about pi
     assert np.max(np.abs(w[1:n] + w[:n:-1])) < 1e-14
@@ -135,7 +135,7 @@ def test_odd_extension_zero_and_antisymmetry():
 
 def test_odd_extension_rejects_nonzero_endpoints():
     with pytest.raises(ValueError):
-        odd_extend(Field(GRID, np.cos(GRID.nodes)))
+        odd_extend_values(Field(GRID, np.cos(GRID.nodes)).values)
 
 
 def test_unshift_inverse_of_shift1():
@@ -167,10 +167,10 @@ def test_shift3_flattens_extension_second_difference():
     u = Field(GRID, (GRID.nodes / np.pi) ** 4)
     h = GRID.h
     v1, _ = _shift(u)
-    w1 = odd_extend(v1)[:, 0]
+    w1 = odd_extend_values(v1.values)[:, 0]
     v3, _ = _shift(u, 0.0, 12.0 / np.pi**2)
     v3.values[0] = 0.0
-    w3 = odd_extend(v3)[:, 0]
+    w3 = odd_extend_values(v3.values)[:, 0]
     n = GRID.n_intervals
     d2 = lambda w, j: (w[j - 1] - 2 * w[j] + w[j + 1]) / h**2
     assert abs(d2(w1, n - 1)) > 0.5
@@ -197,21 +197,21 @@ GRID2 = make_grid_2d(24, 16)
 
 
 def test_shift2d_constant():
-    u = Field2D(GRID2, np.full((25, 17), 3.0))
+    u = Field(GRID2, np.full((25, 17), 3.0))
     w, _ = shift2d(u)
     assert np.max(np.abs(w.values)) < 1e-14
 
 
 def test_shift2d_cosx_plus_cosy():
     X, Y = np.meshgrid(GRID2.nodes_x, GRID2.nodes_y, indexing="ij")
-    u = Field2D(GRID2, np.cos(X) + np.cos(Y))
+    u = Field(GRID2, np.cos(X) + np.cos(Y))
     w, _ = shift2d(u)
     assert np.max(np.abs(w.values)) < 1e-13
 
 
 def test_shift2d_homogeneous_input_untouched():
     X, Y = np.meshgrid(GRID2.nodes_x, GRID2.nodes_y, indexing="ij")
-    u = Field2D(GRID2, np.sin(X) * np.sin(Y))
+    u = Field(GRID2, np.sin(X) * np.sin(Y))
     w, coeffs = shift2d(u)
     assert np.max(np.abs(w.values - u.values)) < 1e-14
     assert np.max(np.abs(coeffs.alpha)) < 1e-14
@@ -222,7 +222,7 @@ def test_shift2d_edges_exactly_zero():
     rng = np.random.default_rng(9)
     X, Y = np.meshgrid(GRID2.nodes_x, GRID2.nodes_y, indexing="ij")
     smooth = np.cos(X) * np.cos(2 * Y) + 0.3 * X * Y / np.pi**2
-    u = Field2D(GRID2, smooth)
+    u = Field(GRID2, smooth)
     w, coeffs = shift2d(u)
     vals = w.values
     for edge in (vals[0], vals[-1], vals[:, 0], vals[:, -1]):
@@ -232,7 +232,7 @@ def test_shift2d_edges_exactly_zero():
 
 
 def test_shift2d_rejects_incompatible_corners():
-    u = Field2D.zeros(GRID2)
+    u = Field.zeros(GRID2)
     edges = {
         "h0": np.zeros(17), "hpi": np.zeros(17),
         "g0": np.ones(25), "gpi": np.zeros(25),
@@ -243,19 +243,19 @@ def test_shift2d_rejects_incompatible_corners():
 
 def test_unshift2d_roundtrip():
     X, Y = np.meshgrid(GRID2.nodes_x, GRID2.nodes_y, indexing="ij")
-    u = Field2D(GRID2, np.cos(X) * np.cos(Y) + np.sin(X) * np.sin(2 * Y))
+    u = Field(GRID2, np.cos(X) * np.cos(Y) + np.sin(X) * np.sin(2 * Y))
     w, coeffs = shift2d(u)
     assert np.max(np.abs(unshift2d(w, coeffs).values - u.values)) < 1e-12
 
 
 def test_unshift2d_reconstruction_from_zero():
     X, _ = np.meshgrid(GRID2.nodes_x, GRID2.nodes_y, indexing="ij")
-    u = Field2D(GRID2, np.cos(X))
+    u = Field(GRID2, np.cos(X))
     _, coeffs = shift2d(u)
-    out = unshift2d(Field2D.zeros(GRID2), coeffs)
+    out = unshift2d(Field.zeros(GRID2), coeffs)
     assert np.max(np.abs(out.values[:, :, 0] - np.cos(X))) < 1e-13
     zero = ShiftCoeffs2D_zero = unshift2d(
-        Field2D.zeros(GRID2),
+        Field.zeros(GRID2),
         type(coeffs)(np.zeros_like(coeffs.alpha), np.zeros_like(coeffs.beta)),
     )
     assert np.all(zero.values == 0.0)

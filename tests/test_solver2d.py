@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rdfilter.core import (
-    Field2D,
+    Field,
     SchemeState,
     laplacian_symbol,
     make_grid_2d,
@@ -29,15 +29,15 @@ HOMOGENEOUS = BoundaryData2D(
 
 
 def test_laplacian_annihilates_constants_and_linears():
-    c = apply_laplacian(Field2D(GRID, np.full((17, 17), 2.0)))
+    c = apply_laplacian(Field(GRID, np.full((17, 17), 2.0)))
     assert np.all(c.values[1:-1, 1:-1] == 0.0)
-    lin = apply_laplacian(Field2D(GRID, X + Y))
+    lin = apply_laplacian(Field(GRID, X + Y))
     assert np.max(np.abs(lin.values[1:-1, 1:-1])) < 1e-11
 
 
 def test_laplacian_tensor_eigenfunction():
     for k, l in [(1, 1), (2, 3), (5, 2)]:
-        u = Field2D(GRID, np.sin(k * X) * np.sin(l * Y))
+        u = Field(GRID, np.sin(k * X) * np.sin(l * Y))
         out = apply_laplacian(u).values[1:-1, 1:-1, 0]
         lam = laplacian_symbol(GRID.hx, k) + laplacian_symbol(GRID.hy, l)
         want = lam * (np.sin(k * X) * np.sin(l * Y))[1:-1, 1:-1]
@@ -46,7 +46,7 @@ def test_laplacian_tensor_eigenfunction():
 
 def test_step2d_zero_fixed_point():
     cfg = StepConfig(dt=1e-4)
-    z = Field2D.zeros(GRID)
+    z = Field.zeros(GRID)
     state = SchemeState(z, z, 0.0, cfg.dt)
     out = step(state, zero_reaction(), cfg, HOMOGENEOUS.sample(GRID, cfg.dt))
     assert np.all(out.values == 0.0)
@@ -58,7 +58,7 @@ def test_step2d_single_tensor_mode_recurrence():
     cfg = StepConfig(dt=dt)
     lam = laplacian_symbol(GRID.hx, k) + laplacian_symbol(GRID.hy, l)
     mode = np.sin(k * X) * np.sin(l * Y)
-    u = Field2D(GRID, mode)
+    u = Field(GRID, mode)
     state = SchemeState(u, u, 0.0, dt)
     out = step(state, zero_reaction(), cfg, HOMOGENEOUS.sample(GRID, cfg.dt))
     want = (4.0 - 1.0 + 2.0 * dt * lam * (2.0 - 1.0)) / 3.0
@@ -71,7 +71,7 @@ def test_startup2d_forward_euler_symbol():
     cfg = StepConfig(dt=dt)
     lam = laplacian_symbol(GRID.hx, k) + laplacian_symbol(GRID.hy, l)
     mode = np.sin(k * X) * np.sin(l * Y)
-    u0 = Field2D(GRID, mode)
+    u0 = Field(GRID, mode)
     out = step(SchemeState(u0, u0, 0.0, dt), zero_reaction(), cfg,
                HOMOGENEOUS.sample(GRID, dt), startup=True)
     assert np.max(np.abs(out.values[:, :, 0] - (1.0 + dt * lam) * mode)) < 1e-11
@@ -83,7 +83,7 @@ def test_laplacian_uses_each_axis_spacing():
     Xr, Yr = np.meshgrid(grid.nodes_x, grid.nodes_y, indexing="ij")
     for k, l in [(1, 1), (5, 3)]:
         mode = np.sin(k * Xr) * np.sin(l * Yr)
-        out = apply_laplacian(Field2D(grid, mode)).values[1:-1, 1:-1, 0]
+        out = apply_laplacian(Field(grid, mode)).values[1:-1, 1:-1, 0]
         lam = laplacian_symbol(grid.hx, k) + laplacian_symbol(grid.hy, l)
         assert np.max(np.abs(out - lam * mode[1:-1, 1:-1])) < 1e-9 * abs(lam)
 
@@ -96,7 +96,7 @@ def test_step_writes_x_edges_over_the_corners():
         g0=lambda x, t: np.full_like(x, eps), gpi=lambda x, t: np.full_like(x, eps),
         h0=lambda y, t: np.zeros_like(y), hpi=lambda y, t: np.zeros_like(y),
     )
-    z = Field2D.zeros(GRID)
+    z = Field.zeros(GRID)
     cfg = StepConfig(dt=1e-4)
     for startup in (False, True):
         out = step(SchemeState(z, z, 0.0, cfg.dt), zero_reaction(), cfg,
@@ -173,19 +173,19 @@ def test_tensor_filter_rejects_inhomogeneous_edges():
 
 
 def test_postprocess2d_cosines_unchanged():
-    u = Field2D(GRID, np.cos(X) + np.cos(Y))
+    u = Field(GRID, np.cos(X) + np.cos(Y))
     out = postprocess2d(u, FilterSpec(kappa=3.0), FilterSpec(kappa=3.0))
     assert np.max(np.abs(out.values - u.values)) < 1e-10
 
 
 def test_postprocess2d_identity_at_tiny_kappa():
-    u = Field2D(GRID, np.cos(X) * np.cos(2 * Y) + np.sin(X) * np.sin(Y))
+    u = Field(GRID, np.cos(X) * np.cos(2 * Y) + np.sin(X) * np.sin(Y))
     out = postprocess2d(u, FilterSpec(kappa=1e-9), FilterSpec(kappa=1e-9))
     assert np.max(np.abs(out.values - u.values)) < 1e-8
 
 
 def test_postprocess2d_kills_high_tensor_mode():
-    u = Field2D(GRID, np.sin(8 * X) * np.sin(8 * Y))
+    u = Field(GRID, np.sin(8 * X) * np.sin(8 * Y))
     out = postprocess2d(u, FilterSpec(kappa=2.0), FilterSpec(kappa=2.0))
     assert np.max(np.abs(out.values)) < 1e-10
 
@@ -193,7 +193,7 @@ def test_postprocess2d_kills_high_tensor_mode():
 def test_postprocess2d_preserves_filtered_boundary_exactly():
     from rdfilter.filtering import filter_boundary_trace
 
-    u = Field2D(GRID, np.cos(X) * np.cos(Y) + 0.1 * np.sin(3 * X) * np.sin(2 * Y))
+    u = Field(GRID, np.cos(X) * np.cos(Y) + 0.1 * np.sin(3 * X) * np.sin(2 * Y))
     spec = FilterSpec(kappa=2.5)
     out = postprocess2d(u, spec, spec).values
     want_g0 = filter_boundary_trace(u.values[:, 0], spec)
