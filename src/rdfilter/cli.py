@@ -102,6 +102,22 @@ _INT_KEYS = {"N", "N_y", "shift_order", "n_subdomains", "overlap"}
 _FLOAT_KEYS = {"ratio", "dt", "T", "kappa_fraction", "base_level"}
 _LIST_KEYS = {"ratios", "grid_sizes", "overlaps"}
 
+# The keys each subcommand reads, ``run`` per problem.  Any other key must keep
+# its default: the command would run without it and write the same output.
+_OUTPUT = {"output", "timing"}
+_RUN = _OUTPUT | {"problem", "N", "ratio", "dt", "T", "shift_order", "filter",
+                  "kappa_fraction"}
+_RUN_1D = _RUN | {"kappa_adapt", "n_subdomains", "overlap"}
+_READS = {
+    "run --problem heat1d": _RUN_1D,
+    "run --problem predprey1d": _RUN_1D | {"sign_variant", "base_level", "excited"},
+    "run --problem heat2d": _RUN | {"N_y"},
+    "sweep": _OUTPUT | {"N", "grid_sizes", "ratios", "T", "shift_order", "filter",
+                        "kappa_fraction"},
+    "dd": _OUTPUT | {"N", "n_subdomains", "overlaps"},
+    "selftest": set(),
+}
+
 
 def _coerce(key: str, raw: str):
     try:
@@ -123,10 +139,14 @@ def _coerce(key: str, raw: str):
         raise ConfigError(f"{key}: cannot parse value {raw!r}") from exc
 
 
-def parse_config(text: str | None = None, overrides: dict | None = None) -> RunConfig:
+def parse_config(text: str | None = None, overrides: dict | None = None,
+                 command: str | None = None) -> RunConfig:
     """Build a RunConfig from flat ``key=value`` lines plus flag overrides.
 
-    Flags override file values.  Unknown keys are rejected by name.
+    Flags override file values.  Unknown keys are rejected by name, and so,
+    given the subcommand, is a non-default value for a key it does not read
+    (compared as given, before ``RunConfig`` fills in ``ratio`` and
+    ``grid_sizes``).
     """
     known = {f.name for f in dc_fields(RunConfig)}
     values: dict = {}
@@ -147,7 +167,14 @@ def parse_config(text: str | None = None, overrides: dict | None = None) -> RunC
         if key not in known:
             raise ConfigError(f"{key}: unknown configuration key")
         values[key] = _coerce(key, val) if isinstance(val, str) else val
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    if command is not None:
+        name = f"run --problem {cfg.problem}" if command == "run" else command
+        defaults = {f.name: f.default for f in dc_fields(RunConfig)}
+        for key, value in values.items():
+            if key not in _READS[name] and value != defaults[key]:
+                raise ConfigError(f"{key}: rdfilter {name} does not read it")
+    return cfg
 
 
 def _fmt(value) -> str:
@@ -247,16 +274,7 @@ def _cmd_run(cfg: RunConfig) -> int:
     return 0 if row.stable else 2
 
 
-def _require_default(cfg: RunConfig, command: str, keys) -> None:
-    """Reject a value other than the default for a key ``command`` never reads."""
-    defaults = {f.name: f.default for f in dc_fields(RunConfig)}
-    for key in keys:
-        if getattr(cfg, key) != defaults[key]:
-            raise ConfigError(f"{key}: rdfilter {command} does not read it")
-
-
 def _cmd_sweep(cfg: RunConfig) -> int:
-    _require_default(cfg, "sweep", ("kappa_adapt",))
     case = bench.manufactured_heat_case()
     rows = bench.run_accuracy_sweep(case, cfg.grid_sizes, cfg.ratios,
                                     [cfg.shift_order], T=cfg.T,
@@ -269,7 +287,6 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 
 
 def _cmd_dd(cfg: RunConfig) -> int:
-    _require_default(cfg, "dd", ("ratios", "shift_order", "filter", "kappa_fraction"))
     rows = bench.run_dd_study(cfg.N, cfg.n_subdomains, cfg.overlaps)
     emit_csv(rows, cfg.output, timing=cfg.timing)
     for r in rows:
@@ -355,7 +372,7 @@ def main(argv=None) -> int:
         text = args.config.read_text() if args.config else None
         overrides = {k: v for k, v in vars(args).items()
                      if k not in ("command", "config")}
-        cfg = parse_config(text, overrides)
+        cfg = parse_config(text, overrides, args.command)
         return _COMMANDS[args.command](cfg)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -95,6 +95,11 @@ def test_parse_config_rejects_custom_problem():
     ("dd", ["--filter", "off"], "filter"),
     ("dd", ["--kappa-fraction", "0.5"], "kappa_fraction"),
     ("run", ["--kappa-fraction", "nan"], "kappa_fraction"),
+    ("sweep", ["--problem", "heat2d"], "problem"),
+    ("sweep", ["--n-subdomains", "2"], "n_subdomains"),
+    ("sweep", ["--overlap", "4"], "overlap"),
+    ("run", ["--problem", "heat2d", "--n-subdomains", "2"], "n_subdomains"),
+    ("run", ["--problem", "heat2d", "--overlap", "4"], "overlap"),
 ])
 def test_main_rejects_keys_a_subcommand_does_not_read(tmp_path, capsys, command, args, key):
     cfg = tmp_path / "cfg"
