@@ -32,12 +32,20 @@ RETAIN_TOL = 1.0e-12
 
 
 def sigma8(xi) -> np.ndarray | float:
-    """Eighth-order filter: (35 - 84y + 70y^2 - 20y^3) y^4, y = (1 + cos(pi xi))/2,
-    zero outside |xi| < 1.  Even, C^7, unit value and 7 vanishing derivatives at 0."""
+    """Eighth-order filter: p(y) = (35 - 84y + 70y^2 - 20y^3) y^4, y = (1 + cos(pi xi))/2,
+    zero outside |xi| < 1.  Even, C^7, unit value and 7 vanishing derivatives at 0.
+
+    p is the regularized incomplete beta function I_y(4, 4), so p(y) = 1 - p(1 - y).
+    For y >= 1/2 (|xi| <= 1/2) the filter is evaluated as 1 - p(s) with
+    s = 1 - y = sin^2(pi xi / 2) computed directly: p(y) itself cancels near
+    y = 1 and would exceed 1 by up to 2e-14.  Both branches lie in [0, 1] exactly."""
     xi = np.asarray(xi, dtype=float)
-    y = 0.5 * (1.0 + np.cos(np.pi * np.clip(np.abs(xi), 0.0, 1.0)))
-    val = (35.0 - 84.0 * y + 70.0 * y**2 - 20.0 * y**3) * y**4
-    out = np.where(np.abs(xi) >= 1.0, 0.0, val)
+    a = np.clip(np.abs(xi), 0.0, 1.0)
+    y = 0.5 * (1.0 + np.cos(np.pi * a))
+    upper = y >= 0.5
+    z = np.where(upper, np.sin(0.5 * np.pi * a) ** 2, y)
+    p = (35.0 - 84.0 * z + 70.0 * z**2 - 20.0 * z**3) * z**4
+    out = np.where(np.abs(xi) >= 1.0, 0.0, np.where(upper, 1.0 - p, p))
     return float(out) if out.ndim == 0 else out
 
 
