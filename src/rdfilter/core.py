@@ -129,7 +129,8 @@ class Field:
         if values.shape == node_shape:
             values = values[..., np.newaxis]
         if values.shape[:-1] != node_shape:
-            raise ValueError(f"values shape {values.shape} incompatible with node shape {node_shape}")
+            raise ValueError(
+                f"values shape {values.shape} incompatible with node shape {node_shape}")
         object.__setattr__(self, "values", np.ascontiguousarray(values))
 
     @property
