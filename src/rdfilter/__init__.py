@@ -8,7 +8,8 @@ buying time steps far beyond dt = h^2/3.  Works in 1D, 2D, and with
 overlapping strip domain decomposition of the postprocess.
 
 One stepper, ``step``, advances 1D and 2D fields; one 1D postprocess,
-``postprocess_field``, runs on the whole grid or on overlapping strips.
+``postprocess_field``, runs on the whole grid or on overlapping strips, and
+``postprocess2d`` runs the same shift and filter along each axis.
 """
 
 from .core import (
@@ -33,14 +34,7 @@ from .stepper import (
     recurrence_roots,
     step,
 )
-from .shift import (
-    ShiftCoeffs2D,
-    cosine_basis,
-    odd_extend_values,
-    shift1d,
-    shift2d,
-    unshift2d,
-)
+from .shift import cosine_basis, odd_extend_values, shift1d
 from .filtering import (
     FilterSpec,
     KappaMonitor,

@@ -26,7 +26,7 @@ from .core import (
     source_reaction,
     zero_reaction,
 )
-from .ddm import SubdomainLayout
+from .ddm import SubdomainLayout, make_layout
 from .filtering import FilterSpec, KappaMonitor, kappa_critical, postprocess_field
 from .solver2d import BoundaryData2D, kappa_critical_2d, postprocess2d
 from .stepper import NewtonDivergence, StepConfig, step
@@ -435,8 +435,6 @@ def run_dd_study(n_intervals: int, n_subdomains: int, overlaps,
                  resolution: float = 0.1, n_steps: int = 500) -> list[SweepRow]:
     """Maximal stable ratio per overlap for the heat equation, plus the
     single-domain reference row."""
-    from .ddm import make_layout
-
     grid = make_grid_1d(n_intervals)
     rows = []
     t0 = time.perf_counter()

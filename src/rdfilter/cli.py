@@ -24,6 +24,7 @@ CSV_HEADER = "N,dt,ratio,shift_order,kappa,n_subdomains,overlap,err_l2,err_linf,
 DEFAULT_RATIOS = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0)
 DEFAULT_OVERLAPS = (4, 8, 16)
 PROBLEMS = ("heat1d", "predprey1d", "heat2d")
+SIGN_VARIANTS = ("printed", "classical")
 
 
 class ConfigError(ValueError):
@@ -70,6 +71,8 @@ class RunConfig:
             raise ConfigError("shift_order: third-order shifts are 1D-only")
         if self.filter not in ("on", "off"):
             raise ConfigError("filter: must be 'on' or 'off'")
+        if self.sign_variant not in SIGN_VARIANTS:
+            raise ConfigError("sign_variant: must be 'printed' or 'classical'")
         if self.N < 4:
             raise ConfigError("N: must be >= 4")
         if self.N_y is not None and self.N_y < 4:
@@ -146,7 +149,9 @@ def parse_config(text: str | None = None, overrides: dict | None = None,
     Flags override file values.  Unknown keys are rejected by name, and so,
     given the subcommand, is a non-default value for a key it does not read
     (compared as given, before ``RunConfig`` fills in ``ratio`` and
-    ``grid_sizes``).
+    ``grid_sizes``).  A key read only under a condition (``overlap`` needs
+    ``n_subdomains`` > 1, ``N`` in ``sweep`` needs no ``grid_sizes``) is
+    rejected whenever it is given and the condition does not hold.
     """
     known = {f.name for f in dc_fields(RunConfig)}
     values: dict = {}
@@ -171,9 +176,15 @@ def parse_config(text: str | None = None, overrides: dict | None = None,
     if command is not None:
         name = f"run --problem {cfg.problem}" if command == "run" else command
         defaults = {f.name: f.default for f in dc_fields(RunConfig)}
+        unread = {}  # keys the subcommand reads only under a condition
+        if cfg.n_subdomains == 1 and "overlap" in _READS[name]:
+            unread["overlap"] = " with n_subdomains 1"
+        if command == "sweep" and values.get("grid_sizes"):
+            unread["N"] = " when grid_sizes is given"
         for key, value in values.items():
-            if key not in _READS[name] and value != defaults[key]:
-                raise ConfigError(f"{key}: rdfilter {name} does not read it")
+            if key in unread or (key not in _READS[name] and value != defaults[key]):
+                raise ConfigError(f"{key}: rdfilter {name} does not read it"
+                                  + unread.get(key, ""))
     return cfg
 
 
@@ -349,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-timing", dest="timing", action="store_const", const=False,
                        default=None, help="zero the wall_ms column (byte-reproducible CSV)")
         p.add_argument("--sign-variant", dest="sign_variant",
-                       choices=["printed", "classical"], default=None,
+                       choices=SIGN_VARIANTS, default=None,
                        help="predator-prey v-equation signs (default classical)")
         p.add_argument("--base-level", dest="base_level", default=None,
                        help="predator-prey boundary base level (default 1.0)")

@@ -1,6 +1,11 @@
 """Two-dimensional Dirichlet problems: boundary data, the per-axis critical
-stretching, and the 2D postprocess (boundary-trace filtering, two-step
-first-order shift, tensor sine filtering, reconstruction).
+stretching, and the 2D postprocess.
+
+The postprocess is the 1D one run along each axis: the four boundary traces
+are filtered separately (``filtering.filter_boundary_trace``), then the field
+is shifted with ``shift.shift1d`` along x and then along y, filtered with
+``filtering.apply_filter_values`` along y and then along x (the tensor filter
+sigma(kx k/Nx) sigma(ky l/Ny)), and shifted back.
 
 The time step is ``stepper.step``, the same stepper as in 1D: it runs over
 both node axes of a 2D Field with the five-point Laplacian
@@ -12,12 +17,22 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.fft import dstn, idstn
 
 from .core import Field, Grid2D
-from .filtering import FilterSpec, RETAIN_TOL, filter_boundary_trace, filter_factors
-from .shift import check_corners, shift2d, unshift2d
+from .filtering import FilterSpec, apply_filter_values, filter_boundary_trace
+from .shift import cosine_basis, shift1d
 from .stepper import set_boundary
+
+CORNER_TOL = 1.0e-10
+
+
+def check_corners(edges: dict) -> None:
+    """Reject 2D edge data {'g0', 'gpi', 'h0', 'hpi'} whose values at a corner
+    differ by more than CORNER_TOL."""
+    g0, gpi, h0, hpi = edges["g0"], edges["gpi"], edges["h0"], edges["hpi"]
+    for a, b in ((g0[0], h0[0]), (g0[-1], hpi[0]), (gpi[0], h0[-1]), (gpi[-1], hpi[-1])):
+        if np.max(np.abs(a - b)) > CORNER_TOL:
+            raise ValueError("incompatible corner data in 2D boundary conditions")
 
 
 @dataclass(frozen=True)
@@ -69,55 +84,27 @@ def kappa_critical_2d(dt: float, h: float) -> float:
     return np.pi / np.arccos(arg)
 
 
-def apply_tensor_filter_values(values: np.ndarray, spec_x: FilterSpec,
-                               spec_y: FilterSpec) -> np.ndarray:
-    """Scale tensor sine coefficient (k, l) by sigma(kx k/Nx) * sigma(ky l/Ny).
-
-    ``values`` is (Nx+1, Ny+1, m) and must vanish on all four edges.
-    """
-    edge = max(
-        float(np.max(np.abs(values[0]))), float(np.max(np.abs(values[-1]))),
-        float(np.max(np.abs(values[:, 0]))), float(np.max(np.abs(values[:, -1]))),
-    )
-    if edge > RETAIN_TOL:
-        raise ValueError(f"tensor filter needs homogeneous edges (got {edge:.3e})")
-    nx = values.shape[0] - 1
-    ny = values.shape[1] - 1
-    interior = values[1:-1, 1:-1]
-    coeffs = dstn(interior, type=1, axes=(0, 1))
-    fx = filter_factors(nx, spec_x)
-    fy = filter_factors(ny, spec_y)
-    coeffs = coeffs * fx[:, np.newaxis, np.newaxis] * fy[np.newaxis, :, np.newaxis]
-    out = np.zeros_like(values)
-    out[1:-1, 1:-1] = idstn(coeffs, type=1, axes=(0, 1))
-    return out
-
-
-def postprocess2d(u: Field, spec_x: FilterSpec, spec_y: FilterSpec,
-                  edges: dict[str, np.ndarray] | None = None) -> Field:
-    """Filter the boundary traces, shift, tensor-filter, reconstruct.
-
-    The output's edges equal the filtered boundary data exactly.  ``edges``
-    defaults to the field's own edge values.
-    """
+def postprocess2d(u: Field, spec_x: FilterSpec, spec_y: FilterSpec) -> Field:
+    """Filter the boundary traces, shift along x then y, filter along y then
+    x, shift back.  The output's edges equal the filtered traces exactly."""
     vals = u.values.copy()
-    if edges is None:
-        edges = {"g0": vals[:, 0], "gpi": vals[:, -1],
-                 "h0": vals[0, :], "hpi": vals[-1, :]}
-    filtered_edges = {
-        "g0": filter_boundary_trace(edges["g0"], spec_x),
-        "gpi": filter_boundary_trace(edges["gpi"], spec_x),
-        "h0": filter_boundary_trace(edges["h0"], spec_y),
-        "hpi": filter_boundary_trace(edges["hpi"], spec_y),
+    nx, ny, m = vals.shape[0] - 1, vals.shape[1] - 1, vals.shape[2]
+    edges = {
+        "g0": filter_boundary_trace(vals[:, 0], spec_x),
+        "gpi": filter_boundary_trace(vals[:, -1], spec_x),
+        "h0": filter_boundary_trace(vals[0], spec_y),
+        "hpi": filter_boundary_trace(vals[-1], spec_y),
     }
-    set_boundary(vals, filtered_edges)
-    shifted, coeffs = shift2d(u.with_values(vals))
-    w = shifted.values.copy()
-    w[0] = 0.0
-    w[-1] = 0.0
-    w[:, 0] = 0.0
-    w[:, -1] = 0.0
-    filtered = apply_tensor_filter_values(w, spec_x, spec_y)
-    out = unshift2d(u.with_values(filtered), coeffs).values
-    set_boundary(out, filtered_edges)
+    set_boundary(vals, edges)
+
+    def swap(a: np.ndarray, rows: int) -> np.ndarray:
+        # (rows, cols * m), node-major along one axis -> (cols, rows * m)
+        return a.reshape(rows, -1, m).swapaxes(0, 1).reshape(-1, rows * m)
+
+    basis_x, basis_y = cosine_basis(nx, 2), cosine_basis(ny, 2)
+    v, alpha = shift1d(vals.reshape(nx + 1, -1), basis_x)
+    w, beta = shift1d(swap(v, nx + 1), basis_y)
+    w = apply_filter_values(swap(apply_filter_values(w, spec_y), ny + 1), spec_x)
+    out = (w + swap(basis_y @ beta, ny + 1) + basis_x @ alpha).reshape(vals.shape)
+    set_boundary(out, edges)
     return u.with_values(out)

@@ -100,12 +100,16 @@ def test_parse_config_rejects_custom_problem():
     ("sweep", ["--overlap", "4"], "overlap"),
     ("run", ["--problem", "heat2d", "--n-subdomains", "2"], "n_subdomains"),
     ("run", ["--problem", "heat2d", "--overlap", "4"], "overlap"),
+    ("run", ["--ratio", "4", "--overlap", "4"], "overlap"),
+    ("sweep", ["--grid-sizes", "16"], "N"),
+    ("run", ["--problem", "predprey1d", "--config", "{variant}"], "sign_variant"),
 ])
 def test_main_rejects_keys_a_subcommand_does_not_read(tmp_path, capsys, command, args, key):
-    cfg = tmp_path / "cfg"
-    cfg.write_text("kappa_adapt=true\n")
+    files = {"cfg": "kappa_adapt=true\n", "variant": "sign_variant=bogus\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
     out = tmp_path / "x.csv"
-    args = [a.format(cfg=cfg) for a in args]
+    args = [a.format(**{name: tmp_path / name for name in files}) for a in args]
     assert main([command, *args, "--N", "32", "--output", str(out)]) == 1
     assert f"error: {key}:" in capsys.readouterr().err
     assert not out.exists()

@@ -190,16 +190,24 @@ def test_apply_filter_matches_dense_fourier_sum(n):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def _assert_retained_modes_stable(n: int, ratio: float) -> None:
+    grid = make_grid_1d(n)
+    dt = ratio * grid.h**2 / 3.0
+    factors = filter_factors(n, FilterSpec(kappa=kappa_critical(dt, grid.h)))
+    for k in np.nonzero(factors > 1e-12)[0] + 1:
+        roots = recurrence_roots(dt, laplacian_symbol(grid, k))
+        assert np.max(np.abs(roots)) <= 1.0 + 1e-12, f"mode {k}"
+
+
 @pytest.mark.parametrize("ratio", [2.0, 4.0, 8.0])
 def test_retained_modes_stable_at_critical_kappa(ratio):
-    grid = make_grid_1d(64)
-    dt = ratio * grid.h**2 / 3.0
-    spec = FilterSpec(kappa=kappa_critical(dt, grid.h))
-    factors = filter_factors(grid.n_intervals, spec)
-    for k in range(1, grid.n_intervals):
-        if factors[k - 1] > 1e-12:
-            roots = recurrence_roots(dt, laplacian_symbol(grid, k))
-            assert np.max(np.abs(roots)) <= 1.0 + 1e-12, f"mode {k}"
+    _assert_retained_modes_stable(64, ratio)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(8, 512), st.floats(0.5, 64.0))
+def test_retained_modes_stable_at_critical_kappa_on_any_grid(n, ratio):
+    _assert_retained_modes_stable(n, ratio)
 
 
 def test_filter_boundary_trace_constant_and_cosine():

@@ -1,16 +1,14 @@
-"""Low-frequency shifts, odd extension and their inverses, in 1D and 2D."""
+"""Low-frequency shifts, odd extension and their inverses."""
 
 import numpy as np
 import pytest
 
-from rdfilter.core import Field, make_grid_1d, make_grid_2d, zero_reaction
+from rdfilter.core import Field, make_grid_1d, zero_reaction
 from rdfilter.shift import (
     cosine_basis,
     estimate_uxx_nodes,
     odd_extend_values,
     shift1d,
-    shift2d,
-    unshift2d,
 )
 
 GRID = make_grid_1d(64)
@@ -189,73 +187,3 @@ def test_strip_shift_absorbs_global_cosine_trend():
     v3, alpha3 = shift1d(u, BASIS3[lo:hi + 1], uxx)
     assert np.max(np.abs(v3)) < 1e-12
     assert np.allclose(alpha3[:, 0], [1.5, 0.75, 0.0, 0.0], atol=1e-12)
-
-
-# --- 2D ---------------------------------------------------------------------
-
-GRID2 = make_grid_2d(24, 16)
-
-
-def test_shift2d_constant():
-    u = Field(GRID2, np.full((25, 17), 3.0))
-    w, _ = shift2d(u)
-    assert np.max(np.abs(w.values)) < 1e-14
-
-
-def test_shift2d_cosx_plus_cosy():
-    X, Y = np.meshgrid(GRID2.nodes_x, GRID2.nodes_y, indexing="ij")
-    u = Field(GRID2, np.cos(X) + np.cos(Y))
-    w, _ = shift2d(u)
-    assert np.max(np.abs(w.values)) < 1e-13
-
-
-def test_shift2d_homogeneous_input_untouched():
-    X, Y = np.meshgrid(GRID2.nodes_x, GRID2.nodes_y, indexing="ij")
-    u = Field(GRID2, np.sin(X) * np.sin(Y))
-    w, coeffs = shift2d(u)
-    assert np.max(np.abs(w.values - u.values)) < 1e-14
-    assert np.max(np.abs(coeffs.alpha)) < 1e-14
-    assert np.max(np.abs(coeffs.beta)) < 1e-14
-
-
-def test_shift2d_edges_exactly_zero():
-    rng = np.random.default_rng(9)
-    X, Y = np.meshgrid(GRID2.nodes_x, GRID2.nodes_y, indexing="ij")
-    smooth = np.cos(X) * np.cos(2 * Y) + 0.3 * X * Y / np.pi**2
-    u = Field(GRID2, smooth)
-    w, coeffs = shift2d(u)
-    vals = w.values
-    for edge in (vals[0], vals[-1], vals[:, 0], vals[:, -1]):
-        assert np.max(np.abs(edge)) < 1e-13
-    # corner compatibility forces the beta trace to vanish at x = 0, pi
-    assert np.max(np.abs(coeffs.beta[:, [0, -1]])) < 1e-13
-
-
-def test_shift2d_rejects_incompatible_corners():
-    u = Field.zeros(GRID2)
-    edges = {
-        "h0": np.zeros(17), "hpi": np.zeros(17),
-        "g0": np.ones(25), "gpi": np.zeros(25),
-    }
-    with pytest.raises(ValueError):
-        shift2d(u, edges=edges)
-
-
-def test_unshift2d_roundtrip():
-    X, Y = np.meshgrid(GRID2.nodes_x, GRID2.nodes_y, indexing="ij")
-    u = Field(GRID2, np.cos(X) * np.cos(Y) + np.sin(X) * np.sin(2 * Y))
-    w, coeffs = shift2d(u)
-    assert np.max(np.abs(unshift2d(w, coeffs).values - u.values)) < 1e-12
-
-
-def test_unshift2d_reconstruction_from_zero():
-    X, _ = np.meshgrid(GRID2.nodes_x, GRID2.nodes_y, indexing="ij")
-    u = Field(GRID2, np.cos(X))
-    _, coeffs = shift2d(u)
-    out = unshift2d(Field.zeros(GRID2), coeffs)
-    assert np.max(np.abs(out.values[:, :, 0] - np.cos(X))) < 1e-13
-    zero = ShiftCoeffs2D_zero = unshift2d(
-        Field.zeros(GRID2),
-        type(coeffs)(np.zeros_like(coeffs.alpha), np.zeros_like(coeffs.beta)),
-    )
-    assert np.all(zero.values == 0.0)

@@ -1,7 +1,9 @@
-"""2D Dirichlet solver: five-point stencil, time step, tensor-filter postprocess."""
+"""2D Dirichlet solver: five-point stencil, time step, per-axis postprocess."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdfilter.core import (
     Field,
@@ -13,7 +15,6 @@ from rdfilter.core import (
 from rdfilter.filtering import FilterSpec
 from rdfilter.solver2d import (
     BoundaryData2D,
-    apply_tensor_filter_values,
     kappa_critical_2d,
     postprocess2d,
 )
@@ -132,50 +133,110 @@ def test_kappa_critical_2d_values():
         kappa_critical_2d(0.0, h)
 
 
-def test_retained_tensor_modes_stable_at_2d_critical_kappa():
-    h = GRID.hx
-    n = GRID.n_intervals_x
-    for ratio in (2.0, 4.0):
-        dt = ratio * h**2 / 6.0
-        kappa = kappa_critical_2d(dt, h)
-        sig = FilterSpec(kappa=kappa)
-        for k in range(1, n):
-            for l in range(1, n):
-                keep = sig.sigma(kappa * k / n) * sig.sigma(kappa * l / n)
-                if keep > 1e-12:
-                    lam = laplacian_symbol(h, k) + laplacian_symbol(h, l)
-                    roots = recurrence_roots(dt, lam)
-                    assert np.max(np.abs(roots)) <= 1.0 + 1e-12, (ratio, k, l)
+def _max_root_modulus(dt: float, lam: np.ndarray) -> np.ndarray:
+    # roots of 3 z^2 - (4 + 4 dt lam) z + (1 + 2 dt lam), in closed form per entry
+    b = 2.0 + 2.0 * dt * lam
+    disc = np.sqrt((b * b - 3.0 * (1.0 + 2.0 * dt * lam)).astype(complex))
+    return np.maximum(np.abs(b + disc), np.abs(b - disc)) / 3.0
+
+
+def test_closed_form_roots_match_recurrence_roots():
+    dt, lams = 0.01, np.array([-1.0, -50.0, -150.0, -400.0, -1e4])
+    want = [np.max(np.abs(recurrence_roots(dt, lam))) for lam in lams]
+    assert np.allclose(_max_root_modulus(dt, lams), want, rtol=1e-13)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(8, 48), st.floats(0.5, 64.0))
+def test_retained_tensor_modes_stable_at_2d_critical_kappa(n, ratio):
+    h = np.pi / n
+    dt = ratio * h**2 / 6.0
+    spec = FilterSpec(kappa=kappa_critical_2d(dt, h))
+    k = np.arange(1, n)
+    sig = spec.sigma(spec.kappa * k / n)
+    lam = laplacian_symbol(h, k)
+    keep = np.outer(sig, sig) > 1e-12
+    modulus = _max_root_modulus(dt, lam[:, np.newaxis] + lam[np.newaxis, :])
+    assert np.max(modulus[keep], initial=0.0) <= 1.0 + 1e-12
 
 
 def test_tensor_filter_separability():
+    # on a field with zero edges the postprocess is the tensor filter alone,
+    # and it factors into an x-filter and a y-filter
     rng = np.random.default_rng(6)
     vals = rng.normal(size=(17, 17, 1))
     vals[0] = vals[-1] = 0.0
     vals[:, 0] = vals[:, -1] = 0.0
-    spec_x, spec_y = FilterSpec(kappa=2.0), FilterSpec(kappa=1.5)
-    joint = apply_tensor_filter_values(vals, spec_x, spec_y)
-    only_x = apply_tensor_filter_values(vals, spec_x, FilterSpec(kappa=1e-12))
-    both = apply_tensor_filter_values(only_x, FilterSpec(kappa=1e-12), spec_y)
+    u = Field(GRID, vals)
+    spec_x, spec_y, none = FilterSpec(kappa=2.0), FilterSpec(kappa=1.5), FilterSpec(kappa=1e-12)
+    joint = postprocess2d(u, spec_x, spec_y).values
+    both = postprocess2d(postprocess2d(u, spec_x, none), none, spec_y).values
     assert np.max(np.abs(joint - both)) < 1e-12
 
 
 def test_tensor_filter_kills_mode_beyond_cutoff():
-    u = np.sin(8 * X) * np.sin(1 * Y)
-    out = apply_tensor_filter_values(u[..., np.newaxis], FilterSpec(2.0), FilterSpec(2.0))
-    assert np.max(np.abs(out)) < 1e-12
+    # sigma(kappa k / N) = 0 along x alone removes the product mode
+    u = Field(GRID, np.sin(8 * X) * np.sin(1 * Y))
+    out = postprocess2d(u, FilterSpec(2.0), FilterSpec(2.0))
+    assert np.max(np.abs(out.values)) < 1e-12
 
 
-def test_tensor_filter_rejects_inhomogeneous_edges():
-    with pytest.raises(ValueError):
-        apply_tensor_filter_values(np.cos(X)[..., np.newaxis],
-                                   FilterSpec(2.0), FilterSpec(2.0))
-
-
-def test_postprocess2d_cosines_unchanged():
-    u = Field(GRID, np.cos(X) + np.cos(Y))
+@pytest.mark.parametrize("field", [
+    np.full_like(X, 3.0), np.cos(X) + np.cos(Y), np.cos(X) * np.cos(Y),
+], ids=["constant", "cosx_plus_cosy", "cosx_cosy"])
+def test_postprocess2d_cosines_unchanged(field):
+    u = Field(GRID, field)
     out = postprocess2d(u, FilterSpec(kappa=3.0), FilterSpec(kappa=3.0))
     assert np.max(np.abs(out.values - u.values)) < 1e-10
+
+
+def _dense_filter(n: int, kappa: float) -> np.ndarray:
+    # sum_k sigma8(kappa k/n) sin(k x_i) (2/n) sin(k x_j) on the interior nodes,
+    # with sigma8 written out as its polynomial in y = (1 + cos(pi xi)) / 2
+    k = np.arange(1, n)
+    xi = kappa * k / n
+    y = 0.5 * (1.0 + np.cos(np.pi * np.minimum(xi, 1.0)))
+    sig = np.where(xi < 1.0, (35.0 - 84.0 * y + 70.0 * y**2 - 20.0 * y**3) * y**4, 0.0)
+    sines = np.sin(np.outer(np.arange(1, n), k) * np.pi / n)  # [node, mode]
+    return (sines * sig) @ sines.T * (2.0 / n)
+
+
+def _dense_trace_filter(trace: np.ndarray, kappa: float) -> np.ndarray:
+    # first-order shift in closed form, dense filter, shift back; ends kept
+    n = trace.shape[0] - 1
+    cos = np.cos(np.linspace(0.0, np.pi, n + 1))[:, np.newaxis]
+    a0, a1 = 0.5 * (trace[0] + trace[-1]), 0.5 * (trace[0] - trace[-1])
+    out = trace.copy()
+    out[1:-1] = _dense_filter(n, kappa) @ (trace - a0 - a1 * cos)[1:-1] + (a0 + a1 * cos)[1:-1]
+    return out
+
+
+def test_postprocess2d_matches_dense_tensor_oracle():
+    nx, ny, m, kx, ky = 24, 16, 2, 1.7, 2.3
+    grid = make_grid_2d(nx, ny)
+    xs, ys = np.meshgrid(grid.nodes_x, grid.nodes_y, indexing="ij")
+    rng = np.random.default_rng(11)
+    u = rng.normal(size=(nx + 1, ny + 1, m)) + (np.cos(xs) * np.cos(2 * ys))[..., np.newaxis]
+    got = postprocess2d(Field(grid, u), FilterSpec(kx), FilterSpec(ky)).values
+
+    g0, gpi = _dense_trace_filter(u[:, 0], kx), _dense_trace_filter(u[:, -1], kx)
+    h0, hpi = _dense_trace_filter(u[0], ky), _dense_trace_filter(u[-1], ky)
+    want = u.copy()
+    want[:, 0], want[:, -1], want[0], want[-1] = g0, gpi, h0, hpi  # x-edges own the corners
+    cx = np.cos(grid.nodes_x)[:, np.newaxis, np.newaxis]
+    cy = np.cos(grid.nodes_y)[np.newaxis, :, np.newaxis]
+    alpha0, alpha1 = 0.5 * (want[0] + want[-1]), 0.5 * (want[0] - want[-1])  # (Ny+1, m)
+    v = want - alpha0 - alpha1 * cx
+    beta0 = 0.5 * (v[:, 0] + v[:, -1])[:, np.newaxis]
+    beta1 = 0.5 * (v[:, 0] - v[:, -1])[:, np.newaxis]
+    w = v - beta0 - beta1 * cy
+    fx, fy = _dense_filter(nx, kx), _dense_filter(ny, ky)
+    out = np.zeros_like(u)
+    for c in range(m):
+        out[1:-1, 1:-1, c] = fx @ w[1:-1, 1:-1, c] @ fy.T
+    out += alpha0 + alpha1 * cx + beta0 + beta1 * cy
+    out[:, 0], out[:, -1], out[0], out[-1] = g0, gpi, h0, hpi
+    assert np.max(np.abs(got - out)) < 1e-12
 
 
 def test_postprocess2d_identity_at_tiny_kappa():
