@@ -8,7 +8,7 @@ sampler and their postprocess; both run the one step loop, ``_time_loop``."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,7 +22,6 @@ from .core import (
     ReactionSystem,
     SchemeState,
     make_grid_1d,
-    make_grid_2d,
     source_reaction,
     zero_reaction,
 )
@@ -348,6 +347,29 @@ def ratio_to_dt(ratio: float, h: float) -> float:
     return ratio * h**2 / 3.0
 
 
+def run_case_1d(case: ManufacturedCase | PredatorPreyCase, grid: Grid1D, dt: float,
+                n_steps: int, shift_order: int = 1, filter_on: bool = True,
+                kappa_fraction: float = 1.0, kappa_adapt: bool = False,
+                layout: SubdomainLayout | None = None,
+                track_min: bool = False) -> tuple[SweepRow, RunOutcome]:
+    """Integrate a 1D case from its initial data and score it as one row.  The
+    errors are taken against ``case.exact_field`` at the final time when the
+    case has one and the run was stable, else they are NaN."""
+    out = integrate_1d(case.reaction(), grid, dt, n_steps, case.boundary,
+                       case.initial(grid), shift_order=shift_order,
+                       filter_on=filter_on, kappa_fraction=kappa_fraction,
+                       kappa_adapt=kappa_adapt, layout=layout, track_min=track_min)
+    l2 = linf = float("nan")
+    exact_field = getattr(case, "exact_field", None)
+    if out.stable and exact_field is not None:
+        l2, linf = error_norms(out.field, exact_field(grid, n_steps * dt))
+    n_sub, overlap = (layout.n_subdomains, layout.overlap) if layout else (1, 0)
+    row = SweepRow(grid.n_intervals, dt, 3.0 * dt / grid.h**2, shift_order, out.kappa,
+                   n_sub, overlap, l2, linf, out.stable, out.steps, out.wall_ms,
+                   out.failure or "")
+    return row, out
+
+
 def run_accuracy_sweep(case: ManufacturedCase, grid_sizes, ratios, shift_orders,
                        T: float = 1.0, filter_on: bool = True,
                        kappa_fraction: float = 1.0) -> list[SweepRow]:
@@ -356,23 +378,13 @@ def run_accuracy_sweep(case: ManufacturedCase, grid_sizes, ratios, shift_orders,
     rows = []
     for n in grid_sizes:
         grid = make_grid_1d(n)
-        reaction = case.reaction()
         for ratio in ratios:
             dt = ratio_to_dt(ratio, grid.h)
             n_steps = max(2, round(T / dt))
             for order in shift_orders:
-                out = integrate_1d(reaction, grid, dt, n_steps, case.boundary,
-                                   case.initial(grid), shift_order=order,
-                                   filter_on=filter_on,
-                                   kappa_fraction=kappa_fraction)
-                if out.stable:
-                    ref = case.exact_field(grid, n_steps * dt)
-                    l2, linf = error_norms(out.field, ref)
-                else:
-                    l2 = linf = float("nan")
-                rows.append(SweepRow(n, dt, 3.0 * dt / grid.h**2, order, out.kappa,
-                                     1, 0, l2, linf, out.stable, out.steps,
-                                     out.wall_ms, out.failure or ""))
+                rows.append(run_case_1d(case, grid, dt, n_steps, shift_order=order,
+                                        filter_on=filter_on,
+                                        kappa_fraction=kappa_fraction)[0])
     return rows
 
 
@@ -384,20 +396,11 @@ def run_predator_prey(case: PredatorPreyCase, n_intervals: int, ratio: float,
     dt = ratio_to_dt(ratio, grid.h)
     if n_steps is None:
         n_steps = max(2, round((T if T is not None else 1.0) / dt))
-    out = integrate_1d(case.reaction(), grid, dt, n_steps, case.boundary,
-                       case.initial(grid), shift_order=shift_order,
-                       filter_on=filter_on, kappa_fraction=kappa_fraction,
-                       track_min=True)
-    row = SweepRow(n_intervals, dt, ratio, shift_order, out.kappa, 1, 0,
-                   float("nan"), float("nan"), out.stable, out.steps,
-                   out.wall_ms, out.failure or "")
-    trajectory = {
-        "min_u": float(out.min_values[0]) if out.min_values is not None else float("nan"),
-        "min_v": float(out.min_values[1]) if out.min_values is not None else float("nan"),
-        "final_update": out.final_update,
-        "final": out.field,
-    }
-    return row, trajectory
+    row, out = run_case_1d(case, grid, dt, n_steps, shift_order=shift_order,
+                           filter_on=filter_on, kappa_fraction=kappa_fraction,
+                           track_min=True)
+    return row, {"min_u": float(out.min_values[0]), "min_v": float(out.min_values[1]),
+                 "final_update": out.final_update, "final": out.field}
 
 
 def _dd_stability_trial(grid: Grid1D, ratio: float, layout: SubdomainLayout | None,
@@ -431,25 +434,27 @@ def bisect_max_stable_ratio(grid: Grid1D, layout: SubdomainLayout | None,
     return lo
 
 
+def dd_layout(grid: Grid1D, n_subdomains: int, overlap: int) -> tuple[SubdomainLayout, str]:
+    """The strip layout of one ``run_dd_study`` row and its note: ``overlap``
+    is capped at the largest even width not above N / (2 n_subdomains), and
+    the row is noted "saturated" when the cap is reached."""
+    cap = grid.n_intervals // (2 * n_subdomains)
+    note = "saturated" if overlap >= cap else ""
+    return make_layout(grid, n_subdomains, min(overlap, cap - cap % 2)), note
+
+
 def run_dd_study(n_intervals: int, n_subdomains: int, overlaps,
                  resolution: float = 0.1, n_steps: int = 500) -> list[SweepRow]:
-    """Maximal stable ratio per overlap for the heat equation, plus the
-    single-domain reference row."""
+    """Maximal stable ratio per overlap for the heat equation, after the
+    single-domain reference row.  Every layout is built before the first
+    bisection, so an infeasible one fails at once."""
     grid = make_grid_1d(n_intervals)
     rows = []
-    t0 = time.perf_counter()
-    r1 = bisect_max_stable_ratio(grid, None, resolution, n_steps=n_steps)
-    rows.append(SweepRow(n_intervals, ratio_to_dt(r1, grid.h), r1, 1,
-                         float("nan"), 1, 0, float("nan"), float("nan"), True,
-                         n_steps, (time.perf_counter() - t0) * 1000.0))
-    for ov in overlaps:
-        cap = n_intervals // (2 * n_subdomains)
-        note = "saturated" if ov >= cap else ""
-        layout = make_layout(grid, n_subdomains, min(ov, cap if cap % 2 == 0 else cap - 1))
+    for layout, note in [(None, "")] + [dd_layout(grid, n_subdomains, ov) for ov in overlaps]:
         t0 = time.perf_counter()
         r = bisect_max_stable_ratio(grid, layout, resolution, n_steps=n_steps)
-        rows.append(SweepRow(n_intervals, ratio_to_dt(r, grid.h), r, 1,
-                             float("nan"), n_subdomains, layout.overlap,
-                             float("nan"), float("nan"), True, n_steps,
+        n_sub, overlap = (layout.n_subdomains, layout.overlap) if layout else (1, 0)
+        rows.append(SweepRow(n_intervals, ratio_to_dt(r, grid.h), r, 1, float("nan"),
+                             n_sub, overlap, float("nan"), float("nan"), True, n_steps,
                              (time.perf_counter() - t0) * 1000.0, note))
     return rows

@@ -1,6 +1,13 @@
 """Command-line front end: experiment selection, flat key=value configuration,
 CSV emission.  Subcommands: run, sweep, dd, selftest.
 
+``RunConfig``'s fields are the one schema of the configuration.  Each field
+gives a config key, a flag (the key with ``_`` -> ``-``, except ``timing``,
+whose flag is ``--no-timing``), its help text and choices (the field's
+metadata) and how a value is parsed (the field's type).  ``_READS`` lists the
+keys each subcommand reads.  The CSV columns are ``SweepRow``'s fields but
+``note``.
+
 Exit codes: 0 success, 1 configuration error, 2 numerical failure (a blow-up
 in a ``run`` invocation; sweeps record failures instead of failing).
 """
@@ -10,7 +17,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields as dc_fields
+import typing
+from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +26,7 @@ import numpy as np
 from . import bench
 from .core import Field, make_grid_1d, make_grid_2d
 from .ddm import make_layout
-
-CSV_HEADER = "N,dt,ratio,shift_order,kappa,n_subdomains,overlap,err_l2,err_linf,stable,steps,wall_ms"
+from .selftest import run_selftest
 
 DEFAULT_RATIOS = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0)
 DEFAULT_OVERLAPS = (4, 8, 16)
@@ -31,52 +38,67 @@ class ConfigError(ValueError):
     pass
 
 
+def _key(default, help_text: str, **flag):
+    """A configuration key: its default, and its flag's help text plus any
+    other ``add_argument`` keywords (``flag`` replaces the flag's name)."""
+    return field(default=default, metadata={"help": help_text, **flag})
+
+
 @dataclass
 class RunConfig:
-    problem: str = "heat1d"
-    N: int = 64
-    N_y: int | None = None
-    ratio: float | None = None
-    dt: float | None = None
-    T: float = 1.0
-    shift_order: int = 1
-    filter: str = "on"
-    kappa_fraction: float = 1.0
-    kappa_adapt: bool = False
-    n_subdomains: int = 1
-    overlap: int = 8
-    output: str = "results.csv"
-    ratios: tuple = DEFAULT_RATIOS
-    grid_sizes: tuple = ()
-    overlaps: tuple = DEFAULT_OVERLAPS
-    timing: bool = True
-    sign_variant: str = "classical"
-    base_level: float = 1.0
-    excited: bool = True
+    problem: str = _key("heat1d", "test problem (default heat1d)", choices=PROBLEMS)
+    N: int = _key(64, "grid intervals (default 64)")
+    N_y: int | None = _key(None, "grid intervals in y for 2D (default N)")
+    ratio: float | None = _key(
+        None, "normalized step 3*dt/h^2 (default 1; exclusive with --dt)")
+    dt: float | None = _key(None, "time step (exclusive with --ratio)")
+    T: float = _key(1.0, "final time (default 1)")
+    shift_order: int = _key(1, "1 or 3 (default 1; 3 is 1D-only)")
+    filter: str = _key("on", "postprocess filter (default on)", choices=("on", "off"))
+    kappa_fraction: float = _key(1.0, "kappa = fraction * kappa_c (default 1.0)")
+    kappa_adapt: bool = _key(False, "adapt kappa from high-mode growth; single-domain "
+                                    "1D runs only (default false)")
+    n_subdomains: int = _key(1, "overlapping strips for the postprocess (default 1)")
+    overlap: int = _key(8, "overlap width in intervals, even (default 8)")
+    output: str = _key("results.csv", "CSV path (default results.csv)")
+    ratios: tuple[float, ...] = _key(DEFAULT_RATIOS,
+                                     "comma list of ratios for sweep (default 0.25..8)")
+    grid_sizes: tuple[int, ...] = _key((), "comma list of N values for sweep (default N)")
+    overlaps: tuple[int, ...] = _key(DEFAULT_OVERLAPS,
+                                     "comma list of overlaps for dd (default 4,8,16)")
+    timing: bool = _key(True, "zero the wall_ms column (byte-reproducible CSV)",
+                        flag="--no-timing", action="store_const", const=False)
+    sign_variant: str = _key("classical", "predator-prey v-equation signs (default classical)",
+                             choices=SIGN_VARIANTS)
+    base_level: float = _key(1.0, "predator-prey boundary base level (default 1.0)")
+    excited: bool = _key(True, "periodic boundary excitation (default true)")
 
     def __post_init__(self):
-        if self.problem not in PROBLEMS:
-            raise ConfigError(f"problem: unknown value {self.problem!r}")
+        for f in dc_fields(self):
+            value, choices = getattr(self, f.name), f.metadata.get("choices")
+            if choices and value not in choices:
+                raise ConfigError(f"{f.name}: unknown value {value!r}, expected one of "
+                                  + ", ".join(choices))
         if self.ratio is not None and self.dt is not None:
             raise ConfigError("ratio/dt: exactly one of ratio and dt may be given")
         if self.ratio is None and self.dt is None:
             self.ratio = 1.0
-        for key in ("ratio", "dt", "T", "kappa_fraction", "base_level"):
-            _require_positive(key, getattr(self, key))
-        for value in self.ratios:
-            _require_positive("ratios", value)
+        scalars = ("ratio", "dt", "T", "kappa_fraction", "base_level")
+        positive = [(k, getattr(self, k)) for k in scalars] + [("ratios", v) for v in self.ratios]
+        for key, value in positive:
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{key}: must be finite and positive, got {value!r}")
+        for key in ("ratios", "overlaps"):
+            if not getattr(self, key):
+                raise ConfigError(f"{key}: must list at least one value")
         if self.shift_order not in (1, 3):
             raise ConfigError("shift_order: must be 1 or 3")
         if self.problem == "heat2d" and self.shift_order == 3:
             raise ConfigError("shift_order: third-order shifts are 1D-only")
-        if self.filter not in ("on", "off"):
-            raise ConfigError("filter: must be 'on' or 'off'")
-        if self.sign_variant not in SIGN_VARIANTS:
-            raise ConfigError("sign_variant: must be 'printed' or 'classical'")
-        if self.N < 4:
-            raise ConfigError("N: must be >= 4")
-        if self.N_y is not None and self.N_y < 4:
-            raise ConfigError("N_y: must be >= 4")
+        for key, sizes in (("N", (self.N,)), ("N_y", () if self.N_y is None else (self.N_y,)),
+                           ("grid_sizes", self.grid_sizes)):
+            if any(n < 4 for n in sizes):
+                raise ConfigError(f"{key}: must be >= 4")
         if self.n_subdomains < 1:
             raise ConfigError("n_subdomains: must be >= 1")
         # Reject what no driver would read rather than run without it.
@@ -95,15 +117,9 @@ class RunConfig:
         return bench.ratio_to_dt(self.ratio, h)
 
 
-def _require_positive(key: str, value: float | None) -> None:
-    if value is not None and not (math.isfinite(value) and value > 0.0):
-        raise ConfigError(f"{key}: must be finite and positive, got {value!r}")
-
-
-_BOOL_KEYS = {"kappa_adapt", "timing", "excited"}
-_INT_KEYS = {"N", "N_y", "shift_order", "n_subdomains", "overlap"}
-_FLOAT_KEYS = {"ratio", "dt", "T", "kappa_fraction", "base_level"}
-_LIST_KEYS = {"ratios", "grid_sizes", "overlaps"}
+_TYPES = typing.get_type_hints(RunConfig)
+_BOOLS = {"1": True, "true": True, "on": True, "yes": True,
+          "0": False, "false": False, "off": False, "no": False}
 
 # The keys each subcommand reads, ``run`` per problem.  Any other key must keep
 # its default: the command would run without it and write the same output.
@@ -123,22 +139,17 @@ _READS = {
 
 
 def _coerce(key: str, raw: str):
+    """Parse ``raw`` as the type of ``RunConfig.<key>``: a bool, a number or a
+    string (``X | None`` parses as ``X``), or a tuple of numbers separated by
+    commas or spaces."""
+    kind = _TYPES[key]
+    args = typing.get_args(kind)
     try:
-        if key in _BOOL_KEYS:
-            if raw.lower() in ("1", "true", "on", "yes"):
-                return True
-            if raw.lower() in ("0", "false", "off", "no"):
-                return False
-            raise ValueError(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _LIST_KEYS:
-            parts = [p for p in raw.replace(",", " ").split() if p]
-            return tuple(int(p) if key != "ratios" else float(p) for p in parts)
-        return raw
-    except ValueError as exc:
+        if typing.get_origin(kind) is tuple:
+            return tuple(args[0](p) for p in raw.replace(",", " ").split())
+        kind = args[0] if args else kind
+        return _BOOLS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"{key}: cannot parse value {raw!r}") from exc
 
 
@@ -151,25 +162,21 @@ def parse_config(text: str | None = None, overrides: dict | None = None,
     (compared as given, before ``RunConfig`` fills in ``ratio`` and
     ``grid_sizes``).  A key read only under a condition (``overlap`` needs
     ``n_subdomains`` > 1, ``N`` in ``sweep`` needs no ``grid_sizes``) is
-    rejected whenever it is given and the condition does not hold.
+    rejected whenever it is given and the condition does not hold.  Last, the
+    strip layouts the subcommand would build are built (``_check_strips``).
     """
-    known = {f.name for f in dc_fields(RunConfig)}
-    values: dict = {}
-    if text:
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in known:
-                raise ConfigError(f"{key}: unknown configuration key")
-            values[key] = _coerce(key, raw)
-    for key, val in (overrides or {}).items():
-        if val is None:
+    pairs = []
+    for lineno, line in enumerate((text or "").splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
             continue
-        if key not in known:
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
+        pairs.append([part.strip() for part in line.split("=", 1)])
+    pairs += [(key, val) for key, val in (overrides or {}).items() if val is not None]
+    values: dict = {}
+    for key, val in pairs:
+        if key not in _TYPES:
             raise ConfigError(f"{key}: unknown configuration key")
         values[key] = _coerce(key, val) if isinstance(val, str) else val
     cfg = RunConfig(**values)
@@ -185,15 +192,37 @@ def parse_config(text: str | None = None, overrides: dict | None = None,
             if key in unread or (key not in _READS[name] and value != defaults[key]):
                 raise ConfigError(f"{key}: rdfilter {name} does not read it"
                                   + unread.get(key, ""))
+        _check_strips(cfg, command)
     return cfg
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+def _check_strips(cfg: RunConfig, command: str) -> None:
+    """Reject by key, before any integration runs, a strip layout that
+    ``make_layout`` would refuse: too many strips for N even at the narrowest
+    overlap, or an overlap ``run`` or a ``dd`` row would use.  ``dd`` compares
+    strips against one domain, so it needs at least two."""
+    if command == "dd" and cfg.n_subdomains == 1:
+        raise ConfigError("n_subdomains: rdfilter dd needs n_subdomains >= 2")
+    if cfg.n_subdomains == 1:  # > 1 passes the read check only in dd and 1D run
+        return
+    grid = make_grid_1d(cfg.N)
+    checks = [("n_subdomains", make_layout, 2)]
+    if command == "dd":
+        checks += [("overlaps", bench.dd_layout, ov) for ov in cfg.overlaps]
+    else:
+        checks.append(("overlap", make_layout, cfg.overlap))
+    for key, build, overlap in checks:
+        try:
+            build(grid, cfg.n_subdomains, overlap)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+
+
+# The CSV columns: SweepRow's fields but ``note``, each cast to its field's type.
+_ROW_TYPES = typing.get_type_hints(bench.SweepRow)
+_COLUMNS = {f.name: _ROW_TYPES[f.name] for f in dc_fields(bench.SweepRow) if f.name != "note"}
+CSV_HEADER = ",".join(_COLUMNS)
+_FORMATS = {bool: lambda v: "true" if v else "false", float: lambda v: format(v, ".17g")}
 
 
 def emit_csv(rows, path, timing: bool = True) -> None:
@@ -202,30 +231,11 @@ def emit_csv(rows, path, timing: bool = True) -> None:
     wall_ms column is zeroed so identical configs give identical bytes."""
     lines = [CSV_HEADER]
     for r in rows:
-        wall = r.wall_ms if timing else 0.0
-        lines.append(",".join([
-            _fmt(r.N), _fmt(float(r.dt)), _fmt(float(r.ratio)), _fmt(r.shift_order),
-            _fmt(float(r.kappa)), _fmt(r.n_subdomains), _fmt(r.overlap),
-            _fmt(float(r.err_l2)), _fmt(float(r.err_linf)), _fmt(bool(r.stable)),
-            _fmt(r.steps), _fmt(float(wall)),
-        ]))
+        if not timing:
+            r = replace(r, wall_ms=0.0)
+        lines.append(",".join(_FORMATS.get(kind, str)(kind(getattr(r, name)))
+                              for name, kind in _COLUMNS.items()))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_csv(path) -> list[bench.SweepRow]:
-    lines = Path(path).read_text().strip().splitlines()
-    if lines[0] != CSV_HEADER:
-        raise ConfigError(f"unexpected CSV header in {path}")
-    rows = []
-    for line in lines[1:]:
-        f = line.split(",")
-        rows.append(bench.SweepRow(
-            N=int(f[0]), dt=float(f[1]), ratio=float(f[2]), shift_order=int(f[3]),
-            kappa=float(f[4]), n_subdomains=int(f[5]), overlap=int(f[6]),
-            err_l2=float(f[7]), err_linf=float(f[8]), stable=f[9] == "true",
-            steps=int(f[10]), wall_ms=float(f[11]),
-        ))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +245,6 @@ def _cmd_run(cfg: RunConfig) -> int:
     if cfg.problem in ("heat1d", "predprey1d"):
         grid = make_grid_1d(cfg.N)
         dt = cfg.resolve_dt(grid.h)
-        n_steps = max(2, round(cfg.T / dt))
         layout = make_layout(grid, cfg.n_subdomains, cfg.overlap) if cfg.n_subdomains > 1 else None
         if cfg.problem == "heat1d":
             case = bench.manufactured_heat_case()
@@ -244,39 +253,24 @@ def _cmd_run(cfg: RunConfig) -> int:
                 u_left=cfg.base_level, u_right=cfg.base_level,
                 v_left=cfg.base_level, v_right=cfg.base_level,
                 excited=cfg.excited, sign_variant=cfg.sign_variant)
-        out = bench.integrate_1d(case.reaction(), grid, dt, n_steps,
-                                 case.boundary, case.initial(grid),
-                                 shift_order=cfg.shift_order,
-                                 filter_on=cfg.filter_on,
-                                 kappa_fraction=cfg.kappa_fraction,
-                                 kappa_adapt=cfg.kappa_adapt, layout=layout)
-        err_l2 = err_linf = float("nan")
-        if out.stable and cfg.problem == "heat1d":
-            ref = case.exact_field(grid, n_steps * dt)
-            err_l2, err_linf = bench.error_norms(out.field, ref)
-        row = bench.SweepRow(cfg.N, dt, 3.0 * dt / grid.h**2, cfg.shift_order,
-                             out.kappa, cfg.n_subdomains,
-                             cfg.overlap if cfg.n_subdomains > 1 else 0,
-                             err_l2, err_linf, out.stable, out.steps, out.wall_ms)
+        row, _ = bench.run_case_1d(case, grid, dt, max(2, round(cfg.T / dt)),
+                                   shift_order=cfg.shift_order, filter_on=cfg.filter_on,
+                                   kappa_fraction=cfg.kappa_fraction,
+                                   kappa_adapt=cfg.kappa_adapt, layout=layout)
     else:
-        ny = cfg.N_y or cfg.N
-        grid = make_grid_2d(cfg.N, ny)
+        grid = make_grid_2d(cfg.N, cfg.N_y or cfg.N)
         dt = cfg.resolve_dt(grid.hx)
         n_steps = max(2, round(cfg.T / dt))
         case = bench.manufactured_heat_case_2d()
-        x, y = grid.nodes_x, grid.nodes_y
-        u0 = Field(grid, case["exact"](x[:, np.newaxis], y[np.newaxis, :], 0.0))
+        x, y = grid.nodes_x[:, np.newaxis], grid.nodes_y[np.newaxis, :]
         out = bench.integrate_2d(case["reaction"], grid, dt, n_steps, case["bc"],
-                                 u0, filter_on=cfg.filter_on,
-                                 kappa_fraction=cfg.kappa_fraction)
+                                 Field(grid, case["exact"](x, y, 0.0)),
+                                 filter_on=cfg.filter_on, kappa_fraction=cfg.kappa_fraction)
+        errors = (float("nan"),) * 2
         if out.stable:
-            exact = case["exact"](x[:, np.newaxis], y[np.newaxis, :], n_steps * dt)
-            err_l2, err_linf = bench.error_norms(out.field, Field(grid, exact))
-        else:
-            err_l2 = err_linf = float("nan")
-        row = bench.SweepRow(cfg.N, dt, 3.0 * dt / grid.hx**2, cfg.shift_order,
-                             out.kappa, 1, 0, err_l2, err_linf, out.stable,
-                             out.steps, out.wall_ms)
+            errors = bench.error_norms(out.field, Field(grid, case["exact"](x, y, n_steps * dt)))
+        row = bench.SweepRow(cfg.N, dt, 3.0 * dt / grid.hx**2, cfg.shift_order, out.kappa,
+                             1, 0, *errors, out.stable, out.steps, out.wall_ms)
 
     emit_csv([row], cfg.output, timing=cfg.timing)
     status = "stable" if row.stable else "BLOW-UP"
@@ -306,12 +300,6 @@ def _cmd_dd(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_selftest(cfg: RunConfig) -> int:
-    from .selftest import run_selftest
-
-    return run_selftest()
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rdfilter",
@@ -328,49 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, default=None,
                        help="flat key=value configuration file")
-        p.add_argument("--problem", choices=PROBLEMS,
-                       default=None, help="test problem (default heat1d)")
-        p.add_argument("--N", default=None, help="grid intervals (default 64)")
-        p.add_argument("--N-y", dest="N_y", default=None,
-                       help="grid intervals in y for 2D (default N)")
-        p.add_argument("--ratio", default=None,
-                       help="normalized step 3*dt/h^2 (default 1; exclusive with --dt)")
-        p.add_argument("--dt", default=None, help="time step (exclusive with --ratio)")
-        p.add_argument("--T", default=None, help="final time (default 1)")
-        p.add_argument("--shift-order", dest="shift_order", default=None,
-                       help="1 or 3 (default 1; 3 is 1D-only)")
-        p.add_argument("--filter", choices=["on", "off"], default=None,
-                       help="postprocess filter (default on)")
-        p.add_argument("--kappa-fraction", dest="kappa_fraction", default=None,
-                       help="kappa = fraction * kappa_c (default 1.0)")
-        p.add_argument("--kappa-adapt", dest="kappa_adapt", default=None,
-                       help="adapt kappa from high-mode growth; single-domain 1D "
-                            "runs only (default false)")
-        p.add_argument("--n-subdomains", dest="n_subdomains", default=None,
-                       help="overlapping strips for the postprocess (default 1)")
-        p.add_argument("--overlap", default=None,
-                       help="overlap width in intervals, even (default 8)")
-        p.add_argument("--output", default=None, help="CSV path (default results.csv)")
-        p.add_argument("--ratios", default=None,
-                       help="comma list of ratios for sweep (default 0.25..8)")
-        p.add_argument("--grid-sizes", dest="grid_sizes", default=None,
-                       help="comma list of N values for sweep (default N)")
-        p.add_argument("--overlaps", default=None,
-                       help="comma list of overlaps for dd (default 4,8,16)")
-        p.add_argument("--no-timing", dest="timing", action="store_const", const=False,
-                       default=None, help="zero the wall_ms column (byte-reproducible CSV)")
-        p.add_argument("--sign-variant", dest="sign_variant",
-                       choices=SIGN_VARIANTS, default=None,
-                       help="predator-prey v-equation signs (default classical)")
-        p.add_argument("--base-level", dest="base_level", default=None,
-                       help="predator-prey boundary base level (default 1.0)")
-        p.add_argument("--excited", default=None,
-                       help="periodic boundary excitation (default true)")
+        for f in dc_fields(RunConfig):
+            flag = dict(f.metadata)
+            p.add_argument(flag.pop("flag", "--" + f.name.replace("_", "-")),
+                           dest=f.name, default=None, **flag)
     return parser
 
 
 _COMMANDS = {"run": _cmd_run, "sweep": _cmd_sweep, "dd": _cmd_dd,
-             "selftest": _cmd_selftest}
+             "selftest": lambda cfg: run_selftest()}
 
 
 def main(argv=None) -> int:

@@ -155,7 +155,3 @@ def recurrence_roots(dt: float, lam: float) -> np.ndarray:
     """Roots of the per-mode characteristic polynomial of the linear scheme,
     3 z^2 - (4 + 4 dt lam) z + (1 + 2 dt lam) = 0."""
     return np.roots([3.0, -(4.0 + 4.0 * dt * lam), 1.0 + 2.0 * dt * lam])
-
-
-def mode_is_stable(dt: float, lam: float, tol: float = 1.0e-12) -> bool:
-    return bool(np.max(np.abs(recurrence_roots(dt, lam))) <= 1.0 + tol)

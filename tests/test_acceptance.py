@@ -5,7 +5,6 @@ readable straight off the pytest -v output.
 """
 
 import numpy as np
-import pytest
 
 from rdfilter.core import Field, laplacian_symbol, make_grid_1d, \
     make_grid_2d, zero_reaction

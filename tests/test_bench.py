@@ -19,7 +19,6 @@ from rdfilter.core import (
     zero_reaction,
 )
 from rdfilter.bench import (
-    ManufacturedCase,
     PredatorPreyCase,
     error_norms,
     integrate_1d,
@@ -32,6 +31,7 @@ from rdfilter.bench import (
     run_dd_study,
     run_predator_prey,
 )
+from rdfilter.ddm import make_layout
 from rdfilter.solver2d import BoundaryData2D
 
 
@@ -269,6 +269,27 @@ def test_dd_study_structure():
     assert rows[1].n_subdomains == 2 and rows[1].overlap == 8
     # overlap 8 < cap 16: not saturated
     assert rows[1].note == ""
+
+
+def test_dd_study_rejects_an_infeasible_overlap_before_bisecting(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench, "bisect_max_stable_ratio",
+                        lambda *args, **kwargs: calls.append(args) or 1.0)
+    with pytest.raises(ValueError, match="even"):
+        run_dd_study(32, 4, (4, 3))
+    assert calls == []
+
+
+def test_run_case_1d_rows_carry_the_layout_and_the_case_errors():
+    grid = make_grid_1d(32)
+    dt = ratio_to_dt(2.0, grid.h)
+    case = manufactured_heat_case()
+    row, out = bench.run_case_1d(case, grid, dt, 20, layout=make_layout(grid, 2, 4))
+    assert (row.N, row.n_subdomains, row.overlap, row.steps) == (32, 2, 4, 20)
+    assert (row.err_l2, row.err_linf) == error_norms(out.field, case.exact_field(grid, 20 * dt))
+    row, out = bench.run_case_1d(PredatorPreyCase(), grid, dt, 20, track_min=True)
+    assert row.stable and np.isnan(row.err_l2) and np.isnan(row.err_linf)
+    assert (row.n_subdomains, row.overlap) == (1, 0) and out.min_values.shape == (2,)
 
 
 # ---------------------------------------------------------------------------

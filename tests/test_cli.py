@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +12,25 @@ from rdfilter import bench
 from rdfilter.cli import (
     CSV_HEADER,
     ConfigError,
+    RunConfig,
     build_parser,
     emit_csv,
-    load_csv,
     main,
     parse_config,
 )
+
+
+def load_csv(path) -> list[bench.SweepRow]:
+    """Read back an ``emit_csv`` file: one SweepRow per line, each column
+    parsed as the type of its SweepRow field."""
+    lines = Path(path).read_text().splitlines()
+    assert lines[0] == CSV_HEADER
+    types = typing.get_type_hints(bench.SweepRow)
+    parse = {name: (lambda s: s == "true") if types[name] is bool else types[name]
+             for name in CSV_HEADER.split(",")}
+    return [bench.SweepRow(**{name: parse[name](value)
+                              for name, value in zip(parse, line.split(","))})
+            for line in lines[1:]]
 
 
 def test_parse_config_ratio_to_dt():
@@ -61,7 +76,8 @@ def test_parse_config_bad_value_message_names_key():
 @pytest.mark.parametrize("key, raw", [
     ("ratio", "nan"), ("ratio", "-1"), ("ratio", "0"), ("dt", "inf"), ("dt", "-0.01"),
     ("T", "nan"), ("T", "0"), ("N", "0"), ("N", "-64"), ("N_y", "2"),
-    ("ratios", "1,nan"), ("n_subdomains", "0"),
+    ("ratios", "1,nan"), ("n_subdomains", "0"), ("ratios", ""), ("overlaps", ""),
+    ("grid_sizes", "16,2"),
     ("kappa_fraction", "nan"), ("kappa_fraction", "0"), ("kappa_fraction", "-0.5"),
     ("base_level", "inf"), ("base_level", "0"), ("base_level", "-1"),
 ])
@@ -103,6 +119,16 @@ def test_parse_config_rejects_custom_problem():
     ("run", ["--ratio", "4", "--overlap", "4"], "overlap"),
     ("sweep", ["--grid-sizes", "16"], "N"),
     ("run", ["--problem", "predprey1d", "--config", "{variant}"], "sign_variant"),
+    ("dd", [], "n_subdomains"),
+    ("dd", ["--overlaps", "3"], "n_subdomains"),
+    ("dd", ["--n-subdomains", "4", "--overlaps", "4,3"], "overlaps"),
+    ("dd", ["--n-subdomains", "40"], "n_subdomains"),
+    ("dd", ["--n-subdomains", "2", "--overlaps="], "overlaps"),
+    ("run", ["--n-subdomains", "2", "--overlap", "3"], "overlap"),
+    ("run", ["--n-subdomains", "2", "--overlap", "34"], "overlap"),
+    ("run", ["--n-subdomains", "40"], "n_subdomains"),
+    ("sweep", ["--grid-sizes", "2"], "grid_sizes"),
+    ("sweep", ["--ratios="], "ratios"),
 ])
 def test_main_rejects_keys_a_subcommand_does_not_read(tmp_path, capsys, command, args, key):
     files = {"cfg": "kappa_adapt=true\n", "variant": "sign_variant=bogus\n"}
@@ -113,6 +139,42 @@ def test_main_rejects_keys_a_subcommand_does_not_read(tmp_path, capsys, command,
     assert main([command, *args, "--N", "32", "--output", str(out)]) == 1
     assert f"error: {key}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+# One value per RunConfig key, as a config file spells it, with the value it
+# parses to; each bool spelling and both tuple element types appear.
+_SPELLINGS = [
+    ("problem", "predprey1d", "predprey1d"), ("N", "32", 32), ("N_y", "16", 16),
+    ("ratio", "2.5", 2.5), ("dt", "1e-3", 1e-3), ("T", "0.5", 0.5),
+    ("shift_order", "3", 3), ("filter", "off", "off"), ("kappa_fraction", "0.5", 0.5),
+    ("n_subdomains", "2", 2), ("overlap", "4", 4), ("output", "x.csv", "x.csv"),
+    ("ratios", "0.5,2", (0.5, 2.0)), ("ratios", "1 4", (1.0, 4.0)),
+    ("grid_sizes", "16,32", (16, 32)), ("overlaps", "4 8", (4, 8)),
+    ("timing", "false", False), ("sign_variant", "printed", "printed"),
+    ("base_level", "2", 2.0),
+    *[(key, raw, want) for key in ("kappa_adapt", "excited")
+      for raws, want in ((("1", "true", "on", "yes", "TRUE", "Yes"), True),
+                         (("0", "false", "off", "no", "FALSE", "No"), False))
+      for raw in raws],
+]
+
+
+def test_spellings_cover_every_key():
+    assert {key for key, _, _ in _SPELLINGS} == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+@pytest.mark.parametrize("key, raw, want", _SPELLINGS)
+def test_flag_and_config_file_build_equal_configs(key, raw, want):
+    flag = "--no-timing" if key == "timing" else "--" + key.replace("_", "-")
+    argv = ["run", flag] if key == "timing" else ["run", flag, raw]
+    args = vars(build_parser().parse_args(argv))
+    overrides = {k: v for k, v in args.items() if k not in ("command", "config")}
+    from_flag = parse_config(None, overrides)
+    from_file = parse_config(f"{key}={raw}\n")
+    assert from_flag == from_file
+    assert getattr(from_file, key) == want and type(getattr(from_file, key)) is type(want)
+    if isinstance(want, tuple):
+        assert all(type(v) is type(want[0]) for v in getattr(from_file, key))
 
 
 def test_main_bad_ratio_exit_1_names_key(tmp_path, capsys):
