@@ -28,7 +28,7 @@ from .core import (
 from .ddm import SubdomainLayout, make_layout
 from .filtering import FilterSpec, KappaMonitor, kappa_critical, postprocess_field
 from .solver2d import BoundaryData2D, kappa_critical_2d, postprocess2d
-from .stepper import NewtonDivergence, StepConfig, step
+from .stepper import NewtonDivergence, StepConfig, apply_laplacian, step
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +257,13 @@ def _time_loop(reaction: ReactionSystem, u0: Field, dt: float, n_steps: int,
         return RunOutcome(fld, stable, steps, wall, kappa, mins, update, failure)
 
     u_prev = u_curr = u0
+    lap_prev = None  # L u^{n-1}: the previous step's L u^n
     for n in range(n_steps):
         t_next = n * dt + dt
+        lap_curr = apply_laplacian(u_curr).values
         try:
-            u_new = step(SchemeState(u_curr, u_prev, n * dt, dt), reaction, cfg,
-                         bc_at(t_next), startup=n == 0)
+            u_new = step(SchemeState(u_curr, u_prev, n * dt, dt, lap_curr, lap_prev),
+                         reaction, cfg, bc_at(t_next), startup=n == 0)
         except NewtonDivergence as exc:
             return _done(False, n, u_curr, str(exc), (u_curr, u_prev))
         if (n > 0 or postprocess is None) and u_new.blown_up(blowup_threshold):
@@ -272,7 +274,7 @@ def _time_loop(reaction: ReactionSystem, u0: Field, dt: float, n_steps: int,
                 return _done(False, n + 1, u_new)
         if track_min:
             mins = np.minimum(mins, np.min(u_new.values.reshape(-1, u0.m), axis=0))
-        u_prev, u_curr = u_curr, u_new
+        u_prev, u_curr, lap_prev = u_curr, u_new, lap_curr
     return _done(True, n_steps, u_curr, levels=(u_curr, u_prev))
 
 

@@ -164,15 +164,21 @@ class ReactionSystem:
     returns (..., m) and ``jacobian`` returns (..., m, m).  ``x`` is the node
     coordinate array (1D grids) or an (X, Y) pair (2D grids); reactions that do
     not depend on position ignore it.
+
+    ``u_independent`` declares that f does not read u, so df/du = 0: the
+    Newton solve then evaluates f once and never calls ``jacobian``.
     """
 
     m: int
     eval: Callable = field(repr=False)
     jacobian: Callable = field(repr=False)
+    u_independent: bool = False
 
     def check_jacobian(self, x, t: float, u: np.ndarray, eps: float = 1.0e-6,
                        tol: float = 1.0e-4) -> float:
-        """Finite-difference consistency check; returns the worst mismatch."""
+        """Finite-difference consistency check; returns the worst mismatch.
+        A ``u_independent`` reaction must also give the same f, bit for bit,
+        under the perturbation."""
         u = np.asarray(u, dtype=float)
         jac = self.jacobian(x, t, u)
         worst = 0.0
@@ -180,7 +186,10 @@ class ReactionSystem:
         for j in range(self.m):
             du = np.zeros_like(u)
             du[..., j] = eps
-            fd = (self.eval(x, t, u + du) - f0) / eps
+            f1 = self.eval(x, t, u + du)
+            if self.u_independent and not np.array_equal(f1, f0, equal_nan=True):
+                raise ValueError(f"reaction flagged u_independent changes with u[..., {j}]")
+            fd = (f1 - f0) / eps
             worst = max(worst, float(np.max(np.abs(fd - jac[..., :, j]))))
         if worst > tol:
             raise ValueError(f"jacobian inconsistent with eval: mismatch {worst:.3e}")
@@ -196,7 +205,7 @@ def zero_reaction(m: int = 1) -> ReactionSystem:
     def _jac(x, t, u):
         return np.zeros(u.shape + (m,))
 
-    return ReactionSystem(m=m, eval=_eval, jacobian=_jac)
+    return ReactionSystem(m=m, eval=_eval, jacobian=_jac, u_independent=True)
 
 
 def source_reaction(source: Callable, m: int = 1) -> ReactionSystem:
@@ -211,17 +220,21 @@ def source_reaction(source: Callable, m: int = 1) -> ReactionSystem:
     def _jac(x, t, u):
         return np.zeros(u.shape + (m,))
 
-    return ReactionSystem(m=m, eval=_eval, jacobian=_jac)
+    return ReactionSystem(m=m, eval=_eval, jacobian=_jac, u_independent=True)
 
 
 @dataclass
 class SchemeState:
-    """Two-level state of the two-step scheme: u^n, u^{n-1}, t_n, dt."""
+    """Two-level state of the two-step scheme: u^n, u^{n-1}, t_n, dt, and
+    optionally the node-major Laplacians L u^n and L u^{n-1} when the caller
+    already has them (a time loop keeps L u^n for the next step)."""
 
     u_curr: Field
     u_prev: Field
     time: float
     dt: float
+    lap_curr: np.ndarray | None = None
+    lap_prev: np.ndarray | None = None
 
     def __post_init__(self):
         if self.dt <= 0.0:

@@ -67,13 +67,22 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
     ``rhs`` has shape (..., m); the solve is vectorized over the leading axes
     with one dense m x m factorization per node (a division for m = 1).
     Deterministic regardless of how nodes would be scheduled: every node only
-    touches its own values.
+    touches its own values.  A ``u_independent`` reaction is evaluated once,
+    and its Jacobian is c times the identity without a ``jacobian`` call; the
+    iterates are bit-identical to re-evaluating both.
     """
     rhs = np.asarray(rhs, dtype=float)
     if coeff is None:
         coeff = 3.0 / (2.0 * cfg.dt)
     u = np.array(rhs / coeff if initial is None else initial, dtype=float)
     eye = np.eye(reaction.m)
+    f_fixed = reaction.eval(x, t, u) if reaction.u_independent else None
+
+    def _f(uv):
+        return reaction.eval(x, t, uv) if f_fixed is None else f_fixed
+
+    def _df(uv):
+        return reaction.jacobian(x, t, uv) if f_fixed is None else 0.0
 
     def _tol(uv):
         # The residual lives on the scale coeff*|u|; an absolute tolerance
@@ -87,10 +96,10 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
         return NewtonDivergence(node[0] if len(node) == 1 else node, worst)
 
     for _ in range(cfg.newton_max_iter):
-        residual = coeff * u - reaction.eval(x, t, u) - rhs
+        residual = coeff * u - _f(u) - rhs
         if np.max(np.abs(residual)) <= _tol(u):
             return u
-        jac = coeff * eye - reaction.jacobian(x, t, u)
+        jac = coeff * eye - _df(u)
         if reaction.m == 1:  # a 1 x 1 solve is a division
             with np.errstate(divide="ignore", invalid="ignore"):
                 delta = residual / jac[..., 0]
@@ -100,7 +109,7 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
             bad = ~np.isfinite(delta).all(axis=-1)
             raise _diverged(bad, float(np.max(np.abs(residual[bad]))))
         u = u - delta
-    residual = coeff * u - reaction.eval(x, t, u) - rhs
+    residual = coeff * u - _f(u) - rhs
     worst = np.abs(residual)
     if np.max(worst) <= _tol(u):
         return u
@@ -132,16 +141,20 @@ def step(state: SchemeState, reaction: ReactionSystem, cfg: StepConfig, bc,
     not read): one backward-Euler-in-reaction / forward-Euler-in-diffusion
     step, (u^1 - u^0)/dt = L u^0 + f(u^1); locally second order, so the global
     accuracy of the scheme is unharmed.
+
+    The Laplacians the state carries are used as given; a missing one is
+    computed here.
     """
     un = state.u_curr
+    lap = apply_laplacian(un).values if state.lap_curr is None else state.lap_curr
     if startup:
         coeff = 1.0 / cfg.dt
-        rhs = coeff * un.values + apply_laplacian(un).values
+        rhs = coeff * un.values + lap
     else:
         coeff = 3.0 / (2.0 * cfg.dt)
         um1 = state.u_prev
-        rhs = ((4.0 * un.values - um1.values) / (2.0 * cfg.dt)
-               + 2.0 * apply_laplacian(un).values - apply_laplacian(um1).values)
+        lap_prev = apply_laplacian(um1).values if state.lap_prev is None else state.lap_prev
+        rhs = (4.0 * un.values - um1.values) / (2.0 * cfg.dt) + 2.0 * lap - lap_prev
     inner = (slice(1, -1),) * (un.values.ndim - 1)
     out = np.empty_like(un.values)
     out[inner] = newton_point_solve(rhs[inner], reaction, interior_nodes(un.grid),

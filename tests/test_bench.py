@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rdfilter import bench
+from rdfilter import bench, stepper
 from rdfilter.core import (
     Field,
     ReactionSystem,
@@ -374,3 +374,52 @@ def test_driver_exit_paths(driver, exit_path):
     assert out.kappa == KAPPA_RATIO_3
     if driver == "1d":
         assert out.final_update == pytest.approx(final_update, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Per-step cost: with a u-independent reaction each step evaluates it once
+# over the grid (the third-order shift's two-node u_xx estimate aside), never
+# forms its Jacobian, and computes one Laplacian, L u^n; L u^{n-1} is the
+# previous step's.
+
+@pytest.mark.parametrize("driver", ["1d", "2d"])
+def test_each_step_evaluates_the_source_once_and_one_laplacian(monkeypatch, driver):
+    counts = {"full_eval": 0, "jacobian": 0, "laplacian": 0}
+    laplacian = stepper.apply_laplacian
+
+    def counted_laplacian(field):
+        counts["laplacian"] += 1
+        return laplacian(field)
+
+    for module in (stepper, bench):
+        monkeypatch.setattr(module, "apply_laplacian", counted_laplacian, raising=False)
+    n_steps = 20
+    if driver == "1d":
+        case = manufactured_heat_case()
+        grid = make_grid_1d(32)
+        interior, source = (31,), case.reaction()
+    else:
+        case = manufactured_heat_case_2d()
+        grid = make_grid_2d(16)
+        interior, source = (15, 15), case["reaction"]
+
+    def counted_eval(x, t, u):
+        counts["full_eval"] += u.shape[:-1] == interior
+        return source.eval(x, t, u)
+
+    def counted_jacobian(x, t, u):
+        counts["jacobian"] += 1
+        return source.jacobian(x, t, u)
+
+    reaction = dataclasses.replace(source, eval=counted_eval, jacobian=counted_jacobian)
+    if driver == "1d":
+        out = integrate_1d(reaction, grid, ratio_to_dt(4.0, grid.h), n_steps, case.boundary,
+                           case.initial(grid), shift_order=3)
+    else:
+        X, Y = np.meshgrid(grid.nodes_x, grid.nodes_y, indexing="ij")
+        out = bench.integrate_2d(reaction, grid, grid.hx**2 / 3.0, n_steps, case["bc"],
+                                 Field(grid, case["exact"](X, Y, 0.0)))
+    assert out.stable and out.steps == n_steps
+    assert counts["full_eval"] <= n_steps
+    assert counts["jacobian"] == 0
+    assert counts["laplacian"] == n_steps

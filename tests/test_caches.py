@@ -1,9 +1,12 @@
-"""Memoized step-invariant arrays and the m = 1 Newton division.
+"""Memoized step-invariant arrays and the Newton solve's shortcuts.
 
 Every cached array must be read-only and equal to a fresh computation; the
 cached pipeline must reproduce the uncached formulas; the 1 x 1 division
-must agree with the batched dense solve it replaces.
+must agree with the batched dense solve it replaces, and a u-independent
+reaction must be solved bit for bit as if its flag were cleared.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from rdfilter.core import (
     interior_nodes,
     make_grid_1d,
     make_grid_2d,
+    source_reaction,
     zero_reaction,
 )
 from rdfilter.ddm import blend_weights, make_layout
@@ -201,3 +205,38 @@ def test_m1_zero_jacobian_raises_newton_divergence_at_that_node():
                                StepConfig(dt=0.5), initial=initial, coeff=coeff)
     assert info.value.node == 4
     assert info.value.residual == 0.5
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2]), st.sampled_from([(9,), (4, 5)]), st.floats(1e-3, 1e3),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_u_independent_solve_is_bit_identical_to_the_general_solve(m, nodes, coeff,
+                                                                   guess, seed):
+    # The flag only skips work: f is evaluated once, and the Jacobian c I is
+    # formed without calling ``jacobian`` (which returns zeros here).
+    rng = np.random.default_rng(seed)
+    source = rng.standard_normal(nodes + (m,)) * 10.0 ** rng.uniform(-3, 3)
+    rhs = rng.standard_normal(nodes + (m,))
+    initial = rng.standard_normal(nodes + (m,)) if guess else None
+    flagged = source_reaction(lambda x, t: source, m=m)
+    cleared = replace(flagged, u_independent=False)
+    cfg = StepConfig(dt=1.0)
+    fast = newton_point_solve(rhs, flagged, None, 0.0, cfg, initial=initial, coeff=coeff)
+    slow = newton_point_solve(rhs, cleared, None, 0.0, cfg, initial=initial, coeff=coeff)
+    assert fast.tobytes() == slow.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_source_diverges_at_the_same_node_either_way(m, bad):
+    source = np.ones((9, m))
+    source[5, -1] = bad
+    flagged = source_reaction(lambda x, t: source, m=m)
+    failures = []
+    for reaction in (flagged, replace(flagged, u_independent=False)):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NewtonDivergence) as info:
+                newton_point_solve(np.zeros((9, m)), reaction, None, 0.0, StepConfig(dt=0.5))
+        failures.append((info.value.node, repr(info.value.residual)))
+    assert failures[0] == failures[1]
+    assert failures[0][0] == 5

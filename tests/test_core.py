@@ -1,5 +1,7 @@
 """Grids, fields, reaction systems and the discrete Laplacian symbol."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -118,3 +120,21 @@ def test_jacobian_check_catches_wrong_jacobian():
     u = np.full((4, 1), 3.0)
     with pytest.raises(ValueError):
         bad.check_jacobian(np.zeros(4), 0.0, u)
+
+
+def test_jacobian_check_catches_a_reaction_wrongly_flagged_u_independent():
+    # f = u^2 with its true Jacobian passes the finite-difference check; the
+    # flag claims f does not read u, which the perturbation disproves.
+    reaction = ReactionSystem(
+        m=1,
+        eval=lambda x, t, u: u**2,
+        jacobian=lambda x, t, u: (2.0 * u)[..., np.newaxis],
+        u_independent=True,
+    )
+    u = np.full((4, 1), 3.0)
+    assert replace(reaction, u_independent=False).check_jacobian(np.zeros(4), 0.0, u) < 1e-4
+    with pytest.raises(ValueError, match="u_independent"):
+        reaction.check_jacobian(np.zeros(4), 0.0, u)
+    for flagged in (zero_reaction(2), source_reaction(lambda x, t: np.sin(x))):
+        assert flagged.u_independent
+        assert flagged.check_jacobian(np.linspace(0.3, 2.8, 6), 0.7, np.ones((6, flagged.m))) == 0.0
