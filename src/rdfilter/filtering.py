@@ -104,17 +104,18 @@ def apply_filter_values(values: np.ndarray, spec: FilterSpec) -> np.ndarray:
     return sine_reconstruct(coeffs)
 
 
-def _postprocess_strip(values: np.ndarray, basis: np.ndarray, uxx: np.ndarray | None,
+def _postprocess_strip(values: np.ndarray, n_grid: int, lo: int, uxx: np.ndarray | None,
                        spec: FilterSpec, monitor: KappaMonitor | None = None) -> np.ndarray:
-    """Shift, filter and inverse-shift (nodes, m) values; the two end values
-    are kept exactly.  A monitor adapts kappa from the same sine
-    coefficients the filter then scales."""
-    v, alpha = shift1d(values, basis, uxx)
+    """Shift, filter and inverse-shift (nodes, m) values on nodes lo.. of an
+    ``n_grid``-interval grid; the two end values are kept exactly.  A monitor
+    adapts kappa from the same sine coefficients the filter then scales."""
+    v, alpha = shift1d(values, n_grid, lo, uxx)
     n = v.shape[0] - 1
     coeffs = sine_coefficients(v)
     if monitor is not None:
         spec = spec.with_kappa(monitor.observe(coeffs, n, spec.sigma))
-    out = sine_reconstruct(coeffs * filter_factors(n, spec)[:, np.newaxis]) + basis @ alpha
+    trend = cosine_basis(n_grid, alpha.shape[0])[lo:lo + n + 1] @ alpha
+    out = sine_reconstruct(coeffs * filter_factors(n, spec)[:, np.newaxis]) + trend
     out[[0, -1]] = values[[0, -1]]
     return out
 
@@ -125,7 +126,7 @@ def filter_boundary_trace(samples: np.ndarray, spec: FilterSpec) -> np.ndarray:
     samples = np.asarray(samples, dtype=float)
     squeeze = samples.ndim == 1
     vals = samples[:, np.newaxis] if squeeze else samples
-    out = _postprocess_strip(vals, cosine_basis(vals.shape[0] - 1, 2), None, spec)
+    out = _postprocess_strip(vals, vals.shape[0] - 1, 0, None, spec)
     return out[:, 0] if squeeze else out
 
 
@@ -198,12 +199,11 @@ def postprocess_field(u: Field, spec: FilterSpec, shift_order: int = 1,
     ranges = ((0, n),) if layout is None else layout.ranges
     if monitor is not None and len(ranges) > 1:
         raise ValueError("a KappaMonitor watches one strip, not a layout of several")
-    table = cosine_basis(n, 2 if shift_order == 1 else 4)
 
     def strip(lo: int, hi: int) -> np.ndarray:
         uxx = None if shift_order == 1 else estimate_uxx_nodes(
             u, history[0], history[1], reaction, dt, t_next, np.array([lo, hi]))
-        return _postprocess_strip(u.values[lo:hi + 1], table[lo:hi + 1], uxx, spec, monitor)
+        return _postprocess_strip(u.values[lo:hi + 1], n, lo, uxx, spec, monitor)
 
     if len(ranges) == 1:  # the blend weights of a single strip are all 1
         return u.with_values(strip(0, n))

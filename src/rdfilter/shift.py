@@ -15,7 +15,9 @@ v = u - alpha_0 - alpha_1 cos(x) vanishes at both endpoints.
 
 The cosine modes are read from one memoized table per grid and mode count,
 ``cosine_basis(N, n_modes)[i, j] = cos(j x_i)``; it is read-only.  A strip
-reads rows lo..hi of it, so no step re-evaluates a cosine.
+reads rows lo..hi of it, so no step re-evaluates a cosine.  The inverse of
+the endpoint matrix that fixes the trend is memoized per (N, lo, hi,
+n_modes) (``endpoint_inverse``), so a shift is two matrix products.
 """
 
 from __future__ import annotations
@@ -35,28 +37,35 @@ def cosine_basis(n_intervals: int, n_modes: int) -> np.ndarray:
     return read_only(np.cos(np.outer(uniform_nodes(n_intervals), np.arange(n_modes))))
 
 
-def shift1d(values: np.ndarray, basis: np.ndarray,
+@lru_cache(maxsize=256)
+def endpoint_inverse(n_intervals: int, lo: int, hi: int, n_modes: int) -> np.ndarray:
+    """Read-only inverse of the endpoint matrix ``shift1d`` solves on nodes
+    lo..hi of an N-interval grid: cos(j x) at x_lo and x_hi, and for four
+    modes also the second derivatives -j^2 cos(j x) there."""
+    ends = cosine_basis(n_intervals, n_modes)[[lo, hi]]
+    if n_modes == 4:
+        ends = np.vstack([ends, -(np.arange(n_modes) ** 2) * ends])
+    return read_only(np.linalg.inv(ends))
+
+
+def shift1d(values: np.ndarray, n_intervals: int, lo: int = 0,
             uxx: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Subtract the cosine trend sum_j alpha_j cos(j x) fixed by the end data.
 
-    ``values`` (nodes, m) covers nodes lo..hi and ``basis`` holds the same
-    rows of ``cosine_basis``, one column per mode.  Without ``uxx`` (first
-    order, two modes) the remainder v vanishes at both ends; with ``uxx``, the
-    (2, m) second derivatives at lo and hi (third order, four modes), so
-    does v_xx.  The conditions are solved in global coordinates rather than
-    by rescaling the strip onto (0, pi), so a strip absorbs global cosine
-    trends exactly; on the full grid this is the standard shift.
-    Returns (v, alpha) with alpha (n_modes, m); v + basis @ alpha undoes it.
+    ``values`` (nodes, m) covers nodes lo..hi of an N-interval grid.  Without
+    ``uxx`` (first order, two modes) the remainder v vanishes at both ends;
+    with ``uxx``, the (2, m) second derivatives at lo and hi (third order,
+    four modes), so does v_xx.  The conditions are solved in global
+    coordinates rather than by rescaling the strip onto (0, pi), so a strip
+    absorbs global cosine trends exactly; on the full grid this is the
+    standard shift.  Returns (v, alpha) with alpha (n_modes, m); adding rows
+    lo..hi of ``cosine_basis(N, n_modes)`` @ alpha to v undoes it.
     """
-    ends = basis[[0, -1]]
-    if uxx is None:
-        rows, rhs = ends, values[[0, -1]]
-    else:
-        modes = np.arange(basis.shape[1])
-        rows = np.vstack([ends, -(modes**2)[np.newaxis, :] * ends])
-        rhs = np.concatenate([values[[0, -1]], uxx])
-    alpha = np.linalg.solve(rows, rhs)
-    v = values - basis @ alpha
+    hi = lo + values.shape[0] - 1
+    n_modes = 2 if uxx is None else 4
+    ends = values[[0, -1]] if uxx is None else np.concatenate([values[[0, -1]], uxx])
+    alpha = endpoint_inverse(n_intervals, lo, hi, n_modes) @ ends
+    v = values - cosine_basis(n_intervals, n_modes)[lo:hi + 1] @ alpha
     v[[0, -1]] = 0.0  # exact by construction; clear the roundoff residue
     return v, alpha
 

@@ -102,8 +102,8 @@ def postprocess2d(u: Field, spec_x: FilterSpec, spec_y: FilterSpec) -> Field:
         return a.reshape(rows, -1, m).swapaxes(0, 1).reshape(-1, rows * m)
 
     basis_x, basis_y = cosine_basis(nx, 2), cosine_basis(ny, 2)
-    v, alpha = shift1d(vals.reshape(nx + 1, -1), basis_x)
-    w, beta = shift1d(swap(v, nx + 1), basis_y)
+    v, alpha = shift1d(vals.reshape(nx + 1, -1), nx)
+    w, beta = shift1d(swap(v, nx + 1), ny)
     w = apply_filter_values(swap(apply_filter_values(w, spec_y), ny + 1), spec_x)
     out = (w + swap(basis_y @ beta, ny + 1) + basis_x @ alpha).reshape(vals.shape)
     set_boundary(out, edges)

@@ -31,7 +31,7 @@ from rdfilter.filtering import (
     postprocess_field,
     sigma8,
 )
-from rdfilter.shift import cosine_basis
+from rdfilter.shift import cosine_basis, endpoint_inverse
 from rdfilter.stepper import NewtonDivergence, StepConfig, newton_point_solve
 
 
@@ -69,6 +69,30 @@ def test_cosine_basis_cached_read_only_and_exact():
         x = np.linspace(0.0, np.pi, n + 1)
         assert np.array_equal(basis, np.cos(np.outer(x, np.arange(n_modes))))
         _assert_read_only(basis)
+
+
+def test_endpoint_inverse_cached_read_only():
+    for key in ((64, 0, 64, 2), (64, 20, 45, 4), (4096, 1000, 1030, 4)):
+        inverse = endpoint_inverse(*key)
+        assert endpoint_inverse(*key) is inverse
+        assert inverse.shape == (key[3], key[3])
+        _assert_read_only(inverse)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(4, 4096), st.data(), st.sampled_from([1, 3]), st.integers(0, 2**32 - 1))
+def test_endpoint_inverse_matches_dense_solve(n, data, shift_order, seed):
+    # Strips as the solver builds them: the whole grid, or at least 9 intervals.
+    width = data.draw(st.integers(min(n, 9), n))
+    lo = data.draw(st.integers(0, n - width))
+    hi = lo + width
+    modes = np.arange(2 if shift_order == 1 else 4)
+    ends = np.cos(np.outer(np.linspace(0.0, np.pi, n + 1)[[lo, hi]], modes))
+    matrix = ends if shift_order == 1 else np.vstack([ends, -(modes**2) * ends])
+    rhs = np.random.default_rng(seed).standard_normal((modes.size, 3))
+    expected = np.linalg.solve(matrix, rhs)
+    got = endpoint_inverse(n, lo, hi, modes.size) @ rhs
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_blend_weights_cached_read_only_and_exact():

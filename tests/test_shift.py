@@ -20,10 +20,10 @@ def _shift(u: Field, uxx_0=None, uxx_pi=None):
     """Whole-grid shift of a Field: first order, or third order with the
     given endpoint second derivatives."""
     if uxx_0 is None:
-        v, alpha = shift1d(u.values, BASIS1)
+        v, alpha = shift1d(u.values, 64)
     else:
         uxx = np.array([[uxx_0], [uxx_pi]], dtype=float)
-        v, alpha = shift1d(u.values, BASIS3, uxx)
+        v, alpha = shift1d(u.values, 64, uxx=uxx)
     return u.with_values(v), alpha
 
 
@@ -75,7 +75,7 @@ def test_shift3_hand_solutions():
 def test_shift3_zero_history():
     u = Field.zeros(GRID)
     uxx = estimate_uxx_nodes(u, u, u, zero_reaction(), 0.01, 0.01, [0, 64])
-    _, alpha = shift1d(u.values, BASIS3, uxx)
+    _, alpha = shift1d(u.values, 64, uxx=uxx)
     assert np.all(alpha == 0.0)
 
 
@@ -180,10 +180,10 @@ def test_strip_shift_absorbs_global_cosine_trend():
     # nothing behind, at first and at third order
     lo, hi = 20, 45
     u = (1.5 + 0.75 * np.cos(GRID.nodes))[lo:hi + 1, np.newaxis]
-    v1, alpha1 = shift1d(u, BASIS1[lo:hi + 1])
+    v1, alpha1 = shift1d(u, 64, lo)
     assert np.max(np.abs(v1)) < 1e-13
     assert np.allclose(alpha1[:, 0], [1.5, 0.75], atol=1e-13)
     uxx = -0.75 * np.cos(GRID.nodes[[lo, hi]])[:, np.newaxis]
-    v3, alpha3 = shift1d(u, BASIS3[lo:hi + 1], uxx)
+    v3, alpha3 = shift1d(u, 64, lo, uxx)
     assert np.max(np.abs(v3)) < 1e-12
     assert np.allclose(alpha3[:, 0], [1.5, 0.75, 0.0, 0.0], atol=1e-12)
