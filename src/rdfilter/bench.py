@@ -16,6 +16,7 @@ from scipy.integrate import solve_ivp
 
 from .core import (
     BLOWUP_THRESHOLD,
+    ConfigError,
     Field,
     Grid1D,
     Grid2D,
@@ -256,8 +257,7 @@ def _time_loop(reaction: ReactionSystem, u0: Field, dt: float, n_steps: int,
             update = float(np.max(np.abs(levels[0].values - levels[1].values))) / dt
         return RunOutcome(fld, stable, steps, wall, kappa, mins, update, failure)
 
-    u_prev = u_curr = u0
-    lap_prev = None  # L u^{n-1}: the previous step's L u^n
+    u_prev, u_curr, lap_prev = u0, u0, None  # lap_prev: L u^{n-1}, last step's L u^n
     for n in range(n_steps):
         t_next = n * dt + dt
         lap_curr = apply_laplacian(u_curr).values
@@ -349,6 +349,14 @@ def ratio_to_dt(ratio: float, h: float) -> float:
     return ratio * h**2 / 3.0
 
 
+def steps_to(T: float, dt: float) -> int:
+    """round(T / dt): a run to T ends at round(T/dt)*dt.  Fewer than two steps
+    (the startup step and one two-step update) raise a ConfigError naming T."""
+    if round(T / dt) < 2:
+        raise ConfigError(f"T: {T:.6g} is under two steps of dt = {dt:.6g} (T >= 1.5 dt)")
+    return round(T / dt)
+
+
 def run_case_1d(case: ManufacturedCase | PredatorPreyCase, grid: Grid1D, dt: float,
                 n_steps: int, shift_order: int = 1, filter_on: bool = True,
                 kappa_fraction: float = 1.0, kappa_adapt: bool = False,
@@ -376,18 +384,13 @@ def run_accuracy_sweep(case: ManufacturedCase, grid_sizes, ratios, shift_orders,
                        T: float = 1.0, filter_on: bool = True,
                        kappa_fraction: float = 1.0) -> list[SweepRow]:
     """Integrate to T for every configuration and record final-time errors
-    against the exact solution; failures are recorded, never raised."""
-    rows = []
-    for n in grid_sizes:
-        grid = make_grid_1d(n)
-        for ratio in ratios:
-            dt = ratio_to_dt(ratio, grid.h)
-            n_steps = max(2, round(T / dt))
-            for order in shift_orders:
-                rows.append(run_case_1d(case, grid, dt, n_steps, shift_order=order,
-                                        filter_on=filter_on,
-                                        kappa_fraction=kappa_fraction)[0])
-    return rows
+    against the exact solution; failures are recorded, never raised (a T
+    shorter than two steps of any run is, before the first one)."""
+    runs = [(grid, dt, steps_to(T, dt)) for grid in map(make_grid_1d, grid_sizes)
+            for dt in (ratio_to_dt(ratio, grid.h) for ratio in ratios)]
+    return [run_case_1d(case, grid, dt, n_steps, shift_order=order, filter_on=filter_on,
+                        kappa_fraction=kappa_fraction)[0]
+            for grid, dt, n_steps in runs for order in shift_orders]
 
 
 def run_predator_prey(case: PredatorPreyCase, n_intervals: int, ratio: float,
@@ -397,7 +400,7 @@ def run_predator_prey(case: PredatorPreyCase, n_intervals: int, ratio: float,
     grid = make_grid_1d(n_intervals)
     dt = ratio_to_dt(ratio, grid.h)
     if n_steps is None:
-        n_steps = max(2, round((T if T is not None else 1.0) / dt))
+        n_steps = steps_to(T if T is not None else 1.0, dt)
     row, out = run_case_1d(case, grid, dt, n_steps, shift_order=shift_order,
                            filter_on=filter_on, kappa_fraction=kappa_fraction,
                            track_min=True)
@@ -437,12 +440,14 @@ def bisect_max_stable_ratio(grid: Grid1D, layout: SubdomainLayout | None,
 
 
 def dd_layout(grid: Grid1D, n_subdomains: int, overlap: int) -> tuple[SubdomainLayout, str]:
-    """The strip layout of one ``run_dd_study`` row and its note: ``overlap``
-    is capped at the largest even width not above N / (2 n_subdomains), and
-    the row is noted "saturated" when the cap is reached."""
-    cap = grid.n_intervals // (2 * n_subdomains)
-    note = "saturated" if overlap >= cap else ""
-    return make_layout(grid, n_subdomains, min(overlap, cap - cap % 2)), note
+    """The strip layout of one ``run_dd_study`` row and its note.  The cap is
+    the largest even width not above N / (2 n_subdomains): a row at the cap
+    is noted "saturated", a wider overlap raises ValueError."""
+    cap = grid.n_intervals // (2 * n_subdomains) // 2 * 2
+    if overlap > cap:
+        raise ValueError(f"overlap {overlap} is above the cap {cap}, the largest even "
+                         "width <= N / (2 n_subdomains)")
+    return make_layout(grid, n_subdomains, overlap), "saturated" if overlap == cap else ""
 
 
 def run_dd_study(n_intervals: int, n_subdomains: int, overlaps,

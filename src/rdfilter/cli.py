@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench
-from .core import Field, make_grid_1d, make_grid_2d
+from .core import ConfigError, Field, make_grid_1d, make_grid_2d
 from .ddm import make_layout
 from .selftest import run_selftest
 
@@ -32,10 +32,6 @@ DEFAULT_RATIOS = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0)
 DEFAULT_OVERLAPS = (4, 8, 16)
 PROBLEMS = ("heat1d", "predprey1d", "heat2d")
 SIGN_VARIANTS = ("printed", "classical")
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _key(default, help_text: str, **flag):
@@ -253,14 +249,14 @@ def _cmd_run(cfg: RunConfig) -> int:
                 u_left=cfg.base_level, u_right=cfg.base_level,
                 v_left=cfg.base_level, v_right=cfg.base_level,
                 excited=cfg.excited, sign_variant=cfg.sign_variant)
-        row, _ = bench.run_case_1d(case, grid, dt, max(2, round(cfg.T / dt)),
+        row, _ = bench.run_case_1d(case, grid, dt, bench.steps_to(cfg.T, dt),
                                    shift_order=cfg.shift_order, filter_on=cfg.filter_on,
                                    kappa_fraction=cfg.kappa_fraction,
                                    kappa_adapt=cfg.kappa_adapt, layout=layout)
     else:
         grid = make_grid_2d(cfg.N, cfg.N_y or cfg.N)
         dt = cfg.resolve_dt(grid.hx)
-        n_steps = max(2, round(cfg.T / dt))
+        n_steps = bench.steps_to(cfg.T, dt)
         case = bench.manufactured_heat_case_2d()
         x, y = grid.nodes_x[:, np.newaxis], grid.nodes_y[np.newaxis, :]
         out = bench.integrate_2d(case["reaction"], grid, dt, n_steps, case["bc"],

@@ -15,9 +15,8 @@ v = u - alpha_0 - alpha_1 cos(x) vanishes at both endpoints.
 
 The cosine modes are read from one memoized table per grid and mode count,
 ``cosine_basis(N, n_modes)[i, j] = cos(j x_i)``; it is read-only.  A strip
-reads rows lo..hi of it, so no step re-evaluates a cosine.  The inverse of
-the endpoint matrix that fixes the trend is memoized per (N, lo, hi,
-n_modes) (``endpoint_inverse``), so a shift is two matrix products.
+reads rows lo..hi of it, so no step re-evaluates a cosine.  The inverse of a
+strip's endpoint matrix is memoized too (``endpoint_inverse``).
 """
 
 from __future__ import annotations
@@ -39,13 +38,11 @@ def cosine_basis(n_intervals: int, n_modes: int) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def endpoint_inverse(n_intervals: int, lo: int, hi: int, n_modes: int) -> np.ndarray:
-    """Read-only inverse of the endpoint matrix ``shift1d`` solves on nodes
-    lo..hi of an N-interval grid: cos(j x) at x_lo and x_hi, and for four
-    modes also the second derivatives -j^2 cos(j x) there."""
+    """Read-only inverse of ``shift1d``'s endpoint matrix on nodes lo..hi of an
+    N-interval grid: cos(j x) at x_lo, x_hi, then (four modes) -j^2 cos(j x)."""
     ends = cosine_basis(n_intervals, n_modes)[[lo, hi]]
-    if n_modes == 4:
-        ends = np.vstack([ends, -(np.arange(n_modes) ** 2) * ends])
-    return read_only(np.linalg.inv(ends))
+    rows = ends if n_modes == 2 else np.vstack([ends, -(np.arange(n_modes) ** 2) * ends])
+    return read_only(np.linalg.inv(rows))
 
 
 def shift1d(values: np.ndarray, n_intervals: int, lo: int = 0,

@@ -6,11 +6,12 @@ implicitly by a pointwise Newton solve:
     (3 u^{n+1} - 4 u^n + u^{n-1}) / (2 dt) = 2 L u^n - L u^{n-1} + f(u^{n+1})
 
 with L the second-difference Laplacian over the node axes.  ``step`` runs
-this update, or its startup variant, on a 1D or a 2D Field alike.
+this update, or its startup variant, on a 1D or a 2D Field alike; a time
+loop hands it L u^{n-1} as the previous step's L u^n.
 
-Only the pointwise m x m Jacobian of f is ever formed; the node solves are
-independent, so the whole implicit stage is a batched dense solve (a
-division when m = 1).
+Only the pointwise m x m Jacobian of f is ever formed, and none for a
+u-independent f; the node solves are independent, so the whole implicit
+stage is a batched dense solve (a division when m = 1).
 """
 
 from __future__ import annotations
@@ -67,9 +68,8 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
     ``rhs`` has shape (..., m); the solve is vectorized over the leading axes
     with one dense m x m factorization per node (a division for m = 1).
     Deterministic regardless of how nodes would be scheduled: every node only
-    touches its own values.  A ``u_independent`` reaction is evaluated once,
-    and its Jacobian is c times the identity without a ``jacobian`` call; the
-    iterates are bit-identical to re-evaluating both.
+    touches its own values.  A ``u_independent`` f is evaluated once and its
+    Jacobian taken as 0, which gives the same bits as re-evaluating both.
     """
     rhs = np.asarray(rhs, dtype=float)
     if coeff is None:
@@ -77,12 +77,6 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
     u = np.array(rhs / coeff if initial is None else initial, dtype=float)
     eye = np.eye(reaction.m)
     f_fixed = reaction.eval(x, t, u) if reaction.u_independent else None
-
-    def _f(uv):
-        return reaction.eval(x, t, uv) if f_fixed is None else f_fixed
-
-    def _df(uv):
-        return reaction.jacobian(x, t, uv) if f_fixed is None else 0.0
 
     def _tol(uv):
         # The residual lives on the scale coeff*|u|; an absolute tolerance
@@ -95,11 +89,13 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
         node = np.unravel_index(np.argmax(per_node.ravel()), per_node.shape)
         return NewtonDivergence(node[0] if len(node) == 1 else node, worst)
 
-    for _ in range(cfg.newton_max_iter):
-        residual = coeff * u - _f(u) - rhs
+    for iteration in range(cfg.newton_max_iter + 1):
+        residual = coeff * u - (reaction.eval(x, t, u) if f_fixed is None else f_fixed) - rhs
         if np.max(np.abs(residual)) <= _tol(u):
             return u
-        jac = coeff * eye - _df(u)
+        if iteration == cfg.newton_max_iter:
+            break
+        jac = coeff * eye - (reaction.jacobian(x, t, u) if f_fixed is None else 0.0)
         if reaction.m == 1:  # a 1 x 1 solve is a division
             with np.errstate(divide="ignore", invalid="ignore"):
                 delta = residual / jac[..., 0]
@@ -109,10 +105,7 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
             bad = ~np.isfinite(delta).all(axis=-1)
             raise _diverged(bad, float(np.max(np.abs(residual[bad]))))
         u = u - delta
-    residual = coeff * u - _f(u) - rhs
     worst = np.abs(residual)
-    if np.max(worst) <= _tol(u):
-        return u
     raise _diverged(worst.max(axis=-1), float(np.max(worst)))
 
 
@@ -140,19 +133,16 @@ def step(state: SchemeState, reaction: ReactionSystem, cfg: StepConfig, bc,
     With ``startup`` it produces u^1 from u^0 = ``state.u_curr`` (``u_prev`` is
     not read): one backward-Euler-in-reaction / forward-Euler-in-diffusion
     step, (u^1 - u^0)/dt = L u^0 + f(u^1); locally second order, so the global
-    accuracy of the scheme is unharmed.
-
-    The Laplacians the state carries are used as given; a missing one is
+    accuracy of the scheme is unharmed.  A Laplacian the state lacks is
     computed here.
     """
-    un = state.u_curr
+    un, um1 = state.u_curr, state.u_prev
     lap = apply_laplacian(un).values if state.lap_curr is None else state.lap_curr
     if startup:
         coeff = 1.0 / cfg.dt
         rhs = coeff * un.values + lap
     else:
         coeff = 3.0 / (2.0 * cfg.dt)
-        um1 = state.u_prev
         lap_prev = apply_laplacian(um1).values if state.lap_prev is None else state.lap_prev
         rhs = (4.0 * un.values - um1.values) / (2.0 * cfg.dt) + 2.0 * lap - lap_prev
     inner = (slice(1, -1),) * (un.values.ndim - 1)

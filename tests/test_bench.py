@@ -11,6 +11,7 @@ import pytest
 
 from rdfilter import bench, stepper
 from rdfilter.core import (
+    ConfigError,
     Field,
     ReactionSystem,
     make_grid_1d,
@@ -277,6 +278,31 @@ def test_dd_study_rejects_an_infeasible_overlap_before_bisecting(monkeypatch):
                         lambda *args, **kwargs: calls.append(args) or 1.0)
     with pytest.raises(ValueError, match="even"):
         run_dd_study(32, 4, (4, 3))
+    assert calls == []
+
+
+def test_dd_study_rejects_an_overlap_above_the_cap_and_notes_the_cap(monkeypatch):
+    # N = 64, 2 strips: the cap is the largest even width <= 64 / 4 = 16
+    calls = []
+    monkeypatch.setattr(bench, "bisect_max_stable_ratio",
+                        lambda *args, **kwargs: calls.append(args) or 1.0)
+    with pytest.raises(ValueError, match="above the cap 16"):
+        run_dd_study(64, 2, (16, 32))
+    assert calls == []
+    rows = run_dd_study(64, 2, (14, 16))
+    assert [(r.overlap, r.note) for r in rows] == [(0, ""), (14, ""), (16, "saturated")]
+
+
+def test_steps_to_rounds_and_rejects_fewer_than_two_steps(monkeypatch):
+    assert bench.steps_to(1.0, 0.3) == 3  # the run ends at 0.9
+    assert bench.steps_to(0.375, 0.25) == 2
+    with pytest.raises(ConfigError, match="^T: "):
+        bench.steps_to(0.37, 0.25)
+    # a sweep checks every run before it integrates the first one
+    calls = []
+    monkeypatch.setattr(bench, "run_case_1d", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ConfigError, match="^T: "):
+        run_accuracy_sweep(manufactured_heat_case(), [32], [1.0, 8.0], [1], T=0.03)
     assert calls == []
 
 

@@ -129,6 +129,10 @@ def test_parse_config_rejects_custom_problem():
     ("run", ["--n-subdomains", "40"], "n_subdomains"),
     ("sweep", ["--grid-sizes", "2"], "grid_sizes"),
     ("sweep", ["--ratios="], "ratios"),
+    ("dd", ["--n-subdomains", "2", "--overlaps", "8,32"], "overlaps"),
+    ("run", ["--ratio", "4", "--T", "0.0001"], "T"),
+    ("run", ["--problem", "heat2d", "--dt", "0.01", "--T", "0.01"], "T"),
+    ("sweep", ["--ratios", "1,8", "--T", "0.03"], "T"),
 ])
 def test_main_rejects_keys_a_subcommand_does_not_read(tmp_path, capsys, command, args, key):
     files = {"cfg": "kappa_adapt=true\n", "variant": "sign_variant=bogus\n"}
