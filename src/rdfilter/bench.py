@@ -353,7 +353,7 @@ def steps_to(T: float, dt: float) -> int:
     """round(T / dt): a run to T ends at round(T/dt)*dt.  Fewer than two steps
     (the startup step and one two-step update) raise a ConfigError naming T."""
     if round(T / dt) < 2:
-        raise ConfigError(f"T: {T:.6g} is under two steps of dt = {dt:.6g} (T >= 1.5 dt)")
+        raise ConfigError(f"T: {T:.6g} is under two steps of dt = {dt:.6g} (needs T >= 1.5 dt)")
     return round(T / dt)
 
 
@@ -384,8 +384,8 @@ def run_accuracy_sweep(case: ManufacturedCase, grid_sizes, ratios, shift_orders,
                        T: float = 1.0, filter_on: bool = True,
                        kappa_fraction: float = 1.0) -> list[SweepRow]:
     """Integrate to T for every configuration and record final-time errors
-    against the exact solution; failures are recorded, never raised (a T
-    shorter than two steps of any run is, before the first one)."""
+    against the exact solution; failures are recorded, never raised.  A T
+    shorter than two steps of any run raises before the first run starts."""
     runs = [(grid, dt, steps_to(T, dt)) for grid in map(make_grid_1d, grid_sizes)
             for dt in (ratio_to_dt(ratio, grid.h) for ratio in ratios)]
     return [run_case_1d(case, grid, dt, n_steps, shift_order=order, filter_on=filter_on,
