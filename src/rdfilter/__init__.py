@@ -28,15 +28,13 @@ from .core import (
 )
 from .stepper import (
     NewtonDivergence,
-    StepConfig,
     apply_laplacian,
     newton_point_solve,
     recurrence_roots,
     step,
 )
-from .shift import cosine_basis, odd_extend_values, shift1d
+from .shift import cosine_basis, shift1d
 from .filtering import (
-    FilterSpec,
     KappaMonitor,
     apply_filter_values,
     filter_boundary_trace,

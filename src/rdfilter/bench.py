@@ -15,7 +15,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .core import (
-    BLOWUP_THRESHOLD,
     ConfigError,
     Field,
     Grid1D,
@@ -27,9 +26,9 @@ from .core import (
     zero_reaction,
 )
 from .ddm import SubdomainLayout, make_layout
-from .filtering import FilterSpec, KappaMonitor, kappa_critical, postprocess_field
+from .filtering import KappaMonitor, kappa_critical, postprocess_field
 from .solver2d import BoundaryData2D, kappa_critical_2d, postprocess2d
-from .stepper import NewtonDivergence, StepConfig, apply_laplacian, step
+from .stepper import NewtonDivergence, apply_laplacian, step
 
 
 # ---------------------------------------------------------------------------
@@ -233,20 +232,19 @@ class RunOutcome:
 
 def _time_loop(reaction: ReactionSystem, u0: Field, dt: float, n_steps: int,
                bc_at: Callable, postprocess: Callable | None, kappa: float,
-               newton_tol: float, newton_max_iter: int, blowup_threshold: float,
                track_min: bool = False) -> RunOutcome:
     """The step loop of both drivers: ``n_steps`` steps of size ``dt`` from u0,
     the first one the startup step, each followed by ``postprocess(u_new,
     history, t_next)`` unless that is None; ``history`` is (u^n, u^{n-1}), or
     None after the startup step, which has only one level behind it.
 
-    A step is blown up when its values exceed ``blowup_threshold`` after its
-    postprocess; every step but the startup step is also checked before it.
+    A step is blown up (``Field.blown_up``) when its values exceed
+    ``core.BLOWUP_THRESHOLD`` after its postprocess; every step but the
+    startup step is also checked before it.
     A blow-up or a Newton failure ends the run and is reported, never raised.
     ``final_update`` is max |u^N - u^{N-1}| / dt over the last two levels, once
     a step after the startup step has completed, else inf.
     """
-    cfg = StepConfig(dt=dt, newton_tol=newton_tol, newton_max_iter=newton_max_iter)
     mins = np.min(u0.values.reshape(-1, u0.m), axis=0) if track_min else None
     start = time.perf_counter()
 
@@ -263,14 +261,14 @@ def _time_loop(reaction: ReactionSystem, u0: Field, dt: float, n_steps: int,
         lap_curr = apply_laplacian(u_curr).values
         try:
             u_new = step(SchemeState(u_curr, u_prev, n * dt, dt, lap_curr, lap_prev),
-                         reaction, cfg, bc_at(t_next), startup=n == 0)
+                         reaction, bc_at(t_next), startup=n == 0)
         except NewtonDivergence as exc:
             return _done(False, n, u_curr, str(exc), (u_curr, u_prev))
-        if (n > 0 or postprocess is None) and u_new.blown_up(blowup_threshold):
+        if (n > 0 or postprocess is None) and u_new.blown_up():
             return _done(False, n + 1, u_new)
         if postprocess is not None:
             u_new = postprocess(u_new, (u_curr, u_prev) if n > 0 else None, t_next)
-            if u_new.blown_up(blowup_threshold):
+            if u_new.blown_up():
                 return _done(False, n + 1, u_new)
         if track_min:
             mins = np.minimum(mins, np.min(u_new.values.reshape(-1, u0.m), axis=0))
@@ -282,9 +280,7 @@ def integrate_1d(reaction: ReactionSystem, grid: Grid1D, dt: float, n_steps: int
                  bc_fn: Callable, u0: Field, shift_order: int = 1,
                  filter_on: bool = True, kappa_fraction: float = 1.0,
                  kappa_adapt: bool = False, layout: SubdomainLayout | None = None,
-                 newton_tol: float = 1.0e-12, newton_max_iter: int = 25,
-                 track_min: bool = False,
-                 blowup_threshold: float = BLOWUP_THRESHOLD) -> RunOutcome:
+                 track_min: bool = False) -> RunOutcome:
     """Run the full pipeline for ``n_steps`` steps of size ``dt``.
 
     ``bc_fn(t)`` returns the Dirichlet pair at time t.  Postprocessing (when
@@ -292,17 +288,15 @@ def integrate_1d(reaction: ReactionSystem, grid: Grid1D, dt: float, n_steps: int
     (which uses a first-order shift: only two time levels exist there).
     """
     kappa = kappa_fraction * kappa_critical(dt, grid.h)
-    spec = FilterSpec(kappa=kappa)
     monitor = KappaMonitor(kappa) if kappa_adapt else None
 
     def postprocess(u, history, t_next):
         order = shift_order if history is not None else 1
-        return postprocess_field(u, spec, order, history, reaction, dt, t_next,
+        return postprocess_field(u, kappa, order, history, reaction, dt, t_next,
                                  monitor, layout)
 
     out = _time_loop(reaction, u0, dt, n_steps, bc_fn,
-                     postprocess if filter_on else None, kappa, newton_tol,
-                     newton_max_iter, blowup_threshold, track_min)
+                     postprocess if filter_on else None, kappa, track_min)
     if monitor is not None:
         out.kappa = monitor.kappa
     return out
@@ -310,19 +304,16 @@ def integrate_1d(reaction: ReactionSystem, grid: Grid1D, dt: float, n_steps: int
 
 def integrate_2d(reaction: ReactionSystem, grid: Grid2D, dt: float, n_steps: int,
                  bc: BoundaryData2D, u0: Field, filter_on: bool = True,
-                 kappa_fraction: float = 1.0, newton_tol: float = 1.0e-12,
-                 newton_max_iter: int = 25,
-                 blowup_threshold: float = BLOWUP_THRESHOLD) -> RunOutcome:
+                 kappa_fraction: float = 1.0) -> RunOutcome:
     """2D driver; first-order shifts only."""
-    spec_x = FilterSpec(kappa=kappa_fraction * kappa_critical_2d(dt, grid.hx))
-    spec_y = FilterSpec(kappa=kappa_fraction * kappa_critical_2d(dt, grid.hy))
+    kappa_x = kappa_fraction * kappa_critical_2d(dt, grid.hx)
+    kappa_y = kappa_fraction * kappa_critical_2d(dt, grid.hy)
 
     def postprocess(u, history, t_next):
-        return postprocess2d(u, spec_x, spec_y)
+        return postprocess2d(u, kappa_x, kappa_y)
 
     return _time_loop(reaction, u0, dt, n_steps, lambda t: bc.sample(grid, t, u0.m),
-                      postprocess if filter_on else None, spec_x.kappa, newton_tol,
-                      newton_max_iter, blowup_threshold)
+                      postprocess if filter_on else None, kappa_x)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +334,10 @@ class SweepRow:
     steps: int
     wall_ms: float
     note: str = ""
+
+
+# The largest normalized step 3 dt / h^2 the overlap study tries.
+RATIO_MAX = 64.0
 
 
 def ratio_to_dt(ratio: float, h: float) -> float:
@@ -397,6 +392,9 @@ def run_predator_prey(case: PredatorPreyCase, n_intervals: int, ratio: float,
                       T: float | None = None, n_steps: int | None = None,
                       shift_order: int = 1, filter_on: bool = True,
                       kappa_fraction: float = 1.0) -> tuple[SweepRow, dict]:
+    """Run to ``T`` (default 1) or for ``n_steps`` steps, not both."""
+    if T is not None and n_steps is not None:
+        raise ConfigError("T: give T or n_steps, not both")
     grid = make_grid_1d(n_intervals)
     dt = ratio_to_dt(ratio, grid.h)
     if n_steps is None:
@@ -409,30 +407,29 @@ def run_predator_prey(case: PredatorPreyCase, n_intervals: int, ratio: float,
 
 
 def _dd_stability_trial(grid: Grid1D, ratio: float, layout: SubdomainLayout | None,
-                        n_steps: int = 500, shift_order: int = 1) -> bool:
+                        n_steps: int = 500) -> bool:
     """Heat equation, homogeneous data, highest-mode seed; survive n_steps?"""
     dt = ratio_to_dt(ratio, grid.h)
     x = grid.nodes
     u0 = Field(grid, np.sin(x) + 1.0e-6 * np.sin((grid.n_intervals - 1) * x))
     out = integrate_1d(zero_reaction(), grid, dt, n_steps,
-                       lambda t: (0.0, 0.0), u0, shift_order=shift_order,
-                       filter_on=True, layout=layout)
+                       lambda t: (0.0, 0.0), u0, layout=layout)
     return out.stable
 
 
 def bisect_max_stable_ratio(grid: Grid1D, layout: SubdomainLayout | None,
-                            resolution: float = 0.1, ratio_max: float = 64.0,
-                            n_steps: int = 500, shift_order: int = 1) -> float:
-    """Largest stable 3 dt / h^2, bisected to the given resolution."""
+                            resolution: float = 0.1, n_steps: int = 500) -> float:
+    """Largest stable 3 dt / h^2, bisected to the given resolution; RATIO_MAX
+    when every ratio up to that cap survives."""
     lo = 0.0
     hi = 1.0
-    while hi <= ratio_max and _dd_stability_trial(grid, hi, layout, n_steps, shift_order):
+    while hi <= RATIO_MAX and _dd_stability_trial(grid, hi, layout, n_steps):
         lo, hi = hi, hi * 2.0
-    if hi > ratio_max:
+    if hi > RATIO_MAX:
         return lo
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        if _dd_stability_trial(grid, mid, layout, n_steps, shift_order):
+        if _dd_stability_trial(grid, mid, layout, n_steps):
             lo = mid
         else:
             hi = mid
@@ -454,12 +451,15 @@ def run_dd_study(n_intervals: int, n_subdomains: int, overlaps,
                  resolution: float = 0.1, n_steps: int = 500) -> list[SweepRow]:
     """Maximal stable ratio per overlap for the heat equation, after the
     single-domain reference row.  Every layout is built before the first
-    bisection, so an infeasible one fails at once."""
+    bisection, so an infeasible one fails at once.  A row whose bisection
+    reached RATIO_MAX is noted "capped": its true limit may lie above."""
     grid = make_grid_1d(n_intervals)
     rows = []
     for layout, note in [(None, "")] + [dd_layout(grid, n_subdomains, ov) for ov in overlaps]:
         t0 = time.perf_counter()
         r = bisect_max_stable_ratio(grid, layout, resolution, n_steps=n_steps)
+        if r >= RATIO_MAX:
+            note = ", ".join(filter(None, (note, "capped")))
         n_sub, overlap = (layout.n_subdomains, layout.overlap) if layout else (1, 0)
         rows.append(SweepRow(n_intervals, ratio_to_dt(r, grid.h), r, 1, float("nan"),
                              n_sub, overlap, float("nan"), float("nan"), True, n_steps,

@@ -145,10 +145,10 @@ class Field:
     def with_values(self, values: np.ndarray) -> "Field":
         return Field(self.grid, values)
 
-    def blown_up(self, threshold: float = BLOWUP_THRESHOLD) -> bool:
+    def blown_up(self) -> bool:
         # One reduction: NaN propagates through max, so NaN, +-Inf and values
-        # above the threshold all fail the comparison; the threshold itself passes.
-        return not np.max(np.abs(self.values)) <= threshold
+        # above BLOWUP_THRESHOLD all fail the comparison; the threshold itself passes.
+        return not np.max(np.abs(self.values)) <= BLOWUP_THRESHOLD
 
     @staticmethod
     def zeros(grid: Grid1D | Grid2D, m: int = 1) -> "Field":

@@ -11,15 +11,14 @@ the overlapping strips of a ``ddm.SubdomainLayout``; every strip, and every
 2D boundary trace (``filter_boundary_trace``), is shifted by
 ``shift.shift1d``, filtered and shifted back the same way.
 
-The filter factors are memoized per (N, FilterSpec) by ``filter_factors``
-and returned read-only, so a run evaluates sigma once per grid and kappa.
+The stretching factor is a plain float.  ``filter_factors`` is the one
+place that evaluates sigma8; it memoizes the factors per (N, kappa) and
+returns them read-only, so a run evaluates sigma once per grid and kappa.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy.fft import dst, idst
@@ -29,6 +28,11 @@ from .ddm import SubdomainLayout, blend_weights
 from .shift import cosine_basis, estimate_uxx_nodes, shift1d
 
 RETAIN_TOL = 1.0e-12
+# KappaMonitor multiplies kappa by BUMP_FACTOR once the watched energy has
+# grown by more than GROWTH_THRESHOLD on GROWTH_STEPS consecutive steps.
+GROWTH_THRESHOLD = 1.05
+BUMP_FACTOR = 1.10
+GROWTH_STEPS = 2
 
 
 def sigma8(xi) -> np.ndarray | float:
@@ -47,15 +51,6 @@ def sigma8(xi) -> np.ndarray | float:
     p = (35.0 - 84.0 * z + 70.0 * z**2 - 20.0 * z**3) * z**4
     out = np.where(np.abs(xi) >= 1.0, 0.0, np.where(upper, 1.0 - p, p))
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    kappa: float
-    sigma: Callable = dc_field(default=sigma8, repr=False)
-
-    def with_kappa(self, kappa: float) -> "FilterSpec":
-        return FilterSpec(kappa=kappa, sigma=self.sigma)
 
 
 def kappa_critical(dt: float, h: float) -> float:
@@ -86,26 +81,26 @@ def sine_reconstruct(coeffs: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def filter_factors(n_intervals: int, spec: FilterSpec) -> np.ndarray:
-    """Read-only factors sigma(kappa k / N), k = 1..N-1, memoized per (N, spec)."""
+def filter_factors(n_intervals: int, kappa: float) -> np.ndarray:
+    """Read-only factors sigma8(kappa k / N), k = 1..N-1, memoized per (N, kappa)."""
     k = np.arange(1, n_intervals)
-    return read_only(np.asarray(spec.sigma(spec.kappa * k / n_intervals), dtype=float))
+    return read_only(sigma8(kappa * k / n_intervals))
 
 
-def apply_filter_values(values: np.ndarray, spec: FilterSpec) -> np.ndarray:
+def apply_filter_values(values: np.ndarray, kappa: float) -> np.ndarray:
     """Filter (N+1, m) values with zero endpoints: scale sine coefficient k
     by sigma(kappa k / N)."""
     end = max(float(np.max(np.abs(values[0]))), float(np.max(np.abs(values[-1]))))
     if end > RETAIN_TOL:
         raise ValueError(f"apply_filter_values needs shifted input (endpoints {end:.3e})")
     n = values.shape[0] - 1
-    factors = filter_factors(n, spec)
+    factors = filter_factors(n, kappa)
     coeffs = sine_coefficients(values) * factors.reshape((-1,) + (1,) * (values.ndim - 1))
     return sine_reconstruct(coeffs)
 
 
 def _postprocess_strip(values: np.ndarray, n_grid: int, lo: int, uxx: np.ndarray | None,
-                       spec: FilterSpec, monitor: KappaMonitor | None = None) -> np.ndarray:
+                       kappa: float, monitor: KappaMonitor | None = None) -> np.ndarray:
     """Shift, filter and inverse-shift (nodes, m) values on nodes lo.. of an
     ``n_grid``-interval grid; the two end values are kept exactly.  A monitor
     adapts kappa from the same sine coefficients the filter then scales."""
@@ -113,20 +108,20 @@ def _postprocess_strip(values: np.ndarray, n_grid: int, lo: int, uxx: np.ndarray
     n = v.shape[0] - 1
     coeffs = sine_coefficients(v)
     if monitor is not None:
-        spec = spec.with_kappa(monitor.observe(coeffs, n, spec.sigma))
+        kappa = monitor.observe(coeffs, n)
     trend = cosine_basis(n_grid, alpha.shape[0])[lo:lo + n + 1] @ alpha
-    out = sine_reconstruct(coeffs * filter_factors(n, spec)[:, np.newaxis]) + trend
+    out = sine_reconstruct(coeffs * filter_factors(n, kappa)[:, np.newaxis]) + trend
     out[[0, -1]] = values[[0, -1]]
     return out
 
 
-def filter_boundary_trace(samples: np.ndarray, spec: FilterSpec) -> np.ndarray:
+def filter_boundary_trace(samples: np.ndarray, kappa: float) -> np.ndarray:
     """Filter a 1D boundary trace with the first-order 1D postprocess.  Endpoint
     values of the trace are reproduced exactly."""
     samples = np.asarray(samples, dtype=float)
     squeeze = samples.ndim == 1
     vals = samples[:, np.newaxis] if squeeze else samples
-    out = _postprocess_strip(vals, vals.shape[0] - 1, 0, None, spec)
+    out = _postprocess_strip(vals, vals.shape[0] - 1, 0, None, kappa)
     return out[:, 0] if squeeze else out
 
 
@@ -134,23 +129,18 @@ class KappaMonitor:
     """Optional per-step kappa adaptation.
 
     Watches the energy in the top quarter of the retained sine modes; if it
-    grows by more than ``growth_threshold`` two steps in a row, kappa is
-    increased by ``bump_factor`` (thresholds are ours; the method only says
-    the optimum can be found by monitoring high-frequency growth).
+    grows by more than 5 % two steps in a row, kappa grows by 10 % (the
+    module constants; they are ours, the method only says the optimum can be
+    found by monitoring high-frequency growth).
     """
 
-    def __init__(self, kappa: float, growth_threshold: float = 1.05,
-                 bump_factor: float = 1.10, consecutive: int = 2):
+    def __init__(self, kappa: float):
         self.kappa = float(kappa)
-        self.growth_threshold = growth_threshold
-        self.bump_factor = bump_factor
-        self.consecutive = consecutive
         self._prev_energy: float | None = None
         self._streak = 0
 
-    def observe(self, coeffs: np.ndarray, n_intervals: int,
-                sigma: Callable = sigma8) -> float:
-        factors = filter_factors(n_intervals, FilterSpec(self.kappa, sigma=sigma))
+    def observe(self, coeffs: np.ndarray, n_intervals: int) -> float:
+        factors = filter_factors(n_intervals, self.kappa)
         retained = np.nonzero(factors > RETAIN_TOL)[0]
         if retained.size:
             k_max = retained[-1] + 1
@@ -160,18 +150,18 @@ class KappaMonitor:
         else:
             energy = 0.0
         if self._prev_energy is not None and self._prev_energy > 0.0 \
-                and energy > self.growth_threshold * self._prev_energy:
+                and energy > GROWTH_THRESHOLD * self._prev_energy:
             self._streak += 1
         else:
             self._streak = 0
-        if self._streak >= self.consecutive:
-            self.kappa *= self.bump_factor
+        if self._streak >= GROWTH_STEPS:
+            self.kappa *= BUMP_FACTOR
             self._streak = 0
         self._prev_energy = energy
         return self.kappa
 
 
-def postprocess_field(u: Field, spec: FilterSpec, shift_order: int = 1,
+def postprocess_field(u: Field, kappa: float, shift_order: int = 1,
                       history: tuple[Field, Field] | None = None,
                       reaction: ReactionSystem | None = None,
                       dt: float | None = None, t_next: float | None = None,
@@ -203,7 +193,7 @@ def postprocess_field(u: Field, spec: FilterSpec, shift_order: int = 1,
     def strip(lo: int, hi: int) -> np.ndarray:
         uxx = None if shift_order == 1 else estimate_uxx_nodes(
             u, history[0], history[1], reaction, dt, t_next, np.array([lo, hi]))
-        return _postprocess_strip(u.values[lo:hi + 1], n, lo, uxx, spec, monitor)
+        return _postprocess_strip(u.values[lo:hi + 1], n, lo, uxx, kappa, monitor)
 
     if len(ranges) == 1:  # the blend weights of a single strip are all 1
         return u.with_values(strip(0, n))

@@ -1,9 +1,10 @@
-"""Low-frequency shifts and odd periodic extension.
+"""Low-frequency shifts.
 
 Before filtering, a few cosine modes are subtracted so that the remainder
 vanishes at x = 0 and x = pi (and, for the third-order shift, so does its
 second derivative); the remainder then extends to an odd 2pi-periodic
-function smooth enough for the filter to act on without ringing.
+function smooth enough for the filter to act on without ringing.  That
+extension is never built: the DST-I of the filter implies it.
 
 ``shift1d`` is the one shift: the whole-grid postprocess, each
 overlapping strip and each 2D boundary trace call it through
@@ -26,8 +27,6 @@ from functools import lru_cache
 import numpy as np
 
 from .core import Field, ReactionSystem, read_only, uniform_nodes
-
-ENDPOINT_TOL = 1.0e-12
 
 
 @lru_cache(maxsize=64)
@@ -78,17 +77,3 @@ def estimate_uxx_nodes(u_next: Field, u_curr: Field, u_prev: Field,
           + u_prev.values[idx]) / (2.0 * dt)
     fb = reaction.eval(xb, t_next, u_next.values[idx])
     return ub - fb
-
-
-def odd_extend_values(values: np.ndarray) -> np.ndarray:
-    """(N+1, m) values with zero endpoints -> odd 2pi-periodic (2N, m) sequence."""
-    end = max(float(np.max(np.abs(values[0]))), float(np.max(np.abs(values[-1]))))
-    if end > ENDPOINT_TOL:
-        raise ValueError(
-            f"odd extension needs zero endpoint values (got {end:.3e}); shift first"
-        )
-    n = values.shape[0] - 1
-    out = np.empty((2 * n,) + values.shape[1:])
-    out[: n + 1] = values
-    out[n + 1:] = -values[n - 1:0:-1]
-    return out

@@ -5,7 +5,8 @@ The postprocess is the 1D one run along each axis: the four boundary traces
 are filtered separately (``filtering.filter_boundary_trace``), then the field
 is shifted with ``shift.shift1d`` along x and then along y, filtered with
 ``filtering.apply_filter_values`` along y and then along x (the tensor filter
-sigma(kx k/Nx) sigma(ky l/Ny)), and shifted back.
+sigma(kx k/Nx) sigma(ky l/Ny), with the per-axis stretching factors kx and
+ky given as floats), and shifted back.
 
 The time step is ``stepper.step``, the same stepper as in 1D: it runs over
 both node axes of a 2D Field with the five-point Laplacian
@@ -19,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .core import Field, Grid2D
-from .filtering import FilterSpec, apply_filter_values, filter_boundary_trace
+from .filtering import apply_filter_values, filter_boundary_trace
 from .shift import cosine_basis, shift1d
 from .stepper import set_boundary
 
@@ -84,16 +85,16 @@ def kappa_critical_2d(dt: float, h: float) -> float:
     return np.pi / np.arccos(arg)
 
 
-def postprocess2d(u: Field, spec_x: FilterSpec, spec_y: FilterSpec) -> Field:
+def postprocess2d(u: Field, kappa_x: float, kappa_y: float) -> Field:
     """Filter the boundary traces, shift along x then y, filter along y then
     x, shift back.  The output's edges equal the filtered traces exactly."""
     vals = u.values.copy()
     nx, ny, m = vals.shape[0] - 1, vals.shape[1] - 1, vals.shape[2]
     edges = {
-        "g0": filter_boundary_trace(vals[:, 0], spec_x),
-        "gpi": filter_boundary_trace(vals[:, -1], spec_x),
-        "h0": filter_boundary_trace(vals[0], spec_y),
-        "hpi": filter_boundary_trace(vals[-1], spec_y),
+        "g0": filter_boundary_trace(vals[:, 0], kappa_x),
+        "gpi": filter_boundary_trace(vals[:, -1], kappa_x),
+        "h0": filter_boundary_trace(vals[0], kappa_y),
+        "hpi": filter_boundary_trace(vals[-1], kappa_y),
     }
     set_boundary(vals, edges)
 
@@ -104,7 +105,7 @@ def postprocess2d(u: Field, spec_x: FilterSpec, spec_y: FilterSpec) -> Field:
     basis_x, basis_y = cosine_basis(nx, 2), cosine_basis(ny, 2)
     v, alpha = shift1d(vals.reshape(nx + 1, -1), nx)
     w, beta = shift1d(swap(v, nx + 1), ny)
-    w = apply_filter_values(swap(apply_filter_values(w, spec_y), ny + 1), spec_x)
+    w = apply_filter_values(swap(apply_filter_values(w, kappa_y), ny + 1), kappa_x)
     out = (w + swap(basis_y @ beta, ny + 1) + basis_x @ alpha).reshape(vals.shape)
     set_boundary(out, edges)
     return u.with_values(out)

@@ -9,29 +9,20 @@ with L the second-difference Laplacian over the node axes.  ``step`` runs
 this update, or its startup variant, on a 1D or a 2D Field alike; a time
 loop hands it L u^{n-1} as the previous step's L u^n.
 
-Only the pointwise m x m Jacobian of f is ever formed, and none for a
-u-independent f; the node solves are independent, so the whole implicit
-stage is a batched dense solve (a division when m = 1).
+The step size is ``SchemeState.dt``.  Only the pointwise m x m Jacobian of
+f is ever formed, and none for a u-independent f; the node solves are
+independent, so the whole implicit stage is a batched dense solve (a
+division when m = 1), stopped at NEWTON_TOL or after NEWTON_MAX_ITER updates.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Field, ReactionSystem, SchemeState, interior_nodes
 
-
-@dataclass(frozen=True)
-class StepConfig:
-    dt: float
-    newton_tol: float = 1.0e-12
-    newton_max_iter: int = 25
-
-    def __post_init__(self):
-        if self.dt <= 0.0 or self.newton_tol <= 0.0 or self.newton_max_iter < 1:
-            raise ValueError("invalid StepConfig")
+NEWTON_TOL = 1.0e-12
+NEWTON_MAX_ITER = 25
 
 
 class NewtonDivergence(RuntimeError):
@@ -61,20 +52,20 @@ def apply_laplacian(field: Field) -> Field:
 
 
 def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
-                       cfg: StepConfig, initial: np.ndarray | None = None,
-                       coeff: float | None = None) -> np.ndarray:
-    """Solve c*u - f(x, t, u) = rhs at every node, c = 3/(2 dt) by default.
+                       coeff: float, initial: np.ndarray) -> np.ndarray:
+    """Solve c*u - f(x, t, u) = rhs at every node, c = ``coeff``, by Newton
+    from ``initial``.
 
     ``rhs`` has shape (..., m); the solve is vectorized over the leading axes
     with one dense m x m factorization per node (a division for m = 1).
     Deterministic regardless of how nodes would be scheduled: every node only
     touches its own values.  A ``u_independent`` f is evaluated once and its
-    Jacobian taken as 0, which gives the same bits as re-evaluating both.
+    Jacobian taken as 0, which gives the same bits as re-evaluating both.  A
+    node whose Jacobian is singular, or whose update is not finite, raises
+    ``NewtonDivergence`` naming that node.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if coeff is None:
-        coeff = 3.0 / (2.0 * cfg.dt)
-    u = np.array(rhs / coeff if initial is None else initial, dtype=float)
+    u = np.array(initial, dtype=float)
     eye = np.eye(reaction.m)
     f_fixed = reaction.eval(x, t, u) if reaction.u_independent else None
 
@@ -82,31 +73,45 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
         # The residual lives on the scale coeff*|u|; an absolute tolerance
         # below roundoff on that scale is unattainable in float64.
         scale = coeff * float(np.max(np.abs(uv), initial=1.0))
-        return cfg.newton_tol * max(1.0, scale)
+        return NEWTON_TOL * max(1.0, scale)
 
     def _diverged(per_node, worst):
         # per_node: one number per node (leading axes); report its argmax.
         node = np.unravel_index(np.argmax(per_node.ravel()), per_node.shape)
         return NewtonDivergence(node[0] if len(node) == 1 else node, worst)
 
-    for iteration in range(cfg.newton_max_iter + 1):
+    for iteration in range(NEWTON_MAX_ITER + 1):
         residual = coeff * u - (reaction.eval(x, t, u) if f_fixed is None else f_fixed) - rhs
         if np.max(np.abs(residual)) <= _tol(u):
             return u
-        if iteration == cfg.newton_max_iter:
+        if iteration == NEWTON_MAX_ITER:
             break
         jac = coeff * eye - (reaction.jacobian(x, t, u) if f_fixed is None else 0.0)
         if reaction.m == 1:  # a 1 x 1 solve is a division
             with np.errstate(divide="ignore", invalid="ignore"):
                 delta = residual / jac[..., 0]
         else:
-            delta = np.linalg.solve(jac, residual[..., np.newaxis])[..., 0]
-        if not np.isfinite(delta).all():  # a zero 1 x 1 Jacobian, or an overflow
+            try:
+                delta = np.linalg.solve(jac, residual[..., np.newaxis])[..., 0]
+            except np.linalg.LinAlgError:  # singular at some node: find which
+                delta = _solve_each_node(jac, residual)
+        if not np.isfinite(delta).all():  # a singular Jacobian, or an overflow
             bad = ~np.isfinite(delta).all(axis=-1)
             raise _diverged(bad, float(np.max(np.abs(residual[bad]))))
         u = u - delta
     worst = np.abs(residual)
     raise _diverged(worst.max(axis=-1), float(np.max(worst)))
+
+
+def _solve_each_node(jac: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """The batched solve node by node, NaN at a node whose Jacobian is singular."""
+    delta = np.full(residual.shape, np.nan)
+    for node in np.ndindex(residual.shape[:-1]):
+        try:
+            delta[node] = np.linalg.solve(jac[node], residual[node])
+        except np.linalg.LinAlgError:
+            pass
+    return delta
 
 
 def set_boundary(values: np.ndarray, bc) -> None:
@@ -124,11 +129,10 @@ def set_boundary(values: np.ndarray, bc) -> None:
         values[0], values[-1] = bc["h0"], bc["hpi"]
 
 
-def step(state: SchemeState, reaction: ReactionSystem, cfg: StepConfig, bc,
-         startup: bool = False) -> Field:
-    """One step of the two-step scheme over the node axes of a 1D or 2D
-    Field; returns u^{n+1} with the Dirichlet data ``bc`` at t_{n+1} (see
-    ``set_boundary``).
+def step(state: SchemeState, reaction: ReactionSystem, bc, startup: bool = False) -> Field:
+    """One step of size ``state.dt`` of the two-step scheme over the node axes
+    of a 1D or 2D Field; returns u^{n+1} with the Dirichlet data ``bc`` at
+    t_{n+1} (see ``set_boundary``).
 
     With ``startup`` it produces u^1 from u^0 = ``state.u_curr`` (``u_prev`` is
     not read): one backward-Euler-in-reaction / forward-Euler-in-diffusion
@@ -136,20 +140,19 @@ def step(state: SchemeState, reaction: ReactionSystem, cfg: StepConfig, bc,
     accuracy of the scheme is unharmed.  A Laplacian the state lacks is
     computed here.
     """
-    un, um1 = state.u_curr, state.u_prev
+    un, um1, dt = state.u_curr, state.u_prev, state.dt
     lap = apply_laplacian(un).values if state.lap_curr is None else state.lap_curr
     if startup:
-        coeff = 1.0 / cfg.dt
+        coeff = 1.0 / dt
         rhs = coeff * un.values + lap
     else:
-        coeff = 3.0 / (2.0 * cfg.dt)
+        coeff = 3.0 / (2.0 * dt)
         lap_prev = apply_laplacian(um1).values if state.lap_prev is None else state.lap_prev
-        rhs = (4.0 * un.values - um1.values) / (2.0 * cfg.dt) + 2.0 * lap - lap_prev
+        rhs = (4.0 * un.values - um1.values) / (2.0 * dt) + 2.0 * lap - lap_prev
     inner = (slice(1, -1),) * (un.values.ndim - 1)
     out = np.empty_like(un.values)
     out[inner] = newton_point_solve(rhs[inner], reaction, interior_nodes(un.grid),
-                                    state.time + cfg.dt, cfg,
-                                    initial=un.values[inner], coeff=coeff)
+                                    state.time + dt, coeff, un.values[inner])
     set_boundary(out, bc)
     return un.with_values(out)
 

@@ -23,7 +23,6 @@ from rdfilter.bench import (
 )
 from rdfilter.ddm import make_layout
 from rdfilter.filtering import (
-    FilterSpec,
     apply_filter_values,
     filter_factors,
     kappa_critical,
@@ -64,7 +63,7 @@ def test_criterion_2_filtered_stability_extension():
         dt = ratio_to_dt(ratio, grid.h)
         kappa = kappa_critical(dt, grid.h)
         roots_ok = True
-        factors = filter_factors(64, FilterSpec(kappa=kappa))
+        factors = filter_factors(64, kappa)
         for k in range(1, 64):
             if factors[k - 1] > 1e-12:
                 r = recurrence_roots(dt, laplacian_symbol(grid, k))
@@ -93,14 +92,14 @@ def test_criterion_3_filter_correctness():
         rng = np.random.default_rng(100 + n)
         v = rng.normal(size=n + 1)
         v[0] = v[-1] = 0.0
-        spec = FilterSpec(kappa=1.6)
-        got = apply_filter_values(Field(grid, v).values, spec)[:, 0]
+        kappa = 1.6
+        got = apply_filter_values(Field(grid, v).values, kappa)[:, 0]
         x2 = np.linspace(0.0, 2 * np.pi, 2 * n, endpoint=False)
         w = np.concatenate([v, -v[-2:0:-1]])
         want = np.zeros(n + 1)
         for k in range(1, n):
             ck = np.sum(w * np.exp(-1j * k * x2)) / (2 * n)
-            want += spec.sigma(spec.kappa * k / n) * 2.0 * np.real(
+            want += sigma8(kappa * k / n) * 2.0 * np.real(
                 ck * np.exp(1j * k * grid.nodes))
         dense_ok &= bool(np.max(np.abs(got - want)) < 1e-12)
 
@@ -168,10 +167,10 @@ def test_criterion_8_dd_overlap_monotonicity():
     vals = np.sin(np.outer(grid.nodes, np.arange(1, 20))) @ rng.normal(size=19)
     vals += 0.5 + 0.25 * np.cos(grid.nodes)
     u = Field(grid, vals)
-    spec = FilterSpec(kappa=3.0)
+    kappa = 3.0
     diff = np.max(np.abs(
-        postprocess_field(u, spec, layout=make_layout(grid, 1, 8)).values
-        - postprocess_field(u, spec).values))
+        postprocess_field(u, kappa, layout=make_layout(grid, 1, 8)).values
+        - postprocess_field(u, kappa).values))
     ok = monotone and diff < 1e-12
     _verdict(8, ok, f"max ratios {[f'{r:.2f}' for r in ladder]} monotone={monotone}, "
                     f"N_d=1 mismatch {diff:.2e}")
@@ -191,10 +190,10 @@ def test_criterion_9_2d_stability_beyond_explicit_limit():
 
     X, Y = np.meshgrid(x, y, indexing="ij")
     u = Field(grid, np.cos(X) * np.cos(Y) + 0.05 * np.sin(2 * X) * np.sin(3 * Y))
-    spec = FilterSpec(kappa=2.0)
-    post = postprocess2d(u, spec, spec).values
-    edges_ok = (np.array_equal(post[:, 0], filter_boundary_trace(u.values[:, 0], spec))
-                and np.array_equal(post[0, :], filter_boundary_trace(u.values[0, :], spec)))
+    kappa = 2.0
+    post = postprocess2d(u, kappa, kappa).values
+    edges_ok = (np.array_equal(post[:, 0], filter_boundary_trace(u.values[:, 0], kappa))
+                and np.array_equal(post[0, :], filter_boundary_trace(u.values[0, :], kappa)))
     ok = out.stable and edges_ok
     _verdict(9, ok, f"stable at dt=2*(h^2/6) for 500 steps={out.stable}, "
                     f"edges exact={edges_ok}")

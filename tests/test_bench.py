@@ -131,33 +131,69 @@ def test_error_norms_2d_weights_each_axis():
         error_norms(u, Field.zeros(make_grid_2d(48)))
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _dotted(node, aliases):
+    """The rdfilter name an expression reads (``bench.step`` ->
+    ``rdfilter.bench.step``), or None when it is rooted elsewhere."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id)
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value, aliases)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
 def _perfbench_uses():
-    """(module, name) pairs the benchmark's workloads import from rdfilter or
-    read from ``bench.``, and the keywords they pass to each bench call."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    tree = ast.parse(path.read_text())
-    names, keywords = set(), {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rdfilter"):
-            names.update((node.module, alias.name) for alias in node.names)
-        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-              and node.value.id == "bench"):
-            names.add(("rdfilter.bench", node.attr))
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name) and node.func.value.id == "bench"):
-            keywords.setdefault(node.func.attr, set()).update(
-                k.arg for k in node.keywords if k.arg)
+    """What the benchmark's scripts read of rdfilter, as dotted names mapped
+    to whether the last part must sit in its owner's own ``vars`` (read as
+    ``vars(core.Grid1D)["nodes"]``), and the keywords they pass to each call."""
+    names, keywords = {}, {}
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {alias.asname or alias.name: f"{node.module}.{alias.name}"
+                   for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   and (node.module or "").startswith("rdfilter") for alias in node.names}
+        for node in ast.walk(tree):
+            name = _dotted(node, aliases)
+            if name:
+                names.setdefault(name, False)
+            if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Name) and node.value.func.id == "vars"
+                    and isinstance(node.slice, ast.Constant)):
+                owner = _dotted(node.value.args[0], aliases)
+                if owner:
+                    names[f"{owner}.{node.slice.value}"] = True
+            if isinstance(node, ast.Call) and _dotted(node.func, aliases):
+                keywords.setdefault(_dotted(node.func, aliases), set()).update(
+                    k.arg for k in node.keywords if k.arg)
     return names, keywords
 
 
+def _resolve(name: str, own: bool = False):
+    """The object ``rdfilter.<module>.<attr>...`` names; AttributeError if absent."""
+    package, module, *attrs = name.split(".")
+    obj = importlib.import_module(f"{package}.{module}")
+    for i, attr in enumerate(attrs, 1):
+        if own and i == len(attrs) and attr not in vars(obj):
+            raise AttributeError(f"{attr!r} is not in vars({obj.__name__})")
+        obj = getattr(obj, attr)
+    return obj
+
+
 def test_perfbench_workload_names_resolve():
+    # every perfbench/*.py counts: test_smoke.py reads bench.step and
+    # vars(core.Grid1D)["nodes"], workloads.py calls the bench drivers
     names, keywords = _perfbench_uses()
-    assert ("rdfilter", "bench") in names and ("rdfilter.bench", "integrate_1d") in names
-    for module, name in sorted(names):
-        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+    assert {"rdfilter.bench.integrate_1d", "rdfilter.bench.step",
+            "rdfilter.core.Field.blown_up"} <= set(names)
+    assert names["rdfilter.core.Grid1D.nodes"] and names["rdfilter.core.ReactionSystem.__init__"]
+    for name, own in sorted(names.items()):
+        _resolve(name, own)
     for func, used in keywords.items():
-        params = inspect.signature(getattr(bench, func)).parameters
-        assert used <= set(params), f"bench.{func} lacks {used - set(params)}"
+        params = inspect.signature(_resolve(func)).parameters
+        assert used <= set(params), f"{func} lacks {used - set(params)}"
 
 
 def test_ratio_to_dt():
@@ -253,6 +289,11 @@ def test_predator_prey_steady_state_with_constant_boundaries():
     assert traj["final_update"] < 1e-6
 
 
+def test_run_predator_prey_rejects_T_given_with_n_steps():
+    with pytest.raises(ConfigError, match="^T: "):
+        run_predator_prey(PredatorPreyCase(), 32, 2.0, T=10.0, n_steps=5)
+
+
 def test_integrate_1d_detects_blowup():
     from rdfilter.core import zero_reaction
 
@@ -291,6 +332,17 @@ def test_dd_study_rejects_an_overlap_above_the_cap_and_notes_the_cap(monkeypatch
     assert calls == []
     rows = run_dd_study(64, 2, (14, 16))
     assert [(r.overlap, r.note) for r in rows] == [(0, ""), (14, ""), (16, "saturated")]
+
+
+def test_dd_study_notes_a_row_that_reached_the_ratio_cap(monkeypatch):
+    # the bisection returns RATIO_MAX when every ratio up to it survives
+    ratios = {None: bench.RATIO_MAX, 8: 20.0, 16: bench.RATIO_MAX}
+    monkeypatch.setattr(bench, "bisect_max_stable_ratio",
+                        lambda grid, layout, *args, **kwargs:
+                        ratios[layout and layout.overlap])
+    rows = run_dd_study(64, 2, (8, 16))
+    assert [(r.overlap, r.ratio, r.note) for r in rows] == [
+        (0, 64.0, "capped"), (8, 20.0, ""), (16, 64.0, "saturated, capped")]
 
 
 def test_steps_to_rounds_and_rejects_fewer_than_two_steps(monkeypatch):

@@ -25,14 +25,13 @@ from rdfilter.core import (
 )
 from rdfilter.ddm import blend_weights, make_layout
 from rdfilter.filtering import (
-    FilterSpec,
     filter_factors,
     kappa_critical,
     postprocess_field,
     sigma8,
 )
 from rdfilter.shift import cosine_basis, endpoint_inverse
-from rdfilter.stepper import NewtonDivergence, StepConfig, newton_point_solve
+from rdfilter.stepper import NewtonDivergence, newton_point_solve
 
 
 def _assert_read_only(array):
@@ -56,10 +55,9 @@ def test_grid_nodes_cached_read_only_and_exact():
 
 def test_filter_factors_cached_read_only_and_exact():
     for n, kappa in ((8, 1.0), (64, 2.7), (4096, 5.3)):
-        spec = FilterSpec(kappa=kappa)
-        factors = filter_factors(n, spec)
+        factors = filter_factors(n, kappa)
         assert np.array_equal(factors, sigma8(kappa * np.arange(1, n) / n))
-        assert filter_factors(n, FilterSpec(kappa=kappa)) is factors  # equal specs share
+        assert filter_factors(n, float(np.float64(kappa))) is factors  # equal kappas share
         _assert_read_only(factors)
 
 
@@ -168,7 +166,7 @@ def test_postprocess_matches_uncached_formula(n, ratio, shift_order, seed):
                       t_next=dt)
     expected = _postprocess_uncached(u_new.values, kappa, uxx)
     for _ in range(2):  # the second call reads every array from the caches
-        out = postprocess_field(u_new, FilterSpec(kappa), shift_order=shift_order,
+        out = postprocess_field(u_new, kappa, shift_order=shift_order,
                                 **kwargs)
         assert np.max(np.abs(out.values - expected)) <= 1e-13
 
@@ -189,10 +187,9 @@ def test_m1_division_matches_dense_solve():
     coeff = 3.0
     rng = np.random.default_rng(5)
     rhs = rng.uniform(-0.8, 0.8, size=(257, 1))
-    cfg = StepConfig(dt=0.5)
-    one = newton_point_solve(rhs, _atan_reaction(coeff, 1), None, 0.0, cfg, coeff=coeff)
+    one = newton_point_solve(rhs, _atan_reaction(coeff, 1), None, 0.0, coeff, rhs / coeff)
     two = newton_point_solve(np.repeat(rhs, 2, axis=1), _atan_reaction(coeff, 2),
-                             None, 0.0, cfg, coeff=coeff)
+                             None, 0.0, coeff, np.repeat(rhs, 2, axis=1) / coeff)
     assert np.max(np.abs(one[:, 0] - two[:, 0])) <= 1e-15
     assert np.max(np.abs(two[:, 0] - two[:, 1])) == 0.0
     assert np.max(np.abs(np.arctan(one) - rhs)) <= 1e-12
@@ -202,31 +199,31 @@ def test_m1_divergence_reports_same_node_as_dense_solve():
     coeff = 3.0
     initial = np.full((9, 1), 0.1)
     initial[6] = 2.0
-    cfg = StepConfig(dt=0.5, newton_max_iter=5)
     nodes = []
     for m in (1, 2):
         with pytest.raises(NewtonDivergence) as info:
             newton_point_solve(np.zeros((9, m)), _atan_reaction(coeff, m), None, 0.0,
-                               cfg, initial=np.repeat(initial, m, axis=1), coeff=coeff)
+                               coeff, np.repeat(initial, m, axis=1))
         nodes.append(info.value.node)
     assert nodes == [6, 6]
 
 
-def test_m1_zero_jacobian_raises_newton_divergence_at_that_node():
-    # f(u) = c u - u^2 / 2 makes the Jacobian of c u - f(u), namely u, vanish
-    # at u = 0; the division must not turn that node into +-inf and accept it.
+@pytest.mark.parametrize("m", [1, 2])
+def test_zero_jacobian_raises_newton_divergence_at_that_node(m):
+    # f(u) = c u - u^2 / 2 per component makes the Jacobian of c u - f(u),
+    # diag(u), vanish at u = 0: the division must not turn that node into
+    # +-inf and accept it, and the dense solve must not raise LinAlgError.
     coeff = 3.0
     reaction = ReactionSystem(
-        m=1,
+        m=m,
         eval=lambda x, t, u: coeff * u - 0.5 * u * u,
-        jacobian=lambda x, t, u: (coeff - u)[..., np.newaxis],
+        jacobian=lambda x, t, u: (coeff - u)[..., np.newaxis] * np.eye(m),
     )
-    initial = np.full((9, 1), 1.0)
+    initial = np.full((9, m), 1.0)
     initial[4] = 0.0
     with np.errstate(all="raise"):  # no divide-by-zero warning either
         with pytest.raises(NewtonDivergence) as info:
-            newton_point_solve(np.full((9, 1), 0.5), reaction, None, 0.0,
-                               StepConfig(dt=0.5), initial=initial, coeff=coeff)
+            newton_point_solve(np.full((9, m), 0.5), reaction, None, 0.0, coeff, initial)
     assert info.value.node == 4
     assert info.value.residual == 0.5
 
@@ -241,12 +238,11 @@ def test_u_independent_solve_is_bit_identical_to_the_general_solve(m, nodes, coe
     rng = np.random.default_rng(seed)
     source = rng.standard_normal(nodes + (m,)) * 10.0 ** rng.uniform(-3, 3)
     rhs = rng.standard_normal(nodes + (m,))
-    initial = rng.standard_normal(nodes + (m,)) if guess else None
+    initial = rng.standard_normal(nodes + (m,)) if guess else rhs / coeff
     flagged = source_reaction(lambda x, t: source, m=m)
     cleared = replace(flagged, u_independent=False)
-    cfg = StepConfig(dt=1.0)
-    fast = newton_point_solve(rhs, flagged, None, 0.0, cfg, initial=initial, coeff=coeff)
-    slow = newton_point_solve(rhs, cleared, None, 0.0, cfg, initial=initial, coeff=coeff)
+    fast = newton_point_solve(rhs, flagged, None, 0.0, coeff, initial)
+    slow = newton_point_solve(rhs, cleared, None, 0.0, coeff, initial)
     assert fast.tobytes() == slow.tobytes()
 
 
@@ -260,7 +256,7 @@ def test_non_finite_source_diverges_at_the_same_node_either_way(m, bad):
     for reaction in (flagged, replace(flagged, u_independent=False)):
         with np.errstate(invalid="ignore"):
             with pytest.raises(NewtonDivergence) as info:
-                newton_point_solve(np.zeros((9, m)), reaction, None, 0.0, StepConfig(dt=0.5))
+                newton_point_solve(np.zeros((9, m)), reaction, None, 0.0, 3.0, np.zeros((9, m)))
         failures.append((info.value.node, repr(info.value.residual)))
     assert failures[0] == failures[1]
     assert failures[0][0] == 5

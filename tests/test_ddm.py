@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rdfilter.core import Field, make_grid_1d, zero_reaction
 from rdfilter.ddm import blend_weights, make_layout
-from rdfilter.filtering import FilterSpec, KappaMonitor, postprocess_field
+from rdfilter.filtering import KappaMonitor, postprocess_field
 
 GRID = make_grid_1d(64)
 
@@ -77,25 +77,25 @@ def test_single_subdomain_matches_global_pipeline():
     vals = np.sin(np.outer(GRID.nodes, np.arange(1, 12))) @ rng.normal(size=11)
     vals += 0.4 + 0.7 * np.cos(GRID.nodes)
     u = Field(GRID, vals)
-    spec = FilterSpec(kappa=3.0)
+    kappa = 3.0
     layout = make_layout(GRID, 1, 8)
-    got = postprocess_field(u, spec, layout=layout).values
-    want = postprocess_field(u, spec).values
+    got = postprocess_field(u, kappa, layout=layout).values
+    want = postprocess_field(u, kappa).values
     assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_cosine_unchanged_any_layout():
     u = Field(GRID, np.cos(GRID.nodes))
-    spec = FilterSpec(kappa=3.0)
+    kappa = 3.0
     for nd, ov in [(1, 4), (2, 4), (2, 8), (4, 8)]:
         layout = make_layout(GRID, nd, ov)
-        out = postprocess_field(u, spec, layout=layout)
+        out = postprocess_field(u, kappa, layout=layout)
         assert np.max(np.abs(out.values - u.values)) < 1e-10, (nd, ov)
 
 
 def test_zero_field_maps_to_zero():
     layout = make_layout(GRID, 4, 8)
-    out = postprocess_field(Field.zeros(GRID), FilterSpec(kappa=2.0), layout=layout)
+    out = postprocess_field(Field.zeros(GRID), 2.0, layout=layout)
     assert np.all(out.values == 0.0)
 
 
@@ -103,7 +103,7 @@ def test_third_order_local_shift_runs_and_blends():
     u = Field(GRID, (GRID.nodes / np.pi) ** 4 + np.cos(2 * GRID.nodes))
     layout = make_layout(GRID, 2, 8)
     out = postprocess_field(
-        u, FilterSpec(kappa=1e-9), shift_order=3,
+        u, 1e-9, shift_order=3,
         history=(u, u), reaction=zero_reaction(), dt=0.1, t_next=0.1, layout=layout,
     )
     # identity filter: the decomposition must reproduce the field
@@ -113,7 +113,7 @@ def test_third_order_local_shift_runs_and_blends():
 def test_third_order_requires_history():
     layout = make_layout(GRID, 2, 8)
     with pytest.raises(ValueError):
-        postprocess_field(Field.zeros(GRID), FilterSpec(2.0), shift_order=3, layout=layout)
+        postprocess_field(Field.zeros(GRID), 2.0, shift_order=3, layout=layout)
 
 
 def test_gibbs_perturbation_localized_at_interfaces():
@@ -122,10 +122,10 @@ def test_gibbs_perturbation_localized_at_interfaces():
     grid = make_grid_1d(128)
     x = grid.nodes
     u = Field(grid, np.exp(-((x - 1.2) ** 2)) + 0.5 * np.cos(x))
-    spec = FilterSpec(kappa=4.0)
+    kappa = 4.0
     layout = make_layout(grid, 4, 8)
-    single = np.abs(postprocess_field(u, spec).values - u.values)[:, 0]
-    dd = np.abs(postprocess_field(u, spec, layout=layout).values - u.values)[:, 0]
+    single = np.abs(postprocess_field(u, kappa).values - u.values)[:, 0]
+    dd = np.abs(postprocess_field(u, kappa, layout=layout).values - u.values)[:, 0]
     interfaces = [lo for lo, _ in layout.ranges[1:]] + [hi for _, hi in layout.ranges[:-1]]
     dist = np.min(np.abs(np.subtract.outer(np.arange(129), interfaces)), axis=1)
     far = dist >= layout.overlap
@@ -134,9 +134,9 @@ def test_gibbs_perturbation_localized_at_interfaces():
 
 def test_monitor_rejected_with_several_strips():
     u = Field(GRID, np.cos(GRID.nodes))
-    spec = FilterSpec(kappa=3.0)
+    kappa = 3.0
     with pytest.raises(ValueError, match="KappaMonitor"):
-        postprocess_field(u, spec, monitor=KappaMonitor(3.0), layout=make_layout(GRID, 2, 8))
-    one = postprocess_field(u, spec, monitor=KappaMonitor(3.0), layout=make_layout(GRID, 1, 8))
-    assert np.array_equal(one.values, postprocess_field(u, spec, monitor=KappaMonitor(3.0)).values)
+        postprocess_field(u, kappa, monitor=KappaMonitor(3.0), layout=make_layout(GRID, 2, 8))
+    one = postprocess_field(u, kappa, monitor=KappaMonitor(3.0), layout=make_layout(GRID, 1, 8))
+    assert np.array_equal(one.values, postprocess_field(u, kappa, monitor=KappaMonitor(3.0)).values)
 

@@ -10,7 +10,6 @@ from rdfilter.bench import integrate_1d, ratio_to_dt
 from rdfilter.core import Field, laplacian_symbol, make_grid_1d, source_reaction, zero_reaction
 from rdfilter.ddm import make_layout
 from rdfilter.filtering import (
-    FilterSpec,
     KappaMonitor,
     apply_filter_values,
     filter_boundary_trace,
@@ -146,20 +145,20 @@ def test_apply_filter_identity_at_tiny_kappa():
     rng = np.random.default_rng(3)
     vals = rng.normal(size=33)
     vals[0] = vals[-1] = 0.0
-    out = apply_filter_values(Field(grid, vals).values, FilterSpec(kappa=1e-6))
+    out = apply_filter_values(Field(grid, vals).values, 1e-6)
     assert np.max(np.abs(out[:, 0] - vals)) < 1e-8
 
 
 def test_apply_filter_kills_modes_beyond_cutoff():
     grid = make_grid_1d(16)
     # kappa*k/N >= 1 -> mode removed entirely
-    out = apply_filter_values(Field(grid, np.sin(8 * grid.nodes)).values, FilterSpec(kappa=2.0))
+    out = apply_filter_values(Field(grid, np.sin(8 * grid.nodes)).values, 2.0)
     assert np.max(np.abs(out)) < 1e-13
 
 
 def test_apply_filter_single_mode_half_damping():
     grid = make_grid_1d(8)
-    out = apply_filter_values(Field(grid, np.sin(2 * grid.nodes)).values, FilterSpec(kappa=2.0))
+    out = apply_filter_values(Field(grid, np.sin(2 * grid.nodes)).values, 2.0)
     want = 0.5 * np.sin(2 * grid.nodes)
     assert np.max(np.abs(out[:, 0] - want)) < 1e-13
 
@@ -167,7 +166,7 @@ def test_apply_filter_single_mode_half_damping():
 def test_apply_filter_rejects_unshifted_input():
     grid = make_grid_1d(8)
     with pytest.raises(ValueError):
-        apply_filter_values(Field(grid, np.cos(grid.nodes)).values, FilterSpec(kappa=1.0))
+        apply_filter_values(Field(grid, np.cos(grid.nodes)).values, 1.0)
 
 
 @pytest.mark.parametrize("n", [8, 12, 16])
@@ -178,22 +177,22 @@ def test_apply_filter_matches_dense_fourier_sum(n):
     rng = np.random.default_rng(n)
     vals = rng.normal(size=n + 1)
     vals[0] = vals[-1] = 0.0
-    spec = FilterSpec(kappa=1.3)
-    got = apply_filter_values(Field(grid, vals).values, spec)[:, 0]
+    kappa = 1.3
+    got = apply_filter_values(Field(grid, vals).values, kappa)[:, 0]
     x2 = np.linspace(0.0, 2.0 * np.pi, 2 * n, endpoint=False)
     w = np.concatenate([vals, -vals[-2:0:-1]])
     want = np.zeros(n + 1)
     for k in range(1, n):
         ck = np.sum(w * np.exp(-1j * k * x2)) / (2 * n)
         mode = 2.0 * np.real(ck * np.exp(1j * k * grid.nodes))
-        want += spec.sigma(spec.kappa * k / n) * mode
+        want += sigma8(kappa * k / n) * mode
     assert np.max(np.abs(got - want)) < 1e-12
 
 
 def _assert_retained_modes_stable(n: int, ratio: float) -> None:
     grid = make_grid_1d(n)
     dt = ratio * grid.h**2 / 3.0
-    factors = filter_factors(n, FilterSpec(kappa=kappa_critical(dt, grid.h)))
+    factors = filter_factors(n, kappa_critical(dt, grid.h))
     for k in np.nonzero(factors > 1e-12)[0] + 1:
         roots = recurrence_roots(dt, laplacian_symbol(grid, k))
         assert np.max(np.abs(roots)) <= 1.0 + 1e-12, f"mode {k}"
@@ -212,15 +211,15 @@ def test_retained_modes_stable_at_critical_kappa_on_any_grid(n, ratio):
 
 def test_filter_boundary_trace_constant_and_cosine():
     x = np.linspace(0.0, np.pi, 65)
-    assert np.max(np.abs(filter_boundary_trace(np.full(65, 2.0), FilterSpec(3.0)) - 2.0)) < 1e-13
-    out = filter_boundary_trace(np.cos(x), FilterSpec(3.0))
+    assert np.max(np.abs(filter_boundary_trace(np.full(65, 2.0), 3.0) - 2.0)) < 1e-13
+    out = filter_boundary_trace(np.cos(x), 3.0)
     assert np.max(np.abs(out - np.cos(x))) < 1e-13
 
 
 def test_filter_boundary_trace_removes_high_mode():
     x = np.linspace(0.0, np.pi, 65)
     trace = 1.0 + 0.5 * np.cos(x) + 1e-3 * np.sin(32 * x)
-    out = filter_boundary_trace(trace, FilterSpec(kappa=4.0))
+    out = filter_boundary_trace(trace, 4.0)
     assert np.max(np.abs(out - (1.0 + 0.5 * np.cos(x)))) < 1e-12
     # endpoints reproduced exactly
     assert out[0] == trace[0] and out[-1] == trace[-1]
@@ -294,10 +293,10 @@ def _postprocess_case(n, ratio, shift_order, n_subdomains, overlap, reaction):
     layout = _layout_or_none(grid, n_subdomains, overlap)
     assume(layout is not None)
     dt = ratio_to_dt(ratio, grid.h)
-    spec = FilterSpec(kappa_critical(dt, grid.h))
+    kappa = kappa_critical(dt, grid.h)
 
     def post(u):
-        return postprocess_field(u, spec, shift_order, (u, u), reaction, dt, dt,
+        return postprocess_field(u, kappa, shift_order, (u, u), reaction, dt, dt,
                                  layout=layout).values
 
     return grid, post
@@ -345,10 +344,10 @@ def test_postprocess_is_linear_at_first_order(n, ratio, shift_order, n_subdomain
 def test_postprocess_field_roundtrip_identity_filter():
     grid = make_grid_1d(64)
     u = Field(grid, (grid.nodes / np.pi) ** 4 + np.cos(2 * grid.nodes))
-    out1 = postprocess_field(u, FilterSpec(kappa=1e-9), shift_order=1)
+    out1 = postprocess_field(u, 1e-9, shift_order=1)
     assert np.max(np.abs(out1.values - u.values)) < 1e-8
     hist = (u, u)
-    out3 = postprocess_field(u, FilterSpec(kappa=1e-9), shift_order=3,
+    out3 = postprocess_field(u, 1e-9, shift_order=3,
                              history=hist, reaction=zero_reaction(), dt=0.1,
                              t_next=0.1)
     assert np.max(np.abs(out3.values - u.values)) < 1e-8
@@ -357,7 +356,7 @@ def test_postprocess_field_roundtrip_identity_filter():
 def test_postprocess_field_preserves_boundary_values():
     grid = make_grid_1d(32)
     u = Field(grid, np.cos(grid.nodes) + np.sin(5 * grid.nodes))
-    out = postprocess_field(u, FilterSpec(kappa=3.0))
+    out = postprocess_field(u, 3.0)
     assert out.values[0, 0] == u.values[0, 0]
     assert out.values[-1, 0] == u.values[-1, 0]
 

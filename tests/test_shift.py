@@ -7,13 +7,25 @@ from rdfilter.core import Field, make_grid_1d, zero_reaction
 from rdfilter.shift import (
     cosine_basis,
     estimate_uxx_nodes,
-    odd_extend_values,
     shift1d,
 )
 
 GRID = make_grid_1d(64)
 BASIS1 = cosine_basis(64, 2)
 BASIS3 = cosine_basis(64, 4)
+
+
+def odd_extend_values(values: np.ndarray) -> np.ndarray:
+    """(N+1, m) values with zero endpoints -> odd 2pi-periodic (2N, m) sequence:
+    the extension the DST-I of the filter implies, built out to inspect it."""
+    end = max(float(np.max(np.abs(values[0]))), float(np.max(np.abs(values[-1]))))
+    if end > 1.0e-12:
+        raise ValueError(f"odd extension needs zero endpoint values (got {end:.3e}); shift first")
+    n = values.shape[0] - 1
+    out = np.empty((2 * n,) + values.shape[1:])
+    out[: n + 1] = values
+    out[n + 1:] = -values[n - 1:0:-1]
+    return out
 
 
 def _shift(u: Field, uxx_0=None, uxx_pi=None):

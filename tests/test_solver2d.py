@@ -12,13 +12,13 @@ from rdfilter.core import (
     make_grid_2d,
     zero_reaction,
 )
-from rdfilter.filtering import FilterSpec
+from rdfilter.filtering import sigma8
 from rdfilter.solver2d import (
     BoundaryData2D,
     kappa_critical_2d,
     postprocess2d,
 )
-from rdfilter.stepper import StepConfig, apply_laplacian, recurrence_roots, step
+from rdfilter.stepper import apply_laplacian, recurrence_roots, step
 
 GRID = make_grid_2d(16, 16)
 X, Y = np.meshgrid(GRID.nodes_x, GRID.nodes_y, indexing="ij")
@@ -46,22 +46,21 @@ def test_laplacian_tensor_eigenfunction():
 
 
 def test_step2d_zero_fixed_point():
-    cfg = StepConfig(dt=1e-4)
+    dt = 1e-4
     z = Field.zeros(GRID)
-    state = SchemeState(z, z, 0.0, cfg.dt)
-    out = step(state, zero_reaction(), cfg, HOMOGENEOUS.sample(GRID, cfg.dt))
+    state = SchemeState(z, z, 0.0, dt)
+    out = step(state, zero_reaction(), HOMOGENEOUS.sample(GRID, dt))
     assert np.all(out.values == 0.0)
 
 
 def test_step2d_single_tensor_mode_recurrence():
     k, l = 3, 2
     dt = 0.1 * GRID.hx**2
-    cfg = StepConfig(dt=dt)
     lam = laplacian_symbol(GRID.hx, k) + laplacian_symbol(GRID.hy, l)
     mode = np.sin(k * X) * np.sin(l * Y)
     u = Field(GRID, mode)
     state = SchemeState(u, u, 0.0, dt)
-    out = step(state, zero_reaction(), cfg, HOMOGENEOUS.sample(GRID, cfg.dt))
+    out = step(state, zero_reaction(), HOMOGENEOUS.sample(GRID, dt))
     want = (4.0 - 1.0 + 2.0 * dt * lam * (2.0 - 1.0)) / 3.0
     assert np.max(np.abs(out.values[:, :, 0] - want * mode)) < 1e-11
 
@@ -69,11 +68,10 @@ def test_step2d_single_tensor_mode_recurrence():
 def test_startup2d_forward_euler_symbol():
     k, l = 2, 2
     dt = 0.1 * GRID.hx**2
-    cfg = StepConfig(dt=dt)
     lam = laplacian_symbol(GRID.hx, k) + laplacian_symbol(GRID.hy, l)
     mode = np.sin(k * X) * np.sin(l * Y)
     u0 = Field(GRID, mode)
-    out = step(SchemeState(u0, u0, 0.0, dt), zero_reaction(), cfg,
+    out = step(SchemeState(u0, u0, 0.0, dt), zero_reaction(),
                HOMOGENEOUS.sample(GRID, dt), startup=True)
     assert np.max(np.abs(out.values[:, :, 0] - (1.0 + dt * lam) * mode)) < 1e-11
 
@@ -98,10 +96,10 @@ def test_step_writes_x_edges_over_the_corners():
         h0=lambda y, t: np.zeros_like(y), hpi=lambda y, t: np.zeros_like(y),
     )
     z = Field.zeros(GRID)
-    cfg = StepConfig(dt=1e-4)
+    dt = 1e-4
     for startup in (False, True):
-        out = step(SchemeState(z, z, 0.0, cfg.dt), zero_reaction(), cfg,
-                   bc.sample(GRID, cfg.dt), startup=startup).values[..., 0]
+        out = step(SchemeState(z, z, 0.0, dt), zero_reaction(),
+                   bc.sample(GRID, dt), startup=startup).values[..., 0]
         assert np.all(out[[0, 0, -1, -1], [0, -1, 0, -1]] == 0.0)
         assert np.all(out[1:-1, [0, -1]] == eps)
 
@@ -151,9 +149,9 @@ def test_closed_form_roots_match_recurrence_roots():
 def test_retained_tensor_modes_stable_at_2d_critical_kappa(n, ratio):
     h = np.pi / n
     dt = ratio * h**2 / 6.0
-    spec = FilterSpec(kappa=kappa_critical_2d(dt, h))
+    kappa = kappa_critical_2d(dt, h)
     k = np.arange(1, n)
-    sig = spec.sigma(spec.kappa * k / n)
+    sig = sigma8(kappa * k / n)
     lam = laplacian_symbol(h, k)
     keep = np.outer(sig, sig) > 1e-12
     modulus = _max_root_modulus(dt, lam[:, np.newaxis] + lam[np.newaxis, :])
@@ -168,16 +166,16 @@ def test_tensor_filter_separability():
     vals[0] = vals[-1] = 0.0
     vals[:, 0] = vals[:, -1] = 0.0
     u = Field(GRID, vals)
-    spec_x, spec_y, none = FilterSpec(kappa=2.0), FilterSpec(kappa=1.5), FilterSpec(kappa=1e-12)
-    joint = postprocess2d(u, spec_x, spec_y).values
-    both = postprocess2d(postprocess2d(u, spec_x, none), none, spec_y).values
+    kappa_x, kappa_y, none = 2.0, 1.5, 1e-12
+    joint = postprocess2d(u, kappa_x, kappa_y).values
+    both = postprocess2d(postprocess2d(u, kappa_x, none), none, kappa_y).values
     assert np.max(np.abs(joint - both)) < 1e-12
 
 
 def test_tensor_filter_kills_mode_beyond_cutoff():
     # sigma(kappa k / N) = 0 along x alone removes the product mode
     u = Field(GRID, np.sin(8 * X) * np.sin(1 * Y))
-    out = postprocess2d(u, FilterSpec(2.0), FilterSpec(2.0))
+    out = postprocess2d(u, 2.0, 2.0)
     assert np.max(np.abs(out.values)) < 1e-12
 
 
@@ -186,7 +184,7 @@ def test_tensor_filter_kills_mode_beyond_cutoff():
 ], ids=["constant", "cosx_plus_cosy", "cosx_cosy"])
 def test_postprocess2d_cosines_unchanged(field):
     u = Field(GRID, field)
-    out = postprocess2d(u, FilterSpec(kappa=3.0), FilterSpec(kappa=3.0))
+    out = postprocess2d(u, 3.0, 3.0)
     assert np.max(np.abs(out.values - u.values)) < 1e-10
 
 
@@ -217,7 +215,7 @@ def test_postprocess2d_matches_dense_tensor_oracle():
     xs, ys = np.meshgrid(grid.nodes_x, grid.nodes_y, indexing="ij")
     rng = np.random.default_rng(11)
     u = rng.normal(size=(nx + 1, ny + 1, m)) + (np.cos(xs) * np.cos(2 * ys))[..., np.newaxis]
-    got = postprocess2d(Field(grid, u), FilterSpec(kx), FilterSpec(ky)).values
+    got = postprocess2d(Field(grid, u), kx, ky).values
 
     g0, gpi = _dense_trace_filter(u[:, 0], kx), _dense_trace_filter(u[:, -1], kx)
     h0, hpi = _dense_trace_filter(u[0], ky), _dense_trace_filter(u[-1], ky)
@@ -241,13 +239,13 @@ def test_postprocess2d_matches_dense_tensor_oracle():
 
 def test_postprocess2d_identity_at_tiny_kappa():
     u = Field(GRID, np.cos(X) * np.cos(2 * Y) + np.sin(X) * np.sin(Y))
-    out = postprocess2d(u, FilterSpec(kappa=1e-9), FilterSpec(kappa=1e-9))
+    out = postprocess2d(u, 1e-9, 1e-9)
     assert np.max(np.abs(out.values - u.values)) < 1e-8
 
 
 def test_postprocess2d_kills_high_tensor_mode():
     u = Field(GRID, np.sin(8 * X) * np.sin(8 * Y))
-    out = postprocess2d(u, FilterSpec(kappa=2.0), FilterSpec(kappa=2.0))
+    out = postprocess2d(u, 2.0, 2.0)
     assert np.max(np.abs(out.values)) < 1e-10
 
 
@@ -255,11 +253,11 @@ def test_postprocess2d_preserves_filtered_boundary_exactly():
     from rdfilter.filtering import filter_boundary_trace
 
     u = Field(GRID, np.cos(X) * np.cos(Y) + 0.1 * np.sin(3 * X) * np.sin(2 * Y))
-    spec = FilterSpec(kappa=2.5)
-    out = postprocess2d(u, spec, spec).values
-    want_g0 = filter_boundary_trace(u.values[:, 0], spec)
+    kappa = 2.5
+    out = postprocess2d(u, kappa, kappa).values
+    want_g0 = filter_boundary_trace(u.values[:, 0], kappa)
     assert np.array_equal(out[:, 0], want_g0)
-    want_h0 = filter_boundary_trace(u.values[0, :], spec)
+    want_h0 = filter_boundary_trace(u.values[0, :], kappa)
     assert np.array_equal(out[0, :], want_h0)
 
 

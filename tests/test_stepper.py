@@ -13,7 +13,6 @@ from rdfilter.core import (
 )
 from rdfilter.stepper import (
     NewtonDivergence,
-    StepConfig,
     apply_laplacian,
     newton_point_solve,
     recurrence_roots,
@@ -21,9 +20,9 @@ from rdfilter.stepper import (
 )
 
 
-def _startup(u0, reaction, cfg, bc):
+def _startup(u0, reaction, dt, bc):
     """u^1 from u^0: the startup variant of the one stepper."""
-    return step(SchemeState(u0, u0, 0.0, cfg.dt), reaction, cfg, bc, startup=True)
+    return step(SchemeState(u0, u0, 0.0, dt), reaction, bc, startup=True)
 
 
 def linear_reaction(lam, m=1):
@@ -34,11 +33,24 @@ def linear_reaction(lam, m=1):
     )
 
 
-def test_step_config_validation():
-    with pytest.raises(ValueError):
-        StepConfig(dt=-1.0)
-    with pytest.raises(ValueError):
-        StepConfig(dt=0.1, newton_max_iter=0)
+def test_scheme_state_rejects_a_nonpositive_dt():
+    u = Field.zeros(make_grid_1d(8))
+    for dt in (-1.0, 0.0):
+        with pytest.raises(ValueError):
+            SchemeState(u, u, 0.0, dt)
+
+
+def test_step_follows_the_state_dt():
+    # dt lives only on the state: two states that differ in dt alone step differently
+    grid = make_grid_1d(16)
+    u = Field(grid, np.sin(grid.nodes))
+    steps = [step(SchemeState(u, u, 0.0, dt), zero_reaction(), (0.0, 0.0)).values
+             for dt in (1.0e-3, 1.0e-2)]
+    assert not np.array_equal(steps[0], steps[1])
+    lam = laplacian_symbol(grid, 1)
+    for dt, got in zip((1.0e-3, 1.0e-2), steps):  # (4 - 1 + 2 dt lam) / 3 on sin(x)
+        want = (3.0 + 2.0 * dt * lam) / 3.0 * np.sin(grid.nodes)
+        assert np.max(np.abs(got[:, 0] - want)) < 1e-12
 
 
 def test_dxx_annihilates_constants_and_linears():
@@ -59,38 +71,39 @@ def test_dxx_sine_eigenfunction():
 
 
 def test_newton_zero_reaction_closed_form():
-    cfg = StepConfig(dt=0.2)
+    coeff = 3.0 / (2.0 * 0.2)
     rhs = np.array([[1.0], [2.5], [-0.3]])
-    u = newton_point_solve(rhs, zero_reaction(), np.zeros(3), 0.0, cfg)
-    assert np.allclose(u, rhs * (2.0 * cfg.dt / 3.0), atol=1e-14)
+    u = newton_point_solve(rhs, zero_reaction(), np.zeros(3), 0.0, coeff, np.zeros((3, 1)))
+    assert np.allclose(u, rhs * (2.0 * 0.2 / 3.0), atol=1e-14)
 
 
 def test_newton_linear_decay_closed_form():
-    # f(u) = -u, dt = 0.1: (15 + 1) u = rhs
-    cfg = StepConfig(dt=0.1)
+    # f(u) = -u, c = 15: (15 + 1) u = rhs
     rhs = np.array([[2.0], [8.0]])
-    u = newton_point_solve(rhs, linear_reaction(-1.0), np.zeros(2), 0.0, cfg)
+    u = newton_point_solve(rhs, linear_reaction(-1.0), np.zeros(2), 0.0, 15.0, rhs / 15.0)
     assert np.allclose(u, rhs / 16.0, atol=1e-14)
 
 
 def test_newton_linear_converges_in_one_update():
     # linear residual: a single Newton update lands on the solution exactly
-    cfg = StepConfig(dt=0.1, newton_max_iter=2)
+    calls = []
+    base = linear_reaction(-1.0)
+    reaction = ReactionSystem(m=1, eval=base.eval,
+                              jacobian=lambda x, t, u: calls.append(1) or base.jacobian(x, t, u))
     rhs = np.array([[5.0]])
-    u = newton_point_solve(rhs, linear_reaction(-1.0), np.zeros(1), 0.0, cfg,
-                           initial=np.array([[123.0]]))
+    u = newton_point_solve(rhs, reaction, np.zeros(1), 0.0, 15.0, np.array([[123.0]]))
     assert abs(u[0, 0] - 5.0 / 16.0) < 1e-12
+    assert len(calls) == 1
 
 
 def test_newton_cubic_against_bisection():
-    # f(u) = -u^3, dt = 0.5: solve 3u + u^3 = 1
+    # f(u) = -u^3, c = 3: solve 3u + u^3 = 1
     cubic = ReactionSystem(
         m=1,
         eval=lambda x, t, u: -(u**3),
         jacobian=lambda x, t, u: -3.0 * u[..., np.newaxis] ** 2,
     )
-    cfg = StepConfig(dt=0.5)
-    u = newton_point_solve(np.array([[1.0]]), cubic, np.zeros(1), 0.0, cfg)
+    u = newton_point_solve(np.array([[1.0]]), cubic, np.zeros(1), 0.0, 3.0, np.zeros((1, 1)))
     lo, hi = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -102,23 +115,24 @@ def test_newton_cubic_against_bisection():
 
 
 def test_newton_divergence_reports_node():
-    # f(u) = u^2 with a rhs far from any root and almost no iterations
+    # c u - 1e8 u^2 = rhs with c = 1.5 has no real root at either node;
+    # the one with the larger residual after the last update is reported
     hard = ReactionSystem(
         m=1,
         eval=lambda x, t, u: u**2 * 1e8,
         jacobian=lambda x, t, u: 2e8 * u[..., np.newaxis],
     )
-    cfg = StepConfig(dt=1.0, newton_max_iter=1)
-    with pytest.raises(NewtonDivergence):
-        newton_point_solve(np.array([[1.0], [50.0]]), hard, np.zeros(2), 0.0, cfg,
-                           initial=np.array([[1.0], [1.0]]))
+    with pytest.raises(NewtonDivergence) as info:
+        newton_point_solve(np.array([[1.0], [50.0]]), hard, np.zeros(2), 0.0, 1.5,
+                           np.array([[1.0], [1.0]]))
+    assert info.value.node == 1
 
 
 def test_step_zero_fixed_point():
     grid = make_grid_1d(16)
-    cfg = StepConfig(dt=1e-3)
-    state = SchemeState(Field.zeros(grid), Field.zeros(grid), 0.0, cfg.dt)
-    out = step(state, zero_reaction(), cfg, (0.0, 0.0))
+    dt = 1e-3
+    state = SchemeState(Field.zeros(grid), Field.zeros(grid), 0.0, dt)
+    out = step(state, zero_reaction(), (0.0, 0.0))
     assert np.all(out.values == 0.0)
 
 
@@ -129,10 +143,9 @@ def test_step_single_mode_recurrence_formula():
     k = 5
     dt = 0.2 * grid.h**2
     lam = laplacian_symbol(grid, k)
-    cfg = StepConfig(dt=dt)
     u = Field(grid, np.sin(k * grid.nodes))
     state = SchemeState(u, u, 0.0, dt)
-    out = step(state, zero_reaction(), cfg, (0.0, 0.0))
+    out = step(state, zero_reaction(), (0.0, 0.0))
     want = (4.0 - 1.0 + 2.0 * dt * lam * (2.0 - 1.0)) / 3.0
     assert np.max(np.abs(out.values[:, 0] - want * np.sin(k * grid.nodes))) < 1e-12
 
@@ -142,7 +155,6 @@ def test_recurrence_roots_predict_twenty_steps():
     k = 4
     dt = 0.25 * grid.h**2
     lam = laplacian_symbol(grid, k)
-    cfg = StepConfig(dt=dt)
     # start the recurrence from amplitudes a0 = 1, a1 = 1 + dt*lam (startup symbol)
     a_prev, a_curr = 1.0, 1.0 + dt * lam
     u_prev = Field(grid, a_prev * np.sin(k * grid.nodes))
@@ -150,7 +162,7 @@ def test_recurrence_roots_predict_twenty_steps():
     probe = np.argmax(np.abs(np.sin(k * grid.nodes)))
     for n in range(20):
         state = SchemeState(u_curr, u_prev, (n + 1) * dt, dt)
-        u_next = step(state, zero_reaction(), cfg, (0.0, 0.0))
+        u_next = step(state, zero_reaction(), (0.0, 0.0))
         a_next = (4.0 * a_curr - a_prev + 2.0 * dt * lam * (2.0 * a_curr - a_prev)) / 3.0
         got = u_next.values[probe, 0] / np.sin(k * grid.nodes[probe])
         assert abs(got - a_next) < 1e-10
@@ -178,34 +190,34 @@ def test_unfiltered_stability_threshold_by_root_scan():
 
 def test_startup_zero_and_sine_symbol():
     grid = make_grid_1d(32)
-    cfg = StepConfig(dt=0.3 * grid.h**2)
-    out = _startup(Field.zeros(grid), zero_reaction(), cfg, (0.0, 0.0))
+    dt = 0.3 * grid.h**2
+    out = _startup(Field.zeros(grid), zero_reaction(), dt, (0.0, 0.0))
     assert np.all(out.values == 0.0)
     k = 3
     lam = laplacian_symbol(grid, k)
     u0 = Field(grid, np.sin(k * grid.nodes))
-    u1 = _startup(u0, zero_reaction(), cfg, (0.0, 0.0))
-    want = (1.0 + cfg.dt * lam) * np.sin(k * grid.nodes)
+    u1 = _startup(u0, zero_reaction(), dt, (0.0, 0.0))
+    want = (1.0 + dt * lam) * np.sin(k * grid.nodes)
     assert np.max(np.abs(u1.values[:, 0] - want)) < 1e-9
 
 
 def test_startup_linear_reaction_closed_form():
     grid = make_grid_1d(16)
     lam = -2.5
-    cfg = StepConfig(dt=0.01)
+    dt = 0.01
     u0 = Field(grid, np.sin(grid.nodes) + 0.2 * np.sin(3 * grid.nodes))
-    u1 = _startup(u0, linear_reaction(lam), cfg, (0.0, 0.0))
+    u1 = _startup(u0, linear_reaction(lam), dt, (0.0, 0.0))
     dxx0 = apply_laplacian(u0).values
-    want = (u0.values + cfg.dt * dxx0) / (1.0 - cfg.dt * lam)
+    want = (u0.values + dt * dxx0) / (1.0 - dt * lam)
     assert np.max(np.abs(u1.values[1:-1] - want[1:-1])) < 1e-10
 
 
 def test_step_boundary_values_imposed():
     grid = make_grid_1d(16)
-    cfg = StepConfig(dt=1e-3)
+    dt = 1e-3
     u = Field(grid, np.sin(grid.nodes))
-    state = SchemeState(u, u, 0.0, cfg.dt)
-    out = step(state, zero_reaction(), cfg, (1.5, -2.0))
+    state = SchemeState(u, u, 0.0, dt)
+    out = step(state, zero_reaction(), (1.5, -2.0))
     assert out.values[0, 0] == 1.5 and out.values[-1, 0] == -2.0
 
 
@@ -224,12 +236,11 @@ def test_temporal_second_order_linear_reaction():
     errors = []
     for n_steps in (64, 128, 256):
         dt = T / n_steps
-        cfg = StepConfig(dt=dt)
         u_prev = Field(grid, np.sin(grid.nodes))
-        u_curr = _startup(u_prev, reaction, cfg, (0.0, 0.0))
+        u_curr = _startup(u_prev, reaction, dt, (0.0, 0.0))
         for n in range(1, n_steps):
             state = SchemeState(u_curr, u_prev, n * dt, dt)
-            u_prev, u_curr = u_curr, step(state, reaction, cfg, (0.0, 0.0))
+            u_prev, u_curr = u_curr, step(state, reaction, (0.0, 0.0))
         semi = np.exp((lam - 1.0) * T) * np.sin(grid.nodes)
         errors.append(np.max(np.abs(u_curr.values[:, 0] - semi)))
         exact = np.exp(-2.0 * T) * np.sin(grid.nodes)
@@ -245,13 +256,12 @@ def test_spatial_second_order_linear_reaction():
     errors = []
     for n in (16, 32, 64):
         grid = make_grid_1d(n)
-        cfg = StepConfig(dt=dt)
         u_prev = Field(grid, np.sin(grid.nodes))
-        u_curr = _startup(u_prev, reaction, cfg, (0.0, 0.0))
+        u_curr = _startup(u_prev, reaction, dt, (0.0, 0.0))
         n_steps = round(T / dt)
         for i in range(1, n_steps):
             state = SchemeState(u_curr, u_prev, i * dt, dt)
-            u_prev, u_curr = u_curr, step(state, reaction, cfg, (0.0, 0.0))
+            u_prev, u_curr = u_curr, step(state, reaction, (0.0, 0.0))
         exact = np.exp(-2.0 * T) * np.sin(grid.nodes)
         errors.append(np.max(np.abs(u_curr.values[:, 0] - exact)))
     for p in _order(errors):
