@@ -389,18 +389,11 @@ def run_accuracy_sweep(case: ManufacturedCase, grid_sizes, ratios, shift_orders,
 
 
 def run_predator_prey(case: PredatorPreyCase, n_intervals: int, ratio: float,
-                      T: float | None = None, n_steps: int | None = None,
-                      shift_order: int = 1, filter_on: bool = True,
-                      kappa_fraction: float = 1.0) -> tuple[SweepRow, dict]:
-    """Run to ``T`` (default 1) or for ``n_steps`` steps, not both."""
-    if T is not None and n_steps is not None:
-        raise ConfigError("T: give T or n_steps, not both")
+                      n_steps: int, shift_order: int = 1) -> tuple[SweepRow, dict]:
+    """Run ``n_steps`` steps at 3 dt / h^2 = ratio, tracking each species' minimum."""
     grid = make_grid_1d(n_intervals)
     dt = ratio_to_dt(ratio, grid.h)
-    if n_steps is None:
-        n_steps = steps_to(T if T is not None else 1.0, dt)
     row, out = run_case_1d(case, grid, dt, n_steps, shift_order=shift_order,
-                           filter_on=filter_on, kappa_fraction=kappa_fraction,
                            track_min=True)
     return row, {"min_u": float(out.min_values[0]), "min_v": float(out.min_values[1]),
                  "final_update": out.final_update, "final": out.field}

@@ -128,10 +128,10 @@ def filter_boundary_trace(samples: np.ndarray, kappa: float) -> np.ndarray:
 class KappaMonitor:
     """Optional per-step kappa adaptation.
 
-    Watches the energy in the top quarter of the retained sine modes; if it
-    grows by more than 5 % two steps in a row, kappa grows by 10 % (the
-    module constants; they are ours, the method only says the optimum can be
-    found by monitoring high-frequency growth).
+    Watches the energy in the top quarter of the retained sine modes; when it
+    grows by more than GROWTH_THRESHOLD on GROWTH_STEPS consecutive steps,
+    kappa is multiplied by BUMP_FACTOR (the method only says the optimum can
+    be found by monitoring high-frequency growth).
     """
 
     def __init__(self, kappa: float):

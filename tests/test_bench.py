@@ -289,11 +289,6 @@ def test_predator_prey_steady_state_with_constant_boundaries():
     assert traj["final_update"] < 1e-6
 
 
-def test_run_predator_prey_rejects_T_given_with_n_steps():
-    with pytest.raises(ConfigError, match="^T: "):
-        run_predator_prey(PredatorPreyCase(), 32, 2.0, T=10.0, n_steps=5)
-
-
 def test_integrate_1d_detects_blowup():
     from rdfilter.core import zero_reaction
 
