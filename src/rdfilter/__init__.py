@@ -29,6 +29,7 @@ from .core import (
 from .stepper import (
     NewtonDivergence,
     apply_laplacian,
+    estimate_uxx_nodes,
     newton_point_solve,
     recurrence_roots,
     step,

@@ -3,12 +3,14 @@ predator-prey system with excited boundaries, accuracy sweeps over the
 normalized step ratio 3 dt / h^2, and domain-decomposition overlap studies.
 
 The drivers ``integrate_1d`` and ``integrate_2d`` only build their boundary
-sampler and their postprocess; both run the one step loop, ``_time_loop``."""
+sampler and their postprocess; both run the one step loop, ``_time_loop``,
+the one place that turns the time levels into u_xx for the postprocess."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -28,7 +30,7 @@ from .core import (
 from .ddm import SubdomainLayout, make_layout
 from .filtering import KappaMonitor, kappa_critical, postprocess_field
 from .solver2d import BoundaryData2D, kappa_critical_2d, postprocess2d
-from .stepper import NewtonDivergence, apply_laplacian, step
+from .stepper import NewtonDivergence, apply_laplacian, estimate_uxx_nodes, step
 
 
 # ---------------------------------------------------------------------------
@@ -225,27 +227,27 @@ class RunOutcome:
     steps: int
     wall_ms: float
     kappa: float
-    min_values: np.ndarray | None = None
+    min_values: np.ndarray
     final_update: float = np.inf
     failure: str | None = None
 
 
 def _time_loop(reaction: ReactionSystem, u0: Field, dt: float, n_steps: int,
-               bc_at: Callable, postprocess: Callable | None, kappa: float,
-               track_min: bool = False) -> RunOutcome:
+               bc_at: Callable, postprocess: Callable | None, kappa: float) -> RunOutcome:
     """The step loop of both drivers: ``n_steps`` steps of size ``dt`` from u0,
     the first one the startup step, each followed by ``postprocess(u_new,
-    history, t_next)`` unless that is None; ``history`` is (u^n, u^{n-1}), or
-    None after the startup step, which has only one level behind it.
+    uxx_at)`` unless that is None; ``uxx_at(nodes)`` estimates u_xx at those
+    nodes from three levels, so it is None after the startup step.
 
     A step is blown up (``Field.blown_up``) when its values exceed
     ``core.BLOWUP_THRESHOLD`` after its postprocess; every step but the
     startup step is also checked before it.
     A blow-up or a Newton failure ends the run and is reported, never raised.
     ``final_update`` is max |u^N - u^{N-1}| / dt over the last two levels, once
-    a step after the startup step has completed, else inf.
+    a step after the startup step has completed, else inf.  ``min_values``
+    are the per-component minima over u0 and every completed step.
     """
-    mins = np.min(u0.values.reshape(-1, u0.m), axis=0) if track_min else None
+    mins = np.min(u0.values.reshape(-1, u0.m), axis=0)
     start = time.perf_counter()
 
     def _done(stable, steps, fld, failure=None, levels=None):
@@ -267,11 +269,12 @@ def _time_loop(reaction: ReactionSystem, u0: Field, dt: float, n_steps: int,
         if (n > 0 or postprocess is None) and u_new.blown_up():
             return _done(False, n + 1, u_new)
         if postprocess is not None:
-            u_new = postprocess(u_new, (u_curr, u_prev) if n > 0 else None, t_next)
+            uxx_at = None if n == 0 else partial(
+                estimate_uxx_nodes, u_new, u_curr, u_prev, reaction, dt, t_next)
+            u_new = postprocess(u_new, uxx_at)
             if u_new.blown_up():
                 return _done(False, n + 1, u_new)
-        if track_min:
-            mins = np.minimum(mins, np.min(u_new.values.reshape(-1, u0.m), axis=0))
+        mins = np.minimum(mins, np.min(u_new.values.reshape(-1, u0.m), axis=0))
         u_prev, u_curr, lap_prev = u_curr, u_new, lap_curr
     return _done(True, n_steps, u_curr, levels=(u_curr, u_prev))
 
@@ -279,24 +282,26 @@ def _time_loop(reaction: ReactionSystem, u0: Field, dt: float, n_steps: int,
 def integrate_1d(reaction: ReactionSystem, grid: Grid1D, dt: float, n_steps: int,
                  bc_fn: Callable, u0: Field, shift_order: int = 1,
                  filter_on: bool = True, kappa_fraction: float = 1.0,
-                 kappa_adapt: bool = False, layout: SubdomainLayout | None = None,
-                 track_min: bool = False) -> RunOutcome:
+                 kappa_adapt: bool = False, layout: SubdomainLayout | None = None) -> RunOutcome:
     """Run the full pipeline for ``n_steps`` steps of size ``dt``.
 
     ``bc_fn(t)`` returns the Dirichlet pair at time t.  Postprocessing (when
     ``filter_on``) is applied after every step, including the startup step
     (which uses a first-order shift: only two time levels exist there).
     """
+    if shift_order not in (1, 3):
+        raise ValueError(f"shift_order must be 1 or 3, got {shift_order}")
+    if u0.grid != grid:
+        raise ValueError(f"u0 lives on {u0.grid}, not on {grid}")
     kappa = kappa_fraction * kappa_critical(dt, grid.h)
     monitor = KappaMonitor(kappa) if kappa_adapt else None
 
-    def postprocess(u, history, t_next):
-        order = shift_order if history is not None else 1
-        return postprocess_field(u, kappa, order, history, reaction, dt, t_next,
+    def postprocess(u, uxx_at):
+        return postprocess_field(u, kappa, uxx_at if shift_order == 3 else None,
                                  monitor, layout)
 
     out = _time_loop(reaction, u0, dt, n_steps, bc_fn,
-                     postprocess if filter_on else None, kappa, track_min)
+                     postprocess if filter_on else None, kappa)
     if monitor is not None:
         out.kappa = monitor.kappa
     return out
@@ -306,10 +311,12 @@ def integrate_2d(reaction: ReactionSystem, grid: Grid2D, dt: float, n_steps: int
                  bc: BoundaryData2D, u0: Field, filter_on: bool = True,
                  kappa_fraction: float = 1.0) -> RunOutcome:
     """2D driver; first-order shifts only."""
+    if u0.grid != grid:
+        raise ValueError(f"u0 lives on {u0.grid}, not on {grid}")
     kappa_x = kappa_fraction * kappa_critical_2d(dt, grid.hx)
     kappa_y = kappa_fraction * kappa_critical_2d(dt, grid.hy)
 
-    def postprocess(u, history, t_next):
+    def postprocess(u, uxx_at):
         return postprocess2d(u, kappa_x, kappa_y)
 
     return _time_loop(reaction, u0, dt, n_steps, lambda t: bc.sample(grid, t, u0.m),
@@ -355,15 +362,14 @@ def steps_to(T: float, dt: float) -> int:
 def run_case_1d(case: ManufacturedCase | PredatorPreyCase, grid: Grid1D, dt: float,
                 n_steps: int, shift_order: int = 1, filter_on: bool = True,
                 kappa_fraction: float = 1.0, kappa_adapt: bool = False,
-                layout: SubdomainLayout | None = None,
-                track_min: bool = False) -> tuple[SweepRow, RunOutcome]:
+                layout: SubdomainLayout | None = None) -> tuple[SweepRow, RunOutcome]:
     """Integrate a 1D case from its initial data and score it as one row.  The
     errors are taken against ``case.exact_field`` at the final time when the
     case has one and the run was stable, else they are NaN."""
     out = integrate_1d(case.reaction(), grid, dt, n_steps, case.boundary,
                        case.initial(grid), shift_order=shift_order,
                        filter_on=filter_on, kappa_fraction=kappa_fraction,
-                       kappa_adapt=kappa_adapt, layout=layout, track_min=track_min)
+                       kappa_adapt=kappa_adapt, layout=layout)
     l2 = linf = float("nan")
     exact_field = getattr(case, "exact_field", None)
     if out.stable and exact_field is not None:
@@ -393,8 +399,7 @@ def run_predator_prey(case: PredatorPreyCase, n_intervals: int, ratio: float,
     """Run ``n_steps`` steps at 3 dt / h^2 = ratio, tracking each species' minimum."""
     grid = make_grid_1d(n_intervals)
     dt = ratio_to_dt(ratio, grid.h)
-    row, out = run_case_1d(case, grid, dt, n_steps, shift_order=shift_order,
-                           track_min=True)
+    row, out = run_case_1d(case, grid, dt, n_steps, shift_order=shift_order)
     return row, {"min_u": float(out.min_values[0]), "min_v": float(out.min_values[1]),
                  "final_update": out.final_update, "final": out.field}
 

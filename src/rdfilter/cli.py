@@ -132,6 +132,8 @@ _READS = {
     "dd": _OUTPUT | {"N", "n_subdomains", "overlaps"},
     "selftest": set(),
 }
+# The keys only the postprocess reads: ``filter`` off leaves them unread.
+_FILTER_KEYS = {"shift_order", "kappa_fraction", "kappa_adapt", "n_subdomains", "overlap"}
 
 
 def _coerce(key: str, raw: str):
@@ -158,7 +160,8 @@ def parse_config(text: str | None = None, overrides: dict | None = None,
     (compared as given, before ``RunConfig`` fills in ``ratio`` and
     ``grid_sizes``).  A key read only under a condition (``overlap`` needs
     ``n_subdomains`` > 1, ``N`` in ``sweep`` needs no ``grid_sizes``) is
-    rejected whenever it is given and the condition does not hold.  Last, the
+    rejected whenever it is given and the condition does not hold, and so is
+    every key of the postprocess with ``filter`` off.  Last, the
     strip layouts the subcommand would build are built (``_check_strips``).
     """
     pairs = []
@@ -182,6 +185,8 @@ def parse_config(text: str | None = None, overrides: dict | None = None,
         unread = {}  # keys the subcommand reads only under a condition
         if cfg.n_subdomains == 1 and "overlap" in _READS[name]:
             unread["overlap"] = " with n_subdomains 1"
+        if not cfg.filter_on:
+            unread.update(dict.fromkeys(_FILTER_KEYS & _READS[name], " with filter off"))
         if command == "sweep" and values.get("grid_sizes"):
             unread["N"] = " when grid_sizes is given"
         for key, value in values.items():

@@ -103,9 +103,8 @@ class Grid2D:
 
 
 def make_grid_2d(n_intervals_x: int, n_intervals_y: int | None = None) -> Grid2D:
-    if n_intervals_y is None:
-        n_intervals_y = n_intervals_x
-    return Grid2D(int(n_intervals_x), int(n_intervals_y))
+    return Grid2D(int(n_intervals_x),
+                  int(n_intervals_x if n_intervals_y is None else n_intervals_y))
 
 
 @lru_cache(maxsize=8)
@@ -199,14 +198,7 @@ class ReactionSystem:
 
 def zero_reaction(m: int = 1) -> ReactionSystem:
     """f == 0 (pure diffusion)."""
-
-    def _eval(x, t, u):
-        return np.zeros_like(u)
-
-    def _jac(x, t, u):
-        return np.zeros(u.shape + (m,))
-
-    return ReactionSystem(m=m, eval=_eval, jacobian=_jac, u_independent=True)
+    return source_reaction(lambda x, t: 0.0, m)
 
 
 def source_reaction(source: Callable, m: int = 1) -> ReactionSystem:

@@ -9,7 +9,8 @@ stability condition, so time steps far beyond dt = h^2/3 become usable.
 ``postprocess_field`` is the one 1D postprocess, on the whole grid or on
 the overlapping strips of a ``ddm.SubdomainLayout``; every strip, and every
 2D boundary trace (``filter_boundary_trace``), is shifted by
-``shift.shift1d``, filtered and shifted back the same way.
+``shift.shift1d``, filtered and shifted back the same way.  The third-order
+shift reads u_xx from a callable its caller passes, never the time levels.
 
 The stretching factor is a plain float.  ``filter_factors`` is the one
 place that evaluates sigma8; it memoizes the factors per (N, kappa) and
@@ -19,13 +20,14 @@ returns them read-only, so a run evaluates sigma once per grid and kappa.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from scipy.fft import dst, idst
 
-from .core import Field, ReactionSystem, read_only
+from .core import Field, read_only
 from .ddm import SubdomainLayout, blend_weights
-from .shift import cosine_basis, estimate_uxx_nodes, shift1d
+from .shift import cosine_basis, shift1d
 
 RETAIN_TOL = 1.0e-12
 # KappaMonitor multiplies kappa by BUMP_FACTOR once the watched energy has
@@ -161,10 +163,8 @@ class KappaMonitor:
         return self.kappa
 
 
-def postprocess_field(u: Field, kappa: float, shift_order: int = 1,
-                      history: tuple[Field, Field] | None = None,
-                      reaction: ReactionSystem | None = None,
-                      dt: float | None = None, t_next: float | None = None,
+def postprocess_field(u: Field, kappa: float,
+                      uxx_at: Callable[[np.ndarray], np.ndarray] | None = None,
                       monitor: KappaMonitor | None = None,
                       layout: SubdomainLayout | None = None) -> Field:
     """Shift, filter, inverse shift: on the whole grid, or per strip of ``layout``.
@@ -175,24 +175,20 @@ def postprocess_field(u: Field, kappa: float, shift_order: int = 1,
     whole grid; the strips are then blended over the overlaps.  Global
     boundary values are preserved exactly.
 
-    ``shift_order`` 3 needs the two history levels plus the reaction and time
-    step so the endpoint second derivatives can be estimated from the scheme.
-    A ``monitor`` adapts kappa from the sine coefficients of one strip; it
-    cannot watch several.
+    ``uxx_at(nodes)`` returns u_xx at those node indices, shape (len(nodes),
+    m); given it, each strip takes the third-order shift with u_xx at its two
+    end nodes, else the first-order shift.  A ``monitor`` adapts kappa from
+    the sine coefficients of one strip; it cannot watch several.
     """
-    if shift_order == 3:
-        if history is None or reaction is None or dt is None or t_next is None:
-            raise ValueError("shift_order=3 needs history, reaction, dt and t_next")
-    elif shift_order != 1:
-        raise ValueError(f"shift_order must be 1 or 3, got {shift_order}")
     n = u.grid.n_intervals
+    if layout is not None and layout.grid != u.grid:
+        raise ValueError(f"layout is for N={layout.grid.n_intervals}, the field has N={n}")
     ranges = ((0, n),) if layout is None else layout.ranges
     if monitor is not None and len(ranges) > 1:
         raise ValueError("a KappaMonitor watches one strip, not a layout of several")
 
     def strip(lo: int, hi: int) -> np.ndarray:
-        uxx = None if shift_order == 1 else estimate_uxx_nodes(
-            u, history[0], history[1], reaction, dt, t_next, np.array([lo, hi]))
+        uxx = None if uxx_at is None else uxx_at(np.array([lo, hi]))
         return _postprocess_strip(u.values[lo:hi + 1], n, lo, uxx, kappa, monitor)
 
     if len(ranges) == 1:  # the blend weights of a single strip are all 1

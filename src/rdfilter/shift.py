@@ -2,9 +2,9 @@
 
 Before filtering, a few cosine modes are subtracted so that the remainder
 vanishes at x = 0 and x = pi (and, for the third-order shift, so does its
-second derivative); the remainder then extends to an odd 2pi-periodic
-function smooth enough for the filter to act on without ringing.  That
-extension is never built: the DST-I of the filter implies it.
+second derivative, whose end values the caller passes); the remainder then
+extends to an odd 2pi-periodic function smooth enough for the filter to act
+on without ringing.  That extension is never built: the DST-I implies it.
 
 ``shift1d`` is the one shift: the whole-grid postprocess, each
 overlapping strip and each 2D boundary trace call it through
@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Field, ReactionSystem, read_only, uniform_nodes
+from .core import read_only, uniform_nodes
 
 
 @lru_cache(maxsize=64)
@@ -65,15 +65,3 @@ def shift1d(values: np.ndarray, n_intervals: int, lo: int = 0,
     v[[0, -1]] = 0.0  # exact by construction; clear the roundoff residue
     return v, alpha
 
-
-def estimate_uxx_nodes(u_next: Field, u_curr: Field, u_prev: Field,
-                       reaction: ReactionSystem, dt: float, t_next: float,
-                       idx: np.ndarray) -> np.ndarray:
-    """u_xx at the given nodes from the PDE itself:
-    u_xx ~= (3 u^{n+1} - 4 u^n + u^{n-1}) / (2 dt) - f(u^{n+1})."""
-    idx = np.asarray(idx)
-    xb = u_next.grid.nodes[idx]
-    ub = (3.0 * u_next.values[idx] - 4.0 * u_curr.values[idx]
-          + u_prev.values[idx]) / (2.0 * dt)
-    fb = reaction.eval(xb, t_next, u_next.values[idx])
-    return ub - fb

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .core import Field, Grid2D
-from .filtering import apply_filter_values, filter_boundary_trace
+from .filtering import apply_filter_values, filter_boundary_trace, kappa_critical
 from .shift import cosine_basis, shift1d
 from .stepper import set_boundary
 
@@ -74,15 +74,10 @@ def kappa_critical_2d(dt: float, h: float) -> float:
     """Per-axis critical stretching in 2D.
 
     The worst tensor mode pairs the per-axis cutoffs, so each axis gets half
-    the 1D stability budget: replace h^2 by h^2/2 in the 1D formula.  Below
-    dt = h^2/6 nothing is unstable.
+    the 1D stability budget: replace h^2 by h^2/2 in the 1D formula, which is
+    the 1D formula at 2 dt.  Below dt = h^2/6 nothing is unstable.
     """
-    if dt <= 0.0 or h <= 0.0:
-        raise ValueError("dt and h must be positive")
-    arg = 1.0 - h**2 / (3.0 * dt)
-    if arg <= -1.0:
-        return 1.0
-    return np.pi / np.arccos(arg)
+    return kappa_critical(2.0 * dt, h)
 
 
 def postprocess2d(u: Field, kappa_x: float, kappa_y: float) -> Field:

@@ -7,7 +7,8 @@ implicitly by a pointwise Newton solve:
 
 with L the second-difference Laplacian over the node axes.  ``step`` runs
 this update, or its startup variant, on a 1D or a 2D Field alike; a time
-loop hands it L u^{n-1} as the previous step's L u^n.
+loop hands it L u^{n-1} as the previous step's L u^n.  ``estimate_uxx_nodes``
+reads u_xx back from the same levels, for the third-order shift.
 
 The step size is ``SchemeState.dt``.  Only the pointwise m x m Jacobian of
 f is ever formed, and none for a u-independent f; the node solves are
@@ -59,15 +60,15 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
     ``rhs`` has shape (..., m); the solve is vectorized over the leading axes
     with one dense m x m factorization per node (a division for m = 1).
     Deterministic regardless of how nodes would be scheduled: every node only
-    touches its own values.  A ``u_independent`` f is evaluated once and its
-    Jacobian taken as 0, which gives the same bits as re-evaluating both.  A
-    node whose Jacobian is singular, or whose update is not finite, raises
+    touches its own values.  A ``u_independent`` f makes the equation linear
+    in u: its Jacobian is not taken, and the first update solves it.  A node
+    whose Jacobian is singular, or whose update is not finite, raises
     ``NewtonDivergence`` naming that node.
     """
     rhs = np.asarray(rhs, dtype=float)
     u = np.array(initial, dtype=float)
     eye = np.eye(reaction.m)
-    f_fixed = reaction.eval(x, t, u) if reaction.u_independent else None
+    f = reaction.eval(x, t, u)
 
     def _tol(uv):
         # The residual lives on the scale coeff*|u|; an absolute tolerance
@@ -81,12 +82,12 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
         return NewtonDivergence(node[0] if len(node) == 1 else node, worst)
 
     for iteration in range(NEWTON_MAX_ITER + 1):
-        residual = coeff * u - (reaction.eval(x, t, u) if f_fixed is None else f_fixed) - rhs
+        residual = coeff * u - f - rhs
         if np.max(np.abs(residual)) <= _tol(u):
             return u
         if iteration == NEWTON_MAX_ITER:
             break
-        jac = coeff * eye - (reaction.jacobian(x, t, u) if f_fixed is None else 0.0)
+        jac = coeff * eye if reaction.u_independent else coeff * eye - reaction.jacobian(x, t, u)
         if reaction.m == 1:  # a 1 x 1 solve is a division
             with np.errstate(divide="ignore", invalid="ignore"):
                 delta = residual / jac[..., 0]
@@ -99,6 +100,9 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
             bad = ~np.isfinite(delta).all(axis=-1)
             raise _diverged(bad, float(np.max(np.abs(residual[bad]))))
         u = u - delta
+        if reaction.u_independent:
+            return u
+        f = reaction.eval(x, t, u)
     worst = np.abs(residual)
     raise _diverged(worst.max(axis=-1), float(np.max(worst)))
 
@@ -155,6 +159,19 @@ def step(state: SchemeState, reaction: ReactionSystem, bc, startup: bool = False
                                     state.time + dt, coeff, un.values[inner])
     set_boundary(out, bc)
     return un.with_values(out)
+
+
+def estimate_uxx_nodes(u_next: Field, u_curr: Field, u_prev: Field,
+                       reaction: ReactionSystem, dt: float, t_next: float,
+                       idx: np.ndarray) -> np.ndarray:
+    """u_xx at the given nodes from the PDE itself:
+    u_xx ~= (3 u^{n+1} - 4 u^n + u^{n-1}) / (2 dt) - f(u^{n+1})."""
+    idx = np.asarray(idx)
+    xb = u_next.grid.nodes[idx]
+    ub = (3.0 * u_next.values[idx] - 4.0 * u_curr.values[idx]
+          + u_prev.values[idx]) / (2.0 * dt)
+    fb = reaction.eval(xb, t_next, u_next.values[idx])
+    return ub - fb
 
 
 def recurrence_roots(dt: float, lam: float) -> np.ndarray:

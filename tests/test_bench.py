@@ -360,7 +360,7 @@ def test_run_case_1d_rows_carry_the_layout_and_the_case_errors():
     row, out = bench.run_case_1d(case, grid, dt, 20, layout=make_layout(grid, 2, 4))
     assert (row.N, row.n_subdomains, row.overlap, row.steps) == (32, 2, 4, 20)
     assert (row.err_l2, row.err_linf) == error_norms(out.field, case.exact_field(grid, 20 * dt))
-    row, out = bench.run_case_1d(PredatorPreyCase(), grid, dt, 20, track_min=True)
+    row, out = bench.run_case_1d(PredatorPreyCase(), grid, dt, 20)
     assert row.stable and np.isnan(row.err_l2) and np.isnan(row.err_linf)
     assert (row.n_subdomains, row.overlap) == (1, 0) and out.min_values.shape == (2,)
 
@@ -447,6 +447,20 @@ def test_driver_exit_paths(driver, exit_path):
     assert out.kappa == KAPPA_RATIO_3
     if driver == "1d":
         assert out.final_update == pytest.approx(final_update, rel=1e-12)
+
+
+@pytest.mark.parametrize("driver", ["1d", "2d"])
+def test_drivers_reject_u0_on_another_grid(driver):
+    # kappa would be taken from the driver's h, not from the field's
+    if driver == "1d":
+        grid, u0 = make_grid_1d(64), Field.zeros(make_grid_1d(128))
+        run = lambda: integrate_1d(zero_reaction(), grid, 1e-3, 2, lambda t: (0.0, 0.0), u0)
+    else:
+        grid, u0 = make_grid_2d(8), Field.zeros(make_grid_2d(16))
+        bc = BoundaryData2D(*(lambda s, t: np.zeros_like(s),) * 4)
+        run = lambda: bench.integrate_2d(zero_reaction(), grid, 1e-3, 2, bc, u0)
+    with pytest.raises(ValueError, match="u0 lives on"):
+        run()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ reaction must be solved bit for bit as if its flag were cleared.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from rdfilter.filtering import (
     sigma8,
 )
 from rdfilter.shift import cosine_basis, endpoint_inverse
-from rdfilter.stepper import NewtonDivergence, newton_point_solve
+from rdfilter.stepper import NewtonDivergence, estimate_uxx_nodes, newton_point_solve
 
 
 def _assert_read_only(array):
@@ -157,17 +158,14 @@ def test_postprocess_matches_uncached_formula(n, ratio, shift_order, seed):
     base = np.cos(x) + x**2 / 7.0 + 0.1 * rng.standard_normal(n + 1)
     rate = rng.standard_normal(n + 1)  # so the endpoint u_xx estimates are O(1)
     u_prev, u_curr, u_new = (Field(grid, base + k * dt * rate) for k in range(3))
-    uxx = None
-    kwargs = {}
+    uxx = uxx_at = None
     if shift_order == 3:
         uxx = ((3.0 * u_new.values - 4.0 * u_curr.values + u_prev.values)
                / (2.0 * dt))[[0, -1]]
-        kwargs = dict(history=(u_curr, u_prev), reaction=zero_reaction(), dt=dt,
-                      t_next=dt)
+        uxx_at = partial(estimate_uxx_nodes, u_new, u_curr, u_prev, zero_reaction(), dt, dt)
     expected = _postprocess_uncached(u_new.values, kappa, uxx)
     for _ in range(2):  # the second call reads every array from the caches
-        out = postprocess_field(u_new, kappa, shift_order=shift_order,
-                                **kwargs)
+        out = postprocess_field(u_new, kappa, uxx_at)
         assert np.max(np.abs(out.values - expected)) <= 1e-13
 
 

@@ -103,6 +103,13 @@ def test_parse_config_rejects_custom_problem():
     assert main(["run", "--problem", "custom"]) == 1
 
 
+def test_filter_off_rejects_a_postprocess_key_even_at_its_default():
+    with pytest.raises(ConfigError, match="^shift_order: rdfilter sweep does not read it "
+                                          "with filter off$"):
+        parse_config("filter=off\nshift_order=1\n", command="sweep")
+    assert not parse_config("filter=off\n", command="run").filter_on
+
+
 @pytest.mark.parametrize("command, args, key", [
     ("sweep", ["--kappa-adapt", "true"], "kappa_adapt"),
     ("sweep", ["--config", "{cfg}"], "kappa_adapt"),
@@ -133,6 +140,15 @@ def test_parse_config_rejects_custom_problem():
     ("run", ["--ratio", "4", "--T", "0.0001"], "T"),
     ("run", ["--problem", "heat2d", "--dt", "0.01", "--T", "0.01"], "T"),
     ("sweep", ["--ratios", "1,8", "--T", "0.03"], "T"),
+    ("run", ["--filter", "off", "--kappa-adapt", "true"], "kappa_adapt"),
+    ("run", ["--filter", "off", "--shift-order", "3"], "shift_order"),
+    ("run", ["--filter", "off", "--kappa-fraction", "0.5"], "kappa_fraction"),
+    ("run", ["--filter", "off", "--n-subdomains", "2"], "n_subdomains"),
+    ("run", ["--filter", "off", "--n-subdomains", "2", "--overlap", "4"], "n_subdomains"),
+    ("run", ["--problem", "heat2d", "--filter", "off", "--kappa-fraction", "0.5"],
+     "kappa_fraction"),
+    ("sweep", ["--filter", "off", "--shift-order", "3"], "shift_order"),
+    ("sweep", ["--filter", "off", "--kappa-fraction", "0.5"], "kappa_fraction"),
 ])
 def test_main_rejects_keys_a_subcommand_does_not_read(tmp_path, capsys, command, args, key):
     files = {"cfg": "kappa_adapt=true\n", "variant": "sign_variant=bogus\n"}

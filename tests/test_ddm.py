@@ -1,13 +1,17 @@
 """Overlapping strip layouts and the strip path of the postprocess."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdfilter.bench import integrate_1d
 from rdfilter.core import Field, make_grid_1d, zero_reaction
 from rdfilter.ddm import blend_weights, make_layout
 from rdfilter.filtering import KappaMonitor, postprocess_field
+from rdfilter.stepper import estimate_uxx_nodes
 
 GRID = make_grid_1d(64)
 
@@ -103,17 +107,24 @@ def test_third_order_local_shift_runs_and_blends():
     u = Field(GRID, (GRID.nodes / np.pi) ** 4 + np.cos(2 * GRID.nodes))
     layout = make_layout(GRID, 2, 8)
     out = postprocess_field(
-        u, 1e-9, shift_order=3,
-        history=(u, u), reaction=zero_reaction(), dt=0.1, t_next=0.1, layout=layout,
+        u, 1e-9, partial(estimate_uxx_nodes, u, u, u, zero_reaction(), 0.1, 0.1),
+        layout=layout,
     )
     # identity filter: the decomposition must reproduce the field
     assert np.max(np.abs(out.values - u.values)) < 1e-8
 
 
-def test_third_order_requires_history():
-    layout = make_layout(GRID, 2, 8)
-    with pytest.raises(ValueError):
-        postprocess_field(Field.zeros(GRID), 2.0, shift_order=3, layout=layout)
+def test_integrate_1d_rejects_shift_order_2_even_unfiltered():
+    with pytest.raises(ValueError, match="shift_order must be 1 or 3, got 2"):
+        integrate_1d(zero_reaction(), GRID, 0.01, 2, lambda t: (0.0, 0.0),
+                     Field.zeros(GRID), shift_order=2, filter_on=False)
+
+
+def test_postprocess_rejects_a_layout_of_another_grid():
+    grid = make_grid_1d(128)
+    u = Field(grid, np.sin(grid.nodes) + 0.1)
+    with pytest.raises(ValueError, match="layout is for N=64, the field has N=128"):
+        postprocess_field(u, 2.0, layout=make_layout(GRID, 2, 8))
 
 
 def test_gibbs_perturbation_localized_at_interfaces():

@@ -1,5 +1,7 @@
 """Order-8 filter, critical stretching, sine-transform filtering pipeline."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +22,7 @@ from rdfilter.filtering import (
     sine_coefficients,
     sine_reconstruct,
 )
-from rdfilter.stepper import recurrence_roots
+from rdfilter.stepper import estimate_uxx_nodes, recurrence_roots
 
 
 def test_sigma8_anchor_values():
@@ -296,7 +298,8 @@ def _postprocess_case(n, ratio, shift_order, n_subdomains, overlap, reaction):
     kappa = kappa_critical(dt, grid.h)
 
     def post(u):
-        return postprocess_field(u, kappa, shift_order, (u, u), reaction, dt, dt,
+        uxx_at = partial(estimate_uxx_nodes, u, u, u, reaction, dt, dt)
+        return postprocess_field(u, kappa, uxx_at if shift_order == 3 else None,
                                  layout=layout).values
 
     return grid, post
@@ -344,12 +347,10 @@ def test_postprocess_is_linear_at_first_order(n, ratio, shift_order, n_subdomain
 def test_postprocess_field_roundtrip_identity_filter():
     grid = make_grid_1d(64)
     u = Field(grid, (grid.nodes / np.pi) ** 4 + np.cos(2 * grid.nodes))
-    out1 = postprocess_field(u, 1e-9, shift_order=1)
+    out1 = postprocess_field(u, 1e-9)
     assert np.max(np.abs(out1.values - u.values)) < 1e-8
-    hist = (u, u)
-    out3 = postprocess_field(u, 1e-9, shift_order=3,
-                             history=hist, reaction=zero_reaction(), dt=0.1,
-                             t_next=0.1)
+    out3 = postprocess_field(u, 1e-9,
+                             partial(estimate_uxx_nodes, u, u, u, zero_reaction(), 0.1, 0.1))
     assert np.max(np.abs(out3.values - u.values)) < 1e-8
 
 

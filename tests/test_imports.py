@@ -36,3 +36,37 @@ def test_unused_imports_finds_what_is_never_read():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# The postprocess is a posteriori: it reads a field and the u_xx its caller
+# hands it, never the time scheme, the drivers or the CLI.
+POSTPROCESS_MODULES = ("shift.py", "filtering.py", "ddm.py")
+FORBIDDEN = {"stepper", "bench", "cli", "ReactionSystem"}
+
+
+def layer_violations(source: str) -> list[str]:
+    """The dotted names ``source`` imports from ``stepper``, ``bench`` or
+    ``cli``, or that end in ``ReactionSystem``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{a.name}".lstrip(".") for a in node.names]
+        else:
+            continue
+        found += [name for name in names if FORBIDDEN & set(name.split("."))]
+    return found
+
+
+def test_layer_violations_finds_every_kind():
+    source = ("import rdfilter.bench\nfrom .stepper import step\n"
+              "from .core import ReactionSystem, read_only\nfrom . import cli\n"
+              "from .ddm import blend_weights\n")
+    assert layer_violations(source) == ["rdfilter.bench", "stepper.step",
+                                        "core.ReactionSystem", "cli"]
+
+
+@pytest.mark.parametrize("name", POSTPROCESS_MODULES)
+def test_postprocess_modules_import_nothing_of_the_time_scheme(name):
+    assert layer_violations((ROOT / "src" / "rdfilter" / name).read_text()) == []

@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from rdfilter.core import Field, make_grid_1d, zero_reaction
-from rdfilter.shift import (
-    cosine_basis,
-    estimate_uxx_nodes,
-    shift1d,
-)
+from rdfilter.core import Field, make_grid_1d
+from rdfilter.shift import cosine_basis, shift1d
 
 GRID = make_grid_1d(64)
 BASIS1 = cosine_basis(64, 2)
@@ -84,13 +80,6 @@ def test_shift3_hand_solutions():
     assert np.allclose(alpha[:, 0], [0.0, 9 / 8, 0.0, -1 / 8], atol=1e-14)
 
 
-def test_shift3_zero_history():
-    u = Field.zeros(GRID)
-    uxx = estimate_uxx_nodes(u, u, u, zero_reaction(), 0.01, 0.01, [0, 64])
-    _, alpha = shift1d(u.values, 64, uxx=uxx)
-    assert np.all(alpha == 0.0)
-
-
 def test_shift3_endpoint_conditions_exact():
     x = GRID.nodes
     u = Field(GRID, (x / np.pi) ** 4 + np.cos(3 * x))
@@ -102,24 +91,6 @@ def test_shift3_endpoint_conditions_exact():
     for xe, target in ((0.0, uxx0), (np.pi, uxxpi)):
         vxx = target + np.sum(alpha[:, 0] * (modes**2) * np.cos(modes * xe))
         assert abs(vxx) < 1e-12
-
-
-def test_estimate_uxx_matches_true_second_derivative():
-    # pure diffusion, single mode: u^n = exp(lam t_n) sin(x) solves the
-    # recurrence only approximately, so feed the exact PDE relation instead:
-    # u^{n+1}, u^n, u^{n-1} sampled from u(x,t) = exp(-t) sin(x) + 2
-    grid = make_grid_1d(128)
-    dt = 1e-4
-    x = grid.nodes
-
-    def u_at(t):
-        return Field(grid, np.exp(-t) * np.sin(x) + 2.0)
-
-    uxx0, uxxpi = estimate_uxx_nodes(
-        u_at(3 * dt), u_at(2 * dt), u_at(dt), zero_reaction(), dt, 3 * dt, [0, 128]
-    )
-    # u_t = -exp(-t) sin(x) -> 0 at both ends, so u_xx estimate ~ u_t - f = 0
-    assert abs(uxx0[0]) < 1e-6 and abs(uxxpi[0]) < 1e-6
 
 
 def test_odd_extension_of_sines():
