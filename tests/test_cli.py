@@ -144,7 +144,6 @@ def test_filter_off_rejects_a_postprocess_key_even_at_its_default():
     ("run", ["--filter", "off", "--shift-order", "3"], "shift_order"),
     ("run", ["--filter", "off", "--kappa-fraction", "0.5"], "kappa_fraction"),
     ("run", ["--filter", "off", "--n-subdomains", "2"], "n_subdomains"),
-    ("run", ["--filter", "off", "--n-subdomains", "2", "--overlap", "4"], "n_subdomains"),
     ("run", ["--problem", "heat2d", "--filter", "off", "--kappa-fraction", "0.5"],
      "kappa_fraction"),
     ("sweep", ["--filter", "off", "--shift-order", "3"], "shift_order"),

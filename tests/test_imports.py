@@ -45,8 +45,8 @@ FORBIDDEN = {"stepper", "bench", "cli", "ReactionSystem"}
 
 
 def layer_violations(source: str) -> list[str]:
-    """The dotted names ``source`` imports from ``stepper``, ``bench`` or
-    ``cli``, or that end in ``ReactionSystem``."""
+    """The dotted names ``source`` imports that pass through ``stepper``,
+    ``bench`` or ``cli``, or that name ``ReactionSystem``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
