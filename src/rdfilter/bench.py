@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -33,6 +33,11 @@ from .solver2d import BoundaryData2D, kappa_critical_2d, postprocess2d
 from .stepper import NewtonDivergence, apply_laplacian, estimate_uxx_nodes, step
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name}: must be finite and positive, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Test cases
 
@@ -40,7 +45,6 @@ from .stepper import NewtonDivergence, apply_laplacian, estimate_uxx_nodes, step
 class ManufacturedCase:
     """Chosen exact solution with its induced source s = u_t - u_xx."""
 
-    name: str
     exact: Callable          # (x, t) -> values
     source: Callable         # (x, t) -> values
 
@@ -75,15 +79,16 @@ def manufactured_heat_case() -> ManufacturedCase:
         return (-np.sin(t) * ((x / np.pi) ** 4 + np.cos(3.0 * x))
                 - np.cos(t) * (12.0 * x**2 / np.pi**4 - 9.0 * np.cos(3.0 * x)))
 
-    return ManufacturedCase("heat1d", exact, source)
+    return ManufacturedCase(exact, source)
 
 
-def quadratic_manufactured_case(omega: float = 10.0) -> ManufacturedCase:
-    """u(x,t) = cos(omega t) (1 + x (pi - x)).
+def quadratic_manufactured_case() -> ManufacturedCase:
+    """u(x,t) = cos(omega t) (1 + x (pi - x)) with omega = 10.
 
     The second-difference stencil is exact on quadratics, so the numerical
     error of this case is purely temporal; used to observe the order in dt.
     """
+    omega = 10.0
 
     def exact(x, t):
         x = np.asarray(x)
@@ -93,7 +98,7 @@ def quadratic_manufactured_case(omega: float = 10.0) -> ManufacturedCase:
         x = np.asarray(x)
         return -omega * np.sin(omega * t) * (1.0 + x * (np.pi - x)) + 2.0 * np.cos(omega * t)
 
-    return ManufacturedCase("quad1d", exact, source)
+    return ManufacturedCase(exact, source)
 
 
 def manufactured_heat_case_2d() -> dict:
@@ -106,40 +111,33 @@ def manufactured_heat_case_2d() -> dict:
         x, y = xy
         return (-np.sin(t) + 5.0 * np.cos(t)) * np.cos(2.0 * x) * np.cos(y)
 
-    bc = BoundaryData2D(
-        g0=lambda x, t: exact(x, 0.0, t),
-        gpi=lambda x, t: exact(x, np.pi, t),
-        h0=lambda y, t: exact(0.0, y, t),
-        hpi=lambda y, t: exact(np.pi, y, t),
-    )
-    return {"exact": exact, "reaction": source_reaction(source), "bc": bc}
+    return {"exact": exact, "reaction": source_reaction(source), "bc": BoundaryData2D(exact)}
 
 
 @dataclass(frozen=True)
 class PredatorPreyCase:
-    """Reaction-diffusion predator-prey system on (0, pi).
+    """Reaction-diffusion predator-prey system on (0, pi), with the rates
+    a, b, c, d = 1.2, 1.0, 0.1, 0.2.
 
-    ``sign_variant`` 'printed' uses dv/dt = v_xx - c u - d u v; 'classical'
-    uses dv/dt = v_xx - c v + d u v (the form whose reaction-only ODE actually
-    orbits a cycle and keeps both species nonnegative).
+    Both species are held at ``base_level`` at both ends, times 1 + cos t
+    when ``excited``; the initial data is the boundary value at t = 0 at
+    every node.  ``sign_variant`` 'printed' uses dv/dt = v_xx - c u - d u v;
+    'classical' uses dv/dt = v_xx - c v + d u v (the form whose reaction-only
+    ODE actually orbits a cycle and keeps both species nonnegative).
     """
 
-    a: float = 1.2
-    b: float = 1.0
-    c: float = 0.1
-    d: float = 0.2
-    u_left: float = 1.0
-    u_right: float = 1.0
-    v_left: float = 1.0
-    v_right: float = 1.0
+    a: ClassVar[float] = 1.2
+    b: ClassVar[float] = 1.0
+    c: ClassVar[float] = 0.1
+    d: ClassVar[float] = 0.2
+    base_level: float = 1.0
     excited: bool = True
     sign_variant: str = "classical"
 
     def __post_init__(self):
         if self.sign_variant not in ("printed", "classical"):
             raise ValueError("sign_variant must be 'printed' or 'classical'")
-        if min(self.u_left, self.u_right, self.v_left, self.v_right) <= 0.0:
-            raise ValueError("base boundary levels must be positive")
+        _require_positive("base_level", self.base_level)
 
     def ode_rhs(self, w: np.ndarray) -> np.ndarray:
         u, v = w[..., 0], w[..., 1]
@@ -171,23 +169,18 @@ class PredatorPreyCase:
         )
 
     def boundary(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        factor = 1.0 + np.cos(t) if self.excited else 1.0
-        return (np.array([self.u_left, self.v_left]) * factor,
-                np.array([self.u_right, self.v_right]) * factor)
+        level = self.base_level * (1.0 + np.cos(t) if self.excited else 1.0)
+        return np.full(2, level), np.full(2, level)
 
     def initial(self, grid: Grid1D) -> Field:
-        left, right = self.boundary(0.0)
-        frac = grid.nodes / np.pi
-        vals = left[np.newaxis, :] * (1.0 - frac[:, np.newaxis]) \
-            + right[np.newaxis, :] * frac[:, np.newaxis]
-        return Field(grid, vals)
+        return Field(grid, np.tile(self.boundary(0.0)[0], (len(grid.nodes), 1)))
 
 
-def ode_orbit_check(case: PredatorPreyCase, w0=(1.0, 1.0), t_max: float = 120.0,
-                    return_tol: float = 0.05) -> bool:
-    """Fine-step ODE oracle: does the reaction-only trajectory from ``w0``
-    return near its start (a cycle) rather than spiral to equilibrium or
-    leave the positive quadrant?"""
+def ode_orbit_check(case: PredatorPreyCase) -> bool:
+    """Fine-step ODE oracle: does the reaction-only trajectory from (1, 1)
+    come back within 0.05 of its start over t in [1, 120] (a cycle) rather
+    than spiral to equilibrium or leave the positive quadrant?"""
+    w0, t_max = (1.0, 1.0), 120.0
     sol = solve_ivp(lambda t, w: case.ode_rhs(np.asarray(w)), (0.0, t_max), w0,
                     rtol=1.0e-10, atol=1.0e-12, dense_output=True, max_step=0.5)
     if not sol.success or np.min(sol.y) < -1.0e-8 or np.max(np.abs(sol.y)) > 1.0e6:
@@ -195,7 +188,7 @@ def ode_orbit_check(case: PredatorPreyCase, w0=(1.0, 1.0), t_max: float = 120.0,
     t = np.linspace(1.0, t_max, 4000)
     w = sol.sol(t)
     dist = np.hypot(w[0] - w0[0], w[1] - w0[1])
-    return bool(np.min(dist) < return_tol)
+    return bool(np.min(dist) < 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +286,7 @@ def integrate_1d(reaction: ReactionSystem, grid: Grid1D, dt: float, n_steps: int
         raise ValueError(f"shift_order must be 1 or 3, got {shift_order}")
     if u0.grid != grid:
         raise ValueError(f"u0 lives on {u0.grid}, not on {grid}")
+    _require_positive("kappa_fraction", kappa_fraction)
     kappa = kappa_fraction * kappa_critical(dt, grid.h)
     monitor = KappaMonitor(kappa) if kappa_adapt else None
 
@@ -313,6 +307,7 @@ def integrate_2d(reaction: ReactionSystem, grid: Grid2D, dt: float, n_steps: int
     """2D driver; first-order shifts only."""
     if u0.grid != grid:
         raise ValueError(f"u0 lives on {u0.grid}, not on {grid}")
+    _require_positive("kappa_fraction", kappa_fraction)
     kappa_x = kappa_fraction * kappa_critical_2d(dt, grid.hx)
     kappa_y = kappa_fraction * kappa_critical_2d(dt, grid.hy)
 
@@ -417,8 +412,10 @@ def _dd_stability_trial(grid: Grid1D, ratio: float, layout: SubdomainLayout | No
 
 def bisect_max_stable_ratio(grid: Grid1D, layout: SubdomainLayout | None,
                             resolution: float = 0.1, n_steps: int = 500) -> float:
-    """Largest stable 3 dt / h^2, bisected to the given resolution; RATIO_MAX
-    when every ratio up to that cap survives."""
+    """Largest stable 3 dt / h^2, bisected to the given resolution (or until
+    the midpoint rounds to an end); RATIO_MAX when every ratio up to that cap
+    survives.  A ``resolution`` that is not finite and positive raises."""
+    _require_positive("resolution", resolution)
     lo = 0.0
     hi = 1.0
     while hi <= RATIO_MAX and _dd_stability_trial(grid, hi, layout, n_steps):
@@ -427,6 +424,8 @@ def bisect_max_stable_ratio(grid: Grid1D, layout: SubdomainLayout | None,
         return lo
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if _dd_stability_trial(grid, mid, layout, n_steps):
             lo = mid
         else:

@@ -44,7 +44,6 @@ def _key(default, help_text: str, **flag):
 class RunConfig:
     problem: str = _key("heat1d", "test problem (default heat1d)", choices=PROBLEMS)
     N: int = _key(64, "grid intervals (default 64)")
-    N_y: int | None = _key(None, "grid intervals in y for 2D (default N)")
     ratio: float | None = _key(
         None, "normalized step 3*dt/h^2 (default 1; exclusive with --dt)")
     dt: float | None = _key(None, "time step (exclusive with --ratio)")
@@ -89,17 +88,14 @@ class RunConfig:
                 raise ConfigError(f"{key}: must list at least one value")
         if self.shift_order not in (1, 3):
             raise ConfigError("shift_order: must be 1 or 3")
-        if self.problem == "heat2d" and self.shift_order == 3:
-            raise ConfigError("shift_order: third-order shifts are 1D-only")
-        for key, sizes in (("N", (self.N,)), ("N_y", () if self.N_y is None else (self.N_y,)),
-                           ("grid_sizes", self.grid_sizes)):
+        for key, sizes in (("N", (self.N,)), ("grid_sizes", self.grid_sizes)):
             if any(n < 4 for n in sizes):
                 raise ConfigError(f"{key}: must be >= 4")
         if self.n_subdomains < 1:
             raise ConfigError("n_subdomains: must be >= 1")
         # Reject what no driver would read rather than run without it.
-        if self.kappa_adapt and (self.n_subdomains > 1 or self.problem == "heat2d"):
-            raise ConfigError("kappa_adapt: only single-domain 1D runs adapt kappa")
+        if self.kappa_adapt and self.n_subdomains > 1:
+            raise ConfigError("kappa_adapt: only single-domain runs adapt kappa")
         if not self.grid_sizes:
             self.grid_sizes = (self.N,)
 
@@ -120,13 +116,12 @@ _BOOLS = {"1": True, "true": True, "on": True, "yes": True,
 # The keys each subcommand reads, ``run`` per problem.  Any other key must keep
 # its default: the command would run without it and write the same output.
 _OUTPUT = {"output", "timing"}
-_RUN = _OUTPUT | {"problem", "N", "ratio", "dt", "T", "shift_order", "filter",
-                  "kappa_fraction"}
-_RUN_1D = _RUN | {"kappa_adapt", "n_subdomains", "overlap"}
+_RUN = _OUTPUT | {"problem", "N", "ratio", "dt", "T", "filter", "kappa_fraction"}
+_RUN_1D = _RUN | {"shift_order", "kappa_adapt", "n_subdomains", "overlap"}
 _READS = {
     "run --problem heat1d": _RUN_1D,
     "run --problem predprey1d": _RUN_1D | {"sign_variant", "base_level", "excited"},
-    "run --problem heat2d": _RUN | {"N_y"},
+    "run --problem heat2d": _RUN,
     "sweep": _OUTPUT | {"N", "grid_sizes", "ratios", "T", "shift_order", "filter",
                         "kappa_fraction"},
     "dd": _OUTPUT | {"N", "n_subdomains", "overlaps"},
@@ -250,16 +245,13 @@ def _cmd_run(cfg: RunConfig) -> int:
         if cfg.problem == "heat1d":
             case = bench.manufactured_heat_case()
         else:
-            case = bench.PredatorPreyCase(
-                u_left=cfg.base_level, u_right=cfg.base_level,
-                v_left=cfg.base_level, v_right=cfg.base_level,
-                excited=cfg.excited, sign_variant=cfg.sign_variant)
+            case = bench.PredatorPreyCase(cfg.base_level, cfg.excited, cfg.sign_variant)
         row, _ = bench.run_case_1d(case, grid, dt, bench.steps_to(cfg.T, dt),
                                    shift_order=cfg.shift_order, filter_on=cfg.filter_on,
                                    kappa_fraction=cfg.kappa_fraction,
                                    kappa_adapt=cfg.kappa_adapt, layout=layout)
     else:
-        grid = make_grid_2d(cfg.N, cfg.N_y or cfg.N)
+        grid = make_grid_2d(cfg.N)
         dt = cfg.resolve_dt(grid.hx)
         n_steps = bench.steps_to(cfg.T, dt)
         case = bench.manufactured_heat_case_2d()
@@ -270,7 +262,7 @@ def _cmd_run(cfg: RunConfig) -> int:
         errors = (float("nan"),) * 2
         if out.stable:
             errors = bench.error_norms(out.field, Field(grid, case["exact"](x, y, n_steps * dt)))
-        row = bench.SweepRow(cfg.N, dt, 3.0 * dt / grid.hx**2, cfg.shift_order, out.kappa,
+        row = bench.SweepRow(cfg.N, dt, 3.0 * dt / grid.hx**2, 1, out.kappa,
                              1, 0, *errors, out.stable, out.steps, out.wall_ms)
 
     emit_csv([row], cfg.output, timing=cfg.timing)

@@ -1,6 +1,10 @@
 """Two-dimensional Dirichlet problems: boundary data, the per-axis critical
 stretching, and the 2D postprocess.
 
+The boundary data is one function g(x, y, t) on the boundary of (0, pi)^2,
+sampled edge by edge (``BoundaryData2D.sample``), so the two edges through a
+corner take its value from the same g.
+
 The postprocess is the 1D one run along each axis: the four boundary traces
 are filtered separately (``filtering.filter_boundary_trace``), then the field
 is shifted with ``shift.shift1d`` along x and then along y, filtered with
@@ -24,50 +28,31 @@ from .filtering import apply_filter_values, filter_boundary_trace, kappa_critica
 from .shift import cosine_basis, shift1d
 from .stepper import set_boundary
 
-CORNER_TOL = 1.0e-10
-
-
-def check_corners(edges: dict) -> None:
-    """Reject 2D edge data {'g0', 'gpi', 'h0', 'hpi'} whose values at a corner
-    differ by more than CORNER_TOL."""
-    g0, gpi, h0, hpi = edges["g0"], edges["gpi"], edges["h0"], edges["hpi"]
-    for a, b in ((g0[0], h0[0]), (g0[-1], hpi[0]), (gpi[0], h0[-1]), (gpi[-1], hpi[-1])):
-        if np.max(np.abs(a - b)) > CORNER_TOL:
-            raise ValueError("incompatible corner data in 2D boundary conditions")
-
 
 @dataclass(frozen=True)
 class BoundaryData2D:
-    """Dirichlet data on the four edges of (0, pi)^2.
+    """Dirichlet data g(x, y, t) on the boundary of (0, pi)^2.
 
-    g0/gpi are functions of (x, t) on the edges y = 0 and y = pi; h0/hpi are
-    functions of (y, t) on the edges x = 0 and x = pi.  Each returns an array
-    of shape (len(coord),) or (len(coord), m).
+    ``sample`` calls g once per edge, one coordinate the edge's node array and
+    the other its constant 0 or pi; g returns shape (len(nodes),) or
+    (len(nodes), m).  The result is the edge dict of ``stepper.set_boundary``.
     """
 
-    g0: Callable
-    gpi: Callable
-    h0: Callable
-    hpi: Callable
+    g: Callable
 
     def sample(self, grid: Grid2D, t: float, m: int = 1) -> dict[str, np.ndarray]:
-        def _edge(fn, coord, count):
-            vals = np.asarray(fn(coord, t), dtype=float)
+        def _edge(x, y):
+            vals = np.asarray(self.g(x, y, t), dtype=float)
             if vals.ndim == 1:
                 vals = vals[:, np.newaxis]
-            if vals.shape != (count, m):
-                raise ValueError(f"edge sample has shape {vals.shape}, expected {(count, m)}")
+            want = (np.broadcast(x, y).size, m)
+            if vals.shape != want:
+                raise ValueError(f"edge sample has shape {vals.shape}, expected {want}")
             return vals
 
         x, y = grid.nodes_x, grid.nodes_y
-        edges = {
-            "g0": _edge(self.g0, x, len(x)),
-            "gpi": _edge(self.gpi, x, len(x)),
-            "h0": _edge(self.h0, y, len(y)),
-            "hpi": _edge(self.hpi, y, len(y)),
-        }
-        check_corners(edges)
-        return edges
+        return {"g0": _edge(x, 0.0), "gpi": _edge(x, np.pi),
+                "h0": _edge(0.0, y), "hpi": _edge(np.pi, y)}
 
 
 def kappa_critical_2d(dt: float, h: float) -> float:

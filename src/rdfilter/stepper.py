@@ -122,9 +122,9 @@ def set_boundary(values: np.ndarray, bc) -> None:
     """Write Dirichlet data onto the boundary nodes of node-major ``values``.
 
     1D: ``bc`` is the (left, right) pair, each of shape (m,) (scalars accepted
-    for m = 1).  2D: ``bc`` is the edge dict of ``BoundaryData2D.sample``; the
-    y-edges are written first and the x-edges last, so the x-edges own the
-    corners.
+    for m = 1).  2D: ``bc`` maps 'g0'/'gpi' to the edges y = 0/pi and 'h0'/'hpi'
+    to x = 0/pi, as ``BoundaryData2D.sample`` builds it; the y-edges are written
+    first and the x-edges last, so the x-edges own the corners.
     """
     if values.ndim == 2:
         values[0], values[-1] = bc

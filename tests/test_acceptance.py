@@ -119,7 +119,7 @@ def test_criterion_4_spatial_second_order():
 
 def test_criterion_5_temporal_second_order():
     # spatially exact quadratic profile isolates the error in dt
-    case = quadratic_manufactured_case(omega=10.0)
+    case = quadratic_manufactured_case()
     rows = run_accuracy_sweep(case, [256], [0.5, 1.0, 2.0], [3], T=1.0)
     stable = all(r.stable for r in rows)
     errs = sorted((r.dt, r.err_linf) for r in rows)

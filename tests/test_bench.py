@@ -204,18 +204,29 @@ def test_ratio_to_dt():
 def test_predator_prey_parameters_and_validation():
     case = PredatorPreyCase()
     assert (case.a, case.b, case.c, case.d) == (1.2, 1.0, 0.1, 0.2)
-    with pytest.raises(ValueError):
-        PredatorPreyCase(u_left=-1.0)
+    assert [f.name for f in dataclasses.fields(case)] == ["base_level", "excited",
+                                                          "sign_variant"]
+    for level in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^base_level: must be finite and positive"):
+            PredatorPreyCase(base_level=level)
     with pytest.raises(ValueError):
         PredatorPreyCase(sign_variant="other")
 
 
 def test_predator_prey_boundary_excitation():
-    case = PredatorPreyCase(u_left=2.0)
-    left, _ = case.boundary(0.0)
-    assert np.allclose(left, [4.0, 2.0])  # (1 + cos 0) factor
+    case = PredatorPreyCase(base_level=2.0)
+    left, right = case.boundary(0.0)
+    assert np.allclose(left, [4.0, 4.0]) and np.array_equal(left, right)  # (1 + cos 0)
     steady = PredatorPreyCase(excited=False)
     assert np.allclose(steady.boundary(1.3)[0], [1.0, 1.0])
+
+
+def test_predator_prey_initial_is_the_boundary_value_at_every_node():
+    grid = make_grid_1d(16)
+    for case in (PredatorPreyCase(base_level=2), PredatorPreyCase(1.3, excited=False)):
+        vals = case.initial(grid).values
+        assert vals.shape == (17, 2)
+        assert np.all(vals == case.boundary(0.0)[0])
 
 
 def test_ode_oracle_classical_cycles_printed_does_not():
@@ -308,6 +319,60 @@ def test_dd_study_structure():
     assert rows[1].note == ""
 
 
+def _fake_trial(monkeypatch, stable_below: float) -> list:
+    """Replace the DD stability trial by an instant one, stable below a given
+    ratio, that raises after 1,000 calls instead of letting a bisection hang."""
+    calls = []
+
+    def trial(grid, ratio, layout, n_steps):
+        calls.append(ratio)
+        if len(calls) > 1000:
+            raise RuntimeError("the bisection did not end")
+        return ratio < stable_below
+
+    monkeypatch.setattr(bench, "_dd_stability_trial", trial)
+    return calls
+
+
+@pytest.mark.parametrize("resolution", [0.0, -1.0, float("nan"), float("inf")])
+def test_bisection_rejects_a_resolution_that_is_not_finite_and_positive(monkeypatch,
+                                                                       resolution):
+    calls = _fake_trial(monkeypatch, 3.0)
+    for run in (lambda: bench.bisect_max_stable_ratio(make_grid_1d(32), None, resolution),
+                lambda: run_dd_study(32, 2, (4,), resolution=resolution)):
+        with pytest.raises(ValueError, match="^resolution: must be finite and positive"):
+            run()
+    assert calls == []
+
+
+def test_bisection_ends_when_the_midpoint_reaches_an_end(monkeypatch):
+    # below the spacing of doubles near 3, halving stops at the last double < 3
+    calls = _fake_trial(monkeypatch, 3.0)
+    last_stable = np.nextafter(3.0, 0.0)
+    assert bench.bisect_max_stable_ratio(make_grid_1d(32), None, 1.0e-20) == last_stable
+    assert len(calls) < 100
+    rows = run_dd_study(32, 2, (4,), resolution=1.0e-20)
+    assert [r.ratio for r in rows] == [last_stable, last_stable]
+
+
+@pytest.mark.parametrize("driver", ["1d", "2d"])
+@pytest.mark.parametrize("kappa_fraction", [-1.0, 0.0, float("nan"), float("inf")])
+def test_drivers_reject_a_kappa_fraction_that_is_not_finite_and_positive(driver,
+                                                                        kappa_fraction):
+    # a negative fraction used to run as its absolute value and report kappa < 0
+    if driver == "1d":
+        grid = make_grid_1d(16)
+        run = lambda: integrate_1d(zero_reaction(), grid, 1e-3, 2, lambda t: (0.0, 0.0),
+                                   Field.zeros(grid), kappa_fraction=kappa_fraction)
+    else:
+        grid = make_grid_2d(8)
+        bc = BoundaryData2D(lambda x, y, t: 0.0 * (x + y))
+        run = lambda: bench.integrate_2d(zero_reaction(), grid, 1e-3, 2, bc,
+                                         Field.zeros(grid), kappa_fraction=kappa_fraction)
+    with pytest.raises(ValueError, match="^kappa_fraction: must be finite and positive"):
+        run()
+
+
 def test_dd_study_rejects_an_infeasible_overlap_before_bisecting(monkeypatch):
     calls = []
     monkeypatch.setattr(bench, "bisect_max_stable_ratio",
@@ -390,7 +455,7 @@ def _exit_run(driver, exit_path):
         dt = 3.0 * grid.hx**2 / 6.0
         X, Y = np.meshgrid(grid.nodes_x, grid.nodes_y, indexing="ij")
         u0 = Field(grid, np.sin(X) * np.sin(Y) + 1.0e-6 * np.sin(7 * X) * np.sin(7 * Y))
-        bc = BoundaryData2D(*(lambda s, t: np.zeros_like(s),) * 4)
+        bc = BoundaryData2D(lambda x, y, t: 0.0 * (x + y))
     kwargs = {}
     if exit_path == "stable":
         reaction = zero_reaction()
@@ -457,7 +522,7 @@ def test_drivers_reject_u0_on_another_grid(driver):
         run = lambda: integrate_1d(zero_reaction(), grid, 1e-3, 2, lambda t: (0.0, 0.0), u0)
     else:
         grid, u0 = make_grid_2d(8), Field.zeros(make_grid_2d(16))
-        bc = BoundaryData2D(*(lambda s, t: np.zeros_like(s),) * 4)
+        bc = BoundaryData2D(lambda x, y, t: 0.0 * (x + y))
         run = lambda: bench.integrate_2d(zero_reaction(), grid, 1e-3, 2, bc, u0)
     with pytest.raises(ValueError, match="u0 lives on"):
         run()

@@ -41,8 +41,17 @@ def test_parse_config_ratio_to_dt():
 
 
 def test_parse_config_rejects_2d_third_order():
-    with pytest.raises(ConfigError):
-        parse_config("problem=heat2d\nshift_order=3\n")
+    with pytest.raises(ConfigError, match="^shift_order: rdfilter run --problem heat2d "
+                                          "does not read it$"):
+        parse_config("problem=heat2d\nshift_order=3\n", command="run")
+
+
+def test_n_y_is_neither_a_flag_nor_a_config_key(tmp_path):
+    out = tmp_path / "x.csv"
+    assert main(["run", "--problem", "heat2d", "--N-y", "64", "--output", str(out)]) == 1
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="^N_y: unknown configuration key$"):
+        parse_config("N_y=64\n")
 
 
 def test_parse_config_ratio_dt_mutual_exclusion():
@@ -75,7 +84,7 @@ def test_parse_config_bad_value_message_names_key():
 
 @pytest.mark.parametrize("key, raw", [
     ("ratio", "nan"), ("ratio", "-1"), ("ratio", "0"), ("dt", "inf"), ("dt", "-0.01"),
-    ("T", "nan"), ("T", "0"), ("N", "0"), ("N", "-64"), ("N_y", "2"),
+    ("T", "nan"), ("T", "0"), ("N", "0"), ("N", "-64"),
     ("ratios", "1,nan"), ("n_subdomains", "0"), ("ratios", ""), ("overlaps", ""),
     ("grid_sizes", "16,2"),
     ("kappa_fraction", "nan"), ("kappa_fraction", "0"), ("kappa_fraction", "-0.5"),
@@ -93,7 +102,7 @@ def test_parse_config_rejects_non_positive_or_non_finite(key, raw):
 ])
 def test_parse_config_rejects_flags_no_driver_reads(text, key):
     with pytest.raises(ConfigError, match=f"^{key}:"):
-        parse_config(text)
+        parse_config(text, command="run")
     assert parse_config("kappa_adapt=true\n").kappa_adapt
 
 
@@ -161,9 +170,10 @@ def test_main_rejects_keys_a_subcommand_does_not_read(tmp_path, capsys, command,
 
 
 # One value per RunConfig key, as a config file spells it, with the value it
-# parses to; each bool spelling and both tuple element types appear.
+# parses to; each bool spelling, both tuple element types and integer spellings
+# of float keys appear.
 _SPELLINGS = [
-    ("problem", "predprey1d", "predprey1d"), ("N", "32", 32), ("N_y", "16", 16),
+    ("problem", "predprey1d", "predprey1d"), ("N", "32", 32), ("T", "3", 3.0),
     ("ratio", "2.5", 2.5), ("dt", "1e-3", 1e-3), ("T", "0.5", 0.5),
     ("shift_order", "3", 3), ("filter", "off", "off"), ("kappa_fraction", "0.5", 0.5),
     ("n_subdomains", "2", 2), ("overlap", "4", 4), ("output", "x.csv", "x.csv"),

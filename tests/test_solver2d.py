@@ -23,10 +23,7 @@ from rdfilter.stepper import apply_laplacian, recurrence_roots, step
 GRID = make_grid_2d(16, 16)
 X, Y = np.meshgrid(GRID.nodes_x, GRID.nodes_y, indexing="ij")
 
-HOMOGENEOUS = BoundaryData2D(
-    g0=lambda x, t: np.zeros_like(x), gpi=lambda x, t: np.zeros_like(x),
-    h0=lambda y, t: np.zeros_like(y), hpi=lambda y, t: np.zeros_like(y),
-)
+HOMOGENEOUS = BoundaryData2D(lambda x, y, t: 0.0 * (x + y))
 
 
 def test_laplacian_annihilates_constants_and_linears():
@@ -88,18 +85,16 @@ def test_laplacian_uses_each_axis_spacing():
 
 
 def test_step_writes_x_edges_over_the_corners():
-    # corner data within CORNER_TOL but not equal: the x-edges (h0, hpi),
-    # written after the y-edges, own the four corners
+    # a hand-built edge dict whose edges disagree at the corners: the x-edges
+    # (h0, hpi), written after the y-edges, own the four corners
     eps = 1e-12
-    bc = BoundaryData2D(
-        g0=lambda x, t: np.full_like(x, eps), gpi=lambda x, t: np.full_like(x, eps),
-        h0=lambda y, t: np.zeros_like(y), hpi=lambda y, t: np.zeros_like(y),
-    )
+    y_edge, x_edge = np.full((17, 1), eps), np.zeros((17, 1))
+    edges = {"g0": y_edge, "gpi": y_edge, "h0": x_edge, "hpi": x_edge}
     z = Field.zeros(GRID)
     dt = 1e-4
     for startup in (False, True):
         out = step(SchemeState(z, z, 0.0, dt), zero_reaction(),
-                   bc.sample(GRID, dt), startup=startup).values[..., 0]
+                   edges, startup=startup).values[..., 0]
         assert np.all(out[[0, 0, -1, -1], [0, -1, 0, -1]] == 0.0)
         assert np.all(out[1:-1, [0, -1]] == eps)
 
@@ -261,10 +256,23 @@ def test_postprocess2d_preserves_filtered_boundary_exactly():
     assert np.array_equal(out[0, :], want_h0)
 
 
-def test_boundary_sample_rejects_corner_mismatch():
-    bad = BoundaryData2D(
-        g0=lambda x, t: np.ones_like(x), gpi=lambda x, t: np.zeros_like(x),
-        h0=lambda y, t: np.zeros_like(y), hpi=lambda y, t: np.zeros_like(y),
-    )
-    with pytest.raises(ValueError):
-        bad.sample(GRID, 0.0)
+def test_boundary_sample_evaluates_g_on_each_edge():
+    grid = make_grid_2d(8, 4)
+    x, y = grid.nodes_x, grid.nodes_y
+    edges = BoundaryData2D(lambda x, y, t: x + 2.0 * y + t).sample(grid, 0.5)
+    want = {"g0": x + 0.5, "gpi": x + 2.0 * np.pi + 0.5,
+            "h0": 2.0 * y + 0.5, "hpi": np.pi + 2.0 * y + 0.5}
+    assert {key: vals.shape for key, vals in edges.items()} == {
+        "g0": (9, 1), "gpi": (9, 1), "h0": (5, 1), "hpi": (5, 1)}
+    for key, vals in want.items():
+        assert np.array_equal(edges[key][:, 0], vals), key
+
+
+@pytest.mark.parametrize("g, m", [
+    (lambda x, y, t: np.zeros(3), 1),                       # wrong length
+    (lambda x, y, t: np.zeros((np.size(x + y), 2)), 1),     # two components, one wanted
+    (lambda x, y, t: 0.0 * (x + y), 2),                     # one component, two wanted
+], ids=["length", "components_2_for_1", "components_1_for_2"])
+def test_boundary_sample_rejects_an_edge_of_the_wrong_shape(g, m):
+    with pytest.raises(ValueError, match="edge sample has shape"):
+        BoundaryData2D(g).sample(GRID, 0.0, m)
