@@ -36,7 +36,6 @@ from .stepper import (
 )
 from .shift import cosine_basis, shift1d
 from .filtering import (
-    KappaMonitor,
     apply_filter_values,
     filter_boundary_trace,
     kappa_critical,

@@ -28,7 +28,7 @@ from .core import (
     zero_reaction,
 )
 from .ddm import SubdomainLayout, make_layout
-from .filtering import KappaMonitor, kappa_critical, postprocess_field
+from .filtering import kappa_critical, postprocess_field
 from .solver2d import BoundaryData2D, kappa_critical_2d, postprocess2d
 from .stepper import NewtonDivergence, apply_laplacian, estimate_uxx_nodes, step
 
@@ -215,18 +215,21 @@ def error_norms(u: Field, reference: Field) -> tuple[float, float]:
 
 @dataclass
 class RunOutcome:
+    """``kappa`` holds the stretching factor of each node axis, x first."""
+
     field: Field | None
     stable: bool
     steps: int
     wall_ms: float
-    kappa: float
+    kappa: tuple[float, ...]
     min_values: np.ndarray
     final_update: float = np.inf
     failure: str | None = None
 
 
 def _time_loop(reaction: ReactionSystem, u0: Field, dt: float, n_steps: int,
-               bc_at: Callable, postprocess: Callable | None, kappa: float) -> RunOutcome:
+               bc_at: Callable, postprocess: Callable | None,
+               kappa: tuple[float, ...]) -> RunOutcome:
     """The step loop of both drivers: ``n_steps`` steps of size ``dt`` from u0,
     the first one the startup step, each followed by ``postprocess(u_new,
     uxx_at)`` unless that is None; ``uxx_at(nodes)`` estimates u_xx at those
@@ -275,7 +278,7 @@ def _time_loop(reaction: ReactionSystem, u0: Field, dt: float, n_steps: int,
 def integrate_1d(reaction: ReactionSystem, grid: Grid1D, dt: float, n_steps: int,
                  bc_fn: Callable, u0: Field, shift_order: int = 1,
                  filter_on: bool = True, kappa_fraction: float = 1.0,
-                 kappa_adapt: bool = False, layout: SubdomainLayout | None = None) -> RunOutcome:
+                 layout: SubdomainLayout | None = None) -> RunOutcome:
     """Run the full pipeline for ``n_steps`` steps of size ``dt``.
 
     ``bc_fn(t)`` returns the Dirichlet pair at time t.  Postprocessing (when
@@ -288,17 +291,12 @@ def integrate_1d(reaction: ReactionSystem, grid: Grid1D, dt: float, n_steps: int
         raise ValueError(f"u0 lives on {u0.grid}, not on {grid}")
     _require_positive("kappa_fraction", kappa_fraction)
     kappa = kappa_fraction * kappa_critical(dt, grid.h)
-    monitor = KappaMonitor(kappa) if kappa_adapt else None
 
     def postprocess(u, uxx_at):
-        return postprocess_field(u, kappa, uxx_at if shift_order == 3 else None,
-                                 monitor, layout)
+        return postprocess_field(u, kappa, uxx_at if shift_order == 3 else None, layout=layout)
 
-    out = _time_loop(reaction, u0, dt, n_steps, bc_fn,
-                     postprocess if filter_on else None, kappa)
-    if monitor is not None:
-        out.kappa = monitor.kappa
-    return out
+    return _time_loop(reaction, u0, dt, n_steps, bc_fn,
+                      postprocess if filter_on else None, (kappa,))
 
 
 def integrate_2d(reaction: ReactionSystem, grid: Grid2D, dt: float, n_steps: int,
@@ -315,7 +313,7 @@ def integrate_2d(reaction: ReactionSystem, grid: Grid2D, dt: float, n_steps: int
         return postprocess2d(u, kappa_x, kappa_y)
 
     return _time_loop(reaction, u0, dt, n_steps, lambda t: bc.sample(grid, t, u0.m),
-                      postprocess if filter_on else None, kappa_x)
+                      postprocess if filter_on else None, (kappa_x, kappa_y))
 
 
 # ---------------------------------------------------------------------------
@@ -356,21 +354,20 @@ def steps_to(T: float, dt: float) -> int:
 
 def run_case_1d(case: ManufacturedCase | PredatorPreyCase, grid: Grid1D, dt: float,
                 n_steps: int, shift_order: int = 1, filter_on: bool = True,
-                kappa_fraction: float = 1.0, kappa_adapt: bool = False,
+                kappa_fraction: float = 1.0,
                 layout: SubdomainLayout | None = None) -> tuple[SweepRow, RunOutcome]:
     """Integrate a 1D case from its initial data and score it as one row.  The
     errors are taken against ``case.exact_field`` at the final time when the
     case has one and the run was stable, else they are NaN."""
     out = integrate_1d(case.reaction(), grid, dt, n_steps, case.boundary,
                        case.initial(grid), shift_order=shift_order,
-                       filter_on=filter_on, kappa_fraction=kappa_fraction,
-                       kappa_adapt=kappa_adapt, layout=layout)
+                       filter_on=filter_on, kappa_fraction=kappa_fraction, layout=layout)
     l2 = linf = float("nan")
     exact_field = getattr(case, "exact_field", None)
     if out.stable and exact_field is not None:
         l2, linf = error_norms(out.field, exact_field(grid, n_steps * dt))
     n_sub, overlap = (layout.n_subdomains, layout.overlap) if layout else (1, 0)
-    row = SweepRow(grid.n_intervals, dt, 3.0 * dt / grid.h**2, shift_order, out.kappa,
+    row = SweepRow(grid.n_intervals, dt, 3.0 * dt / grid.h**2, shift_order, out.kappa[0],
                    n_sub, overlap, l2, linf, out.stable, out.steps, out.wall_ms,
                    out.failure or "")
     return row, out

@@ -51,8 +51,6 @@ class RunConfig:
     shift_order: int = _key(1, "1 or 3 (default 1; 3 is 1D-only)")
     filter: str = _key("on", "postprocess filter (default on)", choices=("on", "off"))
     kappa_fraction: float = _key(1.0, "kappa = fraction * kappa_c (default 1.0)")
-    kappa_adapt: bool = _key(False, "adapt kappa from high-mode growth; single-domain "
-                                    "1D runs only (default false)")
     n_subdomains: int = _key(1, "overlapping strips for the postprocess (default 1)")
     overlap: int = _key(8, "overlap width in intervals, even (default 8)")
     output: str = _key("results.csv", "CSV path (default results.csv)")
@@ -93,9 +91,6 @@ class RunConfig:
                 raise ConfigError(f"{key}: must be >= 4")
         if self.n_subdomains < 1:
             raise ConfigError("n_subdomains: must be >= 1")
-        # Reject what no driver would read rather than run without it.
-        if self.kappa_adapt and self.n_subdomains > 1:
-            raise ConfigError("kappa_adapt: only single-domain runs adapt kappa")
         if not self.grid_sizes:
             self.grid_sizes = (self.N,)
 
@@ -117,7 +112,7 @@ _BOOLS = {"1": True, "true": True, "on": True, "yes": True,
 # its default: the command would run without it and write the same output.
 _OUTPUT = {"output", "timing"}
 _RUN = _OUTPUT | {"problem", "N", "ratio", "dt", "T", "filter", "kappa_fraction"}
-_RUN_1D = _RUN | {"shift_order", "kappa_adapt", "n_subdomains", "overlap"}
+_RUN_1D = _RUN | {"shift_order", "n_subdomains", "overlap"}
 _READS = {
     "run --problem heat1d": _RUN_1D,
     "run --problem predprey1d": _RUN_1D | {"sign_variant", "base_level", "excited"},
@@ -128,7 +123,7 @@ _READS = {
     "selftest": set(),
 }
 # The keys only the postprocess reads: ``filter`` off leaves them unread.
-_FILTER_KEYS = {"shift_order", "kappa_fraction", "kappa_adapt", "n_subdomains", "overlap"}
+_FILTER_KEYS = {"shift_order", "kappa_fraction", "n_subdomains", "overlap"}
 
 
 def _coerce(key: str, raw: str):
@@ -248,8 +243,7 @@ def _cmd_run(cfg: RunConfig) -> int:
             case = bench.PredatorPreyCase(cfg.base_level, cfg.excited, cfg.sign_variant)
         row, _ = bench.run_case_1d(case, grid, dt, bench.steps_to(cfg.T, dt),
                                    shift_order=cfg.shift_order, filter_on=cfg.filter_on,
-                                   kappa_fraction=cfg.kappa_fraction,
-                                   kappa_adapt=cfg.kappa_adapt, layout=layout)
+                                   kappa_fraction=cfg.kappa_fraction, layout=layout)
     else:
         grid = make_grid_2d(cfg.N)
         dt = cfg.resolve_dt(grid.hx)
@@ -262,7 +256,7 @@ def _cmd_run(cfg: RunConfig) -> int:
         errors = (float("nan"),) * 2
         if out.stable:
             errors = bench.error_norms(out.field, Field(grid, case["exact"](x, y, n_steps * dt)))
-        row = bench.SweepRow(cfg.N, dt, 3.0 * dt / grid.hx**2, 1, out.kappa,
+        row = bench.SweepRow(cfg.N, dt, 3.0 * dt / grid.hx**2, 1, out.kappa[0],
                              1, 0, *errors, out.stable, out.steps, out.wall_ms)
 
     emit_csv([row], cfg.output, timing=cfg.timing)

@@ -12,9 +12,11 @@ the overlapping strips of a ``ddm.SubdomainLayout``; every strip, and every
 ``shift.shift1d``, filtered and shifted back the same way.  The third-order
 shift reads u_xx from a callable its caller passes, never the time levels.
 
-The stretching factor is a plain float.  ``filter_factors`` is the one
-place that evaluates sigma8; it memoizes the factors per (N, kappa) and
-returns them read-only, so a run evaluates sigma once per grid and kappa.
+The stretching factor is a plain float, kappa = kappa_fraction * kappa_c(dt,
+h), fixed for the whole run: the drivers compute it once from the step and
+the grid.  ``filter_factors`` is the one place that evaluates sigma8; it
+memoizes the factors per (N, kappa) and returns them read-only, so a run
+evaluates sigma once per grid and kappa.
 """
 
 from __future__ import annotations
@@ -30,11 +32,6 @@ from .ddm import SubdomainLayout, blend_weights
 from .shift import cosine_basis, shift1d
 
 RETAIN_TOL = 1.0e-12
-# KappaMonitor multiplies kappa by BUMP_FACTOR once the watched energy has
-# grown by more than GROWTH_THRESHOLD on GROWTH_STEPS consecutive steps.
-GROWTH_THRESHOLD = 1.05
-BUMP_FACTOR = 1.10
-GROWTH_STEPS = 2
 
 
 def sigma8(xi) -> np.ndarray | float:
@@ -102,15 +99,14 @@ def apply_filter_values(values: np.ndarray, kappa: float) -> np.ndarray:
 
 
 def _postprocess_strip(values: np.ndarray, n_grid: int, lo: int, uxx: np.ndarray | None,
-                       kappa: float, monitor: KappaMonitor | None = None) -> np.ndarray:
+                       kappa: float) -> np.ndarray:
     """Shift, filter and inverse-shift (nodes, m) values on nodes lo.. of an
-    ``n_grid``-interval grid; the two end values are kept exactly.  A monitor
-    adapts kappa from the same sine coefficients the filter then scales."""
+    ``n_grid``-interval grid; the two end values are kept exactly.  The shifted
+    values vanish at both ends by construction, so the filter is applied
+    inline, without ``apply_filter_values``' endpoint check."""
     v, alpha = shift1d(values, n_grid, lo, uxx)
     n = v.shape[0] - 1
     coeffs = sine_coefficients(v)
-    if monitor is not None:
-        kappa = monitor.observe(coeffs, n)
     trend = cosine_basis(n_grid, alpha.shape[0])[lo:lo + n + 1] @ alpha
     out = sine_reconstruct(coeffs * filter_factors(n, kappa)[:, np.newaxis]) + trend
     out[[0, -1]] = values[[0, -1]]
@@ -127,45 +123,8 @@ def filter_boundary_trace(samples: np.ndarray, kappa: float) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
-class KappaMonitor:
-    """Optional per-step kappa adaptation.
-
-    Watches the energy in the top quarter of the retained sine modes; when it
-    grows by more than GROWTH_THRESHOLD on GROWTH_STEPS consecutive steps,
-    kappa is multiplied by BUMP_FACTOR (the method only says the optimum can
-    be found by monitoring high-frequency growth).
-    """
-
-    def __init__(self, kappa: float):
-        self.kappa = float(kappa)
-        self._prev_energy: float | None = None
-        self._streak = 0
-
-    def observe(self, coeffs: np.ndarray, n_intervals: int) -> float:
-        factors = filter_factors(n_intervals, self.kappa)
-        retained = np.nonzero(factors > RETAIN_TOL)[0]
-        if retained.size:
-            k_max = retained[-1] + 1
-            lo = max(1, int(np.ceil(0.75 * k_max)))
-            band = coeffs[lo - 1:k_max]
-            energy = float(np.sum(band * band))
-        else:
-            energy = 0.0
-        if self._prev_energy is not None and self._prev_energy > 0.0 \
-                and energy > GROWTH_THRESHOLD * self._prev_energy:
-            self._streak += 1
-        else:
-            self._streak = 0
-        if self._streak >= GROWTH_STEPS:
-            self.kappa *= BUMP_FACTOR
-            self._streak = 0
-        self._prev_energy = energy
-        return self.kappa
-
-
 def postprocess_field(u: Field, kappa: float,
                       uxx_at: Callable[[np.ndarray], np.ndarray] | None = None,
-                      monitor: KappaMonitor | None = None,
                       layout: SubdomainLayout | None = None) -> Field:
     """Shift, filter, inverse shift: on the whole grid, or per strip of ``layout``.
 
@@ -177,19 +136,16 @@ def postprocess_field(u: Field, kappa: float,
 
     ``uxx_at(nodes)`` returns u_xx at those node indices, shape (len(nodes),
     m); given it, each strip takes the third-order shift with u_xx at its two
-    end nodes, else the first-order shift.  A ``monitor`` adapts kappa from
-    the sine coefficients of one strip; it cannot watch several.
+    end nodes, else the first-order shift.
     """
     n = u.grid.n_intervals
     if layout is not None and layout.grid != u.grid:
         raise ValueError(f"layout is for N={layout.grid.n_intervals}, the field has N={n}")
     ranges = ((0, n),) if layout is None else layout.ranges
-    if monitor is not None and len(ranges) > 1:
-        raise ValueError("a KappaMonitor watches one strip, not a layout of several")
 
     def strip(lo: int, hi: int) -> np.ndarray:
         uxx = None if uxx_at is None else uxx_at(np.array([lo, hi]))
-        return _postprocess_strip(u.values[lo:hi + 1], n, lo, uxx, kappa, monitor)
+        return _postprocess_strip(u.values[lo:hi + 1], n, lo, uxx, kappa)
 
     if len(ranges) == 1:  # the blend weights of a single strip are all 1
         return u.with_values(strip(0, n))

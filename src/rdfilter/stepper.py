@@ -13,7 +13,9 @@ reads u_xx back from the same levels, for the third-order shift.
 The step size is ``SchemeState.dt``.  Only the pointwise m x m Jacobian of
 f is ever formed, and none for a u-independent f; the node solves are
 independent, so the whole implicit stage is a batched dense solve (a
-division when m = 1), stopped at NEWTON_TOL or after NEWTON_MAX_ITER updates.
+division when m = 1).  It stops once the residual is below NEWTON_TOL times
+max|c I - J| max|u|, the size of its terms, or fails after NEWTON_MAX_ITER
+updates.
 """
 
 from __future__ import annotations
@@ -70,20 +72,21 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
     eye = np.eye(reaction.m)
     f = reaction.eval(x, t, u)
 
-    def _tol(uv):
-        # The residual lives on the scale coeff*|u|; an absolute tolerance
-        # below roundoff on that scale is unattainable in float64.
-        scale = coeff * float(np.max(np.abs(uv), initial=1.0))
-        return NEWTON_TOL * max(1.0, scale)
-
     def _diverged(per_node, worst):
         # per_node: one number per node (leading axes); report its argmax.
         node = np.unravel_index(np.argmax(per_node.ravel()), per_node.shape)
         return NewtonDivergence(node[0] if len(node) == 1 else node, worst)
 
+    # The residual is roundoff on terms of size |c I - J| |u| (c|u| and |J u|
+    # cancel in a stiff f): a tolerance below that is unattainable.  It scales
+    # with max(c, max|c I - J|), J from the last Jacobian formed; the max over
+    # that Jacobian is taken only when the tolerance at c alone is not met.
+    jac = None
     for iteration in range(NEWTON_MAX_ITER + 1):
         residual = coeff * u - f - rhs
-        if np.max(np.abs(residual)) <= _tol(u):
+        res_max, u_max = np.max(np.abs(residual)), float(np.max(np.abs(u), initial=1.0))
+        if res_max <= NEWTON_TOL * max(1.0, coeff * u_max) or (
+                jac is not None and res_max <= NEWTON_TOL * float(np.max(np.abs(jac))) * u_max):
             return u
         if iteration == NEWTON_MAX_ITER:
             break

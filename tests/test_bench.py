@@ -33,7 +33,7 @@ from rdfilter.bench import (
     run_predator_prey,
 )
 from rdfilter.ddm import make_layout
-from rdfilter.solver2d import BoundaryData2D
+from rdfilter.solver2d import BoundaryData2D, kappa_critical_2d
 
 
 def test_manufactured_case_anchor_values():
@@ -484,7 +484,7 @@ KAPPA_RATIO_3 = 2.55214965605977  # pi / arccos(1/3): kappa_c at ratio 3, 1D and
 NEWTON_1D = "Newton diverged at node 0, residual "
 NEWTON_2D = "Newton diverged at node (np.int64(0), np.int64(0)), residual "
 
-# (stable, steps, failure, 1D final_update); the kappa is KAPPA_RATIO_3 throughout.
+# (stable, steps, failure, 1D final_update); kappa is KAPPA_RATIO_3 on every axis.
 # The final updates are differences of the last two levels over dt; they are
 # compared to 1e-12 relative, which leaves room for last-bit changes of sigma8.
 _EXITS = {
@@ -509,9 +509,19 @@ def test_driver_exit_paths(driver, exit_path):
     stable, steps, failure, final_update = _EXITS[driver, exit_path]
     out = _exit_run(driver, exit_path)
     assert (out.stable, out.steps, out.failure) == (stable, steps, failure)
-    assert out.kappa == KAPPA_RATIO_3
+    assert out.kappa == (KAPPA_RATIO_3,) * (1 if driver == "1d" else 2)
     if driver == "1d":
         assert out.final_update == pytest.approx(final_update, rel=1e-12)
+
+
+def test_integrate_2d_reports_the_kappa_of_each_axis():
+    # 16 x 64 intervals at dt = 0.002: no x mode is unstable (kappa 1), while
+    # the y axis runs at 3 dt / h_y^2 = 2.49 and filters with kappa_y = 3.3806
+    grid, dt = make_grid_2d(16, 64), 0.002
+    bc = BoundaryData2D(lambda x, y, t: 0.0 * (x + y))
+    out = bench.integrate_2d(zero_reaction(), grid, dt, 2, bc, Field.zeros(grid))
+    assert out.kappa == (1.0, kappa_critical_2d(dt, grid.hy))
+    assert out.kappa[1] == pytest.approx(3.3806, abs=1e-4)
 
 
 @pytest.mark.parametrize("driver", ["1d", "2d"])

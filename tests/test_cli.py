@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rdfilter import bench
+from rdfilter import bench, cli
 from rdfilter.cli import (
     CSV_HEADER,
     ConfigError,
@@ -101,9 +101,8 @@ def test_parse_config_rejects_non_positive_or_non_finite(key, raw):
     ("overlap_adapt=true\n", "overlap_adapt"),
 ])
 def test_parse_config_rejects_flags_no_driver_reads(text, key):
-    with pytest.raises(ConfigError, match=f"^{key}:"):
+    with pytest.raises(ConfigError, match=f"^{key}: unknown configuration key$"):
         parse_config(text, command="run")
-    assert parse_config("kappa_adapt=true\n").kappa_adapt
 
 
 def test_parse_config_rejects_custom_problem():
@@ -120,7 +119,7 @@ def test_filter_off_rejects_a_postprocess_key_even_at_its_default():
 
 
 @pytest.mark.parametrize("command, args, key", [
-    ("sweep", ["--kappa-adapt", "true"], "kappa_adapt"),
+    ("sweep", ["--config", "{default}"], "kappa_adapt"),
     ("sweep", ["--config", "{cfg}"], "kappa_adapt"),
     ("dd", ["--ratios", "1,2"], "ratios"),
     ("dd", ["--shift-order", "3"], "shift_order"),
@@ -149,7 +148,7 @@ def test_filter_off_rejects_a_postprocess_key_even_at_its_default():
     ("run", ["--ratio", "4", "--T", "0.0001"], "T"),
     ("run", ["--problem", "heat2d", "--dt", "0.01", "--T", "0.01"], "T"),
     ("sweep", ["--ratios", "1,8", "--T", "0.03"], "T"),
-    ("run", ["--filter", "off", "--kappa-adapt", "true"], "kappa_adapt"),
+    ("run", ["--config", "{cfg}"], "kappa_adapt"),
     ("run", ["--filter", "off", "--shift-order", "3"], "shift_order"),
     ("run", ["--filter", "off", "--kappa-fraction", "0.5"], "kappa_fraction"),
     ("run", ["--filter", "off", "--n-subdomains", "2"], "n_subdomains"),
@@ -159,7 +158,9 @@ def test_filter_off_rejects_a_postprocess_key_even_at_its_default():
     ("sweep", ["--filter", "off", "--kappa-fraction", "0.5"], "kappa_fraction"),
 ])
 def test_main_rejects_keys_a_subcommand_does_not_read(tmp_path, capsys, command, args, key):
-    files = {"cfg": "kappa_adapt=true\n", "variant": "sign_variant=bogus\n"}
+    # kappa_adapt is no key: it is rejected as unknown at true and at false
+    files = {"cfg": "kappa_adapt=true\n", "default": "kappa_adapt=false\n",
+             "variant": "sign_variant=bogus\n"}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     out = tmp_path / "x.csv"
@@ -181,7 +182,7 @@ _SPELLINGS = [
     ("grid_sizes", "16,32", (16, 32)), ("overlaps", "4 8", (4, 8)),
     ("timing", "false", False), ("sign_variant", "printed", "printed"),
     ("base_level", "2", 2.0),
-    *[(key, raw, want) for key in ("kappa_adapt", "excited")
+    *[("excited", raw, want)
       for raws, want in ((("1", "true", "on", "yes", "TRUE", "Yes"), True),
                          (("0", "false", "off", "no", "FALSE", "No"), False))
       for raw in raws],
@@ -190,6 +191,13 @@ _SPELLINGS = [
 
 def test_spellings_cover_every_key():
     assert {key for key, _, _ in _SPELLINGS} == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def test_key_tables_name_exactly_the_config_fields():
+    # a deleted key cannot leave a stale entry behind, nor a field go unread
+    keys = {f.name for f in dataclasses.fields(RunConfig)}
+    assert set().union(*cli._READS.values()) == keys
+    assert cli._FILTER_KEYS <= keys
 
 
 @pytest.mark.parametrize("key, raw, want", _SPELLINGS)
@@ -287,6 +295,7 @@ def test_main_config_error_exit_1(tmp_path):
 
 def test_main_bad_flag_exit_1():
     assert main(["run", "--no-such-flag"]) == 1
+    assert main(["run", "--kappa-adapt", "true"]) == 1  # kappa is fixed for a run
 
 
 def test_main_config_file_with_flag_override(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rdfilter.bench import integrate_1d
 from rdfilter.core import Field, make_grid_1d, zero_reaction
 from rdfilter.ddm import blend_weights, make_layout
-from rdfilter.filtering import KappaMonitor, postprocess_field
+from rdfilter.filtering import postprocess_field
 from rdfilter.stepper import estimate_uxx_nodes
 
 GRID = make_grid_1d(64)
@@ -84,8 +84,7 @@ def test_single_subdomain_matches_global_pipeline():
     kappa = 3.0
     layout = make_layout(GRID, 1, 8)
     got = postprocess_field(u, kappa, layout=layout).values
-    want = postprocess_field(u, kappa).values
-    assert np.max(np.abs(got - want)) < 1e-12
+    assert np.array_equal(got, postprocess_field(u, kappa).values)  # the same code path
 
 
 def test_cosine_unchanged_any_layout():
@@ -141,13 +140,3 @@ def test_gibbs_perturbation_localized_at_interfaces():
     dist = np.min(np.abs(np.subtract.outer(np.arange(129), interfaces)), axis=1)
     far = dist >= layout.overlap
     assert np.max(dd[far]) <= 10.0 * np.max(single[far]) + 1e-14
-
-
-def test_monitor_rejected_with_several_strips():
-    u = Field(GRID, np.cos(GRID.nodes))
-    kappa = 3.0
-    with pytest.raises(ValueError, match="KappaMonitor"):
-        postprocess_field(u, kappa, monitor=KappaMonitor(3.0), layout=make_layout(GRID, 2, 8))
-    one = postprocess_field(u, kappa, monitor=KappaMonitor(3.0), layout=make_layout(GRID, 1, 8))
-    assert np.array_equal(one.values, postprocess_field(u, kappa, monitor=KappaMonitor(3.0)).values)
-

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rdfilter.bench import integrate_1d, manufactured_heat_case, ratio_to_dt
 from rdfilter.core import (
     Field,
     ReactionSystem,
@@ -128,6 +129,34 @@ def test_newton_divergence_reports_node():
         newton_point_solve(np.array([[1.0], [50.0]]), hard, np.zeros(2), 0.0, 1.5,
                            np.array([[1.0], [1.0]]))
     assert info.value.node == 1
+
+
+def _run_relaxation(lam, ratio, m, n_steps=10):
+    """f = -lam (u - phi) + s on m decoupled copies, with phi and s of the
+    manufactured heat case, so phi solves the PDE for every lam: N = 64,
+    ``n_steps`` filtered steps.  Returns the outcome and its max error."""
+    case, grid = manufactured_heat_case(), make_grid_1d(64)
+    column = lambda x, t: case.exact(x, t)[:, np.newaxis]
+    reaction = ReactionSystem(
+        m=m, eval=lambda x, t, u: -lam * (u - column(x, t)) + case.source(x, t)[:, np.newaxis],
+        jacobian=lambda x, t, u: np.broadcast_to(-lam * np.eye(m), u.shape + (m,)))
+    bc = lambda t: (np.full(m, case.exact(0.0, t)), np.full(m, case.exact(np.pi, t)))
+    u0 = Field(grid, np.tile(column(grid.nodes, 0.0), (1, m)))
+    dt = ratio_to_dt(ratio, grid.h)
+    out = integrate_1d(reaction, grid, dt, n_steps, bc, u0)
+    return out, float(np.max(np.abs(out.field.values - column(grid.nodes, out.steps * dt))))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("ratio", [1.0, 4.0, 16.0])
+@pytest.mark.parametrize("lam", [1e6, 1e7, 1e8])
+def test_newton_converges_on_a_stiff_reaction(lam, ratio, m):
+    # The residual is roundoff on terms of size lam |u|; a tolerance on the
+    # scale coeff |u| alone raised NewtonDivergence at step 0 here, from
+    # lam = 1e6 at ratio 16 on.  Stiffness costs no accuracy.
+    out, err = _run_relaxation(lam, ratio, m)
+    assert (out.stable, out.steps, out.failure) == (True, 10, None)
+    assert err <= _run_relaxation(0.0, ratio, m)[1]
 
 
 def test_step_zero_fixed_point():
