@@ -7,9 +7,9 @@ inverse shift) removes the explicitly-unstable high modes after every step,
 buying time steps far beyond dt = h^2/3.  Works in 1D, 2D, and with
 overlapping strip domain decomposition of the postprocess.
 
-One stepper, ``step``, advances 1D and 2D fields; one 1D postprocess,
-``postprocess_field``, runs on the whole grid or on overlapping strips, and
-``postprocess2d`` runs the same shift and filter along each axis.
+One stepper, ``step``, and one postprocess, ``postprocess_field``, serve 1D
+and 2D fields; in 2D the postprocess is the 1D one along each axis, and in
+1D it also runs on overlapping strips.
 """
 
 from .core import (
@@ -37,16 +37,11 @@ from .stepper import (
 from .shift import cosine_basis, shift1d
 from .filtering import (
     apply_filter_values,
-    filter_boundary_trace,
     kappa_critical,
     postprocess_field,
     sigma8,
 )
 from .ddm import SubdomainLayout, blend_weights, make_layout
-from .solver2d import (
-    BoundaryData2D,
-    kappa_critical_2d,
-    postprocess2d,
-)
+from .solver2d import BoundaryData2D, kappa_critical_2d
 
 __version__ = "0.1.0"

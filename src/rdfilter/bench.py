@@ -2,9 +2,9 @@
 predator-prey system with excited boundaries, accuracy sweeps over the
 normalized step ratio 3 dt / h^2, and domain-decomposition overlap studies.
 
-The drivers ``integrate_1d`` and ``integrate_2d`` only build their boundary
-sampler and their postprocess; both run the one step loop, ``_time_loop``,
-the one place that turns the time levels into u_xx for the postprocess."""
+The drivers ``integrate_1d`` and ``integrate_2d`` differ only in their
+boundary sampler; both run ``_integrate``, the one step loop and the one
+place that turns the time levels into u_xx for the postprocess."""
 
 from __future__ import annotations
 
@@ -24,18 +24,14 @@ from .core import (
     ReactionSystem,
     SchemeState,
     make_grid_1d,
+    require_positive,
     source_reaction,
     zero_reaction,
 )
 from .ddm import SubdomainLayout, make_layout
 from .filtering import kappa_critical, postprocess_field
-from .solver2d import BoundaryData2D, kappa_critical_2d, postprocess2d
+from .solver2d import BoundaryData2D
 from .stepper import NewtonDivergence, apply_laplacian, estimate_uxx_nodes, step
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not (np.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name}: must be finite and positive, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +133,7 @@ class PredatorPreyCase:
     def __post_init__(self):
         if self.sign_variant not in ("printed", "classical"):
             raise ValueError("sign_variant must be 'printed' or 'classical'")
-        _require_positive("base_level", self.base_level)
+        require_positive("base_level", self.base_level)
 
     def ode_rhs(self, w: np.ndarray) -> np.ndarray:
         u, v = w[..., 0], w[..., 1]
@@ -227,13 +223,36 @@ class RunOutcome:
     failure: str | None = None
 
 
-def _time_loop(reaction: ReactionSystem, u0: Field, dt: float, n_steps: int,
-               bc_at: Callable, postprocess: Callable | None,
-               kappa: tuple[float, ...]) -> RunOutcome:
-    """The step loop of both drivers: ``n_steps`` steps of size ``dt`` from u0,
-    the first one the startup step, each followed by ``postprocess(u_new,
-    uxx_at)`` unless that is None; ``uxx_at(nodes)`` estimates u_xx at those
-    nodes from three levels, so it is None after the startup step.
+def integrate_1d(reaction: ReactionSystem, grid: Grid1D, dt: float, n_steps: int,
+                 bc_fn: Callable, u0: Field, shift_order: int = 1,
+                 filter_on: bool = True, kappa_fraction: float = 1.0,
+                 layout: SubdomainLayout | None = None) -> RunOutcome:
+    """Run the full pipeline for ``n_steps`` steps of size ``dt``.
+
+    ``bc_fn(t)`` returns the Dirichlet pair at time t.  Postprocessing (when
+    ``filter_on``) is applied after every step, including the startup step
+    (which uses a first-order shift: only two time levels exist there).
+    """
+    return _integrate(reaction, grid, dt, n_steps, bc_fn, u0, shift_order, filter_on,
+                      kappa_fraction, layout)
+
+
+def integrate_2d(reaction: ReactionSystem, grid: Grid2D, dt: float, n_steps: int,
+                 bc: BoundaryData2D, u0: Field, filter_on: bool = True,
+                 kappa_fraction: float = 1.0) -> RunOutcome:
+    """2D driver; first-order shifts only."""
+    return _integrate(reaction, grid, dt, n_steps, lambda t: bc.sample(grid, t, u0.m), u0,
+                      1, filter_on, kappa_fraction, None)
+
+
+def _integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_steps: int,
+               bc_at: Callable, u0: Field, shift_order: int, filter_on: bool,
+               kappa_fraction: float, layout: SubdomainLayout | None) -> RunOutcome:
+    """The body of both drivers: ``n_steps`` steps of size ``dt`` from u0, the
+    first one the startup step, each followed by ``postprocess_field`` when
+    ``filter_on``.  Each of the d node axes filters with kappa_fraction *
+    kappa_c(d dt, pi / N_axis), its share of the stability budget (see
+    ``solver2d.kappa_critical_2d``).
 
     A step is blown up (``Field.blown_up``) when its values exceed
     ``core.BLOWUP_THRESHOLD`` after its postprocess; every step but the
@@ -243,6 +262,16 @@ def _time_loop(reaction: ReactionSystem, u0: Field, dt: float, n_steps: int,
     a step after the startup step has completed, else inf.  ``min_values``
     are the per-component minima over u0 and every completed step.
     """
+    if shift_order not in (1, 3):
+        raise ValueError(f"shift_order must be 1 or 3, got {shift_order}")
+    if u0.grid != grid:
+        raise ValueError(f"u0 lives on {u0.grid}, not on {grid}")
+    require_positive("dt", dt)
+    if n_steps < 0:
+        raise ValueError(f"n_steps: must be >= 0, got {n_steps!r}")
+    require_positive("kappa_fraction", kappa_fraction)
+    kappa = tuple(kappa_fraction * kappa_critical(len(grid.node_shape) * dt, np.pi / (n - 1))
+                  for n in grid.node_shape)
     mins = np.min(u0.values.reshape(-1, u0.m), axis=0)
     start = time.perf_counter()
 
@@ -262,58 +291,17 @@ def _time_loop(reaction: ReactionSystem, u0: Field, dt: float, n_steps: int,
                          reaction, bc_at(t_next), startup=n == 0)
         except NewtonDivergence as exc:
             return _done(False, n, u_curr, str(exc), (u_curr, u_prev))
-        if (n > 0 or postprocess is None) and u_new.blown_up():
+        if (n > 0 or not filter_on) and u_new.blown_up():
             return _done(False, n + 1, u_new)
-        if postprocess is not None:
-            uxx_at = None if n == 0 else partial(
+        if filter_on:
+            uxx_at = None if n == 0 or shift_order == 1 else partial(
                 estimate_uxx_nodes, u_new, u_curr, u_prev, reaction, dt, t_next)
-            u_new = postprocess(u_new, uxx_at)
+            u_new = postprocess_field(u_new, kappa, uxx_at, layout)
             if u_new.blown_up():
                 return _done(False, n + 1, u_new)
         mins = np.minimum(mins, np.min(u_new.values.reshape(-1, u0.m), axis=0))
         u_prev, u_curr, lap_prev = u_curr, u_new, lap_curr
     return _done(True, n_steps, u_curr, levels=(u_curr, u_prev))
-
-
-def integrate_1d(reaction: ReactionSystem, grid: Grid1D, dt: float, n_steps: int,
-                 bc_fn: Callable, u0: Field, shift_order: int = 1,
-                 filter_on: bool = True, kappa_fraction: float = 1.0,
-                 layout: SubdomainLayout | None = None) -> RunOutcome:
-    """Run the full pipeline for ``n_steps`` steps of size ``dt``.
-
-    ``bc_fn(t)`` returns the Dirichlet pair at time t.  Postprocessing (when
-    ``filter_on``) is applied after every step, including the startup step
-    (which uses a first-order shift: only two time levels exist there).
-    """
-    if shift_order not in (1, 3):
-        raise ValueError(f"shift_order must be 1 or 3, got {shift_order}")
-    if u0.grid != grid:
-        raise ValueError(f"u0 lives on {u0.grid}, not on {grid}")
-    _require_positive("kappa_fraction", kappa_fraction)
-    kappa = kappa_fraction * kappa_critical(dt, grid.h)
-
-    def postprocess(u, uxx_at):
-        return postprocess_field(u, kappa, uxx_at if shift_order == 3 else None, layout=layout)
-
-    return _time_loop(reaction, u0, dt, n_steps, bc_fn,
-                      postprocess if filter_on else None, (kappa,))
-
-
-def integrate_2d(reaction: ReactionSystem, grid: Grid2D, dt: float, n_steps: int,
-                 bc: BoundaryData2D, u0: Field, filter_on: bool = True,
-                 kappa_fraction: float = 1.0) -> RunOutcome:
-    """2D driver; first-order shifts only."""
-    if u0.grid != grid:
-        raise ValueError(f"u0 lives on {u0.grid}, not on {grid}")
-    _require_positive("kappa_fraction", kappa_fraction)
-    kappa_x = kappa_fraction * kappa_critical_2d(dt, grid.hx)
-    kappa_y = kappa_fraction * kappa_critical_2d(dt, grid.hy)
-
-    def postprocess(u, uxx_at):
-        return postprocess2d(u, kappa_x, kappa_y)
-
-    return _time_loop(reaction, u0, dt, n_steps, lambda t: bc.sample(grid, t, u0.m),
-                      postprocess if filter_on else None, (kappa_x, kappa_y))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +400,7 @@ def bisect_max_stable_ratio(grid: Grid1D, layout: SubdomainLayout | None,
     """Largest stable 3 dt / h^2, bisected to the given resolution (or until
     the midpoint rounds to an end); RATIO_MAX when every ratio up to that cap
     survives.  A ``resolution`` that is not finite and positive raises."""
-    _require_positive("resolution", resolution)
+    require_positive("resolution", resolution)
     lo = 0.0
     hi = 1.0
     while hi <= RATIO_MAX and _dd_stability_trial(grid, hi, layout, n_steps):

@@ -29,6 +29,12 @@ class ConfigError(ValueError):
     """An input rejected by the name of its configuration key ("key: reason")."""
 
 
+def require_positive(name: str, value: float) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is finite and positive."""
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name}: must be finite and positive, got {value!r}")
+
+
 def read_only(array: np.ndarray) -> np.ndarray:
     """Mark a memoized array read-only, so no caller can corrupt the shared copy."""
     array.flags.writeable = False
@@ -66,8 +72,15 @@ class Grid1D:
         return (self.n_intervals + 1,)
 
 
+def _interval_count(name: str, value) -> int:
+    """``value`` as an int; one that is not a whole number raises naming ``name``."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name}: must be a whole number, got {value!r}")
+    return int(value)
+
+
 def make_grid_1d(n_intervals: int) -> Grid1D:
-    return Grid1D(int(n_intervals))
+    return Grid1D(_interval_count("n_intervals", n_intervals))
 
 
 @dataclass(frozen=True)
@@ -103,8 +116,9 @@ class Grid2D:
 
 
 def make_grid_2d(n_intervals_x: int, n_intervals_y: int | None = None) -> Grid2D:
-    return Grid2D(int(n_intervals_x),
-                  int(n_intervals_x if n_intervals_y is None else n_intervals_y))
+    return Grid2D(_interval_count("n_intervals_x", n_intervals_x),
+                  _interval_count("n_intervals_y",
+                                  n_intervals_x if n_intervals_y is None else n_intervals_y))
 
 
 @lru_cache(maxsize=8)

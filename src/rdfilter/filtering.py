@@ -1,4 +1,4 @@
-"""Order-8 spectral filter and the 1D postprocessing pipeline.
+"""Order-8 spectral filter and the one postprocess, for 1D and 2D grids.
 
 The filter multiplies sine coefficient k of the (shifted, odd-extended)
 field by sigma(kappa * k / N).  The stretching factor kappa moves the
@@ -6,15 +6,14 @@ effective cutoff down to the linearly stable band: with kappa >= kappa_c
 every mode the filter retains satisfies the two-step scheme's per-mode
 stability condition, so time steps far beyond dt = h^2/3 become usable.
 
-``postprocess_field`` is the one 1D postprocess, on the whole grid or on
-the overlapping strips of a ``ddm.SubdomainLayout``; every strip, and every
-2D boundary trace (``filter_boundary_trace``), is shifted by
-``shift.shift1d``, filtered and shifted back the same way.  The third-order
-shift reads u_xx from a callable its caller passes, never the time levels.
+``postprocess_field`` is the one postprocess, on a whole 1D grid, on the
+overlapping strips of a ``ddm.SubdomainLayout``, or along each axis of a 2D
+grid; every strip and axis is shifted by ``shift.shift1d`` and filtered by
+one DST-I kernel.  The third-order shift reads u_xx from a callable its
+caller passes, never the time levels.
 
-The stretching factor is a plain float, kappa = kappa_fraction * kappa_c(dt,
-h), fixed for the whole run: the drivers compute it once from the step and
-the grid.  ``filter_factors`` is the one place that evaluates sigma8; it
+The stretching factors are plain floats, one per node axis, fixed for the
+whole run.  ``filter_factors`` is the one place that evaluates sigma8; it
 memoizes the factors per (N, kappa) and returns them read-only, so a run
 evaluates sigma once per grid and kappa.
 """
@@ -22,12 +21,13 @@ evaluates sigma once per grid and kappa.
 from __future__ import annotations
 
 from functools import lru_cache
+from numbers import Real
 from typing import Callable
 
 import numpy as np
 from scipy.fft import dst, idst
 
-from .core import Field, read_only
+from .core import Field, read_only, require_positive
 from .ddm import SubdomainLayout, blend_weights
 from .shift import cosine_basis, shift1d
 
@@ -56,8 +56,8 @@ def kappa_critical(dt: float, h: float) -> float:
     """Critical stretching factor: the filter cutoff k = N/kappa_c sits exactly
     at the stability boundary of the unfiltered scheme.  Below dt = h^2/3 no
     mode is unstable and no stretching is needed."""
-    if dt <= 0.0 or h <= 0.0:
-        raise ValueError("dt and h must be positive")
+    require_positive("dt", dt)
+    require_positive("h", h)
     arg = 1.0 - 2.0 * h**2 / (3.0 * dt)
     if arg <= -1.0:  # dt <= h^2/3: every mode already stable
         return 1.0
@@ -86,48 +86,78 @@ def filter_factors(n_intervals: int, kappa: float) -> np.ndarray:
     return read_only(sigma8(kappa * k / n_intervals))
 
 
+def _sine_filter(values: np.ndarray, kappa: float) -> np.ndarray:
+    """The sine filter along axis 0 of (N+1, ...) values with zero ends: DST-I,
+    scale coefficient k by sigma(kappa k / N), inverse DST."""
+    factors = filter_factors(values.shape[0] - 1, kappa)
+    coeffs = sine_coefficients(values) * factors.reshape((-1,) + (1,) * (values.ndim - 1))
+    return sine_reconstruct(coeffs)
+
+
 def apply_filter_values(values: np.ndarray, kappa: float) -> np.ndarray:
     """Filter (N+1, m) values with zero endpoints: scale sine coefficient k
     by sigma(kappa k / N)."""
     end = max(float(np.max(np.abs(values[0]))), float(np.max(np.abs(values[-1]))))
     if end > RETAIN_TOL:
         raise ValueError(f"apply_filter_values needs shifted input (endpoints {end:.3e})")
-    n = values.shape[0] - 1
-    factors = filter_factors(n, kappa)
-    coeffs = sine_coefficients(values) * factors.reshape((-1,) + (1,) * (values.ndim - 1))
-    return sine_reconstruct(coeffs)
+    return _sine_filter(values, kappa)
 
 
-def _postprocess_strip(values: np.ndarray, n_grid: int, lo: int, uxx: np.ndarray | None,
-                       kappa: float) -> np.ndarray:
-    """Shift, filter and inverse-shift (nodes, m) values on nodes lo.. of an
-    ``n_grid``-interval grid; the two end values are kept exactly.  The shifted
-    values vanish at both ends by construction, so the filter is applied
-    inline, without ``apply_filter_values``' endpoint check."""
-    v, alpha = shift1d(values, n_grid, lo, uxx)
-    n = v.shape[0] - 1
-    coeffs = sine_coefficients(v)
-    trend = cosine_basis(n_grid, alpha.shape[0])[lo:lo + n + 1] @ alpha
-    out = sine_reconstruct(coeffs * filter_factors(n, kappa)[:, np.newaxis]) + trend
-    out[[0, -1]] = values[[0, -1]]
+def _postprocess(values: np.ndarray, kappa: tuple[float, ...], n_grid: int, lo: int = 0,
+                 uxx: np.ndarray | None = None) -> np.ndarray:
+    """Shift, filter and shift back node-major values, one kappa per node axis.
+
+    One axis: ``values`` (nodes, m) are nodes lo.. of an ``n_grid``-interval
+    grid, shifted at third order with ``uxx`` (u_xx at both ends), else at
+    first order; both end values are kept exactly.  More axes (whole grids,
+    first order): each boundary face runs through this function one axis
+    down, then the field with those faces is shifted along each axis in turn,
+    filtered and given its trends back, last axis first; the faces are
+    written back exactly.
+    """
+    if len(kappa) == 1:
+        v, alpha = shift1d(values, n_grid, lo, uxx)
+        n = v.shape[0] - 1
+        trend = cosine_basis(n_grid, alpha.shape[0])[lo:lo + n + 1] @ alpha
+        out = _sine_filter(v, kappa[0]) + trend  # v vanishes at both ends: no check
+        out[[0, -1]] = values[[0, -1]]
+        return out
+
+    shape, axes = values.shape, range(len(kappa))
+
+    def front(a, axis):  # (nodes along axis, every other entry)
+        return a.swapaxes(0, axis).reshape(shape[axis], -1)
+
+    def back(a, axis):
+        return a.reshape(values.swapaxes(0, axis).shape).swapaxes(0, axis)
+
+    faces = [(slice(None),) * axis + (end,) for axis in axes for end in (0, -1)]
+    edged = values.copy()
+    for face in faces:  # the face at one end of axis len(face) - 1
+        trace, axis = values[face], len(face) - 1
+        edged[face] = _postprocess(trace, kappa[:axis] + kappa[axis + 1:], trace.shape[0] - 1)
+    out, alphas = edged, []
+    for axis in axes:
+        v, alpha = shift1d(front(out, axis), shape[axis] - 1)
+        out = back(v, axis)
+        alphas.append(alpha)
+    for axis in reversed(axes):
+        out = back(_sine_filter(front(out, axis), kappa[axis]), axis)
+    for axis in reversed(axes):
+        out = out + back(cosine_basis(shape[axis] - 1, 2) @ alphas[axis], axis)
+    for face in faces:
+        out[face] = edged[face]
     return out
 
 
-def filter_boundary_trace(samples: np.ndarray, kappa: float) -> np.ndarray:
-    """Filter a 1D boundary trace with the first-order 1D postprocess.  Endpoint
-    values of the trace are reproduced exactly."""
-    samples = np.asarray(samples, dtype=float)
-    squeeze = samples.ndim == 1
-    vals = samples[:, np.newaxis] if squeeze else samples
-    out = _postprocess_strip(vals, vals.shape[0] - 1, 0, None, kappa)
-    return out[:, 0] if squeeze else out
-
-
-def postprocess_field(u: Field, kappa: float,
+def postprocess_field(u: Field, kappa: float | tuple[float, ...],
                       uxx_at: Callable[[np.ndarray], np.ndarray] | None = None,
                       layout: SubdomainLayout | None = None) -> Field:
-    """Shift, filter, inverse shift: on the whole grid, or per strip of ``layout``.
+    """Shift, filter, inverse shift: on a 1D or 2D grid, or per strip of ``layout``.
 
+    ``kappa`` holds one stretching factor per node axis, x first; a float is
+    every axis's.  A 2D field gets the tensor filter sigma(kx k/Nx) sigma(ky
+    l/Ny), and its edges equal its traces filtered by the 1D postprocess.
     ``layout`` None is one strip covering the grid.  With several strips each
     is shifted with its own end values and filtered with sigma(kappa k /
     N_local), so the cutoff sits at the same physical wavenumber as on the
@@ -136,20 +166,27 @@ def postprocess_field(u: Field, kappa: float,
 
     ``uxx_at(nodes)`` returns u_xx at those node indices, shape (len(nodes),
     m); given it, each strip takes the third-order shift with u_xx at its two
-    end nodes, else the first-order shift.
+    end nodes, else the first-order shift.  Only a 1D field takes ``uxx_at``
+    or ``layout``.
     """
-    n = u.grid.n_intervals
+    n_axes = u.values.ndim - 1
+    kappa = (kappa,) * n_axes if isinstance(kappa, Real) else tuple(kappa)
+    if len(kappa) != n_axes:
+        raise ValueError(f"kappa: needs one value per node axis ({n_axes}), got {len(kappa)}")
+    if n_axes > 1 and (uxx_at is not None or layout is not None):
+        name = "uxx_at" if uxx_at is not None else "layout"
+        raise ValueError(f"{name}: only a 1D field takes it, the field has {n_axes} node axes")
+    n = u.values.shape[0] - 1
     if layout is not None and layout.grid != u.grid:
         raise ValueError(f"layout is for N={layout.grid.n_intervals}, the field has N={n}")
     ranges = ((0, n),) if layout is None else layout.ranges
-
-    def strip(lo: int, hi: int) -> np.ndarray:
+    strips = []
+    for lo, hi in ranges:
         uxx = None if uxx_at is None else uxx_at(np.array([lo, hi]))
-        return _postprocess_strip(u.values[lo:hi + 1], n, lo, uxx, kappa)
-
-    if len(ranges) == 1:  # the blend weights of a single strip are all 1
-        return u.with_values(strip(0, n))
+        strips.append(_postprocess(u.values[lo:hi + 1], kappa, n, lo, uxx))
+    if len(strips) == 1:  # the blend weights of a single strip are all 1
+        return u.with_values(strips[0])
     out = np.zeros_like(u.values)
-    for (lo, hi), w in zip(ranges, blend_weights(layout)):
-        out[lo:hi + 1] += w[:, np.newaxis] * strip(lo, hi)
+    for (lo, hi), w, strip in zip(ranges, blend_weights(layout), strips):
+        out[lo:hi + 1] += w[:, np.newaxis] * strip
     return u.with_values(out)

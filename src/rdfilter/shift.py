@@ -6,10 +6,8 @@ second derivative, whose end values the caller passes); the remainder then
 extends to an odd 2pi-periodic function smooth enough for the filter to act
 on without ringing.  That extension is never built: the DST-I implies it.
 
-``shift1d`` is the one shift: the whole-grid postprocess, each
-overlapping strip and each 2D boundary trace call it through
-``filtering.postprocess_field`` and ``filtering.filter_boundary_trace``, and
-``solver2d.postprocess2d`` calls it along x and then along y.
+``shift1d`` is the one shift: ``filtering.postprocess_field`` calls it on
+the whole grid, on each overlapping strip, and along each axis of a 2D grid.
 On the full grid its first-order coefficients are alpha_0 = (u_0 + u_pi)/2
 and alpha_1 = (u_0 - u_pi)/2, the unique pair for which
 v = u - alpha_0 - alpha_1 cos(x) vanishes at both endpoints.

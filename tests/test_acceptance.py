@@ -29,7 +29,6 @@ from rdfilter.filtering import (
     postprocess_field,
     sigma8,
 )
-from rdfilter.solver2d import postprocess2d
 from rdfilter.stepper import recurrence_roots
 
 
@@ -185,15 +184,14 @@ def test_criterion_9_2d_stability_beyond_explicit_limit():
     u0 = Field(grid, case["exact"](x[:, np.newaxis], y[np.newaxis, :], 0.0))
     out = integrate_2d(case["reaction"], grid, dt, 500, case["bc"], u0)
 
-    # boundary preservation: postprocess output edges equal the filtered data
-    from rdfilter.filtering import filter_boundary_trace
-
+    # boundary preservation: postprocess output edges equal the traces filtered in 1D
     X, Y = np.meshgrid(x, y, indexing="ij")
     u = Field(grid, np.cos(X) * np.cos(Y) + 0.05 * np.sin(2 * X) * np.sin(3 * Y))
     kappa = 2.0
-    post = postprocess2d(u, kappa, kappa).values
-    edges_ok = (np.array_equal(post[:, 0], filter_boundary_trace(u.values[:, 0], kappa))
-                and np.array_equal(post[0, :], filter_boundary_trace(u.values[0, :], kappa)))
+    post = postprocess_field(u, (kappa, kappa)).values
+    trace = lambda edge: postprocess_field(Field(make_grid_1d(n), u.values[edge]), kappa).values
+    edges_ok = (np.array_equal(post[:, 0], trace(np.s_[:, 0]))
+                and np.array_equal(post[0, :], trace(np.s_[0, :])))
     ok = out.stable and edges_ok
     _verdict(9, ok, f"stable at dt=2*(h^2/6) for 500 steps={out.stable}, "
                     f"edges exact={edges_ok}")

@@ -355,22 +355,43 @@ def test_bisection_ends_when_the_midpoint_reaches_an_end(monkeypatch):
     assert [r.ratio for r in rows] == [last_stable, last_stable]
 
 
+def _run_driver(driver, dt=1e-3, n_steps=2, kappa_fraction=1.0):
+    """Run a driver on a zero field with homogeneous data."""
+    if driver == "1d":
+        grid = make_grid_1d(16)
+        return integrate_1d(zero_reaction(), grid, dt, n_steps, lambda t: (0.0, 0.0),
+                            Field.zeros(grid), kappa_fraction=kappa_fraction)
+    grid = make_grid_2d(8)
+    bc = BoundaryData2D(lambda x, y, t: 0.0 * (x + y))
+    return bench.integrate_2d(zero_reaction(), grid, dt, n_steps, bc, Field.zeros(grid),
+                              kappa_fraction=kappa_fraction)
+
+
 @pytest.mark.parametrize("driver", ["1d", "2d"])
 @pytest.mark.parametrize("kappa_fraction", [-1.0, 0.0, float("nan"), float("inf")])
 def test_drivers_reject_a_kappa_fraction_that_is_not_finite_and_positive(driver,
                                                                         kappa_fraction):
     # a negative fraction used to run as its absolute value and report kappa < 0
-    if driver == "1d":
-        grid = make_grid_1d(16)
-        run = lambda: integrate_1d(zero_reaction(), grid, 1e-3, 2, lambda t: (0.0, 0.0),
-                                   Field.zeros(grid), kappa_fraction=kappa_fraction)
-    else:
-        grid = make_grid_2d(8)
-        bc = BoundaryData2D(lambda x, y, t: 0.0 * (x + y))
-        run = lambda: bench.integrate_2d(zero_reaction(), grid, 1e-3, 2, bc,
-                                         Field.zeros(grid), kappa_fraction=kappa_fraction)
     with pytest.raises(ValueError, match="^kappa_fraction: must be finite and positive"):
-        run()
+        _run_driver(driver, kappa_fraction=kappa_fraction)
+
+
+@pytest.mark.parametrize("driver", ["1d", "2d"])
+@pytest.mark.parametrize("dt", [-1.0, 0.0, float("nan"), float("inf")])
+def test_drivers_reject_a_dt_that_is_not_finite_and_positive(driver, dt):
+    # NaN and inf used to run with kappa NaN or inf and report a Newton failure
+    with pytest.raises(ValueError, match="^dt: must be finite and positive"):
+        _run_driver(driver, dt=dt)
+
+
+@pytest.mark.parametrize("driver", ["1d", "2d"])
+def test_drivers_reject_a_negative_step_count_and_take_zero_steps(driver):
+    # n_steps = -3 used to return stable=True, steps=-3
+    with pytest.raises(ValueError, match="^n_steps: must be >= 0, got -3"):
+        _run_driver(driver, n_steps=-3)
+    out = _run_driver(driver, n_steps=0)
+    assert (out.stable, out.steps) == (True, 0)
+    assert np.array_equal(out.field.values, np.zeros_like(out.field.values))
 
 
 def test_dd_study_rejects_an_infeasible_overlap_before_bisecting(monkeypatch):

@@ -33,6 +33,19 @@ def test_grid_too_small_rejected():
         make_grid_1d(3)
 
 
+@pytest.mark.parametrize("make, name", [
+    (make_grid_1d, "n_intervals"), (make_grid_2d, "n_intervals_x"),
+    (lambda n: make_grid_2d(8, n), "n_intervals_y"),
+])
+def test_grid_rejects_an_interval_count_that_is_not_whole(make, name):
+    # int() used to truncate: 64.7 built N = 64, and make_grid_2d(32.9) a 33 x 33 grid
+    for bad in (64.7, 32.9, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"^{name}: must be a whole number"):
+            make(bad)
+    for good in (64.0, np.int64(64), 64):
+        assert make(good).node_shape[-1] == 65
+
+
 def test_grid_2d_per_direction():
     grid = make_grid_2d(8, 16)
     assert grid.hx == np.pi / 8 and grid.hy == np.pi / 16

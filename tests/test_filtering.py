@@ -13,7 +13,6 @@ from rdfilter.core import Field, laplacian_symbol, make_grid_1d, source_reaction
 from rdfilter.ddm import make_layout
 from rdfilter.filtering import (
     apply_filter_values,
-    filter_boundary_trace,
     filter_factors,
     kappa_critical,
     postprocess_field,
@@ -120,8 +119,9 @@ def test_kappa_critical_values():
     assert abs(kappa_critical(h**2 / 2.0, h) - np.pi / np.arccos(-1.0 / 3.0)) < 1e-12
     assert kappa_critical(1e12, h) > 1e3  # dt -> infinity: unbounded stretch
     assert kappa_critical(h**2 / 10.0, h) == 1.0  # below the limit: no stretch
-    with pytest.raises(ValueError):
-        kappa_critical(-1.0, h)
+    for dt in (-1.0, 0.0, float("nan"), float("inf")):  # NaN returned NaN, inf warned
+        with pytest.raises(ValueError, match="^dt: must be finite and positive"):
+            kappa_critical(dt, h)
 
 
 def test_sine_transform_roundtrip():
@@ -210,17 +210,22 @@ def test_retained_modes_stable_at_critical_kappa_on_any_grid(n, ratio):
     _assert_retained_modes_stable(n, ratio)
 
 
+def _trace(samples, kappa):
+    """The 1D postprocess of a trace, as the 2D postprocess filters its edges."""
+    return postprocess_field(Field(make_grid_1d(len(samples) - 1), samples), kappa).values[:, 0]
+
+
 def test_filter_boundary_trace_constant_and_cosine():
     x = np.linspace(0.0, np.pi, 65)
-    assert np.max(np.abs(filter_boundary_trace(np.full(65, 2.0), 3.0) - 2.0)) < 1e-13
-    out = filter_boundary_trace(np.cos(x), 3.0)
+    assert np.max(np.abs(_trace(np.full(65, 2.0), 3.0) - 2.0)) < 1e-13
+    out = _trace(np.cos(x), 3.0)
     assert np.max(np.abs(out - np.cos(x))) < 1e-13
 
 
 def test_filter_boundary_trace_removes_high_mode():
     x = np.linspace(0.0, np.pi, 65)
     trace = 1.0 + 0.5 * np.cos(x) + 1e-3 * np.sin(32 * x)
-    out = filter_boundary_trace(trace, 4.0)
+    out = _trace(trace, 4.0)
     assert np.max(np.abs(out - (1.0 + 0.5 * np.cos(x)))) < 1e-12
     # endpoints reproduced exactly
     assert out[0] == trace[0] and out[-1] == trace[-1]

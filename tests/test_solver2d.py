@@ -1,4 +1,4 @@
-"""2D Dirichlet solver: five-point stencil, time step, per-axis postprocess."""
+"""2D Dirichlet problems: five-point stencil, time step, the postprocess on a 2D grid."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,13 @@ from rdfilter.core import (
     Field,
     SchemeState,
     laplacian_symbol,
+    make_grid_1d,
     make_grid_2d,
     zero_reaction,
 )
-from rdfilter.filtering import sigma8
-from rdfilter.solver2d import (
-    BoundaryData2D,
-    kappa_critical_2d,
-    postprocess2d,
-)
+from rdfilter.ddm import make_layout
+from rdfilter.filtering import postprocess_field, sigma8
+from rdfilter.solver2d import BoundaryData2D, kappa_critical_2d
 from rdfilter.stepper import apply_laplacian, recurrence_roots, step
 
 GRID = make_grid_2d(16, 16)
@@ -162,15 +160,15 @@ def test_tensor_filter_separability():
     vals[:, 0] = vals[:, -1] = 0.0
     u = Field(GRID, vals)
     kappa_x, kappa_y, none = 2.0, 1.5, 1e-12
-    joint = postprocess2d(u, kappa_x, kappa_y).values
-    both = postprocess2d(postprocess2d(u, kappa_x, none), none, kappa_y).values
+    joint = postprocess_field(u, (kappa_x, kappa_y)).values
+    both = postprocess_field(postprocess_field(u, (kappa_x, none)), (none, kappa_y)).values
     assert np.max(np.abs(joint - both)) < 1e-12
 
 
 def test_tensor_filter_kills_mode_beyond_cutoff():
     # sigma(kappa k / N) = 0 along x alone removes the product mode
     u = Field(GRID, np.sin(8 * X) * np.sin(1 * Y))
-    out = postprocess2d(u, 2.0, 2.0)
+    out = postprocess_field(u, (2.0, 2.0))
     assert np.max(np.abs(out.values)) < 1e-12
 
 
@@ -179,7 +177,7 @@ def test_tensor_filter_kills_mode_beyond_cutoff():
 ], ids=["constant", "cosx_plus_cosy", "cosx_cosy"])
 def test_postprocess2d_cosines_unchanged(field):
     u = Field(GRID, field)
-    out = postprocess2d(u, 3.0, 3.0)
+    out = postprocess_field(u, (3.0, 3.0))
     assert np.max(np.abs(out.values - u.values)) < 1e-10
 
 
@@ -210,7 +208,7 @@ def test_postprocess2d_matches_dense_tensor_oracle():
     xs, ys = np.meshgrid(grid.nodes_x, grid.nodes_y, indexing="ij")
     rng = np.random.default_rng(11)
     u = rng.normal(size=(nx + 1, ny + 1, m)) + (np.cos(xs) * np.cos(2 * ys))[..., np.newaxis]
-    got = postprocess2d(Field(grid, u), kx, ky).values
+    got = postprocess_field(Field(grid, u), (kx, ky)).values
 
     g0, gpi = _dense_trace_filter(u[:, 0], kx), _dense_trace_filter(u[:, -1], kx)
     h0, hpi = _dense_trace_filter(u[0], ky), _dense_trace_filter(u[-1], ky)
@@ -234,26 +232,41 @@ def test_postprocess2d_matches_dense_tensor_oracle():
 
 def test_postprocess2d_identity_at_tiny_kappa():
     u = Field(GRID, np.cos(X) * np.cos(2 * Y) + np.sin(X) * np.sin(Y))
-    out = postprocess2d(u, 1e-9, 1e-9)
+    out = postprocess_field(u, (1e-9, 1e-9))
     assert np.max(np.abs(out.values - u.values)) < 1e-8
 
 
 def test_postprocess2d_kills_high_tensor_mode():
     u = Field(GRID, np.sin(8 * X) * np.sin(8 * Y))
-    out = postprocess2d(u, 2.0, 2.0)
+    out = postprocess_field(u, (2.0, 2.0))
     assert np.max(np.abs(out.values)) < 1e-10
 
 
 def test_postprocess2d_preserves_filtered_boundary_exactly():
-    from rdfilter.filtering import filter_boundary_trace
-
+    # each edge is its trace run through the 1D postprocess with its own axis's kappa
     u = Field(GRID, np.cos(X) * np.cos(Y) + 0.1 * np.sin(3 * X) * np.sin(2 * Y))
     kappa = 2.5
-    out = postprocess2d(u, kappa, kappa).values
-    want_g0 = filter_boundary_trace(u.values[:, 0], kappa)
+    out = postprocess_field(u, (kappa, kappa)).values
+    want_g0 = postprocess_field(Field(make_grid_1d(16), u.values[:, 0]), kappa).values
     assert np.array_equal(out[:, 0], want_g0)
-    want_h0 = filter_boundary_trace(u.values[0, :], kappa)
+    want_h0 = postprocess_field(Field(make_grid_1d(16), u.values[0, :]), kappa).values
     assert np.array_equal(out[0, :], want_h0)
+
+
+def test_postprocess2d_takes_a_float_kappa_as_every_axis():
+    u = Field(GRID, np.cos(X) * np.cos(Y) + 0.1 * np.sin(3 * X) * np.sin(2 * Y))
+    assert np.array_equal(postprocess_field(u, 2.5).values, postprocess_field(u, (2.5, 2.5)).values)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("uxx_at", lambda nodes: np.zeros((len(nodes), 1))),
+    ("layout", make_layout(make_grid_1d(16), 2, 4)),
+    ("kappa", (2.0,)),
+], ids=["uxx_at", "layout", "kappa"])
+def test_postprocess2d_rejects_by_name_what_a_2d_field_cannot_take(name, value):
+    # the third-order shift and the strips are 1D; kappa needs one value per axis
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        postprocess_field(Field.zeros(GRID), **{"kappa": (2.0, 2.0), name: value})
 
 
 def test_boundary_sample_evaluates_g_on_each_edge():

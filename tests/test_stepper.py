@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdfilter.bench import integrate_1d, manufactured_heat_case, ratio_to_dt
 from rdfilter.core import (
@@ -155,6 +157,15 @@ def test_newton_converges_on_a_stiff_reaction(lam, ratio, m):
     # scale coeff |u| alone raised NewtonDivergence at step 0 here, from
     # lam = 1e6 at ratio 16 on.  Stiffness costs no accuracy.
     out, err = _run_relaxation(lam, ratio, m)
+    assert (out.stable, out.steps, out.failure) == (True, 10, None)
+    assert err <= _run_relaxation(0.0, ratio, m)[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(log_lam=st.floats(0.0, 8.0), ratio=st.floats(0.25, 32.0), m=st.sampled_from([1, 2]))
+def test_newton_converges_on_any_stiff_relaxation(log_lam, ratio, m):
+    # lam log-uniform in [1, 1e8]: every draw takes 10 stable steps, no less accurate
+    out, err = _run_relaxation(10.0**log_lam, ratio, m)
     assert (out.stable, out.steps, out.failure) == (True, 10, None)
     assert err <= _run_relaxation(0.0, ratio, m)[1]
 
