@@ -12,6 +12,13 @@ grid; every strip and axis is shifted by ``shift.shift1d`` and filtered by
 one DST-I kernel.  The third-order shift reads u_xx from a callable its
 caller passes, never the time levels.
 
+With kappa fixed, the 1D postprocess is linear in u and in the u_xx values
+at the strip ends.  ``postprocess_matrices`` assembles it as P @ u + Q @
+u_xx(end nodes) by running the same code on unit columns;
+``apply_postprocess_matrices`` applies it.  On a grid of at most
+``MATRIX_MAX_N`` intervals, where Python call overhead and not arithmetic is
+the cost, a run assembles it once and applies it after every step.
+
 The stretching factors are plain floats, one per node axis, fixed for the
 whole run.  ``filter_factors`` is the one place that evaluates sigma8; it
 memoizes the factors per (N, kappa) and returns them read-only, so a run
@@ -27,11 +34,20 @@ from typing import Callable
 import numpy as np
 from scipy.fft import dst, idst
 
-from .core import Field, read_only, require_positive
+from .core import Field, Grid1D, read_only, require_positive
 from .ddm import SubdomainLayout, blend_weights
 from .shift import cosine_basis, shift1d
 
 RETAIN_TOL = 1.0e-12
+
+# The largest 1D grid whose postprocess ``bench`` applies as a matrix
+# (``postprocess_matrices``): at N = 256 one P @ u takes about 18 us against
+# 85 us for the DSTs, at N = 512 the two are even, and above that the
+# O(N^2) product loses to the O(N log N) transforms.
+MATRIX_MAX_N = 256
+# Unit columns per ``_postprocess`` call while assembling: one call on the
+# whole (N+1, N+1) identity holds several copies of it at once.
+ASSEMBLY_BLOCK = 32
 
 
 def sigma8(xi) -> np.ndarray | float:
@@ -166,7 +182,8 @@ def postprocess_field(u: Field, kappa: float | tuple[float, ...],
 
     ``uxx_at(nodes)`` returns u_xx at those node indices, shape (len(nodes),
     m); given it, each strip takes the third-order shift with u_xx at its two
-    end nodes, else the first-order shift.  Only a 1D field takes ``uxx_at``
+    end nodes, else the first-order shift.  It is called once, with every
+    strip's two end nodes in strip order.  Only a 1D field takes ``uxx_at``
     or ``layout``.
     """
     n_axes = u.values.ndim - 1
@@ -180,13 +197,60 @@ def postprocess_field(u: Field, kappa: float | tuple[float, ...],
     if layout is not None and layout.grid != u.grid:
         raise ValueError(f"layout is for N={layout.grid.n_intervals}, the field has N={n}")
     ranges = ((0, n),) if layout is None else layout.ranges
-    strips = []
-    for lo, hi in ranges:
-        uxx = None if uxx_at is None else uxx_at(np.array([lo, hi]))
-        strips.append(_postprocess(u.values[lo:hi + 1], kappa, n, lo, uxx))
+    uxx = None if uxx_at is None else uxx_at(np.ravel(ranges)).reshape(len(ranges), 2, -1)
+    strips = [_postprocess(u.values[lo:hi + 1], kappa, n, lo, None if uxx is None else uxx[s])
+              for s, (lo, hi) in enumerate(ranges)]
     if len(strips) == 1:  # the blend weights of a single strip are all 1
         return u.with_values(strips[0])
     out = np.zeros_like(u.values)
     for (lo, hi), w, strip in zip(ranges, blend_weights(layout), strips):
         out[lo:hi + 1] += w[:, np.newaxis] * strip
     return u.with_values(out)
+
+
+def postprocess_matrices(grid: Grid1D, kappa: float, layout: SubdomainLayout | None = None,
+                         third_order: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 1D postprocess as matrices: (P, Q, end_nodes) with
+
+        postprocess_field(u, kappa, uxx_at, layout) == P @ u.values + Q @ uxx_at(end_nodes)
+
+    up to roundoff, ``uxx_at`` given when ``third_order`` and None otherwise
+    (then Q is zero).  P is (N+1, N+1), Q is (N+1, 2 n_strips) and
+    ``end_nodes`` holds each strip's two end nodes in strip order.  Rows 0 and
+    N of P are unit rows and those of Q are zero, so both end values are kept
+    exactly.
+
+    Both are assembled by running ``_postprocess`` on unit columns, strip by
+    strip, ``ASSEMBLY_BLOCK`` columns per call, and summing the strips with
+    ``blend_weights``; with one strip the weights are all 1.
+    """
+    n = grid.n_intervals
+    if layout is not None and layout.grid != grid:
+        raise ValueError(f"layout is for N={layout.grid.n_intervals}, the grid has N={n}")
+    ranges = ((0, n),) if layout is None else layout.ranges
+    weights = (np.ones(n + 1),) if layout is None else blend_weights(layout)
+    P = np.zeros((n + 1, n + 1))
+    Q = np.zeros((n + 1, 2 * len(ranges)))
+    for s, ((lo, hi), w) in enumerate(zip(ranges, weights)):
+        rows, w = slice(lo, hi + 1), w[:, np.newaxis]
+        for c0 in range(0, hi - lo + 1, ASSEMBLY_BLOCK):
+            b = min(ASSEMBLY_BLOCK, hi - lo + 1 - c0)
+            unit = np.eye(hi - lo + 1, b, -c0)  # strip columns c0..c0+b-1 of the identity
+            uxx = np.zeros((2, b)) if third_order else None
+            P[rows, lo + c0:lo + c0 + b] += w * _postprocess(unit, (kappa,), n, lo, uxx)
+        if third_order:
+            zero = np.zeros((hi - lo + 1, 2))
+            Q[rows, 2 * s:2 * s + 2] = w * _postprocess(zero, (kappa,), n, lo, np.eye(2))
+    return P, Q, np.ravel(ranges)
+
+
+def apply_postprocess_matrices(u: Field, matrices: tuple[np.ndarray, np.ndarray, np.ndarray],
+                               uxx_at: Callable[[np.ndarray], np.ndarray] | None = None) -> Field:
+    """``u`` postprocessed by ``matrices`` = (P, Q, end_nodes) from
+    ``postprocess_matrices``: P @ u, plus Q @ uxx_at(end_nodes) when ``uxx_at``
+    is given.  Matrices built at third order need ``uxx_at``."""
+    P, Q, end_nodes = matrices
+    values = P @ u.values
+    if uxx_at is not None:
+        values += Q @ uxx_at(end_nodes)
+    return u.with_values(values)

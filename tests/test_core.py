@@ -7,6 +7,8 @@ import pytest
 
 from rdfilter.core import (
     Field,
+    Grid1D,
+    Grid2D,
     ReactionSystem,
     laplacian_symbol,
     make_grid_1d,
@@ -44,6 +46,21 @@ def test_grid_rejects_an_interval_count_that_is_not_whole(make, name):
             make(bad)
     for good in (64.0, np.int64(64), 64):
         assert make(good).node_shape[-1] == 65
+
+
+@pytest.mark.parametrize("make, name", [
+    (Grid1D, "n_intervals"), (lambda n: Grid2D(n, 8), "n_intervals_x"),
+    (lambda n: Grid2D(8, n), "n_intervals_y"),
+])
+def test_grid_classes_reject_an_interval_count_that_is_not_whole(make, name):
+    # Grid1D(64.7) used to build, with h = pi / 64.7, and fail only at .nodes
+    for bad in (64.7, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"^{name}: must be a whole number"):
+            make(bad)
+    for good in (64.0, np.int64(64)):
+        grid = make(good)
+        assert grid == make(64) and type(getattr(grid, name)) is int
+        assert grid.node_shape[-1 if name == "n_intervals_y" else 0] == 65
 
 
 def test_grid_2d_per_direction():

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdfilter.bench import integrate_1d
-from rdfilter.core import Field, make_grid_1d, zero_reaction
+from rdfilter.bench import integrate_1d, manufactured_heat_case, ratio_to_dt
+from rdfilter.core import Field, SchemeState, make_grid_1d, zero_reaction
 from rdfilter.ddm import blend_weights, make_layout
-from rdfilter.filtering import postprocess_field
-from rdfilter.stepper import estimate_uxx_nodes
+from rdfilter.filtering import MATRIX_MAX_N, kappa_critical, postprocess_field
+from rdfilter.stepper import estimate_uxx_nodes, step
 
 GRID = make_grid_1d(64)
 
@@ -140,3 +140,32 @@ def test_gibbs_perturbation_localized_at_interfaces():
     dist = np.min(np.abs(np.subtract.outer(np.arange(129), interfaces)), axis=1)
     far = dist >= layout.overlap
     assert np.max(dd[far]) <= 10.0 * np.max(single[far]) + 1e-14
+
+
+@pytest.mark.parametrize("shift_order", [1, 3])
+@pytest.mark.parametrize("n, n_subdomains, overlap", [(64, 1, 0), (128, 4, 8), (256, 1, 0),
+                                                      (256, 3, 8)])
+def test_driver_matrix_path_matches_a_postprocess_field_loop(n, n_subdomains, overlap,
+                                                             shift_order):
+    # at N <= MATRIX_MAX_N integrate_1d applies the postprocess as P @ u + Q @ u_xx;
+    # the loop below is the scheme with postprocess_field after every step
+    grid = make_grid_1d(n)
+    layout = make_layout(grid, n_subdomains, overlap) if n_subdomains > 1 else None
+    case = manufactured_heat_case()
+    reaction, dt, n_steps = case.reaction(), ratio_to_dt(8.0, grid.h), 20
+    kappa = kappa_critical(dt, grid.h)
+    u0 = case.initial(grid)
+    assert n <= MATRIX_MAX_N
+    out = integrate_1d(reaction, grid, dt, n_steps, case.boundary, u0,
+                       shift_order=shift_order, layout=layout)
+    u_prev = u_curr = u0
+    for k in range(n_steps):
+        t_next = (k + 1) * dt
+        u_new = step(SchemeState(u_curr, u_prev, k * dt, dt), reaction,
+                     case.boundary(t_next), startup=k == 0)
+        uxx_at = None if k == 0 or shift_order == 1 else partial(
+            estimate_uxx_nodes, u_new, u_curr, u_prev, reaction, dt, t_next)
+        u_prev, u_curr = u_curr, postprocess_field(u_new, kappa, uxx_at, layout)
+    assert out.stable and out.steps == n_steps
+    scale = np.max(np.abs(u_curr.values))
+    assert np.max(np.abs(out.field.values - u_curr.values)) <= 1e-12 * scale

@@ -1,5 +1,6 @@
 """Order-8 filter, critical stretching, sine-transform filtering pipeline."""
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -12,10 +13,14 @@ from rdfilter.bench import integrate_1d, ratio_to_dt
 from rdfilter.core import Field, laplacian_symbol, make_grid_1d, source_reaction, zero_reaction
 from rdfilter.ddm import make_layout
 from rdfilter.filtering import (
+    ASSEMBLY_BLOCK,
+    MATRIX_MAX_N,
     apply_filter_values,
+    apply_postprocess_matrices,
     filter_factors,
     kappa_critical,
     postprocess_field,
+    postprocess_matrices,
     sigma8,
     sine_coefficients,
     sine_reconstruct,
@@ -232,7 +237,9 @@ def test_filter_boundary_trace_removes_high_mode():
 
 
 def test_one_forward_dst_per_postprocess(monkeypatch):
-    # the filter scales the coefficients of the one forward DST of each step
+    # above MATRIX_MAX_N the filter scales the coefficients of the one forward
+    # DST of each step; at or below it the DSTs run only while the run
+    # assembles its matrix, one per block of unit columns
     calls = []
     original = filtering.sine_coefficients
 
@@ -241,11 +248,13 @@ def test_one_forward_dst_per_postprocess(monkeypatch):
         return original(values)
 
     monkeypatch.setattr(filtering, "sine_coefficients", counted)
-    grid = make_grid_1d(64)
-    dt = ratio_to_dt(8.0, grid.h)
-    u0 = Field(grid, np.sin(grid.nodes) + 1e-3 * np.sin(21 * grid.nodes))
-    out = integrate_1d(zero_reaction(), grid, dt, 50, lambda t: (0.0, 0.0), u0)
-    assert out.stable and len(calls) == 50
+    for n, n_calls in [(2 * MATRIX_MAX_N, 50), (64, -(-65 // ASSEMBLY_BLOCK))]:
+        calls.clear()
+        grid = make_grid_1d(n)
+        dt = ratio_to_dt(8.0, grid.h)
+        u0 = Field(grid, np.sin(grid.nodes) + 1e-3 * np.sin(21 * grid.nodes))
+        out = integrate_1d(zero_reaction(), grid, dt, 50, lambda t: (0.0, 0.0), u0)
+        assert out.stable and len(calls) == n_calls
 
 
 def _layout_or_none(grid, n_subdomains, overlap):
@@ -316,6 +325,81 @@ def test_postprocess_is_linear_at_first_order(n, ratio, shift_order, n_subdomain
     u, w = (Field(grid, rng.standard_normal((n + 1, 2))) for _ in range(2))
     combined = post(u.with_values(a * u.values + b * w.values))
     assert np.max(np.abs(combined - (a * post(u) + b * post(w)))) <= 1e-12
+
+
+# (N, n_subdomains, overlap): one domain and 2-4 strips on each grid size
+_MATRIX_LAYOUTS = [(16, 1, 0), (16, 2, 2), (64, 1, 0), (64, 2, 4), (64, 4, 8),
+                   (256, 1, 0), (256, 3, 8), (256, 4, 16)]
+
+
+def _matrix_case(n, n_subdomains, overlap):
+    grid = make_grid_1d(n)
+    return grid, make_layout(grid, n_subdomains, overlap) if n_subdomains > 1 else None
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("shift_order", [1, 3])
+@pytest.mark.parametrize("n, n_subdomains, overlap", _MATRIX_LAYOUTS)
+def test_postprocess_matrices_match_postprocess_field(n, n_subdomains, overlap, shift_order, m):
+    grid, layout = _matrix_case(n, n_subdomains, overlap)
+    kappa = kappa_critical(ratio_to_dt(8.0, grid.h), grid.h)
+    rng = np.random.default_rng(n + 10 * n_subdomains + shift_order + m)
+    u = Field(grid, 1.0 + np.cos(grid.nodes)[:, None] + rng.standard_normal((n + 1, m)))
+    uxx = rng.standard_normal((n + 1, m))
+    seen = []
+
+    def uxx_at(nodes):
+        seen.append(nodes)
+        return uxx[nodes]
+
+    third = shift_order == 3
+    matrices = postprocess_matrices(grid, kappa, layout, third)
+    P, Q, end_nodes = matrices
+    want = postprocess_field(u, kappa, uxx_at if third else None, layout).values
+    got = P @ u.values + Q @ uxx[end_nodes]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(u.values))
+    ranges = ((0, n),) if layout is None else layout.ranges
+    assert np.array_equal(end_nodes, np.ravel(ranges))
+    # the field path reads u_xx once, at the same nodes as the matrix path
+    assert len(seen) == third and all(np.array_equal(s, end_nodes) for s in seen)
+    applied = apply_postprocess_matrices(u, matrices, uxx_at if third else None)
+    assert np.array_equal(applied.values, got)
+
+
+@pytest.mark.parametrize("shift_order", [1, 3])
+@pytest.mark.parametrize("n, n_subdomains, overlap", _MATRIX_LAYOUTS)
+def test_postprocess_matrices_keep_both_end_values_exactly(n, n_subdomains, overlap,
+                                                           shift_order):
+    grid, layout = _matrix_case(n, n_subdomains, overlap)
+    P, Q, end_nodes = postprocess_matrices(grid, 3.0, layout, shift_order == 3)
+    unit = np.eye(n + 1)
+    assert np.array_equal(P[[0, -1]], unit[[0, -1]])
+    assert not np.any(Q[[0, -1]])
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal((n + 1, 2)) * 1e3
+    out = P @ u + Q @ rng.standard_normal((len(end_nodes), 2))
+    assert np.array_equal(out[[0, -1]], u[[0, -1]])
+
+
+@pytest.mark.parametrize("n_subdomains, overlap", [(1, 0), (4, 16)])
+@pytest.mark.parametrize("third_order", [False, True])
+def test_postprocess_matrices_assemble_in_small_blocks(n_subdomains, overlap, third_order):
+    # one call on the whole (N+1, N+1) identity held several copies of it; the
+    # blocks keep the peak near the size of P itself (0.53 MB at N = 256)
+    grid, layout = _matrix_case(MATRIX_MAX_N, n_subdomains, overlap)
+    postprocess_matrices(grid, 3.0, layout, third_order)  # fills the memoized tables
+    tracemalloc.start()
+    try:
+        postprocess_matrices(grid, 3.0, layout, third_order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024**2
+
+
+def test_postprocess_matrices_reject_a_layout_of_another_grid():
+    with pytest.raises(ValueError, match="layout is for N=64, the grid has N=128"):
+        postprocess_matrices(make_grid_1d(128), 2.0, make_layout(make_grid_1d(64), 2, 8))
 
 
 def test_postprocess_field_roundtrip_identity_filter():

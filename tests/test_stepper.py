@@ -45,6 +45,14 @@ def test_scheme_state_rejects_a_nonpositive_dt():
             SchemeState(u, u, 0.0, dt)
 
 
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf")])
+def test_scheme_state_rejects_a_dt_that_is_not_finite_by_name(dt):
+    # a NaN dt used to pass the dt <= 0 check and surface as "Newton diverged at node 0"
+    u = Field.zeros(make_grid_1d(16))
+    with pytest.raises(ValueError, match="^dt: must be finite and positive"):
+        step(SchemeState(u, u, 0.0, dt), zero_reaction(), (0.0, 0.0))
+
+
 def test_step_follows_the_state_dt():
     # dt lives only on the state: two states that differ in dt alone step differently
     grid = make_grid_1d(16)
