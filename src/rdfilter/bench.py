@@ -4,11 +4,10 @@ normalized step ratio 3 dt / h^2, and domain-decomposition overlap studies.
 
 The drivers ``integrate_1d`` and ``integrate_2d`` differ only in their
 boundary sampler; both run ``_integrate``, the one step loop and the one
-place that turns the time levels into u_xx for the postprocess.  On a 1D
-grid of at most ``filtering.MATRIX_MAX_N`` intervals the loop assembles the
-run's postprocess once (``postprocess_matrices``) and applies it as P @ u +
-Q @ u_xx(end nodes) (``apply_postprocess_matrices``); larger and 2D grids
-call ``postprocess_field``."""
+place that turns the time levels into u_xx for the postprocess.  Each step
+makes one ``postprocess_field`` call, which picks its path by N: a memoized
+matrix product on a 1D grid of at most ``filtering.MATRIX_MAX_N``
+intervals, the DSTs on larger and 2D grids."""
 
 from __future__ import annotations
 
@@ -33,13 +32,7 @@ from .core import (
     zero_reaction,
 )
 from .ddm import SubdomainLayout, make_layout
-from .filtering import (
-    MATRIX_MAX_N,
-    apply_postprocess_matrices,
-    kappa_critical,
-    postprocess_field,
-    postprocess_matrices,
-)
+from .filtering import kappa_critical, postprocess_field
 from .solver2d import BoundaryData2D
 from .stepper import NewtonDivergence, apply_laplacian, estimate_uxx_nodes, step
 
@@ -259,12 +252,10 @@ def _integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_ste
                bc_at: Callable, u0: Field, shift_order: int, filter_on: bool,
                kappa_fraction: float, layout: SubdomainLayout | None) -> RunOutcome:
     """The body of both drivers: ``n_steps`` steps of size ``dt`` from u0, the
-    first one the startup step, each followed by ``postprocess_field`` when
-    ``filter_on``.  Each of the d node axes filters with kappa_fraction *
-    kappa_c(d dt, pi / N_axis), its share of the stability budget (see
-    ``solver2d.kappa_critical_2d``).  A 1D run with N <= ``MATRIX_MAX_N``
-    applies that postprocess as matrices assembled once before the first
-    step; the results agree with ``postprocess_field`` to roundoff.
+    first one the startup step, each followed by one ``postprocess_field``
+    call (which picks its path by N) when ``filter_on``.  Each of the d node
+    axes filters with kappa_fraction * kappa_c(d dt, pi / N_axis), its share
+    of the stability budget (see ``solver2d.kappa_critical_2d``).
 
     A step is blown up (``Field.blown_up``) when its values exceed
     ``core.BLOWUP_THRESHOLD`` after its postprocess; every step but the
@@ -294,11 +285,6 @@ def _integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_ste
             update = float(np.max(np.abs(levels[0].values - levels[1].values))) / dt
         return RunOutcome(fld, stable, steps, wall, kappa, mins, update, failure)
 
-    third_order = shift_order == 3
-    matrices = None
-    if filter_on and len(grid.node_shape) == 1 and grid.n_intervals <= MATRIX_MAX_N:
-        matrices = postprocess_matrices(grid, kappa[0], layout, third_order)
-
     u_prev, u_curr, lap_prev = u0, u0, None  # lap_prev: L u^{n-1}, last step's L u^n
     for n in range(n_steps):
         t_next = n * dt + dt
@@ -311,13 +297,9 @@ def _integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_ste
         if (n > 0 or not filter_on) and u_new.blown_up():
             return _done(False, n + 1, u_new)
         if filter_on:
-            uxx_at = None if n == 0 or not third_order else partial(
+            uxx_at = None if n == 0 or shift_order == 1 else partial(
                 estimate_uxx_nodes, u_new, u_curr, u_prev, reaction, dt, t_next)
-            # a third-order run's startup step shifts at first order, which its P is not
-            if matrices is None or (n == 0 and third_order):
-                u_new = postprocess_field(u_new, kappa, uxx_at, layout)
-            else:
-                u_new = apply_postprocess_matrices(u_new, matrices, uxx_at)
+            u_new = postprocess_field(u_new, kappa, uxx_at, layout)
             if u_new.blown_up():
                 return _done(False, n + 1, u_new)
         mins = np.minimum(mins, np.min(u_new.values.reshape(-1, u0.m), axis=0))

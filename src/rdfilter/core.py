@@ -55,7 +55,7 @@ class Grid1D:
     n_intervals: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n_intervals", _interval_count("n_intervals", self.n_intervals))
+        object.__setattr__(self, "n_intervals", require_whole("n_intervals", self.n_intervals))
         if self.n_intervals < 4:
             raise ValueError(
                 f"n_intervals must be >= 4 (third-order shift needs 4 cosine modes), got {self.n_intervals}"
@@ -74,7 +74,7 @@ class Grid1D:
         return (self.n_intervals + 1,)
 
 
-def _interval_count(name: str, value) -> int:
+def require_whole(name: str, value) -> int:
     """``value`` as an int; one that is not a whole number raises naming ``name``."""
     if not float(value).is_integer():
         raise ValueError(f"{name}: must be a whole number, got {value!r}")
@@ -94,7 +94,7 @@ class Grid2D:
 
     def __post_init__(self):
         for name in ("n_intervals_x", "n_intervals_y"):
-            object.__setattr__(self, name, _interval_count(name, getattr(self, name)))
+            object.__setattr__(self, name, require_whole(name, getattr(self, name)))
         if self.n_intervals_x < 4 or self.n_intervals_y < 4:
             raise ValueError("each direction needs n_intervals >= 4")
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Grid1D, read_only
+from .core import Grid1D, read_only, require_whole
 
 MIN_INTERIOR_POINTS = 8
 
@@ -40,9 +40,11 @@ def make_layout(grid: Grid1D, n_subdomains: int, overlap: int) -> SubdomainLayou
     Overlap must be even (each interior cut extends overlap/2 to both sides),
     every subdomain must keep at least 8 interior points, and only
     neighbouring strips may share nodes (else the blend weights of a node
-    would not sum to 1).
+    would not sum to 1).  Both counts must be whole numbers, kept as int.
     """
     n = grid.n_intervals
+    n_subdomains = require_whole("n_subdomains", n_subdomains)
+    overlap = require_whole("overlap", overlap)
     if n_subdomains < 1:
         raise ValueError("n_subdomains must be >= 1")
     if n_subdomains == 1:

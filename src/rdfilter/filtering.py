@@ -14,10 +14,10 @@ caller passes, never the time levels.
 
 With kappa fixed, the 1D postprocess is linear in u and in the u_xx values
 at the strip ends.  ``postprocess_matrices`` assembles it as P @ u + Q @
-u_xx(end nodes) by running the same code on unit columns;
-``apply_postprocess_matrices`` applies it.  On a grid of at most
+u_xx(end nodes) by running the same code on unit columns, and memoizes it.
+``postprocess_field`` picks the path by N alone: on a 1D grid of at most
 ``MATRIX_MAX_N`` intervals, where Python call overhead and not arithmetic is
-the cost, a run assembles it once and applies it after every step.
+the cost, it applies those matrices, else it runs the DSTs.
 
 The stretching factors are plain floats, one per node axis, fixed for the
 whole run.  ``filter_factors`` is the one place that evaluates sigma8; it
@@ -40,8 +40,8 @@ from .shift import cosine_basis, shift1d
 
 RETAIN_TOL = 1.0e-12
 
-# The largest 1D grid whose postprocess ``bench`` applies as a matrix
-# (``postprocess_matrices``): at N = 256 one P @ u takes about 18 us against
+# The largest 1D grid whose postprocess ``postprocess_field`` applies as a
+# matrix (``postprocess_matrices``): at N = 256 one P @ u takes about 18 us against
 # 85 us for the DSTs, at N = 512 the two are even, and above that the
 # O(N^2) product loses to the O(N log N) transforms.
 MATRIX_MAX_N = 256
@@ -150,8 +150,8 @@ def _postprocess(values: np.ndarray, kappa: tuple[float, ...], n_grid: int, lo: 
     faces = [(slice(None),) * axis + (end,) for axis in axes for end in (0, -1)]
     edged = values.copy()
     for face in faces:  # the face at one end of axis len(face) - 1
-        trace, axis = values[face], len(face) - 1
-        edged[face] = _postprocess(trace, kappa[:axis] + kappa[axis + 1:], trace.shape[0] - 1)
+        axis = len(face) - 1
+        edged[face] = _postprocess_grid(values[face], kappa[:axis] + kappa[axis + 1:])
     out, alphas = edged, []
     for axis in axes:
         v, alpha = shift1d(front(out, axis), shape[axis] - 1)
@@ -184,30 +184,51 @@ def postprocess_field(u: Field, kappa: float | tuple[float, ...],
     m); given it, each strip takes the third-order shift with u_xx at its two
     end nodes, else the first-order shift.  It is called once, with every
     strip's two end nodes in strip order.  Only a 1D field takes ``uxx_at``
-    or ``layout``.
+    or ``layout``.  A 1D field with N <= ``MATRIX_MAX_N`` takes the memoized
+    ``postprocess_matrices``, equal to the DST path to roundoff.
     """
     n_axes = u.values.ndim - 1
     kappa = (kappa,) * n_axes if isinstance(kappa, Real) else tuple(kappa)
     if len(kappa) != n_axes:
         raise ValueError(f"kappa: needs one value per node axis ({n_axes}), got {len(kappa)}")
+    for k in kappa:
+        require_positive("kappa", k)
     if n_axes > 1 and (uxx_at is not None or layout is not None):
         name = "uxx_at" if uxx_at is not None else "layout"
         raise ValueError(f"{name}: only a 1D field takes it, the field has {n_axes} node axes")
-    n = u.values.shape[0] - 1
     if layout is not None and layout.grid != u.grid:
-        raise ValueError(f"layout is for N={layout.grid.n_intervals}, the field has N={n}")
+        raise ValueError(f"layout is for N={layout.grid.n_intervals}, "
+                         f"the field has N={u.grid.n_intervals}")
+    return u.with_values(_postprocess_grid(u.values, kappa, uxx_at, layout))
+
+
+def _postprocess_grid(values: np.ndarray, kappa: tuple[float, ...],
+                      uxx_at: Callable[[np.ndarray], np.ndarray] | None = None,
+                      layout: SubdomainLayout | None = None) -> np.ndarray:
+    """``postprocess_field`` of checked node-major values; the one place that
+    picks the path: P @ u + Q @ u_xx(end nodes) on one axis of at most
+    ``MATRIX_MAX_N`` intervals, else ``_postprocess`` strip by strip."""
+    n = values.shape[0] - 1
+    if len(kappa) == 1 and n <= MATRIX_MAX_N:
+        grid = Grid1D(n) if layout is None else layout.grid
+        P, Q, end_nodes = postprocess_matrices(grid, kappa[0], layout, uxx_at is not None)
+        out = P @ values
+        if uxx_at is not None:
+            out += Q @ uxx_at(end_nodes)
+        return out
     ranges = ((0, n),) if layout is None else layout.ranges
     uxx = None if uxx_at is None else uxx_at(np.ravel(ranges)).reshape(len(ranges), 2, -1)
-    strips = [_postprocess(u.values[lo:hi + 1], kappa, n, lo, None if uxx is None else uxx[s])
+    strips = [_postprocess(values[lo:hi + 1], kappa, n, lo, None if uxx is None else uxx[s])
               for s, (lo, hi) in enumerate(ranges)]
     if len(strips) == 1:  # the blend weights of a single strip are all 1
-        return u.with_values(strips[0])
-    out = np.zeros_like(u.values)
+        return strips[0]
+    out = np.zeros_like(values)
     for (lo, hi), w, strip in zip(ranges, blend_weights(layout), strips):
         out[lo:hi + 1] += w[:, np.newaxis] * strip
-    return u.with_values(out)
+    return out
 
 
+@lru_cache(maxsize=2)
 def postprocess_matrices(grid: Grid1D, kappa: float, layout: SubdomainLayout | None = None,
                          third_order: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 1D postprocess as matrices: (P, Q, end_nodes) with
@@ -222,8 +243,11 @@ def postprocess_matrices(grid: Grid1D, kappa: float, layout: SubdomainLayout | N
 
     Both are assembled by running ``_postprocess`` on unit columns, strip by
     strip, ``ASSEMBLY_BLOCK`` columns per call, and summing the strips with
-    ``blend_weights``; with one strip the weights are all 1.
+    ``blend_weights``; with one strip the weights are all 1.  Two entries
+    are memoized, the two keys of a third-order run, whose startup step
+    shifts at first order (P is 0.53 MB at N = 256); the arrays are read-only.
     """
+    require_positive("kappa", kappa)
     n = grid.n_intervals
     if layout is not None and layout.grid != grid:
         raise ValueError(f"layout is for N={layout.grid.n_intervals}, the grid has N={n}")
@@ -241,16 +265,4 @@ def postprocess_matrices(grid: Grid1D, kappa: float, layout: SubdomainLayout | N
         if third_order:
             zero = np.zeros((hi - lo + 1, 2))
             Q[rows, 2 * s:2 * s + 2] = w * _postprocess(zero, (kappa,), n, lo, np.eye(2))
-    return P, Q, np.ravel(ranges)
-
-
-def apply_postprocess_matrices(u: Field, matrices: tuple[np.ndarray, np.ndarray, np.ndarray],
-                               uxx_at: Callable[[np.ndarray], np.ndarray] | None = None) -> Field:
-    """``u`` postprocessed by ``matrices`` = (P, Q, end_nodes) from
-    ``postprocess_matrices``: P @ u, plus Q @ uxx_at(end_nodes) when ``uxx_at``
-    is given.  Matrices built at third order need ``uxx_at``."""
-    P, Q, end_nodes = matrices
-    values = P @ u.values
-    if uxx_at is not None:
-        values += Q @ uxx_at(end_nodes)
-    return u.with_values(values)
+    return read_only(P), read_only(Q), read_only(np.ravel(ranges))

@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import dst, idst
 
+from rdfilter import filtering
+from rdfilter.bench import integrate_1d, manufactured_heat_case, ratio_to_dt
 from rdfilter.core import (
     Field,
     ReactionSystem,
@@ -29,6 +31,7 @@ from rdfilter.filtering import (
     filter_factors,
     kappa_critical,
     postprocess_field,
+    postprocess_matrices,
     sigma8,
 )
 from rdfilter.shift import cosine_basis, endpoint_inverse
@@ -107,6 +110,33 @@ def test_blend_weights_cached_read_only_and_exact():
             fresh[-9:] = np.minimum(fresh[-9:], np.arange(8, -1, -1) / 8)
         assert np.array_equal(w, fresh)
         _assert_read_only(w)
+
+
+@pytest.mark.parametrize("shift_order", [1, 3])
+def test_postprocess_matrices_cached_read_only_and_reused_by_the_next_run(shift_order,
+                                                                          monkeypatch):
+    # a run at N <= MATRIX_MAX_N assembles its matrices with DSTs at its first
+    # step; a second run with the same (N, kappa, layout, order) runs none, its
+    # startup step included, and matches a run on the DST path
+    grid = make_grid_1d(64)
+    layout = make_layout(grid, 2, 8)
+    case = manufactured_heat_case()
+    run = partial(integrate_1d, case.reaction(), grid, ratio_to_dt(8.0, grid.h), 20,
+                  case.boundary, case.initial(grid), shift_order=shift_order, layout=layout)
+    postprocess_matrices.cache_clear()
+    first = run()
+    calls = []
+    original = filtering.sine_coefficients
+    monkeypatch.setattr(filtering, "sine_coefficients",
+                        lambda values: calls.append(values.shape) or original(values))
+    second = run()
+    assert calls == [] and np.array_equal(second.field.values, first.field.values)
+    for array in postprocess_matrices(grid, first.kappa[0], layout, shift_order == 3):
+        _assert_read_only(array)
+    monkeypatch.setattr(filtering, "MATRIX_MAX_N", 0)
+    dst_path = run()
+    scale = np.max(np.abs(dst_path.field.values))
+    assert np.max(np.abs(second.field.values - dst_path.field.values)) <= 1e-12 * scale
 
 
 def test_interior_mesh_cached_read_only_and_exact():

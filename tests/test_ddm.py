@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rdfilter.bench import integrate_1d, manufactured_heat_case, ratio_to_dt
 from rdfilter.core import Field, SchemeState, make_grid_1d, zero_reaction
 from rdfilter.ddm import blend_weights, make_layout
+from rdfilter import filtering
 from rdfilter.filtering import MATRIX_MAX_N, kappa_critical, postprocess_field
 from rdfilter.stepper import estimate_uxx_nodes, step
 
@@ -43,6 +44,20 @@ def test_layout_rejects_infeasible():
         make_layout(GRID, 2, 7)  # odd overlap
     with pytest.raises(ValueError):
         make_layout(GRID, 2, 0)
+
+
+@pytest.mark.parametrize("key, args", [("n_subdomains", (2.0, 4)), ("overlap", (2, 4.0))])
+def test_layout_takes_whole_counts_as_int_and_rejects_others_by_name(key, args):
+    # a float overlap used to build float ranges, ((0, 34.0), (30.0, 64)),
+    # on which postprocess_field failed slicing, and 2.0 strips failed in range()
+    layout = make_layout(GRID, *args)
+    assert layout.ranges == ((0, 34), (30, 64)) and layout.overlap == 4
+    assert all(type(i) is int for r in layout.ranges for i in r) and type(layout.overlap) is int
+    u = Field(GRID, np.cos(GRID.nodes))
+    assert postprocess_field(u, 2.0, layout=layout).values.shape == (65, 1)
+    bad = {"n_subdomains": (2.5, 4), "overlap": (2, 4.5)}[key]
+    with pytest.raises(ValueError, match=f"^{key}: must be a whole number"):
+        make_layout(GRID, *bad)
 
 
 def test_blend_partition_of_unity():
@@ -146,9 +161,9 @@ def test_gibbs_perturbation_localized_at_interfaces():
 @pytest.mark.parametrize("n, n_subdomains, overlap", [(64, 1, 0), (128, 4, 8), (256, 1, 0),
                                                       (256, 3, 8)])
 def test_driver_matrix_path_matches_a_postprocess_field_loop(n, n_subdomains, overlap,
-                                                             shift_order):
-    # at N <= MATRIX_MAX_N integrate_1d applies the postprocess as P @ u + Q @ u_xx;
-    # the loop below is the scheme with postprocess_field after every step
+                                                             shift_order, monkeypatch):
+    # at N <= MATRIX_MAX_N integrate_1d's postprocess is P @ u + Q @ u_xx; the
+    # loop below is the scheme with the DST path of postprocess_field after every step
     grid = make_grid_1d(n)
     layout = make_layout(grid, n_subdomains, overlap) if n_subdomains > 1 else None
     case = manufactured_heat_case()
@@ -158,6 +173,7 @@ def test_driver_matrix_path_matches_a_postprocess_field_loop(n, n_subdomains, ov
     assert n <= MATRIX_MAX_N
     out = integrate_1d(reaction, grid, dt, n_steps, case.boundary, u0,
                        shift_order=shift_order, layout=layout)
+    monkeypatch.setattr(filtering, "MATRIX_MAX_N", 0)
     u_prev = u_curr = u0
     for k in range(n_steps):
         t_next = (k + 1) * dt

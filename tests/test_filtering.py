@@ -10,13 +10,19 @@ from hypothesis import strategies as st
 
 from rdfilter import filtering
 from rdfilter.bench import integrate_1d, ratio_to_dt
-from rdfilter.core import Field, laplacian_symbol, make_grid_1d, source_reaction, zero_reaction
+from rdfilter.core import (
+    Field,
+    laplacian_symbol,
+    make_grid_1d,
+    make_grid_2d,
+    source_reaction,
+    zero_reaction,
+)
 from rdfilter.ddm import make_layout
 from rdfilter.filtering import (
     ASSEMBLY_BLOCK,
     MATRIX_MAX_N,
     apply_filter_values,
-    apply_postprocess_matrices,
     filter_factors,
     kappa_critical,
     postprocess_field,
@@ -249,6 +255,7 @@ def test_one_forward_dst_per_postprocess(monkeypatch):
 
     monkeypatch.setattr(filtering, "sine_coefficients", counted)
     for n, n_calls in [(2 * MATRIX_MAX_N, 50), (64, -(-65 // ASSEMBLY_BLOCK))]:
+        postprocess_matrices.cache_clear()  # a cached matrix would need no DST at all
         calls.clear()
         grid = make_grid_1d(n)
         dt = ratio_to_dt(8.0, grid.h)
@@ -264,8 +271,9 @@ def _layout_or_none(grid, n_subdomains, overlap):
         return None
 
 
+# N up to 2 MATRIX_MAX_N: postprocess_field runs matrices up to MATRIX_MAX_N, DSTs above
 _POSTPROCESS_CASES = dict(
-    n=st.integers(8, 256), ratio=st.floats(0.5, 16.0),
+    n=st.integers(8, 2 * MATRIX_MAX_N), ratio=st.floats(0.5, 16.0),
     shift_order=st.sampled_from([1, 3]), n_subdomains=st.sampled_from([1, 2, 4]),
     overlap=st.sampled_from([2, 4, 8, 16]), seed=st.integers(0, 2**32 - 1),
 )
@@ -340,7 +348,8 @@ def _matrix_case(n, n_subdomains, overlap):
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("shift_order", [1, 3])
 @pytest.mark.parametrize("n, n_subdomains, overlap", _MATRIX_LAYOUTS)
-def test_postprocess_matrices_match_postprocess_field(n, n_subdomains, overlap, shift_order, m):
+def test_postprocess_matrices_match_postprocess_field(n, n_subdomains, overlap, shift_order, m,
+                                                      monkeypatch):
     grid, layout = _matrix_case(n, n_subdomains, overlap)
     kappa = kappa_critical(ratio_to_dt(8.0, grid.h), grid.h)
     rng = np.random.default_rng(n + 10 * n_subdomains + shift_order + m)
@@ -353,17 +362,19 @@ def test_postprocess_matrices_match_postprocess_field(n, n_subdomains, overlap, 
         return uxx[nodes]
 
     third = shift_order == 3
-    matrices = postprocess_matrices(grid, kappa, layout, third)
-    P, Q, end_nodes = matrices
-    want = postprocess_field(u, kappa, uxx_at if third else None, layout).values
+    P, Q, end_nodes = postprocess_matrices(grid, kappa, layout, third)
+    with monkeypatch.context() as patch:  # the DST path, which N > MATRIX_MAX_N takes
+        patch.setattr(filtering, "MATRIX_MAX_N", 0)
+        want = postprocess_field(u, kappa, uxx_at if third else None, layout).values
     got = P @ u.values + Q @ uxx[end_nodes]
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(u.values))
     ranges = ((0, n),) if layout is None else layout.ranges
     assert np.array_equal(end_nodes, np.ravel(ranges))
-    # the field path reads u_xx once, at the same nodes as the matrix path
-    assert len(seen) == third and all(np.array_equal(s, end_nodes) for s in seen)
-    applied = apply_postprocess_matrices(u, matrices, uxx_at if third else None)
+    # postprocess_field takes the matrix path at this N, and computes exactly P @ u + Q @ u_xx
+    applied = postprocess_field(u, kappa, uxx_at if third else None, layout)
     assert np.array_equal(applied.values, got)
+    # both paths read u_xx once per call, at the same nodes
+    assert len(seen) == 2 * third and all(np.array_equal(s, end_nodes) for s in seen)
 
 
 @pytest.mark.parametrize("shift_order", [1, 3])
@@ -388,6 +399,7 @@ def test_postprocess_matrices_assemble_in_small_blocks(n_subdomains, overlap, th
     # blocks keep the peak near the size of P itself (0.53 MB at N = 256)
     grid, layout = _matrix_case(MATRIX_MAX_N, n_subdomains, overlap)
     postprocess_matrices(grid, 3.0, layout, third_order)  # fills the memoized tables
+    postprocess_matrices.cache_clear()  # else the measured call is a cache hit
     tracemalloc.start()
     try:
         postprocess_matrices(grid, 3.0, layout, third_order)
@@ -400,6 +412,24 @@ def test_postprocess_matrices_assemble_in_small_blocks(n_subdomains, overlap, th
 def test_postprocess_matrices_reject_a_layout_of_another_grid():
     with pytest.raises(ValueError, match="layout is for N=64, the grid has N=128"):
         postprocess_matrices(make_grid_1d(128), 2.0, make_layout(make_grid_1d(64), 2, 8))
+
+
+@pytest.mark.parametrize("bad", [np.nan, 0.0, -2.0, np.inf])
+def test_postprocess_rejects_a_kappa_that_is_not_finite_and_positive(bad):
+    # each used to pass: NaN returned an all-NaN field, 0 filtered nothing,
+    # -2 acted as +2 and inf removed every sine mode
+    reject = partial(pytest.raises, ValueError, match="^kappa: must be finite and positive")
+    for n in (64, 2 * MATRIX_MAX_N):  # the matrix path and the DST path
+        grid = make_grid_1d(n)
+        u = Field(grid, 1.0 + np.cos(grid.nodes) + 0.1 * np.sin(40 * grid.nodes))
+        with reject():
+            postprocess_field(u, bad)
+        with reject():
+            postprocess_matrices(grid, bad)
+    u2 = Field.zeros(make_grid_2d(8, 16))
+    for kappa in ((bad, 2.0), (2.0, bad)):
+        with reject():
+            postprocess_field(u2, kappa)
 
 
 def test_postprocess_field_roundtrip_identity_filter():

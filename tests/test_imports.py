@@ -71,3 +71,31 @@ def test_layer_violations_finds_every_kind():
 @pytest.mark.parametrize("name", POSTPROCESS_MODULES)
 def test_postprocess_modules_import_nothing_of_the_time_scheme(name):
     assert layer_violations((ROOT / "src" / "rdfilter" / name).read_text()) == []
+
+
+# ``postprocess_field`` alone chooses how the postprocess runs, as a matrix
+# product or through the DSTs; the drivers must not reach past it.
+BENCH_FROM_FILTERING = {"kappa_critical", "postprocess_field"}
+
+
+def names_imported_from(source: str, module: str) -> set[str]:
+    """The names ``source`` imports from the module named ``module`` (relative
+    or dotted); importing the module itself counts as "*"."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+            found.update(a.name for a in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update("*" for a in node.names if a.name.split(".")[-1] == module)
+    return found
+
+
+def test_names_imported_from_finds_every_form():
+    source = ("from .filtering import a, b\nfrom rdfilter.filtering import c\n"
+              "from . import filtering\nimport rdfilter.filtering as f\nfrom .ddm import d\n")
+    assert names_imported_from(source, "filtering") == {"a", "b", "c", "*"}
+
+
+def test_bench_imports_only_the_postprocess_entry_point_from_filtering():
+    source = (ROOT / "src" / "rdfilter" / "bench.py").read_text()
+    assert names_imported_from(source, "filtering") <= BENCH_FROM_FILTERING
