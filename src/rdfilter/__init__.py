@@ -8,8 +8,9 @@ buying time steps far beyond dt = h^2/3.  Works in 1D, 2D, and with
 overlapping strip domain decomposition of the postprocess.
 
 One stepper, ``step``, and one postprocess, ``postprocess_field``, serve 1D
-and 2D fields; in 2D the postprocess is the 1D one along each axis, and in
-1D it also runs on overlapping strips.
+and 2D fields; in 2D the postprocess is the 1D one along x, then along y,
+of a field lifted by its filtered faces, and in 1D it also runs on
+overlapping strips.
 """
 
 from .core import (

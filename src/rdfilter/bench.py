@@ -5,9 +5,9 @@ normalized step ratio 3 dt / h^2, and domain-decomposition overlap studies.
 The drivers ``integrate_1d`` and ``integrate_2d`` differ only in their
 boundary sampler; both run ``_integrate``, the one step loop and the one
 place that turns the time levels into u_xx for the postprocess.  Each step
-makes one ``postprocess_field`` call, which picks its path by N: a memoized
-matrix product on a 1D grid of at most ``filtering.MATRIX_MAX_N``
-intervals, the DSTs on larger and 2D grids."""
+makes one ``postprocess_field`` call, which picks its path by N, axis by
+axis in 2D: a memoized matrix product on at most
+``filtering.MATRIX_MAX_N`` intervals, the DSTs above."""
 
 from __future__ import annotations
 

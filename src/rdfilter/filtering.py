@@ -6,23 +6,21 @@ effective cutoff down to the linearly stable band: with kappa >= kappa_c
 every mode the filter retains satisfies the two-step scheme's per-mode
 stability condition, so time steps far beyond dt = h^2/3 become usable.
 
-``postprocess_field`` is the one postprocess, on a whole 1D grid, on the
-overlapping strips of a ``ddm.SubdomainLayout``, or along each axis of a 2D
-grid; every strip and axis is shifted by ``shift.shift1d`` and filtered by
-one DST-I kernel.  The third-order shift reads u_xx from a callable its
-caller passes, never the time levels.
+``postprocess_field`` is the one postprocess, on a whole 1D grid or on the
+overlapping strips of a ``ddm.SubdomainLayout``: each strip is shifted by
+``shift.shift1d`` and filtered by one DST-I kernel.  The third-order shift
+reads u_xx from a callable its caller passes, never the time levels.  A 2D
+field runs the same 1D postprocess along x, then along y, of a lifted field.
 
 With kappa fixed, the 1D postprocess is linear in u and in the u_xx values
 at the strip ends.  ``postprocess_matrices`` assembles it as P @ u + Q @
 u_xx(end nodes) by running the same code on unit columns, and memoizes it.
-``postprocess_field`` picks the path by N alone: on a 1D grid of at most
-``MATRIX_MAX_N`` intervals, where Python call overhead and not arithmetic is
-the cost, it applies those matrices, else it runs the DSTs.
+The 1D postprocess picks the path by N alone, axis by axis in 2D: on at
+most ``MATRIX_MAX_N`` intervals, where Python call overhead and not
+arithmetic is the cost, it applies those matrices, else it runs the DSTs.
 
-The stretching factors are plain floats, one per node axis, fixed for the
-whole run.  ``filter_factors`` is the one place that evaluates sigma8; it
-memoizes the factors per (N, kappa) and returns them read-only, so a run
-evaluates sigma once per grid and kappa.
+Each node axis has one stretching factor, a plain float fixed for the run;
+``filter_factors``, the one place that evaluates sigma8, memoizes sigma.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from scipy.fft import dst, idst
 
 from .core import Field, Grid1D, read_only, require_positive
 from .ddm import SubdomainLayout, blend_weights
-from .shift import cosine_basis, shift1d
+from .shift import cosine_basis, endpoint_inverse, shift1d
 
 RETAIN_TOL = 1.0e-12
 
@@ -119,50 +117,15 @@ def apply_filter_values(values: np.ndarray, kappa: float) -> np.ndarray:
     return _sine_filter(values, kappa)
 
 
-def _postprocess(values: np.ndarray, kappa: tuple[float, ...], n_grid: int, lo: int = 0,
+def _postprocess(values: np.ndarray, kappa: float, n_grid: int, lo: int = 0,
                  uxx: np.ndarray | None = None) -> np.ndarray:
-    """Shift, filter and shift back node-major values, one kappa per node axis.
-
-    One axis: ``values`` (nodes, m) are nodes lo.. of an ``n_grid``-interval
-    grid, shifted at third order with ``uxx`` (u_xx at both ends), else at
-    first order; both end values are kept exactly.  More axes (whole grids,
-    first order): each boundary face runs through this function one axis
-    down, then the field with those faces is shifted along each axis in turn,
-    filtered and given its trends back, last axis first; the faces are
-    written back exactly.
-    """
-    if len(kappa) == 1:
-        v, alpha = shift1d(values, n_grid, lo, uxx)
-        n = v.shape[0] - 1
-        trend = cosine_basis(n_grid, alpha.shape[0])[lo:lo + n + 1] @ alpha
-        out = _sine_filter(v, kappa[0]) + trend  # v vanishes at both ends: no check
-        out[[0, -1]] = values[[0, -1]]
-        return out
-
-    shape, axes = values.shape, range(len(kappa))
-
-    def front(a, axis):  # (nodes along axis, every other entry)
-        return a.swapaxes(0, axis).reshape(shape[axis], -1)
-
-    def back(a, axis):
-        return a.reshape(values.swapaxes(0, axis).shape).swapaxes(0, axis)
-
-    faces = [(slice(None),) * axis + (end,) for axis in axes for end in (0, -1)]
-    edged = values.copy()
-    for face in faces:  # the face at one end of axis len(face) - 1
-        axis = len(face) - 1
-        edged[face] = _postprocess_grid(values[face], kappa[:axis] + kappa[axis + 1:])
-    out, alphas = edged, []
-    for axis in axes:
-        v, alpha = shift1d(front(out, axis), shape[axis] - 1)
-        out = back(v, axis)
-        alphas.append(alpha)
-    for axis in reversed(axes):
-        out = back(_sine_filter(front(out, axis), kappa[axis]), axis)
-    for axis in reversed(axes):
-        out = out + back(cosine_basis(shape[axis] - 1, 2) @ alphas[axis], axis)
-    for face in faces:
-        out[face] = edged[face]
+    """Shift, filter and shift back node-major ``values`` (nodes, cols), nodes
+    lo.. of an ``n_grid``-interval grid: at third order with ``uxx`` (u_xx at
+    both ends), else at first order.  Both end values are kept exactly."""
+    v, alpha = shift1d(values, n_grid, lo, uxx)
+    trend = cosine_basis(n_grid, len(alpha))[lo:lo + len(v)] @ alpha
+    out = _sine_filter(v, kappa) + trend  # v vanishes at both ends: no check
+    out[[0, -1]] = values[[0, -1]]
     return out
 
 
@@ -172,51 +135,74 @@ def postprocess_field(u: Field, kappa: float | tuple[float, ...],
     """Shift, filter, inverse shift: on a 1D or 2D grid, or per strip of ``layout``.
 
     ``kappa`` holds one stretching factor per node axis, x first; a float is
-    every axis's.  A 2D field gets the tensor filter sigma(kx k/Nx) sigma(ky
-    l/Ny), and its edges equal its traces filtered by the 1D postprocess.
-    ``layout`` None is one strip covering the grid.  With several strips each
-    is shifted with its own end values and filtered with sigma(kappa k /
-    N_local), so the cutoff sits at the same physical wavenumber as on the
-    whole grid; the strips are then blended over the overlaps.  Global
-    boundary values are preserved exactly.
+    every axis's.  ``layout`` None is one strip covering the grid.  With
+    several strips each is shifted with its own end values and filtered with
+    sigma(kappa k / N_local), so the cutoff sits at the same physical
+    wavenumber as on the whole grid; the strips are then blended over the
+    overlaps.  Global boundary values are preserved exactly.
 
     ``uxx_at(nodes)`` returns u_xx at those node indices, shape (len(nodes),
     m); given it, each strip takes the third-order shift with u_xx at its two
     end nodes, else the first-order shift.  It is called once, with every
     strip's two end nodes in strip order.  Only a 1D field takes ``uxx_at``
-    or ``layout``.  A 1D field with N <= ``MATRIX_MAX_N`` takes the memoized
-    ``postprocess_matrices``, equal to the DST path to roundoff.
-    """
+    or ``layout``.  A 2D field gets the tensor filter sigma(kx k/Nx)
+    sigma(ky l/Ny), its edges its traces run through the 1D postprocess."""
     n_axes = u.values.ndim - 1
-    kappa = (kappa,) * n_axes if isinstance(kappa, Real) else tuple(kappa)
+    if type(kappa) is not tuple:  # the drivers pass a tuple; isinstance(Real) costs 0.4 us
+        kappa = (kappa,) * n_axes if isinstance(kappa, Real) else tuple(kappa)
     if len(kappa) != n_axes:
         raise ValueError(f"kappa: needs one value per node axis ({n_axes}), got {len(kappa)}")
     for k in kappa:
         require_positive("kappa", k)
-    if n_axes > 1 and (uxx_at is not None or layout is not None):
-        name = "uxx_at" if uxx_at is not None else "layout"
-        raise ValueError(f"{name}: only a 1D field takes it, the field has {n_axes} node axes")
-    if layout is not None and layout.grid != u.grid:
+    if n_axes > 1:
+        if uxx_at is not None or layout is not None:
+            name = "uxx_at" if uxx_at is not None else "layout"
+            raise ValueError(f"{name}: only a 1D field takes it, the field has {n_axes} node axes")
+        return u.with_values(_postprocess_2d(u.values, *kappa))
+    if layout is not None and layout.grid is not u.grid and layout.grid != u.grid:
         raise ValueError(f"layout is for N={layout.grid.n_intervals}, "
                          f"the field has N={u.grid.n_intervals}")
-    return u.with_values(_postprocess_grid(u.values, kappa, uxx_at, layout))
+    return u.with_values(_postprocess_grid(u.values, kappa[0], uxx_at, layout))
 
 
-def _postprocess_grid(values: np.ndarray, kappa: tuple[float, ...],
+def _postprocess_2d(values: np.ndarray, kappa_x: float, kappa_y: float) -> np.ndarray:
+    """The 2D postprocess of (Nx+1, Ny+1, m) values U: P_x (U - L) P_y^T,
+    each edge its trace run through the 1D postprocess and the x = 0 and
+    x = pi edges written last.  The lift L, zero on the faces, carries the
+    change D made to each face across the interior by the first-order trend
+    T = ``cosine_basis(N, 2) @ endpoint_inverse(N, 0, N, 2)``: L = D_cols
+    T_y^T + T_x D_rows.  As P keeps span{1, cos x}, this equals shifting by
+    the filtered faces along x, then y, filtering, and adding both trends."""
+    n_x, n_y = values.shape[0] - 1, values.shape[1] - 1
+    g0, gpi = (_postprocess_grid(values[:, j], kappa_x) for j in (0, -1))
+    h0, hpi = (_postprocess_grid(values[i], kappa_y) for i in (0, -1))
+    t_x, t_y = (cosine_basis(n, 2) @ endpoint_inverse(n, 0, n, 2) for n in (n_x, n_y))
+    d_x = np.stack([h0 - values[0], hpi - values[-1]])[:, 1:-1]  # change on x = 0, pi
+    d_y = np.stack([g0 - values[:, 0], gpi - values[:, -1]], axis=1)[1:-1]  # on y = 0, pi
+    lifted = values.copy()
+    lifted[1:-1, 1:-1] -= np.tensordot(t_x[1:-1], d_x, 1) + t_y[1:-1] @ d_y
+    out = _postprocess_grid(lifted.reshape(n_x + 1, -1), kappa_x).reshape(values.shape)
+    along_y = out.swapaxes(0, 1)
+    out = _postprocess_grid(along_y.reshape(n_y + 1, -1), kappa_y)
+    out = out.reshape(along_y.shape).swapaxes(0, 1)
+    out[:, 0], out[:, -1], out[0], out[-1] = g0, gpi, h0, hpi
+    return out
+
+
+def _postprocess_grid(values: np.ndarray, kappa: float,
                       uxx_at: Callable[[np.ndarray], np.ndarray] | None = None,
                       layout: SubdomainLayout | None = None) -> np.ndarray:
-    """``postprocess_field`` of checked node-major values; the one place that
-    picks the path: P @ u + Q @ u_xx(end nodes) on one axis of at most
+    """The 1D ``postprocess_field`` of checked node-major values (N+1, cols);
+    the one place that picks the path: P @ u + Q @ u_xx(end nodes) on at most
     ``MATRIX_MAX_N`` intervals, else ``_postprocess`` strip by strip."""
     n = values.shape[0] - 1
-    if len(kappa) == 1 and n <= MATRIX_MAX_N:
-        grid = Grid1D(n) if layout is None else layout.grid
-        P, Q, end_nodes = postprocess_matrices(grid, kappa[0], layout, uxx_at is not None)
+    ranges = ((0, n),) if layout is None else layout.ranges
+    if n <= MATRIX_MAX_N:
+        P, Q, end_nodes = _matrices(n, kappa, ranges, uxx_at is not None)
         out = P @ values
         if uxx_at is not None:
             out += Q @ uxx_at(end_nodes)
         return out
-    ranges = ((0, n),) if layout is None else layout.ranges
     uxx = None if uxx_at is None else uxx_at(np.ravel(ranges)).reshape(len(ranges), 2, -1)
     strips = [_postprocess(values[lo:hi + 1], kappa, n, lo, None if uxx is None else uxx[s])
               for s, (lo, hi) in enumerate(ranges)]
@@ -228,7 +214,6 @@ def _postprocess_grid(values: np.ndarray, kappa: tuple[float, ...],
     return out
 
 
-@lru_cache(maxsize=2)
 def postprocess_matrices(grid: Grid1D, kappa: float, layout: SubdomainLayout | None = None,
                          third_order: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 1D postprocess as matrices: (P, Q, end_nodes) with
@@ -239,20 +224,25 @@ def postprocess_matrices(grid: Grid1D, kappa: float, layout: SubdomainLayout | N
     (then Q is zero).  P is (N+1, N+1), Q is (N+1, 2 n_strips) and
     ``end_nodes`` holds each strip's two end nodes in strip order.  Rows 0 and
     N of P are unit rows and those of Q are zero, so both end values are kept
-    exactly.
-
-    Both are assembled by running ``_postprocess`` on unit columns, strip by
-    strip, ``ASSEMBLY_BLOCK`` columns per call, and summing the strips with
-    ``blend_weights``; with one strip the weights are all 1.  Two entries
-    are memoized, the two keys of a third-order run, whose startup step
-    shifts at first order (P is 0.53 MB at N = 256); the arrays are read-only.
-    """
+    exactly.  The arrays are memoized (``_matrices``) and read-only."""
     require_positive("kappa", kappa)
     n = grid.n_intervals
     if layout is not None and layout.grid != grid:
         raise ValueError(f"layout is for N={layout.grid.n_intervals}, the grid has N={n}")
-    ranges = ((0, n),) if layout is None else layout.ranges
-    weights = (np.ones(n + 1),) if layout is None else blend_weights(layout)
+    return _matrices(n, kappa, ((0, n),) if layout is None else layout.ranges, third_order)
+
+
+@lru_cache(maxsize=2)
+def _matrices(n: int, kappa: float, ranges: tuple[tuple[int, int], ...],
+              third_order: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``postprocess_matrices`` memoized on plain values, so a call hashes no
+    dataclass (a checked layout's ranges fix its overlap).  Assembled by
+    running ``_postprocess`` on ``ASSEMBLY_BLOCK`` unit columns at a time,
+    strip by strip, the strips summed with ``blend_weights``.  Two entries are
+    kept, the keys of a third-order run (its startup step shifts at first
+    order) or of the two axes of a 2D grid; P is 0.53 MB at N = 256."""
+    weights = ((np.ones(n + 1),) if len(ranges) == 1 else blend_weights(
+        SubdomainLayout(Grid1D(n), ranges, ranges[0][1] - ranges[1][0])))
     P = np.zeros((n + 1, n + 1))
     Q = np.zeros((n + 1, 2 * len(ranges)))
     for s, ((lo, hi), w) in enumerate(zip(ranges, weights)):
@@ -261,8 +251,8 @@ def postprocess_matrices(grid: Grid1D, kappa: float, layout: SubdomainLayout | N
             b = min(ASSEMBLY_BLOCK, hi - lo + 1 - c0)
             unit = np.eye(hi - lo + 1, b, -c0)  # strip columns c0..c0+b-1 of the identity
             uxx = np.zeros((2, b)) if third_order else None
-            P[rows, lo + c0:lo + c0 + b] += w * _postprocess(unit, (kappa,), n, lo, uxx)
+            P[rows, lo + c0:lo + c0 + b] += w * _postprocess(unit, kappa, n, lo, uxx)
         if third_order:
             zero = np.zeros((hi - lo + 1, 2))
-            Q[rows, 2 * s:2 * s + 2] = w * _postprocess(zero, (kappa,), n, lo, np.eye(2))
+            Q[rows, 2 * s:2 * s + 2] = w * _postprocess(zero, kappa, n, lo, np.eye(2))
     return read_only(P), read_only(Q), read_only(np.ravel(ranges))

@@ -6,11 +6,14 @@ second derivative, whose end values the caller passes); the remainder then
 extends to an odd 2pi-periodic function smooth enough for the filter to act
 on without ringing.  That extension is never built: the DST-I implies it.
 
-``shift1d`` is the one shift: ``filtering.postprocess_field`` calls it on
-the whole grid, on each overlapping strip, and along each axis of a 2D grid.
-On the full grid its first-order coefficients are alpha_0 = (u_0 + u_pi)/2
-and alpha_1 = (u_0 - u_pi)/2, the unique pair for which
-v = u - alpha_0 - alpha_1 cos(x) vanishes at both endpoints.
+``shift1d`` is the one shift: the 1D postprocess of ``filtering`` calls it
+on the whole grid and on each overlapping strip, and a 2D grid runs that
+postprocess along x, then along y.  On at most ``filtering.MATRIX_MAX_N``
+intervals it runs only while the postprocess matrices are assembled.  On
+the full grid its first-order coefficients are alpha_0 = (u_0 + u_pi)/2 and
+alpha_1 = (u_0 - u_pi)/2, the unique pair for which v = u - alpha_0 -
+alpha_1 cos(x) vanishes at both endpoints; the 2D postprocess carries the
+change made to each face into the interior with this same trend.
 
 The cosine modes are read from one memoized table per grid and mode count,
 ``cosine_basis(N, n_modes)[i, j] = cos(j x_i)``; it is read-only.  A strip

@@ -5,9 +5,10 @@ The boundary data is one function g(x, y, t) on the boundary of (0, pi)^2,
 sampled edge by edge (``BoundaryData2D.sample``), so the two edges through a
 corner take its value from the same g.
 
-The time step (``stepper.step``) and the postprocess
-(``filtering.postprocess_field``) are the ones of 1D, run over both node
-axes, the postprocess with one stretching factor per axis."""
+The time step (``stepper.step``) is the one of 1D, run over both node axes.
+The postprocess (``filtering.postprocess_field``) is the 1D one along x,
+then along y, of the field lifted by the change the 1D postprocess makes to
+its faces, with one stretching factor per axis."""
 
 from __future__ import annotations
 

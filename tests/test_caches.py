@@ -123,7 +123,7 @@ def test_postprocess_matrices_cached_read_only_and_reused_by_the_next_run(shift_
     case = manufactured_heat_case()
     run = partial(integrate_1d, case.reaction(), grid, ratio_to_dt(8.0, grid.h), 20,
                   case.boundary, case.initial(grid), shift_order=shift_order, layout=layout)
-    postprocess_matrices.cache_clear()
+    filtering._matrices.cache_clear()
     first = run()
     calls = []
     original = filtering.sine_coefficients

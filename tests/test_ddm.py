@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rdfilter.bench import integrate_1d, manufactured_heat_case, ratio_to_dt
 from rdfilter.core import Field, SchemeState, make_grid_1d, zero_reaction
-from rdfilter.ddm import blend_weights, make_layout
+from rdfilter.ddm import SubdomainLayout, blend_weights, make_layout
 from rdfilter import filtering
 from rdfilter.filtering import MATRIX_MAX_N, kappa_critical, postprocess_field
 from rdfilter.stepper import estimate_uxx_nodes, step
@@ -58,6 +58,33 @@ def test_layout_takes_whole_counts_as_int_and_rejects_others_by_name(key, args):
     bad = {"n_subdomains": (2.5, 4), "overlap": (2, 4.5)}[key]
     with pytest.raises(ValueError, match=f"^{key}: must be a whole number"):
         make_layout(GRID, *bad)
+
+
+@pytest.mark.parametrize("ranges, overlap, match", [
+    (((0, 34.5), (30.5, 64)), 4, "ranges: must be a whole number"),
+    (((30, 64), (0, 34)), 4, "ranges: must cover 0..64 in order"),
+    (((0, 34), (30, 60)), 4, "ranges: must cover 0..64 in order"),
+    (((0, 40), (20, 64)), 4, "ranges: neighbours must share 4 intervals"),
+    (((0, 30), (34, 64)), 4, "ranges: neighbours must share 4 intervals"),
+    (((0, 30), (22, 35), (27, 64)), 8, "ranges: a strip may overlap only its neighbours"),
+    (((0, 8), (4, 64)), 4, "ranges: each strip needs 8 interior points"),
+    (((0, 64),), -3, "overlap: must be >= 1 between strips, >= 0 on one"),
+    (((0, 32), (32, 64)), 0, "overlap: must be >= 1 between strips"),
+], ids=["not_whole", "out_of_order", "short_of_N", "overlap_too_wide", "gap",
+        "non_neighbours", "few_interior_points", "negative_overlap", "no_overlap"])
+def test_layout_rejects_each_broken_rule_by_name(ranges, overlap, match):
+    # an unchecked layout blended with weights that do not sum to 1: ranges
+    # ((0, 40), (20, 64)) with overlap 4 changed cos x by 0.38, the gap by 0.11
+    with pytest.raises(ValueError, match=f"^{match}"):
+        SubdomainLayout(GRID, ranges, overlap)
+
+
+def test_layout_keeps_whole_float_ranges_as_int_and_make_layout_checks_through_it():
+    layout = SubdomainLayout(GRID, ((0, 34.0), (30.0, 64)), 4.0)
+    assert layout == make_layout(GRID, 2, 4)
+    assert all(type(i) is int for r in layout.ranges for i in r) and type(layout.overlap) is int
+    with pytest.raises(ValueError, match="infeasible.*overlap: must be >= 1 between strips, >= 0"):
+        make_layout(GRID, 1, -3)
 
 
 def test_blend_partition_of_unity():

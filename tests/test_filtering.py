@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rdfilter import filtering
-from rdfilter.bench import integrate_1d, ratio_to_dt
+from rdfilter.bench import integrate_1d, integrate_2d, manufactured_heat_case_2d, ratio_to_dt
 from rdfilter.core import (
     Field,
     laplacian_symbol,
@@ -244,8 +244,9 @@ def test_filter_boundary_trace_removes_high_mode():
 
 def test_one_forward_dst_per_postprocess(monkeypatch):
     # above MATRIX_MAX_N the filter scales the coefficients of the one forward
-    # DST of each step; at or below it the DSTs run only while the run
-    # assembles its matrix, one per block of unit columns
+    # DST of each step, six in 2D (four edge traces, then one pass along x and
+    # one along y); at or below it the DSTs run only while the run assembles
+    # its matrix, one per block of unit columns, 2D included
     calls = []
     original = filtering.sine_coefficients
 
@@ -253,15 +254,25 @@ def test_one_forward_dst_per_postprocess(monkeypatch):
         calls.append(values.shape)
         return original(values)
 
-    monkeypatch.setattr(filtering, "sine_coefficients", counted)
-    for n, n_calls in [(2 * MATRIX_MAX_N, 50), (64, -(-65 // ASSEMBLY_BLOCK))]:
-        postprocess_matrices.cache_clear()  # a cached matrix would need no DST at all
-        calls.clear()
-        grid = make_grid_1d(n)
+    def run_1d(grid):
         dt = ratio_to_dt(8.0, grid.h)
         u0 = Field(grid, np.sin(grid.nodes) + 1e-3 * np.sin(21 * grid.nodes))
-        out = integrate_1d(zero_reaction(), grid, dt, 50, lambda t: (0.0, 0.0), u0)
-        assert out.stable and len(calls) == n_calls
+        return integrate_1d(zero_reaction(), grid, dt, 50, lambda t: (0.0, 0.0), u0)
+
+    def run_2d(grid):
+        case = manufactured_heat_case_2d()
+        u0 = Field(grid, case["exact"](grid.nodes_x[:, None], grid.nodes_y[None, :], 0.0))
+        return integrate_2d(case["reaction"], grid, 2.0 * grid.hx**2 / 6.0, 20, case["bc"], u0)
+
+    monkeypatch.setattr(filtering, "sine_coefficients", counted)
+    for run, grid, n_calls in [(run_1d, make_grid_1d(2 * MATRIX_MAX_N), 50),
+                               (run_1d, make_grid_1d(64), -(-65 // ASSEMBLY_BLOCK)),
+                               (run_2d, make_grid_2d(300, 300), 6 * 20),
+                               (run_2d, make_grid_2d(32, 32), -(-33 // ASSEMBLY_BLOCK))]:
+        filtering._matrices.cache_clear()  # a cached matrix would need no DST at all
+        calls.clear()
+        out = run(grid)
+        assert out.stable and len(calls) == n_calls, (grid, len(calls))
 
 
 def _layout_or_none(grid, n_subdomains, overlap):
@@ -399,7 +410,7 @@ def test_postprocess_matrices_assemble_in_small_blocks(n_subdomains, overlap, th
     # blocks keep the peak near the size of P itself (0.53 MB at N = 256)
     grid, layout = _matrix_case(MATRIX_MAX_N, n_subdomains, overlap)
     postprocess_matrices(grid, 3.0, layout, third_order)  # fills the memoized tables
-    postprocess_matrices.cache_clear()  # else the measured call is a cache hit
+    filtering._matrices.cache_clear()  # else the measured call is a cache hit
     tracemalloc.start()
     try:
         postprocess_matrices(grid, 3.0, layout, third_order)

@@ -202,8 +202,10 @@ def _dense_trace_filter(trace: np.ndarray, kappa: float) -> np.ndarray:
     return out
 
 
-def test_postprocess2d_matches_dense_tensor_oracle():
-    nx, ny, m, kx, ky = 24, 16, 2, 1.7, 2.3
+# 260 x 16: x above MATRIX_MAX_N takes the DST path, y the matrix path
+@pytest.mark.parametrize("nx, ny, m, kx, ky", [(24, 16, 2, 1.7, 2.3), (260, 16, 2, 2.9, 1.7)],
+                         ids=["24x16", "260x16"])
+def test_postprocess2d_matches_dense_tensor_oracle(nx, ny, m, kx, ky):
     grid = make_grid_2d(nx, ny)
     xs, ys = np.meshgrid(grid.nodes_x, grid.nodes_y, indexing="ij")
     rng = np.random.default_rng(11)
