@@ -37,7 +37,6 @@ from .stepper import (
 )
 from .shift import cosine_basis, shift1d
 from .filtering import (
-    apply_filter_values,
     kappa_critical,
     postprocess_field,
     sigma8,

@@ -336,8 +336,10 @@ def ratio_to_dt(ratio: float, h: float) -> float:
 
 
 def steps_to(T: float, dt: float) -> int:
-    """round(T / dt): a run to T ends at round(T/dt)*dt.  Fewer than two steps
-    (the startup step and one two-step update) raise a ConfigError naming T."""
+    """round(T / dt): a run to T ends at round(T/dt)*dt.  Fewer than two steps (the
+    startup step and one two-step update), or too many to count, raise a ConfigError naming T."""
+    if not np.isfinite(T / dt):
+        raise ConfigError(f"T: {T:.6g} / dt = {dt:.6g} overflows the step count")
     if round(T / dt) < 2:
         raise ConfigError(f"T: {T:.6g} is under two steps of dt = {dt:.6g} (needs T >= 1.5 dt)")
     return round(T / dt)

@@ -8,7 +8,7 @@ partition-of-unity ramp.  The Gibbs oscillations excited at the artificial
 interfaces are damped away from them, so a wider overlap buys a larger
 stable time step.
 
-The blend weights of a layout are memoized (read-only).
+The blend weights of a layout's ranges are memoized (read-only).
 """
 
 from __future__ import annotations
@@ -86,19 +86,18 @@ def make_layout(grid: Grid1D, n_subdomains: int, overlap: int) -> SubdomainLayou
 
 
 @lru_cache(maxsize=64)
-def blend_weights(layout: SubdomainLayout) -> tuple[np.ndarray, ...]:
-    """Per-subdomain node weights; linear ramps across overlaps, summing to 1.
-    Memoized per layout; the arrays are read-only."""
+def blend_weights(ranges: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, ...]:
+    """Per-strip node weights of a ``SubdomainLayout``'s checked ``ranges``: linear
+    ramps across the overlaps, summing to 1.  Memoized per ranges; read-only."""
     weights = []
-    last = layout.n_subdomains - 1
-    for i, (lo, hi) in enumerate(layout.ranges):
+    last = len(ranges) - 1
+    overlap = ranges[0][1] - ranges[1][0] if last else 0
+    for i, (lo, hi) in enumerate(ranges):
         w = np.ones(hi - lo + 1)
         if i > 0:
-            ramp = np.arange(layout.overlap + 1) / layout.overlap
-            w[: layout.overlap + 1] = ramp
+            w[: overlap + 1] = np.arange(overlap + 1) / overlap
         if i < last:
-            ramp = np.arange(layout.overlap, -1, -1) / layout.overlap
-            w[-(layout.overlap + 1):] = np.minimum(w[-(layout.overlap + 1):], ramp)
+            w[-(overlap + 1):] = np.minimum(w[-(overlap + 1):],
+                                            np.arange(overlap, -1, -1) / overlap)
         weights.append(read_only(w))
     return tuple(weights)
-

@@ -12,12 +12,13 @@ overlapping strips of a ``ddm.SubdomainLayout``: each strip is shifted by
 reads u_xx from a callable its caller passes, never the time levels.  A 2D
 field runs the same 1D postprocess along x, then along y, of a lifted field.
 
-With kappa fixed, the 1D postprocess is linear in u and in the u_xx values
-at the strip ends.  ``postprocess_matrices`` assembles it as P @ u + Q @
-u_xx(end nodes) by running the same code on unit columns, and memoizes it.
-The 1D postprocess picks the path by N alone, axis by axis in 2D: on at
-most ``MATRIX_MAX_N`` intervals, where Python call overhead and not
-arithmetic is the cost, it applies those matrices, else it runs the DSTs.
+With kappa fixed, the 1D postprocess is linear: P @ u + Q @ u_xx(end nodes).
+It picks the path by N alone, axis by axis in 2D: on at most
+``MATRIX_MAX_N`` intervals, where Python call overhead and not arithmetic
+is the cost, it applies P and Q from its memo ``_matrices``, else it runs
+the DSTs.  Either way P is ``postprocess_field`` of ``np.eye(N + 1)``, and
+Q that of zeros with ``uxx_at`` returning ``np.eye(2 n_strips)``.  On values
+with zero ends the first-order shift is zero: there it is the sine filter.
 
 Each node axis has one stretching factor, a plain float fixed for the run;
 ``filter_factors``, the one place that evaluates sigma8, memoizes sigma.
@@ -32,15 +33,13 @@ from typing import Callable
 import numpy as np
 from scipy.fft import dst, idst
 
-from .core import Field, Grid1D, read_only, require_positive
+from .core import Field, read_only, require_positive
 from .ddm import SubdomainLayout, blend_weights
 from .shift import cosine_basis, endpoint_inverse, shift1d
 
-RETAIN_TOL = 1.0e-12
-
-# The largest 1D grid whose postprocess ``postprocess_field`` applies as a
-# matrix (``postprocess_matrices``): at N = 256 one P @ u takes about 18 us against
-# 85 us for the DSTs, at N = 512 the two are even, and above that the
+# The largest 1D grid whose postprocess ``postprocess_field`` applies as the
+# matrices of its memo ``_matrices``: at N = 256 one P @ u takes about 18 us
+# against 85 us for the DSTs, at N = 512 the two are even, and above that the
 # O(N^2) product loses to the O(N log N) transforms.
 MATRIX_MAX_N = 256
 # Unit columns per ``_postprocess`` call while assembling: one call on the
@@ -106,15 +105,6 @@ def _sine_filter(values: np.ndarray, kappa: float) -> np.ndarray:
     factors = filter_factors(values.shape[0] - 1, kappa)
     coeffs = sine_coefficients(values) * factors.reshape((-1,) + (1,) * (values.ndim - 1))
     return sine_reconstruct(coeffs)
-
-
-def apply_filter_values(values: np.ndarray, kappa: float) -> np.ndarray:
-    """Filter (N+1, m) values with zero endpoints: scale sine coefficient k
-    by sigma(kappa k / N)."""
-    end = max(float(np.max(np.abs(values[0]))), float(np.max(np.abs(values[-1]))))
-    if end > RETAIN_TOL:
-        raise ValueError(f"apply_filter_values needs shifted input (endpoints {end:.3e})")
-    return _sine_filter(values, kappa)
 
 
 def _postprocess(values: np.ndarray, kappa: float, n_grid: int, lo: int = 0,
@@ -209,43 +199,27 @@ def _postprocess_grid(values: np.ndarray, kappa: float,
     if len(strips) == 1:  # the blend weights of a single strip are all 1
         return strips[0]
     out = np.zeros_like(values)
-    for (lo, hi), w, strip in zip(ranges, blend_weights(layout), strips):
+    for (lo, hi), w, strip in zip(ranges, blend_weights(ranges), strips):
         out[lo:hi + 1] += w[:, np.newaxis] * strip
     return out
-
-
-def postprocess_matrices(grid: Grid1D, kappa: float, layout: SubdomainLayout | None = None,
-                         third_order: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 1D postprocess as matrices: (P, Q, end_nodes) with
-
-        postprocess_field(u, kappa, uxx_at, layout) == P @ u.values + Q @ uxx_at(end_nodes)
-
-    up to roundoff, ``uxx_at`` given when ``third_order`` and None otherwise
-    (then Q is zero).  P is (N+1, N+1), Q is (N+1, 2 n_strips) and
-    ``end_nodes`` holds each strip's two end nodes in strip order.  Rows 0 and
-    N of P are unit rows and those of Q are zero, so both end values are kept
-    exactly.  The arrays are memoized (``_matrices``) and read-only."""
-    require_positive("kappa", kappa)
-    n = grid.n_intervals
-    if layout is not None and layout.grid != grid:
-        raise ValueError(f"layout is for N={layout.grid.n_intervals}, the grid has N={n}")
-    return _matrices(n, kappa, ((0, n),) if layout is None else layout.ranges, third_order)
 
 
 @lru_cache(maxsize=2)
 def _matrices(n: int, kappa: float, ranges: tuple[tuple[int, int], ...],
               third_order: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``postprocess_matrices`` memoized on plain values, so a call hashes no
-    dataclass (a checked layout's ranges fix its overlap).  Assembled by
-    running ``_postprocess`` on ``ASSEMBLY_BLOCK`` unit columns at a time,
-    strip by strip, the strips summed with ``blend_weights``.  Two entries are
-    kept, the keys of a third-order run (its startup step shifts at first
-    order) or of the two axes of a 2D grid; P is 0.53 MB at N = 256."""
-    weights = ((np.ones(n + 1),) if len(ranges) == 1 else blend_weights(
-        SubdomainLayout(Grid1D(n), ranges, ranges[0][1] - ranges[1][0])))
+    """The 1D postprocess on the checked strips ``ranges`` of an ``n``-interval
+    grid as read-only (P, Q, end_nodes): P @ u + Q @ u_xx(end_nodes), Q zero
+    unless ``third_order``.  P is (N+1, N+1) with unit rows 0 and N, Q is
+    (N+1, 2 n_strips) with zero rows 0 and N, so both end values are kept
+    exactly; ``end_nodes`` holds each strip's two end nodes in strip order.
+    The memo behind ``postprocess_field``, keyed on plain values.  Assembled
+    by running ``_postprocess`` on ``ASSEMBLY_BLOCK`` unit columns at a time,
+    strip by strip, the strips summed with ``blend_weights``.  Two entries
+    are kept, the keys of a third-order run (its startup step shifts at
+    first order) or of the two axes of a 2D grid; P is 0.53 MB at N = 256."""
     P = np.zeros((n + 1, n + 1))
     Q = np.zeros((n + 1, 2 * len(ranges)))
-    for s, ((lo, hi), w) in enumerate(zip(ranges, weights)):
+    for s, ((lo, hi), w) in enumerate(zip(ranges, blend_weights(ranges))):
         rows, w = slice(lo, hi + 1), w[:, np.newaxis]
         for c0 in range(0, hi - lo + 1, ASSEMBLY_BLOCK):
             b = min(ASSEMBLY_BLOCK, hi - lo + 1 - c0)

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import make_grid_1d, laplacian_symbol
+from .core import Field, make_grid_1d, laplacian_symbol
 from .ddm import blend_weights, make_layout
-from .filtering import apply_filter_values, kappa_critical, sigma8
+from .filtering import kappa_critical, postprocess_field, sigma8
 from .shift import cosine_basis, shift1d
 from .stepper import recurrence_roots
 
@@ -18,7 +18,7 @@ def _filter_matches_dense_sum() -> bool:
     v = np.sin(np.outer(grid.nodes, [1, 2, 3, 5])) @ rng.normal(size=4)
     v[0] = v[-1] = 0.0
     kappa = 1.7
-    got = apply_filter_values(v, kappa)
+    got = postprocess_field(Field(grid, v), kappa).values[:, 0]  # zero ends: no shift
     n = grid.n_intervals
     x2 = np.linspace(0.0, 2.0 * np.pi, 2 * n, endpoint=False)
     w = np.concatenate([v, -v[-2:0:-1]])
@@ -55,7 +55,7 @@ def _checks():
             retained_ok &= bool(np.max(np.abs(roots)) <= 1.0 + 1e-12)
     yield "retained modes linearly stable at kappa_c", retained_ok
     layout = make_layout(grid, 4, 8)
-    weights = blend_weights(layout)
+    weights = blend_weights(layout.ranges)
     total = np.zeros(grid.n_intervals + 1)
     for (lo, hi), wgt in zip(layout.ranges, weights):
         total[lo:hi + 1] += wgt

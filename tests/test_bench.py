@@ -429,8 +429,9 @@ def test_dd_study_notes_a_row_that_reached_the_ratio_cap(monkeypatch):
 def test_steps_to_rounds_and_rejects_fewer_than_two_steps(monkeypatch):
     assert bench.steps_to(1.0, 0.3) == 3  # the run ends at 0.9
     assert bench.steps_to(0.375, 0.25) == 2
-    with pytest.raises(ConfigError, match="^T: "):
-        bench.steps_to(0.37, 0.25)
+    for T, dt in ((0.37, 0.25), (1e300, 1e-10)):  # T / dt = inf raised an OverflowError
+        with pytest.raises(ConfigError, match="^T: "):
+            bench.steps_to(T, dt)
     # a sweep checks every run before it integrates the first one
     calls = []
     monkeypatch.setattr(bench, "run_case_1d", lambda *args, **kwargs: calls.append(args))

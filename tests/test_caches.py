@@ -31,7 +31,6 @@ from rdfilter.filtering import (
     filter_factors,
     kappa_critical,
     postprocess_field,
-    postprocess_matrices,
     sigma8,
 )
 from rdfilter.shift import cosine_basis, endpoint_inverse
@@ -99,8 +98,8 @@ def test_endpoint_inverse_matches_dense_solve(n, data, shift_order, seed):
 
 def test_blend_weights_cached_read_only_and_exact():
     layout = make_layout(make_grid_1d(64), 3, 8)
-    weights = blend_weights(layout)
-    assert blend_weights(make_layout(make_grid_1d(64), 3, 8)) is weights
+    weights = blend_weights(layout.ranges)
+    assert blend_weights(make_layout(make_grid_1d(64), 3, 8).ranges) is weights
     last = len(layout.ranges) - 1
     for i, ((lo, hi), w) in enumerate(zip(layout.ranges, weights)):
         fresh = np.ones(hi - lo + 1)
@@ -131,7 +130,7 @@ def test_postprocess_matrices_cached_read_only_and_reused_by_the_next_run(shift_
                         lambda values: calls.append(values.shape) or original(values))
     second = run()
     assert calls == [] and np.array_equal(second.field.values, first.field.values)
-    for array in postprocess_matrices(grid, first.kappa[0], layout, shift_order == 3):
+    for array in filtering._matrices(64, first.kappa[0], layout.ranges, shift_order == 3):
         _assert_read_only(array)
     monkeypatch.setattr(filtering, "MATRIX_MAX_N", 0)
     dst_path = run()

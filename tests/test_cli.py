@@ -156,6 +156,8 @@ def test_filter_off_rejects_a_postprocess_key_even_at_its_default():
      "kappa_fraction"),
     ("sweep", ["--filter", "off", "--shift-order", "3"], "shift_order"),
     ("sweep", ["--filter", "off", "--kappa-fraction", "0.5"], "kappa_fraction"),
+    ("run", ["--T", "1e300", "--dt", "1e-10"], "T"),  # round(T / dt) overflowed
+    ("sweep", ["--ratios", "1e-300", "--T", "1e300"], "T"),
 ])
 def test_main_rejects_keys_a_subcommand_does_not_read(tmp_path, capsys, command, args, key):
     # kappa_adapt is no key: it is rejected as unknown at true and at false

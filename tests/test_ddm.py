@@ -91,7 +91,7 @@ def test_blend_partition_of_unity():
     for nd, ov in [(2, 4), (4, 8), (3, 6)]:
         layout = make_layout(GRID, nd, ov)
         total = np.zeros(65)
-        for (lo, hi), w in zip(layout.ranges, blend_weights(layout)):
+        for (lo, hi), w in zip(layout.ranges, blend_weights(layout.ranges)):
             total[lo:hi + 1] += w
         assert np.max(np.abs(total - 1.0)) < 1e-14
 
@@ -105,7 +105,7 @@ def test_every_accepted_layout_blends_to_one(n, n_subdomains, overlap):
     except ValueError:
         return
     total = np.zeros(n + 1)
-    for (lo, hi), w in zip(layout.ranges, blend_weights(layout)):
+    for (lo, hi), w in zip(layout.ranges, blend_weights(layout.ranges)):
         total[lo:hi + 1] += w
     assert np.max(np.abs(total - 1.0)) < 1e-14
 

@@ -22,11 +22,9 @@ from rdfilter.ddm import make_layout
 from rdfilter.filtering import (
     ASSEMBLY_BLOCK,
     MATRIX_MAX_N,
-    apply_filter_values,
     filter_factors,
     kappa_critical,
     postprocess_field,
-    postprocess_matrices,
     sigma8,
     sine_coefficients,
     sine_reconstruct,
@@ -157,28 +155,22 @@ def test_apply_filter_identity_at_tiny_kappa():
     rng = np.random.default_rng(3)
     vals = rng.normal(size=33)
     vals[0] = vals[-1] = 0.0
-    out = apply_filter_values(Field(grid, vals).values, 1e-6)
+    out = postprocess_field(Field(grid, vals), 1e-6).values  # zero ends: no shift
     assert np.max(np.abs(out[:, 0] - vals)) < 1e-8
 
 
 def test_apply_filter_kills_modes_beyond_cutoff():
     grid = make_grid_1d(16)
     # kappa*k/N >= 1 -> mode removed entirely
-    out = apply_filter_values(Field(grid, np.sin(8 * grid.nodes)).values, 2.0)
+    out = postprocess_field(Field(grid, np.sin(8 * grid.nodes)), 2.0).values
     assert np.max(np.abs(out)) < 1e-13
 
 
 def test_apply_filter_single_mode_half_damping():
     grid = make_grid_1d(8)
-    out = apply_filter_values(Field(grid, np.sin(2 * grid.nodes)).values, 2.0)
+    out = postprocess_field(Field(grid, np.sin(2 * grid.nodes)), 2.0).values
     want = 0.5 * np.sin(2 * grid.nodes)
     assert np.max(np.abs(out[:, 0] - want)) < 1e-13
-
-
-def test_apply_filter_rejects_unshifted_input():
-    grid = make_grid_1d(8)
-    with pytest.raises(ValueError):
-        apply_filter_values(Field(grid, np.cos(grid.nodes)).values, 1.0)
 
 
 @pytest.mark.parametrize("n", [8, 12, 16])
@@ -190,7 +182,7 @@ def test_apply_filter_matches_dense_fourier_sum(n):
     vals = rng.normal(size=n + 1)
     vals[0] = vals[-1] = 0.0
     kappa = 1.3
-    got = apply_filter_values(Field(grid, vals).values, kappa)[:, 0]
+    got = postprocess_field(Field(grid, vals), kappa).values[:, 0]  # zero ends: no shift
     x2 = np.linspace(0.0, 2.0 * np.pi, 2 * n, endpoint=False)
     w = np.concatenate([vals, -vals[-2:0:-1]])
     want = np.zeros(n + 1)
@@ -353,7 +345,8 @@ _MATRIX_LAYOUTS = [(16, 1, 0), (16, 2, 2), (64, 1, 0), (64, 2, 4), (64, 4, 8),
 
 def _matrix_case(n, n_subdomains, overlap):
     grid = make_grid_1d(n)
-    return grid, make_layout(grid, n_subdomains, overlap) if n_subdomains > 1 else None
+    layout = make_layout(grid, n_subdomains, overlap) if n_subdomains > 1 else None
+    return grid, layout, ((0, n),) if layout is None else layout.ranges
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -361,7 +354,7 @@ def _matrix_case(n, n_subdomains, overlap):
 @pytest.mark.parametrize("n, n_subdomains, overlap", _MATRIX_LAYOUTS)
 def test_postprocess_matrices_match_postprocess_field(n, n_subdomains, overlap, shift_order, m,
                                                       monkeypatch):
-    grid, layout = _matrix_case(n, n_subdomains, overlap)
+    grid, layout, ranges = _matrix_case(n, n_subdomains, overlap)
     kappa = kappa_critical(ratio_to_dt(8.0, grid.h), grid.h)
     rng = np.random.default_rng(n + 10 * n_subdomains + shift_order + m)
     u = Field(grid, 1.0 + np.cos(grid.nodes)[:, None] + rng.standard_normal((n + 1, m)))
@@ -373,13 +366,12 @@ def test_postprocess_matrices_match_postprocess_field(n, n_subdomains, overlap, 
         return uxx[nodes]
 
     third = shift_order == 3
-    P, Q, end_nodes = postprocess_matrices(grid, kappa, layout, third)
+    P, Q, end_nodes = filtering._matrices(n, kappa, ranges, third)
     with monkeypatch.context() as patch:  # the DST path, which N > MATRIX_MAX_N takes
         patch.setattr(filtering, "MATRIX_MAX_N", 0)
         want = postprocess_field(u, kappa, uxx_at if third else None, layout).values
     got = P @ u.values + Q @ uxx[end_nodes]
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(u.values))
-    ranges = ((0, n),) if layout is None else layout.ranges
     assert np.array_equal(end_nodes, np.ravel(ranges))
     # postprocess_field takes the matrix path at this N, and computes exactly P @ u + Q @ u_xx
     applied = postprocess_field(u, kappa, uxx_at if third else None, layout)
@@ -389,11 +381,32 @@ def test_postprocess_matrices_match_postprocess_field(n, n_subdomains, overlap, 
 
 
 @pytest.mark.parametrize("shift_order", [1, 3])
+@pytest.mark.parametrize("n, n_subdomains, overlap", _MATRIX_LAYOUTS + [(300, 1, 0), (300, 2, 8)])
+def test_postprocess_matrices_are_the_postprocess_of_the_identity(n, n_subdomains, overlap,
+                                                                  shift_order):
+    # P is the postprocess of the unit columns, Q that of zero data with unit
+    # u_xx at the strip ends; N = 300 takes the DST path
+    grid, layout, ranges = _matrix_case(n, n_subdomains, overlap)
+    kappa = kappa_critical(ratio_to_dt(8.0, grid.h), grid.h)
+    third, n_ends = shift_order == 3, 2 * len(ranges)
+    P, Q, _ = filtering._matrices(n, kappa, ranges, third)
+    zero_uxx = (lambda nodes: np.zeros((n_ends, n + 1))) if third else None
+    identity = postprocess_field(Field(grid, np.eye(n + 1)), kappa, zero_uxx, layout)
+    assert np.array_equal(P, identity.values)
+    if third:
+        ends = postprocess_field(Field(grid, np.zeros((n + 1, n_ends))), kappa,
+                                 lambda nodes: np.eye(n_ends), layout)
+        assert np.array_equal(Q, ends.values)
+    else:
+        assert not np.any(Q)
+
+
+@pytest.mark.parametrize("shift_order", [1, 3])
 @pytest.mark.parametrize("n, n_subdomains, overlap", _MATRIX_LAYOUTS)
 def test_postprocess_matrices_keep_both_end_values_exactly(n, n_subdomains, overlap,
                                                            shift_order):
-    grid, layout = _matrix_case(n, n_subdomains, overlap)
-    P, Q, end_nodes = postprocess_matrices(grid, 3.0, layout, shift_order == 3)
+    ranges = _matrix_case(n, n_subdomains, overlap)[2]
+    P, Q, end_nodes = filtering._matrices(n, 3.0, ranges, shift_order == 3)
     unit = np.eye(n + 1)
     assert np.array_equal(P[[0, -1]], unit[[0, -1]])
     assert not np.any(Q[[0, -1]])
@@ -408,21 +421,16 @@ def test_postprocess_matrices_keep_both_end_values_exactly(n, n_subdomains, over
 def test_postprocess_matrices_assemble_in_small_blocks(n_subdomains, overlap, third_order):
     # one call on the whole (N+1, N+1) identity held several copies of it; the
     # blocks keep the peak near the size of P itself (0.53 MB at N = 256)
-    grid, layout = _matrix_case(MATRIX_MAX_N, n_subdomains, overlap)
-    postprocess_matrices(grid, 3.0, layout, third_order)  # fills the memoized tables
+    ranges = _matrix_case(MATRIX_MAX_N, n_subdomains, overlap)[2]
+    filtering._matrices(MATRIX_MAX_N, 3.0, ranges, third_order)  # fills the memoized tables
     filtering._matrices.cache_clear()  # else the measured call is a cache hit
     tracemalloc.start()
     try:
-        postprocess_matrices(grid, 3.0, layout, third_order)
+        filtering._matrices(MATRIX_MAX_N, 3.0, ranges, third_order)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 * 1024**2
-
-
-def test_postprocess_matrices_reject_a_layout_of_another_grid():
-    with pytest.raises(ValueError, match="layout is for N=64, the grid has N=128"):
-        postprocess_matrices(make_grid_1d(128), 2.0, make_layout(make_grid_1d(64), 2, 8))
 
 
 @pytest.mark.parametrize("bad", [np.nan, 0.0, -2.0, np.inf])
@@ -435,8 +443,6 @@ def test_postprocess_rejects_a_kappa_that_is_not_finite_and_positive(bad):
         u = Field(grid, 1.0 + np.cos(grid.nodes) + 0.1 * np.sin(40 * grid.nodes))
         with reject():
             postprocess_field(u, bad)
-        with reject():
-            postprocess_matrices(grid, bad)
     u2 = Field.zeros(make_grid_2d(8, 16))
     for kappa in ((bad, 2.0), (2.0, bad)):
         with reject():

@@ -99,3 +99,30 @@ def test_names_imported_from_finds_every_form():
 def test_bench_imports_only_the_postprocess_entry_point_from_filtering():
     source = (ROOT / "src" / "rdfilter" / "bench.py").read_text()
     assert names_imported_from(source, "filtering") <= BENCH_FROM_FILTERING
+
+
+# ``_matrices``, ``_postprocess*`` and ``_sine_filter`` are reached only through
+# ``postprocess_field``: no module imports another module's underscore names.
+def private_imports(source: str) -> list[str]:
+    """The underscore names ``source`` imports: ``from m import _x`` or
+    ``import m._x``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if any(part.startswith("_") for part in a.name.split("."))]
+    return found
+
+
+def test_private_imports_finds_every_form():
+    source = ("from __future__ import annotations\nfrom .filtering import _matrices, sigma8\n"
+              "import rdfilter._shift\nfrom . import _ddm\nimport numpy as _np\n")
+    assert private_imports(source) == ["_matrices", "rdfilter._shift", "_ddm"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "rdfilter").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_imports_no_underscore_name(path):
+    assert private_imports(path.read_text()) == []
