@@ -329,6 +329,9 @@ class SweepRow:
 
 # The largest normalized step 3 dt / h^2 the overlap study tries.
 RATIO_MAX = 64.0
+# The most steps a run may ask for: about 2,500 times the most any acceptance
+# criterion takes (criterion 5 at N = 256 and ratio 0.5, some 40,000 steps).
+MAX_STEPS = 10**8
 
 
 def ratio_to_dt(ratio: float, h: float) -> float:
@@ -337,9 +340,11 @@ def ratio_to_dt(ratio: float, h: float) -> float:
 
 def steps_to(T: float, dt: float) -> int:
     """round(T / dt): a run to T ends at round(T/dt)*dt.  Fewer than two steps (the
-    startup step and one two-step update), or too many to count, raise a ConfigError naming T."""
-    if not np.isfinite(T / dt):
-        raise ConfigError(f"T: {T:.6g} / dt = {dt:.6g} overflows the step count")
+    startup step and one two-step update), or more than MAX_STEPS, raise a ConfigError
+    naming T."""
+    if not T / dt <= MAX_STEPS:  # an infinite T / dt too
+        raise ConfigError(f"T: {T:.6g} / dt = {dt:.6g} asks for more than "
+                          f"MAX_STEPS = {MAX_STEPS:.0e} steps")
     if round(T / dt) < 2:
         raise ConfigError(f"T: {T:.6g} is under two steps of dt = {dt:.6g} (needs T >= 1.5 dt)")
     return round(T / dt)

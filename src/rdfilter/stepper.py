@@ -12,10 +12,11 @@ reads u_xx back from the same levels, for the third-order shift.
 
 The step size is ``SchemeState.dt``.  Only the pointwise m x m Jacobian of
 f is ever formed, and none for a u-independent f; the node solves are
-independent, so the whole implicit stage is a batched dense solve (a
-division when m = 1).  It stops once the residual is below NEWTON_TOL times
-max|c I - J| max|u|, the size of its terms, or fails after NEWTON_MAX_ITER
-updates.
+independent, so each Newton update is solved on whole arrays: a division
+when m = 1, Cramer's rule when m = 2 (LAPACK for a node whose determinant
+it cannot trust), and LAPACK's batched dense solve when m >= 3.  It stops
+once the residual is below NEWTON_TOL times max|c I - J| max|u|, the size
+of its terms, or fails after NEWTON_MAX_ITER updates.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .core import Field, ReactionSystem, SchemeState, interior_nodes
 
 NEWTON_TOL = 1.0e-12
 NEWTON_MAX_ITER = 25
+_FLOAT = np.finfo(float)
 
 
 class NewtonDivergence(RuntimeError):
@@ -59,13 +61,14 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
     """Solve c*u - f(x, t, u) = rhs at every node, c = ``coeff``, by Newton
     from ``initial``.
 
-    ``rhs`` has shape (..., m); the solve is vectorized over the leading axes
-    with one dense m x m factorization per node (a division for m = 1).
-    Deterministic regardless of how nodes would be scheduled: every node only
-    touches its own values.  A ``u_independent`` f makes the equation linear
-    in u: its Jacobian is not taken, and the first update solves it.  A node
-    whose Jacobian is singular, or whose update is not finite, raises
-    ``NewtonDivergence`` naming that node.
+    ``rhs`` has shape (..., m); the solve is vectorized over the leading axes:
+    a division for m = 1, Cramer's rule for m = 2 (LAPACK at a node where it
+    cannot be trusted, see ``_solve_2x2``), and one dense m x m LAPACK solve
+    per node for m >= 3.  Deterministic regardless of how nodes would be
+    scheduled: every node only touches its own values.  A ``u_independent``
+    f makes the equation linear in u: its Jacobian is not taken, and the
+    first update solves it.  A node whose Jacobian is singular, or whose
+    update is not finite, raises ``NewtonDivergence`` naming that node.
     """
     rhs = np.asarray(rhs, dtype=float)
     u = np.array(initial, dtype=float)
@@ -94,11 +97,10 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
         if reaction.m == 1:  # a 1 x 1 solve is a division
             with np.errstate(divide="ignore", invalid="ignore"):
                 delta = residual / jac[..., 0]
+        elif reaction.m == 2:
+            delta = _solve_2x2(jac, residual)
         else:
-            try:
-                delta = np.linalg.solve(jac, residual[..., np.newaxis])[..., 0]
-            except np.linalg.LinAlgError:  # singular at some node: find which
-                delta = _solve_each_node(jac, residual)
+            delta = _solve_dense(jac, residual)
         if not np.isfinite(delta).all():  # a singular Jacobian, or an overflow
             bad = ~np.isfinite(delta).all(axis=-1)
             raise _diverged(bad, float(np.max(np.abs(residual[bad]))))
@@ -110,8 +112,38 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
     raise _diverged(worst.max(axis=-1), float(np.max(worst)))
 
 
-def _solve_each_node(jac: np.ndarray, residual: np.ndarray) -> np.ndarray:
-    """The batched solve node by node, NaN at a node whose Jacobian is singular."""
+def _solve_2x2(jac: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """Every node's 2 x 2 system by Cramer's rule on whole arrays, which is
+    forward stable for n = 2 (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., 2002, 1.10.1).  A node goes to ``_solve_dense``
+    instead when its determinant is not a finite normal float or is within
+    rounding of zero (cond above about 1e15, where LU may meet an exact zero
+    pivot), or its update is not finite; so LAPACK decides which diverge."""
+    a, b, c, d = jac[..., 0, 0], jac[..., 0, 1], jac[..., 1, 0], jac[..., 1, 1]
+    r0, r1 = residual[..., 0], residual[..., 1]
+    delta = np.empty_like(residual)
+    with np.errstate(all="ignore"):
+        ad, bc = a * d, b * c
+        det = ad - bc
+        delta[..., 0] = d * r0 - b * r1
+        delta[..., 1] = a * r1 - c * r0
+        delta /= det[..., np.newaxis]
+        # False for a NaN, an infinite (then |ad| + |bc| is too) or a subnormal det
+        sound = np.abs(det) > 4.0 * _FLOAT.eps * (np.abs(ad) + np.abs(bc)) + _FLOAT.tiny
+    if not (sound.all() and np.isfinite(delta).all()):
+        redo = ~(sound & np.isfinite(delta).all(axis=-1))
+        jac = np.broadcast_to(jac, residual.shape + (2,))  # c I when f is u-independent
+        delta[redo] = _solve_dense(jac[redo], residual[redo])
+    return delta
+
+
+def _solve_dense(jac: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """LAPACK's batched solve; if some node's Jacobian is singular, node by
+    node, with NaN at each such node."""
+    try:
+        return np.linalg.solve(jac, residual[..., np.newaxis])[..., 0]
+    except np.linalg.LinAlgError:  # singular at some node: find which
+        pass
     delta = np.full(residual.shape, np.nan)
     for node in np.ndindex(residual.shape[:-1]):
         try:

@@ -429,7 +429,10 @@ def test_dd_study_notes_a_row_that_reached_the_ratio_cap(monkeypatch):
 def test_steps_to_rounds_and_rejects_fewer_than_two_steps(monkeypatch):
     assert bench.steps_to(1.0, 0.3) == 3  # the run ends at 0.9
     assert bench.steps_to(0.375, 0.25) == 2
-    for T, dt in ((0.37, 0.25), (1e300, 1e-10)):  # T / dt = inf raised an OverflowError
+    assert bench.steps_to(0.5 * bench.MAX_STEPS, 0.5) == bench.MAX_STEPS
+    # T / dt = inf raised an OverflowError; 1e30 steps ran for ever
+    for T, dt in ((0.37, 0.25), (1e300, 1e-10), (1e20, 1e-10),
+                  (0.5 * bench.MAX_STEPS + 0.5, 0.5)):
         with pytest.raises(ConfigError, match="^T: "):
             bench.steps_to(T, dt)
     # a sweep checks every run before it integrates the first one

@@ -2,8 +2,9 @@
 
 Every cached array must be read-only and equal to a fresh computation; the
 cached pipeline must reproduce the uncached formulas; the 1 x 1 division
-must agree with the batched dense solve it replaces, and a u-independent
-reaction must be solved bit for bit as if its flag were cleared.
+and the 2 x 2 closed form must agree with LAPACK's dense solve, which m >= 3
+still takes, and a u-independent reaction must be solved bit for bit as if
+its flag were cleared.
 """
 
 from dataclasses import replace
@@ -16,7 +17,13 @@ from hypothesis import strategies as st
 from scipy.fft import dst, idst
 
 from rdfilter import filtering
-from rdfilter.bench import integrate_1d, manufactured_heat_case, ratio_to_dt
+from rdfilter.bench import (
+    PredatorPreyCase,
+    integrate_1d,
+    manufactured_heat_case,
+    ratio_to_dt,
+    run_predator_prey,
+)
 from rdfilter.core import (
     Field,
     ReactionSystem,
@@ -209,16 +216,18 @@ def _atan_reaction(coeff, m):
 
 
 def test_m1_division_matches_dense_solve():
-    # The m = 2 system is two decoupled copies of the m = 1 one, so it runs
-    # the batched np.linalg.solve on the same per-node equations.
+    # The m = 2 and m = 3 systems are two and three decoupled copies of the
+    # m = 1 one: m = 2 runs the closed form and m = 3 the batched
+    # np.linalg.solve on the same per-node equations.
     coeff = 3.0
     rng = np.random.default_rng(5)
     rhs = rng.uniform(-0.8, 0.8, size=(257, 1))
     one = newton_point_solve(rhs, _atan_reaction(coeff, 1), None, 0.0, coeff, rhs / coeff)
-    two = newton_point_solve(np.repeat(rhs, 2, axis=1), _atan_reaction(coeff, 2),
-                             None, 0.0, coeff, np.repeat(rhs, 2, axis=1) / coeff)
-    assert np.max(np.abs(one[:, 0] - two[:, 0])) <= 1e-15
-    assert np.max(np.abs(two[:, 0] - two[:, 1])) == 0.0
+    for m in (2, 3):
+        many = newton_point_solve(np.repeat(rhs, m, axis=1), _atan_reaction(coeff, m),
+                                  None, 0.0, coeff, np.repeat(rhs, m, axis=1) / coeff)
+        assert np.max(np.abs(one[:, 0] - many[:, 0])) <= 1e-15
+        assert np.max(np.abs(many[:, :1] - many[:, 1:])) == 0.0
     assert np.max(np.abs(np.arctan(one) - rhs)) <= 1e-12
 
 
@@ -227,19 +236,20 @@ def test_m1_divergence_reports_same_node_as_dense_solve():
     initial = np.full((9, 1), 0.1)
     initial[6] = 2.0
     nodes = []
-    for m in (1, 2):
+    for m in (1, 2, 3):
         with pytest.raises(NewtonDivergence) as info:
             newton_point_solve(np.zeros((9, m)), _atan_reaction(coeff, m), None, 0.0,
                                coeff, np.repeat(initial, m, axis=1))
         nodes.append(info.value.node)
-    assert nodes == [6, 6]
+    assert nodes == [6, 6, 6]
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_zero_jacobian_raises_newton_divergence_at_that_node(m):
     # f(u) = c u - u^2 / 2 per component makes the Jacobian of c u - f(u),
-    # diag(u), vanish at u = 0: the division must not turn that node into
-    # +-inf and accept it, and the dense solve must not raise LinAlgError.
+    # diag(u), vanish at u = 0: the division (m = 1) and the closed form
+    # (m = 2) must not turn that node into +-inf and accept it, and LAPACK's
+    # solve (m = 3, and m = 2's fallback) must not raise LinAlgError.
     coeff = 3.0
     reaction = ReactionSystem(
         m=m,
@@ -256,7 +266,7 @@ def test_zero_jacobian_raises_newton_divergence_at_that_node(m):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([1, 2]), st.sampled_from([(9,), (4, 5)]), st.floats(1e-3, 1e3),
+@given(st.sampled_from([1, 2, 3]), st.sampled_from([(9,), (4, 5)]), st.floats(1e-3, 1e3),
        st.booleans(), st.integers(0, 2**32 - 1))
 def test_u_independent_solve_is_bit_identical_to_the_general_solve(m, nodes, coeff,
                                                                    guess, seed):
@@ -273,7 +283,7 @@ def test_u_independent_solve_is_bit_identical_to_the_general_solve(m, nodes, coe
     assert fast.tobytes() == slow.tobytes()
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_non_finite_source_diverges_at_the_same_node_either_way(m, bad):
     source = np.ones((9, m))
@@ -287,3 +297,87 @@ def test_non_finite_source_diverges_at_the_same_node_either_way(m, bad):
         failures.append((info.value.node, repr(info.value.residual)))
     assert failures[0] == failures[1]
     assert failures[0][0] == 5
+
+
+def _linear_reaction(jac):
+    # f(u) = -J u per node, so at c = 0 Newton's matrix 0 I - df/du is J bit
+    # for bit, and the first update solves J u = rhs.
+    return ReactionSystem(m=2, eval=lambda x, t, u: -np.einsum("...ij,...j->...i", jac, u),
+                          jacobian=lambda x, t, u: -jac)
+
+
+def _assert_matches_lapack(jac, rhs):
+    # Both Cramer's rule (Higham 2002, 1.10.1) and LU with partial pivoting
+    # are forward stable for n = 2: each errs by a small multiple of
+    # eps cond(J) relative, so they differ by at most 16 eps cond(J) (max
+    # norms, which do not overflow at |u| ~ 1e208).
+    u = newton_point_solve(rhs, _linear_reaction(jac), None, 0.0, 0.0, np.zeros_like(rhs))
+    for node in np.ndindex(rhs.shape[:-1]):
+        reference = np.linalg.solve(jac[node], rhs[node])
+        cond = np.linalg.cond(jac[node] / np.max(np.abs(jac[node])))
+        bound = 16.0 * np.finfo(float).eps * cond * np.max(np.abs(reference))
+        assert np.max(np.abs(u[node] - reference)) <= bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_2x2_closed_form_matches_lapack_node_by_node(n_nodes, seed):
+    # Non-symmetric J = 10^k U diag(1, s) V^T with random rotations U, V (V
+    # with a random reflection), cond = 1/s up to 1e8 and k in [-200, 200] per
+    # node: a determinant that underflows or overflows goes to LAPACK.
+    rng = np.random.default_rng(seed)
+
+    def rotations():
+        angle = rng.uniform(0.0, 2.0 * np.pi, n_nodes)
+        cos, sin = np.cos(angle), np.sin(angle)
+        return np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
+
+    singular = np.stack([np.ones(n_nodes), 10.0 ** -rng.uniform(0.0, 8.0, n_nodes)], -1)
+    reflect = np.stack([np.ones(n_nodes), rng.choice([-1.0, 1.0], n_nodes)], -1)
+    jac = (rotations() * singular[:, np.newaxis, :]) @ np.swapaxes(
+        rotations() * reflect[:, np.newaxis, :], -1, -2)
+    jac *= 10.0 ** rng.uniform(-200.0, 200.0, (n_nodes, 1, 1))
+    _assert_matches_lapack(jac, rng.standard_normal((n_nodes, 2)))
+
+
+def test_2x2_jacobian_scaled_by_1e160_converges():
+    # a d overflows to inf, so every node is left to LAPACK, which solves it
+    rng = np.random.default_rng(160)
+    jac = 1e160 * (rng.standard_normal((9, 2, 2)) + 4.0 * np.eye(2))
+    _assert_matches_lapack(jac, rng.standard_normal((9, 2)))
+
+
+@pytest.mark.parametrize("singular", [
+    [[1.0, 2.0], [2.0, 4.0]],  # rank 1: a d - b c is exactly 0
+    # LU meets the exact zero pivot 0.3 - (0.9 / 3) 1 = 0, while a d - b c
+    # rounds to -1.1e-16 and Cramer's rule alone would accept a 1e16 update
+    [[3.0, 1.0], [0.9, 0.3]],
+])
+def test_singular_2x2_jacobian_diverges_at_that_node(singular):
+    jac = np.repeat([[[2.0, 1.0], [-1.0, 3.0]]], 9, axis=0)
+    jac[4] = singular
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(jac[4], np.ones(2))
+    with np.errstate(all="raise"):
+        with pytest.raises(NewtonDivergence) as info:
+            newton_point_solve(np.ones((9, 2)), _linear_reaction(jac), None, 0.0, 0.0,
+                               np.zeros((9, 2)))
+    assert info.value.node == 4
+    assert info.value.residual == 1.0
+
+
+def test_predator_prey_calls_no_lapack_solve_and_m3_does(monkeypatch):
+    # Predator-prey (m = 2) is solved in closed form; m = 3 takes np.linalg.solve.
+    calls = []
+    original = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    row, _ = run_predator_prey(PredatorPreyCase(), 64, 2.0, n_steps=20)
+    assert row.stable and calls == []
+    rhs = np.full((9, 3), 0.5)
+    newton_point_solve(rhs, _atan_reaction(3.0, 3), None, 0.0, 3.0, rhs / 3.0)
+    assert len(calls) >= 1

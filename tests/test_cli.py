@@ -158,6 +158,7 @@ def test_filter_off_rejects_a_postprocess_key_even_at_its_default():
     ("sweep", ["--filter", "off", "--kappa-fraction", "0.5"], "kappa_fraction"),
     ("run", ["--T", "1e300", "--dt", "1e-10"], "T"),  # round(T / dt) overflowed
     ("sweep", ["--ratios", "1e-300", "--T", "1e300"], "T"),
+    ("run", ["--T", "1e20", "--dt", "1e-10"], "T"),  # 1e30 steps ran for ever
 ])
 def test_main_rejects_keys_a_subcommand_does_not_read(tmp_path, capsys, command, args, key):
     # kappa_adapt is no key: it is rejected as unknown at true and at false
