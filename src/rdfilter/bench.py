@@ -34,7 +34,7 @@ from .core import (
 from .ddm import SubdomainLayout, make_layout
 from .filtering import kappa_critical, postprocess_field
 from .solver2d import BoundaryData2D
-from .stepper import NewtonDivergence, apply_laplacian, estimate_uxx_nodes, step
+from .stepper import NewtonDivergence, estimate_uxx_nodes, step
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +195,12 @@ def ode_orbit_check(case: PredatorPreyCase) -> bool:
 
 def error_norms(u: Field, reference: Field) -> tuple[float, float]:
     """Trapezoidal discrete L2 and sup norm of the difference; the weight of a
-    node is the product of one trapezoid weight per node axis (h = pi/N)."""
+    node is the product of one trapezoid weight per node axis (h = pi/N).
+    The two fields must share their grid and their component count."""
     if u.grid != reference.grid:
         raise ValueError("fields live on different grids")
+    if u.m != reference.m:
+        raise ValueError(f"fields have different component counts, {u.m} and {reference.m}")
     diff = u.values - reference.values
     w = np.ones(())
     for n_nodes in diff.shape[:-1]:
@@ -253,9 +256,11 @@ def _integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_ste
                kappa_fraction: float, layout: SubdomainLayout | None) -> RunOutcome:
     """The body of both drivers: ``n_steps`` steps of size ``dt`` from u0, the
     first one the startup step, each followed by one ``postprocess_field``
-    call (which picks its path by N) when ``filter_on``.  Each of the d node
-    axes filters with kappa_fraction * kappa_c(d dt, pi / N_axis), its share
-    of the stability budget (see ``solver2d.kappa_critical_2d``).
+    call (which picks its path by N) when ``filter_on``.  The loop keeps only
+    the two time levels; ``step`` derives its one Laplacian from them.  Each
+    of the d node axes filters with kappa_fraction * kappa_c(d dt, pi /
+    N_axis), its share of the stability budget (see
+    ``solver2d.kappa_critical_2d``).
 
     A step is blown up (``Field.blown_up``) when its values exceed
     ``core.BLOWUP_THRESHOLD`` after its postprocess; every step but the
@@ -285,13 +290,12 @@ def _integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_ste
             update = float(np.max(np.abs(levels[0].values - levels[1].values))) / dt
         return RunOutcome(fld, stable, steps, wall, kappa, mins, update, failure)
 
-    u_prev, u_curr, lap_prev = u0, u0, None  # lap_prev: L u^{n-1}, last step's L u^n
+    u_prev, u_curr = u0, u0
     for n in range(n_steps):
         t_next = n * dt + dt
-        lap_curr = apply_laplacian(u_curr).values
         try:
-            u_new = step(SchemeState(u_curr, u_prev, n * dt, dt, lap_curr, lap_prev),
-                         reaction, bc_at(t_next), startup=n == 0)
+            u_new = step(SchemeState(u_curr, u_prev, n * dt, dt), reaction, bc_at(t_next),
+                         startup=n == 0)
         except NewtonDivergence as exc:
             return _done(False, n, u_curr, str(exc), (u_curr, u_prev))
         if (n > 0 or not filter_on) and u_new.blown_up():
@@ -303,7 +307,7 @@ def _integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_ste
             if u_new.blown_up():
                 return _done(False, n + 1, u_new)
         mins = np.minimum(mins, np.min(u_new.values.reshape(-1, u0.m), axis=0))
-        u_prev, u_curr, lap_prev = u_curr, u_new, lap_curr
+        u_prev, u_curr = u_curr, u_new
     return _done(True, n_steps, u_curr, levels=(u_curr, u_prev))
 
 

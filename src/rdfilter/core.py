@@ -234,15 +234,13 @@ def source_reaction(source: Callable, m: int = 1) -> ReactionSystem:
 
 @dataclass
 class SchemeState:
-    """Two-level state of the two-step scheme: u^n, u^{n-1}, t_n, dt, and the
-    node-major L u^n and L u^{n-1} when the caller already has them."""
+    """Two-level state of the two-step scheme: u^n, u^{n-1}, t_n and dt.
+    The step derives everything else, its Laplacian too, from these."""
 
     u_curr: Field
     u_prev: Field
     time: float
     dt: float
-    lap_curr: np.ndarray | None = None
-    lap_prev: np.ndarray | None = None
 
     def __post_init__(self):
         require_positive("dt", self.dt)

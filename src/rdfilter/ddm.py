@@ -8,12 +8,14 @@ partition-of-unity ramp.  The Gibbs oscillations excited at the artificial
 interfaces are damped away from them, so a wider overlap buys a larger
 stable time step.
 
-The blend weights of a layout's ranges are memoized (read-only).
+A layout is built from its counts alone (grid, strips, overlap): its ranges
+are computed, so they cannot disagree with its overlap.  The blend weights
+of a layout's ranges are memoized (read-only).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -25,64 +27,50 @@ MIN_INTERIOR_POINTS = 8
 
 @dataclass(frozen=True)
 class SubdomainLayout:
-    """Strips (lo, hi) of node indices of ``grid``, checked so that their
-    blend weights sum to 1: whole-number ranges (kept as int) that cover
-    0..N in order; between several strips, neighbours sharing exactly
-    ``overlap`` intervals (at least 1) and overlapping no other strip, each
-    with ``MIN_INTERIOR_POINTS`` interior points.  One strip is the whole
-    grid, and any whole ``overlap`` >= 0 is kept with it."""
+    """``n_subdomains`` near-equal strips (lo, hi) of the node indices of
+    ``grid``; the ``ranges`` are computed, never given.  Each interior cut
+    round(i N / n_subdomains) extends overlap/2 to both sides, so neighbours
+    share exactly ``overlap`` intervals, which must be even and >= 2 (one
+    strip is the whole grid, with any ``overlap`` >= 0).  Both counts must be
+    whole numbers, kept as int.  Strips that fall out of order, overlap a
+    non-neighbour or have fewer than ``MIN_INTERIOR_POINTS`` interior points
+    raise as infeasible: their blend weights would not sum to 1."""
 
     grid: Grid1D
-    ranges: tuple[tuple[int, int], ...]
+    n_subdomains: int
     overlap: int
+    ranges: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self):
-        ranges = tuple((require_whole("ranges", lo), require_whole("ranges", hi))
-                       for lo, hi in self.ranges)
+        n = self.grid.n_intervals
+        n_subdomains = require_whole("n_subdomains", self.n_subdomains)
         overlap = require_whole("overlap", self.overlap)
-        object.__setattr__(self, "ranges", ranges)
+        if n_subdomains < 1:
+            raise ValueError(f"n_subdomains: must be >= 1, got {n_subdomains}")
+        if overlap < 0 or n_subdomains > 1 and (overlap < 2 or overlap % 2 != 0):
+            raise ValueError(f"overlap: must be even and >= 2 between strips, >= 0 on one, "
+                             f"got {overlap}")
+        cuts = [round(i * n / n_subdomains) for i in range(1, n_subdomains)]
+        half = overlap // 2
+        ranges = tuple(zip([0] + [c - half for c in cuts], [c + half for c in cuts] + [n]))
+        pairs = list(zip(ranges, ranges[1:]))
+        for broken, rule in [
+                (any(lo1 <= lo0 or hi1 <= hi0 for (lo0, hi0), (lo1, hi1) in pairs),
+                 "strips out of order"),
+                (any(hi0 > lo2 for (_, hi0), (lo2, _) in zip(ranges, ranges[2:])),
+                 "a strip may overlap only its neighbours"),
+                (pairs and any(hi - lo - 1 < MIN_INTERIOR_POINTS for lo, hi in ranges),
+                 f"each strip needs {MIN_INTERIOR_POINTS} interior points")]:
+            if broken:
+                raise ValueError(f"infeasible layout: N={n}, n_subdomains={n_subdomains}, "
+                                 f"overlap={overlap} ({rule}, ranges {ranges})")
+        object.__setattr__(self, "n_subdomains", n_subdomains)
         object.__setattr__(self, "overlap", overlap)
-        n, pairs = self.grid.n_intervals, list(zip(ranges, ranges[1:]))
-        if overlap < (1 if pairs else 0):
-            raise ValueError(f"overlap: must be >= 1 between strips, >= 0 on one, got {overlap}")
-        if (not ranges or ranges[0][0] != 0 or ranges[-1][1] != n
-                or any(lo1 <= lo0 or hi1 <= hi0 for (lo0, hi0), (lo1, hi1) in pairs)):
-            raise ValueError(f"ranges: must cover 0..{n} in order, got {ranges}")
-        if any(hi0 - lo1 != overlap for (_, hi0), (lo1, _) in pairs):
-            raise ValueError(f"ranges: neighbours must share {overlap} intervals, got {ranges}")
-        if any(hi0 > lo2 for (_, hi0), (lo2, _) in zip(ranges, ranges[2:])):
-            raise ValueError(f"ranges: a strip may overlap only its neighbours, got {ranges}")
-        if pairs and any(hi - lo - 1 < MIN_INTERIOR_POINTS for lo, hi in ranges):
-            raise ValueError(f"ranges: each strip needs {MIN_INTERIOR_POINTS} interior points, "
-                             f"got {ranges}")
-
-    @property
-    def n_subdomains(self) -> int:
-        return len(self.ranges)
+        object.__setattr__(self, "ranges", ranges)
 
 
-def make_layout(grid: Grid1D, n_subdomains: int, overlap: int) -> SubdomainLayout:
-    """Near-equal strip partition of 0..N with the given overlap (in intervals).
-
-    Between several strips the overlap must be even: each interior cut
-    extends overlap/2 to both sides.  A partition ``SubdomainLayout`` refuses
-    raises as infeasible.  Both counts must be whole numbers, kept as int.
-    """
-    n = grid.n_intervals
-    n_subdomains = require_whole("n_subdomains", n_subdomains)
-    overlap = require_whole("overlap", overlap)
-    if n_subdomains < 1:
-        raise ValueError("n_subdomains must be >= 1")
-    if n_subdomains > 1 and (overlap < 2 or overlap % 2 != 0):
-        raise ValueError(f"overlap must be even and >= 2, got {overlap}")
-    cuts = [round(i * n / n_subdomains) for i in range(1, n_subdomains)]
-    half = overlap // 2
-    ranges = tuple(zip([0] + [c - half for c in cuts], [c + half for c in cuts] + [n]))
-    try:
-        return SubdomainLayout(grid, ranges, overlap)
-    except ValueError as exc:
-        raise ValueError(f"infeasible layout: N={n}, n_subdomains={n_subdomains}, "
-                         f"overlap={overlap} ({exc})") from None
+# The name the CLI, the README and perfbench build layouts by.
+make_layout = SubdomainLayout
 
 
 @lru_cache(maxsize=64)

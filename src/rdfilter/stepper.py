@@ -5,10 +5,11 @@ implicitly by a pointwise Newton solve:
 
     (3 u^{n+1} - 4 u^n + u^{n-1}) / (2 dt) = 2 L u^n - L u^{n-1} + f(u^{n+1})
 
-with L the second-difference Laplacian over the node axes.  ``step`` runs
-this update, or its startup variant, on a 1D or a 2D Field alike; a time
-loop hands it L u^{n-1} as the previous step's L u^n.  ``estimate_uxx_nodes``
-reads u_xx back from the same levels, for the third-order shift.
+with L the second-difference Laplacian over the node axes.  L is linear, so
+the explicit part is one Laplacian, L(2 u^n - u^{n-1}), of the two levels.
+``step`` runs this update, or its startup variant, on a 1D or a 2D Field
+alike; ``estimate_uxx_nodes`` reads u_xx back from the same levels, for the
+third-order shift.
 
 The step size is ``SchemeState.dt``.  Only the pointwise m x m Jacobian of
 f is ever formed, and none for a u-independent f; the node solves are
@@ -39,11 +40,11 @@ class NewtonDivergence(RuntimeError):
         super().__init__(f"Newton diverged at node {node}, residual {residual:.3e}")
 
 
-def apply_laplacian(field: Field) -> Field:
-    """Second-difference Laplacian: one second difference per node axis,
-    axis 0 first, with h = pi/N along that axis.  Boundary nodes carry 0
-    (Dirichlet nodes are prescribed, never updated by the stencil)."""
-    u = field.values
+def apply_laplacian(u: np.ndarray) -> np.ndarray:
+    """Second-difference Laplacian of node-major values: one second difference
+    per node axis, axis 0 first, with h = pi/N along that axis (N + 1 nodes).
+    Boundary nodes carry 0 (Dirichlet nodes are prescribed, never updated by
+    the stencil)."""
     inner = (slice(1, -1),) * (u.ndim - 1)
     terms = []
     for axis in range(u.ndim - 1):
@@ -53,7 +54,7 @@ def apply_laplacian(field: Field) -> Field:
         terms.append((u[below] - 2.0 * u[inner] + u[above]) / h**2)
     out = np.zeros_like(u)
     out[inner] = sum(terms[1:], terms[0])
-    return field.with_values(out)
+    return out
 
 
 def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
@@ -176,18 +177,16 @@ def step(state: SchemeState, reaction: ReactionSystem, bc, startup: bool = False
     With ``startup`` it produces u^1 from u^0 = ``state.u_curr`` (``u_prev`` is
     not read): one backward-Euler-in-reaction / forward-Euler-in-diffusion
     step, (u^1 - u^0)/dt = L u^0 + f(u^1); locally second order, so the global
-    accuracy of the scheme is unharmed.  A Laplacian the state lacks is
-    computed here.
+    accuracy of the scheme is unharmed.  Either way it takes one Laplacian.
     """
     un, um1, dt = state.u_curr, state.u_prev, state.dt
-    lap = apply_laplacian(un).values if state.lap_curr is None else state.lap_curr
     if startup:
         coeff = 1.0 / dt
-        rhs = coeff * un.values + lap
+        rhs = coeff * un.values + apply_laplacian(un.values)
     else:
         coeff = 3.0 / (2.0 * dt)
-        lap_prev = apply_laplacian(um1).values if state.lap_prev is None else state.lap_prev
-        rhs = (4.0 * un.values - um1.values) / (2.0 * dt) + 2.0 * lap - lap_prev
+        rhs = ((4.0 * un.values - um1.values) / (2.0 * dt)
+               + apply_laplacian(2.0 * un.values - um1.values))
     inner = (slice(1, -1),) * (un.values.ndim - 1)
     out = np.empty_like(un.values)
     out[inner] = newton_point_solve(rhs[inner], reaction, interior_nodes(un.grid),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rdfilter.bench import integrate_1d, manufactured_heat_case, ratio_to_dt
 from rdfilter.core import Field, SchemeState, make_grid_1d, zero_reaction
-from rdfilter.ddm import SubdomainLayout, blend_weights, make_layout
+from rdfilter.ddm import MIN_INTERIOR_POINTS, SubdomainLayout, blend_weights, make_layout
 from rdfilter import filtering
 from rdfilter.filtering import MATRIX_MAX_N, kappa_critical, postprocess_field
 from rdfilter.stepper import estimate_uxx_nodes, step
@@ -60,31 +60,30 @@ def test_layout_takes_whole_counts_as_int_and_rejects_others_by_name(key, args):
         make_layout(GRID, *bad)
 
 
-@pytest.mark.parametrize("ranges, overlap, match", [
-    (((0, 34.5), (30.5, 64)), 4, "ranges: must be a whole number"),
-    (((30, 64), (0, 34)), 4, "ranges: must cover 0..64 in order"),
-    (((0, 34), (30, 60)), 4, "ranges: must cover 0..64 in order"),
-    (((0, 40), (20, 64)), 4, "ranges: neighbours must share 4 intervals"),
-    (((0, 30), (34, 64)), 4, "ranges: neighbours must share 4 intervals"),
-    (((0, 30), (22, 35), (27, 64)), 8, "ranges: a strip may overlap only its neighbours"),
-    (((0, 8), (4, 64)), 4, "ranges: each strip needs 8 interior points"),
-    (((0, 64),), -3, "overlap: must be >= 1 between strips, >= 0 on one"),
-    (((0, 32), (32, 64)), 0, "overlap: must be >= 1 between strips"),
-], ids=["not_whole", "out_of_order", "short_of_N", "overlap_too_wide", "gap",
-        "non_neighbours", "few_interior_points", "negative_overlap", "no_overlap"])
-def test_layout_rejects_each_broken_rule_by_name(ranges, overlap, match):
-    # an unchecked layout blended with weights that do not sum to 1: ranges
-    # ((0, 40), (20, 64)) with overlap 4 changed cos x by 0.38, the gap by 0.11
-    with pytest.raises(ValueError, match=f"^{match}"):
-        SubdomainLayout(GRID, ranges, overlap)
+@pytest.mark.parametrize("n_subdomains, overlap, match", [
+    (2.5, 4, "^n_subdomains: must be a whole number"),
+    (2, 66, "^infeasible layout: .*strips out of order"),
+    (8, 10, "^infeasible layout: .*a strip may overlap only its neighbours"),
+    (10, 2, "^infeasible layout: .*each strip needs 8 interior points"),
+    (1, -2, "^overlap: must be even and >= 2 between strips, >= 0 on one"),
+    (2, 0, "^overlap: must be even and >= 2 between strips"),
+], ids=["not_whole", "out_of_order", "non_neighbours", "few_interior_points",
+        "negative_overlap", "no_overlap"])
+def test_layout_rejects_each_broken_rule_by_name(n_subdomains, overlap, match):
+    # each rule the computed strips can break: 2 strips with overlap 66 put
+    # the second strip's start at -1, 8 strips with overlap 10 let strips 0
+    # and 2 share nodes, and 10 strips leave the first with 6 interior points
+    with pytest.raises(ValueError, match=match):
+        SubdomainLayout(GRID, n_subdomains, overlap)
 
 
-def test_layout_keeps_whole_float_ranges_as_int_and_make_layout_checks_through_it():
-    layout = SubdomainLayout(GRID, ((0, 34.0), (30.0, 64)), 4.0)
-    assert layout == make_layout(GRID, 2, 4)
-    assert all(type(i) is int for r in layout.ranges for i in r) and type(layout.overlap) is int
-    with pytest.raises(ValueError, match="infeasible.*overlap: must be >= 1 between strips, >= 0"):
-        make_layout(GRID, 1, -3)
+def test_layout_cannot_be_given_ranges():
+    # the ranges used to be an input, checked against the overlap; they are
+    # now computed from the counts, so a layout cannot be built from them
+    with pytest.raises(TypeError):
+        SubdomainLayout(GRID, ((0, 34), (30, 64)), 4)
+    with pytest.raises(TypeError):
+        SubdomainLayout(GRID, 2, 4, ranges=((0, 34), (30, 64)))
 
 
 def test_blend_partition_of_unity():
@@ -104,6 +103,17 @@ def test_every_accepted_layout_blends_to_one(n, n_subdomains, overlap):
         layout = make_layout(grid, n_subdomains, overlap)
     except ValueError:
         return
+    ranges = layout.ranges
+    assert len(ranges) == n_subdomains
+    assert all(type(i) is int for r in ranges for i in r)
+    assert ranges[0][0] == 0 and ranges[-1][1] == n  # cover 0..N in order
+    for (lo0, hi0), (lo1, hi1) in zip(ranges, ranges[1:]):
+        assert lo0 < lo1 and hi0 < hi1
+        assert hi0 - lo1 == overlap  # neighbours share exactly the overlap
+    for (_, hi0), (lo2, _) in zip(ranges, ranges[2:]):
+        assert hi0 <= lo2  # non-neighbours share no interval; an end node weighs 0 in both
+    for lo, hi in ranges:
+        assert hi - lo - 1 >= MIN_INTERIOR_POINTS
     total = np.zeros(n + 1)
     for (lo, hi), w in zip(layout.ranges, blend_weights(layout.ranges)):
         total[lo:hi + 1] += w

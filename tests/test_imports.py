@@ -101,6 +101,16 @@ def test_bench_imports_only_the_postprocess_entry_point_from_filtering():
     assert names_imported_from(source, "filtering") <= BENCH_FROM_FILTERING
 
 
+# ``step`` derives its one Laplacian from the two levels it is given; the
+# integration loop in ``bench`` hands it levels, never a Laplacian of its own.
+BENCH_FROM_STEPPER = {"NewtonDivergence", "estimate_uxx_nodes", "step"}
+
+
+def test_bench_imports_only_the_step_and_its_helpers_from_stepper():
+    source = (ROOT / "src" / "rdfilter" / "bench.py").read_text()
+    assert names_imported_from(source, "stepper") <= BENCH_FROM_STEPPER
+
+
 # ``_matrices``, ``_postprocess*`` and ``_sine_filter`` are reached only through
 # ``postprocess_field``: no module imports another module's underscore names.
 def private_imports(source: str) -> list[str]:

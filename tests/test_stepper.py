@@ -10,8 +10,10 @@ from rdfilter.core import (
     Field,
     ReactionSystem,
     SchemeState,
+    interior_nodes,
     laplacian_symbol,
     make_grid_1d,
+    make_grid_2d,
     zero_reaction,
 )
 from rdfilter.stepper import (
@@ -68,17 +70,17 @@ def test_step_follows_the_state_dt():
 
 def test_dxx_annihilates_constants_and_linears():
     grid = make_grid_1d(4)
-    c = apply_laplacian(Field(grid, np.full(5, 3.7)))
-    assert np.all(c.values[1:-1] == 0.0)
-    lin = apply_laplacian(Field(grid, grid.nodes.copy()))
-    assert np.max(np.abs(lin.values[1:-1])) < 1e-12
+    c = apply_laplacian(np.full((5, 1), 3.7))
+    assert np.all(c[1:-1] == 0.0)
+    lin = apply_laplacian(grid.nodes[:, np.newaxis])
+    assert np.max(np.abs(lin[1:-1])) < 1e-12
 
 
 def test_dxx_sine_eigenfunction():
     grid = make_grid_1d(32)
     for k in (1, 3, 7):
         u = Field(grid, np.sin(k * grid.nodes))
-        out = apply_laplacian(u).values[1:-1, 0]
+        out = apply_laplacian(u.values)[1:-1, 0]
         want = laplacian_symbol(grid, k) * np.sin(k * grid.nodes[1:-1])
         assert np.max(np.abs(out - want)) < 1e-9 * abs(laplacian_symbol(grid, k))
 
@@ -186,6 +188,34 @@ def test_step_zero_fixed_point():
     assert np.all(out.values == 0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["1d", "2d"]),
+       m=st.sampled_from([1, 2]), ratio=st.floats(0.25, 16.0))
+def test_step_takes_the_laplacian_of_the_extrapolated_level(seed, shape, m, ratio):
+    # L is linear, so step's one Laplacian L(2 u^n - u^{n-1}) is the scheme's
+    # 2 L u^n - L u^{n-1}: the same Newton solve on that right-hand side, built
+    # from two Laplacians, is the oracle
+    rng = np.random.default_rng(seed)
+    if shape == "1d":
+        grid = make_grid_1d(int(rng.integers(4, 65)))
+    else:
+        grid = make_grid_2d(int(rng.integers(4, 25)), int(rng.integers(4, 25)))
+    u_curr, u_prev = (Field(grid, rng.normal(size=grid.node_shape + (m,))) for _ in range(2))
+    dt = ratio_to_dt(ratio, np.pi / (max(grid.node_shape) - 1))
+    coupling = np.array([[-1.0, 0.5], [-0.5, -2.0]])[:m, :m]
+    reaction = ReactionSystem(
+        m=m, eval=lambda x, t, u: u @ coupling.T,
+        jacobian=lambda x, t, u: np.broadcast_to(coupling, u.shape + (m,)))
+    bc = (0.3, -0.7) if shape == "1d" else {k: 0.2 for k in ("g0", "gpi", "h0", "hpi")}
+    got = step(SchemeState(u_curr, u_prev, 0.5, dt), reaction, bc).values
+    rhs = ((4.0 * u_curr.values - u_prev.values) / (2.0 * dt)
+           + 2.0 * apply_laplacian(u_curr.values) - apply_laplacian(u_prev.values))
+    inner = (slice(1, -1),) * len(grid.node_shape)
+    want = newton_point_solve(rhs[inner], reaction, interior_nodes(grid), 0.5 + dt,
+                              3.0 / (2.0 * dt), u_curr.values[inner])
+    assert np.max(np.abs(got[inner] - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_step_single_mode_recurrence_formula():
     # one step from unit sine amplitudes on mode k matches
     # (4*1 - 1 + 2 dt lam (2*1 - 1)) / 3
@@ -257,7 +287,7 @@ def test_startup_linear_reaction_closed_form():
     dt = 0.01
     u0 = Field(grid, np.sin(grid.nodes) + 0.2 * np.sin(3 * grid.nodes))
     u1 = _startup(u0, linear_reaction(lam), dt, (0.0, 0.0))
-    dxx0 = apply_laplacian(u0).values
+    dxx0 = apply_laplacian(u0.values)
     want = (u0.values + dt * dxx0) / (1.0 - dt * lam)
     assert np.max(np.abs(u1.values[1:-1] - want[1:-1])) < 1e-10
 
