@@ -35,7 +35,7 @@ from .stepper import (
     recurrence_roots,
     step,
 )
-from .shift import cosine_basis, shift1d
+from .shift import cosine_basis, cosine_trend
 from .filtering import (
     kappa_critical,
     postprocess_field,

@@ -339,6 +339,7 @@ MAX_STEPS = 10**8
 
 
 def ratio_to_dt(ratio: float, h: float) -> float:
+    require_positive("ratio", ratio)
     return ratio * h**2 / 3.0
 
 
@@ -457,7 +458,8 @@ def run_dd_study(n_intervals: int, n_subdomains: int, overlaps,
         if r >= RATIO_MAX:
             note = ", ".join(filter(None, (note, "capped")))
         n_sub, overlap = (layout.n_subdomains, layout.overlap) if layout else (1, 0)
-        rows.append(SweepRow(n_intervals, ratio_to_dt(r, grid.h), r, 1, float("nan"),
+        dt = ratio_to_dt(r, grid.h) if r > 0.0 else 0.0  # 0: no ratio tried survived
+        rows.append(SweepRow(n_intervals, dt, r, 1, float("nan"),
                              n_sub, overlap, float("nan"), float("nan"), True, n_steps,
                              (time.perf_counter() - t0) * 1000.0, note))
     return rows

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -75,8 +76,8 @@ class Grid1D:
 
 
 def require_whole(name: str, value) -> int:
-    """``value`` as an int; one that is not a whole number raises naming ``name``."""
-    if not float(value).is_integer():
+    """``value`` as an int; anything but a whole real number raises naming ``name``."""
+    if not (isinstance(value, Real) and float(value).is_integer()):
         raise ValueError(f"{name}: must be a whole number, got {value!r}")
     return int(value)
 

@@ -7,10 +7,11 @@ every mode the filter retains satisfies the two-step scheme's per-mode
 stability condition, so time steps far beyond dt = h^2/3 become usable.
 
 ``postprocess_field`` is the one postprocess, on a whole 1D grid or on the
-overlapping strips of a ``ddm.SubdomainLayout``: each strip is shifted by
-``shift.shift1d`` and filtered by one DST-I kernel.  The third-order shift
-reads u_xx from a callable its caller passes, never the time levels.  A 2D
-field runs the same 1D postprocess along x, then along y, of a lifted field.
+overlapping strips of a ``ddm.SubdomainLayout``: each strip loses its
+``shift.cosine_trend``, is filtered by one DST-I kernel and gets it back.
+The third-order shift reads u_xx from a callable its caller passes, never
+the time levels.  A 2D field runs the same 1D postprocess along x, then
+along y, of a field lifted by the trend of the change made to its faces.
 
 With kappa fixed, the 1D postprocess is linear: P @ u + Q @ u_xx(end nodes).
 It picks the path by N alone, axis by axis in 2D: on at most
@@ -35,7 +36,7 @@ from scipy.fft import dst, idst
 
 from .core import Field, read_only, require_positive
 from .ddm import SubdomainLayout, blend_weights
-from .shift import cosine_basis, endpoint_inverse, shift1d
+from .shift import cosine_trend
 
 # The largest 1D grid whose postprocess ``postprocess_field`` applies as the
 # matrices of its memo ``_matrices``: at N = 256 one P @ u takes about 18 us
@@ -100,8 +101,9 @@ def filter_factors(n_intervals: int, kappa: float) -> np.ndarray:
 
 
 def _sine_filter(values: np.ndarray, kappa: float) -> np.ndarray:
-    """The sine filter along axis 0 of (N+1, ...) values with zero ends: DST-I,
-    scale coefficient k by sigma(kappa k / N), inverse DST."""
+    """The sine filter along axis 0 of (N+1, ...) values, read as if both ends
+    were zero: DST-I of the interior, scale coefficient k by sigma(kappa k / N),
+    inverse DST.  The result has zero ends."""
     factors = filter_factors(values.shape[0] - 1, kappa)
     coeffs = sine_coefficients(values) * factors.reshape((-1,) + (1,) * (values.ndim - 1))
     return sine_reconstruct(coeffs)
@@ -112,9 +114,8 @@ def _postprocess(values: np.ndarray, kappa: float, n_grid: int, lo: int = 0,
     """Shift, filter and shift back node-major ``values`` (nodes, cols), nodes
     lo.. of an ``n_grid``-interval grid: at third order with ``uxx`` (u_xx at
     both ends), else at first order.  Both end values are kept exactly."""
-    v, alpha = shift1d(values, n_grid, lo, uxx)
-    trend = cosine_basis(n_grid, len(alpha))[lo:lo + len(v)] @ alpha
-    out = _sine_filter(v, kappa) + trend  # v vanishes at both ends: no check
+    trend = cosine_trend(values[[0, -1]], n_grid, lo, lo + len(values) - 1, uxx)
+    out = _sine_filter(values - trend, kappa) + trend  # the remainder's ends are never read
     out[[0, -1]] = values[[0, -1]]
     return out
 
@@ -159,18 +160,18 @@ def _postprocess_2d(values: np.ndarray, kappa_x: float, kappa_y: float) -> np.nd
     """The 2D postprocess of (Nx+1, Ny+1, m) values U: P_x (U - L) P_y^T,
     each edge its trace run through the 1D postprocess and the x = 0 and
     x = pi edges written last.  The lift L, zero on the faces, carries the
-    change D made to each face across the interior by the first-order trend
-    T = ``cosine_basis(N, 2) @ endpoint_inverse(N, 0, N, 2)``: L = D_cols
-    T_y^T + T_x D_rows.  As P keeps span{1, cos x}, this equals shifting by
-    the filtered faces along x, then y, filtering, and adding both trends."""
+    change D made to each face across the interior: L is the first-order
+    ``cosine_trend`` along x of D on x = 0, pi plus that along y of D on
+    y = 0, pi.  As P keeps span{1, cos x}, this equals shifting by the
+    filtered faces along x, then y, filtering, and adding both trends."""
     n_x, n_y = values.shape[0] - 1, values.shape[1] - 1
     g0, gpi = (_postprocess_grid(values[:, j], kappa_x) for j in (0, -1))
     h0, hpi = (_postprocess_grid(values[i], kappa_y) for i in (0, -1))
-    t_x, t_y = (cosine_basis(n, 2) @ endpoint_inverse(n, 0, n, 2) for n in (n_x, n_y))
     d_x = np.stack([h0 - values[0], hpi - values[-1]])[:, 1:-1]  # change on x = 0, pi
-    d_y = np.stack([g0 - values[:, 0], gpi - values[:, -1]], axis=1)[1:-1]  # on y = 0, pi
+    d_y = np.stack([g0 - values[:, 0], gpi - values[:, -1]])[:, 1:-1]  # on y = 0, pi
     lifted = values.copy()
-    lifted[1:-1, 1:-1] -= np.tensordot(t_x[1:-1], d_x, 1) + t_y[1:-1] @ d_y
+    lifted[1:-1, 1:-1] -= (cosine_trend(d_x, n_x, 0, n_x)[1:-1]
+                           + cosine_trend(d_y, n_y, 0, n_y)[1:-1].swapaxes(0, 1))
     out = _postprocess_grid(lifted.reshape(n_x + 1, -1), kappa_x).reshape(values.shape)
     along_y = out.swapaxes(0, 1)
     out = _postprocess_grid(along_y.reshape(n_y + 1, -1), kappa_y)
@@ -187,15 +188,13 @@ def _postprocess_grid(values: np.ndarray, kappa: float,
     ``MATRIX_MAX_N`` intervals, else ``_postprocess`` strip by strip."""
     n = values.shape[0] - 1
     ranges = ((0, n),) if layout is None else layout.ranges
+    uxx = None if uxx_at is None else uxx_at(np.ravel(ranges))
     if n <= MATRIX_MAX_N:
-        P, Q, end_nodes = _matrices(n, kappa, ranges, uxx_at is not None)
-        out = P @ values
-        if uxx_at is not None:
-            out += Q @ uxx_at(end_nodes)
-        return out
-    uxx = None if uxx_at is None else uxx_at(np.ravel(ranges)).reshape(len(ranges), 2, -1)
-    strips = [_postprocess(values[lo:hi + 1], kappa, n, lo, None if uxx is None else uxx[s])
-              for s, (lo, hi) in enumerate(ranges)]
+        P, Q = _matrices(n, kappa, ranges, uxx is not None)
+        return P @ values if uxx is None else P @ values + Q @ uxx
+    per_strip = [None] * len(ranges) if uxx is None else uxx.reshape(len(ranges), 2, -1)
+    strips = [_postprocess(values[lo:hi + 1], kappa, n, lo, strip_uxx)
+              for (lo, hi), strip_uxx in zip(ranges, per_strip)]
     if len(strips) == 1:  # the blend weights of a single strip are all 1
         return strips[0]
     out = np.zeros_like(values)
@@ -206,17 +205,17 @@ def _postprocess_grid(values: np.ndarray, kappa: float,
 
 @lru_cache(maxsize=2)
 def _matrices(n: int, kappa: float, ranges: tuple[tuple[int, int], ...],
-              third_order: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+              third_order: bool) -> tuple[np.ndarray, np.ndarray]:
     """The 1D postprocess on the checked strips ``ranges`` of an ``n``-interval
-    grid as read-only (P, Q, end_nodes): P @ u + Q @ u_xx(end_nodes), Q zero
-    unless ``third_order``.  P is (N+1, N+1) with unit rows 0 and N, Q is
-    (N+1, 2 n_strips) with zero rows 0 and N, so both end values are kept
-    exactly; ``end_nodes`` holds each strip's two end nodes in strip order.
-    The memo behind ``postprocess_field``, keyed on plain values.  Assembled
-    by running ``_postprocess`` on ``ASSEMBLY_BLOCK`` unit columns at a time,
-    strip by strip, the strips summed with ``blend_weights``.  Two entries
-    are kept, the keys of a third-order run (its startup step shifts at
-    first order) or of the two axes of a 2D grid; P is 0.53 MB at N = 256."""
+    grid as read-only (P, Q): P @ u + Q @ u_xx at each strip's two end nodes
+    in strip order, Q zero unless ``third_order``.  P is (N+1, N+1) with unit
+    rows 0 and N, Q is (N+1, 2 n_strips) with zero rows 0 and N, so both end
+    values are kept exactly.  The memo behind ``postprocess_field``, keyed on
+    plain values.  Assembled by running ``_postprocess`` on ``ASSEMBLY_BLOCK``
+    unit columns at a time, strip by strip, the strips summed with
+    ``blend_weights``.  Two entries are kept, the keys of a third-order run
+    (its startup step shifts at first order) or of the two axes of a 2D
+    grid; P is 0.53 MB at N = 256."""
     P = np.zeros((n + 1, n + 1))
     Q = np.zeros((n + 1, 2 * len(ranges)))
     for s, ((lo, hi), w) in enumerate(zip(ranges, blend_weights(ranges))):
@@ -229,4 +228,4 @@ def _matrices(n: int, kappa: float, ranges: tuple[tuple[int, int], ...],
         if third_order:
             zero = np.zeros((hi - lo + 1, 2))
             Q[rows, 2 * s:2 * s + 2] = w * _postprocess(zero, kappa, n, lo, np.eye(2))
-    return read_only(P), read_only(Q), read_only(np.ravel(ranges))
+    return read_only(P), read_only(Q)

@@ -207,6 +207,15 @@ def test_ratio_to_dt():
     assert abs(3.0 * ratio_to_dt(2.0, h) / h**2 - 2.0) < 1e-15
 
 
+@pytest.mark.parametrize("ratio", [0.0, -1.0, float("nan"), float("inf")])
+def test_drivers_reject_a_ratio_that_is_not_finite_and_positive(ratio):
+    # 0 used to raise ZeroDivisionError, -1 was blamed on T and NaN on dt
+    for run in (lambda: run_accuracy_sweep(manufactured_heat_case(), [16], [ratio], [1]),
+                lambda: run_predator_prey(PredatorPreyCase(), 16, ratio, 10)):
+        with pytest.raises(ValueError, match="^ratio: must be finite and positive"):
+            run()
+
+
 def test_predator_prey_parameters_and_validation():
     case = PredatorPreyCase()
     assert (case.a, case.b, case.c, case.d) == (1.2, 1.0, 0.1, 0.2)
@@ -430,6 +439,12 @@ def test_dd_study_notes_a_row_that_reached_the_ratio_cap(monkeypatch):
     rows = run_dd_study(64, 2, (8, 16))
     assert [(r.overlap, r.ratio, r.note) for r in rows] == [
         (0, 64.0, "capped"), (8, 20.0, ""), (16, 64.0, "saturated, capped")]
+
+
+def test_dd_study_reports_dt_zero_for_a_row_where_no_ratio_survives(monkeypatch):
+    calls = _fake_trial(monkeypatch, 0.0)
+    rows = run_dd_study(32, 2, (4,))
+    assert calls and [(r.ratio, r.dt) for r in rows] == [(0.0, 0.0), (0.0, 0.0)]
 
 
 def test_steps_to_rounds_and_rejects_fewer_than_two_steps(monkeypatch):

@@ -40,8 +40,11 @@ def test_grid_too_small_rejected():
     (lambda n: make_grid_2d(8, n), "n_intervals_y"),
 ])
 def test_grid_rejects_an_interval_count_that_is_not_whole(make, name):
-    # int() used to truncate: 64.7 built N = 64, and make_grid_2d(32.9) a 33 x 33 grid
-    for bad in (64.7, 32.9, float("nan"), float("inf")):
+    # int() used to truncate: 64.7 built N = 64, and make_grid_2d(32.9) a 33 x 33 grid;
+    # None raised a bare TypeError and '64.0' int()'s own "invalid literal"
+    # (make_grid_2d(8, None) is the square grid)
+    nones = () if name == "n_intervals_y" else (None,)
+    for bad in (64.7, 32.9, float("nan"), float("inf"), "64", "64.0") + nones:
         with pytest.raises(ValueError, match=f"^{name}: must be a whole number"):
             make(bad)
     for good in (64.0, np.int64(64), 64):
@@ -53,8 +56,9 @@ def test_grid_rejects_an_interval_count_that_is_not_whole(make, name):
     (lambda n: Grid2D(8, n), "n_intervals_y"),
 ])
 def test_grid_classes_reject_an_interval_count_that_is_not_whole(make, name):
-    # Grid1D(64.7) used to build, with h = pi / 64.7, and fail only at .nodes
-    for bad in (64.7, float("nan"), float("inf")):
+    # Grid1D(64.7) used to build, with h = pi / 64.7, and fail only at .nodes;
+    # Grid1D(None) raised a bare TypeError and Grid1D('64.0') int()'s own message
+    for bad in (64.7, float("nan"), float("inf"), None, "64", "64.0"):
         with pytest.raises(ValueError, match=f"^{name}: must be a whole number"):
             make(bad)
     for good in (64.0, np.int64(64)):

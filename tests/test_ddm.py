@@ -55,9 +55,13 @@ def test_layout_takes_whole_counts_as_int_and_rejects_others_by_name(key, args):
     assert all(type(i) is int for r in layout.ranges for i in r) and type(layout.overlap) is int
     u = Field(GRID, np.cos(GRID.nodes))
     assert postprocess_field(u, 2.0, layout=layout).values.shape == (65, 1)
-    bad = {"n_subdomains": (2.5, 4), "overlap": (2, 4.5)}[key]
-    with pytest.raises(ValueError, match=f"^{key}: must be a whole number"):
-        make_layout(GRID, *bad)
+    # None used to raise a bare TypeError, and '4.0' int()'s own "invalid literal"
+    for value in (2.5 if key == "n_subdomains" else 4.5, None, "4", "4.0"):
+        bad = (value, 4) if key == "n_subdomains" else (2, value)
+        with pytest.raises(ValueError, match=f"^{key}: must be a whole number"):
+            make_layout(GRID, *bad)
+        with pytest.raises(ValueError, match=f"^{key}: must be a whole number"):
+            SubdomainLayout(GRID, *bad)
 
 
 @pytest.mark.parametrize("n_subdomains, overlap, match", [
@@ -80,7 +84,7 @@ def test_layout_rejects_each_broken_rule_by_name(n_subdomains, overlap, match):
 def test_layout_cannot_be_given_ranges():
     # the ranges used to be an input, checked against the overlap; they are
     # now computed from the counts, so a layout cannot be built from them
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="^n_subdomains: must be a whole number"):
         SubdomainLayout(GRID, ((0, 34), (30, 64)), 4)
     with pytest.raises(TypeError):
         SubdomainLayout(GRID, 2, 4, ranges=((0, 34), (30, 64)))

@@ -238,13 +238,19 @@ def test_one_forward_dst_per_postprocess(monkeypatch):
     # above MATRIX_MAX_N the filter scales the coefficients of the one forward
     # DST of each step, six in 2D (four edge traces, then one pass along x and
     # one along y); at or below it the DSTs run only while the run assembles
-    # its matrix, one per block of unit columns, 2D included
-    calls = []
-    original = filtering.sine_coefficients
+    # its matrix, one per block of unit columns, 2D included.  Each of these
+    # postprocesses builds its cosine trend once, to subtract and to add back,
+    # and a 2D step builds two more for its lift, one per axis
+    calls, trends = [], []
+    original, original_trend = filtering.sine_coefficients, filtering.cosine_trend
 
     def counted(values):
         calls.append(values.shape)
         return original(values)
+
+    def counted_trend(*args):
+        trends.append(args[0].shape)
+        return original_trend(*args)
 
     def run_1d(grid):
         dt = ratio_to_dt(8.0, grid.h)
@@ -257,14 +263,19 @@ def test_one_forward_dst_per_postprocess(monkeypatch):
         return integrate_2d(case["reaction"], grid, 2.0 * grid.hx**2 / 6.0, 20, case["bc"], u0)
 
     monkeypatch.setattr(filtering, "sine_coefficients", counted)
-    for run, grid, n_calls in [(run_1d, make_grid_1d(2 * MATRIX_MAX_N), 50),
-                               (run_1d, make_grid_1d(64), -(-65 // ASSEMBLY_BLOCK)),
-                               (run_2d, make_grid_2d(300, 300), 6 * 20),
-                               (run_2d, make_grid_2d(32, 32), -(-33 // ASSEMBLY_BLOCK))]:
+    monkeypatch.setattr(filtering, "cosine_trend", counted_trend)
+    for run, grid, n_calls, n_trends in [
+            (run_1d, make_grid_1d(2 * MATRIX_MAX_N), 50, 50),
+            (run_1d, make_grid_1d(64), -(-65 // ASSEMBLY_BLOCK), -(-65 // ASSEMBLY_BLOCK)),
+            (run_2d, make_grid_2d(300, 300), 6 * 20, (6 + 2) * 20),
+            (run_2d, make_grid_2d(32, 32), -(-33 // ASSEMBLY_BLOCK),
+             -(-33 // ASSEMBLY_BLOCK) + 2 * 20)]:
         filtering._matrices.cache_clear()  # a cached matrix would need no DST at all
         calls.clear()
+        trends.clear()
         out = run(grid)
         assert out.stable and len(calls) == n_calls, (grid, len(calls))
+        assert len(trends) == n_trends, (grid, len(trends))
 
 
 def _layout_or_none(grid, n_subdomains, overlap):
@@ -366,13 +377,13 @@ def test_postprocess_matrices_match_postprocess_field(n, n_subdomains, overlap, 
         return uxx[nodes]
 
     third = shift_order == 3
-    P, Q, end_nodes = filtering._matrices(n, kappa, ranges, third)
+    P, Q = filtering._matrices(n, kappa, ranges, third)
+    end_nodes = np.ravel(ranges)
     with monkeypatch.context() as patch:  # the DST path, which N > MATRIX_MAX_N takes
         patch.setattr(filtering, "MATRIX_MAX_N", 0)
         want = postprocess_field(u, kappa, uxx_at if third else None, layout).values
     got = P @ u.values + Q @ uxx[end_nodes]
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(u.values))
-    assert np.array_equal(end_nodes, np.ravel(ranges))
     # postprocess_field takes the matrix path at this N, and computes exactly P @ u + Q @ u_xx
     applied = postprocess_field(u, kappa, uxx_at if third else None, layout)
     assert np.array_equal(applied.values, got)
@@ -389,7 +400,7 @@ def test_postprocess_matrices_are_the_postprocess_of_the_identity(n, n_subdomain
     grid, layout, ranges = _matrix_case(n, n_subdomains, overlap)
     kappa = kappa_critical(ratio_to_dt(8.0, grid.h), grid.h)
     third, n_ends = shift_order == 3, 2 * len(ranges)
-    P, Q, _ = filtering._matrices(n, kappa, ranges, third)
+    P, Q = filtering._matrices(n, kappa, ranges, third)
     zero_uxx = (lambda nodes: np.zeros((n_ends, n + 1))) if third else None
     identity = postprocess_field(Field(grid, np.eye(n + 1)), kappa, zero_uxx, layout)
     assert np.array_equal(P, identity.values)
@@ -406,13 +417,13 @@ def test_postprocess_matrices_are_the_postprocess_of_the_identity(n, n_subdomain
 def test_postprocess_matrices_keep_both_end_values_exactly(n, n_subdomains, overlap,
                                                            shift_order):
     ranges = _matrix_case(n, n_subdomains, overlap)[2]
-    P, Q, end_nodes = filtering._matrices(n, 3.0, ranges, shift_order == 3)
+    P, Q = filtering._matrices(n, 3.0, ranges, shift_order == 3)
     unit = np.eye(n + 1)
     assert np.array_equal(P[[0, -1]], unit[[0, -1]])
     assert not np.any(Q[[0, -1]])
     rng = np.random.default_rng(n)
     u = rng.standard_normal((n + 1, 2)) * 1e3
-    out = P @ u + Q @ rng.standard_normal((len(end_nodes), 2))
+    out = P @ u + Q @ rng.standard_normal((2 * len(ranges), 2))
     assert np.array_equal(out[[0, -1]], u[[0, -1]])
 
 

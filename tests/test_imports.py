@@ -101,6 +101,13 @@ def test_bench_imports_only_the_postprocess_entry_point_from_filtering():
     assert names_imported_from(source, "filtering") <= BENCH_FROM_FILTERING
 
 
+# The postprocess subtracts and adds back one cosine trend; the basis table
+# and the endpoint inverse behind it stay inside ``shift``.
+def test_filtering_imports_only_the_cosine_trend_from_shift():
+    source = (ROOT / "src" / "rdfilter" / "filtering.py").read_text()
+    assert names_imported_from(source, "shift") == {"cosine_trend"}
+
+
 # ``step`` derives its one Laplacian from the two levels it is given; the
 # integration loop in ``bench`` hands it levels, never a Laplacian of its own.
 BENCH_FROM_STEPPER = {"NewtonDivergence", "estimate_uxx_nodes", "step"}
