@@ -280,7 +280,7 @@ def _integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_ste
     require_positive("kappa_fraction", kappa_fraction)
     kappa = tuple(kappa_fraction * kappa_critical(len(grid.node_shape) * dt, np.pi / (n - 1))
                   for n in grid.node_shape)
-    mins = np.min(u0.values.reshape(-1, u0.m), axis=0)
+    mins = u0.values.reshape(-1, u0.m).min(axis=0)
     start = time.perf_counter()
 
     def _done(stable, steps, fld, failure=None, levels=None):
@@ -306,7 +306,7 @@ def _integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_ste
             u_new = postprocess_field(u_new, kappa, uxx_at, layout)
             if u_new.blown_up():
                 return _done(False, n + 1, u_new)
-        mins = np.minimum(mins, np.min(u_new.values.reshape(-1, u0.m), axis=0))
+        mins = np.minimum(mins, u_new.values.reshape(-1, u0.m).min(axis=0))
         u_prev, u_curr = u_curr, u_new
     return _done(True, n_steps, u_curr, levels=(u_curr, u_prev))
 

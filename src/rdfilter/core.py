@@ -76,10 +76,14 @@ class Grid1D:
 
 
 def require_whole(name: str, value) -> int:
-    """``value`` as an int; anything but a whole real number raises naming ``name``."""
-    if not (isinstance(value, Real) and float(value).is_integer()):
-        raise ValueError(f"{name}: must be a whole number, got {value!r}")
-    return int(value)
+    """``value`` as an int; anything but a whole real number raises naming
+    ``name``, and so do a bool and a number too large for a float."""
+    try:
+        if isinstance(value, Real) and not isinstance(value, bool) and float(value).is_integer():
+            return int(value)
+    except OverflowError:  # not printed: an int may have more digits than str() allows
+        raise ValueError(f"{name}: must be a whole number, got one too large for a float") from None
+    raise ValueError(f"{name}: must be a whole number, got {value!r}")
 
 
 def make_grid_1d(n_intervals: int) -> Grid1D:
@@ -164,7 +168,7 @@ class Field:
     def blown_up(self) -> bool:
         # One reduction: NaN propagates through max, so NaN, +-Inf and values
         # above BLOWUP_THRESHOLD all fail the comparison; the threshold itself passes.
-        return not np.max(np.abs(self.values)) <= BLOWUP_THRESHOLD
+        return not np.abs(self.values).max() <= BLOWUP_THRESHOLD
 
     @staticmethod
     def zeros(grid: Grid1D | Grid2D, m: int = 1) -> "Field":
@@ -184,8 +188,8 @@ class ReactionSystem:
     Both callables are vectorized over nodes: ``u`` has shape (..., m), ``eval``
     returns (..., m) and ``jacobian`` returns (..., m, m).  ``x`` is the node
     coordinate array (1D grids) or an (X, Y) pair (2D grids); reactions that do
-    not depend on position ignore it.  ``u_independent`` declares that f does
-    not read u (so df/du = 0): Newton then evaluates f once per solve.
+    not depend on position ignore it.  ``u_independent`` means f does not read
+    u (df/du = 0): Newton evaluates f once per solve, and for m = 1 divides by c.
     """
 
     m: int
@@ -223,9 +227,9 @@ def source_reaction(source: Callable, m: int = 1) -> ReactionSystem:
 
     def _eval(x, t, u):
         s = np.asarray(source(x, t), dtype=float)
-        if s.shape != u.shape:
-            s = np.broadcast_to(s[..., np.newaxis] if s.ndim == u.ndim - 1 else s, u.shape)
-        return np.array(s, dtype=float)
+        out = np.empty_like(u, dtype=float)
+        out[...] = s[..., np.newaxis] if s.ndim == u.ndim - 1 else s
+        return out
 
     def _jac(x, t, u):
         return np.zeros(u.shape + (m,))

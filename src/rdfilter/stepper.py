@@ -11,13 +11,13 @@ the explicit part is one Laplacian, L(2 u^n - u^{n-1}), of the two levels.
 alike; ``estimate_uxx_nodes`` reads u_xx back from the same levels, for the
 third-order shift.
 
-The step size is ``SchemeState.dt``.  Only the pointwise m x m Jacobian of
-f is ever formed, and none for a u-independent f; the node solves are
-independent, so each Newton update is solved on whole arrays: a division
-when m = 1, Cramer's rule when m = 2 (LAPACK for a node whose determinant
-it cannot trust), and LAPACK's batched dense solve when m >= 3.  It stops
-once the residual is below NEWTON_TOL times max|c I - J| max|u|, the size
-of its terms, or fails after NEWTON_MAX_ITER updates.
+The step size is ``SchemeState.dt``.  Only the pointwise Jacobian J of f
+is formed, none for a u-independent f, and the identity only for m >= 2.
+Each node's Newton update is independent and solved on whole arrays: a
+division by c, or by c - J, when m = 1, Cramer's rule when m = 2 (LAPACK
+for a node whose determinant it cannot trust), LAPACK's batched solve when
+m >= 3.  It stops once the residual is below NEWTON_TOL max|c I - J| max|u|,
+the size of its terms, or fails after NEWTON_MAX_ITER updates.
 """
 
 from __future__ import annotations
@@ -63,17 +63,18 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
     from ``initial``.
 
     ``rhs`` has shape (..., m); the solve is vectorized over the leading axes:
-    a division for m = 1, Cramer's rule for m = 2 (LAPACK at a node where it
-    cannot be trusted, see ``_solve_2x2``), and one dense m x m LAPACK solve
-    per node for m >= 3.  Deterministic regardless of how nodes would be
-    scheduled: every node only touches its own values.  A ``u_independent``
-    f makes the equation linear in u: its Jacobian is not taken, and the
-    first update solves it.  A node whose Jacobian is singular, or whose
-    update is not finite, raises ``NewtonDivergence`` naming that node.
+    a division by c, or by c - df/du, for m = 1, where no identity is formed;
+    for m >= 2 the matrix c I - J, solved by Cramer's rule for m = 2 (LAPACK
+    at a node where it cannot be trusted, see ``_solve_2x2``) and by one
+    dense LAPACK solve per node for m >= 3.  Deterministic: every node only
+    touches its own values.  A ``u_independent`` f makes the equation linear
+    in u: its Jacobian is not taken, and the first update solves it.  A node
+    whose Jacobian is singular, or whose update is not finite, raises
+    ``NewtonDivergence`` naming that node.
     """
     rhs = np.asarray(rhs, dtype=float)
     u = np.array(initial, dtype=float)
-    eye = np.eye(reaction.m)
+    eye = np.eye(reaction.m) if reaction.m >= 2 else None
     f = reaction.eval(x, t, u)
 
     def _diverged(per_node, worst):
@@ -88,29 +89,29 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
     jac = None
     for iteration in range(NEWTON_MAX_ITER + 1):
         residual = coeff * u - f - rhs
-        res_max, u_max = np.max(np.abs(residual)), float(np.max(np.abs(u), initial=1.0))
+        res_max, u_max = np.abs(residual).max(), float(np.abs(u).max(initial=1.0))
         if res_max <= NEWTON_TOL * max(1.0, coeff * u_max) or (
-                jac is not None and res_max <= NEWTON_TOL * float(np.max(np.abs(jac))) * u_max):
+                jac is not None and res_max <= NEWTON_TOL * float(np.abs(jac).max()) * u_max):
             return u
         if iteration == NEWTON_MAX_ITER:
             break
-        jac = coeff * eye if reaction.u_independent else coeff * eye - reaction.jacobian(x, t, u)
-        if reaction.m == 1:  # a 1 x 1 solve is a division
+        if reaction.m == 1:  # the Newton matrix is one number per node
+            jac = coeff if reaction.u_independent else coeff - reaction.jacobian(x, t, u)[..., 0]
             with np.errstate(divide="ignore", invalid="ignore"):
-                delta = residual / jac[..., 0]
-        elif reaction.m == 2:
-            delta = _solve_2x2(jac, residual)
+                delta = residual / jac
         else:
-            delta = _solve_dense(jac, residual)
+            jac = coeff * eye if reaction.u_independent else (
+                coeff * eye - reaction.jacobian(x, t, u))
+            delta = (_solve_2x2 if reaction.m == 2 else _solve_dense)(jac, residual)
         if not np.isfinite(delta).all():  # a singular Jacobian, or an overflow
             bad = ~np.isfinite(delta).all(axis=-1)
-            raise _diverged(bad, float(np.max(np.abs(residual[bad]))))
+            raise _diverged(bad, float(np.abs(residual[bad]).max()))
         u = u - delta
         if reaction.u_independent:
             return u
         f = reaction.eval(x, t, u)
     worst = np.abs(residual)
-    raise _diverged(worst.max(axis=-1), float(np.max(worst)))
+    raise _diverged(worst.max(axis=-1), float(worst.max()))
 
 
 def _solve_2x2(jac: np.ndarray, residual: np.ndarray) -> np.ndarray:

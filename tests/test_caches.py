@@ -299,6 +299,57 @@ def test_non_finite_source_diverges_at_the_same_node_either_way(m, bad):
     assert failures[0][0] == 5
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([1, 2, 3]),
+       st.sampled_from(["scalar", "n", "n, m", "nx, ny", "nx, ny, m"]),
+       st.sampled_from([np.float64, np.float32, np.int64]), st.integers(0, 2**32 - 1))
+def test_source_fill_matches_the_broadcast_copy(m, returns, dtype, seed):
+    # The source's value is written into a fresh float array of u's shape;
+    # it used to be broadcast to that shape and copied.
+    rng = np.random.default_rng(seed)
+    nodes = (9,) if returns in ("scalar", "n", "n, m") else (4, 5)
+    u = rng.standard_normal(nodes + (m,))
+    shape = {"scalar": (), "n": nodes, "nx, ny": nodes}.get(returns, nodes + (m,))
+    values = np.asarray(rng.standard_normal(shape) * 10.0 ** rng.uniform(-30, 30, shape))
+    if dtype is np.int64:
+        values = rng.integers(-2**62, 2**62, shape)
+    else:
+        values.flat[rng.integers(0, values.size)] = rng.choice([np.nan, -np.inf, -0.0])
+    returned = []
+
+    def source(x, t):
+        returned.append(np.array(values, dtype=dtype))
+        return returned[-1]
+
+    out = source_reaction(source, m=m).eval(None, 0.0, u)
+    s = np.asarray(returned[-1], dtype=float)
+    if s.shape != u.shape:
+        s = np.broadcast_to(s[..., np.newaxis] if s.ndim == u.ndim - 1 else s, u.shape)
+    expected = np.array(s, dtype=float)
+    assert out.dtype == np.float64 and out.shape == u.shape
+    assert out.tobytes() == expected.tobytes()
+    assert out.flags.writeable and not np.shares_memory(out, returned[-1])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.floats(0.0, 1e6), st.floats(1e-3, 1e3), st.sampled_from([(9,), (4, 5)]),
+       st.integers(0, 2**32 - 1))
+def test_m1_solve_is_one_division_by_c_minus_the_jacobian(lam_max, c, nodes, seed):
+    # f = -lam u is linear but not flagged u-independent, so the Jacobian is
+    # taken; Newton's first update solves it, and the second residual is
+    # roundoff far below the tolerance.  The update must be exactly one
+    # division of the residual by c - df/du, written out below.
+    rng = np.random.default_rng(seed)
+    lam = lam_max * rng.uniform(0.0, 1.0, nodes + (1,))
+    rhs = rng.standard_normal(nodes + (1,))
+    u0 = rng.standard_normal(nodes + (1,))
+    reaction = ReactionSystem(m=1, eval=lambda x, t, u: -lam * u,
+                              jacobian=lambda x, t, u: (-lam)[..., np.newaxis])
+    u = newton_point_solve(rhs, reaction, None, 0.0, c, u0)
+    oracle = u0 - (c * u0 - (-lam * u0) - rhs) / (c - (-lam))
+    assert u.tobytes() == oracle.tobytes()
+
+
 def _linear_reaction(jac):
     # f(u) = -J u per node, so at c = 0 Newton's matrix 0 I - df/du is J bit
     # for bit, and the first update solves J u = rhs.

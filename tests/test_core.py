@@ -42,11 +42,15 @@ def test_grid_too_small_rejected():
 def test_grid_rejects_an_interval_count_that_is_not_whole(make, name):
     # int() used to truncate: 64.7 built N = 64, and make_grid_2d(32.9) a 33 x 33 grid;
     # None raised a bare TypeError and '64.0' int()'s own "invalid literal"
-    # (make_grid_2d(8, None) is the square grid)
+    # (make_grid_2d(8, None) is the square grid); 10**400 raised a bare
+    # OverflowError, and True built N = 1
     nones = () if name == "n_intervals_y" else (None,)
-    for bad in (64.7, 32.9, float("nan"), float("inf"), "64", "64.0") + nones:
+    for bad in (64.7, 32.9, float("nan"), float("inf"), "64", "64.0", 10**400, True, False,
+                np.bool_(True)) + nones:
         with pytest.raises(ValueError, match=f"^{name}: must be a whole number"):
             make(bad)
+    with pytest.raises(ValueError, match=f"^{name}: .*too large for a float"):
+        make(10**400)
     for good in (64.0, np.int64(64), 64):
         assert make(good).node_shape[-1] == 65
 
@@ -57,10 +61,14 @@ def test_grid_rejects_an_interval_count_that_is_not_whole(make, name):
 ])
 def test_grid_classes_reject_an_interval_count_that_is_not_whole(make, name):
     # Grid1D(64.7) used to build, with h = pi / 64.7, and fail only at .nodes;
-    # Grid1D(None) raised a bare TypeError and Grid1D('64.0') int()'s own message
-    for bad in (64.7, float("nan"), float("inf"), None, "64", "64.0"):
+    # Grid1D(None) raised a bare TypeError and Grid1D('64.0') int()'s own message,
+    # Grid1D(10**400) a bare OverflowError
+    for bad in (64.7, float("nan"), float("inf"), None, "64", "64.0", 10**400, True, False,
+                np.bool_(True)):
         with pytest.raises(ValueError, match=f"^{name}: must be a whole number"):
             make(bad)
+    with pytest.raises(ValueError, match=f"^{name}: .*too large for a float"):
+        make(10**400)
     for good in (64.0, np.int64(64)):
         grid = make(good)
         assert grid == make(64) and type(getattr(grid, name)) is int

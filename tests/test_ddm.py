@@ -55,13 +55,17 @@ def test_layout_takes_whole_counts_as_int_and_rejects_others_by_name(key, args):
     assert all(type(i) is int for r in layout.ranges for i in r) and type(layout.overlap) is int
     u = Field(GRID, np.cos(GRID.nodes))
     assert postprocess_field(u, 2.0, layout=layout).values.shape == (65, 1)
-    # None used to raise a bare TypeError, and '4.0' int()'s own "invalid literal"
-    for value in (2.5 if key == "n_subdomains" else 4.5, None, "4", "4.0"):
+    # None used to raise a bare TypeError, '4.0' int()'s own "invalid literal",
+    # 10**400 a bare OverflowError, and True (2, 0) built one strip
+    for value in (2.5 if key == "n_subdomains" else 4.5, None, "4", "4.0", 10**400, True,
+                  False, np.bool_(True)):
         bad = (value, 4) if key == "n_subdomains" else (2, value)
         with pytest.raises(ValueError, match=f"^{key}: must be a whole number"):
             make_layout(GRID, *bad)
         with pytest.raises(ValueError, match=f"^{key}: must be a whole number"):
             SubdomainLayout(GRID, *bad)
+    with pytest.raises(ValueError, match=f"^{key}: .*too large for a float"):
+        SubdomainLayout(GRID, *((10**400, 4) if key == "n_subdomains" else (2, 10**400)))
 
 
 @pytest.mark.parametrize("n_subdomains, overlap, match", [
