@@ -310,10 +310,10 @@ def test_source_fill_matches_the_broadcast_copy(m, returns, dtype, seed):
     nodes = (9,) if returns in ("scalar", "n", "n, m") else (4, 5)
     u = rng.standard_normal(nodes + (m,))
     shape = {"scalar": (), "n": nodes, "nx, ny": nodes}.get(returns, nodes + (m,))
-    values = np.asarray(rng.standard_normal(shape) * 10.0 ** rng.uniform(-30, 30, shape))
     if dtype is np.int64:
         values = rng.integers(-2**62, 2**62, shape)
     else:
+        values = np.asarray(rng.standard_normal(shape) * 10.0 ** rng.uniform(-30, 30, shape))
         values.flat[rng.integers(0, values.size)] = rng.choice([np.nan, -np.inf, -0.0])
     returned = []
 

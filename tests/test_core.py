@@ -43,7 +43,7 @@ def test_grid_rejects_an_interval_count_that_is_not_whole(make, name):
     # int() used to truncate: 64.7 built N = 64, and make_grid_2d(32.9) a 33 x 33 grid;
     # None raised a bare TypeError and '64.0' int()'s own "invalid literal"
     # (make_grid_2d(8, None) is the square grid); 10**400 raised a bare
-    # OverflowError, and True built N = 1
+    # OverflowError, and True was read as 1
     nones = () if name == "n_intervals_y" else (None,)
     for bad in (64.7, 32.9, float("nan"), float("inf"), "64", "64.0", 10**400, True, False,
                 np.bool_(True)) + nones:

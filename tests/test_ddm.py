@@ -56,7 +56,7 @@ def test_layout_takes_whole_counts_as_int_and_rejects_others_by_name(key, args):
     u = Field(GRID, np.cos(GRID.nodes))
     assert postprocess_field(u, 2.0, layout=layout).values.shape == (65, 1)
     # None used to raise a bare TypeError, '4.0' int()'s own "invalid literal",
-    # 10**400 a bare OverflowError, and True (2, 0) built one strip
+    # 10**400 a bare OverflowError, and True was read as 1 (True strips built one)
     for value in (2.5 if key == "n_subdomains" else 4.5, None, "4", "4.0", 10**400, True,
                   False, np.bool_(True)):
         bad = (value, 4) if key == "n_subdomains" else (2, value)
