@@ -7,7 +7,12 @@ boundary sampler; both run ``_integrate``, the one step loop and the one
 place that turns the time levels into u_xx for the postprocess.  Each step
 makes one ``postprocess_field`` call, which picks its path by N, axis by
 axis in 2D: a memoized matrix product on at most
-``filtering.MATRIX_MAX_N`` intervals, the DSTs above."""
+``filtering.MATRIX_MAX_N`` intervals, the DSTs above.
+
+The manufactured cases evaluate each spatial factor once per node array
+(``once_per_node_array``), so a step only scales it by its time factor.  A
+read-only node array, as the grids and ``core.interior_nodes`` hand out, is
+treated as immutable and evaluated once; anything else is evaluated fresh."""
 
 from __future__ import annotations
 
@@ -27,6 +32,7 @@ from .core import (
     ReactionSystem,
     SchemeState,
     make_grid_1d,
+    read_only,
     require_positive,
     source_reaction,
     zero_reaction,
@@ -67,16 +73,45 @@ class ManufacturedCase:
         return ut - uxx - self.source(x, t)
 
 
+# Read-only node arrays one ``once_per_node_array`` factor keeps.
+_NODE_MEMO_SIZE = 4
+
+
+def once_per_node_array(factor: Callable) -> Callable:
+    """``factor(x)``, a function of the node coordinates alone (an array, as
+    ``np.asarray`` gives it), evaluated once per read-only node array.  A
+    read-only ``ndarray`` is treated as immutable, as the grids' node arrays
+    and ``core.interior_nodes`` are: its value is kept read-only, with the
+    array itself, so that its id cannot be reused.  Anything else (a writable
+    array, a scalar, a list) is evaluated fresh and not kept.  The oldest of
+    ``_NODE_MEMO_SIZE`` entries goes first; a run passes a factor at most two
+    read-only arrays a step (the interior nodes and an edge), so a step never
+    evicts one."""
+    memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def memoized(x):
+        if not isinstance(x, np.ndarray) or x.flags.writeable:
+            return factor(np.asarray(x))
+        hit = memo.get(id(x))
+        if hit is None:
+            if len(memo) >= _NODE_MEMO_SIZE:
+                del memo[next(iter(memo))]
+            hit = memo[id(x)] = (x, read_only(np.asarray(factor(x))))
+        return hit[1]
+
+    return memoized
+
+
 def manufactured_heat_case() -> ManufacturedCase:
-    """u(x,t) = cos(t) ((x/pi)^4 + cos(3x))."""
+    """u(x,t) = cos(t) phi(x) with phi(x) = (x/pi)^4 + cos(3x)."""
+    phi = once_per_node_array(lambda x: (x / np.pi) ** 4 + np.cos(3.0 * x))
+    phi_xx = once_per_node_array(lambda x: 12.0 * x**2 / np.pi**4 - 9.0 * np.cos(3.0 * x))
 
     def exact(x, t):
-        return np.cos(t) * ((np.asarray(x) / np.pi) ** 4 + np.cos(3.0 * np.asarray(x)))
+        return np.cos(t) * phi(x)
 
     def source(x, t):
-        x = np.asarray(x)
-        return (-np.sin(t) * ((x / np.pi) ** 4 + np.cos(3.0 * x))
-                - np.cos(t) * (12.0 * x**2 / np.pi**4 - 9.0 * np.cos(3.0 * x)))
+        return -np.sin(t) * phi(x) - np.cos(t) * phi_xx(x)
 
     return ManufacturedCase(exact, source)
 
@@ -88,27 +123,29 @@ def quadratic_manufactured_case() -> ManufacturedCase:
     error of this case is purely temporal; used to observe the order in dt.
     """
     omega = 10.0
+    quadratic = once_per_node_array(lambda x: 1.0 + x * (np.pi - x))
 
     def exact(x, t):
-        x = np.asarray(x)
-        return np.cos(omega * t) * (1.0 + x * (np.pi - x))
+        return np.cos(omega * t) * quadratic(x)
 
     def source(x, t):
-        x = np.asarray(x)
-        return -omega * np.sin(omega * t) * (1.0 + x * (np.pi - x)) + 2.0 * np.cos(omega * t)
+        return -omega * np.sin(omega * t) * quadratic(x) + 2.0 * np.cos(omega * t)
 
     return ManufacturedCase(exact, source)
 
 
 def manufactured_heat_case_2d() -> dict:
-    """u(x,y,t) = cos(t) cos(2x) cos(y) with induced source s = u_t - lap u."""
+    """u(x,y,t) = cos(t) cos(2x) cos(y) with induced source s = u_t - lap u.
+    cos(2x) and cos(y) are kept apart: multiplied first, they round otherwise."""
+    cos_2x = once_per_node_array(lambda x: np.cos(2.0 * x))
+    cos_y = once_per_node_array(np.cos)
 
     def exact(x, y, t):
-        return np.cos(t) * np.cos(2.0 * np.asarray(x)) * np.cos(np.asarray(y))
+        return np.cos(t) * cos_2x(x) * cos_y(y)
 
     def source(xy, t):
         x, y = xy
-        return (-np.sin(t) + 5.0 * np.cos(t)) * np.cos(2.0 * x) * np.cos(y)
+        return (-np.sin(t) + 5.0 * np.cos(t)) * cos_2x(x) * cos_y(y)
 
     return {"exact": exact, "reaction": source_reaction(source), "bc": BoundaryData2D(exact)}
 
@@ -344,9 +381,11 @@ def ratio_to_dt(ratio: float, h: float) -> float:
 
 
 def steps_to(T: float, dt: float) -> int:
-    """round(T / dt): a run to T ends at round(T/dt)*dt.  Fewer than two steps (the
-    startup step and one two-step update), or more than MAX_STEPS, raise a ConfigError
-    naming T."""
+    """round(T / dt): a run to T ends at round(T/dt)*dt.  A T or dt that is not finite
+    and positive raises a ConfigError naming it; fewer than two steps (the startup
+    step and one two-step update), or more than MAX_STEPS, one naming T."""
+    require_positive("T", T, ConfigError)
+    require_positive("dt", dt, ConfigError)
     if not T / dt <= MAX_STEPS:  # an infinite T / dt too
         raise ConfigError(f"T: {T:.6g} / dt = {dt:.6g} asks for more than "
                           f"MAX_STEPS = {MAX_STEPS:.0e} steps")

@@ -31,10 +31,15 @@ class ConfigError(ValueError):
     """An input rejected by the name of its configuration key ("key: reason")."""
 
 
-def require_positive(name: str, value: float) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is finite and positive."""
-    if not (math.isfinite(value) and value > 0.0):  # math: a ufunc costs ~1 us per step
-        raise ValueError(f"{name}: must be finite and positive, got {value!r}")
+_BOOLS = (bool, np.bool_)
+
+
+def require_positive(name: str, value: float, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is finite and positive;
+    a bool (``np.bool_`` too) is not a number here, so True does not pass as 1."""
+    # math, not a ufunc, which costs ~1 us per step; a bool is told apart by its type
+    if type(value) in _BOOLS or not (math.isfinite(value) and value > 0.0):
+        raise error(f"{name}: must be finite and positive, got {value!r}")
 
 
 def read_only(array: np.ndarray) -> np.ndarray:
@@ -196,25 +201,6 @@ class ReactionSystem:
     eval: Callable = field(repr=False)
     jacobian: Callable = field(repr=False)
     u_independent: bool = False
-
-    def check_jacobian(self, x, t: float, u: np.ndarray, eps: float = 1.0e-6,
-                       tol: float = 1.0e-4) -> float:
-        """Finite-difference consistency check; returns the worst mismatch.
-        A ``u_independent`` reaction must not move under the perturbation."""
-        u = np.asarray(u, dtype=float)
-        jac = self.jacobian(x, t, u)
-        worst = 0.0
-        f0 = self.eval(x, t, u)
-        for j in range(self.m):
-            du = np.zeros_like(u)
-            du[..., j] = eps
-            fd = (self.eval(x, t, u + du) - f0) / eps
-            if self.u_independent and np.any(fd):
-                raise ValueError(f"reaction flagged u_independent changes with u[..., {j}]")
-            worst = max(worst, float(np.max(np.abs(fd - jac[..., :, j]))))
-        if worst > tol:
-            raise ValueError(f"jacobian inconsistent with eval: mismatch {worst:.3e}")
-        return worst
 
 
 def zero_reaction(m: int = 1) -> ReactionSystem:

@@ -207,9 +207,10 @@ def test_ratio_to_dt():
     assert abs(3.0 * ratio_to_dt(2.0, h) / h**2 - 2.0) < 1e-15
 
 
-@pytest.mark.parametrize("ratio", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("ratio", [0.0, -1.0, float("nan"), float("inf"), True, np.True_])
 def test_drivers_reject_a_ratio_that_is_not_finite_and_positive(ratio):
-    # 0 used to raise ZeroDivisionError, -1 was blamed on T and NaN on dt
+    # 0 used to raise ZeroDivisionError, -1 was blamed on T and NaN on dt;
+    # True ran as 1.0
     for run in (lambda: run_accuracy_sweep(manufactured_heat_case(), [16], [ratio], [1]),
                 lambda: run_predator_prey(PredatorPreyCase(), 16, ratio, 10)):
         with pytest.raises(ValueError, match="^ratio: must be finite and positive"):
@@ -392,9 +393,10 @@ def test_drivers_reject_a_kappa_fraction_that_is_not_finite_and_positive(driver,
 
 
 @pytest.mark.parametrize("driver", ["1d", "2d"])
-@pytest.mark.parametrize("dt", [-1.0, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("dt", [-1.0, 0.0, float("nan"), float("inf"), True, np.True_])
 def test_drivers_reject_a_dt_that_is_not_finite_and_positive(driver, dt):
-    # NaN and inf used to run with kappa NaN or inf and report a Newton failure
+    # NaN and inf used to run with kappa NaN or inf and report a Newton failure;
+    # True ran as 1.0
     with pytest.raises(ValueError, match="^dt: must be finite and positive"):
         _run_driver(driver, dt=dt)
 
@@ -455,6 +457,12 @@ def test_steps_to_rounds_and_rejects_fewer_than_two_steps(monkeypatch):
     for T, dt in ((0.37, 0.25), (1e300, 1e-10), (1e20, 1e-10),
                   (0.5 * bench.MAX_STEPS + 0.5, 0.5)):
         with pytest.raises(ConfigError, match="^T: "):
+            bench.steps_to(T, dt)
+    # dt = 0 raised a bare ZeroDivisionError, and a NaN T was blamed on MAX_STEPS
+    for T, dt, key in ((1.0, 0.0, "dt"), (1.0, -0.1, "dt"), (1.0, float("nan"), "dt"),
+                       (1.0, float("inf"), "dt"), (float("nan"), 0.1, "T"),
+                       (float("inf"), 0.1, "T"), (-1.0, 0.1, "T"), (0.0, 0.1, "T")):
+        with pytest.raises(ConfigError, match=f"^{key}: must be finite and positive"):
             bench.steps_to(T, dt)
     # a sweep checks every run before it integrates the first one
     calls = []

@@ -1,10 +1,12 @@
 """Memoized step-invariant arrays and the Newton solve's shortcuts.
 
 Every cached array must be read-only and equal to a fresh computation; the
-cached pipeline must reproduce the uncached formulas; the 1 x 1 division
-and the 2 x 2 closed form must agree with LAPACK's dense solve, which m >= 3
-still takes, and a u-independent reaction must be solved bit for bit as if
-its flag were cleared.
+manufactured cases, which keep their spatial factors per read-only node
+array, must return the bytes of their closed forms; the cached pipeline
+must reproduce the uncached formulas; the 1 x 1 division and the 2 x 2
+closed form must agree with LAPACK's dense solve, which m >= 3 still takes,
+and a u-independent reaction must be solved bit for bit as if its flag were
+cleared.
 """
 
 from dataclasses import replace
@@ -16,11 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import dst, idst
 
-from rdfilter import filtering
+from rdfilter import bench, filtering
 from rdfilter.bench import (
     PredatorPreyCase,
     integrate_1d,
+    integrate_2d,
     manufactured_heat_case,
+    manufactured_heat_case_2d,
+    quadratic_manufactured_case,
     ratio_to_dt,
     run_predator_prey,
 )
@@ -158,6 +163,152 @@ def test_interior_mesh_cached_read_only_and_exact():
     x1 = interior_nodes(make_grid_1d(16))
     assert np.array_equal(x1, np.linspace(0.0, np.pi, 17)[1:-1])
     _assert_read_only(x1)
+
+
+# The manufactured cases as closed forms, each evaluated in full on every call:
+# the memoized cases must return these bytes.
+def _heat_exact(x, t):
+    return np.cos(t) * ((np.asarray(x) / np.pi) ** 4 + np.cos(3.0 * np.asarray(x)))
+
+
+def _heat_source(x, t):
+    x = np.asarray(x)
+    return (-np.sin(t) * ((x / np.pi) ** 4 + np.cos(3.0 * x))
+            - np.cos(t) * (12.0 * x**2 / np.pi**4 - 9.0 * np.cos(3.0 * x)))
+
+
+def _quadratic_exact(x, t):
+    x = np.asarray(x)
+    return np.cos(10.0 * t) * (1.0 + x * (np.pi - x))
+
+
+def _quadratic_source(x, t):
+    x = np.asarray(x)
+    return -10.0 * np.sin(10.0 * t) * (1.0 + x * (np.pi - x)) + 2.0 * np.cos(10.0 * t)
+
+
+def _exact_2d(x, y, t):
+    return np.cos(t) * np.cos(2.0 * np.asarray(x)) * np.cos(np.asarray(y))
+
+
+def _source_2d(xy, t):
+    x, y = xy
+    return (-np.sin(t) + 5.0 * np.cos(t)) * np.cos(2.0 * x) * np.cos(y)
+
+
+CLOSED_FORMS_1D = [(manufactured_heat_case, _heat_exact, _heat_source),
+                   (quadratic_manufactured_case, _quadratic_exact, _quadratic_source)]
+TIMES = (0.0, 0.37, 2.5, 10.0)
+
+
+def _assert_same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("make_case, exact, source", CLOSED_FORMS_1D)
+def test_1d_cases_match_their_closed_forms_byte_for_byte(make_case, exact, source):
+    case = make_case()
+    grid = make_grid_1d(64)
+    xs = [interior_nodes(make_grid_1d(n)) for n in (4, 64, 4096)]
+    xs += [grid.nodes, make_grid_1d(4096).nodes, 0.0, np.pi, 1.3, np.float64(0.7),
+           [0.2, 1.1, 2.9], np.linspace(0.1, 3.0, 7),
+           grid.nodes[[1, 5, 63]],  # fancy-indexed, as estimate_uxx_nodes takes the ends
+           interior_nodes(grid) + 1.0e-4, interior_nodes(grid) - 1.0e-4]  # as residual's x +- eps
+    for _ in range(2):  # the second pass reads what the first one kept
+        for x in xs:
+            for t in TIMES:
+                _assert_same_bytes(case.source(x, t), source(x, t))
+                _assert_same_bytes(case.exact(x, t), exact(x, t))
+
+
+def test_2d_case_matches_its_closed_form_byte_for_byte():
+    case = manufactured_heat_case_2d()
+    for grid in (make_grid_2d(16, 24), make_grid_2d(128, 128)):
+        X, Y = interior_nodes(grid)
+        meshes = [(X, Y), np.meshgrid(grid.nodes_x, grid.nodes_y, indexing="ij")]
+        edges = [(grid.nodes_x, 0.0), (grid.nodes_x, np.pi), (0.0, grid.nodes_y),
+                 (np.pi, grid.nodes_y), (np.linspace(0.1, 3.0, 7), 1.3)]
+        for _ in range(2):
+            for t in TIMES:
+                for x, y in meshes:
+                    _assert_same_bytes(case["reaction"].eval((x, y), t, np.zeros(x.shape + (1,))),
+                                       _source_2d((x, y), t)[..., np.newaxis])
+                    _assert_same_bytes(case["exact"](x, y, t), _exact_2d(x, y, t))
+                for x, y in edges:
+                    _assert_same_bytes(case["exact"](x, y, t), _exact_2d(x, y, t))
+
+
+def test_a_writable_node_array_changed_in_place_is_evaluated_again():
+    for make_case, exact, source in CLOSED_FORMS_1D:
+        case = make_case()
+        x = np.linspace(0.1, 3.0, 9)
+        case.source(x, 0.4), case.exact(x, 0.4)
+        x += 0.05
+        _assert_same_bytes(case.source(x, 0.4), source(x, 0.4))
+        _assert_same_bytes(case.exact(x, 0.4), exact(x, 0.4))
+    case = manufactured_heat_case_2d()
+    X, Y = np.meshgrid(np.linspace(0.1, 3.0, 5), np.linspace(0.2, 2.0, 6), indexing="ij")
+    case["exact"](X, Y, 0.4)
+    X += 0.05
+    Y *= 1.5
+    _assert_same_bytes(case["exact"](X, Y, 0.4), _exact_2d(X, Y, 0.4))
+
+
+def test_a_node_factor_keeps_read_only_arrays_only_and_its_entries_read_only():
+    calls = []
+    factor = bench.once_per_node_array(lambda x: calls.append(x) or 2.0 * x)
+    nodes = interior_nodes(make_grid_1d(32))
+    kept = factor(nodes)
+    assert factor(nodes) is kept and len(calls) == 1
+    _assert_read_only(kept)
+    writable = np.linspace(0.1, 3.0, 7)
+    first, second = factor(writable), factor(writable)
+    assert first is not second and first.flags.writeable
+    factor(0.5), factor(0.5), factor([0.1, 0.2]), factor([0.1, 0.2])
+    assert len(calls) == 7  # one for the read-only array, every other call fresh
+
+
+def _count_node_factor_calls(monkeypatch):
+    """Record every node array a case's factors are evaluated on, from the
+    factors of each case built after this call."""
+    calls = []
+    memoize = bench.once_per_node_array
+
+    def counting(factor):
+        return memoize(lambda x: calls.append(x) or factor(x))
+
+    monkeypatch.setattr(bench, "once_per_node_array", counting)
+    return calls
+
+
+@pytest.mark.parametrize("make_case, n_factors",
+                         [(manufactured_heat_case, 2), (quadratic_manufactured_case, 1)])
+def test_a_1d_run_evaluates_each_interior_factor_once(monkeypatch, make_case, n_factors):
+    # the third-order shift evaluates the source at the strips' end nodes
+    # every step: a fresh array each time, which must not evict the interior
+    calls = _count_node_factor_calls(monkeypatch)
+    case = make_case()
+    grid = make_grid_1d(64)
+    out = integrate_1d(case.reaction(), grid, ratio_to_dt(4.0, grid.h), 12, case.boundary,
+                       case.initial(grid), shift_order=3, layout=make_layout(grid, 3, 8))
+    assert out.stable
+    assert sum(x is interior_nodes(grid) for x in calls) == n_factors
+    assert sum(x is grid.nodes for x in calls) == 1  # u0, by exact's factor
+    assert sum(np.ndim(x) == 1 and len(x) == 6 for x in calls) == 11 * n_factors  # the ends
+
+
+def test_a_2d_run_evaluates_each_interior_factor_once(monkeypatch):
+    # the boundary data samples exact on nodes_x and nodes_y every step, by
+    # the same factors as the source: neither edge may evict the interior mesh
+    calls = _count_node_factor_calls(monkeypatch)
+    case = manufactured_heat_case_2d()
+    grid = make_grid_2d(16, 24)
+    X, Y = interior_nodes(grid)
+    out = integrate_2d(case["reaction"], grid, 0.002, 12, case["bc"], Field.zeros(grid))
+    assert out.stable
+    assert [sum(x is a for x in calls) for a in (X, Y, grid.nodes_x, grid.nodes_y)] == [1] * 4
 
 
 def _postprocess_uncached(values, kappa, uxx=None):

@@ -444,10 +444,10 @@ def test_postprocess_matrices_assemble_in_small_blocks(n_subdomains, overlap, th
     assert peak < 2 * 1024**2
 
 
-@pytest.mark.parametrize("bad", [np.nan, 0.0, -2.0, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, 0.0, -2.0, np.inf, True])
 def test_postprocess_rejects_a_kappa_that_is_not_finite_and_positive(bad):
     # each used to pass: NaN returned an all-NaN field, 0 filtered nothing,
-    # -2 acted as +2 and inf removed every sine mode
+    # -2 acted as +2, inf removed every sine mode and True filtered with 1.0
     reject = partial(pytest.raises, ValueError, match="^kappa: must be finite and positive")
     for n in (64, 2 * MATRIX_MAX_N):  # the matrix path and the DST path
         grid = make_grid_1d(n)
