@@ -42,6 +42,6 @@ from .filtering import (
     sigma8,
 )
 from .ddm import SubdomainLayout, blend_weights, make_layout
-from .solver2d import BoundaryData2D, kappa_critical_2d
+from .solver2d import kappa_critical_2d
 
 __version__ = "0.1.0"

@@ -2,11 +2,11 @@
 predator-prey system with excited boundaries, accuracy sweeps over the
 normalized step ratio 3 dt / h^2, and domain-decomposition overlap studies.
 
-The drivers ``integrate_1d`` and ``integrate_2d`` differ only in their
-boundary sampler; both run ``_integrate``, the one step loop and the one
-place that turns the time levels into u_xx for the postprocess.  Each step
-makes one ``postprocess_field`` call, which picks its path by N, axis by
-axis in 2D: a memoized matrix product on at most
+One case type, one driver and one scorer serve 1D and 2D grids:
+``ManufacturedCase``, ``integrate`` (the one step loop, and the one place
+that turns the time levels into u_xx for the postprocess) and ``run_case``.
+Each step makes one ``postprocess_field`` call, which picks its path by N,
+axis by axis in 2D: a memoized matrix product on at most
 ``filtering.MATRIX_MAX_N`` intervals, the DSTs above.
 
 The manufactured cases evaluate each spatial factor once per node array
@@ -39,7 +39,6 @@ from .core import (
 )
 from .ddm import SubdomainLayout, make_layout
 from .filtering import kappa_critical, postprocess_field
-from .solver2d import BoundaryData2D
 from .stepper import NewtonDivergence, estimate_uxx_nodes, step
 
 
@@ -48,25 +47,40 @@ from .stepper import NewtonDivergence, estimate_uxx_nodes, step
 
 @dataclass(frozen=True)
 class ManufacturedCase:
-    """Chosen exact solution with its induced source s = u_t - u_xx."""
+    """Chosen exact solution with its induced source s = u_t - lap u, on a 1D
+    or a 2D grid.  ``exact(nodes, t)`` and ``source(nodes, t)`` take node
+    coordinates as ``core.interior_nodes`` hands them to a reaction: the x
+    array in 1D, the pair (x, y) in 2D, of parts that broadcast together."""
 
-    exact: Callable          # (x, t) -> values
-    source: Callable         # (x, t) -> values
+    exact: Callable
+    source: Callable
 
     def reaction(self) -> ReactionSystem:
         return source_reaction(self.source)
 
-    def boundary(self, t: float) -> tuple[float, float]:
-        return float(self.exact(0.0, t)), float(self.exact(np.pi, t))
+    def boundary(self, t: float, grid: Grid1D | Grid2D | None = None):
+        """The Dirichlet data at t in ``stepper.set_boundary``'s format.  With
+        no grid or a Grid1D, the pair at x = 0 and pi; on a Grid2D the edge
+        dict, ``exact`` called once per edge with one coordinate that edge's
+        node array and the other its constant 0 or pi, so the two edges
+        through a corner agree there."""
+        if not isinstance(grid, Grid2D):
+            return float(self.exact(0.0, t)), float(self.exact(np.pi, t))
+        x, y = grid.nodes_x, grid.nodes_y
+        return {"g0": self.exact((x, 0.0), t), "gpi": self.exact((x, np.pi), t),
+                "h0": self.exact((0.0, y), t), "hpi": self.exact((np.pi, y), t)}
 
-    def initial(self, grid: Grid1D) -> Field:
-        return Field(grid, self.exact(grid.nodes, 0.0))
+    def initial(self, grid: Grid1D | Grid2D) -> Field:
+        return self.exact_field(grid, 0.0)
 
-    def exact_field(self, grid: Grid1D, t: float) -> Field:
-        return Field(grid, self.exact(grid.nodes, t))
+    def exact_field(self, grid: Grid1D | Grid2D, t: float) -> Field:
+        """``exact`` at every node; on a Grid2D, of the x column and the y row."""
+        nodes = grid.nodes if isinstance(grid, Grid1D) else (
+            grid.nodes_x[:, np.newaxis], grid.nodes_y[np.newaxis, :])
+        return Field(grid, self.exact(nodes, t))
 
     def residual(self, x, t, eps: float = 1.0e-4) -> np.ndarray:
-        """Sampled PDE residual u_t - u_xx - s via central differences."""
+        """Sampled PDE residual u_t - u_xx - s via central differences, at 1D nodes x."""
         ut = (self.exact(x, t + eps) - self.exact(x, t - eps)) / (2.0 * eps)
         uxx = (self.exact(x + eps, t) - 2.0 * self.exact(x, t)
                + self.exact(x - eps, t)) / eps**2
@@ -134,20 +148,22 @@ def quadratic_manufactured_case() -> ManufacturedCase:
     return ManufacturedCase(exact, source)
 
 
-def manufactured_heat_case_2d() -> dict:
-    """u(x,y,t) = cos(t) cos(2x) cos(y) with induced source s = u_t - lap u.
-    cos(2x) and cos(y) are kept apart: multiplied first, they round otherwise."""
+def manufactured_heat_case_square() -> ManufacturedCase:
+    """u(x,y,t) = cos(t) cos(2x) cos(y) on the square, with induced source
+    s = u_t - lap u.  cos(2x) and cos(y) are kept apart: multiplied first,
+    they round otherwise."""
     cos_2x = once_per_node_array(lambda x: np.cos(2.0 * x))
     cos_y = once_per_node_array(np.cos)
 
-    def exact(x, y, t):
+    def exact(xy, t):
+        x, y = xy
         return np.cos(t) * cos_2x(x) * cos_y(y)
 
     def source(xy, t):
         x, y = xy
         return (-np.sin(t) + 5.0 * np.cos(t)) * cos_2x(x) * cos_y(y)
 
-    return {"exact": exact, "reaction": source_reaction(source), "bc": BoundaryData2D(exact)}
+    return ManufacturedCase(exact, source)
 
 
 @dataclass(frozen=True)
@@ -204,7 +220,8 @@ class PredatorPreyCase:
             jacobian=lambda x, t, w: self.ode_jacobian(w),
         )
 
-    def boundary(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+    def boundary(self, t: float, grid: Grid1D | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The (left, right) pair at t; the case is 1D, so ``grid`` is not read."""
         level = self.base_level * (1.0 + np.cos(t) if self.excited else 1.0)
         return np.full(2, level), np.full(2, level)
 
@@ -266,38 +283,21 @@ class RunOutcome:
     failure: str | None = None
 
 
-def integrate_1d(reaction: ReactionSystem, grid: Grid1D, dt: float, n_steps: int,
-                 bc_fn: Callable, u0: Field, shift_order: int = 1,
-                 filter_on: bool = True, kappa_fraction: float = 1.0,
-                 layout: SubdomainLayout | None = None) -> RunOutcome:
-    """Run the full pipeline for ``n_steps`` steps of size ``dt``.
-
-    ``bc_fn(t)`` returns the Dirichlet pair at time t.  Postprocessing (when
-    ``filter_on``) is applied after every step, including the startup step
-    (which uses a first-order shift: only two time levels exist there).
-    """
-    return _integrate(reaction, grid, dt, n_steps, bc_fn, u0, shift_order, filter_on,
-                      kappa_fraction, layout)
-
-
-def integrate_2d(reaction: ReactionSystem, grid: Grid2D, dt: float, n_steps: int,
-                 bc: BoundaryData2D, u0: Field, filter_on: bool = True,
-                 kappa_fraction: float = 1.0) -> RunOutcome:
-    """2D driver; first-order shifts only."""
-    return _integrate(reaction, grid, dt, n_steps, lambda t: bc.sample(grid, t, u0.m), u0,
-                      1, filter_on, kappa_fraction, None)
-
-
-def _integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_steps: int,
-               bc_at: Callable, u0: Field, shift_order: int, filter_on: bool,
-               kappa_fraction: float, layout: SubdomainLayout | None) -> RunOutcome:
-    """The body of both drivers: ``n_steps`` steps of size ``dt`` from u0, the
+def integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_steps: int,
+              bc_at: Callable, u0: Field, shift_order: int = 1, filter_on: bool = True,
+              kappa_fraction: float = 1.0,
+              layout: SubdomainLayout | None = None) -> RunOutcome:
+    """``n_steps`` steps of size ``dt`` from u0 on a 1D or a 2D grid, the
     first one the startup step, each followed by one ``postprocess_field``
-    call (which picks its path by N) when ``filter_on``.  The loop keeps only
-    the two time levels; ``step`` derives its one Laplacian from them.  Each
-    of the d node axes filters with kappa_fraction * kappa_c(d dt, pi /
-    N_axis), its share of the stability budget (see
-    ``solver2d.kappa_critical_2d``).
+    call (which picks its path by N) when ``filter_on``.  ``bc_at(t)``
+    returns the Dirichlet data at t in ``stepper.set_boundary``'s format.
+    The startup step takes the first-order shift: only two time levels exist
+    there.  The loop keeps only the two time levels; ``step`` derives its
+    one Laplacian from them.  Each of the d node axes filters with
+    kappa_fraction * kappa_c(d dt, pi / N_axis), its share of the stability
+    budget (see ``solver2d.kappa_critical_2d``).  A 2D grid takes neither
+    the third-order shift nor a strip ``layout`` yet: both are rejected by
+    name before the first step.
 
     A step is blown up (``Field.blown_up``) when its values exceed
     ``core.BLOWUP_THRESHOLD`` after its postprocess; every step but the
@@ -308,7 +308,10 @@ def _integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_ste
     are the per-component minima over u0 and every completed step.
     """
     if shift_order not in (1, 3):
-        raise ValueError(f"shift_order must be 1 or 3, got {shift_order}")
+        raise ValueError(f"shift_order: must be 1 or 3, got {shift_order}")
+    if isinstance(grid, Grid2D) and (shift_order != 1 or layout is not None):
+        key = "shift_order" if shift_order != 1 else "layout"
+        raise ValueError(f"{key}: a 2D grid takes only shift order 1 on one domain")
     if u0.grid != grid:
         raise ValueError(f"u0 lives on {u0.grid}, not on {grid}")
     require_positive("dt", dt)
@@ -394,22 +397,24 @@ def steps_to(T: float, dt: float) -> int:
     return round(T / dt)
 
 
-def run_case_1d(case: ManufacturedCase | PredatorPreyCase, grid: Grid1D, dt: float,
-                n_steps: int, shift_order: int = 1, filter_on: bool = True,
-                kappa_fraction: float = 1.0,
-                layout: SubdomainLayout | None = None) -> tuple[SweepRow, RunOutcome]:
-    """Integrate a 1D case from its initial data and score it as one row.  The
-    errors are taken against ``case.exact_field`` at the final time when the
-    case has one and the run was stable, else they are NaN."""
-    out = integrate_1d(case.reaction(), grid, dt, n_steps, case.boundary,
-                       case.initial(grid), shift_order=shift_order,
-                       filter_on=filter_on, kappa_fraction=kappa_fraction, layout=layout)
+def run_case(case: ManufacturedCase | PredatorPreyCase, grid: Grid1D | Grid2D, dt: float,
+             n_steps: int, shift_order: int = 1, filter_on: bool = True,
+             kappa_fraction: float = 1.0,
+             layout: SubdomainLayout | None = None) -> tuple[SweepRow, RunOutcome]:
+    """Integrate a case from its initial data on a 1D or a 2D grid and score
+    it as one row, whose N and ratio are those of the x axis.  The errors are
+    taken against ``case.exact_field`` at the final time when the case has
+    one and the run was stable, else they are NaN."""
+    out = integrate(case.reaction(), grid, dt, n_steps, partial(case.boundary, grid=grid),
+                    case.initial(grid), shift_order=shift_order,
+                    filter_on=filter_on, kappa_fraction=kappa_fraction, layout=layout)
     l2 = linf = float("nan")
     exact_field = getattr(case, "exact_field", None)
     if out.stable and exact_field is not None:
         l2, linf = error_norms(out.field, exact_field(grid, n_steps * dt))
     n_sub, overlap = (layout.n_subdomains, layout.overlap) if layout else (1, 0)
-    row = SweepRow(grid.n_intervals, dt, 3.0 * dt / grid.h**2, shift_order, out.kappa[0],
+    n = grid.node_shape[0] - 1
+    row = SweepRow(n, dt, 3.0 * dt / (np.pi / n)**2, shift_order, out.kappa[0],
                    n_sub, overlap, l2, linf, out.stable, out.steps, out.wall_ms,
                    out.failure or "")
     return row, out
@@ -423,8 +428,8 @@ def run_accuracy_sweep(case: ManufacturedCase, grid_sizes, ratios, shift_orders,
     shorter than two steps of any run raises before the first run starts."""
     runs = [(grid, dt, steps_to(T, dt)) for grid in map(make_grid_1d, grid_sizes)
             for dt in (ratio_to_dt(ratio, grid.h) for ratio in ratios)]
-    return [run_case_1d(case, grid, dt, n_steps, shift_order=order, filter_on=filter_on,
-                        kappa_fraction=kappa_fraction)[0]
+    return [run_case(case, grid, dt, n_steps, shift_order=order, filter_on=filter_on,
+                     kappa_fraction=kappa_fraction)[0]
             for grid, dt, n_steps in runs for order in shift_orders]
 
 
@@ -433,7 +438,7 @@ def run_predator_prey(case: PredatorPreyCase, n_intervals: int, ratio: float,
     """Run ``n_steps`` steps at 3 dt / h^2 = ratio, tracking each species' minimum."""
     grid = make_grid_1d(n_intervals)
     dt = ratio_to_dt(ratio, grid.h)
-    row, out = run_case_1d(case, grid, dt, n_steps, shift_order=shift_order)
+    row, out = run_case(case, grid, dt, n_steps, shift_order=shift_order)
     return row, {"min_u": float(out.min_values[0]), "min_v": float(out.min_values[1]),
                  "final_update": out.final_update, "final": out.field}
 
@@ -444,8 +449,8 @@ def _dd_stability_trial(grid: Grid1D, ratio: float, layout: SubdomainLayout | No
     dt = ratio_to_dt(ratio, grid.h)
     x = grid.nodes
     u0 = Field(grid, np.sin(x) + 1.0e-6 * np.sin((grid.n_intervals - 1) * x))
-    out = integrate_1d(zero_reaction(), grid, dt, n_steps,
-                       lambda t: (0.0, 0.0), u0, layout=layout)
+    out = integrate(zero_reaction(), grid, dt, n_steps, lambda t: (0.0, 0.0), u0,
+                    layout=layout)
     return out.stable
 
 
@@ -502,3 +507,25 @@ def run_dd_study(n_intervals: int, n_subdomains: int, overlaps,
                              n_sub, overlap, float("nan"), float("nan"), True, n_steps,
                              (time.perf_counter() - t0) * 1000.0, note))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Kept only because perfbench/workloads.py calls these names and the benchmark
+# changes in its own commits, never with the solver.  The next benchmark commit
+# moves the workloads to ``integrate`` and ``manufactured_heat_case_square`` and
+# drops this block, with ``core.Field2D``.
+
+integrate_1d = integrate
+
+
+def integrate_2d(reaction, grid, dt, n_steps, bc, u0, _run=integrate):
+    # ``_run`` is bound here, not looked up: a tracer that wraps the object
+    # ``integrate_1d`` names, under every name that holds it, must see one
+    # driver span per 2D run, this one
+    return _run(reaction, grid, dt, n_steps, partial(bc.boundary, grid=grid), u0)
+
+
+def manufactured_heat_case_2d() -> dict:
+    case = manufactured_heat_case_square()
+    return {"exact": lambda x, y, t: case.exact((x, y), t), "reaction": case.reaction(),
+            "bc": case}

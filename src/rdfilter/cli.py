@@ -21,10 +21,8 @@ import typing
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import bench
-from .core import ConfigError, Field, make_grid_1d, make_grid_2d
+from .core import ConfigError, make_grid_1d, make_grid_2d
 from .ddm import make_layout
 from .selftest import run_selftest
 
@@ -233,32 +231,18 @@ def emit_csv(rows, path, timing: bool = True) -> None:
 # Subcommand implementations
 
 def _cmd_run(cfg: RunConfig) -> int:
-    if cfg.problem in ("heat1d", "predprey1d"):
-        grid = make_grid_1d(cfg.N)
-        dt = cfg.resolve_dt(grid.h)
-        layout = make_layout(grid, cfg.n_subdomains, cfg.overlap) if cfg.n_subdomains > 1 else None
-        if cfg.problem == "heat1d":
-            case = bench.manufactured_heat_case()
-        else:
-            case = bench.PredatorPreyCase(cfg.base_level, cfg.excited, cfg.sign_variant)
-        row, _ = bench.run_case_1d(case, grid, dt, bench.steps_to(cfg.T, dt),
-                                   shift_order=cfg.shift_order, filter_on=cfg.filter_on,
-                                   kappa_fraction=cfg.kappa_fraction, layout=layout)
+    grid = (make_grid_2d if cfg.problem == "heat2d" else make_grid_1d)(cfg.N)
+    if cfg.problem == "predprey1d":
+        case = bench.PredatorPreyCase(cfg.base_level, cfg.excited, cfg.sign_variant)
+    elif cfg.problem == "heat1d":
+        case = bench.manufactured_heat_case()
     else:
-        grid = make_grid_2d(cfg.N)
-        dt = cfg.resolve_dt(grid.hx)
-        n_steps = bench.steps_to(cfg.T, dt)
-        case = bench.manufactured_heat_case_2d()
-        x, y = grid.nodes_x[:, np.newaxis], grid.nodes_y[np.newaxis, :]
-        out = bench.integrate_2d(case["reaction"], grid, dt, n_steps, case["bc"],
-                                 Field(grid, case["exact"](x, y, 0.0)),
-                                 filter_on=cfg.filter_on, kappa_fraction=cfg.kappa_fraction)
-        errors = (float("nan"),) * 2
-        if out.stable:
-            errors = bench.error_norms(out.field, Field(grid, case["exact"](x, y, n_steps * dt)))
-        row = bench.SweepRow(cfg.N, dt, 3.0 * dt / grid.hx**2, 1, out.kappa[0],
-                             1, 0, *errors, out.stable, out.steps, out.wall_ms)
-
+        case = bench.manufactured_heat_case_square()
+    dt = cfg.resolve_dt(math.pi / cfg.N)
+    layout = make_layout(grid, cfg.n_subdomains, cfg.overlap) if cfg.n_subdomains > 1 else None
+    row, _ = bench.run_case(case, grid, dt, bench.steps_to(cfg.T, dt),
+                            shift_order=cfg.shift_order, filter_on=cfg.filter_on,
+                            kappa_fraction=cfg.kappa_fraction, layout=layout)
     emit_csv([row], cfg.output, timing=cfg.timing)
     status = "stable" if row.stable else "BLOW-UP"
     print(f"{cfg.problem}: N={row.N} ratio={row.ratio:.4g} steps={row.steps} "

@@ -140,7 +140,7 @@ def postprocess_field(u: Field, kappa: float | tuple[float, ...],
     sigma(ky l/Ny), its edges its traces run through the 1D postprocess."""
     n_axes = u.values.ndim - 1
     if type(kappa) is not tuple:  # the drivers pass a tuple; isinstance(Real) costs 0.4 us
-        kappa = (kappa,) * n_axes if isinstance(kappa, Real) else tuple(kappa)
+        kappa = (kappa,) * n_axes if isinstance(kappa, (Real, np.generic)) else tuple(kappa)
     if len(kappa) != n_axes:
         raise ValueError(f"kappa: needs one value per node axis ({n_axes}), got {len(kappa)}")
     for k in kappa:

@@ -1,50 +1,14 @@
-"""Two-dimensional Dirichlet problems: boundary data and the per-axis
-critical stretching.
+"""The per-axis critical stretching of two-dimensional Dirichlet problems.
 
-The boundary data is one function g(x, y, t) on the boundary of (0, pi)^2,
-sampled edge by edge (``BoundaryData2D.sample``), so the two edges through a
-corner take its value from the same g.
-
-The time step (``stepper.step``) is the one of 1D, run over both node axes.
-The postprocess (``filtering.postprocess_field``) is the 1D one along x,
-then along y, of the field lifted by the change the 1D postprocess makes to
-its faces, with one stretching factor per axis."""
+The time step (``stepper.step``) is the one of 1D, run over both node axes,
+with its edge data from ``stepper.set_boundary``.  The postprocess
+(``filtering.postprocess_field``) is the 1D one along x, then along y, of
+the field lifted by the change the 1D postprocess makes to its faces, with
+one stretching factor per axis, each ``kappa_critical_2d``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
-
-from .core import Grid2D
 from .filtering import kappa_critical
-
-
-@dataclass(frozen=True)
-class BoundaryData2D:
-    """Dirichlet data g(x, y, t) on the boundary of (0, pi)^2.
-
-    ``sample`` calls g once per edge, one coordinate the edge's node array and
-    the other its constant 0 or pi; g returns shape (len(nodes),) or
-    (len(nodes), m).  The result is the edge dict of ``stepper.set_boundary``.
-    """
-
-    g: Callable
-
-    def sample(self, grid: Grid2D, t: float, m: int = 1) -> dict[str, np.ndarray]:
-        def _edge(x, y):
-            vals = np.asarray(self.g(x, y, t), dtype=float)
-            if vals.ndim == 1:
-                vals = vals[:, np.newaxis]
-            want = (np.broadcast(x, y).size, m)
-            if vals.shape != want:
-                raise ValueError(f"edge sample has shape {vals.shape}, expected {want}")
-            return vals
-
-        x, y = grid.nodes_x, grid.nodes_y
-        return {"g0": _edge(x, 0.0), "gpi": _edge(x, np.pi),
-                "h0": _edge(0.0, y), "hpi": _edge(np.pi, y)}
 
 
 def kappa_critical_2d(dt: float, h: float) -> float:

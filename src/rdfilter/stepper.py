@@ -160,14 +160,24 @@ def set_boundary(values: np.ndarray, bc) -> None:
 
     1D: ``bc`` is the (left, right) pair, each of shape (m,) (scalars accepted
     for m = 1).  2D: ``bc`` maps 'g0'/'gpi' to the edges y = 0/pi and 'h0'/'hpi'
-    to x = 0/pi, as ``BoundaryData2D.sample`` builds it; the y-edges are written
-    first and the x-edges last, so the x-edges own the corners.
+    to x = 0/pi, as ``bench.ManufacturedCase.boundary`` builds it.  An edge is
+    a scalar, constant along it, or has shape (nodes, m), or (nodes,) for
+    m = 1; any other shape raises naming the edge, rather than broadcast.
+    The y-edges are written first and the x-edges last, so the x-edges own
+    the corners.
     """
     if values.ndim == 2:
         values[0], values[-1] = bc
-    else:
-        values[:, 0], values[:, -1] = bc["g0"], bc["gpi"]
-        values[0], values[-1] = bc["h0"], bc["hpi"]
+        return
+    for key, edge in (("g0", values[:, 0]), ("gpi", values[:, -1]),
+                      ("h0", values[0]), ("hpi", values[-1])):
+        sample = np.asarray(bc[key], dtype=float)
+        if sample.ndim == 1:
+            sample = sample[:, np.newaxis]
+        if sample.ndim and sample.shape != edge.shape:
+            raise ValueError(f"{key}: edge sample has shape {sample.shape}, "
+                             f"expected {edge.shape}")
+        edge[...] = sample
 
 
 def step(state: SchemeState, reaction: ReactionSystem, bc, startup: bool = False) -> Field:

@@ -10,14 +10,14 @@ from rdfilter.core import Field, laplacian_symbol, make_grid_1d, \
     make_grid_2d, zero_reaction
 from rdfilter.bench import (
     PredatorPreyCase,
-    integrate_1d,
-    integrate_2d,
+    integrate,
     manufactured_heat_case,
-    manufactured_heat_case_2d,
+    manufactured_heat_case_square,
     ode_orbit_check,
     quadratic_manufactured_case,
     ratio_to_dt,
     run_accuracy_sweep,
+    run_case,
     run_dd_study,
     run_predator_prey,
 )
@@ -40,8 +40,8 @@ def _perturbed_heat_run(ratio, n, n_steps, filter_on, kappa_fraction=1.0):
     grid = make_grid_1d(n)
     dt = ratio_to_dt(ratio, grid.h)
     u0 = Field(grid, 1e-6 * np.sin((n - 1) * grid.nodes))
-    return integrate_1d(zero_reaction(), grid, dt, n_steps, lambda t: (0.0, 0.0),
-                        u0, filter_on=filter_on, kappa_fraction=kappa_fraction)
+    return integrate(zero_reaction(), grid, dt, n_steps, lambda t: (0.0, 0.0),
+                     u0, filter_on=filter_on, kappa_fraction=kappa_fraction)
 
 
 def test_criterion_1_unfiltered_stability_limit():
@@ -178,10 +178,8 @@ def test_criterion_9_2d_stability_beyond_explicit_limit():
     n = 32
     grid = make_grid_2d(n, n)
     dt = 2.0 * grid.hx**2 / 6.0
-    case = manufactured_heat_case_2d()
+    _, out = run_case(manufactured_heat_case_square(), grid, dt, 500)
     x, y = grid.nodes_x, grid.nodes_y
-    u0 = Field(grid, case["exact"](x[:, np.newaxis], y[np.newaxis, :], 0.0))
-    out = integrate_2d(case["reaction"], grid, dt, 500, case["bc"], u0)
 
     # boundary preservation: postprocess output edges equal the traces filtered in 1D
     X, Y = np.meshgrid(x, y, indexing="ij")

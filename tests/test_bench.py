@@ -3,7 +3,9 @@
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +22,12 @@ from rdfilter.core import (
     zero_reaction,
 )
 from rdfilter.bench import (
+    ManufacturedCase,
     PredatorPreyCase,
     error_norms,
-    integrate_1d,
+    integrate,
     manufactured_heat_case,
-    manufactured_heat_case_2d,
+    manufactured_heat_case_square,
     ode_orbit_check,
     quadratic_manufactured_case,
     ratio_to_dt,
@@ -33,7 +36,10 @@ from rdfilter.bench import (
     run_predator_prey,
 )
 from rdfilter.ddm import make_layout
-from rdfilter.solver2d import BoundaryData2D, kappa_critical_2d
+from rdfilter.solver2d import kappa_critical_2d
+
+# u = 0 on the square: homogeneous Dirichlet data on a 2D grid
+ZERO_2D = ManufacturedCase(lambda xy, t: 0.0 * (xy[0] + xy[1]), lambda xy, t: 0.0)
 
 
 def test_manufactured_case_anchor_values():
@@ -85,17 +91,17 @@ def test_quadratic_case_residual_and_stencil_exactness():
 
 
 def test_manufactured_2d_consistency():
-    case = manufactured_heat_case_2d()
+    case = manufactured_heat_case_square()
     x = np.linspace(0.1, 3.0, 5)
     y = np.linspace(0.2, 2.9, 5)
     eps = 1e-5
     for t in (0.0, 0.8):
-        ut = (case["exact"](x, y, t + eps) - case["exact"](x, y, t - eps)) / (2 * eps)
-        uxx = (case["exact"](x + eps, y, t) - 2 * case["exact"](x, y, t)
-               + case["exact"](x - eps, y, t)) / eps**2
-        uyy = (case["exact"](x, y + eps, t) - 2 * case["exact"](x, y, t)
-               + case["exact"](x, y - eps, t)) / eps**2
-        s = case["reaction"].eval((x, y), t, np.zeros((5, 1)))[:, 0]
+        ut = (case.exact((x, y), t + eps) - case.exact((x, y), t - eps)) / (2 * eps)
+        uxx = (case.exact((x + eps, y), t) - 2 * case.exact((x, y), t)
+               + case.exact((x - eps, y), t)) / eps**2
+        uyy = (case.exact((x, y + eps), t) - 2 * case.exact((x, y), t)
+               + case.exact((x, y - eps), t)) / eps**2
+        s = case.reaction().eval((x, y), t, np.zeros((5, 1)))[:, 0]
         assert np.max(np.abs(ut - uxx - uyy - s)) < 1e-4
 
 
@@ -200,6 +206,37 @@ def test_perfbench_workload_names_resolve():
     for func, used in keywords.items():
         params = inspect.signature(_resolve(func)).parameters
         assert used <= set(params), f"{func} lacks {used - set(params)}"
+
+
+def _perfbench_module(name: str):
+    """A script of the benchmark, imported from its file under its own name."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["heat1d_large", "predprey1d", "dd_ladder", "heat2d"])
+def test_perfbench_traces_one_driver_span_per_trial(name):
+    # the tracer wraps each driver by identity, under every name that holds
+    # it: a driver that reached the step loop through another driver's name
+    # would nest two driver spans, count two trials and halve every us/step
+    tracing, workloads = _perfbench_module("tracing"), _perfbench_module("workloads")
+    workload = workloads.make(name, "smoke")
+    workload.setup(5)
+    tracer = tracing.Tracer()
+    with tracer:
+        result = workload.solve()
+    assert workload.verify(result)[1] == []
+    spans = tracer.arrays()
+    drivers = [tracer.span_names.index(d) for d in tracing.DRIVERS]
+    is_driver = np.isin(spans["name"], drivers)
+    parents = spans["parent"][is_driver]
+    assert is_driver.any() and tracer.counts["bench.trials"] == is_driver.sum()
+    assert not np.isin(spans["name"][parents[parents >= 0]], drivers).any()
+    if name != "dd_ladder":
+        assert tracer.counts["bench.trials"] == 1
+        assert tracer.counts["bench.trial_steps"] == workload.config["n_steps"]
 
 
 def test_ratio_to_dt():
@@ -322,8 +359,8 @@ def test_integrate_1d_detects_blowup():
     grid = make_grid_1d(64)
     dt = ratio_to_dt(1.2, grid.h)
     u0 = Field(grid, 1e-6 * np.sin(63 * grid.nodes))
-    out = integrate_1d(zero_reaction(), grid, dt, 2000, lambda t: (0.0, 0.0),
-                       u0, filter_on=False)
+    out = integrate(zero_reaction(), grid, dt, 2000, lambda t: (0.0, 0.0),
+                    u0, filter_on=False)
     assert not out.stable and out.steps < 2000
 
 
@@ -373,14 +410,9 @@ def test_bisection_ends_when_the_midpoint_reaches_an_end(monkeypatch):
 
 def _run_driver(driver, dt=1e-3, n_steps=2, kappa_fraction=1.0):
     """Run a driver on a zero field with homogeneous data."""
-    if driver == "1d":
-        grid = make_grid_1d(16)
-        return integrate_1d(zero_reaction(), grid, dt, n_steps, lambda t: (0.0, 0.0),
-                            Field.zeros(grid), kappa_fraction=kappa_fraction)
-    grid = make_grid_2d(8)
-    bc = BoundaryData2D(lambda x, y, t: 0.0 * (x + y))
-    return bench.integrate_2d(zero_reaction(), grid, dt, n_steps, bc, Field.zeros(grid),
-                              kappa_fraction=kappa_fraction)
+    grid = make_grid_1d(16) if driver == "1d" else make_grid_2d(8)
+    return integrate(zero_reaction(), grid, dt, n_steps, partial(ZERO_2D.boundary, grid=grid),
+                     Field.zeros(grid), kappa_fraction=kappa_fraction)
 
 
 @pytest.mark.parametrize("driver", ["1d", "2d"])
@@ -466,22 +498,45 @@ def test_steps_to_rounds_and_rejects_fewer_than_two_steps(monkeypatch):
             bench.steps_to(T, dt)
     # a sweep checks every run before it integrates the first one
     calls = []
-    monkeypatch.setattr(bench, "run_case_1d", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(bench, "run_case", lambda *args, **kwargs: calls.append(args))
     with pytest.raises(ConfigError, match="^T: "):
         run_accuracy_sweep(manufactured_heat_case(), [32], [1.0, 8.0], [1], T=0.03)
     assert calls == []
 
 
-def test_run_case_1d_rows_carry_the_layout_and_the_case_errors():
+def test_run_case_rows_carry_the_layout_and_the_case_errors():
     grid = make_grid_1d(32)
     dt = ratio_to_dt(2.0, grid.h)
     case = manufactured_heat_case()
-    row, out = bench.run_case_1d(case, grid, dt, 20, layout=make_layout(grid, 2, 4))
+    row, out = bench.run_case(case, grid, dt, 20, layout=make_layout(grid, 2, 4))
     assert (row.N, row.n_subdomains, row.overlap, row.steps) == (32, 2, 4, 20)
     assert (row.err_l2, row.err_linf) == error_norms(out.field, case.exact_field(grid, 20 * dt))
-    row, out = bench.run_case_1d(PredatorPreyCase(), grid, dt, 20)
+    row, out = bench.run_case(PredatorPreyCase(), grid, dt, 20)
     assert row.stable and np.isnan(row.err_l2) and np.isnan(row.err_linf)
     assert (row.n_subdomains, row.overlap) == (1, 0) and out.min_values.shape == (2,)
+    # a 2D row: N and ratio of the x axis, errors against the 2D exact field
+    grid, case = make_grid_2d(16, 8), manufactured_heat_case_square()
+    row, out = bench.run_case(case, grid, 0.002, 20)
+    assert (row.N, row.ratio, row.kappa) == (16, 3.0 * 0.002 / grid.hx**2, out.kappa[0])
+    assert (row.n_subdomains, row.overlap, row.steps) == (1, 0, 20)
+    assert (row.err_l2, row.err_linf) == error_norms(out.field, case.exact_field(grid, 20 * 0.002))
+
+
+@pytest.mark.parametrize("filter_on", [True, False])
+@pytest.mark.parametrize("key, kwargs", [
+    ("shift_order", {"shift_order": 3}),
+    ("layout", {"layout": make_layout(make_grid_1d(16), 2, 4)}),
+], ids=["shift_order", "layout"])
+def test_a_2d_run_rejects_the_third_order_shift_and_strips_before_any_step(
+        monkeypatch, key, kwargs, filter_on):
+    # the third-order shift used to fail after the first step under the name
+    # uxx_at, and with the filter off it ran and was ignored
+    steps = []
+    monkeypatch.setattr(bench, "step", lambda *args, **kw: steps.append(args))
+    with pytest.raises(ValueError, match=f"^{key}: "):
+        bench.run_case(manufactured_heat_case_square(), make_grid_2d(16), 0.002, 5,
+                       filter_on=filter_on, **kwargs)
+    assert steps == []
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +564,7 @@ def _exit_run(driver, exit_path):
         dt = 3.0 * grid.hx**2 / 6.0
         X, Y = np.meshgrid(grid.nodes_x, grid.nodes_y, indexing="ij")
         u0 = Field(grid, np.sin(X) * np.sin(Y) + 1.0e-6 * np.sin(7 * X) * np.sin(7 * Y))
-        bc = BoundaryData2D(lambda x, y, t: 0.0 * (x + y))
+        bc = partial(ZERO_2D.boundary, grid=grid)
     kwargs = {}
     if exit_path == "stable":
         reaction = zero_reaction()
@@ -529,9 +584,7 @@ def _exit_run(driver, exit_path):
     else:  # "blowup_unfiltered": filter off above the explicit limit
         reaction = zero_reaction()
         kwargs = {"filter_on": False}
-    if driver == "1d":
-        return integrate_1d(reaction, grid, dt, 40, bc, u0, **kwargs)
-    return bench.integrate_2d(reaction, grid, dt, 40, bc, u0, **kwargs)
+    return integrate(reaction, grid, dt, 40, bc, u0, **kwargs)
 
 
 KAPPA_RATIO_3 = 2.55214965605977  # pi / arccos(1/3): kappa_c at ratio 3, 1D and 2D
@@ -572,8 +625,8 @@ def test_integrate_2d_reports_the_kappa_of_each_axis():
     # 16 x 64 intervals at dt = 0.002: no x mode is unstable (kappa 1), while
     # the y axis runs at 3 dt / h_y^2 = 2.49 and filters with kappa_y = 3.3806
     grid, dt = make_grid_2d(16, 64), 0.002
-    bc = BoundaryData2D(lambda x, y, t: 0.0 * (x + y))
-    out = bench.integrate_2d(zero_reaction(), grid, dt, 2, bc, Field.zeros(grid))
+    bc = partial(ZERO_2D.boundary, grid=grid)
+    out = integrate(zero_reaction(), grid, dt, 2, bc, Field.zeros(grid))
     assert out.kappa == (1.0, kappa_critical_2d(dt, grid.hy))
     assert out.kappa[1] == pytest.approx(3.3806, abs=1e-4)
 
@@ -583,13 +636,10 @@ def test_drivers_reject_u0_on_another_grid(driver):
     # kappa would be taken from the driver's h, not from the field's
     if driver == "1d":
         grid, u0 = make_grid_1d(64), Field.zeros(make_grid_1d(128))
-        run = lambda: integrate_1d(zero_reaction(), grid, 1e-3, 2, lambda t: (0.0, 0.0), u0)
     else:
         grid, u0 = make_grid_2d(8), Field.zeros(make_grid_2d(16))
-        bc = BoundaryData2D(lambda x, y, t: 0.0 * (x + y))
-        run = lambda: bench.integrate_2d(zero_reaction(), grid, 1e-3, 2, bc, u0)
     with pytest.raises(ValueError, match="u0 lives on"):
-        run()
+        integrate(zero_reaction(), grid, 1e-3, 2, partial(ZERO_2D.boundary, grid=grid), u0)
 
 
 # ---------------------------------------------------------------------------
@@ -610,13 +660,12 @@ def test_each_step_evaluates_the_source_once_and_one_laplacian(monkeypatch, driv
     monkeypatch.setattr(stepper, "apply_laplacian", counted_laplacian)
     n_steps = 20
     if driver == "1d":
-        case = manufactured_heat_case()
-        grid = make_grid_1d(32)
-        interior, source = (31,), case.reaction()
+        case, grid, interior = manufactured_heat_case(), make_grid_1d(32), (31,)
+        dt, shift_order = ratio_to_dt(4.0, grid.h), 3
     else:
-        case = manufactured_heat_case_2d()
-        grid = make_grid_2d(16)
-        interior, source = (15, 15), case["reaction"]
+        case, grid, interior = manufactured_heat_case_square(), make_grid_2d(16), (15, 15)
+        dt, shift_order = grid.hx**2 / 3.0, 1
+    source = case.reaction()
 
     def counted_eval(x, t, u):
         counts["full_eval"] += u.shape[:-1] == interior
@@ -627,13 +676,8 @@ def test_each_step_evaluates_the_source_once_and_one_laplacian(monkeypatch, driv
         return source.jacobian(x, t, u)
 
     reaction = dataclasses.replace(source, eval=counted_eval, jacobian=counted_jacobian)
-    if driver == "1d":
-        out = integrate_1d(reaction, grid, ratio_to_dt(4.0, grid.h), n_steps, case.boundary,
-                           case.initial(grid), shift_order=3)
-    else:
-        X, Y = np.meshgrid(grid.nodes_x, grid.nodes_y, indexing="ij")
-        out = bench.integrate_2d(reaction, grid, grid.hx**2 / 3.0, n_steps, case["bc"],
-                                 Field(grid, case["exact"](X, Y, 0.0)))
+    out = integrate(reaction, grid, dt, n_steps, partial(case.boundary, grid=grid),
+                    case.initial(grid), shift_order=shift_order)
     assert out.stable and out.steps == n_steps
     assert counts["full_eval"] <= n_steps
     assert counts["jacobian"] == 0

@@ -21,10 +21,9 @@ from scipy.fft import dst, idst
 from rdfilter import bench, filtering
 from rdfilter.bench import (
     PredatorPreyCase,
-    integrate_1d,
-    integrate_2d,
+    integrate,
     manufactured_heat_case,
-    manufactured_heat_case_2d,
+    manufactured_heat_case_square,
     quadratic_manufactured_case,
     ratio_to_dt,
     run_predator_prey,
@@ -132,7 +131,7 @@ def test_postprocess_matrices_cached_read_only_and_reused_by_the_next_run(shift_
     grid = make_grid_1d(64)
     layout = make_layout(grid, 2, 8)
     case = manufactured_heat_case()
-    run = partial(integrate_1d, case.reaction(), grid, ratio_to_dt(8.0, grid.h), 20,
+    run = partial(integrate, case.reaction(), grid, ratio_to_dt(8.0, grid.h), 20,
                   case.boundary, case.initial(grid), shift_order=shift_order, layout=layout)
     filtering._matrices.cache_clear()
     first = run()
@@ -224,7 +223,7 @@ def test_1d_cases_match_their_closed_forms_byte_for_byte(make_case, exact, sourc
 
 
 def test_2d_case_matches_its_closed_form_byte_for_byte():
-    case = manufactured_heat_case_2d()
+    case = manufactured_heat_case_square()
     for grid in (make_grid_2d(16, 24), make_grid_2d(128, 128)):
         X, Y = interior_nodes(grid)
         meshes = [(X, Y), np.meshgrid(grid.nodes_x, grid.nodes_y, indexing="ij")]
@@ -233,11 +232,11 @@ def test_2d_case_matches_its_closed_form_byte_for_byte():
         for _ in range(2):
             for t in TIMES:
                 for x, y in meshes:
-                    _assert_same_bytes(case["reaction"].eval((x, y), t, np.zeros(x.shape + (1,))),
+                    _assert_same_bytes(case.reaction().eval((x, y), t, np.zeros(x.shape + (1,))),
                                        _source_2d((x, y), t)[..., np.newaxis])
-                    _assert_same_bytes(case["exact"](x, y, t), _exact_2d(x, y, t))
+                    _assert_same_bytes(case.exact((x, y), t), _exact_2d(x, y, t))
                 for x, y in edges:
-                    _assert_same_bytes(case["exact"](x, y, t), _exact_2d(x, y, t))
+                    _assert_same_bytes(case.exact((x, y), t), _exact_2d(x, y, t))
 
 
 def test_a_writable_node_array_changed_in_place_is_evaluated_again():
@@ -248,12 +247,12 @@ def test_a_writable_node_array_changed_in_place_is_evaluated_again():
         x += 0.05
         _assert_same_bytes(case.source(x, 0.4), source(x, 0.4))
         _assert_same_bytes(case.exact(x, 0.4), exact(x, 0.4))
-    case = manufactured_heat_case_2d()
+    case = manufactured_heat_case_square()
     X, Y = np.meshgrid(np.linspace(0.1, 3.0, 5), np.linspace(0.2, 2.0, 6), indexing="ij")
-    case["exact"](X, Y, 0.4)
+    case.exact((X, Y), 0.4)
     X += 0.05
     Y *= 1.5
-    _assert_same_bytes(case["exact"](X, Y, 0.4), _exact_2d(X, Y, 0.4))
+    _assert_same_bytes(case.exact((X, Y), 0.4), _exact_2d(X, Y, 0.4))
 
 
 def test_a_node_factor_keeps_read_only_arrays_only_and_its_entries_read_only():
@@ -291,8 +290,8 @@ def test_a_1d_run_evaluates_each_interior_factor_once(monkeypatch, make_case, n_
     calls = _count_node_factor_calls(monkeypatch)
     case = make_case()
     grid = make_grid_1d(64)
-    out = integrate_1d(case.reaction(), grid, ratio_to_dt(4.0, grid.h), 12, case.boundary,
-                       case.initial(grid), shift_order=3, layout=make_layout(grid, 3, 8))
+    out = integrate(case.reaction(), grid, ratio_to_dt(4.0, grid.h), 12, case.boundary,
+                    case.initial(grid), shift_order=3, layout=make_layout(grid, 3, 8))
     assert out.stable
     assert sum(x is interior_nodes(grid) for x in calls) == n_factors
     assert sum(x is grid.nodes for x in calls) == 1  # u0, by exact's factor
@@ -303,10 +302,11 @@ def test_a_2d_run_evaluates_each_interior_factor_once(monkeypatch):
     # the boundary data samples exact on nodes_x and nodes_y every step, by
     # the same factors as the source: neither edge may evict the interior mesh
     calls = _count_node_factor_calls(monkeypatch)
-    case = manufactured_heat_case_2d()
+    case = manufactured_heat_case_square()
     grid = make_grid_2d(16, 24)
     X, Y = interior_nodes(grid)
-    out = integrate_2d(case["reaction"], grid, 0.002, 12, case["bc"], Field.zeros(grid))
+    out = integrate(case.reaction(), grid, 0.002, 12, partial(case.boundary, grid=grid),
+                    Field.zeros(grid))
     assert out.stable
     assert [sum(x is a for x in calls) for a in (X, Y, grid.nodes_x, grid.nodes_y)] == [1] * 4
 

@@ -282,6 +282,18 @@ def test_main_run_writes_csv(tmp_path):
     assert len(rows) == 1 and rows[0].stable and rows[0].wall_ms == 0.0
 
 
+def test_main_run_heat2d_writes_its_row_bit_for_bit(tmp_path):
+    # the row of the README's heat2d command, as the 2D driver wrote it before
+    # the 1D and 2D drivers merged
+    out = tmp_path / "heat2d.csv"
+    code = main(["run", "--problem", "heat2d", "--N", "32", "--dt", "0.002",
+                 "--output", str(out), "--no-timing"])
+    assert code == 0
+    assert out.read_text() == CSV_HEADER + "\n" + (
+        "32,0.002,0.62251735229852334,1,1.4136686928048934,1,0,0.0029524052983791833,"
+        "0.0047955129228888227,true,500,0\n")
+
+
 def test_main_run_blowup_exit_2(tmp_path):
     out = tmp_path / "boom.csv"
     code = main(["run", "--problem", "heat1d", "--N", "64", "--ratio", "1.2",

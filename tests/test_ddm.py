@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdfilter.bench import integrate_1d, manufactured_heat_case, ratio_to_dt
+from rdfilter.bench import integrate, manufactured_heat_case, ratio_to_dt
 from rdfilter.core import Field, SchemeState, make_grid_1d, zero_reaction
 from rdfilter.ddm import MIN_INTERIOR_POINTS, SubdomainLayout, blend_weights, make_layout
 from rdfilter import filtering
@@ -174,9 +174,9 @@ def test_third_order_local_shift_runs_and_blends():
 
 
 def test_integrate_1d_rejects_shift_order_2_even_unfiltered():
-    with pytest.raises(ValueError, match="shift_order must be 1 or 3, got 2"):
-        integrate_1d(zero_reaction(), GRID, 0.01, 2, lambda t: (0.0, 0.0),
-                     Field.zeros(GRID), shift_order=2, filter_on=False)
+    with pytest.raises(ValueError, match="^shift_order: must be 1 or 3, got 2"):
+        integrate(zero_reaction(), GRID, 0.01, 2, lambda t: (0.0, 0.0),
+                  Field.zeros(GRID), shift_order=2, filter_on=False)
 
 
 def test_postprocess_rejects_a_layout_of_another_grid():
@@ -207,7 +207,7 @@ def test_gibbs_perturbation_localized_at_interfaces():
                                                       (256, 3, 8)])
 def test_driver_matrix_path_matches_a_postprocess_field_loop(n, n_subdomains, overlap,
                                                              shift_order, monkeypatch):
-    # at N <= MATRIX_MAX_N integrate_1d's postprocess is P @ u + Q @ u_xx; the
+    # at N <= MATRIX_MAX_N integrate's postprocess is P @ u + Q @ u_xx; the
     # loop below is the scheme with the DST path of postprocess_field after every step
     grid = make_grid_1d(n)
     layout = make_layout(grid, n_subdomains, overlap) if n_subdomains > 1 else None
@@ -216,8 +216,8 @@ def test_driver_matrix_path_matches_a_postprocess_field_loop(n, n_subdomains, ov
     kappa = kappa_critical(dt, grid.h)
     u0 = case.initial(grid)
     assert n <= MATRIX_MAX_N
-    out = integrate_1d(reaction, grid, dt, n_steps, case.boundary, u0,
-                       shift_order=shift_order, layout=layout)
+    out = integrate(reaction, grid, dt, n_steps, case.boundary, u0,
+                    shift_order=shift_order, layout=layout)
     monkeypatch.setattr(filtering, "MATRIX_MAX_N", 0)
     u_prev = u_curr = u0
     for k in range(n_steps):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rdfilter import filtering
-from rdfilter.bench import integrate_1d, integrate_2d, manufactured_heat_case_2d, ratio_to_dt
+from rdfilter.bench import integrate, manufactured_heat_case_square, ratio_to_dt, run_case
 from rdfilter.core import (
     Field,
     laplacian_symbol,
@@ -255,12 +255,10 @@ def test_one_forward_dst_per_postprocess(monkeypatch):
     def run_1d(grid):
         dt = ratio_to_dt(8.0, grid.h)
         u0 = Field(grid, np.sin(grid.nodes) + 1e-3 * np.sin(21 * grid.nodes))
-        return integrate_1d(zero_reaction(), grid, dt, 50, lambda t: (0.0, 0.0), u0)
+        return integrate(zero_reaction(), grid, dt, 50, lambda t: (0.0, 0.0), u0)
 
     def run_2d(grid):
-        case = manufactured_heat_case_2d()
-        u0 = Field(grid, case["exact"](grid.nodes_x[:, None], grid.nodes_y[None, :], 0.0))
-        return integrate_2d(case["reaction"], grid, 2.0 * grid.hx**2 / 6.0, 20, case["bc"], u0)
+        return run_case(manufactured_heat_case_square(), grid, 2.0 * grid.hx**2 / 6.0, 20)[1]
 
     monkeypatch.setattr(filtering, "sine_coefficients", counted)
     monkeypatch.setattr(filtering, "cosine_trend", counted_trend)
@@ -444,10 +442,11 @@ def test_postprocess_matrices_assemble_in_small_blocks(n_subdomains, overlap, th
     assert peak < 2 * 1024**2
 
 
-@pytest.mark.parametrize("bad", [np.nan, 0.0, -2.0, np.inf, True])
+@pytest.mark.parametrize("bad", [np.nan, 0.0, -2.0, np.inf, True, np.True_])
 def test_postprocess_rejects_a_kappa_that_is_not_finite_and_positive(bad):
     # each used to pass: NaN returned an all-NaN field, 0 filtered nothing,
-    # -2 acted as +2, inf removed every sine mode and True filtered with 1.0
+    # -2 acted as +2, inf removed every sine mode and True filtered with 1.0;
+    # np.True_ was taken for a sequence and raised a TypeError
     reject = partial(pytest.raises, ValueError, match="^kappa: must be finite and positive")
     for n in (64, 2 * MATRIX_MAX_N):  # the matrix path and the DST path
         grid = make_grid_1d(n)

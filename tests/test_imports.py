@@ -39,8 +39,8 @@ def test_module_reads_every_name_it_imports(path):
 
 
 # The postprocess is a posteriori: it reads a field and the u_xx its caller
-# hands it, never the time scheme, the drivers or the CLI.  Nor do the 2D
-# boundary data and per-axis kappa of ``solver2d``.
+# hands it, never the time scheme, the drivers or the CLI.  Nor does the
+# per-axis kappa of ``solver2d``.
 POSTPROCESS_MODULES = ("shift.py", "filtering.py", "ddm.py", "solver2d.py")
 FORBIDDEN = {"stepper", "bench", "cli", "ReactionSystem"}
 

@@ -1,10 +1,12 @@
-"""2D Dirichlet problems: five-point stencil, time step, the postprocess on a 2D grid."""
+"""2D Dirichlet problems: five-point stencil, boundary data, time step, the
+postprocess on a 2D grid."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdfilter.bench import ManufacturedCase
 from rdfilter.core import (
     Field,
     SchemeState,
@@ -15,13 +17,14 @@ from rdfilter.core import (
 )
 from rdfilter.ddm import make_layout
 from rdfilter.filtering import postprocess_field, sigma8
-from rdfilter.solver2d import BoundaryData2D, kappa_critical_2d
+from rdfilter.solver2d import kappa_critical_2d
 from rdfilter.stepper import apply_laplacian, recurrence_roots, step
 
 GRID = make_grid_2d(16, 16)
 X, Y = np.meshgrid(GRID.nodes_x, GRID.nodes_y, indexing="ij")
 
-HOMOGENEOUS = BoundaryData2D(lambda x, y, t: 0.0 * (x + y))
+EDGES = ("g0", "gpi", "h0", "hpi")
+HOMOGENEOUS = dict.fromkeys(EDGES, np.zeros(17))
 
 
 def test_laplacian_annihilates_constants_and_linears():
@@ -44,7 +47,7 @@ def test_step2d_zero_fixed_point():
     dt = 1e-4
     z = Field.zeros(GRID)
     state = SchemeState(z, z, 0.0, dt)
-    out = step(state, zero_reaction(), HOMOGENEOUS.sample(GRID, dt))
+    out = step(state, zero_reaction(), HOMOGENEOUS)
     assert np.all(out.values == 0.0)
 
 
@@ -55,7 +58,7 @@ def test_step2d_single_tensor_mode_recurrence():
     mode = np.sin(k * X) * np.sin(l * Y)
     u = Field(GRID, mode)
     state = SchemeState(u, u, 0.0, dt)
-    out = step(state, zero_reaction(), HOMOGENEOUS.sample(GRID, dt))
+    out = step(state, zero_reaction(), HOMOGENEOUS)
     want = (4.0 - 1.0 + 2.0 * dt * lam * (2.0 - 1.0)) / 3.0
     assert np.max(np.abs(out.values[:, :, 0] - want * mode)) < 1e-11
 
@@ -67,7 +70,7 @@ def test_startup2d_forward_euler_symbol():
     mode = np.sin(k * X) * np.sin(l * Y)
     u0 = Field(GRID, mode)
     out = step(SchemeState(u0, u0, 0.0, dt), zero_reaction(),
-               HOMOGENEOUS.sample(GRID, dt), startup=True)
+               HOMOGENEOUS, startup=True)
     assert np.max(np.abs(out.values[:, :, 0] - (1.0 + dt * lam) * mode)) < 1e-11
 
 
@@ -272,22 +275,31 @@ def test_postprocess2d_rejects_by_name_what_a_2d_field_cannot_take(name, value):
 
 
 def test_boundary_sample_evaluates_g_on_each_edge():
+    # a case's exact solution g is called once per edge, with the edge's node
+    # array and its constant 0 or pi, so the two edges through a corner agree
+    case = ManufacturedCase(lambda xy, t: xy[0] + 2.0 * xy[1] + t, lambda xy, t: 0.0)
     grid = make_grid_2d(8, 4)
     x, y = grid.nodes_x, grid.nodes_y
-    edges = BoundaryData2D(lambda x, y, t: x + 2.0 * y + t).sample(grid, 0.5)
+    edges = case.boundary(0.5, grid)
     want = {"g0": x + 0.5, "gpi": x + 2.0 * np.pi + 0.5,
             "h0": 2.0 * y + 0.5, "hpi": np.pi + 2.0 * y + 0.5}
     assert {key: vals.shape for key, vals in edges.items()} == {
-        "g0": (9, 1), "gpi": (9, 1), "h0": (5, 1), "hpi": (5, 1)}
+        "g0": (9,), "gpi": (9,), "h0": (5,), "hpi": (5,)}
     for key, vals in want.items():
-        assert np.array_equal(edges[key][:, 0], vals), key
+        assert np.array_equal(edges[key], vals), key
+    Xg, Yg = np.meshgrid(x, y, indexing="ij")
+    assert np.array_equal(case.exact_field(grid, 0.5).values[..., 0], Xg + 2.0 * Yg + 0.5)
+    assert np.array_equal(case.initial(grid).values[..., 0], Xg + 2.0 * Yg)
 
 
-@pytest.mark.parametrize("g, m", [
-    (lambda x, y, t: np.zeros(3), 1),                       # wrong length
-    (lambda x, y, t: np.zeros((np.size(x + y), 2)), 1),     # two components, one wanted
-    (lambda x, y, t: 0.0 * (x + y), 2),                     # one component, two wanted
+@pytest.mark.parametrize("edge, m", [
+    (np.zeros(3), 1),            # wrong length
+    (np.zeros((17, 2)), 1),      # two components, one wanted
+    (np.zeros((17, 1)), 2),      # one component, two wanted: it would broadcast
 ], ids=["length", "components_2_for_1", "components_1_for_2"])
-def test_boundary_sample_rejects_an_edge_of_the_wrong_shape(g, m):
-    with pytest.raises(ValueError, match="edge sample has shape"):
-        BoundaryData2D(g).sample(GRID, 0.0, m)
+def test_boundary_sample_rejects_an_edge_of_the_wrong_shape(edge, m):
+    # the step checks every edge of the data it is given, a hand-built one too
+    z = Field.zeros(GRID, m)
+    edges = {**dict.fromkeys(EDGES[:3], np.zeros((17, m))), "hpi": edge}
+    with pytest.raises(ValueError, match="^hpi: edge sample has shape"):
+        step(SchemeState(z, z, 0.0, 1e-4), zero_reaction(m), edges)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdfilter.bench import integrate_1d, manufactured_heat_case, ratio_to_dt
+from rdfilter.bench import integrate, manufactured_heat_case, ratio_to_dt
 from rdfilter.core import (
     Field,
     ReactionSystem,
@@ -155,7 +155,7 @@ def _run_relaxation(lam, ratio, m, n_steps=10):
     bc = lambda t: (np.full(m, case.exact(0.0, t)), np.full(m, case.exact(np.pi, t)))
     u0 = Field(grid, np.tile(column(grid.nodes, 0.0), (1, m)))
     dt = ratio_to_dt(ratio, grid.h)
-    out = integrate_1d(reaction, grid, dt, n_steps, bc, u0)
+    out = integrate(reaction, grid, dt, n_steps, bc, u0)
     return out, float(np.max(np.abs(out.field.values - column(grid.nodes, out.steps * dt))))
 
 
