@@ -8,9 +8,10 @@ buying time steps far beyond dt = h^2/3.  Works in 1D, 2D, and with
 overlapping strip domain decomposition of the postprocess.
 
 One stepper, ``step``, and one postprocess, ``postprocess_field``, serve 1D
-and 2D fields; in 2D the postprocess is the 1D one along x, then along y,
-of a field lifted by its filtered faces, and in 1D it also runs on
-overlapping strips.
+and 2D fields.  ``step`` takes the two time levels u^n and u^{n-1}; given
+u^0 alone (``u_prev`` None) it takes the startup step.  In 2D the
+postprocess is the 1D one along x, then along y, of a field lifted by its
+filtered faces, and in 1D it also runs on overlapping strips.
 """
 
 from .core import (
@@ -19,7 +20,6 @@ from .core import (
     Grid1D,
     Grid2D,
     ReactionSystem,
-    SchemeState,
     interior_nodes,
     laplacian_symbol,
     make_grid_1d,

@@ -30,7 +30,6 @@ from .core import (
     Grid1D,
     Grid2D,
     ReactionSystem,
-    SchemeState,
     make_grid_1d,
     read_only,
     require_positive,
@@ -226,6 +225,8 @@ class PredatorPreyCase:
         return np.full(2, level), np.full(2, level)
 
     def initial(self, grid: Grid1D) -> Field:
+        if not isinstance(grid, Grid1D):
+            raise ValueError(f"grid: the predator-prey case is 1D, got {grid}")
         return Field(grid, np.tile(self.boundary(0.0)[0], (len(grid.nodes), 1)))
 
 
@@ -292,10 +293,11 @@ def integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_step
     call (which picks its path by N) when ``filter_on``.  ``bc_at(t)``
     returns the Dirichlet data at t in ``stepper.set_boundary``'s format.
     The startup step takes the first-order shift: only two time levels exist
-    there.  The loop keeps only the two time levels; ``step`` derives its
-    one Laplacian from them.  Each of the d node axes filters with
-    kappa_fraction * kappa_c(d dt, pi / N_axis), its share of the stability
-    budget (see ``solver2d.kappa_critical_2d``).  A 2D grid takes neither
+    there.  The loop keeps only the two time levels, u^{n-1} None until the
+    startup step has run; ``step`` derives its one Laplacian from them.
+    Each of the d node axes filters with kappa_fraction * kappa_c(d dt,
+    pi / N_axis), its share of the stability budget (see
+    ``solver2d.kappa_critical_2d``).  A 2D grid takes neither
     the third-order shift nor a strip ``layout`` yet: both are rejected by
     name before the first step.
 
@@ -330,18 +332,17 @@ def integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_step
             update = float(np.max(np.abs(levels[0].values - levels[1].values))) / dt
         return RunOutcome(fld, stable, steps, wall, kappa, mins, update, failure)
 
-    u_prev, u_curr = u0, u0
+    u_prev, u_curr = None, u0
     for n in range(n_steps):
         t_next = n * dt + dt
         try:
-            u_new = step(SchemeState(u_curr, u_prev, n * dt, dt), reaction, bc_at(t_next),
-                         startup=n == 0)
+            u_new = step(u_curr, u_prev, reaction, n * dt, dt, bc_at(t_next))
         except NewtonDivergence as exc:
             return _done(False, n, u_curr, str(exc), (u_curr, u_prev))
-        if (n > 0 or not filter_on) and u_new.blown_up():
+        if (u_prev is not None or not filter_on) and u_new.blown_up():
             return _done(False, n + 1, u_new)
         if filter_on:
-            uxx_at = None if n == 0 or shift_order == 1 else partial(
+            uxx_at = None if u_prev is None or shift_order == 1 else partial(
                 estimate_uxx_nodes, u_new, u_curr, u_prev, reaction, dt, t_next)
             u_new = postprocess_field(u_new, kappa, uxx_at, layout)
             if u_new.blown_up():

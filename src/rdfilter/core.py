@@ -1,5 +1,5 @@
 """Shared domain types: grids on (0, pi), multi-component fields, reaction
-systems (a u-independent one is flagged), the scheme state, ``ConfigError``.
+systems (a u-independent one is flagged), ``ConfigError``.
 
 One ``Field`` holds values on a ``Grid1D`` or a ``Grid2D``; the grid gives
 its node shape.  Values are stored node-major, shape (nodes..., m), so the
@@ -223,24 +223,8 @@ def source_reaction(source: Callable, m: int = 1) -> ReactionSystem:
     return ReactionSystem(m=m, eval=_eval, jacobian=_jac, u_independent=True)
 
 
-@dataclass
-class SchemeState:
-    """Two-level state of the two-step scheme: u^n, u^{n-1}, t_n and dt.
-    The step derives everything else, its Laplacian too, from these."""
-
-    u_curr: Field
-    u_prev: Field
-    time: float
-    dt: float
-
-    def __post_init__(self):
-        require_positive("dt", self.dt)
-        if self.u_curr.grid != self.u_prev.grid or self.u_curr.m != self.u_prev.m:
-            raise ValueError("u_curr and u_prev must share grid and component count")
-
-
-def laplacian_symbol(grid: Grid1D | float, k: int) -> float:
-    """Eigenvalue of the second-difference stencil on sin(kx): 2 h^-2 (cos(hk) - 1)."""
-    h = grid.h if hasattr(grid, "h") else float(grid)
+def laplacian_symbol(h: float, k: int) -> float:
+    """Eigenvalue of the second-difference stencil of spacing h on sin(kx):
+    2 h^-2 (cos(hk) - 1)."""
     return 2.0 / h**2 * (np.cos(h * k) - 1.0)
 

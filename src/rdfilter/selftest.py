@@ -38,7 +38,7 @@ def _checks():
     yield "kappa_c at the stability limit", (
         abs(kappa_critical(grid.h**2 / 3.0, grid.h) - 1.0) < 1e-12)
     yield "laplacian symbol bounds", all(
-        -4.0 / grid.h**2 - 1e-9 <= laplacian_symbol(grid, k) <= 0.0
+        -4.0 / grid.h**2 - 1e-9 <= laplacian_symbol(grid.h, k) <= 0.0
         for k in range(grid.n_intervals + 1))
     n = grid.n_intervals
     u = (grid.nodes / np.pi) ** 4 + np.cos(2 * grid.nodes)
@@ -53,7 +53,7 @@ def _checks():
     retained_ok = True
     for k in range(1, grid.n_intervals):
         if sigma8(kc * k / grid.n_intervals) > 1e-12:
-            roots = recurrence_roots(dt, laplacian_symbol(grid, k))
+            roots = recurrence_roots(dt, laplacian_symbol(grid.h, k))
             retained_ok &= bool(np.max(np.abs(roots)) <= 1.0 + 1e-12)
     yield "retained modes linearly stable at kappa_c", retained_ok
     layout = make_layout(grid, 4, 8)

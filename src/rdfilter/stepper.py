@@ -7,24 +7,24 @@ implicitly by a pointwise Newton solve:
 
 with L the second-difference Laplacian over the node axes.  L is linear, so
 the explicit part is one Laplacian, L(2 u^n - u^{n-1}), of the two levels.
-``step`` runs this update, or its startup variant, on a 1D or a 2D Field
-alike; ``estimate_uxx_nodes`` reads u_xx back from the same levels, for the
-third-order shift.
+``step`` takes the two levels and runs this update, or, given u^0 alone,
+its startup variant, on a 1D or a 2D Field alike; ``estimate_uxx_nodes``
+reads u_xx back from the same levels, for the third-order shift.
 
-The step size is ``SchemeState.dt``.  Only the pointwise Jacobian J of f
-is formed, none for a u-independent f, and the identity only for m >= 2.
-Each node's Newton update is independent and solved on whole arrays: a
-division by c, or by c - J, when m = 1, Cramer's rule when m = 2 (LAPACK
-for a node whose determinant it cannot trust), LAPACK's batched solve when
-m >= 3.  It stops once the residual is below NEWTON_TOL max|c I - J| max|u|,
-the size of its terms, or fails after NEWTON_MAX_ITER updates.
+Only the pointwise Jacobian J of f is formed, none for a u-independent f,
+and the identity only for m >= 2.  Each node's Newton update is independent
+and solved on whole arrays: a division by c, or by c - J, when m = 1,
+Cramer's rule when m = 2 (LAPACK for a node whose determinant it cannot
+trust), LAPACK's batched solve when m >= 3.  It stops once the residual is
+below NEWTON_TOL max|c I - J| max|u|, the size of its terms, or fails after
+NEWTON_MAX_ITER updates.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Field, ReactionSystem, SchemeState, interior_nodes
+from .core import Field, ReactionSystem, interior_nodes, require_positive
 
 NEWTON_TOL = 1.0e-12
 NEWTON_MAX_ITER = 25
@@ -180,30 +180,39 @@ def set_boundary(values: np.ndarray, bc) -> None:
         edge[...] = sample
 
 
-def step(state: SchemeState, reaction: ReactionSystem, bc, startup: bool = False) -> Field:
-    """One step of size ``state.dt`` of the two-step scheme over the node axes
-    of a 1D or 2D Field; returns u^{n+1} with the Dirichlet data ``bc`` at
-    t_{n+1} (see ``set_boundary``).
+def step(u_curr: Field, u_prev: Field | None, reaction: ReactionSystem, t: float,
+         dt: float, bc) -> Field:
+    """One step of size ``dt`` from t = t_n of the two-step scheme over the
+    node axes of a 1D or 2D Field, from u^n = ``u_curr`` and u^{n-1} =
+    ``u_prev``; returns u^{n+1} with the Dirichlet data ``bc`` at t_{n+1}
+    (see ``set_boundary``).  A ``dt`` that is not finite and positive, or a
+    ``u_prev`` on another grid or with another component count, raises
+    naming it.
 
-    With ``startup`` it produces u^1 from u^0 = ``state.u_curr`` (``u_prev`` is
-    not read): one backward-Euler-in-reaction / forward-Euler-in-diffusion
+    With ``u_prev`` None only u^0 = ``u_curr`` exists, and the startup step
+    produces u^1: one backward-Euler-in-reaction / forward-Euler-in-diffusion
     step, (u^1 - u^0)/dt = L u^0 + f(u^1); locally second order, so the global
     accuracy of the scheme is unharmed.  Either way it takes one Laplacian.
     """
-    un, um1, dt = state.u_curr, state.u_prev, state.dt
-    if startup:
+    require_positive("dt", dt)
+    un = u_curr.values
+    if u_prev is None:
         coeff = 1.0 / dt
-        rhs = coeff * un.values + apply_laplacian(un.values)
+        rhs = coeff * un + apply_laplacian(un)
     else:
+        um1 = u_prev.values
+        # the node shape fixes the grid, so equal shapes mean the same grid and m
+        if um1.shape != un.shape:
+            raise ValueError(f"u_prev: must share u_curr's grid and component count, "
+                             f"got values of shape {um1.shape} for {un.shape}")
         coeff = 3.0 / (2.0 * dt)
-        rhs = ((4.0 * un.values - um1.values) / (2.0 * dt)
-               + apply_laplacian(2.0 * un.values - um1.values))
-    inner = (slice(1, -1),) * (un.values.ndim - 1)
-    out = np.empty_like(un.values)
-    out[inner] = newton_point_solve(rhs[inner], reaction, interior_nodes(un.grid),
-                                    state.time + dt, coeff, un.values[inner])
+        rhs = (4.0 * un - um1) / (2.0 * dt) + apply_laplacian(2.0 * un - um1)
+    inner = (slice(1, -1),) * (un.ndim - 1)
+    out = np.empty_like(un)
+    out[inner] = newton_point_solve(rhs[inner], reaction, interior_nodes(u_curr.grid),
+                                    t + dt, coeff, un[inner])
     set_boundary(out, bc)
-    return un.with_values(out)
+    return u_curr.with_values(out)
 
 
 def estimate_uxx_nodes(u_next: Field, u_curr: Field, u_prev: Field,

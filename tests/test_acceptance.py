@@ -64,7 +64,7 @@ def test_criterion_2_filtered_stability_extension():
         factors = filter_factors(64, kappa)
         for k in range(1, 64):
             if factors[k - 1] > 1e-12:
-                r = recurrence_roots(dt, laplacian_symbol(grid, k))
+                r = recurrence_roots(dt, laplacian_symbol(grid.h, k))
                 roots_ok &= bool(np.max(np.abs(r)) <= 1.0 + 1e-12)
         ok &= out.stable and roots_ok
         details.append(f"ratio {ratio:g}: stable={out.stable} roots<=1={roots_ok}")

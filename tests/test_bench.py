@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rdfilter import bench, stepper
+from rdfilter import bench, filtering, stepper
 from rdfilter.core import (
     ConfigError,
     Field,
@@ -36,7 +36,9 @@ from rdfilter.bench import (
     run_predator_prey,
 )
 from rdfilter.ddm import make_layout
+from rdfilter.filtering import postprocess_field
 from rdfilter.solver2d import kappa_critical_2d
+from rdfilter.stepper import step
 
 # u = 0 on the square: homogeneous Dirichlet data on a 2D grid
 ZERO_2D = ManufacturedCase(lambda xy, t: 0.0 * (xy[0] + xy[1]), lambda xy, t: 0.0)
@@ -280,6 +282,12 @@ def test_predator_prey_initial_is_the_boundary_value_at_every_node():
         vals = case.initial(grid).values
         assert vals.shape == (17, 2)
         assert np.all(vals == case.boundary(0.0)[0])
+
+
+def test_predator_prey_case_rejects_a_2d_grid_by_name():
+    # the case is 1D only, while run_case takes either grid
+    with pytest.raises(ValueError, match="^grid: the predator-prey case is 1D"):
+        bench.run_case(PredatorPreyCase(), make_grid_2d(16), 0.01, 5)
 
 
 def test_ode_oracle_classical_cycles_printed_does_not():
@@ -629,6 +637,32 @@ def test_integrate_2d_reports_the_kappa_of_each_axis():
     out = integrate(zero_reaction(), grid, dt, 2, bc, Field.zeros(grid))
     assert out.kappa == (1.0, kappa_critical_2d(dt, grid.hy))
     assert out.kappa[1] == pytest.approx(3.3806, abs=1e-4)
+
+
+@pytest.mark.parametrize("loop_path", ["matrix", "dst"])
+@pytest.mark.parametrize("shape", [(16, 16), (32, 24)])
+def test_driver_2d_matches_a_postprocess_field_loop(shape, loop_path, monkeypatch):
+    # integrate on a 2D grid is the README's loop: one step, then one
+    # postprocess_field with a kappa per axis; the loop runs on the driver's
+    # matrix path, bit for bit, or on the DST path of every axis
+    grid = make_grid_2d(*shape)
+    case = manufactured_heat_case_square()
+    reaction, bc = case.reaction(), partial(case.boundary, grid=grid)
+    dt, n_steps = 4.0 * grid.hx**2 / 6.0, 20  # four times the explicit limit along x
+    kappa = (kappa_critical_2d(dt, grid.hx), kappa_critical_2d(dt, grid.hy))
+    u0 = case.initial(grid)
+    out = integrate(reaction, grid, dt, n_steps, bc, u0)
+    if loop_path == "dst":
+        monkeypatch.setattr(filtering, "MATRIX_MAX_N", 0)
+    u_prev, u_curr = None, u0
+    for k in range(n_steps):
+        u_new = step(u_curr, u_prev, reaction, k * dt, dt, bc((k + 1) * dt))
+        u_prev, u_curr = u_curr, postprocess_field(u_new, kappa)
+    assert out.stable and out.steps == n_steps and out.kappa == kappa
+    if loop_path == "matrix":
+        assert np.array_equal(out.field.values, u_curr.values)
+    scale = np.max(np.abs(u_curr.values))
+    assert np.max(np.abs(out.field.values - u_curr.values)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("driver", ["1d", "2d"])

@@ -85,15 +85,15 @@ def test_grid_2d_per_direction():
 
 def test_laplacian_symbol_values():
     grid = make_grid_1d(64)
-    assert laplacian_symbol(grid, 0) == 0.0
+    assert laplacian_symbol(grid.h, 0) == 0.0
     n = grid.n_intervals
-    assert abs(laplacian_symbol(grid, n) - (-4.0 / grid.h**2)) < 1e-9
-    assert abs(laplacian_symbol(grid, 32) - (-2.0 / grid.h**2)) < 1e-9
+    assert abs(laplacian_symbol(grid.h, n) - (-4.0 / grid.h**2)) < 1e-9
+    assert abs(laplacian_symbol(grid.h, 32) - (-2.0 / grid.h**2)) < 1e-9
 
 
 def test_laplacian_symbol_monotone_and_bounded():
     grid = make_grid_1d(48)
-    lam = np.array([laplacian_symbol(grid, k) for k in range(grid.n_intervals + 1)])
+    lam = np.array([laplacian_symbol(grid.h, k) for k in range(grid.n_intervals + 1)])
     assert np.all(np.diff(lam) <= 1e-12)
     assert np.all(lam >= -4.0 / grid.h**2 - 1e-9)
     assert np.all(lam <= 0.0)

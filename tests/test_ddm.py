@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdfilter.bench import integrate, manufactured_heat_case, ratio_to_dt
-from rdfilter.core import Field, SchemeState, make_grid_1d, zero_reaction
+from rdfilter.core import Field, make_grid_1d, zero_reaction
 from rdfilter.ddm import MIN_INTERIOR_POINTS, SubdomainLayout, blend_weights, make_layout
 from rdfilter import filtering
 from rdfilter.filtering import MATRIX_MAX_N, kappa_critical, postprocess_field
@@ -219,12 +219,11 @@ def test_driver_matrix_path_matches_a_postprocess_field_loop(n, n_subdomains, ov
     out = integrate(reaction, grid, dt, n_steps, case.boundary, u0,
                     shift_order=shift_order, layout=layout)
     monkeypatch.setattr(filtering, "MATRIX_MAX_N", 0)
-    u_prev = u_curr = u0
+    u_prev, u_curr = None, u0
     for k in range(n_steps):
         t_next = (k + 1) * dt
-        u_new = step(SchemeState(u_curr, u_prev, k * dt, dt), reaction,
-                     case.boundary(t_next), startup=k == 0)
-        uxx_at = None if k == 0 or shift_order == 1 else partial(
+        u_new = step(u_curr, u_prev, reaction, k * dt, dt, case.boundary(t_next))
+        uxx_at = None if u_prev is None or shift_order == 1 else partial(
             estimate_uxx_nodes, u_new, u_curr, u_prev, reaction, dt, t_next)
         u_prev, u_curr = u_curr, postprocess_field(u_new, kappa, uxx_at, layout)
     assert out.stable and out.steps == n_steps

@@ -198,7 +198,7 @@ def _assert_retained_modes_stable(n: int, ratio: float) -> None:
     dt = ratio * grid.h**2 / 3.0
     factors = filter_factors(n, kappa_critical(dt, grid.h))
     for k in np.nonzero(factors > 1e-12)[0] + 1:
-        roots = recurrence_roots(dt, laplacian_symbol(grid, k))
+        roots = recurrence_roots(dt, laplacian_symbol(grid.h, k))
         assert np.max(np.abs(roots)) <= 1.0 + 1e-12, f"mode {k}"
 
 

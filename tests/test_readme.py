@@ -14,7 +14,7 @@ def test_readme_example_runs_and_stays_bounded():
     for block in blocks:
         namespace: dict = {}
         exec(compile(block, str(README), "exec"), namespace)
-        initial = namespace["start"].u_curr.values
+        initial = namespace["u0"].values
         final = namespace["u_curr"].values
         assert np.all(np.isfinite(final))
         assert np.max(np.abs(final)) <= np.max(np.abs(initial))

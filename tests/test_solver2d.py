@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from rdfilter.bench import ManufacturedCase
 from rdfilter.core import (
     Field,
-    SchemeState,
     laplacian_symbol,
     make_grid_1d,
     make_grid_2d,
@@ -46,8 +45,7 @@ def test_laplacian_tensor_eigenfunction():
 def test_step2d_zero_fixed_point():
     dt = 1e-4
     z = Field.zeros(GRID)
-    state = SchemeState(z, z, 0.0, dt)
-    out = step(state, zero_reaction(), HOMOGENEOUS)
+    out = step(z, z, zero_reaction(), 0.0, dt, HOMOGENEOUS)
     assert np.all(out.values == 0.0)
 
 
@@ -57,8 +55,7 @@ def test_step2d_single_tensor_mode_recurrence():
     lam = laplacian_symbol(GRID.hx, k) + laplacian_symbol(GRID.hy, l)
     mode = np.sin(k * X) * np.sin(l * Y)
     u = Field(GRID, mode)
-    state = SchemeState(u, u, 0.0, dt)
-    out = step(state, zero_reaction(), HOMOGENEOUS)
+    out = step(u, u, zero_reaction(), 0.0, dt, HOMOGENEOUS)
     want = (4.0 - 1.0 + 2.0 * dt * lam * (2.0 - 1.0)) / 3.0
     assert np.max(np.abs(out.values[:, :, 0] - want * mode)) < 1e-11
 
@@ -69,8 +66,7 @@ def test_startup2d_forward_euler_symbol():
     lam = laplacian_symbol(GRID.hx, k) + laplacian_symbol(GRID.hy, l)
     mode = np.sin(k * X) * np.sin(l * Y)
     u0 = Field(GRID, mode)
-    out = step(SchemeState(u0, u0, 0.0, dt), zero_reaction(),
-               HOMOGENEOUS, startup=True)
+    out = step(u0, None, zero_reaction(), 0.0, dt, HOMOGENEOUS)
     assert np.max(np.abs(out.values[:, :, 0] - (1.0 + dt * lam) * mode)) < 1e-11
 
 
@@ -93,9 +89,8 @@ def test_step_writes_x_edges_over_the_corners():
     edges = {"g0": y_edge, "gpi": y_edge, "h0": x_edge, "hpi": x_edge}
     z = Field.zeros(GRID)
     dt = 1e-4
-    for startup in (False, True):
-        out = step(SchemeState(z, z, 0.0, dt), zero_reaction(),
-                   edges, startup=startup).values[..., 0]
+    for z_prev in (z, None):  # a two-step and a startup step
+        out = step(z, z_prev, zero_reaction(), 0.0, dt, edges).values[..., 0]
         assert np.all(out[[0, 0, -1, -1], [0, -1, 0, -1]] == 0.0)
         assert np.all(out[1:-1, [0, -1]] == eps)
 
@@ -302,4 +297,4 @@ def test_boundary_sample_rejects_an_edge_of_the_wrong_shape(edge, m):
     z = Field.zeros(GRID, m)
     edges = {**dict.fromkeys(EDGES[:3], np.zeros((17, m))), "hpi": edge}
     with pytest.raises(ValueError, match="^hpi: edge sample has shape"):
-        step(SchemeState(z, z, 0.0, 1e-4), zero_reaction(m), edges)
+        step(z, z, zero_reaction(m), 0.0, 1e-4, edges)

@@ -9,7 +9,6 @@ from rdfilter.bench import integrate, manufactured_heat_case, ratio_to_dt
 from rdfilter.core import (
     Field,
     ReactionSystem,
-    SchemeState,
     interior_nodes,
     laplacian_symbol,
     make_grid_1d,
@@ -27,11 +26,6 @@ from rdfilter.stepper import (
 from rdfilter.shift import cosine_trend
 
 
-def _startup(u0, reaction, dt, bc):
-    """u^1 from u^0: the startup variant of the one stepper."""
-    return step(SchemeState(u0, u0, 0.0, dt), reaction, bc, startup=True)
-
-
 def linear_reaction(lam, m=1):
     return ReactionSystem(
         m=m,
@@ -41,10 +35,12 @@ def linear_reaction(lam, m=1):
 
 
 def test_scheme_state_rejects_a_nonpositive_dt():
+    # the step checks the dt it is given, on the startup step too
     u = Field.zeros(make_grid_1d(8))
     for dt in (-1.0, 0.0):
-        with pytest.raises(ValueError):
-            SchemeState(u, u, 0.0, dt)
+        for u_prev in (u, None):
+            with pytest.raises(ValueError):
+                step(u, u_prev, zero_reaction(), 0.0, dt, (0.0, 0.0))
 
 
 @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf")])
@@ -52,17 +48,26 @@ def test_scheme_state_rejects_a_dt_that_is_not_finite_by_name(dt):
     # a NaN dt used to pass the dt <= 0 check and surface as "Newton diverged at node 0"
     u = Field.zeros(make_grid_1d(16))
     with pytest.raises(ValueError, match="^dt: must be finite and positive"):
-        step(SchemeState(u, u, 0.0, dt), zero_reaction(), (0.0, 0.0))
+        step(u, u, zero_reaction(), 0.0, dt, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("u_prev", [Field.zeros(make_grid_1d(32)), Field.zeros(make_grid_2d(16)),
+                                    Field.zeros(make_grid_1d(16), 2)],
+                         ids=["other_1d_grid", "2d_grid", "other_m"])
+def test_step_rejects_a_u_prev_unlike_u_curr_by_name(u_prev):
+    u_curr = Field.zeros(make_grid_1d(16))
+    with pytest.raises(ValueError, match="^u_prev: must share u_curr's grid and component"):
+        step(u_curr, u_prev, zero_reaction(), 0.0, 1e-3, (0.0, 0.0))
 
 
 def test_step_follows_the_state_dt():
-    # dt lives only on the state: two states that differ in dt alone step differently
+    # two steps from the same levels that differ in dt alone step differently
     grid = make_grid_1d(16)
     u = Field(grid, np.sin(grid.nodes))
-    steps = [step(SchemeState(u, u, 0.0, dt), zero_reaction(), (0.0, 0.0)).values
+    steps = [step(u, u, zero_reaction(), 0.0, dt, (0.0, 0.0)).values
              for dt in (1.0e-3, 1.0e-2)]
     assert not np.array_equal(steps[0], steps[1])
-    lam = laplacian_symbol(grid, 1)
+    lam = laplacian_symbol(grid.h, 1)
     for dt, got in zip((1.0e-3, 1.0e-2), steps):  # (4 - 1 + 2 dt lam) / 3 on sin(x)
         want = (3.0 + 2.0 * dt * lam) / 3.0 * np.sin(grid.nodes)
         assert np.max(np.abs(got[:, 0] - want)) < 1e-12
@@ -81,8 +86,8 @@ def test_dxx_sine_eigenfunction():
     for k in (1, 3, 7):
         u = Field(grid, np.sin(k * grid.nodes))
         out = apply_laplacian(u.values)[1:-1, 0]
-        want = laplacian_symbol(grid, k) * np.sin(k * grid.nodes[1:-1])
-        assert np.max(np.abs(out - want)) < 1e-9 * abs(laplacian_symbol(grid, k))
+        want = laplacian_symbol(grid.h, k) * np.sin(k * grid.nodes[1:-1])
+        assert np.max(np.abs(out - want)) < 1e-9 * abs(laplacian_symbol(grid.h, k))
 
 
 def test_newton_zero_reaction_closed_form():
@@ -183,8 +188,7 @@ def test_newton_converges_on_any_stiff_relaxation(log_lam, ratio, m):
 def test_step_zero_fixed_point():
     grid = make_grid_1d(16)
     dt = 1e-3
-    state = SchemeState(Field.zeros(grid), Field.zeros(grid), 0.0, dt)
-    out = step(state, zero_reaction(), (0.0, 0.0))
+    out = step(Field.zeros(grid), Field.zeros(grid), zero_reaction(), 0.0, dt, (0.0, 0.0))
     assert np.all(out.values == 0.0)
 
 
@@ -207,7 +211,7 @@ def test_step_takes_the_laplacian_of_the_extrapolated_level(seed, shape, m, rati
         m=m, eval=lambda x, t, u: u @ coupling.T,
         jacobian=lambda x, t, u: np.broadcast_to(coupling, u.shape + (m,)))
     bc = (0.3, -0.7) if shape == "1d" else {k: 0.2 for k in ("g0", "gpi", "h0", "hpi")}
-    got = step(SchemeState(u_curr, u_prev, 0.5, dt), reaction, bc).values
+    got = step(u_curr, u_prev, reaction, 0.5, dt, bc).values
     rhs = ((4.0 * u_curr.values - u_prev.values) / (2.0 * dt)
            + 2.0 * apply_laplacian(u_curr.values) - apply_laplacian(u_prev.values))
     inner = (slice(1, -1),) * len(grid.node_shape)
@@ -222,10 +226,9 @@ def test_step_single_mode_recurrence_formula():
     grid = make_grid_1d(32)
     k = 5
     dt = 0.2 * grid.h**2
-    lam = laplacian_symbol(grid, k)
+    lam = laplacian_symbol(grid.h, k)
     u = Field(grid, np.sin(k * grid.nodes))
-    state = SchemeState(u, u, 0.0, dt)
-    out = step(state, zero_reaction(), (0.0, 0.0))
+    out = step(u, u, zero_reaction(), 0.0, dt, (0.0, 0.0))
     want = (4.0 - 1.0 + 2.0 * dt * lam * (2.0 - 1.0)) / 3.0
     assert np.max(np.abs(out.values[:, 0] - want * np.sin(k * grid.nodes))) < 1e-12
 
@@ -234,15 +237,14 @@ def test_recurrence_roots_predict_twenty_steps():
     grid = make_grid_1d(24)
     k = 4
     dt = 0.25 * grid.h**2
-    lam = laplacian_symbol(grid, k)
+    lam = laplacian_symbol(grid.h, k)
     # start the recurrence from amplitudes a0 = 1, a1 = 1 + dt*lam (startup symbol)
     a_prev, a_curr = 1.0, 1.0 + dt * lam
     u_prev = Field(grid, a_prev * np.sin(k * grid.nodes))
     u_curr = Field(grid, a_curr * np.sin(k * grid.nodes))
     probe = np.argmax(np.abs(np.sin(k * grid.nodes)))
     for n in range(20):
-        state = SchemeState(u_curr, u_prev, (n + 1) * dt, dt)
-        u_next = step(state, zero_reaction(), (0.0, 0.0))
+        u_next = step(u_curr, u_prev, zero_reaction(), (n + 1) * dt, dt, (0.0, 0.0))
         a_next = (4.0 * a_curr - a_prev + 2.0 * dt * lam * (2.0 * a_curr - a_prev)) / 3.0
         got = u_next.values[probe, 0] / np.sin(k * grid.nodes[probe])
         assert abs(got - a_next) < 1e-10
@@ -263,7 +265,7 @@ def test_unfiltered_stability_threshold_by_root_scan():
     n = grid.n_intervals
     for ratio, want_stable in [(0.5, True), (0.99, True), (1.01, False), (2.0, False)]:
         dt = ratio * grid.h**2 / 3.0
-        ok = all(np.max(np.abs(recurrence_roots(dt, laplacian_symbol(grid, k))))
+        ok = all(np.max(np.abs(recurrence_roots(dt, laplacian_symbol(grid.h, k))))
                  <= 1.0 + 1e-12 for k in range(1, n))
         assert ok == want_stable, f"ratio {ratio}"
 
@@ -271,12 +273,12 @@ def test_unfiltered_stability_threshold_by_root_scan():
 def test_startup_zero_and_sine_symbol():
     grid = make_grid_1d(32)
     dt = 0.3 * grid.h**2
-    out = _startup(Field.zeros(grid), zero_reaction(), dt, (0.0, 0.0))
+    out = step(Field.zeros(grid), None, zero_reaction(), 0.0, dt, (0.0, 0.0))
     assert np.all(out.values == 0.0)
     k = 3
-    lam = laplacian_symbol(grid, k)
+    lam = laplacian_symbol(grid.h, k)
     u0 = Field(grid, np.sin(k * grid.nodes))
-    u1 = _startup(u0, zero_reaction(), dt, (0.0, 0.0))
+    u1 = step(u0, None, zero_reaction(), 0.0, dt, (0.0, 0.0))
     want = (1.0 + dt * lam) * np.sin(k * grid.nodes)
     assert np.max(np.abs(u1.values[:, 0] - want)) < 1e-9
 
@@ -286,7 +288,7 @@ def test_startup_linear_reaction_closed_form():
     lam = -2.5
     dt = 0.01
     u0 = Field(grid, np.sin(grid.nodes) + 0.2 * np.sin(3 * grid.nodes))
-    u1 = _startup(u0, linear_reaction(lam), dt, (0.0, 0.0))
+    u1 = step(u0, None, linear_reaction(lam), 0.0, dt, (0.0, 0.0))
     dxx0 = apply_laplacian(u0.values)
     want = (u0.values + dt * dxx0) / (1.0 - dt * lam)
     assert np.max(np.abs(u1.values[1:-1] - want[1:-1])) < 1e-10
@@ -296,8 +298,7 @@ def test_step_boundary_values_imposed():
     grid = make_grid_1d(16)
     dt = 1e-3
     u = Field(grid, np.sin(grid.nodes))
-    state = SchemeState(u, u, 0.0, dt)
-    out = step(state, zero_reaction(), (1.5, -2.0))
+    out = step(u, u, zero_reaction(), 0.0, dt, (1.5, -2.0))
     assert out.values[0, 0] == 1.5 and out.values[-1, 0] == -2.0
 
 
@@ -312,15 +313,14 @@ def test_temporal_second_order_linear_reaction():
     grid = make_grid_1d(16)
     reaction = linear_reaction(-1.0)
     T = 0.25
-    lam = laplacian_symbol(grid, 1)
+    lam = laplacian_symbol(grid.h, 1)
     errors = []
     for n_steps in (64, 128, 256):
         dt = T / n_steps
         u_prev = Field(grid, np.sin(grid.nodes))
-        u_curr = _startup(u_prev, reaction, dt, (0.0, 0.0))
+        u_curr = step(u_prev, None, reaction, 0.0, dt, (0.0, 0.0))
         for n in range(1, n_steps):
-            state = SchemeState(u_curr, u_prev, n * dt, dt)
-            u_prev, u_curr = u_curr, step(state, reaction, (0.0, 0.0))
+            u_prev, u_curr = u_curr, step(u_curr, u_prev, reaction, n * dt, dt, (0.0, 0.0))
         semi = np.exp((lam - 1.0) * T) * np.sin(grid.nodes)
         errors.append(np.max(np.abs(u_curr.values[:, 0] - semi)))
         exact = np.exp(-2.0 * T) * np.sin(grid.nodes)
@@ -337,11 +337,10 @@ def test_spatial_second_order_linear_reaction():
     for n in (16, 32, 64):
         grid = make_grid_1d(n)
         u_prev = Field(grid, np.sin(grid.nodes))
-        u_curr = _startup(u_prev, reaction, dt, (0.0, 0.0))
+        u_curr = step(u_prev, None, reaction, 0.0, dt, (0.0, 0.0))
         n_steps = round(T / dt)
         for i in range(1, n_steps):
-            state = SchemeState(u_curr, u_prev, i * dt, dt)
-            u_prev, u_curr = u_curr, step(state, reaction, (0.0, 0.0))
+            u_prev, u_curr = u_curr, step(u_curr, u_prev, reaction, i * dt, dt, (0.0, 0.0))
         exact = np.exp(-2.0 * T) * np.sin(grid.nodes)
         errors.append(np.max(np.abs(u_curr.values[:, 0] - exact)))
     for p in _order(errors):
