@@ -11,7 +11,8 @@ One stepper, ``step``, and one postprocess, ``postprocess_field``, serve 1D
 and 2D fields.  ``step`` takes the two time levels u^n and u^{n-1}; given
 u^0 alone (``u_prev`` None) it takes the startup step.  In 2D the
 postprocess is the 1D one along x, then along y, of a field lifted by its
-filtered faces, and in 1D it also runs on overlapping strips.
+filtered faces, and in 1D it also runs on overlapping strips.  Its
+third-order shift takes u_xx at every node as a field (``estimate_uxx``).
 """
 
 from .core import (
@@ -24,13 +25,14 @@ from .core import (
     laplacian_symbol,
     make_grid_1d,
     make_grid_2d,
+    node_coordinates,
     source_reaction,
     zero_reaction,
 )
 from .stepper import (
     NewtonDivergence,
     apply_laplacian,
-    estimate_uxx_nodes,
+    estimate_uxx,
     newton_point_solve,
     recurrence_roots,
     step,

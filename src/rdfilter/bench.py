@@ -4,14 +4,14 @@ normalized step ratio 3 dt / h^2, and domain-decomposition overlap studies.
 
 One case type, one driver and one scorer serve 1D and 2D grids:
 ``ManufacturedCase``, ``integrate`` (the one step loop, and the one place
-that turns the time levels into u_xx for the postprocess) and ``run_case``.
+that calls ``stepper.estimate_uxx`` for the postprocess) and ``run_case``.
 Each step makes one ``postprocess_field`` call, which picks its path by N,
 axis by axis in 2D: a memoized matrix product on at most
 ``filtering.MATRIX_MAX_N`` intervals, the DSTs above.
 
 The manufactured cases evaluate each spatial factor once per node array
 (``once_per_node_array``), so a step only scales it by its time factor.  A
-read-only node array, as the grids and ``core.interior_nodes`` hand out, is
+read-only node array, as the grids and ``core.node_coordinates`` hand out, is
 treated as immutable and evaluated once; anything else is evaluated fresh."""
 
 from __future__ import annotations
@@ -31,14 +31,16 @@ from .core import (
     Grid2D,
     ReactionSystem,
     make_grid_1d,
+    node_coordinates,
     read_only,
     require_positive,
+    require_whole,
     source_reaction,
     zero_reaction,
 )
 from .ddm import SubdomainLayout, make_layout
 from .filtering import kappa_critical, postprocess_field
-from .stepper import NewtonDivergence, estimate_uxx_nodes, step
+from .stepper import NewtonDivergence, estimate_uxx, step
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +50,7 @@ from .stepper import NewtonDivergence, estimate_uxx_nodes, step
 class ManufacturedCase:
     """Chosen exact solution with its induced source s = u_t - lap u, on a 1D
     or a 2D grid.  ``exact(nodes, t)`` and ``source(nodes, t)`` take node
-    coordinates as ``core.interior_nodes`` hands them to a reaction: the x
+    coordinates as ``core.node_coordinates`` hands them to a reaction: the x
     array in 1D, the pair (x, y) in 2D, of parts that broadcast together."""
 
     exact: Callable
@@ -73,10 +75,8 @@ class ManufacturedCase:
         return self.exact_field(grid, 0.0)
 
     def exact_field(self, grid: Grid1D | Grid2D, t: float) -> Field:
-        """``exact`` at every node; on a Grid2D, of the x column and the y row."""
-        nodes = grid.nodes if isinstance(grid, Grid1D) else (
-            grid.nodes_x[:, np.newaxis], grid.nodes_y[np.newaxis, :])
-        return Field(grid, self.exact(nodes, t))
+        """``exact`` at every node, at ``core.node_coordinates``."""
+        return Field(grid, self.exact(node_coordinates(grid), t))
 
     def residual(self, x, t, eps: float = 1.0e-4) -> np.ndarray:
         """Sampled PDE residual u_t - u_xx - s via central differences, at 1D nodes x."""
@@ -94,12 +94,12 @@ def once_per_node_array(factor: Callable) -> Callable:
     """``factor(x)``, a function of the node coordinates alone (an array, as
     ``np.asarray`` gives it), evaluated once per read-only node array.  A
     read-only ``ndarray`` is treated as immutable, as the grids' node arrays
-    and ``core.interior_nodes`` are: its value is kept read-only, with the
+    and ``core.node_coordinates`` are: its value is kept read-only, with the
     array itself, so that its id cannot be reused.  Anything else (a writable
     array, a scalar, a list) is evaluated fresh and not kept.  The oldest of
     ``_NODE_MEMO_SIZE`` entries goes first; a run passes a factor at most two
-    read-only arrays a step (the interior nodes and an edge), so a step never
-    evicts one."""
+    read-only arrays a step (the interior nodes, and an edge or every node), so
+    a step never evicts one."""
     memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def memoized(x):
@@ -309,6 +309,8 @@ def integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_step
     a step after the startup step has completed, else inf.  ``min_values``
     are the per-component minima over u0 and every completed step.
     """
+    shift_order = require_whole("shift_order", shift_order)
+    n_steps = require_whole("n_steps", n_steps)
     if shift_order not in (1, 3):
         raise ValueError(f"shift_order: must be 1 or 3, got {shift_order}")
     if isinstance(grid, Grid2D) and (shift_order != 1 or layout is not None):
@@ -342,9 +344,9 @@ def integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_step
         if (u_prev is not None or not filter_on) and u_new.blown_up():
             return _done(False, n + 1, u_new)
         if filter_on:
-            uxx_at = None if u_prev is None or shift_order == 1 else partial(
-                estimate_uxx_nodes, u_new, u_curr, u_prev, reaction, dt, t_next)
-            u_new = postprocess_field(u_new, kappa, uxx_at, layout)
+            uxx = None if u_prev is None or shift_order == 1 else estimate_uxx(
+                u_new, u_curr, u_prev, reaction, dt, t_next)
+            u_new = postprocess_field(u_new, kappa, uxx, layout)
             if u_new.blown_up():
                 return _done(False, n + 1, u_new)
         mins = np.minimum(mins, u_new.values.reshape(-1, u0.m).min(axis=0))
@@ -447,12 +449,10 @@ def run_predator_prey(case: PredatorPreyCase, n_intervals: int, ratio: float,
 def _dd_stability_trial(grid: Grid1D, ratio: float, layout: SubdomainLayout | None,
                         n_steps: int = 500) -> bool:
     """Heat equation, homogeneous data, highest-mode seed; survive n_steps?"""
-    dt = ratio_to_dt(ratio, grid.h)
     x = grid.nodes
     u0 = Field(grid, np.sin(x) + 1.0e-6 * np.sin((grid.n_intervals - 1) * x))
-    out = integrate(zero_reaction(), grid, dt, n_steps, lambda t: (0.0, 0.0), u0,
-                    layout=layout)
-    return out.stable
+    return integrate(zero_reaction(), grid, ratio_to_dt(ratio, grid.h), n_steps,
+                     lambda t: (0.0, 0.0), u0, layout=layout).stable
 
 
 def bisect_max_stable_ratio(grid: Grid1D, layout: SubdomainLayout | None,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 
 from . import bench
-from .core import ConfigError, make_grid_1d, make_grid_2d
+from .core import ConfigError, make_grid_1d, make_grid_2d, require_positive
 from .ddm import make_layout
 from .selftest import run_selftest
 
@@ -77,8 +77,8 @@ class RunConfig:
         scalars = ("ratio", "dt", "T", "kappa_fraction", "base_level")
         positive = [(k, getattr(self, k)) for k in scalars] + [("ratios", v) for v in self.ratios]
         for key, value in positive:
-            if value is not None and not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{key}: must be finite and positive, got {value!r}")
+            if value is not None:
+                require_positive(key, value, ConfigError)
         for key in ("ratios", "overlaps"):
             if not getattr(self, key):
                 raise ConfigError(f"{key}: must list at least one value")
@@ -97,9 +97,7 @@ class RunConfig:
         return self.filter == "on"
 
     def resolve_dt(self, h: float) -> float:
-        if self.dt is not None:
-            return self.dt
-        return bench.ratio_to_dt(self.ratio, h)
+        return self.dt if self.dt is not None else bench.ratio_to_dt(self.ratio, h)
 
 
 _TYPES = typing.get_type_hints(RunConfig)
@@ -251,14 +249,11 @@ def _cmd_run(cfg: RunConfig) -> int:
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
-    case = bench.manufactured_heat_case()
-    rows = bench.run_accuracy_sweep(case, cfg.grid_sizes, cfg.ratios,
-                                    [cfg.shift_order], T=cfg.T,
-                                    filter_on=cfg.filter_on,
+    rows = bench.run_accuracy_sweep(bench.manufactured_heat_case(), cfg.grid_sizes, cfg.ratios,
+                                    [cfg.shift_order], T=cfg.T, filter_on=cfg.filter_on,
                                     kappa_fraction=cfg.kappa_fraction)
     emit_csv(rows, cfg.output, timing=cfg.timing)
-    n_stable = sum(r.stable for r in rows)
-    print(f"sweep: {len(rows)} runs, {n_stable} stable -> {cfg.output}")
+    print(f"sweep: {len(rows)} runs, {sum(r.stable for r in rows)} stable -> {cfg.output}")
     return 0
 
 

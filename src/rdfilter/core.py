@@ -7,9 +7,9 @@ pointwise reaction solve works on contiguous per-node blocks.
 
 Grid node arrays are memoized per interval count (``uniform_nodes``): every
 grid with N intervals returns the same read-only array from ``nodes``,
-``nodes_x`` and ``nodes_y``, so a time step never rebuilds them; the
-interior-node coordinates handed to the reaction are memoized per grid
-(``interior_nodes``).
+``nodes_x`` and ``nodes_y``, so a time step never rebuilds them; the node
+coordinates handed to the reaction are memoized per grid
+(``node_coordinates``, and its interior part ``interior_nodes``).
 """
 
 from __future__ import annotations
@@ -91,8 +91,7 @@ def require_whole(name: str, value) -> int:
     raise ValueError(f"{name}: must be a whole number, got {value!r}")
 
 
-def make_grid_1d(n_intervals: int) -> Grid1D:
-    return Grid1D(n_intervals)
+make_grid_1d = Grid1D
 
 
 @dataclass(frozen=True)
@@ -134,14 +133,21 @@ def make_grid_2d(n_intervals_x: int, n_intervals_y: int | None = None) -> Grid2D
 
 
 @lru_cache(maxsize=8)
-def interior_nodes(grid: Grid1D | Grid2D):
-    """Read-only coordinates of the interior nodes, as a reaction receives
-    them: the x array of a Grid1D, the (X, Y) mesh (indexing "ij") of a Grid2D.
-    Memoized per grid; a 2D entry holds two (Nx-1, Ny-1) arrays, so few are kept."""
+def node_coordinates(grid: Grid1D | Grid2D):
+    """Read-only coordinates of every node, as a reaction receives them: the
+    x array of a Grid1D (``grid.nodes`` itself), the (X, Y) meshes (indexing
+    "ij") of a Grid2D.  Memoized per grid, few: a 2D entry is two meshes."""
     if isinstance(grid, Grid1D):
-        return grid.nodes[1:-1]
-    X, Y = np.meshgrid(grid.nodes_x[1:-1], grid.nodes_y[1:-1], indexing="ij")
-    return read_only(X), read_only(Y)
+        return grid.nodes
+    return tuple(read_only(c) for c in np.meshgrid(grid.nodes_x, grid.nodes_y, indexing="ij"))
+
+
+@lru_cache(maxsize=8)
+def interior_nodes(grid: Grid1D | Grid2D):
+    """The interior part of ``node_coordinates(grid)`` as read-only views, as
+    ``stepper.step`` hands it to the reaction; memoized per grid."""
+    coords = node_coordinates(grid)
+    return coords[1:-1] if isinstance(grid, Grid1D) else tuple(c[1:-1, 1:-1] for c in coords)
 
 
 @dataclass(frozen=True)

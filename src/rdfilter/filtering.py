@@ -9,7 +9,7 @@ stability condition, so time steps far beyond dt = h^2/3 become usable.
 ``postprocess_field`` is the one postprocess, on a whole 1D grid or on the
 overlapping strips of a ``ddm.SubdomainLayout``: each strip loses its
 ``shift.cosine_trend``, is filtered by one DST-I kernel and gets it back.
-The third-order shift reads u_xx from a callable its caller passes, never
+The third-order shift reads u_xx from a field its caller passes, never
 the time levels.  A 2D field runs the same 1D postprocess along x, then
 along y, of a field lifted by the trend of the change made to its faces.
 
@@ -18,7 +18,7 @@ It picks the path by N alone, axis by axis in 2D: on at most
 ``MATRIX_MAX_N`` intervals, where Python call overhead and not arithmetic
 is the cost, it applies P and Q from its memo ``_matrices``, else it runs
 the DSTs.  Either way P is ``postprocess_field`` of ``np.eye(N + 1)``, and
-Q that of zeros with ``uxx_at`` returning ``np.eye(2 n_strips)``.  On values
+Q that of zeros with ``uxx`` holding a unit at each strip end.  On values
 with zero ends the first-order shift is zero: there it is the sine filter.
 
 Each node axis has one stretching factor, a plain float fixed for the run;
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from numbers import Real
-from typing import Callable
 
 import numpy as np
 from scipy.fft import dst, idst
@@ -120,8 +119,7 @@ def _postprocess(values: np.ndarray, kappa: float, n_grid: int, lo: int = 0,
     return out
 
 
-def postprocess_field(u: Field, kappa: float | tuple[float, ...],
-                      uxx_at: Callable[[np.ndarray], np.ndarray] | None = None,
+def postprocess_field(u: Field, kappa: float | tuple[float, ...], uxx: Field | None = None,
                       layout: SubdomainLayout | None = None) -> Field:
     """Shift, filter, inverse shift: on a 1D or 2D grid, or per strip of ``layout``.
 
@@ -132,12 +130,12 @@ def postprocess_field(u: Field, kappa: float | tuple[float, ...],
     wavenumber as on the whole grid; the strips are then blended over the
     overlaps.  Global boundary values are preserved exactly.
 
-    ``uxx_at(nodes)`` returns u_xx at those node indices, shape (len(nodes),
-    m); given it, each strip takes the third-order shift with u_xx at its two
-    end nodes, else the first-order shift.  It is called once, with every
-    strip's two end nodes in strip order.  Only a 1D field takes ``uxx_at``
-    or ``layout``.  A 2D field gets the tensor filter sigma(kx k/Nx)
-    sigma(ky l/Ny), its edges its traces run through the 1D postprocess."""
+    ``uxx`` holds u_xx at every node, a Field on u's grid with u's component
+    count (as ``stepper.estimate_uxx`` builds it); given it, each strip takes
+    the third-order shift with u_xx at its two end nodes, else the
+    first-order shift.  Only a 1D field takes ``uxx`` or ``layout``.  A 2D
+    field gets the tensor filter sigma(kx k/Nx) sigma(ky l/Ny), its edges
+    its traces run through the 1D postprocess."""
     n_axes = u.values.ndim - 1
     if type(kappa) is not tuple:  # the drivers pass a tuple; isinstance(Real) costs 0.4 us
         kappa = (kappa,) * n_axes if isinstance(kappa, (Real, np.generic)) else tuple(kappa)
@@ -145,15 +143,18 @@ def postprocess_field(u: Field, kappa: float | tuple[float, ...],
         raise ValueError(f"kappa: needs one value per node axis ({n_axes}), got {len(kappa)}")
     for k in kappa:
         require_positive("kappa", k)
+    if uxx is not None and not (isinstance(uxx, Field) and uxx.values.shape == u.values.shape):
+        got = uxx.values.shape if isinstance(uxx, Field) else type(uxx).__name__
+        raise ValueError(f"uxx: must be a Field of u's shape {u.values.shape}, got {got}")
     if n_axes > 1:
-        if uxx_at is not None or layout is not None:
-            name = "uxx_at" if uxx_at is not None else "layout"
+        if uxx is not None or layout is not None:
+            name = "uxx" if uxx is not None else "layout"
             raise ValueError(f"{name}: only a 1D field takes it, the field has {n_axes} node axes")
         return u.with_values(_postprocess_2d(u.values, *kappa))
     if layout is not None and layout.grid is not u.grid and layout.grid != u.grid:
         raise ValueError(f"layout is for N={layout.grid.n_intervals}, "
                          f"the field has N={u.grid.n_intervals}")
-    return u.with_values(_postprocess_grid(u.values, kappa[0], uxx_at, layout))
+    return u.with_values(_postprocess_grid(u.values, kappa[0], uxx, layout))
 
 
 def _postprocess_2d(values: np.ndarray, kappa_x: float, kappa_y: float) -> np.ndarray:
@@ -180,21 +181,19 @@ def _postprocess_2d(values: np.ndarray, kappa_x: float, kappa_y: float) -> np.nd
     return out
 
 
-def _postprocess_grid(values: np.ndarray, kappa: float,
-                      uxx_at: Callable[[np.ndarray], np.ndarray] | None = None,
+def _postprocess_grid(values: np.ndarray, kappa: float, uxx: Field | None = None,
                       layout: SubdomainLayout | None = None) -> np.ndarray:
-    """The 1D ``postprocess_field`` of checked node-major values (N+1, cols);
-    the one place that picks the path: P @ u + Q @ u_xx(end nodes) on at most
-    ``MATRIX_MAX_N`` intervals, else ``_postprocess`` strip by strip."""
+    """The 1D ``postprocess_field`` of checked node-major values (N+1, cols),
+    each strip's u_xx read at its two end nodes; the one place that picks the
+    path: P @ u + Q @ u_xx(end nodes) on at most ``MATRIX_MAX_N`` intervals,
+    else ``_postprocess`` strip by strip."""
     n = values.shape[0] - 1
     ranges = ((0, n),) if layout is None else layout.ranges
-    uxx = None if uxx_at is None else uxx_at(np.ravel(ranges))
     if n <= MATRIX_MAX_N:
         P, Q = _matrices(n, kappa, ranges, uxx is not None)
-        return P @ values if uxx is None else P @ values + Q @ uxx
-    per_strip = [None] * len(ranges) if uxx is None else uxx.reshape(len(ranges), 2, -1)
-    strips = [_postprocess(values[lo:hi + 1], kappa, n, lo, strip_uxx)
-              for (lo, hi), strip_uxx in zip(ranges, per_strip)]
+        return P @ values if uxx is None else P @ values + Q @ uxx.values[np.ravel(ranges)]
+    strips = [_postprocess(values[lo:hi + 1], kappa, n, lo,
+                           None if uxx is None else uxx.values[[lo, hi]]) for lo, hi in ranges]
     if len(strips) == 1:  # the blend weights of a single strip are all 1
         return strips[0]
     out = np.zeros_like(values)

@@ -8,8 +8,8 @@ implicitly by a pointwise Newton solve:
 with L the second-difference Laplacian over the node axes.  L is linear, so
 the explicit part is one Laplacian, L(2 u^n - u^{n-1}), of the two levels.
 ``step`` takes the two levels and runs this update, or, given u^0 alone,
-its startup variant, on a 1D or a 2D Field alike; ``estimate_uxx_nodes``
-reads u_xx back from the same levels, for the third-order shift.
+its startup variant, on a 1D or a 2D Field alike; ``estimate_uxx`` reads
+u_xx back from the same levels at every node, for the third-order shift.
 
 Only the pointwise Jacobian J of f is formed, none for a u-independent f,
 and the identity only for m >= 2.  Each node's Newton update is independent
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Field, ReactionSystem, interior_nodes, require_positive
+from .core import Field, ReactionSystem, interior_nodes, node_coordinates, require_positive
 
 NEWTON_TOL = 1.0e-12
 NEWTON_MAX_ITER = 25
@@ -215,17 +215,14 @@ def step(u_curr: Field, u_prev: Field | None, reaction: ReactionSystem, t: float
     return u_curr.with_values(out)
 
 
-def estimate_uxx_nodes(u_next: Field, u_curr: Field, u_prev: Field,
-                       reaction: ReactionSystem, dt: float, t_next: float,
-                       idx: np.ndarray) -> np.ndarray:
-    """u_xx at the given nodes from the PDE itself:
-    u_xx ~= (3 u^{n+1} - 4 u^n + u^{n-1}) / (2 dt) - f(u^{n+1})."""
-    idx = np.asarray(idx)
-    xb = u_next.grid.nodes[idx]
-    ub = (3.0 * u_next.values[idx] - 4.0 * u_curr.values[idx]
-          + u_prev.values[idx]) / (2.0 * dt)
-    fb = reaction.eval(xb, t_next, u_next.values[idx])
-    return ub - fb
+def estimate_uxx(u_next: Field, u_curr: Field, u_prev: Field, reaction: ReactionSystem,
+                 dt: float, t_next: float) -> Field:
+    """u_xx at every node from the PDE itself, a Field on u_next's grid:
+    (3 u^{n+1} - 4 u^n + u^{n-1}) / (2 dt) - f(u^{n+1}), f evaluated at
+    ``core.node_coordinates``.  On a 2D field it estimates u_xx + u_yy."""
+    u = u_next.values
+    rate = (3.0 * u - 4.0 * u_curr.values + u_prev.values) / (2.0 * dt)
+    return u_next.with_values(rate - reaction.eval(node_coordinates(u_next.grid), t_next, u))
 
 
 def recurrence_roots(dt: float, lam: float) -> np.ndarray:

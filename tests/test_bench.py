@@ -443,9 +443,13 @@ def test_drivers_reject_a_dt_that_is_not_finite_and_positive(driver, dt):
 
 @pytest.mark.parametrize("driver", ["1d", "2d"])
 def test_drivers_reject_a_negative_step_count_and_take_zero_steps(driver):
-    # n_steps = -3 used to return stable=True, steps=-3
+    # n_steps = -3 used to return stable=True, steps=-3; True ran one step and
+    # returned steps=True, 2.5 raised a TypeError that named no key
     with pytest.raises(ValueError, match="^n_steps: must be >= 0, got -3"):
         _run_driver(driver, n_steps=-3)
+    for bad in (True, np.True_, 2.5, "2"):
+        with pytest.raises(ValueError, match="^n_steps: must be a whole number"):
+            _run_driver(driver, n_steps=bad)
     out = _run_driver(driver, n_steps=0)
     assert (out.stable, out.steps) == (True, 0)
     assert np.array_equal(out.field.values, np.zeros_like(out.field.values))
@@ -537,8 +541,8 @@ def test_run_case_rows_carry_the_layout_and_the_case_errors():
 ], ids=["shift_order", "layout"])
 def test_a_2d_run_rejects_the_third_order_shift_and_strips_before_any_step(
         monkeypatch, key, kwargs, filter_on):
-    # the third-order shift used to fail after the first step under the name
-    # uxx_at, and with the filter off it ran and was ignored
+    # the third-order shift used to fail after the first step, naming the
+    # u_xx callback, and with the filter off it ran and was ignored
     steps = []
     monkeypatch.setattr(bench, "step", lambda *args, **kw: steps.append(args))
     with pytest.raises(ValueError, match=f"^{key}: "):

@@ -34,6 +34,7 @@ from rdfilter.core import (
     interior_nodes,
     make_grid_1d,
     make_grid_2d,
+    node_coordinates,
     source_reaction,
     zero_reaction,
 )
@@ -45,7 +46,7 @@ from rdfilter.filtering import (
     sigma8,
 )
 from rdfilter.shift import cosine_basis, endpoint_inverse
-from rdfilter.stepper import NewtonDivergence, estimate_uxx_nodes, newton_point_solve
+from rdfilter.stepper import NewtonDivergence, estimate_uxx, newton_point_solve
 
 
 def _assert_read_only(array):
@@ -162,6 +163,17 @@ def test_interior_mesh_cached_read_only_and_exact():
     x1 = interior_nodes(make_grid_1d(16))
     assert np.array_equal(x1, np.linspace(0.0, np.pi, 17)[1:-1])
     _assert_read_only(x1)
+    # the interior is a view of every node's coordinates: grid.nodes itself in
+    # 1D, the full read-only meshes in 2D, each built once per grid
+    assert node_coordinates(make_grid_1d(16)) is make_grid_1d(16).nodes
+    assert np.shares_memory(x1, make_grid_1d(16).nodes)
+    full = node_coordinates(grid)
+    assert node_coordinates(make_grid_2d(8, 12)) is full
+    for mesh, interior, want in zip(full, (X, Y), np.meshgrid(np.linspace(0.0, np.pi, 9),
+                                                              np.linspace(0.0, np.pi, 13),
+                                                              indexing="ij")):
+        assert np.array_equal(mesh, want) and np.shares_memory(interior, mesh)
+        _assert_read_only(mesh)
 
 
 # The manufactured cases as closed forms, each evaluated in full on every call:
@@ -213,7 +225,7 @@ def test_1d_cases_match_their_closed_forms_byte_for_byte(make_case, exact, sourc
     xs = [interior_nodes(make_grid_1d(n)) for n in (4, 64, 4096)]
     xs += [grid.nodes, make_grid_1d(4096).nodes, 0.0, np.pi, 1.3, np.float64(0.7),
            [0.2, 1.1, 2.9], np.linspace(0.1, 3.0, 7),
-           grid.nodes[[1, 5, 63]],  # fancy-indexed, as estimate_uxx_nodes takes the ends
+           grid.nodes[[1, 5, 63]],  # fancy-indexed: a fresh, writable array
            interior_nodes(grid) + 1.0e-4, interior_nodes(grid) - 1.0e-4]  # as residual's x +- eps
     for _ in range(2):  # the second pass reads what the first one kept
         for x in xs:
@@ -285,17 +297,18 @@ def _count_node_factor_calls(monkeypatch):
 @pytest.mark.parametrize("make_case, n_factors",
                          [(manufactured_heat_case, 2), (quadratic_manufactured_case, 1)])
 def test_a_1d_run_evaluates_each_interior_factor_once(monkeypatch, make_case, n_factors):
-    # the third-order shift evaluates the source at the strips' end nodes
-    # every step: a fresh array each time, which must not evict the interior
+    # the third-order shift's u_xx estimate evaluates the source on grid.nodes
+    # every step: it must not evict the interior, and no other array is built
     calls = _count_node_factor_calls(monkeypatch)
     case = make_case()
     grid = make_grid_1d(64)
     out = integrate(case.reaction(), grid, ratio_to_dt(4.0, grid.h), 12, case.boundary,
                     case.initial(grid), shift_order=3, layout=make_layout(grid, 3, 8))
     assert out.stable
-    assert sum(x is interior_nodes(grid) for x in calls) == n_factors
-    assert sum(x is grid.nodes for x in calls) == 1  # u0, by exact's factor
-    assert sum(np.ndim(x) == 1 and len(x) == 6 for x in calls) == 11 * n_factors  # the ends
+    arrays = [x for x in calls if np.ndim(x)]  # the boundary data pass scalars
+    assert sum(x is interior_nodes(grid) for x in arrays) == n_factors
+    assert sum(x is grid.nodes for x in arrays) == n_factors  # u0 and the u_xx estimates
+    assert len(arrays) == 2 * n_factors
 
 
 def test_a_2d_run_evaluates_each_interior_factor_once(monkeypatch):
@@ -345,14 +358,14 @@ def test_postprocess_matches_uncached_formula(n, ratio, shift_order, seed):
     base = np.cos(x) + x**2 / 7.0 + 0.1 * rng.standard_normal(n + 1)
     rate = rng.standard_normal(n + 1)  # so the endpoint u_xx estimates are O(1)
     u_prev, u_curr, u_new = (Field(grid, base + k * dt * rate) for k in range(3))
-    uxx = uxx_at = None
+    ends = uxx = None
     if shift_order == 3:
-        uxx = ((3.0 * u_new.values - 4.0 * u_curr.values + u_prev.values)
-               / (2.0 * dt))[[0, -1]]
-        uxx_at = partial(estimate_uxx_nodes, u_new, u_curr, u_prev, zero_reaction(), dt, dt)
-    expected = _postprocess_uncached(u_new.values, kappa, uxx)
+        ends = ((3.0 * u_new.values - 4.0 * u_curr.values + u_prev.values)
+                / (2.0 * dt))[[0, -1]]
+        uxx = estimate_uxx(u_new, u_curr, u_prev, zero_reaction(), dt, dt)
+    expected = _postprocess_uncached(u_new.values, kappa, ends)
     for _ in range(2):  # the second call reads every array from the caches
-        out = postprocess_field(u_new, kappa, uxx_at)
+        out = postprocess_field(u_new, kappa, uxx)
         assert np.max(np.abs(out.values - expected)) <= 1e-13
 
 

@@ -1,7 +1,5 @@
 """Overlapping strip layouts and the strip path of the postprocess."""
 
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +10,7 @@ from rdfilter.core import Field, make_grid_1d, zero_reaction
 from rdfilter.ddm import MIN_INTERIOR_POINTS, SubdomainLayout, blend_weights, make_layout
 from rdfilter import filtering
 from rdfilter.filtering import MATRIX_MAX_N, kappa_critical, postprocess_field
-from rdfilter.stepper import estimate_uxx_nodes, step
+from rdfilter.stepper import estimate_uxx, step
 
 GRID = make_grid_1d(64)
 
@@ -166,8 +164,7 @@ def test_third_order_local_shift_runs_and_blends():
     u = Field(GRID, (GRID.nodes / np.pi) ** 4 + np.cos(2 * GRID.nodes))
     layout = make_layout(GRID, 2, 8)
     out = postprocess_field(
-        u, 1e-9, partial(estimate_uxx_nodes, u, u, u, zero_reaction(), 0.1, 0.1),
-        layout=layout,
+        u, 1e-9, estimate_uxx(u, u, u, zero_reaction(), 0.1, 0.1), layout=layout,
     )
     # identity filter: the decomposition must reproduce the field
     assert np.max(np.abs(out.values - u.values)) < 1e-8
@@ -177,6 +174,11 @@ def test_integrate_1d_rejects_shift_order_2_even_unfiltered():
     with pytest.raises(ValueError, match="^shift_order: must be 1 or 3, got 2"):
         integrate(zero_reaction(), GRID, 0.01, 2, lambda t: (0.0, 0.0),
                   Field.zeros(GRID), shift_order=2, filter_on=False)
+    # True used to run as order 1, and 2.5 to fail on the comparison only
+    for bad in (True, np.True_, 2.5, "3"):
+        with pytest.raises(ValueError, match="^shift_order: must be a whole number"):
+            integrate(zero_reaction(), GRID, 0.01, 2, lambda t: (0.0, 0.0),
+                      Field.zeros(GRID), shift_order=bad)
 
 
 def test_postprocess_rejects_a_layout_of_another_grid():
@@ -223,9 +225,9 @@ def test_driver_matrix_path_matches_a_postprocess_field_loop(n, n_subdomains, ov
     for k in range(n_steps):
         t_next = (k + 1) * dt
         u_new = step(u_curr, u_prev, reaction, k * dt, dt, case.boundary(t_next))
-        uxx_at = None if u_prev is None or shift_order == 1 else partial(
-            estimate_uxx_nodes, u_new, u_curr, u_prev, reaction, dt, t_next)
-        u_prev, u_curr = u_curr, postprocess_field(u_new, kappa, uxx_at, layout)
+        uxx = None if u_prev is None or shift_order == 1 else estimate_uxx(
+            u_new, u_curr, u_prev, reaction, dt, t_next)
+        u_prev, u_curr = u_curr, postprocess_field(u_new, kappa, uxx, layout)
     assert out.stable and out.steps == n_steps
     scale = np.max(np.abs(u_curr.values))
     assert np.max(np.abs(out.field.values - u_curr.values)) <= 1e-12 * scale

@@ -29,7 +29,7 @@ from rdfilter.filtering import (
     sine_coefficients,
     sine_reconstruct,
 )
-from rdfilter.stepper import estimate_uxx_nodes, recurrence_roots
+from rdfilter.stepper import estimate_uxx, recurrence_roots
 
 
 def test_sigma8_anchor_values():
@@ -301,9 +301,8 @@ def _postprocess_case(n, ratio, shift_order, n_subdomains, overlap, reaction):
     kappa = kappa_critical(dt, grid.h)
 
     def post(u):
-        uxx_at = partial(estimate_uxx_nodes, u, u, u, reaction, dt, dt)
-        return postprocess_field(u, kappa, uxx_at if shift_order == 3 else None,
-                                 layout=layout).values
+        uxx = estimate_uxx(u, u, u, reaction, dt, dt) if shift_order == 3 else None
+        return postprocess_field(u, kappa, uxx, layout=layout).values
 
     return grid, post
 
@@ -367,26 +366,17 @@ def test_postprocess_matrices_match_postprocess_field(n, n_subdomains, overlap, 
     kappa = kappa_critical(ratio_to_dt(8.0, grid.h), grid.h)
     rng = np.random.default_rng(n + 10 * n_subdomains + shift_order + m)
     u = Field(grid, 1.0 + np.cos(grid.nodes)[:, None] + rng.standard_normal((n + 1, m)))
-    uxx = rng.standard_normal((n + 1, m))
-    seen = []
-
-    def uxx_at(nodes):
-        seen.append(nodes)
-        return uxx[nodes]
-
+    uxx = Field(grid, rng.standard_normal((n + 1, m)))
     third = shift_order == 3
     P, Q = filtering._matrices(n, kappa, ranges, third)
-    end_nodes = np.ravel(ranges)
     with monkeypatch.context() as patch:  # the DST path, which N > MATRIX_MAX_N takes
         patch.setattr(filtering, "MATRIX_MAX_N", 0)
-        want = postprocess_field(u, kappa, uxx_at if third else None, layout).values
-    got = P @ u.values + Q @ uxx[end_nodes]
+        want = postprocess_field(u, kappa, uxx if third else None, layout).values
+    got = P @ u.values + Q @ uxx.values[np.ravel(ranges)]
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(u.values))
     # postprocess_field takes the matrix path at this N, and computes exactly P @ u + Q @ u_xx
-    applied = postprocess_field(u, kappa, uxx_at if third else None, layout)
+    applied = postprocess_field(u, kappa, uxx if third else None, layout)
     assert np.array_equal(applied.values, got)
-    # both paths read u_xx once per call, at the same nodes
-    assert len(seen) == 2 * third and all(np.array_equal(s, end_nodes) for s in seen)
 
 
 @pytest.mark.parametrize("shift_order", [1, 3])
@@ -399,12 +389,14 @@ def test_postprocess_matrices_are_the_postprocess_of_the_identity(n, n_subdomain
     kappa = kappa_critical(ratio_to_dt(8.0, grid.h), grid.h)
     third, n_ends = shift_order == 3, 2 * len(ranges)
     P, Q = filtering._matrices(n, kappa, ranges, third)
-    zero_uxx = (lambda nodes: np.zeros((n_ends, n + 1))) if third else None
+    zero_uxx = Field.zeros(grid, n + 1) if third else None
     identity = postprocess_field(Field(grid, np.eye(n + 1)), kappa, zero_uxx, layout)
     assert np.array_equal(P, identity.values)
     if third:
+        unit_ends = np.zeros((n + 1, n_ends))
+        unit_ends[np.ravel(ranges), np.arange(n_ends)] = 1.0
         ends = postprocess_field(Field(grid, np.zeros((n + 1, n_ends))), kappa,
-                                 lambda nodes: np.eye(n_ends), layout)
+                                 Field(grid, unit_ends), layout)
         assert np.array_equal(Q, ends.values)
     else:
         assert not np.any(Q)
@@ -459,13 +451,24 @@ def test_postprocess_rejects_a_kappa_that_is_not_finite_and_positive(bad):
             postprocess_field(u2, kappa)
 
 
+@pytest.mark.parametrize("bad", [
+    lambda nodes: np.zeros((len(nodes), 1)),  # the u_xx callback the postprocess once took
+    np.zeros((65, 1)),                        # the right values, not as a Field
+    Field.zeros(make_grid_1d(32)),            # another grid
+    Field.zeros(make_grid_1d(64), 2),         # another component count
+], ids=["callable", "array", "grid", "components"])
+def test_postprocess_rejects_a_uxx_that_is_not_a_field_like_u_by_name(bad):
+    u = Field.zeros(make_grid_1d(64))
+    with pytest.raises(ValueError, match="^uxx: must be a Field of u's shape"):
+        postprocess_field(u, 2.0, bad)
+
+
 def test_postprocess_field_roundtrip_identity_filter():
     grid = make_grid_1d(64)
     u = Field(grid, (grid.nodes / np.pi) ** 4 + np.cos(2 * grid.nodes))
     out1 = postprocess_field(u, 1e-9)
     assert np.max(np.abs(out1.values - u.values)) < 1e-8
-    out3 = postprocess_field(u, 1e-9,
-                             partial(estimate_uxx_nodes, u, u, u, zero_reaction(), 0.1, 0.1))
+    out3 = postprocess_field(u, 1e-9, estimate_uxx(u, u, u, zero_reaction(), 0.1, 0.1))
     assert np.max(np.abs(out3.values - u.values)) < 1e-8
 
 

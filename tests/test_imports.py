@@ -110,7 +110,7 @@ def test_filtering_imports_only_the_cosine_trend_from_shift():
 
 # ``step`` derives its one Laplacian from the two levels it is given; the
 # integration loop in ``bench`` hands it levels, never a Laplacian of its own.
-BENCH_FROM_STEPPER = {"NewtonDivergence", "estimate_uxx_nodes", "step"}
+BENCH_FROM_STEPPER = {"NewtonDivergence", "estimate_uxx", "step"}
 
 
 def test_bench_imports_only_the_step_and_its_helpers_from_stepper():

@@ -259,10 +259,10 @@ def test_postprocess2d_takes_a_float_kappa_as_every_axis():
 
 
 @pytest.mark.parametrize("name, value", [
-    ("uxx_at", lambda nodes: np.zeros((len(nodes), 1))),
+    ("uxx", Field.zeros(GRID)),
     ("layout", make_layout(make_grid_1d(16), 2, 4)),
     ("kappa", (2.0,)),
-], ids=["uxx_at", "layout", "kappa"])
+], ids=["uxx", "layout", "kappa"])
 def test_postprocess2d_rejects_by_name_what_a_2d_field_cannot_take(name, value):
     # the third-order shift and the strips are 1D; kappa needs one value per axis
     with pytest.raises(ValueError, match=f"^{name}: "):

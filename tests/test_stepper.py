@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdfilter.bench import integrate, manufactured_heat_case, ratio_to_dt
+from rdfilter.bench import (
+    integrate,
+    manufactured_heat_case,
+    manufactured_heat_case_square,
+    quadratic_manufactured_case,
+    ratio_to_dt,
+)
 from rdfilter.core import (
     Field,
     ReactionSystem,
@@ -15,10 +21,11 @@ from rdfilter.core import (
     make_grid_2d,
     zero_reaction,
 )
+from rdfilter.ddm import make_layout
 from rdfilter.stepper import (
     NewtonDivergence,
     apply_laplacian,
-    estimate_uxx_nodes,
+    estimate_uxx,
     newton_point_solve,
     recurrence_roots,
     step,
@@ -349,7 +356,7 @@ def test_spatial_second_order_linear_reaction():
 
 def test_shift3_zero_history():
     u = Field.zeros(make_grid_1d(64))
-    uxx = estimate_uxx_nodes(u, u, u, zero_reaction(), 0.01, 0.01, [0, 64])
+    uxx = estimate_uxx(u, u, u, zero_reaction(), 0.01, 0.01).values[[0, 64]]
     assert np.all(cosine_trend(u.values[[0, -1]], 64, 0, 64, uxx) == 0.0)
 
 
@@ -364,8 +371,47 @@ def test_estimate_uxx_matches_true_second_derivative():
     def u_at(t):
         return Field(grid, np.exp(-t) * np.sin(x) + 2.0)
 
-    uxx0, uxxpi = estimate_uxx_nodes(
-        u_at(3 * dt), u_at(2 * dt), u_at(dt), zero_reaction(), dt, 3 * dt, [0, 128]
-    )
+    uxx0, uxxpi = estimate_uxx(
+        u_at(3 * dt), u_at(2 * dt), u_at(dt), zero_reaction(), dt, 3 * dt
+    ).values[[0, 128]]
     # u_t = -exp(-t) sin(x) -> 0 at both ends, so u_xx estimate ~ u_t - f = 0
     assert abs(uxx0[0]) < 1e-6 and abs(uxxpi[0]) < 1e-6
+
+
+def test_estimate_uxx_on_a_2d_field_approaches_the_laplacian_at_second_order():
+    # three exact levels of u = cos(t) cos(2x) cos(y): the estimate is
+    # u_t - s = lap u = -5 u up to the O(dt^2) error of the backward difference
+    case = manufactured_heat_case_square()
+    grid = make_grid_2d(32)
+    t_next = 0.5
+    lap = -5.0 * case.exact_field(grid, t_next).values
+    errors = []
+    for dt in (1e-2, 5e-3, 2.5e-3):
+        u_next, u_curr, u_prev = (case.exact_field(grid, t_next - k * dt) for k in range(3))
+        uxx = estimate_uxx(u_next, u_curr, u_prev, case.reaction(), dt, t_next)
+        assert uxx.grid == grid and uxx.m == 1
+        errors.append(np.max(np.abs(uxx.values - lap)))
+    assert all(coarse >= 3.5 * fine for coarse, fine in zip(errors, errors[1:])), errors
+
+
+@pytest.mark.parametrize("make_case", [manufactured_heat_case, quadratic_manufactured_case])
+@pytest.mark.parametrize("n, n_subdomains", [(64, 1), (64, 3), (400, 1), (400, 3), (4096, 3)])
+def test_estimate_uxx_matches_the_two_node_formula_at_the_strip_ends_bit_for_bit(
+        make_case, n, n_subdomains):
+    # the third-order shift reads the whole-field estimate at the strip ends;
+    # it must equal the formula evaluated at those nodes alone, f included
+    grid = make_grid_1d(n)
+    ranges = make_layout(grid, n_subdomains, 8).ranges if n_subdomains > 1 else ((0, n),)
+    ends = np.ravel(ranges)
+    case = make_case()
+    reaction, dt = case.reaction(), ratio_to_dt(4.0, grid.h)
+    rng = np.random.default_rng(n + n_subdomains)
+    for t_next in (2 * dt, 0.37, 1.0):
+        noise = 1e-3 * rng.standard_normal((3, n + 1, 1))
+        u_next, u_curr, u_prev = (case.exact_field(grid, t_next - k * dt).values + noise[k]
+                                  for k in range(3))
+        rate = (3.0 * u_next[ends] - 4.0 * u_curr[ends] + u_prev[ends]) / (2.0 * dt)
+        two_node = rate - reaction.eval(grid.nodes[ends], t_next, u_next[ends])
+        whole = estimate_uxx(*(Field(grid, v) for v in (u_next, u_curr, u_prev)),
+                             reaction, dt, t_next)
+        assert whole.values[ends].tobytes() == two_node.tobytes()
