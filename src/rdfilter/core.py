@@ -91,7 +91,8 @@ def require_whole(name: str, value) -> int:
     raise ValueError(f"{name}: must be a whole number, got {value!r}")
 
 
-make_grid_1d = Grid1D
+def make_grid_1d(n_intervals: int) -> Grid1D:
+    return Grid1D(n_intervals)
 
 
 @dataclass(frozen=True)
