@@ -22,7 +22,6 @@ from functools import partial
 from typing import Callable, ClassVar
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import (
     ConfigError,
@@ -77,13 +76,6 @@ class ManufacturedCase:
     def exact_field(self, grid: Grid1D | Grid2D, t: float) -> Field:
         """``exact`` at every node, at ``core.node_coordinates``."""
         return Field(grid, self.exact(node_coordinates(grid), t))
-
-    def residual(self, x, t, eps: float = 1.0e-4) -> np.ndarray:
-        """Sampled PDE residual u_t - u_xx - s via central differences, at 1D nodes x."""
-        ut = (self.exact(x, t + eps) - self.exact(x, t - eps)) / (2.0 * eps)
-        uxx = (self.exact(x + eps, t) - 2.0 * self.exact(x, t)
-               + self.exact(x - eps, t)) / eps**2
-        return ut - uxx - self.source(x, t)
 
 
 # Read-only node arrays one ``once_per_node_array`` factor keeps.
@@ -230,21 +222,6 @@ class PredatorPreyCase:
         return Field(grid, np.tile(self.boundary(0.0)[0], (len(grid.nodes), 1)))
 
 
-def ode_orbit_check(case: PredatorPreyCase) -> bool:
-    """Fine-step ODE oracle: does the reaction-only trajectory from (1, 1)
-    come back within 0.05 of its start over t in [1, 120] (a cycle) rather
-    than spiral to equilibrium or leave the positive quadrant?"""
-    w0, t_max = (1.0, 1.0), 120.0
-    sol = solve_ivp(lambda t, w: case.ode_rhs(np.asarray(w)), (0.0, t_max), w0,
-                    rtol=1.0e-10, atol=1.0e-12, dense_output=True, max_step=0.5)
-    if not sol.success or np.min(sol.y) < -1.0e-8 or np.max(np.abs(sol.y)) > 1.0e6:
-        return False
-    t = np.linspace(1.0, t_max, 4000)
-    w = sol.sol(t)
-    dist = np.hypot(w[0] - w0[0], w[1] - w0[1])
-    return bool(np.min(dist) < 0.05)
-
-
 # ---------------------------------------------------------------------------
 # Norms
 
@@ -299,7 +276,8 @@ def integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_step
     pi / N_axis), its share of the stability budget (see
     ``solver2d.kappa_critical_2d``).  A 2D grid takes neither
     the third-order shift nor a strip ``layout`` yet: both are rejected by
-    name before the first step.
+    name before the first step.  So are, with the filter off, a shift order
+    3, a ``layout`` and a ``kappa_fraction`` other than 1: nothing reads them.
 
     A step is blown up (``Field.blown_up``) when its values exceed
     ``core.BLOWUP_THRESHOLD`` after its postprocess; every step but the
@@ -322,6 +300,10 @@ def integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_step
     if n_steps < 0:
         raise ValueError(f"n_steps: must be >= 0, got {n_steps!r}")
     require_positive("kappa_fraction", kappa_fraction)
+    if not filter_on and (shift_order != 1 or layout is not None or kappa_fraction != 1.0):
+        key = ("shift_order" if shift_order != 1 else "layout" if layout is not None
+               else "kappa_fraction")
+        raise ValueError(f"{key}: only a filtered run reads it, and filter_on is off")
     kappa = tuple(kappa_fraction * kappa_critical(len(grid.node_shape) * dt, np.pi / (n - 1))
                   for n in grid.node_shape)
     mins = u0.values.reshape(-1, u0.m).min(axis=0)
@@ -383,6 +365,7 @@ MAX_STEPS = 10**8
 
 def ratio_to_dt(ratio: float, h: float) -> float:
     require_positive("ratio", ratio)
+    require_positive("h", h)
     return ratio * h**2 / 3.0
 
 
@@ -481,12 +464,14 @@ def bisect_max_stable_ratio(grid: Grid1D, layout: SubdomainLayout | None,
 def dd_layout(grid: Grid1D, n_subdomains: int, overlap: int) -> tuple[SubdomainLayout, str]:
     """The strip layout of one ``run_dd_study`` row and its note.  The cap is
     the largest even width not above N / (2 n_subdomains): a row at the cap
-    is noted "saturated", a wider overlap raises ValueError."""
-    cap = grid.n_intervals // (2 * n_subdomains) // 2 * 2
-    if overlap > cap:
+    is noted "saturated", a wider overlap raises ValueError.  The layout is
+    built first, so it names a strip count or an overlap it cannot take."""
+    layout = make_layout(grid, n_subdomains, overlap)
+    cap = grid.n_intervals // (2 * layout.n_subdomains) // 2 * 2
+    if layout.overlap > cap:
         raise ValueError(f"overlap {overlap} is above the cap {cap}, the largest even "
                          "width <= N / (2 n_subdomains)")
-    return make_layout(grid, n_subdomains, overlap), "saturated" if overlap == cap else ""
+    return layout, "saturated" if layout.overlap == cap else ""
 
 
 def run_dd_study(n_intervals: int, n_subdomains: int, overlaps,

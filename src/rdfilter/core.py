@@ -36,10 +36,17 @@ _BOOLS = (bool, np.bool_)
 
 def require_positive(name: str, value: float, error: type[ValueError] = ValueError) -> None:
     """Raise ``error`` naming ``name`` unless ``value`` is finite and positive;
-    a bool (``np.bool_`` too) is not a number here, so True does not pass as 1."""
+    a bool (``np.bool_`` too) is not a number here, so True does not pass as 1,
+    nor is a string, None or an int too large for a float."""
     # math, not a ufunc, which costs ~1 us per step; a bool is told apart by its type
-    if type(value) in _BOOLS or not (math.isfinite(value) and value > 0.0):
-        raise error(f"{name}: must be finite and positive, got {value!r}")
+    try:
+        if type(value) not in _BOOLS and math.isfinite(value) and value > 0.0:
+            return
+    except OverflowError:  # not printed: an int may have more digits than str() allows
+        raise error(f"{name}: must be finite and positive, got one too large for a float") from None
+    except TypeError:
+        pass
+    raise error(f"{name}: must be finite and positive, got {value!r}")
 
 
 def read_only(array: np.ndarray) -> np.ndarray:

@@ -28,7 +28,6 @@ Each node axis has one stretching factor, a plain float fixed for the run;
 from __future__ import annotations
 
 from functools import lru_cache
-from numbers import Real
 
 import numpy as np
 from scipy.fft import dst, idst
@@ -137,8 +136,8 @@ def postprocess_field(u: Field, kappa: float | tuple[float, ...], uxx: Field | N
     field gets the tensor filter sigma(kx k/Nx) sigma(ky l/Ny), its edges
     its traces run through the 1D postprocess."""
     n_axes = u.values.ndim - 1
-    if type(kappa) is not tuple:  # the drivers pass a tuple; isinstance(Real) costs 0.4 us
-        kappa = (kappa,) * n_axes if isinstance(kappa, (Real, np.generic)) else tuple(kappa)
+    if type(kappa) is not tuple:  # the drivers pass a tuple, so np.ndim is off their path
+        kappa = (kappa,) * n_axes if np.ndim(kappa) == 0 else tuple(kappa)
     if len(kappa) != n_axes:
         raise ValueError(f"kappa: needs one value per node axis ({n_axes}), got {len(kappa)}")
     for k in kappa:

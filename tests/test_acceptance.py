@@ -13,7 +13,6 @@ from rdfilter.bench import (
     integrate,
     manufactured_heat_case,
     manufactured_heat_case_square,
-    ode_orbit_check,
     quadratic_manufactured_case,
     ratio_to_dt,
     run_accuracy_sweep,
@@ -29,6 +28,8 @@ from rdfilter.filtering import (
     sigma8,
 )
 from rdfilter.stepper import recurrence_roots
+
+from oracles import ode_orbit_check
 
 
 def _verdict(num, ok, detail):

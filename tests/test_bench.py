@@ -28,7 +28,6 @@ from rdfilter.bench import (
     integrate,
     manufactured_heat_case,
     manufactured_heat_case_square,
-    ode_orbit_check,
     quadratic_manufactured_case,
     ratio_to_dt,
     run_accuracy_sweep,
@@ -39,6 +38,8 @@ from rdfilter.ddm import make_layout
 from rdfilter.filtering import postprocess_field
 from rdfilter.solver2d import kappa_critical_2d
 from rdfilter.stepper import step
+
+from oracles import ode_orbit_check, pde_residual
 
 # u = 0 on the square: homogeneous Dirichlet data on a 2D grid
 ZERO_2D = ManufacturedCase(lambda xy, t: 0.0 * (xy[0] + xy[1]), lambda xy, t: 0.0)
@@ -57,7 +58,7 @@ def test_manufactured_source_residual():
     case = manufactured_heat_case()
     x = np.linspace(0.2, 3.0, 9)
     for t in (0.0, 0.4, 1.7):
-        assert np.max(np.abs(case.residual(x, t))) < 1e-6
+        assert np.max(np.abs(pde_residual(case, x, t))) < 1e-6
 
 
 def test_manufactured_residual_high_precision():
@@ -82,7 +83,7 @@ def test_manufactured_residual_high_precision():
 def test_quadratic_case_residual_and_stencil_exactness():
     case = quadratic_manufactured_case()
     x = np.linspace(0.2, 3.0, 9)
-    assert np.max(np.abs(case.residual(x, 0.7))) < 1e-5
+    assert np.max(np.abs(pde_residual(case, x, 0.7))) < 1e-5
     # the central second difference is exact on the quadratic profile
     grid = make_grid_1d(16)
     from rdfilter.stepper import apply_laplacian
@@ -246,7 +247,20 @@ def test_ratio_to_dt():
     assert abs(3.0 * ratio_to_dt(2.0, h) / h**2 - 2.0) < 1e-15
 
 
-@pytest.mark.parametrize("ratio", [0.0, -1.0, float("nan"), float("inf"), True, np.True_])
+@pytest.mark.parametrize("h", [-1.0, 0.0, float("nan"), True])
+def test_ratio_to_dt_rejects_an_h_that_is_not_finite_and_positive(h):
+    # -1 used to return a positive dt, and NaN a NaN one
+    with pytest.raises(ValueError, match="^h: must be finite and positive"):
+        ratio_to_dt(1.0, h)
+
+
+# Values no real-number test can take: each used to raise a TypeError, or an
+# OverflowError, that named no key.
+NOT_REAL = ["3", None, pytest.param(10**400, id="10**400")]
+
+
+@pytest.mark.parametrize("ratio", [0.0, -1.0, float("nan"), float("inf"), True, np.True_]
+                         + NOT_REAL)
 def test_drivers_reject_a_ratio_that_is_not_finite_and_positive(ratio):
     # 0 used to raise ZeroDivisionError, -1 was blamed on T and NaN on dt;
     # True ran as 1.0
@@ -433,7 +447,8 @@ def test_drivers_reject_a_kappa_fraction_that_is_not_finite_and_positive(driver,
 
 
 @pytest.mark.parametrize("driver", ["1d", "2d"])
-@pytest.mark.parametrize("dt", [-1.0, 0.0, float("nan"), float("inf"), True, np.True_])
+@pytest.mark.parametrize("dt", [-1.0, 0.0, float("nan"), float("inf"), True, np.True_]
+                         + NOT_REAL)
 def test_drivers_reject_a_dt_that_is_not_finite_and_positive(driver, dt):
     # NaN and inf used to run with kappa NaN or inf and report a Newton failure;
     # True ran as 1.0
@@ -461,6 +476,9 @@ def test_dd_study_rejects_an_infeasible_overlap_before_bisecting(monkeypatch):
                         lambda *args, **kwargs: calls.append(args) or 1.0)
     with pytest.raises(ValueError, match="even"):
         run_dd_study(32, 4, (4, 3))
+    # no strip used to raise ZeroDivisionError from the overlap cap
+    with pytest.raises(ValueError, match="^n_subdomains: must be >= 1, got 0"):
+        run_dd_study(32, 0, (4,))
     assert calls == []
 
 

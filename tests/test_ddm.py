@@ -1,5 +1,7 @@
 """Overlapping strip layouts and the strip path of the postprocess."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,6 +181,17 @@ def test_integrate_1d_rejects_shift_order_2_even_unfiltered():
         with pytest.raises(ValueError, match="^shift_order: must be a whole number"):
             integrate(zero_reaction(), GRID, 0.01, 2, lambda t: (0.0, 0.0),
                       Field.zeros(GRID), shift_order=bad)
+
+
+@pytest.mark.parametrize("key, value", [("shift_order", 3), ("layout", make_layout(GRID, 2, 8)),
+                                        ("kappa_fraction", 5.0)])
+def test_integrate_rejects_unfiltered_what_only_the_filter_reads(key, value):
+    # each used to be ignored: the fields came out bit-identical
+    run = partial(integrate, zero_reaction(), GRID, 0.01, 2, lambda t: (0.0, 0.0),
+                  Field.zeros(GRID), filter_on=False)
+    with pytest.raises(ValueError, match=f"^{key}: only a filtered run reads it"):
+        run(**{key: value})
+    assert run(kappa_fraction=1).stable
 
 
 def test_postprocess_rejects_a_layout_of_another_grid():

@@ -434,11 +434,13 @@ def test_postprocess_matrices_assemble_in_small_blocks(n_subdomains, overlap, th
     assert peak < 2 * 1024**2
 
 
-@pytest.mark.parametrize("bad", [np.nan, 0.0, -2.0, np.inf, True, np.True_])
+@pytest.mark.parametrize("bad", [np.nan, 0.0, -2.0, np.inf, True, np.True_, "3", None,
+                                 pytest.param(10**400, id="10**400")])
 def test_postprocess_rejects_a_kappa_that_is_not_finite_and_positive(bad):
     # each used to pass: NaN returned an all-NaN field, 0 filtered nothing,
     # -2 acted as +2, inf removed every sine mode and True filtered with 1.0;
-    # np.True_ was taken for a sequence and raised a TypeError
+    # np.True_ was taken for a sequence and raised a TypeError, and so were
+    # "3" and None, while 10**400 raised an OverflowError
     reject = partial(pytest.raises, ValueError, match="^kappa: must be finite and positive")
     for n in (64, 2 * MATRIX_MAX_N):  # the matrix path and the DST path
         grid = make_grid_1d(n)

@@ -143,3 +143,37 @@ def test_private_imports_finds_every_form():
                          ids=lambda p: p.name)
 def test_module_imports_no_underscore_name(path):
     assert private_imports(path.read_text()) == []
+
+
+# The solver needs only the DSTs of ``scipy.fft``; an oracle that needs more of
+# SciPy (``scipy.integrate``) lives in the tests (``tests/oracles.py``), so
+# importing the library loads no more of SciPy.
+SRC_FROM_SCIPY = {"scipy.fft"}
+
+
+def scipy_imports(source: str) -> set[str]:
+    """The SciPy modules ``source`` imports or imports from, as dotted names;
+    ``from scipy import x`` counts as ``scipy.x``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names if a.name.split(".")[0] == "scipy")
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            found.update(f"scipy.{a.name}" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy."):
+            found.add(node.module)
+    return found
+
+
+def test_scipy_imports_finds_every_form():
+    source = ("import scipy\nimport scipy.linalg as la\nfrom scipy import sparse\n"
+              "from scipy.integrate import solve_ivp\nfrom scipy.fft import dst\n"
+              "from .scipyish import x\nimport numpy\n")
+    assert scipy_imports(source) == {"scipy", "scipy.linalg", "scipy.sparse",
+                                     "scipy.integrate", "scipy.fft"}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "rdfilter").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_imports_nothing_of_scipy_but_fft(path):
+    assert scipy_imports(path.read_text()) <= SRC_FROM_SCIPY
