@@ -206,7 +206,6 @@ class PredatorPreyCase:
 
     def reaction(self) -> ReactionSystem:
         return ReactionSystem(
-            m=2,
             eval=lambda x, t, w: self.ode_rhs(w),
             jacobian=lambda x, t, w: self.ode_jacobian(w),
         )

@@ -204,26 +204,26 @@ Field2D = Field
 class ReactionSystem:
     """Pointwise nonlinear term f(x, t, u) with its m x m Jacobian df/du.
 
-    Both callables are vectorized over nodes: ``u`` has shape (..., m), ``eval``
-    returns (..., m) and ``jacobian`` returns (..., m, m).  ``x`` is the node
-    coordinate array (1D grids) or an (X, Y) pair (2D grids); reactions that do
-    not depend on position ignore it.  ``u_independent`` means f does not read
-    u (df/du = 0): Newton evaluates f once per solve, and for m = 1 divides by c.
+    Both callables are vectorized over nodes: ``u`` has shape (..., m), m the
+    field's component count; ``eval`` returns (..., m), ``jacobian`` (..., m,
+    m).  ``x`` is the node coordinates (1D) or an (X, Y) pair (2D); reactions
+    that do not depend on position ignore it.  ``u_independent`` means f does
+    not read u (df/du = 0): Newton evaluates f once and divides by c.
     """
 
-    m: int
     eval: Callable = field(repr=False)
     jacobian: Callable = field(repr=False)
     u_independent: bool = False
 
 
-def zero_reaction(m: int = 1) -> ReactionSystem:
-    """f == 0 (pure diffusion)."""
-    return source_reaction(lambda x, t: 0.0, m)
+def zero_reaction() -> ReactionSystem:
+    """f == 0 (pure diffusion), on a field of any component count."""
+    return source_reaction(lambda x, t: 0.0)
 
 
-def source_reaction(source: Callable, m: int = 1) -> ReactionSystem:
-    """u-independent source term f(x, t, u) = s(x, t)."""
+def source_reaction(source: Callable) -> ReactionSystem:
+    """u-independent source term f(x, t, u) = s(x, t), for a field of any
+    component count: the zero Jacobian takes its shape from u."""
 
     def _eval(x, t, u):
         s = np.asarray(source(x, t), dtype=float)
@@ -232,9 +232,9 @@ def source_reaction(source: Callable, m: int = 1) -> ReactionSystem:
         return out
 
     def _jac(x, t, u):
-        return np.zeros(u.shape + (m,))
+        return np.zeros(u.shape + u.shape[-1:])
 
-    return ReactionSystem(m=m, eval=_eval, jacobian=_jac, u_independent=True)
+    return ReactionSystem(eval=_eval, jacobian=_jac, u_independent=True)
 
 
 def laplacian_symbol(h: float, k: int) -> float:

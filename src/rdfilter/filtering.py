@@ -142,6 +142,7 @@ def postprocess_field(u: Field, kappa: float | tuple[float, ...], uxx: Field | N
         raise ValueError(f"kappa: needs one value per node axis ({n_axes}), got {len(kappa)}")
     for k in kappa:
         require_positive("kappa", k)
+    kappa = tuple(map(float, kappa))  # a 0-d array is no key for the memos
     if uxx is not None and not (isinstance(uxx, Field) and uxx.values.shape == u.values.shape):
         got = uxx.values.shape if isinstance(uxx, Field) else type(uxx).__name__
         raise ValueError(f"uxx: must be a Field of u's shape {u.values.shape}, got {got}")

@@ -12,10 +12,11 @@ its startup variant, on a 1D or a 2D Field alike; ``estimate_uxx`` reads
 u_xx back from the same levels at every node, for the third-order shift.
 
 Only the pointwise Jacobian J of f is formed, none for a u-independent f,
-and the identity only for m >= 2.  Each node's Newton update is independent
-and solved on whole arrays: a division by c, or by c - J, when m = 1,
-Cramer's rule when m = 2 (LAPACK for a node whose determinant it cannot
-trust), LAPACK's batched solve when m >= 3.  It stops once the residual is
+and the identity only for a u-dependent f with m >= 2, m = u.shape[-1].
+Each node's Newton update is solved on whole arrays: a division by c for a
+u-independent f, by c - J when m = 1, else Cramer's rule when m = 2 (LAPACK
+for a node whose determinant it cannot trust), LAPACK's batched solve when
+m >= 3.  It stops once the residual is
 below NEWTON_TOL max|c I - J| max|u|, the size of its terms, or fails after
 NEWTON_MAX_ITER updates.
 """
@@ -62,19 +63,19 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
     """Solve c*u - f(x, t, u) = rhs at every node, c = ``coeff``, by Newton
     from ``initial``.
 
-    ``rhs`` has shape (..., m); the solve is vectorized over the leading axes:
-    a division by c, or by c - df/du, for m = 1, where no identity is formed;
-    for m >= 2 the matrix c I - J, solved by Cramer's rule for m = 2 (LAPACK
-    at a node where it cannot be trusted, see ``_solve_2x2``) and by one
-    dense LAPACK solve per node for m >= 3.  Deterministic: every node only
-    touches its own values.  A ``u_independent`` f makes the equation linear
-    in u: its Jacobian is not taken, and the first update solves it.  A node
+    ``rhs`` has shape (..., m); the solve is vectorized over the leading axes.
+    A ``u_independent`` f makes the equation linear in u: its Jacobian is not
+    taken, and the first update, a division by c for every m, solves it.
+    Else the update divides by c - df/du for m = 1, where no identity is
+    formed, and for m >= 2 solves c I - J, by Cramer's rule for m = 2 (LAPACK
+    at a node where it cannot be trusted, see ``_solve_2x2``) and by one dense
+    LAPACK solve per node for m >= 3.  Every node only touches its own values.  A node
     whose Jacobian is singular, or whose update is not finite, raises
     ``NewtonDivergence`` naming that node.
     """
     rhs = np.asarray(rhs, dtype=float)
     u = np.array(initial, dtype=float)
-    eye = np.eye(reaction.m) if reaction.m >= 2 else None
+    m = u.shape[-1]
     f = reaction.eval(x, t, u)
 
     def _diverged(per_node, worst):
@@ -95,14 +96,13 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
             return u
         if iteration == NEWTON_MAX_ITER:
             break
-        if reaction.m == 1:  # the Newton matrix is one number per node
+        if reaction.u_independent or m == 1:  # the Newton matrix is c I, or one number
             jac = coeff if reaction.u_independent else coeff - reaction.jacobian(x, t, u)[..., 0]
             with np.errstate(divide="ignore", invalid="ignore"):
                 delta = residual / jac
         else:
-            jac = coeff * eye if reaction.u_independent else (
-                coeff * eye - reaction.jacobian(x, t, u))
-            delta = (_solve_2x2 if reaction.m == 2 else _solve_dense)(jac, residual)
+            jac = coeff * np.eye(m) - reaction.jacobian(x, t, u)
+            delta = (_solve_2x2 if m == 2 else _solve_dense)(jac, residual)
         if not np.isfinite(delta).all():  # a singular Jacobian, or an overflow
             bad = ~np.isfinite(delta).all(axis=-1)
             raise _diverged(bad, float(np.abs(residual[bad]).max()))
@@ -134,7 +134,6 @@ def _solve_2x2(jac: np.ndarray, residual: np.ndarray) -> np.ndarray:
         sound = np.abs(det) > 4.0 * _FLOAT.eps * (np.abs(ad) + np.abs(bc)) + _FLOAT.tiny
     if not (sound.all() and np.isfinite(delta).all()):
         redo = ~(sound & np.isfinite(delta).all(axis=-1))
-        jac = np.broadcast_to(jac, residual.shape + (2,))  # c I when f is u-independent
         delta[redo] = _solve_dense(jac[redo], residual[redo])
     return delta
 

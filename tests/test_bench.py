@@ -577,7 +577,7 @@ def _rate_reaction(rate):
     """f = rate(t) * u + 1; the Newton Jacobian c - rate(t) is exactly 0 when
     rate(t) equals the step's coefficient c (1/dt at startup, 3/(2 dt) later)."""
     return ReactionSystem(
-        m=1, eval=lambda x, t, u: rate(t) * u + 1.0,
+        eval=lambda x, t, u: rate(t) * u + 1.0,
         jacobian=lambda x, t, u: np.full(u.shape + (1,), rate(t)))
 
 

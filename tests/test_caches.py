@@ -4,9 +4,9 @@ Every cached array must be read-only and equal to a fresh computation; the
 manufactured cases, which keep their spatial factors per read-only node
 array, must return the bytes of their closed forms; the cached pipeline
 must reproduce the uncached formulas; the 1 x 1 division and the 2 x 2
-closed form must agree with LAPACK's dense solve, which m >= 3 still takes,
-and a u-independent reaction must be solved bit for bit as if its flag were
-cleared.
+closed form must agree with LAPACK's dense solve, which a u-dependent
+m >= 3 still takes; a u-independent reaction is one division by c for every
+m, bit for bit the general solve at m = 1 and within 4 ulp of it otherwise.
 """
 
 from dataclasses import replace
@@ -46,7 +46,7 @@ from rdfilter.filtering import (
     sigma8,
 )
 from rdfilter.shift import cosine_basis, endpoint_inverse
-from rdfilter.stepper import NewtonDivergence, estimate_uxx, newton_point_solve
+from rdfilter.stepper import NewtonDivergence, estimate_uxx, newton_point_solve, step
 
 
 def _assert_read_only(array):
@@ -372,7 +372,6 @@ def test_postprocess_matches_uncached_formula(n, ratio, shift_order, seed):
 def _atan_reaction(coeff, m):
     # c u - f(u) = atan(u): Newton on atan diverges from |u0| > 1.39.
     return ReactionSystem(
-        m=m,
         eval=lambda x, t, u: coeff * u - np.arctan(u),
         jacobian=lambda x, t, u: (coeff - 1.0 / (1.0 + u * u))[..., np.newaxis]
         * np.eye(m),
@@ -416,7 +415,6 @@ def test_zero_jacobian_raises_newton_divergence_at_that_node(m):
     # solve (m = 3, and m = 2's fallback) must not raise LinAlgError.
     coeff = 3.0
     reaction = ReactionSystem(
-        m=m,
         eval=lambda x, t, u: coeff * u - 0.5 * u * u,
         jacobian=lambda x, t, u: (coeff - u)[..., np.newaxis] * np.eye(m),
     )
@@ -434,17 +432,25 @@ def test_zero_jacobian_raises_newton_divergence_at_that_node(m):
        st.booleans(), st.integers(0, 2**32 - 1))
 def test_u_independent_solve_is_bit_identical_to_the_general_solve(m, nodes, coeff,
                                                                    guess, seed):
-    # The flag only skips work: f is evaluated once, and the Jacobian c I is
-    # formed without calling ``jacobian`` (which returns zeros here).
+    # The flag only skips work: f is evaluated once, and the update divides
+    # the residual by c without calling ``jacobian`` (which returns zeros
+    # here).  At m = 1 the general solve divides by c - 0 too, bit for bit;
+    # at m >= 2 it solves c I, and Cramer's rule computes c r / c^2, not r / c.
+    # The update rounds on terms of size |u0|, |u|, |rhs| / c and |s| / c.
     rng = np.random.default_rng(seed)
     source = rng.standard_normal(nodes + (m,)) * 10.0 ** rng.uniform(-3, 3)
     rhs = rng.standard_normal(nodes + (m,))
     initial = rng.standard_normal(nodes + (m,)) if guess else rhs / coeff
-    flagged = source_reaction(lambda x, t: source, m=m)
+    flagged = source_reaction(lambda x, t: source)
     cleared = replace(flagged, u_independent=False)
     fast = newton_point_solve(rhs, flagged, None, 0.0, coeff, initial)
     slow = newton_point_solve(rhs, cleared, None, 0.0, coeff, initial)
-    assert fast.tobytes() == slow.tobytes()
+    if m == 1:
+        assert fast.tobytes() == slow.tobytes()
+        return
+    u_max = max(np.abs(a).max() for a in (initial, fast, rhs / coeff, source / coeff))
+    for other in ((rhs + source) / coeff, slow):
+        assert np.max(np.abs(fast - other)) <= 4.0 * np.spacing(u_max)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -452,7 +458,7 @@ def test_u_independent_solve_is_bit_identical_to_the_general_solve(m, nodes, coe
 def test_non_finite_source_diverges_at_the_same_node_either_way(m, bad):
     source = np.ones((9, m))
     source[5, -1] = bad
-    flagged = source_reaction(lambda x, t: source, m=m)
+    flagged = source_reaction(lambda x, t: source)
     failures = []
     for reaction in (flagged, replace(flagged, u_independent=False)):
         with np.errstate(invalid="ignore"):
@@ -485,7 +491,7 @@ def test_source_fill_matches_the_broadcast_copy(m, returns, dtype, seed):
         returned.append(np.array(values, dtype=dtype))
         return returned[-1]
 
-    out = source_reaction(source, m=m).eval(None, 0.0, u)
+    out = source_reaction(source).eval(None, 0.0, u)
     s = np.asarray(returned[-1], dtype=float)
     if s.shape != u.shape:
         s = np.broadcast_to(s[..., np.newaxis] if s.ndim == u.ndim - 1 else s, u.shape)
@@ -507,7 +513,7 @@ def test_m1_solve_is_one_division_by_c_minus_the_jacobian(lam_max, c, nodes, see
     lam = lam_max * rng.uniform(0.0, 1.0, nodes + (1,))
     rhs = rng.standard_normal(nodes + (1,))
     u0 = rng.standard_normal(nodes + (1,))
-    reaction = ReactionSystem(m=1, eval=lambda x, t, u: -lam * u,
+    reaction = ReactionSystem(eval=lambda x, t, u: -lam * u,
                               jacobian=lambda x, t, u: (-lam)[..., np.newaxis])
     u = newton_point_solve(rhs, reaction, None, 0.0, c, u0)
     oracle = u0 - (c * u0 - (-lam * u0) - rhs) / (c - (-lam))
@@ -517,7 +523,7 @@ def test_m1_solve_is_one_division_by_c_minus_the_jacobian(lam_max, c, nodes, see
 def _linear_reaction(jac):
     # f(u) = -J u per node, so at c = 0 Newton's matrix 0 I - df/du is J bit
     # for bit, and the first update solves J u = rhs.
-    return ReactionSystem(m=2, eval=lambda x, t, u: -np.einsum("...ij,...j->...i", jac, u),
+    return ReactionSystem(eval=lambda x, t, u: -np.einsum("...ij,...j->...i", jac, u),
                           jacobian=lambda x, t, u: -jac)
 
 
@@ -582,7 +588,8 @@ def test_singular_2x2_jacobian_diverges_at_that_node(singular):
 
 
 def test_predator_prey_calls_no_lapack_solve_and_m3_does(monkeypatch):
-    # Predator-prey (m = 2) is solved in closed form; m = 3 takes np.linalg.solve.
+    # Predator-prey (m = 2) is solved in closed form and a u-independent f
+    # (m = 3 here) by a division; a u-dependent m = 3 takes np.linalg.solve.
     calls = []
     original = np.linalg.solve
 
@@ -594,5 +601,25 @@ def test_predator_prey_calls_no_lapack_solve_and_m3_does(monkeypatch):
     row, _ = run_predator_prey(PredatorPreyCase(), 64, 2.0, n_steps=20)
     assert row.stable and calls == []
     rhs = np.full((9, 3), 0.5)
+    newton_point_solve(rhs, source_reaction(lambda x, t: 1.0), None, 0.0, 3.0, np.zeros((9, 3)))
+    assert calls == []
     newton_point_solve(rhs, _atan_reaction(3.0, 3), None, 0.0, 3.0, rhs / 3.0)
     assert len(calls) >= 1
+
+
+def test_step_on_unit_columns_equals_the_column_by_column_steps(monkeypatch):
+    # One step of u-independent f on the 2(N + 1) unit columns (u^n, u^{n-1})
+    # = (e_j, 0) and (0, e_j) yields the step's two linear maps at once; each
+    # column is a field of its own, and none of them reaches LAPACK.
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", no_lapack)
+    grid = make_grid_1d(64)
+    dt = ratio_to_dt(4.0, grid.h)
+    eye, zeros = np.eye(65), np.zeros((65, 65))
+    u_curr, u_prev = Field(grid, np.hstack([eye, zeros])), Field(grid, np.hstack([zeros, eye]))
+    wide = step(u_curr, u_prev, zero_reaction(), 0.0, dt, (0.0, 0.0)).values
+    columns = [step(Field(grid, u_curr.values[:, [j]]), Field(grid, u_prev.values[:, [j]]),
+                    zero_reaction(), 0.0, dt, (0.0, 0.0)).values for j in range(130)]
+    assert wide.tobytes() == np.hstack(columns).tobytes()

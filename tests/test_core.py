@@ -149,7 +149,7 @@ def check_jacobian(reaction: ReactionSystem, x, t: float, u: np.ndarray,
     jac = reaction.jacobian(x, t, u)
     worst = 0.0
     f0 = reaction.eval(x, t, u)
-    for j in range(reaction.m):
+    for j in range(u.shape[-1]):
         du = np.zeros_like(u)
         du[..., j] = eps
         fd = (reaction.eval(x, t, u + du) - f0) / eps
@@ -164,19 +164,18 @@ def check_jacobian(reaction: ReactionSystem, x, t: float, u: np.ndarray,
 def test_jacobian_consistency_bundled_systems():
     rng = np.random.default_rng(11)
     heat = manufactured_heat_case()
-    for reaction in (
-        heat.reaction(),
-        PredatorPreyCase().reaction(),
-        PredatorPreyCase(sign_variant="printed").reaction(),
+    for reaction, m in (
+        (heat.reaction(), 1),
+        (PredatorPreyCase().reaction(), 2),
+        (PredatorPreyCase(sign_variant="printed").reaction(), 2),
     ):
         x = np.linspace(0.3, 2.8, 6)
-        u = rng.uniform(0.2, 1.5, size=(6, reaction.m))
+        u = rng.uniform(0.2, 1.5, size=(6, m))
         assert check_jacobian(reaction, x, 0.7, u) < 1e-4
 
 
 def test_jacobian_check_catches_wrong_jacobian():
     bad = ReactionSystem(
-        m=1,
         eval=lambda x, t, u: u**2,
         jacobian=lambda x, t, u: np.ones(u.shape[:-1] + (1, 1)),
     )
@@ -189,7 +188,6 @@ def test_jacobian_check_catches_a_reaction_wrongly_flagged_u_independent():
     # f = u^2 with its true Jacobian passes the finite-difference check; the
     # flag claims f does not read u, which the perturbation disproves.
     reaction = ReactionSystem(
-        m=1,
         eval=lambda x, t, u: u**2,
         jacobian=lambda x, t, u: (2.0 * u)[..., np.newaxis],
         u_independent=True,
@@ -198,7 +196,6 @@ def test_jacobian_check_catches_a_reaction_wrongly_flagged_u_independent():
     assert check_jacobian(replace(reaction, u_independent=False), np.zeros(4), 0.0, u) < 1e-4
     with pytest.raises(ValueError, match="u_independent"):
         check_jacobian(reaction, np.zeros(4), 0.0, u)
-    for flagged in (zero_reaction(2), source_reaction(lambda x, t: np.sin(x))):
+    for flagged, m in ((zero_reaction(), 2), (source_reaction(lambda x, t: np.sin(x)), 1)):
         assert flagged.u_independent
-        assert check_jacobian(flagged, np.linspace(0.3, 2.8, 6), 0.7,
-                              np.ones((6, flagged.m))) == 0.0
+        assert check_jacobian(flagged, np.linspace(0.3, 2.8, 6), 0.7, np.ones((6, m))) == 0.0

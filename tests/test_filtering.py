@@ -312,7 +312,7 @@ def _postprocess_case(n, ratio, shift_order, n_subdomains, overlap, reaction):
 def test_postprocess_keeps_boundary_values_exactly(n, ratio, shift_order, n_subdomains,
                                                    overlap, seed):
     grid, post = _postprocess_case(n, ratio, shift_order, n_subdomains, overlap,
-                                   zero_reaction(2))
+                                   zero_reaction())
     rng = np.random.default_rng(seed)
     u = Field(grid, np.cos(grid.nodes)[:, None] + rng.standard_normal((n + 1, 2)))
     out = post(u)
@@ -338,7 +338,7 @@ def test_postprocess_leaves_low_cosines_unchanged(n, ratio, shift_order, n_subdo
 def test_postprocess_is_linear_at_first_order(n, ratio, shift_order, n_subdomains,
                                               overlap, seed):
     grid, post = _postprocess_case(n, ratio, shift_order, n_subdomains, overlap,
-                                   zero_reaction(2))
+                                   zero_reaction())
     rng = np.random.default_rng(seed)
     a, b = rng.uniform(-2.0, 2.0, size=2)
     u, w = (Field(grid, rng.standard_normal((n + 1, 2))) for _ in range(2))
@@ -451,6 +451,17 @@ def test_postprocess_rejects_a_kappa_that_is_not_finite_and_positive(bad):
     for kappa in ((bad, 2.0), (2.0, bad)):
         with reject():
             postprocess_field(u2, kappa)
+
+
+@pytest.mark.parametrize("form", ["0-d array", "tuple of 0-d arrays"])
+@pytest.mark.parametrize("n", [64, 2 * MATRIX_MAX_N, "2d"])
+def test_postprocess_takes_a_0d_array_kappa_as_its_float(n, form):
+    # a 0-d array reached the memos unconverted and raised "unhashable type"
+    grid = make_grid_2d(8, 16) if n == "2d" else make_grid_1d(n)
+    values = np.random.default_rng(3).standard_normal(grid.node_shape + (1,))
+    u = Field(grid, 1.0 + values)
+    kappa = np.array(2.0) if form == "0-d array" else (np.array(2.0),) * (u.values.ndim - 1)
+    assert postprocess_field(u, kappa).values.tobytes() == postprocess_field(u, 2.0).values.tobytes()
 
 
 @pytest.mark.parametrize("bad", [

@@ -297,4 +297,4 @@ def test_boundary_sample_rejects_an_edge_of_the_wrong_shape(edge, m):
     z = Field.zeros(GRID, m)
     edges = {**dict.fromkeys(EDGES[:3], np.zeros((17, m))), "hpi": edge}
     with pytest.raises(ValueError, match="^hpi: edge sample has shape"):
-        step(z, z, zero_reaction(m), 0.0, 1e-4, edges)
+        step(z, z, zero_reaction(), 0.0, 1e-4, edges)

@@ -35,7 +35,6 @@ from rdfilter.shift import cosine_trend
 
 def linear_reaction(lam, m=1):
     return ReactionSystem(
-        m=m,
         eval=lambda x, t, u: lam * u,
         jacobian=lambda x, t, u: lam * np.broadcast_to(np.eye(m), u.shape + (m,)),
     )
@@ -115,7 +114,7 @@ def test_newton_linear_converges_in_one_update():
     # linear residual: a single Newton update lands on the solution exactly
     calls = []
     base = linear_reaction(-1.0)
-    reaction = ReactionSystem(m=1, eval=base.eval,
+    reaction = ReactionSystem(eval=base.eval,
                               jacobian=lambda x, t, u: calls.append(1) or base.jacobian(x, t, u))
     rhs = np.array([[5.0]])
     u = newton_point_solve(rhs, reaction, np.zeros(1), 0.0, 15.0, np.array([[123.0]]))
@@ -126,7 +125,6 @@ def test_newton_linear_converges_in_one_update():
 def test_newton_cubic_against_bisection():
     # f(u) = -u^3, c = 3: solve 3u + u^3 = 1
     cubic = ReactionSystem(
-        m=1,
         eval=lambda x, t, u: -(u**3),
         jacobian=lambda x, t, u: -3.0 * u[..., np.newaxis] ** 2,
     )
@@ -145,7 +143,6 @@ def test_newton_divergence_reports_node():
     # c u - 1e8 u^2 = rhs with c = 1.5 has no real root at either node;
     # the one with the larger residual after the last update is reported
     hard = ReactionSystem(
-        m=1,
         eval=lambda x, t, u: u**2 * 1e8,
         jacobian=lambda x, t, u: 2e8 * u[..., np.newaxis],
     )
@@ -162,7 +159,7 @@ def _run_relaxation(lam, ratio, m, n_steps=10):
     case, grid = manufactured_heat_case(), make_grid_1d(64)
     column = lambda x, t: case.exact(x, t)[:, np.newaxis]
     reaction = ReactionSystem(
-        m=m, eval=lambda x, t, u: -lam * (u - column(x, t)) + case.source(x, t)[:, np.newaxis],
+        eval=lambda x, t, u: -lam * (u - column(x, t)) + case.source(x, t)[:, np.newaxis],
         jacobian=lambda x, t, u: np.broadcast_to(-lam * np.eye(m), u.shape + (m,)))
     bc = lambda t: (np.full(m, case.exact(0.0, t)), np.full(m, case.exact(np.pi, t)))
     u0 = Field(grid, np.tile(column(grid.nodes, 0.0), (1, m)))
@@ -215,7 +212,7 @@ def test_step_takes_the_laplacian_of_the_extrapolated_level(seed, shape, m, rati
     dt = ratio_to_dt(ratio, np.pi / (max(grid.node_shape) - 1))
     coupling = np.array([[-1.0, 0.5], [-0.5, -2.0]])[:m, :m]
     reaction = ReactionSystem(
-        m=m, eval=lambda x, t, u: u @ coupling.T,
+        eval=lambda x, t, u: u @ coupling.T,
         jacobian=lambda x, t, u: np.broadcast_to(coupling, u.shape + (m,)))
     bc = (0.3, -0.7) if shape == "1d" else {k: 0.2 for k in ("g0", "gpi", "h0", "hpi")}
     got = step(u_curr, u_prev, reaction, 0.5, dt, bc).values
