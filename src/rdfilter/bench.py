@@ -32,6 +32,7 @@ from .core import (
     make_grid_1d,
     node_coordinates,
     read_only,
+    require_bool,
     require_positive,
     require_whole,
     source_reaction,
@@ -181,6 +182,7 @@ class PredatorPreyCase:
         if self.sign_variant not in ("printed", "classical"):
             raise ValueError("sign_variant must be 'printed' or 'classical'")
         require_positive("base_level", self.base_level)
+        require_bool("excited", self.excited)
 
     def ode_rhs(self, w: np.ndarray) -> np.ndarray:
         u, v = w[..., 0], w[..., 1]
@@ -248,7 +250,8 @@ def error_norms(u: Field, reference: Field) -> tuple[float, float]:
 
 @dataclass
 class RunOutcome:
-    """``kappa`` holds the stretching factor of each node axis, x first."""
+    """``kappa`` holds the stretching factor of each node axis, x first, NaN
+    on every axis of an unfiltered run."""
 
     field: Field | None
     stable: bool
@@ -282,6 +285,7 @@ def integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_step
     ``core.BLOWUP_THRESHOLD`` after its postprocess; every step but the
     startup step is also checked before it.
     A blow-up or a Newton failure ends the run and is reported, never raised.
+    ``filter_on`` must be a bool.
     ``final_update`` is max |u^N - u^{N-1}| / dt over the last two levels, once
     a step after the startup step has completed, else inf.  ``min_values``
     are the per-component minima over u0 and every completed step.
@@ -299,12 +303,13 @@ def integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_step
     if n_steps < 0:
         raise ValueError(f"n_steps: must be >= 0, got {n_steps!r}")
     require_positive("kappa_fraction", kappa_fraction)
+    require_bool("filter_on", filter_on)
     if not filter_on and (shift_order != 1 or layout is not None or kappa_fraction != 1.0):
         key = ("shift_order" if shift_order != 1 else "layout" if layout is not None
                else "kappa_fraction")
         raise ValueError(f"{key}: only a filtered run reads it, and filter_on is off")
     kappa = tuple(kappa_fraction * kappa_critical(len(grid.node_shape) * dt, np.pi / (n - 1))
-                  for n in grid.node_shape)
+                  if filter_on else float("nan") for n in grid.node_shape)
     mins = u0.values.reshape(-1, u0.m).min(axis=0)
     start = time.perf_counter()
 
@@ -428,6 +433,14 @@ def run_predator_prey(case: PredatorPreyCase, n_intervals: int, ratio: float,
                  "final_update": out.final_update, "final": out.field}
 
 
+def _trial_steps(n_steps: int) -> int:
+    """A stability trial's step count: the startup step alone grows no mode."""
+    n_steps = require_whole("n_steps", n_steps)
+    if n_steps < 2:
+        raise ValueError(f"n_steps: a stability trial needs at least two steps, got {n_steps}")
+    return n_steps
+
+
 def _dd_stability_trial(grid: Grid1D, ratio: float, layout: SubdomainLayout | None,
                         n_steps: int = 500) -> bool:
     """Heat equation, homogeneous data, highest-mode seed; survive n_steps?"""
@@ -441,8 +454,10 @@ def bisect_max_stable_ratio(grid: Grid1D, layout: SubdomainLayout | None,
                             resolution: float = 0.1, n_steps: int = 500) -> float:
     """Largest stable 3 dt / h^2, bisected to the given resolution (or until
     the midpoint rounds to an end); RATIO_MAX when every ratio up to that cap
-    survives.  A ``resolution`` that is not finite and positive raises."""
+    survives.  A ``resolution`` that is not finite and positive, or ``n_steps``
+    below 2, raises naming it."""
     require_positive("resolution", resolution)
+    n_steps = _trial_steps(n_steps)
     lo = 0.0
     hi = 1.0
     while hi <= RATIO_MAX and _dd_stability_trial(grid, hi, layout, n_steps):
@@ -477,8 +492,10 @@ def run_dd_study(n_intervals: int, n_subdomains: int, overlaps,
                  resolution: float = 0.1, n_steps: int = 500) -> list[SweepRow]:
     """Maximal stable ratio per overlap for the heat equation, after the
     single-domain reference row.  Every layout is built before the first
-    bisection, so an infeasible one fails at once.  A row whose bisection
-    reached RATIO_MAX is noted "capped": its true limit may lie above."""
+    bisection, so an infeasible one, or ``n_steps`` below 2, fails at once.
+    A row whose bisection reached RATIO_MAX is noted "capped": its true limit
+    may lie above."""
+    n_steps = _trial_steps(n_steps)
     grid = make_grid_1d(n_intervals)
     rows = []
     for layout, note in [(None, "")] + [dd_layout(grid, n_subdomains, ov) for ov in overlaps]:

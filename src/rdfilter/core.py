@@ -49,6 +49,13 @@ def require_positive(name: str, value: float, error: type[ValueError] = ValueErr
     raise error(f"{name}: must be finite and positive, got {value!r}")
 
 
+def require_bool(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a bool (``np.bool_``
+    too): a flag does not read the truth of 1, "3" or NaN."""
+    if type(value) not in _BOOLS:
+        raise ValueError(f"{name}: must be True or False, got {value!r}")
+
+
 def read_only(array: np.ndarray) -> np.ndarray:
     """Mark a memoized array read-only, so no caller can corrupt the shared copy."""
     array.flags.writeable = False

@@ -280,6 +280,13 @@ def test_predator_prey_parameters_and_validation():
             PredatorPreyCase(base_level=level)
     with pytest.raises(ValueError):
         PredatorPreyCase(sign_variant="other")
+    # only a bool is a flag: "3", NaN and 2.5 used to run on their truth
+    for excited in ("3", float("nan"), 2.5, 1, None):
+        with pytest.raises(ValueError, match="^excited: must be True or False"):
+            PredatorPreyCase(excited=excited)
+    for excited in (np.True_, np.False_):
+        assert PredatorPreyCase(excited=excited).boundary(0.0)[0][0] == (
+            PredatorPreyCase(excited=bool(excited)).boundary(0.0)[0][0])
 
 
 def test_predator_prey_boundary_excitation():
@@ -316,6 +323,7 @@ def test_sweep_filter_nearly_inert_below_limit():
     on = run_accuracy_sweep(case, [32], [0.5], [1], T=0.5, filter_on=True)
     off = run_accuracy_sweep(case, [32], [0.5], [1], T=0.5, filter_on=False)
     assert on[0].stable and off[0].stable
+    assert np.isfinite(on[0].kappa) and np.isnan(off[0].kappa)  # no filter, no kappa
     assert on[0].err_l2 <= 2.0 * off[0].err_l2
     assert off[0].err_l2 <= 2.0 * on[0].err_l2
 
@@ -430,11 +438,28 @@ def test_bisection_ends_when_the_midpoint_reaches_an_end(monkeypatch):
     assert [r.ratio for r in rows] == [last_stable, last_stable]
 
 
-def _run_driver(driver, dt=1e-3, n_steps=2, kappa_fraction=1.0):
+def _run_driver(driver, dt=1e-3, n_steps=2, kappa_fraction=1.0, filter_on=True):
     """Run a driver on a zero field with homogeneous data."""
     grid = make_grid_1d(16) if driver == "1d" else make_grid_2d(8)
-    return integrate(zero_reaction(), grid, dt, n_steps, partial(ZERO_2D.boundary, grid=grid),
-                     Field.zeros(grid), kappa_fraction=kappa_fraction)
+    bc = partial(ZERO_2D.boundary, grid=grid) if driver == "2d" else lambda t: (0.0, 0.0)
+    return integrate(zero_reaction(), grid, dt, n_steps, bc, Field.zeros(grid),
+                     filter_on=filter_on, kappa_fraction=kappa_fraction)
+
+
+@pytest.mark.parametrize("driver", ["1d", "2d"])
+@pytest.mark.parametrize("filter_on", ["3", float("nan"), 2.5, 1, None])
+def test_drivers_take_only_a_bool_filter_on(driver, filter_on):
+    # these used to run, on their truth
+    with pytest.raises(ValueError, match="^filter_on: must be True or False"):
+        _run_driver(driver, filter_on=filter_on)
+
+
+@pytest.mark.parametrize("driver", ["1d", "2d"])
+def test_drivers_take_a_numpy_bool_filter_on_as_the_bool(driver):
+    for flag in (True, False):
+        want, got = (_run_driver(driver, filter_on=f) for f in (flag, np.bool_(flag)))
+        np.testing.assert_equal(got.kappa, want.kappa)
+        assert (got.stable, got.steps) == (want.stable, want.steps)
 
 
 @pytest.mark.parametrize("driver", ["1d", "2d"])
@@ -479,7 +504,23 @@ def test_dd_study_rejects_an_infeasible_overlap_before_bisecting(monkeypatch):
     # no strip used to raise ZeroDivisionError from the overlap cap
     with pytest.raises(ValueError, match="^n_subdomains: must be >= 1, got 0"):
         run_dd_study(32, 0, (4,))
+    # no step, or the startup step alone, grows no mode: every row read "capped"
+    for n_steps in (0, 1):
+        with pytest.raises(ValueError, match=f"^n_steps: .* at least two steps, got {n_steps}"):
+            run_dd_study(32, 2, (4,), resolution=1.0, n_steps=n_steps)
     assert calls == []
+
+
+def test_bisection_rejects_a_trial_of_fewer_than_two_steps_before_any_trial(monkeypatch):
+    trials = []
+    monkeypatch.setattr(bench, "_dd_stability_trial", lambda *args: trials.append(args))
+    for n_steps in (0, 1):
+        with pytest.raises(ValueError, match=f"^n_steps: .* at least two steps, got {n_steps}"):
+            bench.bisect_max_stable_ratio(make_grid_1d(32), None, 1.0, n_steps=n_steps)
+    for n_steps in (2.5, True):
+        with pytest.raises(ValueError, match="^n_steps: must be a whole number"):
+            bench.bisect_max_stable_ratio(make_grid_1d(32), None, 1.0, n_steps=n_steps)
+    assert trials == []
 
 
 def test_dd_study_rejects_an_overlap_above_the_cap_and_notes_the_cap(monkeypatch):
@@ -621,7 +662,8 @@ KAPPA_RATIO_3 = 2.55214965605977  # pi / arccos(1/3): kappa_c at ratio 3, 1D and
 NEWTON_1D = "Newton diverged at node 0, residual "
 NEWTON_2D = "Newton diverged at node (np.int64(0), np.int64(0)), residual "
 
-# (stable, steps, failure, 1D final_update); kappa is KAPPA_RATIO_3 on every axis.
+# (stable, steps, failure, 1D final_update); kappa is KAPPA_RATIO_3 on every
+# axis of a filtered run.
 # The final updates are differences of the last two levels over dt; they are
 # compared to 1e-12 relative, which leaves room for last-bit changes of sigma8.
 _EXITS = {
@@ -646,7 +688,9 @@ def test_driver_exit_paths(driver, exit_path):
     stable, steps, failure, final_update = _EXITS[driver, exit_path]
     out = _exit_run(driver, exit_path)
     assert (out.stable, out.steps, out.failure) == (stable, steps, failure)
-    assert out.kappa == (KAPPA_RATIO_3,) * (1 if driver == "1d" else 2)
+    # an unfiltered run applied no kappa, and reports NaN on every axis
+    kappa = np.nan if exit_path == "blowup_unfiltered" else KAPPA_RATIO_3
+    np.testing.assert_equal(out.kappa, (kappa,) * (1 if driver == "1d" else 2))
     if driver == "1d":
         assert out.final_update == pytest.approx(final_update, rel=1e-12)
 

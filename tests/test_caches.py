@@ -587,6 +587,21 @@ def test_singular_2x2_jacobian_diverges_at_that_node(singular):
     assert info.value.residual == 1.0
 
 
+@pytest.mark.parametrize("jacobian", [
+    # singular: a node falls back to LAPACK, and jac[redo] raised IndexError
+    [[3.0, 1.0], [3.0, 1.0 + 1e-17]],
+    [[2.0]],  # broadcast silently over the nodes
+    [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 1.0, 1.0]],  # node-by-node LAPACK failed
+], ids=["m2", "m1", "m3"])
+def test_newton_rejects_a_jacobian_of_the_wrong_shape_by_name(jacobian):
+    # f = -J u with one (m, m) Jacobian shared by every node, not (5, m, m)
+    jac = np.array(jacobian)
+    m = len(jac)
+    reaction = ReactionSystem(eval=lambda x, t, u: -u @ jac.T, jacobian=lambda x, t, u: -jac)
+    with pytest.raises(ValueError, match=rf"^jacobian: must have shape \(5, {m}, {m}\)"):
+        newton_point_solve(np.ones((5, m)), reaction, None, 0.0, 0.0, np.ones((5, m)))
+
+
 def test_predator_prey_calls_no_lapack_solve_and_m3_does(monkeypatch):
     # Predator-prey (m = 2) is solved in closed form and a u-independent f
     # (m = 3 here) by a division; a u-dependent m = 3 takes np.linalg.solve.

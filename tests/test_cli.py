@@ -299,7 +299,8 @@ def test_main_run_blowup_exit_2(tmp_path):
     code = main(["run", "--problem", "heat1d", "--N", "64", "--ratio", "1.2",
                  "--filter", "off", "--T", "0.2", "--output", str(out)])
     assert code == 2
-    assert not load_csv(out)[0].stable
+    row = load_csv(out)[0]
+    assert not row.stable and math.isnan(row.kappa)  # no filter, no kappa
 
 
 def test_main_config_error_exit_1(tmp_path):

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdfilter import stepper
 from rdfilter.bench import (
+    PredatorPreyCase,
     integrate,
     manufactured_heat_case,
     manufactured_heat_case_square,
     quadratic_manufactured_case,
     ratio_to_dt,
+    run_predator_prey,
 )
 from rdfilter.core import (
     Field,
@@ -19,6 +22,7 @@ from rdfilter.core import (
     laplacian_symbol,
     make_grid_1d,
     make_grid_2d,
+    source_reaction,
     zero_reaction,
 )
 from rdfilter.ddm import make_layout
@@ -222,6 +226,71 @@ def test_step_takes_the_laplacian_of_the_extrapolated_level(seed, shape, m, rati
     want = newton_point_solve(rhs[inner], reaction, interior_nodes(grid), 0.5 + dt,
                               3.0 / (2.0 * dt), u_curr.values[inner])
     assert np.max(np.abs(got[inner] - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_predator_prey_newton_starts_from_the_extrapolation(monkeypatch):
+    # predprey1d's benchmark run: 2 u^n - u^{n-1} is O(dt^2) from u^{n+1}, so
+    # each two-level solve takes one update, 2 evaluations and 1 Jacobian;
+    # the startup step, from u^0, takes 3 and 2
+    counts = {"ode_rhs": 0, "ode_jacobian": 0}
+    for name in counts:
+        def counted(case, w, _name=name, _original=getattr(PredatorPreyCase, name)):
+            counts[_name] += 1
+            return _original(case, w)
+
+        monkeypatch.setattr(PredatorPreyCase, name, counted)
+    row, _ = run_predator_prey(PredatorPreyCase(), 256, 4.0, n_steps=1000)
+    assert row.stable
+    assert counts == {"ode_rhs": 3 + 2 * 999, "ode_jacobian": 2 + 999}
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_newton_takes_an_exact_extrapolation_without_a_jacobian(m):
+    # u = 1 + t at every node solves the scheme exactly with
+    # f = 1 + (1 + t)^2 - u^2: the rate is 1 and L u = 0, and u is linear in
+    # t, so 2 u^n - u^{n-1} is u^{n+1} and Newton stops before any update
+    grid, dt, t = make_grid_1d(16), 0.01, 0.25
+    jacobians = []
+    reaction = ReactionSystem(
+        eval=lambda x, t, u: 1.0 + (1.0 + t)**2 - u * u,
+        jacobian=lambda x, t, u: jacobians.append(t) or -2.0 * u[..., np.newaxis] * np.eye(m))
+    u_curr, u_prev = (Field(grid, np.full((17, m), 1.0 + s)) for s in (t, t - dt))
+    out = step(u_curr, u_prev, reaction, t, dt, (1.0 + t + dt, 1.0 + t + dt))
+    assert jacobians == []
+    assert np.max(np.abs(out.values - (1.0 + t + dt))) <= 4e-16
+
+
+@pytest.mark.parametrize("shape, m", [("1d", 1), ("1d", 2), ("2d", 1)])
+def test_u_independent_step_starts_newton_from_u_n_whatever_u_prev(monkeypatch, shape, m):
+    # a u-independent f is solved by one update, whose last bits follow the
+    # guess: starting from u^n fixes the step's bytes whatever u^{n-1} is
+    rng = np.random.default_rng(7)
+    grid = make_grid_1d(32) if shape == "1d" else make_grid_2d(12, 16)
+    inner = (slice(1, -1),) * len(grid.node_shape)
+    source = rng.normal(size=(31, m)) if shape == "1d" else 0.3
+    reaction = source_reaction(lambda x, t: source)
+    bc = (0.3, -0.7) if shape == "1d" else {k: 0.2 for k in ("g0", "gpi", "h0", "hpi")}
+    dt = ratio_to_dt(4.0, np.pi / 32)
+    u_curr = Field(grid, rng.normal(size=grid.node_shape + (m,)))
+    solves = []
+
+    def recorded(rhs, reaction, x, t, coeff, initial):
+        solves.append((rhs, x, t, coeff, initial))
+        return newton_point_solve(rhs, reaction, x, t, coeff, initial)
+
+    monkeypatch.setattr(stepper, "newton_point_solve", recorded)
+    moved = 0
+    for scale in (0.0, 1.0, 1e3):
+        u_prev = Field(grid, u_curr.values + scale * rng.normal(size=u_curr.values.shape))
+        got = step(u_curr, u_prev, reaction, 0.5, dt, bc).values
+        rhs, x, t, coeff, initial = solves.pop()
+        assert initial.tobytes() == u_curr.values[inner].tobytes()
+        assert got[inner].tobytes() == newton_point_solve(
+            rhs, reaction, x, t, coeff, u_curr.values[inner]).tobytes()
+        extrapolated = (2.0 * u_curr.values - u_prev.values)[inner]
+        moved += newton_point_solve(rhs, reaction, x, t, coeff, extrapolated).tobytes() != (
+            got[inner].tobytes())
+    assert moved  # the guess is seen in the bytes: this test can tell
 
 
 def test_step_single_mode_recurrence_formula():
