@@ -180,7 +180,8 @@ class PredatorPreyCase:
 
     def __post_init__(self):
         if self.sign_variant not in ("printed", "classical"):
-            raise ValueError("sign_variant must be 'printed' or 'classical'")
+            raise ValueError(f"sign_variant: unknown value {self.sign_variant!r}, "
+                             "expected one of 'printed', 'classical'")
         require_positive("base_level", self.base_level)
         require_bool("excited", self.excited)
 
@@ -360,7 +361,8 @@ class SweepRow:
     note: str = ""
 
 
-# The largest normalized step 3 dt / h^2 the overlap study tries.
+# The largest normalized step 3 dt / h^2 the overlap study tries, and its first:
+# a power of two, so halving from it tries the powers that doubling from 1 would.
 RATIO_MAX = 64.0
 # The most steps a run may ask for: about 2,500 times the most any acceptance
 # criterion takes (criterion 5 at N = 256 and ratio 0.5, some 40,000 steps).
@@ -452,18 +454,19 @@ def _dd_stability_trial(grid: Grid1D, ratio: float, layout: SubdomainLayout | No
 
 def bisect_max_stable_ratio(grid: Grid1D, layout: SubdomainLayout | None,
                             resolution: float = 0.1, n_steps: int = 500) -> float:
-    """Largest stable 3 dt / h^2, bisected to the given resolution (or until
-    the midpoint rounds to an end); RATIO_MAX when every ratio up to that cap
-    survives.  A ``resolution`` that is not finite and positive, or ``n_steps``
-    below 2, raises naming it."""
+    """Largest stable 3 dt / h^2, searched from the cap down: RATIO_MAX if its
+    trial survives, else halve to the first survivor 2^j and bisect [2^j,
+    2^(j+1)] ([0, 1] if none survives) to the given resolution, or until the
+    midpoint rounds to an end.  A ``resolution`` that is not finite and
+    positive, or ``n_steps`` below 2, raises naming it."""
     require_positive("resolution", resolution)
     n_steps = _trial_steps(n_steps)
-    lo = 0.0
-    hi = 1.0
-    while hi <= RATIO_MAX and _dd_stability_trial(grid, hi, layout, n_steps):
-        lo, hi = hi, hi * 2.0
-    if hi > RATIO_MAX:
+    lo = RATIO_MAX
+    while lo >= 1.0 and not _dd_stability_trial(grid, lo, layout, n_steps):
+        lo *= 0.5
+    if lo == RATIO_MAX:
         return lo
+    lo, hi = (lo if lo >= 1.0 else 0.0), 2.0 * lo
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
@@ -493,8 +496,8 @@ def run_dd_study(n_intervals: int, n_subdomains: int, overlaps,
     """Maximal stable ratio per overlap for the heat equation, after the
     single-domain reference row.  Every layout is built before the first
     bisection, so an infeasible one, or ``n_steps`` below 2, fails at once.
-    A row whose bisection reached RATIO_MAX is noted "capped": its true limit
-    may lie above."""
+    Each row's search starts at RATIO_MAX; a row whose trial there survived
+    is noted "capped": its true limit may lie above."""
     n_steps = _trial_steps(n_steps)
     grid = make_grid_1d(n_intervals)
     rows = []

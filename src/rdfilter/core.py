@@ -215,12 +215,16 @@ class ReactionSystem:
     field's component count; ``eval`` returns (..., m), ``jacobian`` (..., m,
     m).  ``x`` is the node coordinates (1D) or an (X, Y) pair (2D); reactions
     that do not depend on position ignore it.  ``u_independent`` means f does
-    not read u (df/du = 0): Newton evaluates f once and divides by c.
+    not read u (df/du = 0): Newton evaluates f once and divides by c.  It is a
+    bool (``np.bool_`` too); any other value raises naming it.
     """
 
     eval: Callable = field(repr=False)
     jacobian: Callable = field(repr=False)
     u_independent: bool = False
+
+    def __post_init__(self):
+        require_bool("u_independent", self.u_independent)
 
 
 def zero_reaction() -> ReactionSystem:

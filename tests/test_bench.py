@@ -5,11 +5,15 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import math
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdfilter import bench, filtering, stepper
 from rdfilter.core import (
@@ -278,7 +282,7 @@ def test_predator_prey_parameters_and_validation():
     for level in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="^base_level: must be finite and positive"):
             PredatorPreyCase(base_level=level)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sign_variant: "):
         PredatorPreyCase(sign_variant="other")
     # only a bool is a flag: "3", NaN and 2.5 used to run on their truth
     for excited in ("3", float("nan"), 2.5, 1, None):
@@ -436,6 +440,86 @@ def test_bisection_ends_when_the_midpoint_reaches_an_end(monkeypatch):
     assert len(calls) < 100
     rows = run_dd_study(32, 2, (4,), resolution=1.0e-20)
     assert [r.ratio for r in rows] == [last_stable, last_stable]
+
+
+def _doubling_search(trial, resolution):
+    """The search as it was before it started at the cap: double the ratio
+    from 1 while the trials survive, then bisect the last bracket."""
+    lo, hi = 0.0, 1.0
+    while hi <= bench.RATIO_MAX and trial(hi):
+        lo, hi = hi, hi * 2.0
+    if hi > bench.RATIO_MAX:
+        return lo
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if trial(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_the_ratio_cap_is_a_power_of_two():
+    # halving from the cap tests the powers of two that doubling from 1 did
+    mantissa, exponent = math.frexp(bench.RATIO_MAX)
+    assert mantissa == 0.5 and exponent >= 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(threshold=st.one_of(
+           st.floats(math.log(0.01), math.log(256.0), exclude_min=True,
+                     exclude_max=True).map(math.exp),
+           st.sampled_from([2.0**k for k in range(-6, 9)])),
+       inclusive=st.booleans(),
+       resolution=st.floats(1.0e-3, 100.0))
+def test_search_from_the_cap_returns_what_doubling_from_one_returned(threshold, inclusive,
+                                                                    resolution):
+    # any trial whose verdict is monotone in the ratio, stable strictly below
+    # the threshold or at and below it
+    def stable(ratio):
+        return ratio <= threshold if inclusive else ratio < threshold
+
+    calls = []
+
+    def trial(grid, ratio, layout, n_steps):
+        calls.append(ratio)
+        assert len(calls) <= 1000, "the search did not end"
+        return stable(ratio)
+
+    with mock.patch.object(bench, "_dd_stability_trial", trial):
+        got = bench.bisect_max_stable_ratio(make_grid_1d(32), None, resolution)
+    assert got == _doubling_search(stable, resolution)
+    assert calls[0] == bench.RATIO_MAX
+
+
+def test_search_tries_the_cap_first_and_halves(monkeypatch):
+    calls = _fake_trial(monkeypatch, 20.0)
+    assert abs(bench.bisect_max_stable_ratio(make_grid_1d(32), None, 0.1) - 20.0) <= 0.1
+    assert calls[:3] == [64.0, 32.0, 16.0]
+
+
+def test_dd_ladder_answers_and_trial_counts(monkeypatch):
+    # the real trials, counted: the same ratios as the doubling search, which
+    # took 37 trials and 3,259 steps
+    trials, steps = [], []
+    real_trial, real_integrate = bench._dd_stability_trial, bench.integrate
+
+    def counted_trial(*args):
+        trials.append(args[1])
+        return real_trial(*args)
+
+    def counted_integrate(*args, **kwargs):
+        out = real_integrate(*args, **kwargs)
+        steps.append(out.steps)
+        return out
+
+    monkeypatch.setattr(bench, "_dd_stability_trial", counted_trial)
+    monkeypatch.setattr(bench, "integrate", counted_integrate)
+    rows = run_dd_study(128, 4, (4, 8), resolution=0.1, n_steps=100)
+    assert [r.ratio for r in rows] == [64.0, 18.75, 39.1875]
+    assert (len(trials), sum(steps)) == (23, 1771)
 
 
 def _run_driver(driver, dt=1e-3, n_steps=2, kappa_fraction=1.0, filter_on=True):

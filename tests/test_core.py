@@ -184,6 +184,20 @@ def test_jacobian_check_catches_wrong_jacobian():
         check_jacobian(bad, np.zeros(4), 0.0, u)
 
 
+@pytest.mark.parametrize("flag", ["no", 1, float("nan"), None])
+def test_reaction_takes_only_a_bool_u_independent(flag):
+    # "no" used to read as true: f = -u^3 solved as a source, u = 1 at a root of 0.68
+    with pytest.raises(ValueError, match="^u_independent: must be True or False"):
+        ReactionSystem(eval=lambda x, t, u: -u**3,
+                       jacobian=lambda x, t, u: -3.0 * u[..., None]**2, u_independent=flag)
+
+
+def test_reaction_takes_a_numpy_bool_u_independent():
+    for flag in (np.True_, np.False_):
+        reaction = ReactionSystem(eval=None, jacobian=None, u_independent=flag)
+        assert reaction.u_independent is flag
+
+
 def test_jacobian_check_catches_a_reaction_wrongly_flagged_u_independent():
     # f = u^2 with its true Jacobian passes the finite-difference check; the
     # flag claims f does not read u, which the perturbation disproves.
