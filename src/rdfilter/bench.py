@@ -499,6 +499,11 @@ def run_dd_study(n_intervals: int, n_subdomains: int, overlaps,
     Each row's search starts at RATIO_MAX; a row whose trial there survived
     is noted "capped": its true limit may lie above."""
     n_steps = _trial_steps(n_steps)
+    try:
+        overlaps = iter(overlaps)
+    except TypeError:
+        raise ValueError(f"overlaps: must be a sequence of overlap widths, "
+                         f"got {overlaps!r}") from None
     grid = make_grid_1d(n_intervals)
     rows = []
     for layout, note in [(None, "")] + [dd_layout(grid, n_subdomains, ov) for ov in overlaps]:

@@ -42,8 +42,14 @@ from .shift import cosine_trend
 # O(N^2) product loses to the O(N log N) transforms.
 MATRIX_MAX_N = 256
 # Unit columns per ``_postprocess`` call while assembling: one call on the
-# whole (N+1, N+1) identity holds several copies of it at once.
-ASSEMBLY_BLOCK = 32
+# whole (N+1, N+1) identity holds several copies of it at once.  At N = 128
+# on 4 strips (35-41 nodes each) an assembly takes 241 us against 382 us at
+# 32 columns (median of 1,600, 2-core x86); at N = 256 its peak is 1.45 MB.
+# P's bits depend on the block: a one-column block makes the trend a BLAS
+# matrix-vector product, which may round otherwise than a matrix product.
+# So a strip of 64k + 33 nodes, where 32 columns leave one and 64 do not,
+# differs from 32's P in the last bits (by up to 4.4e-14 of max|P| up to N = 256).
+ASSEMBLY_BLOCK = 64
 
 
 def sigma8(xi) -> np.ndarray | float:

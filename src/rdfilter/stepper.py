@@ -67,7 +67,11 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
 
     ``rhs`` has shape (..., m); the solve is vectorized over the leading axes.
     A ``u_independent`` f makes the equation linear in u: its Jacobian is not
-    taken, and the first update, a division by c for every m, solves it.
+    taken, and one update, u - residual / c for every m, solves it into a new
+    array (the guess itself is not copied).  Its finiteness is one scalar
+    test, max|residual| / c: max keeps a NaN and a correctly rounded division
+    by c > 0 is monotone, so that quotient is finite exactly when every
+    node's is; only when it is not are the nodes scanned for the culprit.
     Else the update divides by c - df/du for m = 1, where no identity is
     formed, and for m >= 2 solves c I - J, by Cramer's rule for m = 2 (LAPACK
     at a node where it cannot be trusted, see ``_solve_2x2``) and by one dense
@@ -78,14 +82,19 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
     is checked.
     """
     rhs = np.asarray(rhs, dtype=float)
+    if reaction.u_independent:  # one update; dividing by a finite c > 0 needs no errstate
+        u = np.asarray(initial, dtype=float)
+        residual = coeff * u - reaction.eval(x, t, u) - rhs
+        res_max = np.abs(residual).max()
+        if res_max <= NEWTON_TOL * max(1.0, coeff * float(np.abs(u).max(initial=1.0))):
+            return u.copy()
+        if not np.isfinite(res_max / coeff):  # a non-finite f, or an overflow
+            # the largest |residual|, or a NaN, sits at a diverging node
+            raise _diverged(~np.isfinite(residual / coeff).all(axis=-1), float(res_max))
+        return u - residual / coeff
     u = np.array(initial, dtype=float)
     m = u.shape[-1]
     f = reaction.eval(x, t, u)
-
-    def _diverged(per_node, worst):
-        # per_node: one number per node (leading axes); report its argmax.
-        node = np.unravel_index(np.argmax(per_node.ravel()), per_node.shape)
-        return NewtonDivergence(node[0] if len(node) == 1 else node, worst)
 
     # The residual is roundoff on terms of size |c I - J| |u| (c|u| and |J u|
     # cancel in a stiff f): a tolerance below that is unattainable.  It scales
@@ -100,13 +109,12 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
             return u
         if iteration == NEWTON_MAX_ITER:
             break
-        if not reaction.u_independent:
-            dfdu = reaction.jacobian(x, t, u)
-            if jac is None and np.shape(dfdu) != u.shape + (m,):  # the first one formed
-                raise ValueError(f"jacobian: must have shape {u.shape + (m,)} for u of "
-                                 f"shape {u.shape}, got {np.shape(dfdu)}")
-        if reaction.u_independent or m == 1:  # the Newton matrix is c I, or one number
-            jac = coeff if reaction.u_independent else coeff - dfdu[..., 0]
+        dfdu = reaction.jacobian(x, t, u)
+        if jac is None and np.shape(dfdu) != u.shape + (m,):  # the first one formed
+            raise ValueError(f"jacobian: must have shape {u.shape + (m,)} for u of "
+                             f"shape {u.shape}, got {np.shape(dfdu)}")
+        if m == 1:  # the Newton matrix is one number
+            jac = coeff - dfdu[..., 0]
             with np.errstate(divide="ignore", invalid="ignore"):
                 delta = residual / jac
         else:
@@ -116,11 +124,16 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
             bad = ~np.isfinite(delta).all(axis=-1)
             raise _diverged(bad, float(np.abs(residual[bad]).max()))
         u = u - delta
-        if reaction.u_independent:
-            return u
         f = reaction.eval(x, t, u)
     worst = np.abs(residual)
     raise _diverged(worst.max(axis=-1), float(worst.max()))
+
+
+def _diverged(per_node: np.ndarray, worst: float) -> NewtonDivergence:
+    """The failure at the argmax of ``per_node``, one number per node (the
+    leading axes), with ``worst`` as its residual."""
+    node = np.unravel_index(np.argmax(per_node.ravel()), per_node.shape)
+    return NewtonDivergence(node[0] if len(node) == 1 else node, worst)
 
 
 def _solve_2x2(jac: np.ndarray, residual: np.ndarray) -> np.ndarray:
@@ -172,14 +185,23 @@ def set_boundary(values: np.ndarray, bc) -> None:
     a scalar, constant along it, or has shape (nodes, m), or (nodes,) for
     m = 1; any other shape raises naming the edge, rather than broadcast.
     The y-edges are written first and the x-edges last, so the x-edges own
-    the corners.
+    the corners.  A 1D ``bc`` that is not such a pair, or a 2D one without
+    an edge, raises ValueError naming ``bc``.
     """
     if values.ndim == 2:
-        values[0], values[-1] = bc
+        try:  # caught, not checked first: the valid path costs nothing
+            values[0], values[-1] = bc
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"bc: must be the (left, right) boundary pair: {err}") from None
         return
     for key, edge in (("g0", values[:, 0]), ("gpi", values[:, -1]),
                       ("h0", values[0]), ("hpi", values[-1])):
-        sample = np.asarray(bc[key], dtype=float)
+        try:
+            sample = bc[key]
+        except (KeyError, TypeError):
+            raise ValueError(f"bc: must map each edge 'g0', 'gpi', 'h0', 'hpi' to its "
+                             f"data, has no {key!r}") from None
+        sample = np.asarray(sample, dtype=float)
         if sample.ndim == 1:
             sample = sample[:, np.newaxis]
         if sample.ndim and sample.shape != edge.shape:
@@ -237,8 +259,15 @@ def estimate_uxx(u_next: Field, u_curr: Field, u_prev: Field, reaction: Reaction
                  dt: float, t_next: float) -> Field:
     """u_xx at every node from the PDE itself, a Field on u_next's grid:
     (3 u^{n+1} - 4 u^n + u^{n-1}) / (2 dt) - f(u^{n+1}), f evaluated at
-    ``core.node_coordinates``.  On a 2D field it estimates u_xx + u_yy."""
+    ``core.node_coordinates``.  On a 2D field it estimates u_xx + u_yy.  A
+    ``dt`` that is not finite and positive, or a ``u_curr`` or ``u_prev`` on
+    another grid or with another component count, raises naming it."""
+    require_positive("dt", dt)
     u = u_next.values
+    for name, level in (("u_curr", u_curr), ("u_prev", u_prev)):
+        if level.values.shape != u.shape:  # as in ``step``: the shape fixes grid and m
+            raise ValueError(f"{name}: must share u_next's grid and component count, "
+                             f"got values of shape {level.values.shape} for {u.shape}")
     rate = (3.0 * u - 4.0 * u_curr.values + u_prev.values) / (2.0 * dt)
     return u_next.with_values(rate - reaction.eval(node_coordinates(u_next.grid), t_next, u))
 

@@ -588,6 +588,9 @@ def test_dd_study_rejects_an_infeasible_overlap_before_bisecting(monkeypatch):
     # no strip used to raise ZeroDivisionError from the overlap cap
     with pytest.raises(ValueError, match="^n_subdomains: must be >= 1, got 0"):
         run_dd_study(32, 0, (4,))
+    # one overlap, not a sequence, used to raise "'int' object is not iterable"
+    with pytest.raises(ValueError, match="^overlaps: must be a sequence of overlap widths, got 4"):
+        run_dd_study(32, 2, 4)
     # no step, or the startup step alone, grows no mode: every row read "capped"
     for n_steps in (0, 1):
         with pytest.raises(ValueError, match=f"^n_steps: .* at least two steps, got {n_steps}"):

@@ -445,6 +445,9 @@ def test_u_independent_solve_is_bit_identical_to_the_general_solve(m, nodes, coe
     cleared = replace(flagged, u_independent=False)
     fast = newton_point_solve(rhs, flagged, None, 0.0, coeff, initial)
     slow = newton_point_solve(rhs, cleared, None, 0.0, coeff, initial)
+    # one update, written out, into a new array: the guess is read, not copied
+    assert not np.shares_memory(fast, initial)
+    assert fast.tobytes() == (initial - (coeff * initial - source - rhs) / coeff).tobytes()
     if m == 1:
         assert fast.tobytes() == slow.tobytes()
         return
@@ -454,19 +457,25 @@ def test_u_independent_solve_is_bit_identical_to_the_general_solve(m, nodes, coe
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1.0e308])
 def test_non_finite_source_diverges_at_the_same_node_either_way(m, bad):
+    # a finite source of 1e308 with c = 0.5 overflows the update: the flagged
+    # solve tests max|residual| / c alone, then scans for the node
     source = np.ones((9, m))
     source[5, -1] = bad
+    coeff = 0.5 if np.isfinite(bad) else 3.0
     flagged = source_reaction(lambda x, t: source)
     failures = []
     for reaction in (flagged, replace(flagged, u_independent=False)):
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(NewtonDivergence) as info:
-                newton_point_solve(np.zeros((9, m)), reaction, None, 0.0, 3.0, np.zeros((9, m)))
+                newton_point_solve(np.zeros((9, m)), reaction, None, 0.0, coeff,
+                                   np.zeros((9, m)))
         failures.append((info.value.node, repr(info.value.residual)))
     assert failures[0] == failures[1]
     assert failures[0][0] == 5
+    if np.isfinite(bad):
+        assert info.value.residual == bad
 
 
 @settings(max_examples=120, deadline=None)

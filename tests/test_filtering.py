@@ -1,5 +1,6 @@
 """Order-8 filter, critical stretching, sine-transform filtering pipeline."""
 
+import itertools
 import tracemalloc
 from functools import partial
 
@@ -415,6 +416,31 @@ def test_postprocess_matrices_keep_both_end_values_exactly(n, n_subdomains, over
     u = rng.standard_normal((n + 1, 2)) * 1e3
     out = P @ u + Q @ rng.standard_normal((2 * len(ranges), 2))
     assert np.array_equal(out[[0, -1]], u[[0, -1]])
+
+
+@pytest.mark.parametrize("n, n_subdomains, overlap", _MATRIX_LAYOUTS + [(64, 4, 16)])
+def test_postprocess_matrices_keep_the_bits_of_32_column_blocks(n, n_subdomains, overlap,
+                                                                monkeypatch):
+    # every recorded CSV was computed with blocks of 32 columns.  (64, 4, 16)
+    # is the exception: 32 columns leave the last column of its 33-node strips
+    # alone, a matrix-vector product that BLAS may round otherwise than the
+    # matrix product of a wider block (by up to 2.5e-16 on x86 OpenBLAS)
+    ranges = _matrix_case(n, n_subdomains, overlap)[2]
+    exact = (n, n_subdomains, overlap) != (64, 4, 16)
+    h = np.pi / n
+    for third, ratio in itertools.product((False, True), (2.0, 18.75, 64.0)):
+        kappa = kappa_critical(ratio_to_dt(ratio, h), h)
+        built = []
+        for block in (filtering.ASSEMBLY_BLOCK, 32):
+            monkeypatch.setattr(filtering, "ASSEMBLY_BLOCK", block)
+            filtering._matrices.cache_clear()
+            built.append(filtering._matrices(n, kappa, ranges, third))
+        for got, want in zip(*built):
+            if exact:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    filtering._matrices.cache_clear()
 
 
 @pytest.mark.parametrize("n_subdomains, overlap", [(1, 0), (4, 16)])

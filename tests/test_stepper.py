@@ -70,6 +70,52 @@ def test_step_rejects_a_u_prev_unlike_u_curr_by_name(u_prev):
         step(u_curr, u_prev, zero_reaction(), 0.0, 1e-3, (0.0, 0.0))
 
 
+_GRID = make_grid_1d(16)
+_LEVEL, _LEVEL_2D = Field.zeros(_GRID), Field.zeros(make_grid_2d(16))
+_EDGES = {k: 0.0 for k in ("g0", "gpi", "h0", "hpi")}
+
+
+def _estimate(u_curr=_LEVEL, u_prev=_LEVEL, dt=1e-3):
+    return estimate_uxx(_LEVEL, u_curr, u_prev, zero_reaction(), dt, 0.0)
+
+
+def _step(u, bc):
+    return step(u, u, zero_reaction(), 0.0, 1e-3, bc)
+
+
+# (call, the start of its message): each input is rejected naming its key
+_REJECTED = {
+    "estimate_dt_zero": (lambda: _estimate(dt=0.0), "dt: must be finite and positive"),
+    "estimate_dt_nan": (lambda: _estimate(dt=float("nan")), "dt: must be finite and positive"),
+    "estimate_dt_inf": (lambda: _estimate(dt=float("inf")), "dt: must be finite and positive"),
+    "estimate_u_curr_other_grid": (lambda: _estimate(u_curr=Field.zeros(make_grid_1d(32))),
+                                   "u_curr: must share u_next's grid"),
+    "estimate_u_prev_2d_grid": (lambda: _estimate(u_prev=_LEVEL_2D),
+                                "u_prev: must share u_next's grid"),
+    "estimate_u_prev_other_m": (lambda: _estimate(u_prev=Field.zeros(_GRID, 2)),
+                                "u_prev: must share u_next's grid"),
+    "step_bc_one_value": (lambda: _step(_LEVEL, (0.0,)), "bc: must be the .left, right. "),
+    "step_bc_three_values": (lambda: _step(_LEVEL, (0.0, 0.0, 0.0)),
+                             "bc: must be the .left, right. "),
+    "step_bc_scalar": (lambda: _step(_LEVEL, 0.0), "bc: must be the .left, right. "),
+    "step_bc_2d_without_gpi": (lambda: _step(_LEVEL_2D, {k: v for k, v in _EDGES.items()
+                                                         if k != "gpi"}),
+                               "bc: must map each edge .* has no 'gpi'"),
+    "step_bc_2d_pair": (lambda: _step(_LEVEL_2D, (0.0, 0.0)), "bc: must map each edge"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REJECTED))
+def test_stepper_rejects_an_input_by_its_name(case):
+    # each used to pass or fail unnamed: dt = 0 warned and returned inf, a NaN
+    # dt a NaN field, a level on another grid raised a bare broadcast error; a
+    # bc of one value "not enough values to unpack", a 2D bc without an edge
+    # KeyError: 'gpi'
+    call, message = _REJECTED[case]
+    with pytest.raises(ValueError, match="^" + message):
+        call()
+
+
 def test_step_follows_the_state_dt():
     # two steps from the same levels that differ in dt alone step differently
     grid = make_grid_1d(16)
@@ -105,6 +151,9 @@ def test_newton_zero_reaction_closed_form():
     rhs = np.array([[1.0], [2.5], [-0.3]])
     u = newton_point_solve(rhs, zero_reaction(), np.zeros(3), 0.0, coeff, np.zeros((3, 1)))
     assert np.allclose(u, rhs * (2.0 * 0.2 / 3.0), atol=1e-14)
+    # from the solution no update is taken, and the guess comes back as a new array
+    again = newton_point_solve(rhs, zero_reaction(), np.zeros(3), 0.0, coeff, u)
+    assert not np.shares_memory(again, u) and again.tobytes() == u.tobytes()
 
 
 def test_newton_linear_decay_closed_form():
