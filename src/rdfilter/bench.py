@@ -40,6 +40,7 @@ from .core import (
 )
 from .ddm import SubdomainLayout, make_layout
 from .filtering import kappa_critical, postprocess_field
+from .shift import ENDPOINT_MAX_COND, endpoint_matrix
 from .stepper import NewtonDivergence, estimate_uxx, step
 
 
@@ -280,7 +281,9 @@ def integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_step
     ``solver2d.kappa_critical_2d``).  A 2D grid takes neither
     the third-order shift nor a strip ``layout`` yet: both are rejected by
     name before the first step.  So are, with the filter off, a shift order
-    3, a ``layout`` and a ``kappa_fraction`` other than 1: nothing reads them.
+    3, a ``layout`` and a ``kappa_fraction`` other than 1: nothing reads them;
+    and at shift order 3, a strip whose endpoint matrix has a condition above
+    ``shift.ENDPOINT_MAX_COND``, named by its nodes lo..hi.
 
     A step is blown up (``Field.blown_up``) when its values exceed
     ``core.BLOWUP_THRESHOLD`` after its postprocess; every step but the
@@ -309,6 +312,11 @@ def integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_step
         key = ("shift_order" if shift_order != 1 else "layout" if layout is not None
                else "kappa_fraction")
         raise ValueError(f"{key}: only a filtered run reads it, and filter_on is off")
+    for lo, hi in layout.ranges if shift_order == 3 and layout is not None else ():
+        cond = np.linalg.cond(endpoint_matrix(layout.grid.n_intervals, lo, hi, 4))
+        if not cond <= ENDPOINT_MAX_COND:  # a NaN condition fails too
+            raise ValueError(f"shift_order: 3 cannot shift strip {lo}..{hi}: its endpoint "
+                             f"matrix has condition {cond:.2g} > {ENDPOINT_MAX_COND:.0e}")
     kappa = tuple(kappa_fraction * kappa_critical(len(grid.node_shape) * dt, np.pi / (n - 1))
                   if filter_on else float("nan") for n in grid.node_shape)
     mins = u0.values.reshape(-1, u0.m).min(axis=0)

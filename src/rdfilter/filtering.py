@@ -170,7 +170,8 @@ def _postprocess_2d(values: np.ndarray, kappa_x: float, kappa_y: float) -> np.nd
     change D made to each face across the interior: L is the first-order
     ``cosine_trend`` along x of D on x = 0, pi plus that along y of D on
     y = 0, pi.  As P keeps span{1, cos x}, this equals shifting by the
-    filtered faces along x, then y, filtering, and adding both trends."""
+    filtered faces along x, then y, filtering, and adding both trends.  For
+    m = 1 on the matrix path P_y^T is that right product: no transposed copy."""
     n_x, n_y = values.shape[0] - 1, values.shape[1] - 1
     g0, gpi = (_postprocess_grid(values[:, j], kappa_x) for j in (0, -1))
     h0, hpi = (_postprocess_grid(values[i], kappa_y) for i in (0, -1))
@@ -180,9 +181,11 @@ def _postprocess_2d(values: np.ndarray, kappa_x: float, kappa_y: float) -> np.nd
     lifted[1:-1, 1:-1] -= (cosine_trend(d_x, n_x, 0, n_x)[1:-1]
                            + cosine_trend(d_y, n_y, 0, n_y)[1:-1].swapaxes(0, 1))
     out = _postprocess_grid(lifted.reshape(n_x + 1, -1), kappa_x).reshape(values.shape)
-    along_y = out.swapaxes(0, 1)
-    out = _postprocess_grid(along_y.reshape(n_y + 1, -1), kappa_y)
-    out = out.reshape(along_y.shape).swapaxes(0, 1)
+    if values.shape[2] == 1 and n_y <= MATRIX_MAX_N:
+        out = (out[..., 0] @ _matrices(n_y, kappa_y, ((0, n_y),), False)[0].T)[..., np.newaxis]
+    else:
+        out = _postprocess_grid(out.swapaxes(0, 1).reshape(n_y + 1, -1), kappa_y)
+        out = out.reshape(n_y + 1, n_x + 1, -1).swapaxes(0, 1)
     out[:, 0], out[:, -1], out[0], out[-1] = g0, gpi, h0, hpi
     return out
 

@@ -14,6 +14,8 @@ it.  On the full grid its first-order coefficients are (u_0 + u_pi)/2 and
 (u_0 - u_pi)/2.  It alone reads the two read-only memos of this module:
 ``cosine_basis(N, n_modes)[i, j] = cos(j x_i)``, whose rows lo..hi a strip
 reads, so no step re-evaluates a cosine, and ``endpoint_inverse``.
+``ENDPOINT_MAX_COND`` bounds the condition of a strip's third-order
+endpoint matrix; ``bench.integrate`` rejects a strip above it by name.
 """
 
 from __future__ import annotations
@@ -24,6 +26,13 @@ import numpy as np
 
 from .core import read_only, uniform_nodes
 
+# On the 29,597 layouts ``ddm.make_layout`` accepts for N = 20..512, 1-5
+# strips and overlaps 2, 4, ..., 32, the condition number (2-norm) of a
+# strip's four-mode endpoint matrix is at most 1.3e4 or at least 6.6e14: the
+# 58 layouts above the bound, all of 3 strips, have a middle strip of exactly
+# [pi/6, 5pi/6] or [pi/4, 3pi/4], where the matrix is singular.
+ENDPOINT_MAX_COND = 1.0e8
+
 
 @lru_cache(maxsize=64)
 def cosine_basis(n_intervals: int, n_modes: int) -> np.ndarray:
@@ -31,13 +40,19 @@ def cosine_basis(n_intervals: int, n_modes: int) -> np.ndarray:
     return read_only(np.cos(np.outer(uniform_nodes(n_intervals), np.arange(n_modes))))
 
 
+def endpoint_matrix(n_intervals: int, lo: int, hi: int, n_modes: int) -> np.ndarray:
+    """``cosine_trend``'s endpoint matrix on nodes lo..hi of an N-interval grid:
+    cos(j x) at x_lo, x_hi, then (four modes) -j^2 cos(j x).  With four modes
+    it is singular on [x, pi - x] at x = pi/6 and pi/4 (its blocks have
+    determinants -16 cos 2x and -32 cos x cos 3x)."""
+    ends = cosine_basis(n_intervals, n_modes)[[lo, hi]]
+    return ends if n_modes == 2 else np.vstack([ends, -(np.arange(n_modes) ** 2) * ends])
+
+
 @lru_cache(maxsize=256)
 def endpoint_inverse(n_intervals: int, lo: int, hi: int, n_modes: int) -> np.ndarray:
-    """Read-only inverse of ``cosine_trend``'s endpoint matrix on nodes lo..hi of
-    an N-interval grid: cos(j x) at x_lo, x_hi, then (four modes) -j^2 cos(j x)."""
-    ends = cosine_basis(n_intervals, n_modes)[[lo, hi]]
-    rows = ends if n_modes == 2 else np.vstack([ends, -(np.arange(n_modes) ** 2) * ends])
-    return read_only(np.linalg.inv(rows))
+    """Read-only inverse of ``endpoint_matrix``."""
+    return read_only(np.linalg.inv(endpoint_matrix(n_intervals, lo, hi, n_modes)))
 
 
 def cosine_trend(ends: np.ndarray, n_intervals: int, lo: int, hi: int,

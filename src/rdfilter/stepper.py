@@ -47,16 +47,21 @@ def apply_laplacian(u: np.ndarray) -> np.ndarray:
     """Second-difference Laplacian of node-major values: one second difference
     per node axis, axis 0 first, with h = pi/N along that axis (N + 1 nodes).
     Boundary nodes carry 0 (Dirichlet nodes are prescribed, never updated by
-    the stencil)."""
-    inner = (slice(1, -1),) * (u.ndim - 1)
-    terms = []
-    for axis in range(u.ndim - 1):
-        h = np.pi / (u.shape[axis] - 1)
-        below = inner[:axis] + (slice(None, -2),) + inner[axis + 1:]
-        above = inner[:axis] + (slice(2, None),) + inner[axis + 1:]
-        terms.append((u[below] - 2.0 * u[inner] + u[above]) / h**2)
-    out = np.zeros_like(u)
-    out[inner] = sum(terms[1:], terms[0])
+    the stencil).  One flat-stride form for 1D and 2D: each axis's term is
+    three slices of the flat C-order values, offset by its stride, summed in place."""
+    u = np.ascontiguousarray(u)
+    flat, out, lo = u.reshape(-1), np.empty_like(u), u.strides[0] // u.itemsize
+    hi = u.size - lo  # the flat range of rows 1..N-1 of axis 0 is lo..hi-1
+    acc = out.reshape(-1)[lo:hi]
+    for axis, n in enumerate(u.shape[:-1]):  # n >= 2 nodes, so the stride is exact
+        s, term = u.strides[axis] // u.itemsize, np.empty_like(acc) if axis else acc
+        np.subtract(flat[lo - s:hi - s], np.multiply(flat[lo:hi], 2.0, out=term), out=term)
+        term += flat[lo + s:hi + s]
+        term /= (np.pi / (n - 1)) ** 2
+        if axis:
+            acc += term
+    for axis, n in enumerate(u.shape[:-1]):  # a later axis's edge nodes read across it
+        out[(slice(None),) * axis + (slice(None, None, n - 1),)] = 0.0
     return out
 
 
@@ -84,14 +89,16 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
     rhs = np.asarray(rhs, dtype=float)
     if reaction.u_independent:  # one update; dividing by a finite c > 0 needs no errstate
         u = np.asarray(initial, dtype=float)
-        residual = coeff * u - reaction.eval(x, t, u) - rhs
+        residual = coeff * u  # the residual, then the update, in this one buffer
+        residual -= reaction.eval(x, t, u)
+        residual -= rhs
         res_max = np.abs(residual).max()
         if res_max <= NEWTON_TOL * max(1.0, coeff * float(np.abs(u).max(initial=1.0))):
             return u.copy()
         if not np.isfinite(res_max / coeff):  # a non-finite f, or an overflow
             # the largest |residual|, or a NaN, sits at a diverging node
             raise _diverged(~np.isfinite(residual / coeff).all(axis=-1), float(res_max))
-        return u - residual / coeff
+        return np.subtract(u, np.divide(residual, coeff, out=residual), out=residual)
     u = np.array(initial, dtype=float)
     m = u.shape[-1]
     f = reaction.eval(x, t, u)
@@ -222,7 +229,8 @@ def step(u_curr: Field, u_prev: Field | None, reaction: ReactionSystem, t: float
     With ``u_prev`` None only u^0 = ``u_curr`` exists, and the startup step
     produces u^1: one backward-Euler-in-reaction / forward-Euler-in-diffusion
     step, (u^1 - u^0)/dt = L u^0 + f(u^1); locally second order, so the global
-    accuracy of the scheme is unharmed.  Either way it takes one Laplacian.
+    accuracy of the scheme is unharmed.  Either way it takes one Laplacian,
+    added to a right-hand side built in place in a new array.
 
     Newton starts from 2 u^n - u^{n-1}, the level the Laplacian is taken of,
     for a u-dependent f; from u^n on the startup step and for a
@@ -231,8 +239,8 @@ def step(u_curr: Field, u_prev: Field | None, reaction: ReactionSystem, t: float
     require_positive("dt", dt)
     un = u_curr.values
     if u_prev is None:
-        coeff = 1.0 / dt
-        rhs = coeff * un + apply_laplacian(un)
+        coeff, guess = 1.0 / dt, un
+        rhs = coeff * un
     else:
         um1 = u_prev.values
         # the node shape fixes the grid, so equal shapes mean the same grid and m
@@ -240,9 +248,13 @@ def step(u_curr: Field, u_prev: Field | None, reaction: ReactionSystem, t: float
             raise ValueError(f"u_prev: must share u_curr's grid and component count, "
                              f"got values of shape {um1.shape} for {un.shape}")
         coeff = 3.0 / (2.0 * dt)
-        guess = 2.0 * un - um1  # the extrapolation, O(dt^2) from u^{n+1}
-        rhs = (4.0 * un - um1) / (2.0 * dt) + apply_laplacian(guess)
-    if u_prev is None or reaction.u_independent:
+        guess = 2.0 * un
+        guess -= um1  # the extrapolation, O(dt^2) from u^{n+1}
+        rhs = 4.0 * un
+        rhs -= um1
+        rhs /= 2.0 * dt
+    rhs += apply_laplacian(guess)
+    if reaction.u_independent:
         # one update solves a u-independent f from any guess, but its last bit
         # follows the guess; rebinding also frees the extrapolation before the
         # solve (held through it, a 129 x 129 step took 4 % longer, 2-core x86)

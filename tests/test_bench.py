@@ -40,6 +40,7 @@ from rdfilter.bench import (
 )
 from rdfilter.ddm import make_layout
 from rdfilter.filtering import postprocess_field
+from rdfilter.shift import ENDPOINT_MAX_COND, endpoint_matrix
 from rdfilter.solver2d import kappa_critical_2d
 from rdfilter.stepper import step
 
@@ -695,6 +696,40 @@ def test_a_2d_run_rejects_the_third_order_shift_and_strips_before_any_step(
         bench.run_case(manufactured_heat_case_square(), make_grid_2d(16), 0.002, 5,
                        filter_on=filter_on, **kwargs)
     assert steps == []
+
+
+@pytest.mark.parametrize("overlap, strip", [(8, "12..36"), (16, "8..40")])
+def test_third_order_rejects_a_singular_strip_by_name_before_any_step(
+        monkeypatch, overlap, strip):
+    # the middle strip is [pi/4, 3pi/4] at overlap 8, [pi/6, 5pi/6] at 16: its
+    # endpoint matrix is singular, and both runs used to blow up at step 2
+    grid = make_grid_1d(48)
+    layout, dt = make_layout(grid, 3, overlap), ratio_to_dt(4.0, grid.h)
+    steps = []
+    with monkeypatch.context() as patched:
+        patched.setattr(bench, "step", lambda *args, **kw: steps.append(args))
+        with pytest.raises(ValueError, match=f"^shift_order: 3 cannot shift strip {strip}: "):
+            bench.run_case(manufactured_heat_case(), grid, dt, 5, shift_order=3, layout=layout)
+    assert steps == []
+    row, _ = bench.run_case(manufactured_heat_case(), grid, dt, 40, layout=layout)
+    assert row.stable  # the first-order shift takes the same strips
+
+
+def test_the_endpoint_condition_bound_sits_in_a_gap():
+    # every strip of every accepted layout, N 20..128: the bound is far from
+    # both the well-conditioned strips and the singular ones
+    conds = []
+    for n in range(20, 129, 4):
+        for n_subdomains in range(1, 6):
+            for overlap in range(2, 33, 2):
+                try:
+                    layout = make_layout(make_grid_1d(n), n_subdomains, overlap)
+                except ValueError:
+                    continue
+                conds += [np.linalg.cond(endpoint_matrix(n, lo, hi, 4)) for lo, hi in layout.ranges]
+    conds = np.array(conds)
+    assert conds[conds <= ENDPOINT_MAX_COND].max() < 1e5
+    assert conds[conds > ENDPOINT_MAX_COND].min() > 1e14
 
 
 # ---------------------------------------------------------------------------

@@ -303,6 +303,18 @@ def test_main_run_blowup_exit_2(tmp_path):
     assert not row.stable and math.isnan(row.kappa)  # no filter, no kappa
 
 
+@pytest.mark.parametrize("overlap, strip", [("8", "12..36"), ("16", "8..40")])
+def test_main_run_names_a_strip_the_third_order_shift_cannot_take(tmp_path, capsys,
+                                                                  overlap, strip):
+    # these runs used to print BLOW-UP at step 2
+    out = tmp_path / "x.csv"
+    code = main(["run", "--problem", "heat1d", "--N", "48", "--ratio", "4", "--n-subdomains",
+                 "3", "--overlap", overlap, "--shift-order", "3", "--output", str(out)])
+    printed = capsys.readouterr()
+    assert code == 1 and "BLOW-UP" not in printed.out and not out.exists()
+    assert printed.err.startswith(f"error: shift_order: 3 cannot shift strip {strip}: ")
+
+
 def test_main_config_error_exit_1(tmp_path):
     code = main(["run", "--ratio", "2", "--dt", "0.01",
                  "--output", str(tmp_path / "x.csv")])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdfilter import filtering
 from rdfilter.bench import ManufacturedCase
 from rdfilter.core import (
     Field,
@@ -15,7 +16,7 @@ from rdfilter.core import (
     zero_reaction,
 )
 from rdfilter.ddm import make_layout
-from rdfilter.filtering import postprocess_field, sigma8
+from rdfilter.filtering import MATRIX_MAX_N, postprocess_field, sigma8
 from rdfilter.solver2d import kappa_critical_2d
 from rdfilter.stepper import apply_laplacian, recurrence_roots, step
 
@@ -200,9 +201,11 @@ def _dense_trace_filter(trace: np.ndarray, kappa: float) -> np.ndarray:
     return out
 
 
-# 260 x 16: x above MATRIX_MAX_N takes the DST path, y the matrix path
-@pytest.mark.parametrize("nx, ny, m, kx, ky", [(24, 16, 2, 1.7, 2.3), (260, 16, 2, 2.9, 1.7)],
-                         ids=["24x16", "260x16"])
+# 260 x 16: x above MATRIX_MAX_N takes the DST path, y the matrix path; at
+# m = 2 y takes the fallback along the rows, at m = 1 the product with P_y^T
+@pytest.mark.parametrize("nx, ny, m, kx, ky", [(24, 16, 2, 1.7, 2.3), (260, 16, 2, 2.9, 1.7),
+                                               (24, 16, 1, 1.7, 2.3), (260, 16, 1, 2.9, 1.7)],
+                         ids=["24x16", "260x16", "24x16-m1", "260x16-m1"])
 def test_postprocess2d_matches_dense_tensor_oracle(nx, ny, m, kx, ky):
     grid = make_grid_2d(nx, ny)
     xs, ys = np.meshgrid(grid.nodes_x, grid.nodes_y, indexing="ij")
@@ -228,6 +231,20 @@ def test_postprocess2d_matches_dense_tensor_oracle(nx, ny, m, kx, ky):
     out += alpha0 + alpha1 * cx + beta0 + beta1 * cy
     out[:, 0], out[:, -1], out[0], out[-1] = g0, gpi, h0, hpi
     assert np.max(np.abs(got - out)) < 1e-12
+
+
+@pytest.mark.parametrize("nx, ny, m", [(24, 16, 1), (16, 24, 1), (24, 16, 2), (260, 16, 1),
+                                       (16, 260, 1)])
+def test_postprocess2d_returns_c_contiguous_values(nx, ny, m):
+    # each path: y by the right product (m = 1, N_y <= MATRIX_MAX_N), along
+    # the rows, or by the DSTs; the right product is C-ordered as it comes,
+    # so the Field takes it without a transposed copy
+    grid = make_grid_2d(nx, ny)
+    u = np.random.default_rng(2).normal(size=(nx + 1, ny + 1, m))
+    out = postprocess_field(Field(grid, u), (1.7, 2.3)).values
+    assert out.shape == u.shape and out.flags.c_contiguous
+    if m == 1 and ny <= MATRIX_MAX_N:
+        assert filtering._postprocess_2d(u, 1.7, 2.3).flags.c_contiguous
 
 
 def test_postprocess2d_identity_at_tiny_kappa():

@@ -1,5 +1,7 @@
 """Two-step semi-implicit scheme: stencil, Newton solve, startup, stability."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from rdfilter.core import (
     laplacian_symbol,
     make_grid_1d,
     make_grid_2d,
+    read_only,
     source_reaction,
     zero_reaction,
 )
@@ -144,6 +147,112 @@ def test_dxx_sine_eigenfunction():
         out = apply_laplacian(u.values)[1:-1, 0]
         want = laplacian_symbol(grid.h, k) * np.sin(k * grid.nodes[1:-1])
         assert np.max(np.abs(out - want)) < 1e-9 * abs(laplacian_symbol(grid.h, k))
+
+
+def _sliced_laplacian(u):
+    # the oracle: per axis (u[i-1] - 2 u[i] + u[i+1]) / h^2 on the interior
+    # slices, axis 0 summed first, boundary nodes 0
+    inner = (slice(1, -1),) * (u.ndim - 1)
+    total = None
+    for axis in range(u.ndim - 1):
+        h = np.pi / (u.shape[axis] - 1)
+        below = inner[:axis] + (slice(None, -2),) + inner[axis + 1:]
+        above = inner[:axis] + (slice(2, None),) + inner[axis + 1:]
+        term = (u[below] - 2.0 * u[inner] + u[above]) / h**2
+        total = term if total is None else total + term
+    out = np.zeros_like(u)
+    out[inner] = total
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_x=st.integers(2, 40), n_y=st.integers(2, 40),
+       dims=st.sampled_from([1, 2]), m=st.sampled_from([1, 2, 3]), transposed=st.booleans())
+def test_flat_stride_laplacian_is_the_sliced_form_bit_for_bit(seed, n_x, n_y, dims, m,
+                                                              transposed):
+    # in 2D a transposed view is a non-contiguous input; values span 20
+    # decades, so a changed order of operations shows in the bits
+    rng = np.random.default_rng(seed)
+    shape = (n_x + 1, m) if dims == 1 else (n_x + 1, n_y + 1, m)
+    if transposed and dims == 2:
+        shape = (n_y + 1, n_x + 1, m)
+    u = rng.normal(size=shape) * 10.0 ** rng.integers(-10, 10, size=shape)
+    if transposed and dims == 2:
+        u = u.swapaxes(0, 1)
+        assert not u.flags.c_contiguous
+    got = apply_laplacian(u)
+    assert got.shape == u.shape
+    assert np.array_equal(got, _sliced_laplacian(u))
+    edges = [got[[0, -1]]] + ([got[:, [0, -1]]] if dims == 2 else [])
+    assert all(np.all(e == 0.0) for e in edges)
+
+
+def _stiff_cubic():
+    return ReactionSystem(eval=lambda x, t, u: -u - u**3,
+                          jacobian=lambda x, t, u: (-1.0 - 3.0 * u**2)[..., np.newaxis])
+
+
+@pytest.mark.parametrize("u_independent", [True, False])
+def test_newton_solve_writes_into_no_input(u_independent):
+    # the solve forms its residual and update in place, in its own buffers
+    rng = np.random.default_rng(3)
+    rhs, initial = read_only(rng.normal(size=(9, 1))), read_only(rng.normal(size=(9, 1)))
+    kept = rhs.copy(), initial.copy()
+    reaction = source_reaction(lambda x, t: 0.3) if u_independent else _stiff_cubic()
+    out = newton_point_solve(rhs, reaction, np.zeros(9), 0.0, 40.0, initial)
+    assert np.array_equal(rhs, kept[0]) and np.array_equal(initial, kept[1])
+    assert out.flags.writeable and out.shape == rhs.shape
+    assert not (np.shares_memory(out, rhs) or np.shares_memory(out, initial))
+
+
+@pytest.mark.parametrize("shape", ["1d", "2d"])
+@pytest.mark.parametrize("u_independent", [True, False])
+@pytest.mark.parametrize("startup", [True, False])
+def test_step_writes_into_no_time_level(shape, u_independent, startup):
+    # the extrapolation and the right-hand side are built in place, in new arrays
+    rng = np.random.default_rng(5)
+    grid = make_grid_1d(16) if shape == "1d" else make_grid_2d(12, 8)
+    bc = (0.3, -0.7) if shape == "1d" else {k: 0.2 for k in ("g0", "gpi", "h0", "hpi")}
+    u_curr, u_prev = (Field(grid, read_only(rng.normal(size=grid.node_shape + (1,))))
+                      for _ in range(2))
+    assert not u_curr.values.flags.writeable
+    kept = u_curr.values.copy(), u_prev.values.copy()
+    reaction = source_reaction(lambda x, t: 0.3) if u_independent else _stiff_cubic()
+    out = step(u_curr, None if startup else u_prev, reaction, 0.0, 1e-3, bc)
+    assert np.array_equal(u_curr.values, kept[0]) and np.array_equal(u_prev.values, kept[1])
+    assert out.values.flags.writeable
+    assert not any(np.shares_memory(out.values, v.values) for v in (u_curr, u_prev))
+
+
+def _peak_in_arrays(call, like: np.ndarray) -> float:
+    # the allocation peak of one call, after a warm-up call, in units of u's
+    # array size; tracemalloc sees NumPy's data buffers
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / like.nbytes
+
+
+def test_2d_laplacian_and_step_make_few_temporaries():
+    # 129 x 129, with a constant source, so that the scheme's own arrays are
+    # counted: the sliced Laplacian peaked at 3.91 arrays, a step at 5.91 and
+    # a startup step at 5.41.  In place the Laplacian holds its output and
+    # the y term (1.99), and either step 4.44: the old Laplacian, or the
+    # Newton update u - residual / c (5.41), takes it over its cap
+    g = make_grid_2d(128)
+    rng = np.random.default_rng(0)
+    u_curr, u_prev = (Field(g, rng.normal(size=g.node_shape)) for _ in range(2))
+    bc = manufactured_heat_case_square().boundary(0.01, grid=g)
+    reaction = source_reaction(lambda x, t: 0.3)
+    assert _peak_in_arrays(lambda: apply_laplacian(u_curr.values), u_curr.values) <= 2.0
+    for level in (u_prev, None):
+        assert _peak_in_arrays(lambda: step(u_curr, level, reaction, 0.0, 1e-4, bc),
+                               u_curr.values) <= 5.0
 
 
 def test_newton_zero_reaction_closed_form():
