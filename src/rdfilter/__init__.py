@@ -16,34 +16,16 @@ third-order shift takes u_xx at every node as a field (``estimate_uxx``).
 """
 
 from .core import (
-    BLOWUP_THRESHOLD,
     Field,
-    Grid1D,
-    Grid2D,
     ReactionSystem,
-    interior_nodes,
-    laplacian_symbol,
     make_grid_1d,
     make_grid_2d,
-    node_coordinates,
     source_reaction,
     zero_reaction,
 )
-from .stepper import (
-    NewtonDivergence,
-    apply_laplacian,
-    estimate_uxx,
-    newton_point_solve,
-    recurrence_roots,
-    step,
-)
-from .shift import cosine_basis, cosine_trend
-from .filtering import (
-    kappa_critical,
-    postprocess_field,
-    sigma8,
-)
-from .ddm import SubdomainLayout, blend_weights, make_layout
+from .stepper import NewtonDivergence, estimate_uxx, step
+from .filtering import kappa_critical, postprocess_field
+from .ddm import SubdomainLayout, make_layout
 from .solver2d import kappa_critical_2d
 
 __version__ = "0.1.0"

@@ -232,10 +232,9 @@ def error_norms(u: Field, reference: Field) -> tuple[float, float]:
     """Trapezoidal discrete L2 and sup norm of the difference; the weight of a
     node is the product of one trapezoid weight per node axis (h = pi/N).
     The two fields must share their grid and their component count."""
-    if u.grid != reference.grid:
-        raise ValueError("fields live on different grids")
-    if u.m != reference.m:
-        raise ValueError(f"fields have different component counts, {u.m} and {reference.m}")
+    if reference.values.shape != u.values.shape:  # the shape fixes grid and m
+        raise ValueError(f"reference: must share u's grid and component count, "
+                         f"got values of shape {reference.values.shape} for {u.values.shape}")
     diff = u.values - reference.values
     w = np.ones(())
     for n_nodes in diff.shape[:-1]:
@@ -280,9 +279,10 @@ def integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_step
     pi / N_axis), its share of the stability budget (see
     ``solver2d.kappa_critical_2d``).  A 2D grid takes neither
     the third-order shift nor a strip ``layout`` yet: both are rejected by
-    name before the first step.  So are, with the filter off, a shift order
-    3, a ``layout`` and a ``kappa_fraction`` other than 1: nothing reads them;
-    and at shift order 3, a strip whose endpoint matrix has a condition above
+    name before the first step, and so is a layout of another 1D grid.  So
+    are, with the filter off, a shift order 3, a ``layout`` and a
+    ``kappa_fraction`` other than 1: nothing reads them; and at shift order
+    3, a strip whose endpoint matrix has a condition above
     ``shift.ENDPOINT_MAX_COND``, named by its nodes lo..hi.
 
     A step is blown up (``Field.blown_up``) when its values exceed
@@ -295,17 +295,16 @@ def integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_step
     are the per-component minima over u0 and every completed step.
     """
     shift_order = require_whole("shift_order", shift_order)
-    n_steps = require_whole("n_steps", n_steps)
+    n_steps = require_whole("n_steps", n_steps, 0)
     if shift_order not in (1, 3):
         raise ValueError(f"shift_order: must be 1 or 3, got {shift_order}")
-    if isinstance(grid, Grid2D) and (shift_order != 1 or layout is not None):
-        key = "shift_order" if shift_order != 1 else "layout"
-        raise ValueError(f"{key}: a 2D grid takes only shift order 1 on one domain")
+    if isinstance(grid, Grid2D) and shift_order != 1:
+        raise ValueError("shift_order: a 2D grid takes only shift order 1")
     if u0.grid != grid:
-        raise ValueError(f"u0 lives on {u0.grid}, not on {grid}")
+        raise ValueError(f"u0: lives on {u0.grid}, not on {grid}")
+    if layout is not None and layout.grid != grid:  # a layout's grid is 1D
+        raise ValueError(f"layout: is for {layout.grid}, not for {grid}")
     require_positive("dt", dt)
-    if n_steps < 0:
-        raise ValueError(f"n_steps: must be >= 0, got {n_steps!r}")
     require_positive("kappa_fraction", kappa_fraction)
     require_bool("filter_on", filter_on)
     if not filter_on and (shift_order != 1 or layout is not None or kappa_fraction != 1.0):
@@ -443,14 +442,6 @@ def run_predator_prey(case: PredatorPreyCase, n_intervals: int, ratio: float,
                  "final_update": out.final_update, "final": out.field}
 
 
-def _trial_steps(n_steps: int) -> int:
-    """A stability trial's step count: the startup step alone grows no mode."""
-    n_steps = require_whole("n_steps", n_steps)
-    if n_steps < 2:
-        raise ValueError(f"n_steps: a stability trial needs at least two steps, got {n_steps}")
-    return n_steps
-
-
 def _dd_stability_trial(grid: Grid1D, ratio: float, layout: SubdomainLayout | None,
                         n_steps: int = 500) -> bool:
     """Heat equation, homogeneous data, highest-mode seed; survive n_steps?"""
@@ -468,7 +459,7 @@ def bisect_max_stable_ratio(grid: Grid1D, layout: SubdomainLayout | None,
     midpoint rounds to an end.  A ``resolution`` that is not finite and
     positive, or ``n_steps`` below 2, raises naming it."""
     require_positive("resolution", resolution)
-    n_steps = _trial_steps(n_steps)
+    n_steps = require_whole("n_steps", n_steps, 2)  # the startup step alone grows no mode
     lo = RATIO_MAX
     while lo >= 1.0 and not _dd_stability_trial(grid, lo, layout, n_steps):
         lo *= 0.5
@@ -494,7 +485,7 @@ def dd_layout(grid: Grid1D, n_subdomains: int, overlap: int) -> tuple[SubdomainL
     layout = make_layout(grid, n_subdomains, overlap)
     cap = grid.n_intervals // (2 * layout.n_subdomains) // 2 * 2
     if layout.overlap > cap:
-        raise ValueError(f"overlap {overlap} is above the cap {cap}, the largest even "
+        raise ValueError(f"overlap: {overlap} is above the cap {cap}, the largest even "
                          "width <= N / (2 n_subdomains)")
     return layout, "saturated" if layout.overlap == cap else ""
 
@@ -506,7 +497,7 @@ def run_dd_study(n_intervals: int, n_subdomains: int, overlaps,
     bisection, so an infeasible one, or ``n_steps`` below 2, fails at once.
     Each row's search starts at RATIO_MAX; a row whose trial there survived
     is noted "capped": its true limit may lie above."""
-    n_steps = _trial_steps(n_steps)
+    n_steps = require_whole("n_steps", n_steps, 2)
     try:
         overlaps = iter(overlaps)
     except TypeError:

@@ -187,7 +187,8 @@ def _check_strips(cfg: RunConfig, command: str) -> None:
     """Reject by key, before any integration runs, a strip layout that
     ``make_layout`` would refuse: too many strips for N even at the narrowest
     overlap, or an overlap ``run`` or a ``dd`` row would use.  ``dd`` compares
-    strips against one domain, so it needs at least two."""
+    strips against one domain, so it needs at least two.  The library's
+    message leads with its own key, which gives way to the CLI's."""
     if command == "dd" and cfg.n_subdomains == 1:
         raise ConfigError("n_subdomains: rdfilter dd needs n_subdomains >= 2")
     if cfg.n_subdomains == 1:  # > 1 passes the read check only in dd and 1D run
@@ -202,7 +203,7 @@ def _check_strips(cfg: RunConfig, command: str) -> None:
         try:
             build(grid, cfg.n_subdomains, overlap)
         except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
+            raise ConfigError(f"{key}: {str(exc).partition(': ')[2]}") from None
 
 
 # The CSV columns: SweepRow's fields but ``note``, each cast to its field's type.

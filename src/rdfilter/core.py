@@ -75,11 +75,8 @@ class Grid1D:
     n_intervals: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n_intervals", require_whole("n_intervals", self.n_intervals))
-        if self.n_intervals < 4:
-            raise ValueError(
-                f"n_intervals must be >= 4 (third-order shift needs 4 cosine modes), got {self.n_intervals}"
-            )
+        # the third-order shift needs 4 cosine modes
+        object.__setattr__(self, "n_intervals", require_whole("n_intervals", self.n_intervals, 4))
 
     @property
     def h(self) -> float:
@@ -94,12 +91,15 @@ class Grid1D:
         return (self.n_intervals + 1,)
 
 
-def require_whole(name: str, value) -> int:
+def require_whole(name: str, value, low: int | None = None) -> int:
     """``value`` as an int; anything but a whole real number raises naming
-    ``name``, and so do a bool and a number too large for a float."""
+    ``name``, and so do a bool, a number too large for a float and, given
+    ``low``, a number below it."""
     try:
         if isinstance(value, Real) and not isinstance(value, bool) and float(value).is_integer():
-            return int(value)
+            if low is None or value >= low:
+                return int(value)
+            raise ValueError(f"{name}: must be >= {low}, got {value!r}")
     except OverflowError:  # not printed: an int may have more digits than str() allows
         raise ValueError(f"{name}: must be a whole number, got one too large for a float") from None
     raise ValueError(f"{name}: must be a whole number, got {value!r}")
@@ -118,9 +118,7 @@ class Grid2D:
 
     def __post_init__(self):
         for name in ("n_intervals_x", "n_intervals_y"):
-            object.__setattr__(self, name, require_whole(name, getattr(self, name)))
-        if self.n_intervals_x < 4 or self.n_intervals_y < 4:
-            raise ValueError("each direction needs n_intervals >= 4")
+            object.__setattr__(self, name, require_whole(name, getattr(self, name), 4))
 
     @property
     def hx(self) -> float:
@@ -176,12 +174,15 @@ class Field:
 
     def __post_init__(self):
         node_shape = self.grid.node_shape
-        values = np.asarray(self.values, dtype=float)
+        try:
+            values = np.asarray(self.values, dtype=float)
+        except (OverflowError, ValueError) as err:  # 10**400, or "x" among the values
+            raise ValueError(f"values: {err}") from None
         if values.shape == node_shape:
             values = values[..., np.newaxis]
         if values.shape[:-1] != node_shape:
             raise ValueError(
-                f"values shape {values.shape} incompatible with node shape {node_shape}")
+                f"values: shape {values.shape} incompatible with node shape {node_shape}")
         object.__setattr__(self, "values", np.ascontiguousarray(values))
 
     @property

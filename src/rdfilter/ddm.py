@@ -32,9 +32,10 @@ class SubdomainLayout:
     round(i N / n_subdomains) extends overlap/2 to both sides, so neighbours
     share exactly ``overlap`` intervals, which must be even and >= 2 (one
     strip is the whole grid, with any ``overlap`` >= 0).  Both counts must be
-    whole numbers, kept as int.  Strips that fall out of order, overlap a
-    non-neighbour or have fewer than ``MIN_INTERIOR_POINTS`` interior points
-    raise as infeasible: their blend weights would not sum to 1."""
+    whole numbers, kept as int.  Strips with fewer than ``MIN_INTERIOR_POINTS``
+    interior points raise as infeasible naming ``n_subdomains``, and strips
+    that fall out of order or overlap a non-neighbour naming ``overlap``:
+    their blend weights would not sum to 1."""
 
     grid: Grid1D
     n_subdomains: int
@@ -43,10 +44,8 @@ class SubdomainLayout:
 
     def __post_init__(self):
         n = self.grid.n_intervals
-        n_subdomains = require_whole("n_subdomains", self.n_subdomains)
+        n_subdomains = require_whole("n_subdomains", self.n_subdomains, 1)
         overlap = require_whole("overlap", self.overlap)
-        if n_subdomains < 1:
-            raise ValueError(f"n_subdomains: must be >= 1, got {n_subdomains}")
         if overlap < 0 or n_subdomains > 1 and (overlap < 2 or overlap % 2 != 0):
             raise ValueError(f"overlap: must be even and >= 2 between strips, >= 0 on one, "
                              f"got {overlap}")
@@ -54,15 +53,16 @@ class SubdomainLayout:
         half = overlap // 2
         ranges = tuple(zip([0] + [c - half for c in cuts], [c + half for c in cuts] + [n]))
         pairs = list(zip(ranges, ranges[1:]))
-        for broken, rule in [
-                (any(lo1 <= lo0 or hi1 <= hi0 for (lo0, hi0), (lo1, hi1) in pairs),
+        for key, broken, rule in [  # too many strips for N, then too wide an overlap
+                ("n_subdomains",
+                 pairs and any(hi - lo - 1 < MIN_INTERIOR_POINTS for lo, hi in ranges),
+                 f"each strip needs {MIN_INTERIOR_POINTS} interior points"),
+                ("overlap", any(lo1 <= lo0 or hi1 <= hi0 for (lo0, hi0), (lo1, hi1) in pairs),
                  "strips out of order"),
-                (any(hi0 > lo2 for (_, hi0), (lo2, _) in zip(ranges, ranges[2:])),
-                 "a strip may overlap only its neighbours"),
-                (pairs and any(hi - lo - 1 < MIN_INTERIOR_POINTS for lo, hi in ranges),
-                 f"each strip needs {MIN_INTERIOR_POINTS} interior points")]:
+                ("overlap", any(hi0 > lo2 for (_, hi0), (lo2, _) in zip(ranges, ranges[2:])),
+                 "a strip may overlap only its neighbours")]:
             if broken:
-                raise ValueError(f"infeasible layout: N={n}, n_subdomains={n_subdomains}, "
+                raise ValueError(f"{key}: infeasible layout: N={n}, n_subdomains={n_subdomains}, "
                                  f"overlap={overlap} ({rule}, ranges {ranges})")
         object.__setattr__(self, "n_subdomains", n_subdomains)
         object.__setattr__(self, "overlap", overlap)

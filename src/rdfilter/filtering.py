@@ -158,7 +158,7 @@ def postprocess_field(u: Field, kappa: float | tuple[float, ...], uxx: Field | N
             raise ValueError(f"{name}: only a 1D field takes it, the field has {n_axes} node axes")
         return u.with_values(_postprocess_2d(u.values, *kappa))
     if layout is not None and layout.grid is not u.grid and layout.grid != u.grid:
-        raise ValueError(f"layout is for N={layout.grid.n_intervals}, "
+        raise ValueError(f"layout: is for N={layout.grid.n_intervals}, "
                          f"the field has N={u.grid.n_intervals}")
     return u.with_values(_postprocess_grid(u.values, kappa[0], uxx, layout))
 

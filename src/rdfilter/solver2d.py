@@ -8,6 +8,7 @@ one stretching factor per axis, each ``kappa_critical_2d``."""
 
 from __future__ import annotations
 
+from .core import require_positive
 from .filtering import kappa_critical
 
 
@@ -16,6 +17,8 @@ def kappa_critical_2d(dt: float, h: float) -> float:
 
     The worst tensor mode pairs the per-axis cutoffs, so each axis gets half
     the 1D stability budget: replace h^2 by h^2/2 in the 1D formula, which is
-    the 1D formula at 2 dt.  Below dt = h^2/6 nothing is unstable.
+    the 1D formula at 2 dt.  Below dt = h^2/6 nothing is unstable.  A ``dt``
+    that is not finite and positive raises naming it, as in 1D.
     """
+    require_positive("dt", dt)  # before doubling: 2 * True is a number
     return kappa_critical(2.0 * dt, h)

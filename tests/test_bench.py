@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import inspect
 import math
+import re
 from functools import partial
 from pathlib import Path
 from unittest import mock
@@ -127,7 +128,8 @@ def test_error_norms():
     g16 = make_grid_1d(16)
     pair = Field(g16, np.ones((17, 2))), Field(g16, np.zeros((17, 1)))
     for a, b in (pair, pair[::-1]):
-        with pytest.raises(ValueError, match="different component counts, [12] and [12]"):
+        with pytest.raises(ValueError, match=r"^reference: must share u's grid and component "
+                           r"count, got values of shape \(17, [12]\) for \(17, [12]\)"):
             error_norms(a, b)
 
 
@@ -594,7 +596,7 @@ def test_dd_study_rejects_an_infeasible_overlap_before_bisecting(monkeypatch):
         run_dd_study(32, 2, 4)
     # no step, or the startup step alone, grows no mode: every row read "capped"
     for n_steps in (0, 1):
-        with pytest.raises(ValueError, match=f"^n_steps: .* at least two steps, got {n_steps}"):
+        with pytest.raises(ValueError, match=f"^n_steps: must be >= 2, got {n_steps}"):
             run_dd_study(32, 2, (4,), resolution=1.0, n_steps=n_steps)
     assert calls == []
 
@@ -603,7 +605,7 @@ def test_bisection_rejects_a_trial_of_fewer_than_two_steps_before_any_trial(monk
     trials = []
     monkeypatch.setattr(bench, "_dd_stability_trial", lambda *args: trials.append(args))
     for n_steps in (0, 1):
-        with pytest.raises(ValueError, match=f"^n_steps: .* at least two steps, got {n_steps}"):
+        with pytest.raises(ValueError, match=f"^n_steps: must be >= 2, got {n_steps}"):
             bench.bisect_max_stable_ratio(make_grid_1d(32), None, 1.0, n_steps=n_steps)
     for n_steps in (2.5, True):
         with pytest.raises(ValueError, match="^n_steps: must be a whole number"):
@@ -616,7 +618,7 @@ def test_dd_study_rejects_an_overlap_above_the_cap_and_notes_the_cap(monkeypatch
     calls = []
     monkeypatch.setattr(bench, "bisect_max_stable_ratio",
                         lambda *args, **kwargs: calls.append(args) or 1.0)
-    with pytest.raises(ValueError, match="above the cap 16"):
+    with pytest.raises(ValueError, match="^overlap: 32 is above the cap 16"):
         run_dd_study(64, 2, (16, 32))
     assert calls == []
     rows = run_dd_study(64, 2, (14, 16))
@@ -860,8 +862,24 @@ def test_drivers_reject_u0_on_another_grid(driver):
         grid, u0 = make_grid_1d(64), Field.zeros(make_grid_1d(128))
     else:
         grid, u0 = make_grid_2d(8), Field.zeros(make_grid_2d(16))
-    with pytest.raises(ValueError, match="u0 lives on"):
+    with pytest.raises(ValueError, match=f"^u0: lives on {re.escape(str(u0.grid))}, not on"):
         integrate(zero_reaction(), grid, 1e-3, 2, partial(ZERO_2D.boundary, grid=grid), u0)
+
+
+@pytest.mark.parametrize("grid", [make_grid_1d(64), make_grid_2d(16)], ids=["1d", "2d"])
+def test_integrate_rejects_a_layout_of_another_grid_before_reading_any_boundary(grid):
+    # on 64 intervals the startup step used to run, calling bc_at once, and
+    # only the first postprocess raised "layout is for N=128, the field has N=64"
+    calls = []
+
+    def bc_at(t):
+        calls.append(t)
+        return ZERO_2D.boundary(t, grid)
+
+    layout = make_layout(make_grid_1d(128), 2, 8)
+    with pytest.raises(ValueError, match=r"^layout: is for Grid1D\(n_intervals=128\), not for"):
+        integrate(zero_reaction(), grid, 1e-3, 2, bc_at, Field.zeros(grid), layout=layout)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

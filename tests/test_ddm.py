@@ -70,9 +70,9 @@ def test_layout_takes_whole_counts_as_int_and_rejects_others_by_name(key, args):
 
 @pytest.mark.parametrize("n_subdomains, overlap, match", [
     (2.5, 4, "^n_subdomains: must be a whole number"),
-    (2, 66, "^infeasible layout: .*strips out of order"),
-    (8, 10, "^infeasible layout: .*a strip may overlap only its neighbours"),
-    (10, 2, "^infeasible layout: .*each strip needs 8 interior points"),
+    (2, 66, "^overlap: infeasible layout: .*overlap=66 .*strips out of order"),
+    (8, 10, "^overlap: infeasible layout: .*overlap=10 .*a strip may overlap only its neighbours"),
+    (10, 2, "^n_subdomains: infeasible layout: .*n_subdomains=10, .*needs 8 interior points"),
     (1, -2, "^overlap: must be even and >= 2 between strips, >= 0 on one"),
     (2, 0, "^overlap: must be even and >= 2 between strips"),
 ], ids=["not_whole", "out_of_order", "non_neighbours", "few_interior_points",
@@ -197,7 +197,7 @@ def test_integrate_rejects_unfiltered_what_only_the_filter_reads(key, value):
 def test_postprocess_rejects_a_layout_of_another_grid():
     grid = make_grid_1d(128)
     u = Field(grid, np.sin(grid.nodes) + 0.1)
-    with pytest.raises(ValueError, match="layout is for N=64, the field has N=128"):
+    with pytest.raises(ValueError, match="^layout: is for N=64, the field has N=128"):
         postprocess_field(u, 2.0, layout=make_layout(GRID, 2, 8))
 
 
