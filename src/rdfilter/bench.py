@@ -24,6 +24,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .core import (
+    BLOWUP_THRESHOLD,
     ConfigError,
     Field,
     Grid1D,
@@ -374,6 +375,12 @@ RATIO_MAX = 64.0
 # The most steps a run may ask for: about 2,500 times the most any acceptance
 # criterion takes (criterion 5 at N = 256 and ratio 0.5, some 40,000 steps).
 MAX_STEPS = 10**8
+# The largest N whose DD trial steps as its assembled map: dense products beat a
+# step's ~70 NumPy calls only at small N.  New / old trial time (ratio 4, 4 strips,
+# overlap 8, 2-core x86) at N =  64   128  160  192  256
+#                  100 steps:  0.32 0.59 0.76 1.02 1.63
+#                  500 steps:  0.23 0.42 0.50 0.67 0.99
+DD_ASSEMBLED_MAX_N = 128
 
 
 def ratio_to_dt(ratio: float, h: float) -> float:
@@ -419,17 +426,35 @@ def run_case(case: ManufacturedCase | PredatorPreyCase, grid: Grid1D | Grid2D, d
     return row, out
 
 
+def _each(key: str, values, what: str, check: Callable = lambda value: value) -> list:
+    """``check`` of each of ``values``, a sequence of ``what``, as a list; a non-
+    sequence, or a value ``check`` rejects, raises ValueError naming ``key`` first."""
+    try:
+        values = list(values)
+    except TypeError:
+        raise ValueError(f"{key}: must be a sequence of {what}, got {values!r}") from None
+    try:
+        return [check(value) for value in values]
+    except ValueError as err:
+        raise ValueError(f"{key}: {err}") from None
+
+
 def run_accuracy_sweep(case: ManufacturedCase, grid_sizes, ratios, shift_orders,
                        T: float = 1.0, filter_on: bool = True,
                        kappa_fraction: float = 1.0) -> list[SweepRow]:
     """Integrate to T for every configuration and record final-time errors
-    against the exact solution; failures are recorded, never raised.  A T
-    shorter than two steps of any run raises before the first run starts."""
-    runs = [(grid, dt, steps_to(T, dt)) for grid in map(make_grid_1d, grid_sizes)
+    against the exact solution; failures are recorded, never raised.  Each
+    sequence, by its key, and each run's T are checked before the first run."""
+    grids = _each("grid_sizes", grid_sizes, "interval counts", make_grid_1d)
+    ratios = _each("ratios", ratios, "normalized steps")  # each by ``ratio_to_dt``, as ratio
+    orders = _each("shift_orders", shift_orders, "orders", partial(require_whole, "shift_order"))
+    if not set(orders) <= {1, 3}:  # as ``integrate`` takes them
+        raise ValueError(f"shift_orders: must each be 1 or 3, got {orders}")
+    runs = [(grid, dt, steps_to(T, dt)) for grid in grids
             for dt in (ratio_to_dt(ratio, grid.h) for ratio in ratios)]
     return [run_case(case, grid, dt, n_steps, shift_order=order, filter_on=filter_on,
                      kappa_fraction=kappa_fraction)[0]
-            for grid, dt, n_steps in runs for order in shift_orders]
+            for grid, dt, n_steps in runs for order in orders]
 
 
 def run_predator_prey(case: PredatorPreyCase, n_intervals: int, ratio: float,
@@ -443,25 +468,46 @@ def run_predator_prey(case: PredatorPreyCase, n_intervals: int, ratio: float,
 
 
 def _dd_stability_trial(grid: Grid1D, ratio: float, layout: SubdomainLayout | None,
-                        n_steps: int = 500) -> bool:
-    """Heat equation, homogeneous data, highest-mode seed; survive n_steps?"""
-    x = grid.nodes
-    u0 = Field(grid, np.sin(x) + 1.0e-6 * np.sin((grid.n_intervals - 1) * x))
-    return integrate(zero_reaction(), grid, ratio_to_dt(ratio, grid.h), n_steps,
-                     lambda t: (0.0, 0.0), u0, layout=layout).stable
+                        n_steps: int = 500) -> tuple[bool, int]:
+    """Heat equation, zero data, highest-mode seed: (survived n_steps?, steps run
+    as ``RunOutcome.steps`` counts them).  Up to ``DD_ASSEMBLED_MAX_N`` intervals,
+    after the startup step in ``integrate``, z = (u^n, u^{n-1}) steps as P [A B] z
+    on plain arrays, checked before and after P: [A B] is ``step`` on 64 unit
+    columns a call, P the postprocess of the identity."""
+    x, n = grid.nodes, grid.n_intervals
+    u0 = Field(grid, np.sin(x) + 1.0e-6 * np.sin((n - 1) * x))
+    reaction, dt, zero = zero_reaction(), ratio_to_dt(ratio, grid.h), (0.0, 0.0)
+    out = integrate(reaction, grid, dt, 1 if n <= DD_ASSEMBLED_MAX_N else n_steps,
+                    lambda t: zero, u0, layout=layout)
+    if n > DD_ASSEMBLED_MAX_N or not out.stable:
+        return out.stable, out.steps
+    AB = np.empty((n + 1, 2 * n + 2))  # column j: the step of (u^n, u^{n-1}) = e_j
+    for c0 in range(0, 2 * n + 2, 64):
+        unit = np.eye(2 * n + 2, min(64, 2 * n + 2 - c0), -c0)
+        AB[:, c0:c0 + unit.shape[1]] = step(Field(grid, unit[:n + 1]), Field(grid, unit[n + 1:]),
+                                            reaction, 0.0, dt, zero).values
+    P = postprocess_field(Field(grid, np.eye(n + 1)), out.kappa, layout=layout).values
+    z = np.concatenate((out.field.values[:, 0], u0.values[:, 0]))
+    for k in range(1, n_steps):
+        v = AB @ z  # checked as ``Field.blown_up`` checks, and P applied only if it passes
+        if not (np.abs(v).max() <= BLOWUP_THRESHOLD
+                and np.abs(w := P @ v).max() <= BLOWUP_THRESHOLD):
+            return False, k + 1
+        z = np.concatenate((w, z[:n + 1]))
+    return True, n_steps
 
 
 def bisect_max_stable_ratio(grid: Grid1D, layout: SubdomainLayout | None,
                             resolution: float = 0.1, n_steps: int = 500) -> float:
-    """Largest stable 3 dt / h^2, searched from the cap down: RATIO_MAX if its
-    trial survives, else halve to the first survivor 2^j and bisect [2^j,
-    2^(j+1)] ([0, 1] if none survives) to the given resolution, or until the
-    midpoint rounds to an end.  A ``resolution`` that is not finite and
-    positive, or ``n_steps`` below 2, raises naming it."""
+    """Largest 3 dt / h^2 whose ``_dd_stability_trial`` survives n_steps, searched
+    from the cap down: RATIO_MAX if its trial survives, else halve to the first
+    survivor 2^j and bisect [2^j, 2^(j+1)] ([0, 1] if none survives) to the given
+    resolution, or until the midpoint rounds to an end.  A ``resolution`` that
+    is not finite and positive, or ``n_steps`` below 2, raises naming it."""
     require_positive("resolution", resolution)
     n_steps = require_whole("n_steps", n_steps, 2)  # the startup step alone grows no mode
     lo = RATIO_MAX
-    while lo >= 1.0 and not _dd_stability_trial(grid, lo, layout, n_steps):
+    while lo >= 1.0 and not _dd_stability_trial(grid, lo, layout, n_steps)[0]:
         lo *= 0.5
     if lo == RATIO_MAX:
         return lo
@@ -470,7 +516,7 @@ def bisect_max_stable_ratio(grid: Grid1D, layout: SubdomainLayout | None,
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        if _dd_stability_trial(grid, mid, layout, n_steps):
+        if _dd_stability_trial(grid, mid, layout, n_steps)[0]:
             lo = mid
         else:
             hi = mid
@@ -498,11 +544,7 @@ def run_dd_study(n_intervals: int, n_subdomains: int, overlaps,
     Each row's search starts at RATIO_MAX; a row whose trial there survived
     is noted "capped": its true limit may lie above."""
     n_steps = require_whole("n_steps", n_steps, 2)
-    try:
-        overlaps = iter(overlaps)
-    except TypeError:
-        raise ValueError(f"overlaps: must be a sequence of overlap widths, "
-                         f"got {overlaps!r}") from None
+    overlaps = _each("overlaps", overlaps, "overlap widths")
     grid = make_grid_1d(n_intervals)
     rows = []
     for layout, note in [(None, "")] + [dd_layout(grid, n_subdomains, ov) for ov in overlaps]:

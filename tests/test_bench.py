@@ -7,6 +7,7 @@ import importlib.util
 import inspect
 import math
 import re
+import tracemalloc
 from functools import partial
 from pathlib import Path
 from unittest import mock
@@ -418,7 +419,7 @@ def _fake_trial(monkeypatch, stable_below: float) -> list:
         calls.append(ratio)
         if len(calls) > 1000:
             raise RuntimeError("the bisection did not end")
-        return ratio < stable_below
+        return ratio < stable_below, n_steps
 
     monkeypatch.setattr(bench, "_dd_stability_trial", trial)
     return calls
@@ -489,7 +490,7 @@ def test_search_from_the_cap_returns_what_doubling_from_one_returned(threshold, 
     def trial(grid, ratio, layout, n_steps):
         calls.append(ratio)
         assert len(calls) <= 1000, "the search did not end"
-        return stable(ratio)
+        return stable(ratio), n_steps
 
     with mock.patch.object(bench, "_dd_stability_trial", trial):
         got = bench.bisect_max_stable_ratio(make_grid_1d(32), None, resolution)
@@ -505,24 +506,94 @@ def test_search_tries_the_cap_first_and_halves(monkeypatch):
 
 def test_dd_ladder_answers_and_trial_counts(monkeypatch):
     # the real trials, counted: the same ratios as the doubling search, which
-    # took 37 trials and 3,259 steps
+    # took 37 trials and 3,259 steps; each trial returns the steps it ran
     trials, steps = [], []
-    real_trial, real_integrate = bench._dd_stability_trial, bench.integrate
+    real_trial = bench._dd_stability_trial
 
     def counted_trial(*args):
         trials.append(args[1])
-        return real_trial(*args)
-
-    def counted_integrate(*args, **kwargs):
-        out = real_integrate(*args, **kwargs)
-        steps.append(out.steps)
-        return out
+        stable, ran = real_trial(*args)
+        steps.append(ran)
+        return stable, ran
 
     monkeypatch.setattr(bench, "_dd_stability_trial", counted_trial)
-    monkeypatch.setattr(bench, "integrate", counted_integrate)
     rows = run_dd_study(128, 4, (4, 8), resolution=0.1, n_steps=100)
     assert [r.ratio for r in rows] == [64.0, 18.75, 39.1875]
     assert (len(trials), sum(steps)) == (23, 1771)
+
+
+def _integrated_trial(grid, ratio, layout, n_steps):
+    """The DD stability trial with every step run by ``integrate``: (stable, steps)."""
+    x = grid.nodes
+    u0 = Field(grid, np.sin(x) + 1.0e-6 * np.sin((grid.n_intervals - 1) * x))
+    out = integrate(zero_reaction(), grid, ratio_to_dt(ratio, grid.h), n_steps,
+                    lambda t: (0.0, 0.0), u0, layout=layout)
+    return out.stable, out.steps
+
+
+@pytest.mark.parametrize("overlaps, n_steps", [((4, 8), 100), ((4, 8, 16), 500)],
+                         ids=["dd_ladder", "criterion_8"])
+def test_assembled_dd_trial_stops_where_the_integrated_trial_stops(monkeypatch, overlaps,
+                                                                   n_steps):
+    # at every ratio the bisections try, on one domain and on the 4 strips of
+    # the benchmark's ladder and of criterion 8, N = 128
+    tried, real_trial = [], bench._dd_stability_trial
+
+    def recorded(grid, ratio, layout, n):
+        tried.append((grid, ratio, layout))
+        return real_trial(grid, ratio, layout, n)
+
+    monkeypatch.setattr(bench, "_dd_stability_trial", recorded)
+    run_dd_study(128, 4, overlaps, resolution=0.1, n_steps=n_steps)
+    assert len({layout for _, _, layout in tried}) == 1 + len(overlaps)
+    for grid, ratio, layout in tried:
+        assert (real_trial(grid, ratio, layout, n_steps)
+                == _integrated_trial(grid, ratio, layout, n_steps)), (ratio, layout)
+
+
+def test_assembled_dd_trial_on_two_strips_stops_within_three_steps_of_the_integrated_one():
+    # Two strips with overlap 2 grow from the last bits of the interface nodes.
+    # [A B] z rounds otherwise than the stencil, so the step at which the growth
+    # passes the blow-up threshold may move by a few steps: 19 integrated, 21
+    # assembled here.  Only the stopping step is compared.
+    grid = make_grid_1d(64)
+    layout = make_layout(grid, 2, 2)
+    steps = bench._dd_stability_trial(grid, 64.0, layout, 100)[1]
+    want_stable, want_steps = _integrated_trial(grid, 64.0, layout, 100)
+    assert not want_stable and abs(steps - want_steps) <= 3
+
+
+def test_assembled_dd_trial_assembles_in_small_blocks():
+    # [A B] from one step on all 2 (N + 1) unit columns holds the 2 (N + 1)
+    # square identity and several step arrays of its width at once (1.86 MB at
+    # N = 128); 64 columns a call stay well under 1 MB at the largest N that
+    # assembles
+    grid = make_grid_1d(bench.DD_ASSEMBLED_MAX_N)
+    layout = make_layout(grid, 4, 8)
+    bench._dd_stability_trial(grid, 20.0, layout, 10)  # fills the postprocess memos
+    tracemalloc.start()
+    try:
+        assert bench._dd_stability_trial(grid, 20.0, layout, 10) == (True, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024**2
+
+
+@pytest.mark.parametrize("n, integrated_steps", [(bench.DD_ASSEMBLED_MAX_N, 1),
+                                                 (bench.DD_ASSEMBLED_MAX_N + 2, 20)])
+def test_dd_trial_above_the_assembly_limit_runs_every_step_through_integrate(
+        monkeypatch, n, integrated_steps):
+    runs, real_integrate = [], bench.integrate
+
+    def counted_integrate(*args, **kwargs):
+        out = real_integrate(*args, **kwargs)
+        runs.append(out.steps)
+        return out
+
+    monkeypatch.setattr(bench, "integrate", counted_integrate)
+    assert bench._dd_stability_trial(make_grid_1d(n), 4.0, None, 20) == (True, 20)
+    assert runs == [integrated_steps]
 
 
 def _run_driver(driver, dt=1e-3, n_steps=2, kappa_fraction=1.0, filter_on=True):
@@ -662,6 +733,24 @@ def test_steps_to_rounds_and_rejects_fewer_than_two_steps(monkeypatch):
     monkeypatch.setattr(bench, "run_case", lambda *args, **kwargs: calls.append(args))
     with pytest.raises(ConfigError, match="^T: "):
         run_accuracy_sweep(manufactured_heat_case(), [32], [1.0, 8.0], [1], T=0.03)
+    assert calls == []
+
+
+@pytest.mark.parametrize("key, sequences, message", [
+    ("grid_sizes", ((2,), (1.0,), (1,)), "n_intervals: must be >= 4, got 2"),
+    ("grid_sizes", (8, (1.0,), (1,)), "must be a sequence of interval counts, got 8"),
+    ("ratios", ((32,), 1.0, (1,)), "must be a sequence of normalized steps, got 1.0"),
+    ("shift_orders", ((32,), (1.0,), 1), "must be a sequence of orders, got 1"),
+    ("shift_orders", ((32,), (1.0,), (1, 2)), "must each be 1 or 3, got [1, 2]"),
+])
+def test_sweep_rejects_its_sequences_by_their_keys_before_the_first_run(monkeypatch, key,
+                                                                        sequences, message):
+    # (2,) used to be rejected as n_intervals, a bare value raised an unkeyed
+    # TypeError, and shift order 2 raised only after the order-1 run
+    calls = []
+    monkeypatch.setattr(bench, "run_case", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match=f"^{key}: {re.escape(message)}$"):
+        run_accuracy_sweep(manufactured_heat_case(), *sequences)
     assert calls == []
 
 

@@ -298,6 +298,20 @@ def test_main_run_heat2d_writes_its_row_bit_for_bit(tmp_path):
         "0.0047955129228888227,true,500,0\n")
 
 
+def test_main_dd_writes_the_readme_rows_bit_for_bit(tmp_path):
+    # the rows of the README's dd command, as the trials wrote them when every
+    # step ran through ``bench.integrate``
+    out = tmp_path / "dd.csv"
+    code = main(["dd", "--N", "128", "--n-subdomains", "4", "--overlaps", "4,8,16",
+                 "--output", str(out), "--no-timing"])
+    assert code == 0
+    assert out.read_text() == CSV_HEADER + "\n" + (
+        "128,0.012851047397251769,64,1,nan,1,0,nan,nan,true,500,0\n"
+        "128,0.0033508102100256077,16.6875,1,nan,4,4,nan,nan,true,500,0\n"
+        "128,0.0073040132667973913,36.375,1,nan,4,8,nan,nan,true,500,0\n"
+        "128,0.012851047397251769,64,1,nan,4,16,nan,nan,true,500,0\n")
+
+
 def test_main_run_blowup_exit_2(tmp_path):
     out = tmp_path / "boom.csv"
     code = main(["run", "--problem", "heat1d", "--N", "64", "--ratio", "1.2",

@@ -117,6 +117,16 @@ ROWS = [
     ("run_accuracy_sweep", "T",
      lambda v: run_accuracy_sweep(manufactured_heat_case(), (32,), (1.0,), (1,), T=v),
      POSITIVE),
+    ("run_accuracy_sweep", "grid_sizes",
+     lambda v: run_accuracy_sweep(manufactured_heat_case(), v, (1.0,), (1,)),
+     {"a bare 8": 8, "a bare 1.0": 1.0, "None": None, "N=2": (2,), "N=2.5": (2.5,)}),
+    ("run_accuracy_sweep", "ratios",
+     lambda v: run_accuracy_sweep(manufactured_heat_case(), (32,), v, (1,)),
+     {"a bare 8": 8, "a bare 1.0": 1.0, "None": None}),
+    ("run_accuracy_sweep", "shift_orders",
+     lambda v: run_accuracy_sweep(manufactured_heat_case(), (32,), (1.0,), v),
+     {"a bare 1": 1, "a bare 1.0": 1.0, "None": None, "1 and 2": (1, 2), "True": (True,),
+      "2.5": (2.5,)}),
     ("bisect_max_stable_ratio", "resolution",
      lambda v: bisect_max_stable_ratio(GRID, None, v, n_steps=2), POSITIVE),
     ("bisect_max_stable_ratio", "n_steps",
