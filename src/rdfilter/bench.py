@@ -188,25 +188,25 @@ class PredatorPreyCase:
         require_bool("excited", self.excited)
 
     def ode_rhs(self, w: np.ndarray) -> np.ndarray:
-        u, v = w[..., 0], w[..., 1]
-        fu = self.a * u - self.b * u * v
+        u, v, f = w[..., 0], w[..., 1], np.empty(w.shape)
+        np.subtract(self.a * u, self.b * u * v, out=f[..., 0])
         if self.sign_variant == "printed":
-            fv = -self.c * u - self.d * u * v
+            np.subtract(-self.c * u, self.d * u * v, out=f[..., 1])
         else:
-            fv = -self.c * v + self.d * u * v
-        return np.stack([fu, fv], axis=-1)
+            np.add(-self.c * v, self.d * u * v, out=f[..., 1])
+        return f
 
     def ode_jacobian(self, w: np.ndarray) -> np.ndarray:
         u, v = w[..., 0], w[..., 1]
         j = np.empty(w.shape[:-1] + (2, 2))
-        j[..., 0, 0] = self.a - self.b * v
-        j[..., 0, 1] = -self.b * u
+        np.subtract(self.a, self.b * v, out=j[..., 0, 0])
+        np.multiply(-self.b, u, out=j[..., 0, 1])
         if self.sign_variant == "printed":
-            j[..., 1, 0] = -self.c - self.d * v
-            j[..., 1, 1] = -self.d * u
+            np.subtract(-self.c, self.d * v, out=j[..., 1, 0])
+            np.multiply(-self.d, u, out=j[..., 1, 1])
         else:
-            j[..., 1, 0] = self.d * v
-            j[..., 1, 1] = -self.c + self.d * u
+            np.multiply(self.d, v, out=j[..., 1, 0])
+            np.add(-self.c, self.d * u, out=j[..., 1, 1])
         return j
 
     def reaction(self) -> ReactionSystem:

@@ -68,23 +68,22 @@ def apply_laplacian(u: np.ndarray) -> np.ndarray:
 def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
                        coeff: float, initial: np.ndarray) -> np.ndarray:
     """Solve c*u - f(x, t, u) = rhs at every node, c = ``coeff``, by Newton
-    from ``initial``.
+    from ``initial``; ``rhs`` has shape (..., m), and each node of the leading
+    axes only touches its own values.
 
-    ``rhs`` has shape (..., m); the solve is vectorized over the leading axes.
-    A ``u_independent`` f makes the equation linear in u: its Jacobian is not
-    taken, and one update, u - residual / c for every m, solves it into a new
-    array (the guess itself is not copied).  Its finiteness is one scalar
-    test, max|residual| / c: max keeps a NaN and a correctly rounded division
-    by c > 0 is monotone, so that quotient is finite exactly when every
-    node's is; only when it is not are the nodes scanned for the culprit.
-    Else the update divides by c - df/du for m = 1, where no identity is
-    formed, and for m >= 2 solves c I - J, by Cramer's rule for m = 2 (LAPACK
-    at a node where it cannot be trusted, see ``_solve_2x2``) and by one dense
-    LAPACK solve per node for m >= 3.  Every node only touches its own values.  A node
-    whose Jacobian is singular, or whose update is not finite, raises
-    ``NewtonDivergence`` naming that node.  A Jacobian whose shape is not
-    u.shape + (m,) raises ValueError naming ``jacobian``; the first one formed
-    is checked.
+    A ``u_independent`` f is linear in u: its Jacobian is not taken, and one
+    update, u - residual / c for every m, solves it in the residual's buffer
+    (the guess is not copied).  Its finiteness is one scalar test,
+    max|residual| / c: max keeps a NaN and a correctly rounded division by
+    c > 0 is monotone, so that quotient is finite exactly when every node's
+    is; only when it is not are the nodes scanned for the culprit.
+    Else each update forms (c u - f) - rhs in one new buffer and divides it
+    by c - df/du for m = 1, or solves c I - J, c I formed once per solve, by
+    ``_solve_2x2`` for m = 2 and by LAPACK per node for m >= 3.  ``_finite``
+    tests each update once, in the loop or, for m = 2, in ``_solve_2x2``: a
+    node whose Jacobian is singular, or whose update is not finite, raises
+    ``NewtonDivergence`` naming it.  A Jacobian not of shape u.shape + (m,)
+    raises ValueError naming ``jacobian``; the first one formed is checked.
     """
     rhs = np.asarray(rhs, dtype=float)
     if reaction.u_independent:  # one update; dividing by a finite c > 0 needs no errstate
@@ -100,8 +99,8 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
             raise _diverged(~np.isfinite(residual / coeff).all(axis=-1), float(res_max))
         return np.subtract(u, np.divide(residual, coeff, out=residual), out=residual)
     u = np.array(initial, dtype=float)
-    m = u.shape[-1]
-    f = reaction.eval(x, t, u)
+    m, f = u.shape[-1], reaction.eval(x, t, u)
+    eye = coeff * np.eye(m) if m >= 2 else None  # c I, formed once per solve
 
     # The residual is roundoff on terms of size |c I - J| |u| (c|u| and |J u|
     # cancel in a stiff f): a tolerance below that is unattainable.  It scales
@@ -109,7 +108,9 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
     # that Jacobian is taken only when the tolerance at c alone is not met.
     jac = None
     for iteration in range(NEWTON_MAX_ITER + 1):
-        residual = coeff * u - f - rhs
+        residual = coeff * u  # (c u - f) - rhs, in this one buffer
+        residual -= f
+        residual -= rhs
         res_max, u_max = np.abs(residual).max(), float(np.abs(u).max(initial=1.0))
         if res_max <= NEWTON_TOL * max(1.0, coeff * u_max) or (
                 jac is not None and res_max <= NEWTON_TOL * float(np.abs(jac).max()) * u_max):
@@ -122,18 +123,24 @@ def newton_point_solve(rhs: np.ndarray, reaction: ReactionSystem, x, t: float,
                              f"shape {u.shape}, got {np.shape(dfdu)}")
         if m == 1:  # the Newton matrix is one number
             jac = coeff - dfdu[..., 0]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                delta = residual / jac
-        else:
-            jac = coeff * np.eye(m) - dfdu
-            delta = (_solve_2x2 if m == 2 else _solve_dense)(jac, residual)
-        if not np.isfinite(delta).all():  # a singular Jacobian, or an overflow
-            bad = ~np.isfinite(delta).all(axis=-1)
-            raise _diverged(bad, float(np.abs(residual[bad]).max()))
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                delta = _finite(residual / jac, residual)
+        else:  # Cramer's rule tests its own update
+            jac = eye - dfdu
+            delta = (_solve_2x2(jac, residual) if m == 2
+                     else _finite(_solve_dense(jac, residual), residual))
         u = u - delta
         f = reaction.eval(x, t, u)
     worst = np.abs(residual)
     raise _diverged(worst.max(axis=-1), float(worst.max()))
+
+
+def _finite(delta: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """``delta`` if each node's update is finite; else raises at the first node whose is not."""
+    if not np.isfinite(delta).all():
+        bad = ~np.isfinite(delta).all(axis=-1)
+        raise _diverged(bad, float(np.abs(residual[bad]).max()))
+    return delta
 
 
 def _diverged(per_node: np.ndarray, worst: float) -> NewtonDivergence:
@@ -149,7 +156,8 @@ def _solve_2x2(jac: np.ndarray, residual: np.ndarray) -> np.ndarray:
     Algorithms*, 2nd ed., 2002, 1.10.1).  A node goes to ``_solve_dense``
     instead when its determinant is not a finite normal float or is within
     rounding of zero (cond above about 1e15, where LU may meet an exact zero
-    pivot), or its update is not finite; so LAPACK decides which diverge."""
+    pivot), or its update is not finite: LAPACK decides which diverge, and only
+    then is the update tested again.  The bound reuses ad's, bc's and det's buffers."""
     a, b, c, d = jac[..., 0, 0], jac[..., 0, 1], jac[..., 1, 0], jac[..., 1, 1]
     r0, r1 = residual[..., 0], residual[..., 1]
     delta = np.empty_like(residual)
@@ -160,10 +168,14 @@ def _solve_2x2(jac: np.ndarray, residual: np.ndarray) -> np.ndarray:
         delta[..., 1] = a * r1 - c * r0
         delta /= det[..., np.newaxis]
         # False for a NaN, an infinite (then |ad| + |bc| is too) or a subnormal det
-        sound = np.abs(det) > 4.0 * _FLOAT.eps * (np.abs(ad) + np.abs(bc)) + _FLOAT.tiny
+        bound = np.add(np.abs(ad, out=ad), np.abs(bc, out=bc), out=ad)
+        bound *= 4.0 * _FLOAT.eps
+        bound += _FLOAT.tiny
+        sound = np.abs(det, out=det) > bound
     if not (sound.all() and np.isfinite(delta).all()):
         redo = ~(sound & np.isfinite(delta).all(axis=-1))
         delta[redo] = _solve_dense(jac[redo], residual[redo])
+        return _finite(delta, residual)  # LAPACK gives NaN at a singular node
     return delta
 
 

@@ -6,11 +6,12 @@ array, must return the bytes of their closed forms; the cached pipeline
 must reproduce the uncached formulas; the 1 x 1 division and the 2 x 2
 closed form must agree with LAPACK's dense solve, which a u-dependent
 m >= 3 still takes; a u-independent reaction is one division by c for every
-m, bit for bit the general solve at m = 1 and within 4 ulp of it otherwise.
+m, bit for bit the general solve at m = 1 and within 4 ulp of it otherwise;
+and a u-dependent solve must keep the bytes of its loop written out here.
 """
 
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -46,7 +47,14 @@ from rdfilter.filtering import (
     sigma8,
 )
 from rdfilter.shift import cosine_basis, endpoint_inverse
-from rdfilter.stepper import NewtonDivergence, estimate_uxx, newton_point_solve, step
+from rdfilter.stepper import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
+    NewtonDivergence,
+    estimate_uxx,
+    newton_point_solve,
+    step,
+)
 
 
 def _assert_read_only(array):
@@ -407,24 +415,31 @@ def test_m1_divergence_reports_same_node_as_dense_solve():
     assert nodes == [6, 6, 6]
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_zero_jacobian_raises_newton_divergence_at_that_node(m):
+@pytest.mark.parametrize("overflow, m", [(False, 1), (False, 2), (False, 3), (True, 1),
+                                         (True, 2)],
+                         ids=["1", "2", "3", "overflow-1", "overflow-2"])
+def test_zero_jacobian_raises_newton_divergence_at_that_node(overflow, m):
     # f(u) = c u - u^2 / 2 per component makes the Jacobian of c u - f(u),
     # diag(u), vanish at u = 0: the division (m = 1) and the closed form
     # (m = 2) must not turn that node into +-inf and accept it, and LAPACK's
     # solve (m = 3, and m = 2's fallback) must not raise LinAlgError.
-    coeff = 3.0
-    reaction = ReactionSystem(
-        eval=lambda x, t, u: coeff * u - 0.5 * u * u,
-        jacobian=lambda x, t, u: (coeff - u)[..., np.newaxis] * np.eye(m),
-    )
-    initial = np.full((9, m), 1.0)
-    initial[4] = 0.0
-    with np.errstate(all="raise"):  # no divide-by-zero warning either
+    if overflow:  # f == 0 and c = 1e-300: the update rhs / c overflows at node 3
+        coeff, node, rhs, initial = 1e-300, 3, np.zeros((5, m)), np.zeros((5, m))
+        reaction = ReactionSystem(eval=lambda x, t, u: np.zeros_like(u),
+                                  jacobian=lambda x, t, u: np.zeros(u.shape + (m,)))
+        rhs[node] = 1e10
+    else:
+        coeff, node, rhs, initial = 3.0, 4, np.full((9, m), 0.5), np.full((9, m), 1.0)
+        reaction = ReactionSystem(
+            eval=lambda x, t, u: coeff * u - 0.5 * u * u,
+            jacobian=lambda x, t, u: (coeff - u)[..., np.newaxis] * np.eye(m),
+        )
+        initial[node] = 0.0
+    with np.errstate(all="raise"):  # no divide-by-zero or overflow warning either
         with pytest.raises(NewtonDivergence) as info:
-            newton_point_solve(np.full((9, m), 0.5), reaction, None, 0.0, coeff, initial)
-    assert info.value.node == 4
-    assert info.value.residual == 0.5
+            newton_point_solve(rhs, reaction, None, 0.0, coeff, initial)
+    assert info.value.node == node
+    assert info.value.residual == np.max(rhs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -609,6 +624,138 @@ def test_newton_rejects_a_jacobian_of_the_wrong_shape_by_name(jacobian):
     reaction = ReactionSystem(eval=lambda x, t, u: -u @ jac.T, jacobian=lambda x, t, u: -jac)
     with pytest.raises(ValueError, match=rf"^jacobian: must have shape \(5, {m}, {m}\)"):
         newton_point_solve(np.ones((5, m)), reaction, None, 0.0, 0.0, np.ones((5, m)))
+
+
+def _written_out_solve(rhs, f, dfdu, coeff, u):
+    # The u-dependent Newton solve in its first form, on (nodes, m) arrays: a
+    # new c u - f - rhs and c I per update, Cramer's rule with its soundness
+    # bound in one expression, and a finiteness test after every update.
+    m, fu, jac = u.shape[-1], f(u), None
+    for iteration in range(NEWTON_MAX_ITER + 1):
+        residual = coeff * u - fu - rhs
+        res_max, u_max = np.abs(residual).max(), float(np.abs(u).max(initial=1.0))
+        if res_max <= NEWTON_TOL * max(1.0, coeff * u_max) or (
+                jac is not None and res_max <= NEWTON_TOL * float(np.abs(jac).max()) * u_max):
+            return u
+        if iteration == NEWTON_MAX_ITER:
+            break
+        if m == 1:
+            jac = coeff - dfdu(u)[..., 0]
+            delta = residual / jac
+        else:
+            jac = coeff * np.eye(m) - dfdu(u)
+            delta = (_written_out_2x2 if m == 2 else _written_out_dense)(jac, residual)
+        if not np.isfinite(delta).all():
+            bad = ~np.isfinite(delta).all(axis=-1)
+            raise NewtonDivergence(np.argmax(bad), float(np.abs(residual[bad]).max()))
+        u = u - delta
+        fu = f(u)
+    worst = np.abs(residual)
+    raise NewtonDivergence(np.argmax(worst.max(axis=-1)), float(worst.max()))
+
+
+def _written_out_2x2(jac, residual):
+    a, b, c, d = jac[..., 0, 0], jac[..., 0, 1], jac[..., 1, 0], jac[..., 1, 1]
+    r0, r1 = residual[..., 0], residual[..., 1]
+    det = a * d - b * c
+    delta = np.stack([d * r0 - b * r1, a * r1 - c * r0], axis=-1) / det[..., np.newaxis]
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    sound = np.abs(det) > 4.0 * eps * (np.abs(a * d) + np.abs(b * c)) + tiny
+    redo = ~(sound & np.isfinite(delta).all(axis=-1))
+    if redo.any():
+        delta[redo] = _written_out_dense(jac[redo], residual[redo])
+    return delta
+
+
+def _written_out_dense(jac, residual):
+    try:
+        return np.linalg.solve(jac, residual[..., np.newaxis])[..., 0]
+    except np.linalg.LinAlgError:  # NaN at each singular node
+        delta = np.full(residual.shape, np.nan)
+        for node in range(len(residual)):
+            try:
+                delta[node] = np.linalg.solve(jac[node], residual[node])
+            except np.linalg.LinAlgError:
+                pass
+        return delta
+
+
+def _written_out_predator_prey(variant):
+    # ``PredatorPreyCase``'s reaction and Jacobian in their first form
+    a, b, c, d = PredatorPreyCase.a, PredatorPreyCase.b, PredatorPreyCase.c, PredatorPreyCase.d
+
+    def f(w):
+        u, v = w[..., 0], w[..., 1]
+        fv = -c * u - d * u * v if variant == "printed" else -c * v + d * u * v
+        return np.stack([a * u - b * u * v, fv], axis=-1)
+
+    def dfdu(w):
+        u, v = w[..., 0], w[..., 1]
+        j = np.empty(w.shape[:-1] + (2, 2))
+        j[..., 0, 0], j[..., 0, 1] = a - b * v, -b * u
+        if variant == "printed":
+            j[..., 1, 0], j[..., 1, 1] = -c - d * v, -d * u
+        else:
+            j[..., 1, 0], j[..., 1, 1] = d * v, -c + d * u
+        return j
+
+    return f, dfdu
+
+
+@cache
+def _predator_prey_state(variant):
+    _, traj = run_predator_prey(PredatorPreyCase(sign_variant=variant), 64, 4.0, n_steps=20)
+    state = traj["final"].values[1:-1].copy()
+    state.flags.writeable = False  # shared by every example
+    return state
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["classical", "printed", 1, 2, 3]), st.floats(-2.0, 4.0),
+       st.floats(-12.0, 0.0), st.booleans(), st.booleans(), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_u_dependent_solve_keeps_the_bytes_of_the_written_out_loop(kind, log_c, log_kick, cubic,
+                                                                  singular, nan, seed):
+    # The solve forms its residual in one buffer, c I once, and tests each
+    # update once: every result keeps its bytes, every failure its node and
+    # residual.  Predator-prey (m = 2) starts at a state of a short run, its
+    # rhs kicked off that state.  The linear reactions, cubic or not, (m = 1,
+    # 2, 3) have Newton matrix exactly 0 at a singular node and NaN at a NaN node.
+    rng = np.random.default_rng(seed)
+    coeff = 10.0 ** log_c
+    if isinstance(kind, str):
+        u0 = _predator_prey_state(kind)
+        reaction = PredatorPreyCase(sign_variant=kind).reaction()
+        f, dfdu = _written_out_predator_prey(kind)
+        rhs = coeff * u0 - f(u0) + 10.0 ** log_kick * rng.standard_normal(u0.shape)
+    else:
+        n, m = 12, kind
+        gain = rng.standard_normal((n, m, m))
+        weight = 0.1 * rng.uniform(0.0, 1.0, (n, 1)) * cubic
+        node = rng.integers(0, n, 2)
+        if singular:
+            gain[node[0]], weight[node[0]] = coeff * np.eye(m), 0.0
+        if nan:
+            gain[node[1], 0, -1] = np.nan
+
+        def f(u):
+            return np.einsum("...ij,...j->...i", gain, u) - weight * u**3
+
+        def dfdu(u):
+            return gain - (3.0 * weight * u * u)[..., np.newaxis] * np.eye(m)
+
+        reaction = ReactionSystem(eval=lambda x, t, u: f(u), jacobian=lambda x, t, u: dfdu(u))
+        u0, rhs = rng.standard_normal((n, m)), rng.standard_normal((n, m))
+
+    def outcome(solve, *args):
+        try:
+            with np.errstate(all="ignore"):  # a cubic may overflow before it diverges
+                return solve(*args).tobytes()
+        except NewtonDivergence as err:
+            return int(err.node), repr(err.residual)
+
+    assert outcome(newton_point_solve, rhs, reaction, None, 0.0, coeff, u0) == outcome(
+        _written_out_solve, rhs, f, dfdu, coeff, u0)
 
 
 def test_predator_prey_calls_no_lapack_solve_and_m3_does(monkeypatch):

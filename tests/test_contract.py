@@ -26,6 +26,7 @@ from rdfilter.bench import (
     manufactured_heat_case,
     ratio_to_dt,
     run_accuracy_sweep,
+    run_case,
     run_dd_study,
     run_predator_prey,
     steps_to,
@@ -61,6 +62,10 @@ def run(dt=1e-3, n_steps=2, shift_order=1, kappa_fraction=1.0, filter_on=True, u
     return integrate(zero_reaction(), GRID, dt, n_steps, lambda t: ZERO_BC, u0,
                      shift_order=shift_order, filter_on=filter_on,
                      kappa_fraction=kappa_fraction, layout=layout)
+
+
+def scored(dt=1e-3, n_steps=2, **options):
+    return run_case(manufactured_heat_case(), GRID, dt, n_steps, **options)
 
 
 ROWS = [
@@ -104,6 +109,11 @@ ROWS = [
     ("integrate", "u0", lambda v: run(u0=v), {"field on N=16": OTHER_GRID["field on N=16"]}),
     ("integrate", "layout", lambda v: run(layout=v),
      {"N=64": make_layout(make_grid_1d(64), 2, 8)}),
+    ("run_case", "dt", lambda v: scored(dt=v), POSITIVE),
+    ("run_case", "n_steps", lambda v: scored(n_steps=v), bad("0")),
+    ("run_case", "shift_order", lambda v: scored(shift_order=v), {**WHOLE, "2": 2}),
+    ("run_case", "filter_on", lambda v: scored(filter_on=v), FLAG),
+    ("run_case", "kappa_fraction", lambda v: scored(kappa_fraction=v), POSITIVE),
     ("ratio_to_dt", "ratio", lambda v: ratio_to_dt(v, 0.1), POSITIVE),
     ("ratio_to_dt", "h", lambda v: ratio_to_dt(1.0, v), POSITIVE),
     ("steps_to", "T", lambda v: steps_to(v, 1e-3), {**POSITIVE, "under two steps": 1e-3}),
