@@ -41,7 +41,6 @@ from .core import (
 )
 from .ddm import SubdomainLayout, make_layout
 from .filtering import kappa_critical, postprocess_field
-from .shift import ENDPOINT_MAX_COND, endpoint_matrix
 from .stepper import NewtonDivergence, estimate_uxx, step
 
 
@@ -283,8 +282,8 @@ def integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_step
     name before the first step, and so is a layout of another 1D grid.  So
     are, with the filter off, a shift order 3, a ``layout`` and a
     ``kappa_fraction`` other than 1: nothing reads them; and at shift order
-    3, a strip whose endpoint matrix has a condition above
-    ``shift.ENDPOINT_MAX_COND``, named by its nodes lo..hi.
+    3, a strip the third-order shift cannot take (``shift.cosine_trend``),
+    by one ``postprocess_field`` call on u0.
 
     A step is blown up (``Field.blown_up``) when its values exceed
     ``core.BLOWUP_THRESHOLD`` after its postprocess; every step but the
@@ -312,13 +311,10 @@ def integrate(reaction: ReactionSystem, grid: Grid1D | Grid2D, dt: float, n_step
         key = ("shift_order" if shift_order != 1 else "layout" if layout is not None
                else "kappa_fraction")
         raise ValueError(f"{key}: only a filtered run reads it, and filter_on is off")
-    for lo, hi in layout.ranges if shift_order == 3 and layout is not None else ():
-        cond = np.linalg.cond(endpoint_matrix(layout.grid.n_intervals, lo, hi, 4))
-        if not cond <= ENDPOINT_MAX_COND:  # a NaN condition fails too
-            raise ValueError(f"shift_order: 3 cannot shift strip {lo}..{hi}: its endpoint "
-                             f"matrix has condition {cond:.2g} > {ENDPOINT_MAX_COND:.0e}")
     kappa = tuple(kappa_fraction * kappa_critical(len(grid.node_shape) * dt, np.pi / (n - 1))
                   if filter_on else float("nan") for n in grid.node_shape)
+    if shift_order == 3 and layout is not None:
+        postprocess_field(u0, kappa, u0, layout)  # raises on a strip it cannot take
     mins = u0.values.reshape(-1, u0.m).min(axis=0)
     start = time.perf_counter()
 
@@ -428,7 +424,7 @@ def run_case(case: ManufacturedCase | PredatorPreyCase, grid: Grid1D | Grid2D, d
 
 def _each(key: str, values, what: str, check: Callable = lambda value: value) -> list:
     """``check`` of each of ``values``, a sequence of ``what``, as a list; a non-
-    sequence, or a value ``check`` rejects, raises ValueError naming ``key`` first."""
+    sequence, or a value ``check`` rejects, raises ValueError re-keyed to ``key``."""
     try:
         values = list(values)
     except TypeError:
@@ -436,7 +432,7 @@ def _each(key: str, values, what: str, check: Callable = lambda value: value) ->
     try:
         return [check(value) for value in values]
     except ValueError as err:
-        raise ValueError(f"{key}: {err}") from None
+        raise ValueError(f"{key}: {str(err).partition(': ')[2] or err}") from None
 
 
 def run_accuracy_sweep(case: ManufacturedCase, grid_sizes, ratios, shift_orders,
@@ -540,14 +536,16 @@ def run_dd_study(n_intervals: int, n_subdomains: int, overlaps,
                  resolution: float = 0.1, n_steps: int = 500) -> list[SweepRow]:
     """Maximal stable ratio per overlap for the heat equation, after the
     single-domain reference row.  Every layout is built before the first
-    bisection, so an infeasible one, or ``n_steps`` below 2, fails at once.
-    Each row's search starts at RATIO_MAX; a row whose trial there survived
-    is noted "capped": its true limit may lie above."""
+    bisection, so ``n_steps`` below 2, too many strips for N at overlap 2 or
+    an overlap ``dd_layout`` rejects (keyed ``overlaps``) fails at once.  Each
+    row's search starts at RATIO_MAX; a row whose trial there survived is
+    noted "capped": its true limit may lie above."""
     n_steps = require_whole("n_steps", n_steps, 2)
-    overlaps = _each("overlaps", overlaps, "overlap widths")
     grid = make_grid_1d(n_intervals)
+    make_layout(grid, n_subdomains, 2)  # too many strips for N, named n_subdomains
+    layouts = _each("overlaps", overlaps, "overlap widths", partial(dd_layout, grid, n_subdomains))
     rows = []
-    for layout, note in [(None, "")] + [dd_layout(grid, n_subdomains, ov) for ov in overlaps]:
+    for layout, note in [(None, "")] + layouts:
         t0 = time.perf_counter()
         r = bisect_max_stable_ratio(grid, layout, resolution, n_steps=n_steps)
         if r >= RATIO_MAX:

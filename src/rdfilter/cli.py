@@ -147,8 +147,8 @@ def parse_config(text: str | None = None, overrides: dict | None = None,
     ``grid_sizes``).  A key read only under a condition (``overlap`` needs
     ``n_subdomains`` > 1, ``N`` in ``sweep`` needs no ``grid_sizes``) is
     rejected whenever it is given and the condition does not hold, and so is
-    every key of the postprocess with ``filter`` off.  Last, the
-    strip layouts the subcommand would build are built (``_check_strips``).
+    every key of the postprocess with ``filter`` off, and ``n_subdomains`` 1 in
+    ``dd``.  Each command's own build checks its strip layouts before it runs.
     """
     pairs = []
     for lineno, line in enumerate((text or "").splitlines(), 1):
@@ -179,31 +179,9 @@ def parse_config(text: str | None = None, overrides: dict | None = None,
             if key in unread or (key not in _READS[name] and value != defaults[key]):
                 raise ConfigError(f"{key}: rdfilter {name} does not read it"
                                   + unread.get(key, ""))
-        _check_strips(cfg, command)
+        if command == "dd" and cfg.n_subdomains == 1:
+            raise ConfigError("n_subdomains: rdfilter dd needs n_subdomains >= 2")
     return cfg
-
-
-def _check_strips(cfg: RunConfig, command: str) -> None:
-    """Reject by key, before any integration runs, a strip layout that
-    ``make_layout`` would refuse: too many strips for N even at the narrowest
-    overlap, or an overlap ``run`` or a ``dd`` row would use.  ``dd`` compares
-    strips against one domain, so it needs at least two.  The library's
-    message leads with its own key, which gives way to the CLI's."""
-    if command == "dd" and cfg.n_subdomains == 1:
-        raise ConfigError("n_subdomains: rdfilter dd needs n_subdomains >= 2")
-    if cfg.n_subdomains == 1:  # > 1 passes the read check only in dd and 1D run
-        return
-    grid = make_grid_1d(cfg.N)
-    checks = [("n_subdomains", make_layout, 2)]
-    if command == "dd":
-        checks += [("overlaps", bench.dd_layout, ov) for ov in cfg.overlaps]
-    else:
-        checks.append(("overlap", make_layout, cfg.overlap))
-    for key, build, overlap in checks:
-        try:
-            build(grid, cfg.n_subdomains, overlap)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {str(exc).partition(': ')[2]}") from None
 
 
 # The CSV columns: SweepRow's fields but ``note``, each cast to its field's type.

@@ -137,10 +137,10 @@ def postprocess_field(u: Field, kappa: float | tuple[float, ...], uxx: Field | N
 
     ``uxx`` holds u_xx at every node, a Field on u's grid with u's component
     count (as ``stepper.estimate_uxx`` builds it); given it, each strip takes
-    the third-order shift with u_xx at its two end nodes, else the
-    first-order shift.  Only a 1D field takes ``uxx`` or ``layout``.  A 2D
-    field gets the tensor filter sigma(kx k/Nx) sigma(ky l/Ny), its edges
-    its traces run through the 1D postprocess."""
+    the third-order shift with u_xx at its two end nodes, else the first-order
+    shift; a strip ``shift.cosine_trend`` cannot take raises.  Only a 1D field
+    takes ``uxx`` or ``layout``; a 2D field gets the tensor filter sigma(kx k/Nx)
+    sigma(ky l/Ny), its edges its traces run through the 1D postprocess."""
     n_axes = u.values.ndim - 1
     if type(kappa) is not tuple:  # the drivers pass a tuple, so np.ndim is off their path
         kappa = (kappa,) * n_axes if np.ndim(kappa) == 0 else tuple(kappa)

@@ -13,9 +13,9 @@ add back, and the 2D postprocess lifts the change made to each face with
 it.  On the full grid its first-order coefficients are (u_0 + u_pi)/2 and
 (u_0 - u_pi)/2.  It alone reads the two read-only memos of this module:
 ``cosine_basis(N, n_modes)[i, j] = cos(j x_i)``, whose rows lo..hi a strip
-reads, so no step re-evaluates a cosine, and ``endpoint_inverse``.
-``ENDPOINT_MAX_COND`` bounds the condition of a strip's third-order
-endpoint matrix; ``bench.integrate`` rejects a strip above it by name.
+reads, so no step re-evaluates a cosine, and ``endpoint_inverse``, checked
+once per strip: above ``ENDPOINT_MAX_COND``, the condition of its
+third-order endpoint matrix, ``cosine_trend`` rejects the strip by name.
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ import numpy as np
 
 from .core import read_only, uniform_nodes
 
-# On the 29,597 layouts ``ddm.make_layout`` accepts for N = 20..512, 1-5
-# strips and overlaps 2, 4, ..., 32, the condition number (2-norm) of a
-# strip's four-mode endpoint matrix is at most 1.3e4 or at least 6.6e14: the
-# 58 layouts above the bound, all of 3 strips, have a middle strip of exactly
-# [pi/6, 5pi/6] or [pi/4, 3pi/4], where the matrix is singular.
+# Over the layouts ``ddm.make_layout`` accepts (N 20..512, overlaps 2..32), a
+# strip's four-mode endpoint matrix has a 2-norm condition <= 1.3e4 or >= 6.6e14
+# on 1-5 strips; on 1-40 strips the largest per layout fills every decade from
+# 1e0 to 1e9, and 3,415 of 35,512 layouts are refused without being singular.
 ENDPOINT_MAX_COND = 1.0e8
 
 
@@ -55,6 +54,17 @@ def endpoint_inverse(n_intervals: int, lo: int, hi: int, n_modes: int) -> np.nda
     return read_only(np.linalg.inv(endpoint_matrix(n_intervals, lo, hi, n_modes)))
 
 
+@lru_cache(maxsize=256)
+def _trend_inverse(n_intervals: int, lo: int, hi: int, n_modes: int) -> np.ndarray:
+    """``endpoint_inverse``; a four-mode one above ``ENDPOINT_MAX_COND`` raises."""
+    if n_modes == 4 and hi - lo < n_intervals:  # the whole grid's has cond 10.4 at any N
+        cond = np.linalg.cond(endpoint_matrix(n_intervals, lo, hi, 4))
+        if not cond <= ENDPOINT_MAX_COND:  # a NaN condition fails too
+            raise ValueError(f"shift_order: 3 cannot shift strip {lo}..{hi}: its endpoint "
+                             f"matrix has condition {cond:.2g} > {ENDPOINT_MAX_COND:.0e}")
+    return endpoint_inverse(n_intervals, lo, hi, n_modes)
+
+
 def cosine_trend(ends: np.ndarray, n_intervals: int, lo: int, hi: int,
                  uxx: np.ndarray | None = None) -> np.ndarray:
     """The cosine trend sum_j alpha_j cos(j x) on nodes lo..hi of an N-interval grid.
@@ -65,9 +75,10 @@ def cosine_trend(ends: np.ndarray, n_intervals: int, lo: int, hi: int,
     conditions are solved in global coordinates rather than by rescaling the
     strip onto (0, pi), so a strip absorbs global cosine trends exactly; on
     the full grid this is the standard shift.  Returns (hi - lo + 1, ...),
-    the trailing shape of ``ends`` kept.
+    the trailing shape of ``ends`` kept.  With ``uxx``, a strip whose endpoint
+    matrix has a condition above ``ENDPOINT_MAX_COND`` raises by name.
     """
     data = ends if uxx is None else np.concatenate([ends, uxx])  # (n_modes, ...)
-    alpha = endpoint_inverse(n_intervals, lo, hi, len(data)) @ data.reshape(len(data), -1)
+    alpha = _trend_inverse(n_intervals, lo, hi, len(data)) @ data.reshape(len(data), -1)
     trend = cosine_basis(n_intervals, len(data))[lo:hi + 1] @ alpha
     return trend.reshape((hi - lo + 1,) + ends.shape[1:])

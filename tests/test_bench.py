@@ -689,11 +689,29 @@ def test_dd_study_rejects_an_overlap_above_the_cap_and_notes_the_cap(monkeypatch
     calls = []
     monkeypatch.setattr(bench, "bisect_max_stable_ratio",
                         lambda *args, **kwargs: calls.append(args) or 1.0)
-    with pytest.raises(ValueError, match="^overlap: 32 is above the cap 16"):
+    with pytest.raises(ValueError, match="^overlaps: 32 is above the cap 16"):
         run_dd_study(64, 2, (16, 32))
     assert calls == []
     rows = run_dd_study(64, 2, (14, 16))
     assert [(r.overlap, r.note) for r in rows] == [(0, ""), (14, ""), (16, "saturated")]
+
+
+@pytest.mark.parametrize("n, n_subdomains, overlaps, message", [
+    (128, 4, (4, 3), "^overlaps: must be even and >= 2 between strips"),
+    (128, 4, (4, 32), "^overlaps: 32 is above the cap 16, "),
+    (32, 2, (4, 34), "^overlaps: infeasible layout: N=32, n_subdomains=2, overlap=34 "),
+    (20, 3, (4,), "^n_subdomains: infeasible layout: N=20, n_subdomains=3, overlap=2 "),
+], ids=["odd", "above the cap", "infeasible", "too many strips"])
+def test_dd_study_names_its_own_keys_before_bisecting(monkeypatch, n, n_subdomains, overlaps,
+                                                      message):
+    # each overlap used to be named "overlap:", a key the study does not take;
+    # 3 strips at N = 20 fit only at overlap 4, above the cap 2
+    calls = []
+    monkeypatch.setattr(bench, "bisect_max_stable_ratio",
+                        lambda *args, **kwargs: calls.append(args) or 1.0)
+    with pytest.raises(ValueError, match=message):
+        run_dd_study(n, n_subdomains, overlaps)
+    assert calls == []
 
 
 def test_dd_study_notes_a_row_that_reached_the_ratio_cap(monkeypatch):
@@ -737,7 +755,7 @@ def test_steps_to_rounds_and_rejects_fewer_than_two_steps(monkeypatch):
 
 
 @pytest.mark.parametrize("key, sequences, message", [
-    ("grid_sizes", ((2,), (1.0,), (1,)), "n_intervals: must be >= 4, got 2"),
+    ("grid_sizes", ((2,), (1.0,), (1,)), "must be >= 4, got 2"),
     ("grid_sizes", (8, (1.0,), (1,)), "must be a sequence of interval counts, got 8"),
     ("ratios", ((32,), 1.0, (1,)), "must be a sequence of normalized steps, got 1.0"),
     ("shift_orders", ((32,), (1.0,), 1), "must be a sequence of orders, got 1"),
@@ -807,8 +825,9 @@ def test_third_order_rejects_a_singular_strip_by_name_before_any_step(
 
 
 def test_the_endpoint_condition_bound_sits_in_a_gap():
-    # every strip of every accepted layout, N 20..128: the bound is far from
-    # both the well-conditioned strips and the singular ones
+    # every strip of every accepted layout of 1-5 strips, N 20..128: the bound
+    # is far from both the well-conditioned strips and the singular ones (with
+    # more strips it is not: see the next test)
     conds = []
     for n in range(20, 129, 4):
         for n_subdomains in range(1, 6):
@@ -821,6 +840,23 @@ def test_the_endpoint_condition_bound_sits_in_a_gap():
     conds = np.array(conds)
     assert conds[conds <= ENDPOINT_MAX_COND].max() < 1e5
     assert conds[conds > ENDPOINT_MAX_COND].min() > 1e14
+
+
+def test_third_order_on_many_strips_as_it_stands():
+    # ROADMAP item 14: beyond 5 strips the bound refuses a strip that is not
+    # singular, and accepts strips that blow up at order 3 but not at order 1
+    case, grid = manufactured_heat_case(), make_grid_1d(120)
+    layout = make_layout(grid, 14, 4)
+    cond = np.linalg.cond(endpoint_matrix(120, 7, 19, 4))
+    assert ENDPOINT_MAX_COND < cond < 1e9
+    with pytest.raises(ValueError, match="^shift_order: 3 cannot shift strip 7..19: "):
+        bench.run_case(case, grid, ratio_to_dt(2.0, grid.h), 200, shift_order=3, layout=layout)
+    for n, n_subdomains, blowup_step in [(128, 15, 41), (104, 12, 174)]:
+        grid = make_grid_1d(n)
+        layout, dt = make_layout(grid, n_subdomains, 4), ratio_to_dt(2.0, grid.h)
+        third, _ = bench.run_case(case, grid, dt, 200, shift_order=3, layout=layout)
+        first, _ = bench.run_case(case, grid, dt, 200, shift_order=1, layout=layout)
+        assert (third.stable, third.steps, first.stable) == (False, blowup_step, True)
 
 
 # ---------------------------------------------------------------------------

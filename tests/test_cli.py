@@ -19,6 +19,8 @@ from rdfilter.cli import (
     main,
     parse_config,
 )
+from rdfilter.core import make_grid_1d
+from rdfilter.ddm import make_layout
 
 
 def load_csv(path) -> list[bench.SweepRow]:
@@ -331,6 +333,57 @@ def test_main_run_names_a_strip_the_third_order_shift_cannot_take(tmp_path, caps
     printed = capsys.readouterr()
     assert code == 1 and "BLOW-UP" not in printed.out and not out.exists()
     assert printed.err.startswith(f"error: shift_order: 3 cannot shift strip {strip}: ")
+
+
+def _stub_run_case(monkeypatch) -> list:
+    """Replace ``bench.run_case`` by a stable row; returns the layouts it is given."""
+    layouts = []
+
+    def run_case(case, grid, dt, n_steps, layout=None, **options):
+        layouts.append(layout)
+        return _row(), None
+
+    monkeypatch.setattr(bench, "run_case", run_case)
+    return layouts
+
+
+@pytest.mark.parametrize("n, n_subdomains, overlap", [(20, 3, 4), (32, 5, 6), (44, 6, 4)])
+def test_main_runs_a_layout_make_layout_accepts(tmp_path, monkeypatch, n, n_subdomains,
+                                                overlap):
+    # too many strips for N at overlap 2, not at this overlap: run used to
+    # refuse it, naming n_subdomains
+    layouts = _stub_run_case(monkeypatch)
+    code = main(["run", "--N", str(n), "--n-subdomains", str(n_subdomains), "--overlap",
+                 str(overlap), "--output", str(tmp_path / "x.csv")])
+    assert code == 0
+    assert layouts == [make_layout(make_grid_1d(n), n_subdomains, overlap)]
+
+
+def _refuses(call) -> bool:
+    try:
+        call()
+    except ValueError:  # a ConfigError is one
+        return True
+    return False
+
+
+def test_run_refuses_a_layout_exactly_when_make_layout_does(tmp_path, monkeypatch, capsys):
+    # run used to refuse 22 of these at N <= 56, by a probe of its own at overlap 2
+    layouts = _stub_run_case(monkeypatch)
+    out = str(tmp_path / "x.csv")
+    verdicts = {}
+    for n in range(16, 129, 4):
+        for n_subdomains in range(2, 9):
+            for overlap in range(2, 17, 2):
+                options = {"N": n, "n_subdomains": n_subdomains, "overlap": overlap, "output": out}
+                verdicts[n, n_subdomains, overlap] = (
+                    _refuses(lambda: cli._cmd_run(parse_config(None, options, "run"))),
+                    _refuses(lambda: make_layout(make_grid_1d(n), n_subdomains, overlap)))
+    capsys.readouterr()
+    assert [key for key, (cli_no, library_no) in verdicts.items() if cli_no != library_no] == []
+    refused = sum(library_no for _, library_no in verdicts.values())
+    assert 0 < refused < len(verdicts)
+    assert len(layouts) == len(verdicts) - refused  # every accepted layout ran
 
 
 def test_main_config_error_exit_1(tmp_path):

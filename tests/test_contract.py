@@ -1,17 +1,23 @@
-"""One input contract for the library's entry points, checked by one table.
+"""One input contract for the library's entry points, checked by two tables.
 
-Each row names an entry point, one of its keys and the values that are
-invalid for that key; every such value must raise a ``ValueError`` (a
-``ConfigError`` is one) whose message starts with the key.  A scalar key
+Each row of ``ROWS`` names an entry point, one of its keys and the values
+that are invalid for that key; every such value must raise a ``ValueError``
+(a ``ConfigError`` is one) whose message starts with the key.  A scalar key
 takes its invalid values from ``BAD``, the values every key is tried with;
 a key that takes a field, a layout or a sequence lists its own.  Every other
 argument of a row is valid, so the key alone is at fault.
+
+Each row of ``READ_ROWS`` names an optional key and one call where it
+matters: at a value other than its default the call must give another
+result, or raise naming the key.  So no optional key is silently ignored.
 
 Out of scope: an argument of the wrong object type, say a float where a
 ``Field`` or a ``ReactionSystem`` belongs.  Duck typing raises
 AttributeError there, and that is fine.
 """
 
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -155,3 +161,70 @@ CASES = [pytest.param(call, key, value, id=f"{entry}-{key}-{label}")
 def test_an_invalid_value_is_rejected_by_its_key(call, key, value):
     with pytest.raises(ValueError, match=f"^{key}: "):
         call(value)
+
+
+# ---------------------------------------------------------------------------
+# Every optional key is read.
+
+CASE = manufactured_heat_case()
+RATIO_4 = ratio_to_dt(4.0, GRID.h)  # above the explicit limit: the filter acts
+
+
+def heat(**options):
+    """The final field of 4 steps of the manufactured heat case at ratio 4."""
+    return integrate(CASE.reaction(), GRID, RATIO_4, 4, CASE.boundary, CASE.initial(GRID),
+                     **options).field
+
+
+def sweep(**options):
+    return run_accuracy_sweep(CASE, (32,), (2.0,), (1,), **options)
+
+
+V = CASE.initial(GRID)
+V_XX = Field(GRID, 12 * GRID.nodes**2 / np.pi**4 - 9 * np.cos(3 * GRID.nodes))
+
+# (entry point, key, a call that passes the key its argument, a value other than
+# the default)
+READ_ROWS = [
+    (integrate, "shift_order", lambda v: heat(shift_order=v), 3),
+    (integrate, "filter_on", lambda v: heat(filter_on=v), False),
+    (integrate, "kappa_fraction", lambda v: heat(kappa_fraction=v), 2.0),
+    (integrate, "layout", lambda v: heat(layout=v), make_layout(GRID, 2, 8)),
+    (postprocess_field, "uxx", lambda v: postprocess_field(V, 2.0, v), V_XX),
+    (postprocess_field, "layout", lambda v: postprocess_field(V, 2.0, layout=v),
+     make_layout(GRID, 2, 8)),
+    (run_accuracy_sweep, "T", lambda v: sweep(T=v), 0.5),
+    (run_accuracy_sweep, "filter_on", lambda v: sweep(filter_on=v), False),
+    (run_accuracy_sweep, "kappa_fraction", lambda v: sweep(kappa_fraction=v), 2.0),
+    (run_dd_study, "resolution", lambda v: run_dd_study(32, 2, (4,), resolution=v), 4.0),
+    (run_dd_study, "n_steps", lambda v: run_dd_study(32, 2, (4,), n_steps=v), 20),
+]
+
+
+def fingerprint(result):
+    """Bytes that differ when two results differ: a field's values, or the
+    rows of a study with their wall-clock times and step counts zeroed (a row
+    that only reports its ``n_steps`` is no proof that the trials read it)."""
+    if isinstance(result, Field):
+        return result.values.tobytes()
+    return repr([dataclasses.replace(row, wall_ms=0.0, steps=0) for row in result])
+
+
+def test_read_rows_cover_every_optional_key_of_their_entry_points():
+    for entry in {entry for entry, *_ in READ_ROWS}:
+        optional = {name for name, p in inspect.signature(entry).parameters.items()
+                    if p.default is not inspect.Parameter.empty}
+        assert optional == {key for e, key, *_ in READ_ROWS if e is entry}, entry.__name__
+
+
+@pytest.mark.parametrize("entry, key, call, value", [
+    pytest.param(*row, id=f"{row[0].__name__}-{row[1]}") for row in READ_ROWS])
+def test_an_optional_key_changes_the_result_or_is_rejected(entry, key, call, value):
+    default = inspect.signature(entry).parameters[key].default
+    assert value != default
+    try:
+        other = call(value)
+    except ValueError as err:
+        assert str(err).startswith(f"{key}: "), err
+        return
+    assert fingerprint(other) != fingerprint(call(default))

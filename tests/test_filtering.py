@@ -502,6 +502,24 @@ def test_postprocess_rejects_a_uxx_that_is_not_a_field_like_u_by_name(bad):
         postprocess_field(u, 2.0, bad)
 
 
+@pytest.mark.parametrize("matrix_max_n", [MATRIX_MAX_N, 0], ids=["matrix", "dst"])
+def test_postprocess_rejects_a_strip_the_third_order_shift_cannot_take(monkeypatch,
+                                                                       matrix_max_n):
+    # the middle of 3 strips at N = 48, overlap 8, is [pi/4, 3pi/4], where the
+    # endpoint matrix is singular: with the exact u_xx of (x/pi)^4 + cos 3x the
+    # README's call returned a field 1e11 away from u, on either path
+    grid = make_grid_1d(48)
+    x, layout = grid.nodes, make_layout(grid, 3, 8)
+    u = Field(grid, (x / np.pi) ** 4 + np.cos(3 * x))
+    uxx = Field(grid, 12 * x**2 / np.pi**4 - 9 * np.cos(3 * x))
+    kappa = kappa_critical(ratio_to_dt(4.0, grid.h), grid.h)
+    monkeypatch.setattr(filtering, "MATRIX_MAX_N", matrix_max_n)
+    with pytest.raises(ValueError, match="^shift_order: 3 cannot shift strip 12..36: "):
+        postprocess_field(u, kappa, uxx, layout=layout)
+    first = postprocess_field(u, kappa, layout=layout)  # 0.045 from u
+    assert np.max(np.abs(first.values - u.values)) < 0.1
+
+
 def test_postprocess_field_roundtrip_identity_filter():
     grid = make_grid_1d(64)
     u = Field(grid, (grid.nodes / np.pi) ** 4 + np.cos(2 * grid.nodes))

@@ -108,6 +108,13 @@ def test_filtering_imports_only_the_cosine_trend_from_shift():
     assert names_imported_from(source, "shift") == {"cosine_trend"}
 
 
+# Which strips the third-order shift can take is ``shift``'s rule, reached
+# through the postprocess: ``bench`` does not derive it again.
+def test_bench_imports_nothing_from_shift():
+    source = (ROOT / "src" / "rdfilter" / "bench.py").read_text()
+    assert names_imported_from(source, "shift") == set()
+
+
 # ``step`` derives its one Laplacian from the two levels it is given; the
 # integration loop in ``bench`` hands it levels, never a Laplacian of its own.
 BENCH_FROM_STEPPER = {"NewtonDivergence", "estimate_uxx", "step"}

@@ -178,6 +178,16 @@ def test_strip_shift_absorbs_global_cosine_trend():
     assert np.allclose(_modes(trend3, lo), [1.5, 0.75, 0.0, 0.0], atol=1e-12)
 
 
+def test_cosine_trend_rejects_a_strip_whose_four_mode_matrix_is_singular():
+    # nodes 12..36 of N = 48 are [pi/4, 3pi/4]: the third-order conditions
+    # have no unique solution there, the first-order ones do
+    ends, uxx = np.ones((2, 1)), np.zeros((2, 1))
+    with pytest.raises(ValueError, match="^shift_order: 3 cannot shift strip 12..36: its "
+                                         "endpoint matrix has condition .* > 1e\\+08$"):
+        cosine_trend(ends, 48, 12, 36, uxx)
+    assert np.allclose(cosine_trend(ends, 48, 12, 36), 1.0, rtol=0.0, atol=1e-13)
+
+
 def test_cosine_trend_keeps_the_trailing_shape_of_its_end_data():
     # (2, a, b) end data gives (nodes, a, b), column by column the trend of (2, 1) data
     rng = np.random.default_rng(3)
